@@ -7,7 +7,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt-check vet build build-debug test race invariants degradation tournament telemetry resilience bench bench-obs bench-kernel bench-kernel-gate paperbench clean
+.PHONY: check fmt-check vet build build-debug test race invariants degradation tournament telemetry resilience bench bench-obs bench-kernel bench-kernel-gate bench-e2e paperbench clean
 
 check: fmt-check vet build build-debug race
 
@@ -116,6 +116,14 @@ bench-kernel-gate:
 	$(GO) test -count=1 -timeout 20m ./internal/core -run TestKernelBenchGuard
 	$(GO) run ./cmd/paperbench -bench-kernel /tmp/ibcc-bench-gate.json \
 		-bench-events 8000000 -bench-baseline BENCH_kernel.json
+
+# End-to-end ledger: the four benchmark workloads (benchmark/README.md),
+# untraced, seed 1, judged against the committed baseline with the
+# same-seed gate; non-zero on any metric read `worse` or any failed
+# operation. Takes a few minutes.
+bench-e2e:
+	$(GO) run ./benchmark -out /tmp/ibcc-e2e.json
+	$(GO) run ./benchmark -compare benchmark/baseline.json /tmp/ibcc-e2e.json
 
 # Quick end-to-end smoke: one figure, parallel, with artifacts.
 paperbench:

@@ -88,8 +88,8 @@ type Violation struct {
 	// Time is the simulated time of detection.
 	Time sim.Time
 	// Rule names the invariant: "conservation", "pool-accounting",
-	// "credit-bounds", "cc-state", "ccti-step", "fel-order",
-	// "watchdog".
+	// "credit-bounds", "voq-occupancy", "cc-state", "ccti-step",
+	// "fel-order", "watchdog".
 	Rule string
 	// Detail describes the breach.
 	Detail string
@@ -359,6 +359,9 @@ func (c *Checker) sweep(now sim.Time) {
 		}
 		if err := c.t.Net.CheckCreditBounds(); err != nil {
 			c.violate(now, "credit-bounds", "%v", err)
+		}
+		if err := c.t.Net.CheckVoQOccupancy(); err != nil {
+			c.violate(now, "voq-occupancy", "%v", err)
 		}
 	}
 	if c.t.CC != nil {

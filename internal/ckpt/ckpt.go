@@ -50,8 +50,10 @@ type EventRecord struct {
 	Pkt int `json:"pkt,omitempty"`
 }
 
-// PacketRecord mirrors every field of ib.Packet, so a restored packet
-// is indistinguishable from the original to the model.
+// PacketRecord mirrors every model field of ib.Packet, so a restored
+// packet is indistinguishable from the original to the model. The
+// queue link (ib.Packet.Next) is deliberately absent: custody sites
+// store queue order as reference lists and restore relinks from them.
 type PacketRecord struct {
 	ID           uint64   `json:"id"`
 	Type         uint8    `json:"ty,omitempty"`
@@ -75,6 +77,8 @@ type PacketTable struct {
 	recs []PacketRecord
 	idx  map[*ib.Packet]int
 	pkts []*ib.Packet
+	// claimed marks restore-side packets a custody site already took.
+	claimed []bool
 }
 
 // NewPacketTable returns an empty export-side table.
@@ -110,7 +114,7 @@ func (t *PacketTable) Records() []PacketRecord { return t.recs }
 // side. Packets are allocated directly — never through a pool — because
 // the pool's traffic counters are restored wholesale from the snapshot.
 func RestoreTable(recs []PacketRecord) *PacketTable {
-	t := &PacketTable{recs: recs, pkts: make([]*ib.Packet, len(recs))}
+	t := &PacketTable{recs: recs, pkts: make([]*ib.Packet, len(recs)), claimed: make([]bool, len(recs))}
 	for i, r := range recs {
 		t.pkts[i] = &ib.Packet{
 			ID: r.ID, Type: ib.PacketType(r.Type), Src: r.Src, Dst: r.Dst,
@@ -123,14 +127,23 @@ func RestoreTable(recs []PacketRecord) *PacketTable {
 	return t
 }
 
-// Packet returns the materialized packet for a 1-based index (nil for
-// 0). It panics on an out-of-range index: that is a corrupt snapshot
-// the envelope CRC should have caught.
-func (t *PacketTable) Packet(i int) *ib.Packet {
+// Claim hands the materialized packet for a 1-based index (nil for 0)
+// to the one custody site or pending event that owns it. Packets have
+// a single owner, so an index out of range or claimed twice means the
+// snapshot is corrupt (the envelope CRC only vouches for the bytes, not
+// for what wrote them) and is reported as an error.
+func (t *PacketTable) Claim(i int) (*ib.Packet, error) {
 	if i == 0 {
-		return nil
+		return nil, nil
 	}
-	return t.pkts[i-1]
+	if i < 0 || i > len(t.pkts) {
+		return nil, fmt.Errorf("ckpt: packet reference %d of %d", i, len(t.pkts))
+	}
+	if t.claimed[i-1] {
+		return nil, fmt.Errorf("ckpt: packet %d claimed by two custody sites", i)
+	}
+	t.claimed[i-1] = true
+	return t.pkts[i-1], nil
 }
 
 // Len returns the number of interned packets.

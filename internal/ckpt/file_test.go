@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/ib"
 	"repro/internal/sim"
 )
 
@@ -209,5 +211,73 @@ func TestNextCadence(t *testing.T) {
 		if got := NextCadence(tc.now, tc.every); got != tc.want {
 			t.Errorf("NextCadence(%d, %d) = %d, want %d", tc.now, tc.every, got, tc.want)
 		}
+	}
+}
+
+// PacketRecord must carry every model field of ib.Packet and nothing of
+// its queue plumbing: the link is rebuilt from the custody sites' ordered
+// reference lists, never stored.
+func TestPacketRecordMirrorsPacketWithoutLink(t *testing.T) {
+	rec := reflect.TypeOf(PacketRecord{})
+	pkt := reflect.TypeOf(ib.Packet{})
+	for i := 0; i < pkt.NumField(); i++ {
+		name := pkt.Field(i).Name
+		_, ok := rec.FieldByName(name)
+		if name == "Next" {
+			if ok {
+				t.Fatal("PacketRecord serializes the intrusive queue link")
+			}
+			continue
+		}
+		if !ok {
+			t.Errorf("PacketRecord lacks ib.Packet field %s", name)
+		}
+	}
+
+	next := &ib.Packet{ID: 8}
+	src := &ib.Packet{ID: 7, Type: ib.CNPPacket, Src: 1, Dst: 2, VL: 1, BECN: true, Next: next}
+	exp := NewPacketTable()
+	if exp.Ref(src) != 1 || exp.Ref(src) != 1 || exp.Ref(nil) != 0 {
+		t.Fatal("Ref must intern idempotently from 1, with 0 for nil")
+	}
+	blob, err := json.Marshal(exp.Records())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(strings.ToLower(string(blob)), "next") {
+		t.Fatalf("queue link leaked into the snapshot JSON: %s", blob)
+	}
+	got, err := RestoreTable(exp.Records()).Claim(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *src
+	want.Next = nil
+	if *got != want {
+		t.Fatalf("restored packet %+v, want %+v", *got, want)
+	}
+}
+
+// Claim is the restore side's single-owner check: a reference outside
+// the table, or one a second custody site asks for, is a corrupt
+// snapshot and must come back as an error, not a panic.
+func TestClaimRejectsBadAndDoubleReferences(t *testing.T) {
+	tab := RestoreTable([]PacketRecord{{ID: 1}, {ID: 2}})
+	if p, err := tab.Claim(0); p != nil || err != nil {
+		t.Fatalf("Claim(0) = %v, %v; want nil, nil", p, err)
+	}
+	for _, ref := range []int{-1, 3, 1 << 30} {
+		if _, err := tab.Claim(ref); err == nil {
+			t.Errorf("Claim(%d) of a 2-packet table succeeded", ref)
+		}
+	}
+	if p, err := tab.Claim(2); err != nil || p.ID != 2 {
+		t.Fatalf("Claim(2) = %v, %v", p, err)
+	}
+	if _, err := tab.Claim(2); err == nil {
+		t.Fatal("second Claim(2) succeeded: two custody sites own one packet")
+	}
+	if _, err := tab.Claim(0); err != nil {
+		t.Fatal("the nil reference may be claimed any number of times")
 	}
 }

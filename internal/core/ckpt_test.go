@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/ckpt"
+	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -235,5 +239,94 @@ func TestCheckpointRejectsChecker(t *testing.T) {
 	in.Check(CheckOpts{})
 	if _, err := in.ExecuteWithCheckpoints(CkptOpts{Every: 10 * sim.Microsecond, Dir: t.TempDir()}); err == nil {
 		t.Fatal("checker + cadence checkpointing accepted")
+	}
+}
+
+// TestRestoreRejectsCorruptCRCValidCheckpoint: the envelope CRC vouches
+// for the bytes, not for what wrote them. A checkpoint edited before
+// sealing must fail Restore with an error. Before the hardening a VoQ
+// moved to a padding slot of the arbiter ring restored cleanly and
+// panicked at the port's next grant, an arbiter pointer off the ring was
+// silently masked onto it, and a packet claimed by a generator queue and
+// a VoQ at once sat in two places.
+func TestRestoreRejectsCorruptCRCValidCheckpoint(t *testing.T) {
+	s := Default(6) // six-port switches: ring slots 6 and 7 are padding
+	s.Seed = 9
+	s.CCOn = false // unthrottled hotspots keep VoQs occupied at the cut
+	s.Warmup = 200 * sim.Microsecond
+	s.Measure = 400 * sim.Microsecond
+	in, err := Build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.executed = true
+	in.start()
+	in.Net.Sim().RunUntil(sim.Time(0).Add(300 * sim.Microsecond))
+	good, err := in.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// firstVoQ finds a switch output port with a queued packet.
+	firstVoQ := func(t *testing.T, st *fabric.State) *fabric.SwOutState {
+		for i := range st.Switches {
+			for _, o := range st.Switches[i].Out {
+				if o != nil && len(o.VoQs) > 0 {
+					return o
+				}
+			}
+		}
+		t.Fatal("no packet queued at any switch at the cut")
+		return nil
+	}
+	cases := map[string]func(t *testing.T, snap *ckpt.Snapshot, st *fabric.State){
+		"voq in a padding slot": func(t *testing.T, _ *ckpt.Snapshot, st *fabric.State) {
+			o := firstVoQ(t, st)
+			o.VoQs[len(o.VoQs)-1].K = 6
+		},
+		"arbiter pointer off the ring": func(t *testing.T, _ *ckpt.Snapshot, st *fabric.State) { firstVoQ(t, st).RR = 1 << 20 },
+		"packet owned twice": func(t *testing.T, snap *ckpt.Snapshot, st *fabric.State) {
+			ref := firstVoQ(t, st).VoQs[0].Pkts[0]
+			for i, blob := range snap.Traffic {
+				var g map[string]json.RawMessage
+				if json.Unmarshal(blob, &g) != nil || g["flows"] == nil {
+					continue
+				}
+				var flows []map[string]json.RawMessage
+				if err := json.Unmarshal(g["flows"], &flows); err != nil {
+					t.Fatal(err)
+				}
+				for _, fl := range flows {
+					if fl["pkts"] != nil {
+						fl["pkts"] = json.RawMessage(fmt.Sprintf("[%d]", ref))
+						g["flows"], _ = json.Marshal(flows)
+						snap.Traffic[i], _ = json.Marshal(g)
+						return
+					}
+				}
+			}
+			t.Fatal("no generator holds a queued packet at the cut")
+		},
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			snap := *good
+			snap.Traffic = append([]json.RawMessage(nil), good.Traffic...)
+			var st fabric.State
+			if err := json.Unmarshal(good.Fabric, &st); err != nil {
+				t.Fatal(err)
+			}
+			corrupt(t, &snap, &st)
+			if snap.Fabric, err = json.Marshal(&st); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := ckpt.Encode(&buf, &snap); err != nil {
+				t.Fatalf("sealing the corrupt snapshot: %v", err)
+			}
+			if _, err := Restore(&buf); err == nil {
+				t.Fatal("corrupt checkpoint restored without error")
+			}
+		})
 	}
 }

@@ -181,3 +181,32 @@ func (n *Network) CheckCreditBounds() error {
 	}
 	return nil
 }
+
+// CheckVoQOccupancy verifies the arbiter's summary state against the
+// queues it summarizes, at every switch output port: occupancy bit k is
+// set exactly when voqs[k] holds packets, and pending equals the
+// packets queued. A stale set bit would make the arbiter dereference an
+// empty queue's head; a stale clear bit strands its packets forever.
+func (n *Network) CheckVoQOccupancy() error {
+	for _, sw := range n.switches {
+		for pi, op := range sw.out {
+			if op == nil {
+				continue
+			}
+			queued := 0
+			for k := range op.voqs {
+				l := op.voqs[k].Len()
+				queued += l
+				if set := op.occ[k>>6]>>(k&63)&1 != 0; set != (l > 0) {
+					return fmt.Errorf("fabric: switch %d port %d voq %d: occupancy bit %v with %d packets queued",
+						sw.index, pi, k, set, l)
+				}
+			}
+			if queued != op.pending {
+				return fmt.Errorf("fabric: switch %d port %d: %d packets queued, pending says %d",
+					sw.index, pi, queued, op.pending)
+			}
+		}
+	}
+	return nil
+}

@@ -83,22 +83,48 @@ type State struct {
 }
 
 func queueRefs(t *ckpt.PacketTable, q *pktQueue) []int {
-	if q.n == 0 {
+	if q.Len() == 0 {
 		return nil
 	}
-	out := make([]int, 0, q.n)
-	mask := len(q.buf) - 1
-	for i := 0; i < q.n; i++ {
-		out = append(out, t.Ref(q.buf[(q.head+i)&mask]))
+	out := make([]int, 0, q.Len())
+	for p := q.Peek(); p != nil; p = p.Next {
+		out = append(out, t.Ref(p))
 	}
 	return out
 }
 
-func restoreQueue(t *ckpt.PacketTable, q *pktQueue, refs []int) {
+// claim resolves a packet reference for the custody site or event that
+// owns it. A snapshot's CRC only proves the bytes are the ones written,
+// so everything the forwarding path would index with is checked here: a
+// reference out of range or owned twice, and a lane the fabric does not
+// have, are errors rather than a panic at the packet's next hop.
+func (n *Network) claim(t *ckpt.PacketTable, ref int) (*ib.Packet, error) {
+	p, err := t.Claim(ref)
+	if err != nil {
+		return nil, err
+	}
+	if p != nil && int(p.VL) >= n.cfg.NumVLs {
+		return nil, fmt.Errorf("packet %d on vl %d of %d", ref, p.VL, n.cfg.NumVLs)
+	}
+	return p, nil
+}
+
+// restoreQueue relinks q from refs in FIFO order and returns the wire
+// bytes it now holds.
+func (n *Network) restoreQueue(t *ckpt.PacketTable, q *pktQueue, refs []int) (wire int, err error) {
 	*q = pktQueue{}
 	for _, r := range refs {
-		q.Push(t.Packet(r))
+		p, err := n.claim(t, r)
+		if err != nil {
+			return 0, err
+		}
+		if p == nil {
+			return 0, fmt.Errorf("nil packet reference in a queue")
+		}
+		q.Push(p)
+		wire += p.WireBytes()
 	}
+	return wire, nil
 }
 
 func exportLink(l *linkOut) LinkOutState {
@@ -108,9 +134,9 @@ func exportLink(l *linkOut) LinkOutState {
 	}
 }
 
-func restoreLink(l *linkOut, st LinkOutState, what string) error {
+func restoreLink(l *linkOut, st LinkOutState) error {
 	if len(st.Credits) != len(l.credits) {
-		return fmt.Errorf("fabric: restore %s: %d credit lanes, want %d", what, len(st.Credits), len(l.credits))
+		return fmt.Errorf("%d credit lanes, want %d", len(st.Credits), len(l.credits))
 	}
 	copy(l.credits, st.Credits)
 	l.busy, l.down, l.slow = st.Busy, st.Down, st.Slow
@@ -179,24 +205,9 @@ func (n *Network) RestoreState(st *State, tab *ckpt.PacketTable) error {
 			len(st.HCAs), len(st.Switches), len(n.hcas), len(n.switches))
 	}
 	for i, h := range n.hcas {
-		hs := &st.HCAs[i]
-		restoreQueue(tab, &h.obuf, hs.Obuf)
-		h.obufBytes = hs.ObufBytes
-		restoreQueue(tab, &h.ctrl, hs.Ctrl)
-		h.dmaBusy = hs.DmaBusy
-		h.dmaPkt = tab.Packet(hs.DmaPkt)
-		if len(hs.RxFree) != len(h.rxFree) {
-			return fmt.Errorf("fabric: restore host %d: %d rx lanes, want %d", i, len(hs.RxFree), len(h.rxFree))
+		if err := n.restoreHCA(h, &st.HCAs[i], tab); err != nil {
+			return fmt.Errorf("fabric: restore host %d: %w", i, err)
 		}
-		copy(h.rxFree, hs.RxFree)
-		restoreQueue(tab, &h.rxQ, hs.RxQ)
-		h.sinkBusy = hs.SinkBusy
-		h.sinkPkt = tab.Packet(hs.SinkPkt)
-		if err := restoreLink(&h.out, hs.Out, fmt.Sprintf("host %d", i)); err != nil {
-			return err
-		}
-		h.ctr = hs.Ctr
-		h.wake, h.wakeSeq = nil, 0 // re-linked by the wake event's decode, if pending
 	}
 	for i, sw := range n.switches {
 		ss := &st.Switches[i]
@@ -224,23 +235,8 @@ func (n *Network) RestoreState(st *State, tab *ckpt.PacketTable) error {
 			if op == nil {
 				continue
 			}
-			if err := restoreLink(&op.linkOut, osrc.Link, fmt.Sprintf("switch %d port %d", i, pi)); err != nil {
-				return err
-			}
-			if len(osrc.Qbytes) != len(op.qbytes) {
-				return fmt.Errorf("fabric: restore switch %d port %d lane count", i, pi)
-			}
-			copy(op.qbytes, osrc.Qbytes)
-			op.rr = osrc.RR
-			op.pending = osrc.Pending
-			for k := range op.voqs {
-				op.voqs[k] = pktQueue{}
-			}
-			for _, vs := range osrc.VoQs {
-				if vs.K < 0 || vs.K >= len(op.voqs) {
-					return fmt.Errorf("fabric: restore switch %d port %d voq %d of %d", i, pi, vs.K, len(op.voqs))
-				}
-				restoreQueue(tab, &op.voqs[vs.K], vs.Pkts)
+			if err := n.restoreSwOut(op, osrc, tab); err != nil {
+				return fmt.Errorf("fabric: restore switch %d port %d: %w", i, pi, err)
 			}
 		}
 	}
@@ -249,6 +245,105 @@ func (n *Network) RestoreState(st *State, tab *ckpt.PacketTable) error {
 		a := n.EnableAudit()
 		*a = *st.Audit
 	}
+	return nil
+}
+
+func (n *Network) restoreHCA(h *HCA, hs *HCAState, tab *ckpt.PacketTable) error {
+	obufBytes, err := n.restoreQueue(tab, &h.obuf, hs.Obuf)
+	if err != nil {
+		return err
+	}
+	if obufBytes != hs.ObufBytes {
+		return fmt.Errorf("staging holds %d wire bytes, state says %d", obufBytes, hs.ObufBytes)
+	}
+	h.obufBytes = hs.ObufBytes
+	if _, err = n.restoreQueue(tab, &h.ctrl, hs.Ctrl); err != nil {
+		return err
+	}
+	h.dmaBusy = hs.DmaBusy
+	if h.dmaPkt, err = n.claim(tab, hs.DmaPkt); err != nil {
+		return err
+	}
+	if len(hs.RxFree) != len(h.rxFree) {
+		return fmt.Errorf("%d rx lanes, want %d", len(hs.RxFree), len(h.rxFree))
+	}
+	copy(h.rxFree, hs.RxFree)
+	if _, err = n.restoreQueue(tab, &h.rxQ, hs.RxQ); err != nil {
+		return err
+	}
+	h.sinkBusy = hs.SinkBusy
+	if h.sinkPkt, err = n.claim(tab, hs.SinkPkt); err != nil {
+		return err
+	}
+	if err := restoreLink(&h.out, hs.Out); err != nil {
+		return err
+	}
+	h.ctr = hs.Ctr
+	h.wake, h.wakeSeq = nil, 0 // re-linked by the wake event's decode, if pending
+	return nil
+}
+
+// restoreSwOut overlays one switch output port. The VoQ ring is
+// validated against everything the arbiter derives from a ring index —
+// the first grant reads sw.in[k>>vlShift] and the lane accounts of the
+// slot's VL — and the occupancy bitmap and the redundant counters
+// (pending, qbytes) must agree with the queues they summarize.
+func (n *Network) restoreSwOut(op *swOutPort, st *SwOutState, tab *ckpt.PacketTable) error {
+	if err := restoreLink(&op.linkOut, st.Link); err != nil {
+		return err
+	}
+	if len(st.Qbytes) != len(op.qbytes) {
+		return fmt.Errorf("%d queue lanes, want %d", len(st.Qbytes), len(op.qbytes))
+	}
+	if st.RR < 0 || st.RR >= len(op.voqs) {
+		return fmt.Errorf("arbiter pointer %d outside ring of %d", st.RR, len(op.voqs))
+	}
+	op.rr = st.RR
+	for k := range op.voqs {
+		op.voqs[k] = pktQueue{}
+	}
+	for w := range op.occ {
+		op.occ[w] = 0
+	}
+	pending := 0
+	qbytes := make([]int, len(op.qbytes))
+	for i, vs := range st.VoQs {
+		if vs.K < 0 || vs.K >= len(op.voqs) {
+			return fmt.Errorf("voq %d of %d", vs.K, len(op.voqs))
+		}
+		if i > 0 && vs.K <= st.VoQs[i-1].K {
+			return fmt.Errorf("voq %d listed out of ring order", vs.K)
+		}
+		inPort, vl := vs.K>>op.vlShift, vs.K&(1<<op.vlShift-1)
+		if inPort >= len(op.sw.in) || op.sw.in[inPort] == nil || vl >= len(op.qbytes) {
+			return fmt.Errorf("voq %d is a padding slot (in-port %d, vl %d)", vs.K, inPort, vl)
+		}
+		q := &op.voqs[vs.K]
+		wire, err := n.restoreQueue(tab, q, vs.Pkts)
+		if err != nil {
+			return err
+		}
+		for p := q.Peek(); p != nil; p = p.Next {
+			if int(p.VL) != vl {
+				return fmt.Errorf("voq %d (vl %d) holds a packet on vl %d", vs.K, vl, p.VL)
+			}
+		}
+		if q.Len() > 0 {
+			op.occ[vs.K>>6] |= 1 << (vs.K & 63)
+		}
+		pending += q.Len()
+		qbytes[vl] += wire
+	}
+	if pending != st.Pending {
+		return fmt.Errorf("voqs hold %d packets, state says %d pending", pending, st.Pending)
+	}
+	for vl, b := range qbytes {
+		if b != st.Qbytes[vl] {
+			return fmt.Errorf("vl %d voqs hold %d wire bytes, state says %d", vl, b, st.Qbytes[vl])
+		}
+	}
+	op.pending = st.Pending
+	copy(op.qbytes, st.Qbytes)
 	return nil
 }
 
@@ -348,8 +443,15 @@ func (c *Codec) swPort(a0, a1 int64) (*SwitchNode, int, error) {
 func (c *Codec) DecodeAction(rec ckpt.EventRecord) (act sim.Action, attach func(*sim.Event), ok bool, err error) {
 	switch rec.Kind {
 	case kindArrival:
+		p, e := c.net.claim(c.tab, rec.Pkt)
+		if e != nil {
+			return nil, nil, true, fmt.Errorf("fabric: arrival event: %w", e)
+		}
+		if p == nil {
+			return nil, nil, true, fmt.Errorf("fabric: arrival event carries no packet")
+		}
 		a := c.net.popArrival()
-		a.p = c.tab.Packet(rec.Pkt)
+		a.p = p
 		a.drop = rec.B1
 		if rec.B0 {
 			sw, port, e := c.swPort(rec.A0, rec.A1)
@@ -372,6 +474,9 @@ func (c *Codec) DecodeAction(rec ckpt.EventRecord) (act sim.Action, attach func(
 				sw, port, e := c.swPort(rec.A2, rec.A3)
 				if e != nil {
 					return nil, nil, true, e
+				}
+				if sw.out[port] == nil {
+					return nil, nil, true, fmt.Errorf("fabric: dropped arrival from unconnected port %d of switch %d", port, rec.A2)
 				}
 				a.src = &sw.out[port].linkOut
 			} else {

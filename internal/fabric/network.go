@@ -215,5 +215,5 @@ func (n *Network) CheckQuiescent() error {
 			}
 		}
 	}
-	return nil
+	return n.CheckVoQOccupancy()
 }

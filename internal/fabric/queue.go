@@ -2,58 +2,48 @@ package fabric
 
 import "repro/internal/ib"
 
-// pktQueue is a growable FIFO ring buffer of packets, used for VoQs,
-// staging buffers and sink queues. It avoids per-element allocation on
-// the simulator's hottest path. Capacity is always a power of two so
-// index wrapping is a mask, not an integer division.
+// pktQueue is an intrusive FIFO of packets, linked through
+// ib.Packet.Next, used for VoQs, staging buffers and sink queues. The
+// queue owns every packet on its list — the single-owner lifecycle
+// means a packet is in at most one queue, so the link lives in the
+// packet and the simulator's hottest path touches no memory but the
+// queue header and the packets themselves.
 type pktQueue struct {
-	buf  []*ib.Packet
-	head int
-	n    int
+	head, tail *ib.Packet
+	n          int
 }
 
 // Len returns the number of queued packets.
 func (q *pktQueue) Len() int { return q.n }
 
-// Push appends p to the tail.
+// Push appends p to the tail. p must not be in any queue.
 func (q *pktQueue) Push(p *ib.Packet) {
-	if q.n == len(q.buf) {
-		q.grow()
+	if ib.Debug && p.Next != nil {
+		panic("fabric: packet pushed while linked into a queue")
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = p
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.Next = p
+	}
+	q.tail = p
 	q.n++
 }
 
 // Peek returns the head packet without removing it, or nil if empty.
-func (q *pktQueue) Peek() *ib.Packet {
-	if q.n == 0 {
-		return nil
-	}
-	return q.buf[q.head]
-}
+func (q *pktQueue) Peek() *ib.Packet { return q.head }
 
 // Pop removes and returns the head packet, or nil if empty.
 func (q *pktQueue) Pop() *ib.Packet {
-	if q.n == 0 {
+	p := q.head
+	if p == nil {
 		return nil
 	}
-	p := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.head = p.Next
+	if q.head == nil {
+		q.tail = nil
+	}
+	p.Next = nil
 	q.n--
 	return p
-}
-
-func (q *pktQueue) grow() {
-	size := len(q.buf) * 2
-	if size == 0 {
-		size = 8
-	}
-	nb := make([]*ib.Packet, size)
-	mask := len(q.buf) - 1
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)&mask]
-	}
-	q.buf = nb
-	q.head = 0
 }

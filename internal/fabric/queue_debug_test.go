@@ -1,0 +1,22 @@
+//go:build debug
+
+package fabric
+
+import (
+	"testing"
+
+	"repro/internal/ib"
+)
+
+func TestDebugPushOfLinkedPacketPanics(t *testing.T) {
+	var q, other pktQueue
+	a, b := &ib.Packet{ID: 1}, &ib.Packet{ID: 2}
+	q.Push(a)
+	q.Push(b) // a.Next == b: a is mid-list in q
+	defer func() {
+		if recover() == nil {
+			t.Fatal("pushing a packet already linked into a queue must panic under -tags debug")
+		}
+	}()
+	other.Push(a)
+}

@@ -33,11 +33,12 @@ func TestPktQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestPktQueueWraparound(t *testing.T) {
+func TestPktQueueInterleaving(t *testing.T) {
 	var q pktQueue
 	id := uint64(0)
 	next := uint64(0)
-	// Interleave pushes and pops to force head to wrap repeatedly.
+	// Interleave pushes and pops so the list repeatedly shrinks to one
+	// or two packets and regrows.
 	for round := 0; round < 100; round++ {
 		for i := 0; i < 3; i++ {
 			q.Push(&ib.Packet{ID: id})
@@ -100,27 +101,61 @@ func TestPktQueueMatchesReference(t *testing.T) {
 	}
 }
 
-// The mask-based index wrap requires every capacity to be a power of
-// two; growth must preserve that from the initial allocation onward.
-func TestPktQueuePowerOfTwoCapacity(t *testing.T) {
+// A queue that drains to empty must forget its tail, and popped packets
+// must leave unlinked: a stale link would splice the next queue a packet
+// joins onto this one's remains.
+func TestPktQueueUnlinksOnPop(t *testing.T) {
+	var q, other pktQueue
+	a, b, c := &ib.Packet{ID: 1}, &ib.Packet{ID: 2}, &ib.Packet{ID: 3}
+	q.Push(a)
+	q.Push(b)
+	if a.Next != b || b.Next != nil {
+		t.Fatal("push did not link through Packet.Next")
+	}
+	if q.Pop() != a || a.Next != nil {
+		t.Fatal("popped packet still linked")
+	}
+	other.Push(a)
+	if q.Pop() != b || q.Len() != 0 || q.Peek() != nil {
+		t.Fatal("queue not empty after draining")
+	}
+	q.Push(c) // must start a fresh list, not append behind b
+	if q.Peek() != c || q.Len() != 1 || b.Next != nil {
+		t.Fatal("drained queue kept its old tail")
+	}
+	if other.Pop() != a || other.Len() != 0 {
+		t.Fatal("second queue disturbed")
+	}
+}
+
+// Queue storage is the packets themselves: no push, at any occupancy,
+// may allocate.
+func TestPktQueueZeroAlloc(t *testing.T) {
 	var q pktQueue
-	for i := 0; i < 1000; i++ {
-		q.Push(&ib.Packet{ID: uint64(i)})
-		if c := len(q.buf); c&(c-1) != 0 {
-			t.Fatalf("after %d pushes: capacity %d not a power of two", i+1, c)
+	pkts := make([]*ib.Packet, 1000)
+	for i := range pkts {
+		pkts[i] = &ib.Packet{ID: uint64(i)}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, p := range pkts {
+			q.Push(p)
 		}
+		for range pkts {
+			q.Pop()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Push/Pop allocated %v times per run, want 0", allocs)
 	}
 }
 
 // BenchmarkPktQueue measures the steady-state push/pop cycle at a fixed
 // occupancy — the pattern of every VoQ, staging buffer and sink queue on
-// the per-packet path. The mask-based wrap removes two integer divisions
-// per cycle relative to the previous %-len indexing.
+// the per-packet path.
 func BenchmarkPktQueue(b *testing.B) {
 	var q pktQueue
-	p := &ib.Packet{}
-	for i := 0; i < 24; i++ { // off power-of-two occupancy, head wraps
-		q.Push(p)
+	for i := 0; i < 24; i++ {
+		q.Push(&ib.Packet{})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

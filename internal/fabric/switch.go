@@ -35,20 +35,25 @@ type swInPort struct {
 // (input port, VL), per-VL queued-byte accounting for congestion
 // detection, and the round-robin arbitration state.
 //
-// The VoQ array is a power-of-two ring indexed voqs[inPort<<vlShift|vl]
-// (mirroring pktQueue's mask layout): ports and VLs are padded up to
-// powers of two so the arbiter scan wraps with a mask instead of a
-// compare-and-subtract, and recovering (inPort, vl) from a ring index
-// is a shift/mask instead of a division. Padding slots hold permanently
-// empty queues the scan skips over. Cyclic lexicographic order over the
-// real (inPort, vl) pairs — and therefore the grant sequence — is
-// identical to the unpadded layout; the golden trajectory tests pin
-// this.
+// The VoQ array is a power-of-two ring indexed voqs[inPort<<vlShift|vl]:
+// ports and VLs are padded up to powers of two so the arbiter pointer
+// wraps with a mask instead of a compare-and-subtract, and recovering
+// (inPort, vl) from a ring index is a shift/mask instead of a division.
+// Padding slots hold permanently empty queues. Cyclic lexicographic
+// order over the real (inPort, vl) pairs — and therefore the grant
+// sequence — is identical to the unpadded layout; the golden trajectory
+// tests pin this.
+//
+// occ is the ring's occupancy bitmap: bit k is set exactly while
+// voqs[k] is non-empty. The arbiter walks set bits from rr in cyclic
+// index order, so a grant costs time in the queues that hold packets
+// (typically one or two), not in the ring's size.
 type swOutPort struct {
 	linkOut
 	sw      *SwitchNode
 	port    int
 	voqs    []pktQueue // pow2 ring: [inPort<<vlShift | vl]
+	occ     []uint64   // bit k ⇔ voqs[k].Len() > 0
 	qbytes  []int      // queued bytes per VL across all inputs
 	rr      int        // arbitration pointer into voqs
 	vlShift uint       // log2 of the padded per-input VL stride
@@ -79,6 +84,7 @@ func newSwitchNode(n *Network, node *topo.Node, index int) *SwitchNode {
 		op.vlShift = uint(bits.Len(uint(n.cfg.NumVLs - 1)))
 		op.voqs = make([]pktQueue, pow2ceil(nports)<<op.vlShift)
 		op.voqMask = len(op.voqs) - 1
+		op.occ = make([]uint64, (len(op.voqs)+63)/64)
 		op.qbytes = make([]int, n.cfg.NumVLs)
 		op.txAct = swTxAct{op}
 		sw.out[p] = op
@@ -124,7 +130,9 @@ func (op *swOutPort) enqueue(inPort int, p *ib.Packet) {
 		}
 		n.hooks.SwitchEnqueue(op.sw.index, op.port, p, st)
 	}
-	op.voqs[inPort<<op.vlShift|int(p.VL)].Push(p)
+	k := inPort<<op.vlShift | int(p.VL)
+	op.voqs[k].Push(p)
+	op.occ[k>>6] |= 1 << (k & 63)
 	op.qbytes[p.VL] += p.WireBytes()
 	op.pending++
 	n.bus.QueueSampled(n.simr.Now(), op.sw.index, op.port, op.hostFacing, p.VL, op.qbytes[p.VL])
@@ -133,67 +141,93 @@ func (op *swOutPort) enqueue(inPort int, p *ib.Packet) {
 	}
 }
 
-// tryTx runs the output arbiter: starting from the round-robin pointer,
-// grant the first VoQ whose head packet has downstream credits. The
-// grant frees input-buffer space (returning a credit upstream), gives
-// the congestion-control hook a chance to FECN-mark the departing
-// packet, and occupies the serializer.
+// tryTx runs the output arbiter: visiting the occupied VoQs in cyclic
+// ring order from the round-robin pointer, grant the first whose head
+// packet has downstream credits.
 func (op *swOutPort) tryTx() {
 	if op.busy || op.down || op.pending == 0 {
 		return
 	}
-	n := op.net
-	total := len(op.voqs)
-	for i := 0; i < total; i++ {
-		k := (op.rr + i) & op.voqMask
-		q := &op.voqs[k]
-		head := q.Peek()
-		if head == nil {
-			continue
+	// The cyclic walk is nw+1 word visits: the start word's bits at or
+	// above rr first, then every other word in ring order, and finally
+	// the start word's bits below rr.
+	nw := len(op.occ)
+	start := op.rr >> 6
+	below := uint64(1)<<(op.rr&63) - 1
+	for i := 0; i <= nw; i++ {
+		w := start + i
+		if w >= nw {
+			w -= nw
 		}
-		// The packet may continue on a different VL (dateline
-		// switching); the grant needs credits on the outgoing VL.
-		vlNext := head.VL
-		if n.hooks.SelectVL != nil {
-			vlNext = n.hooks.SelectVL(op.sw.index, k>>op.vlShift, op.port, head)
+		word := op.occ[w]
+		if i == 0 {
+			word &^= below
+		} else if i == nw {
+			word &= below
 		}
-		if !op.canSend(vlNext, head.WireBytes()) {
-			n.bus.CreditStalled(n.simr.Now(), true, op.sw.index, op.port, vlNext, op.credits[vlNext], head.WireBytes())
-			continue
-		}
-		op.rr = (k + 1) & op.voqMask
-		q.Pop()
-		op.pending--
-		wire := head.WireBytes()
-		vl := int(head.VL)
-
-		op.qbytes[vl] -= wire
-		// Congestion-control hook sees the queue left behind the
-		// departing packet and the credit state after this grant.
-		if n.hooks.SwitchDeparture != nil && head.Type == ib.DataPacket {
-			st := PortVLState{
-				QueuedBytes:   op.qbytes[vl],
-				CreditBytes:   op.credits[vl] - wire,
-				CapacityBytes: n.cfg.SwitchIbufBytes,
-				HostPort:      op.hostFacing,
+		for word != 0 {
+			k := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if op.grant(k) {
+				return
 			}
-			n.hooks.SwitchDeparture(op.sw.index, op.port, head, st)
 		}
-
-		// Free the input buffer slot and return the credit upstream
-		// on the VL the packet occupied locally, then move it to its
-		// outgoing VL.
-		ip := op.sw.in[k>>op.vlShift]
-		ip.free[head.VL] += wire
-		n.sendCredit(ip.up, head.VL, wire)
-		head.VL = vlNext
-
-		n.bus.QueueSampled(n.simr.Now(), op.sw.index, op.port, op.hostFacing, ib.VL(vl), op.qbytes[vl])
-		n.bus.PacketSent(n.simr.Now(), true, op.sw.index, op.port, head)
-		ser := op.transmit(head)
-		n.simr.ScheduleAction(ser, op.txAct)
-		return
 	}
+}
+
+// grant transmits the head of occupied VoQ k if its outgoing VL has
+// credits, reporting whether it did. The grant frees input-buffer space
+// (returning a credit upstream), gives the congestion-control hook a
+// chance to FECN-mark the departing packet, and occupies the
+// serializer; a refusal publishes the credit stall.
+func (op *swOutPort) grant(k int) bool {
+	n := op.net
+	q := &op.voqs[k]
+	head := q.Peek()
+	// The packet may continue on a different VL (dateline switching);
+	// the grant needs credits on the outgoing VL.
+	vlNext := head.VL
+	if n.hooks.SelectVL != nil {
+		vlNext = n.hooks.SelectVL(op.sw.index, k>>op.vlShift, op.port, head)
+	}
+	wire := head.WireBytes()
+	if !op.canSend(vlNext, wire) {
+		n.bus.CreditStalled(n.simr.Now(), true, op.sw.index, op.port, vlNext, op.credits[vlNext], wire)
+		return false
+	}
+	op.rr = (k + 1) & op.voqMask
+	q.Pop()
+	if q.Len() == 0 {
+		op.occ[k>>6] &^= 1 << (k & 63)
+	}
+	op.pending--
+	vl := int(head.VL)
+
+	op.qbytes[vl] -= wire
+	// Congestion-control hook sees the queue left behind the departing
+	// packet and the credit state after this grant.
+	if n.hooks.SwitchDeparture != nil && head.Type == ib.DataPacket {
+		st := PortVLState{
+			QueuedBytes:   op.qbytes[vl],
+			CreditBytes:   op.credits[vl] - wire,
+			CapacityBytes: n.cfg.SwitchIbufBytes,
+			HostPort:      op.hostFacing,
+		}
+		n.hooks.SwitchDeparture(op.sw.index, op.port, head, st)
+	}
+
+	// Free the input buffer slot and return the credit upstream on the
+	// VL the packet occupied locally, then move it to its outgoing VL.
+	ip := op.sw.in[k>>op.vlShift]
+	ip.free[head.VL] += wire
+	n.sendCredit(ip.up, head.VL, wire)
+	head.VL = vlNext
+
+	n.bus.QueueSampled(n.simr.Now(), op.sw.index, op.port, op.hostFacing, ib.VL(vl), op.qbytes[vl])
+	n.bus.PacketSent(n.simr.Now(), true, op.sw.index, op.port, head)
+	ser := op.transmit(head)
+	n.simr.ScheduleAction(ser, op.txAct)
+	return true
 }
 
 func (op *swOutPort) txDone() {

@@ -86,19 +86,33 @@ type FlowKey struct {
 func (k FlowKey) String() string { return fmt.Sprintf("%d->%d", k.Src, k.Dst) }
 
 // Packet is a single IB packet in flight. Packets are allocated by the
-// generators and passed by pointer through the fabric; the struct is kept
-// small and flat for allocation efficiency.
+// generators and passed by pointer through the fabric. Fields are
+// ordered widest first so the struct, including the queue link, packs
+// into 56 bytes and stays in the allocator's 64-byte class: one packet,
+// one cache line.
 type Packet struct {
-	ID   uint64
-	Type PacketType
-	Src  LID
-	Dst  LID
-	SL   SL
-	VL   VL
-
+	ID uint64
+	// MsgID groups the packets of one application message.
+	MsgID uint64
+	// InjectTime is when the first byte entered the source HCA port.
+	InjectTime sim.Time
 	// PayloadBytes is the application payload carried (0 for CNPs'
 	// logical payload; their wire size is CNPBytes).
 	PayloadBytes int
+
+	// Next is the intrusive FIFO link of the fabric queue currently
+	// holding the packet (nil at a queue's tail and outside any queue).
+	// The single-owner lifecycle (pool.go) guarantees a packet sits in
+	// at most one queue, so one link suffices. It is queue plumbing, not
+	// packet state: checkpoints store queue order instead, and Reset
+	// clears it.
+	Next *Packet
+
+	Src  LID
+	Dst  LID
+	Type PacketType
+	SL   SL
+	VL   VL
 
 	// FECN and BECN are the explicit congestion notification bits.
 	FECN bool
@@ -108,15 +122,10 @@ type Packet struct {
 	// generator's hotspot target; it exists purely for measurement.
 	Hotspot bool
 
-	// MsgID groups the packets of one application message.
-	MsgID uint64
 	// MsgSeq is the packet's index within its message.
 	MsgSeq uint8
 	// MsgPackets is the number of packets in the message.
 	MsgPackets uint8
-
-	// InjectTime is when the first byte entered the source HCA port.
-	InjectTime sim.Time
 }
 
 // WireBytes is the packet's size on the wire, including framing overhead.

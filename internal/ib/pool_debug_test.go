@@ -38,3 +38,15 @@ func TestDebugReleaseThenReacquireAllowsRelease(t *testing.T) {
 	q := pp.Get()
 	pp.Put(q) // must not panic: new lifetime
 }
+
+func TestDebugReleaseOfLinkedPacketPanics(t *testing.T) {
+	pp := NewPacketPool()
+	p := pp.Get()
+	p.Next = pp.Get() // still on a queue's list: a second holder exists
+	defer func() {
+		if recover() == nil {
+			t.Fatal("releasing a queue-linked packet must panic under -tags debug")
+		}
+	}()
+	pp.Put(p)
+}

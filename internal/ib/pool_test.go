@@ -1,6 +1,9 @@
 package ib
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestPacketPoolRecycles(t *testing.T) {
 	pp := NewPacketPool()
@@ -83,5 +86,19 @@ func TestPacketReset(t *testing.T) {
 	p.Reset()
 	if *p != (Packet{}) {
 		t.Fatalf("Reset left state: %+v", *p)
+	}
+}
+
+// The queue link must fit beside the model fields in the allocator's
+// 64-byte class (one packet, one cache line), and a recycled packet must
+// never carry a link into its next lifetime.
+func TestPacketLayoutAndResetClearLink(t *testing.T) {
+	if sz := unsafe.Sizeof(Packet{}); sz > 64 {
+		t.Fatalf("Packet is %d bytes; it must stay within the 64-byte size class", sz)
+	}
+	p := &Packet{ID: 1, Next: &Packet{ID: 2}}
+	p.Reset()
+	if p.Next != nil {
+		t.Fatal("Reset left the queue link set")
 	}
 }

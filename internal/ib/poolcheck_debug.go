@@ -7,6 +7,10 @@ package ib
 //
 //   - a packet may be released at most once per lifetime (double Put is
 //     the two-owners bug and panics immediately);
+//   - a packet may be released only by its sole owner: a packet still
+//     linked into a fabric queue (Next != nil) has a second holder, so
+//     Put panics, as does a queue Push of an already-linked packet
+//     (the fabric checks Debug for that);
 //   - a released packet must not be read: Put poisons every field with
 //     garbage, so a consumer that retained a *Packet past its delivery
 //     callback sees impossible values (negative LIDs, a screaming ID)
@@ -18,6 +22,11 @@ type poolChecker struct {
 	free map[*Packet]struct{}
 }
 
+// Debug reports whether ownership checking is compiled in, so other
+// packages can guard their own lifecycle assertions with a constant the
+// release build folds away.
+const Debug = true
+
 func (c *poolChecker) onGet(p *Packet) {
 	delete(c.free, p)
 }
@@ -28,6 +37,9 @@ func (c *poolChecker) onPut(p *Packet) {
 	}
 	if _, dup := c.free[p]; dup {
 		panic("ib: double release of packet to pool")
+	}
+	if p.Next != nil {
+		panic("ib: release of a packet still linked into a queue")
 	}
 	c.free[p] = struct{}{}
 	poison(p)

@@ -7,5 +7,8 @@ package ib
 // with -tags debug to enable the checking variant.
 type poolChecker struct{}
 
+// Debug reports whether ownership checking is compiled in.
+const Debug = false
+
 func (poolChecker) onGet(*Packet) {}
 func (poolChecker) onPut(*Packet) {}

@@ -10,7 +10,7 @@ import (
 // horizon landing inside a slot, callbacks mutating the draining slot,
 // a hook installed mid-run — and the sortSlot partition fast path.
 
-// TestHorizonInsideSlot puts two events in the same 16 ns wheel slot
+// TestHorizonInsideSlot puts two events in the same wheel slot
 // with the run horizon strictly between them: the first must fire, the
 // second must stay queued, and the clock must park exactly at the
 // horizon.

@@ -82,17 +82,28 @@ func eventLess(a, b *Event) bool {
 // over the slot's events.
 //
 // Slot width is 2^wheelGranShift ps and the wheel spans wheelSlots of
-// them (16.384 ns * 4096 ≈ 67 us). Only CC recovery-timer ticks
+// them (8.192 ns * 8192 ≈ 67 us). Only CC recovery-timer ticks
 // (≈153.6 us) and idle-source wakeups reach the overflow heap.
+//
+// The width is sized for the traffic the fabric model actually
+// schedules, not for the synthetic kernel benchmark: in real runs a
+// slot's events carry distinct picosecond timestamps, so every loaded
+// slot is comparison-sorted and the cost grows with its occupancy. At
+// the previous 2^14 ps a loaded slot held 11–24 events on the
+// radix-18/36 benchmark workloads and 92–100 % of loads needed the
+// sort; at 2^13 ps it holds 6–14. Narrower still (2^12, 2^11) measured
+// no further end-to-end gain while sparse queues — a radix-12 sweep, the
+// shallow kernel benchmark — paid for walking the emptier wheel
+// (DESIGN.md §9 has the table). The slot count keeps the horizon fixed.
 const (
-	wheelGranShift = 14             // log2 slot width in picoseconds
-	wheelSlots     = 1 << 12        // slots in the wheel (power of two)
+	wheelGranShift = 13             // log2 slot width in picoseconds
+	wheelSlots     = 1 << 13        // slots in the wheel (power of two)
 	wheelMask      = wheelSlots - 1 // index mask
 	sortThreshold  = 32             // insertion sort below, pdqsort above
 
 	// initialScratch is the pre-sized capacity of the shared slot
 	// scratch buffer. Slot occupancy is bounded by how many model
-	// entities can schedule within one 16 ns window, far below this;
+	// entities can schedule within one slot's window, far below this;
 	// the headroom keeps steady state allocation-free while append
 	// doubling still guarantees correctness beyond it.
 	initialScratch = 1024
@@ -266,13 +277,13 @@ func (q *eventQueue) migrate() {
 //
 // The chain is a LIFO prepend list, so reversing the unlinked buffer
 // recovers push order — ascending seq for plain pushes. A slot whose
-// events share one timestamp (the dominant case: credit returns,
-// serializer completions and wakeups coincide, and a 16 ns slot rarely
-// spans two distinct instants) is therefore already in (time, seq)
-// order after the reversal, and the O(k log k) comparison sort collapses
-// to an O(k) sortedness check. Only slots whose timestamps interleave
-// out of push order (or that migrate() prepended overflow events into)
-// pay for a real sort.
+// events share one timestamp, or were pushed in time order, is
+// therefore already in (time, seq) order after the reversal, and the
+// comparison sort collapses to an O(k) sortedness check. Only slots
+// whose timestamps interleave out of push order (or that migrate()
+// prepended overflow events into) pay for a real sort — in fabric runs
+// that is most of them, which is why the slot width is sized to keep k
+// small.
 func (q *eventQueue) load(idx int) {
 	// Callers guarantee a non-empty chain. Sortedness is checked during
 	// the walk itself — strictly descending chain order is exactly
@@ -307,10 +318,10 @@ func (q *eventQueue) load(idx int) {
 }
 
 // sortSlot restores (time, seq) order in a slot buffer that failed
-// load's sortedness check. The check almost only fails when a 16 ns
-// slot straddles two distinct instants whose pushes interleaved: the
-// buffer is then two seq-ascending runs shuffled together, and a stable
-// two-way partition by timestamp re-sorts it in O(k) pointer moves with
+// load's sortedness check. The cheapest failure is a slot straddling
+// exactly two distinct instants whose pushes interleaved: the buffer is
+// then two seq-ascending runs shuffled together, and a stable two-way
+// partition by timestamp re-sorts it in O(k) pointer moves with
 // no comparator calls. Anything else — three or more distinct times, or
 // a within-time seq inversion (rewind re-pushes reverse the chain) —
 // falls back to the comparison sort.

@@ -3,7 +3,6 @@ package traffic
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/ckpt"
 	"repro/internal/ib"
@@ -40,8 +39,8 @@ type genState struct {
 }
 
 // ExportState returns the generator's mutable state as a package-owned
-// JSON blob, interning queued packets into tab. Flows are emitted
-// sorted by destination; the active list's round-robin order is kept
+// JSON blob, interning queued packets into tab. Flows are emitted in
+// destination order; the active list's round-robin order is kept
 // separately and exactly.
 func (g *Generator) ExportState(tab *ckpt.PacketTable) ([]byte, error) {
 	st := genState{
@@ -56,13 +55,15 @@ func (g *Generator) ExportState(tab *ckpt.PacketTable) ([]byte, error) {
 		st.Streams[i] = streamState{Hotspot: s.hotspot, Generated: s.generated, Backlog: s.backlog}
 	}
 	for dst, fl := range g.flows {
-		fs := flowState{Dst: int(dst), NextAllowed: fl.nextAllowed}
+		if fl == nil {
+			continue
+		}
+		fs := flowState{Dst: dst, NextAllowed: fl.nextAllowed}
 		for _, p := range fl.q {
 			fs.Pkts = append(fs.Pkts, tab.Ref(p))
 		}
 		st.Flows = append(st.Flows, fs)
 	}
-	sort.Slice(st.Flows, func(a, b int) bool { return st.Flows[a].Dst < st.Flows[b].Dst })
 	for _, fl := range g.active {
 		st.Active = append(st.Active, int(fl.dst))
 	}
@@ -87,24 +88,30 @@ func (g *Generator) RestoreState(blob []byte, tab *ckpt.PacketTable) error {
 		s.generated = ss.Generated
 		s.backlog = ss.Backlog
 	}
-	g.flows = make(map[ib.LID]*flow, len(st.Flows))
+	g.flows = make([]*flow, g.cfg.NumNodes)
 	for _, fs := range st.Flows {
+		if fs.Dst < 0 || fs.Dst >= len(g.flows) {
+			return fmt.Errorf("traffic: flow to node %d of %d", fs.Dst, len(g.flows))
+		}
 		fl := &flow{dst: ib.LID(fs.Dst), q: make([]*ib.Packet, 0, g.flowCap), nextAllowed: fs.NextAllowed}
 		for _, ref := range fs.Pkts {
-			if ref < 1 || ref > tab.Len() {
-				return fmt.Errorf("traffic: flow %d references packet %d of %d", fs.Dst, ref, tab.Len())
+			p, err := tab.Claim(ref)
+			if err != nil {
+				return fmt.Errorf("traffic: flow %d: %w", fs.Dst, err)
 			}
-			fl.q = append(fl.q, tab.Packet(ref))
+			if p == nil {
+				return fmt.Errorf("traffic: flow %d queues a nil packet", fs.Dst)
+			}
+			fl.q = append(fl.q, p)
 		}
-		g.flows[fl.dst] = fl
+		g.flows[fs.Dst] = fl
 	}
 	g.active = g.active[:0]
 	for _, dst := range st.Active {
-		fl := g.flows[ib.LID(dst)]
-		if fl == nil {
+		if dst < 0 || dst >= len(g.flows) || g.flows[dst] == nil {
 			return fmt.Errorf("traffic: active list references unknown flow %d", dst)
 		}
-		g.active = append(g.active, fl)
+		g.active = append(g.active, g.flows[dst])
 	}
 	g.rr = st.RR
 	g.slGate = st.SLGate

@@ -86,9 +86,11 @@ type flow struct {
 type Generator struct {
 	cfg     NodeConfig
 	streams []*stream
-	flows   map[ib.LID]*flow
-	active  []*flow // flows with queued packets, round-robin order
-	rr      int
+	// flows is indexed by destination LID and allocated with the first
+	// message; nil entries are destinations never sent to.
+	flows  []*flow
+	active []*flow // flows with queued packets, round-robin order
+	rr     int
 	// flowCap bounds any one flow's queue: every stream's full message
 	// backlog aimed at the same destination. Queues are pre-sized to it
 	// so steady state never grows them.
@@ -130,7 +132,7 @@ func NewGenerator(cfg NodeConfig) (*Generator, error) {
 	if cfg.BacklogCap < 1 {
 		return nil, fmt.Errorf("traffic: backlog cap must be positive")
 	}
-	g := &Generator{cfg: cfg, flows: make(map[ib.LID]*flow)}
+	g := &Generator{cfg: cfg}
 	if cfg.PPercent > 0 {
 		g.streams = append(g.streams, &stream{
 			rate:    cfg.InjectionRate * sim.Rate(cfg.PPercent) / 100,
@@ -169,7 +171,9 @@ func (g *Generator) GeneratedBytes() (hotspot, uniform int64) {
 func (g *Generator) PendingPackets() int {
 	n := 0
 	for _, fl := range g.flows {
-		n += len(fl.q)
+		if fl != nil {
+			n += len(fl.q)
+		}
 	}
 	return n
 }
@@ -278,6 +282,11 @@ func (g *Generator) generate(s *stream, now sim.Time) bool {
 			r++
 		}
 		dst = ib.LID(r)
+	}
+	if g.flows == nil {
+		// Not in NewGenerator: idle nodes never need the table, and at
+		// paper scale the tables of all nodes together are megabytes.
+		g.flows = make([]*flow, g.cfg.NumNodes)
 	}
 	fl := g.flows[dst]
 	if fl == nil {
