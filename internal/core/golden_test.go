@@ -8,8 +8,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/fabric"
+	"repro/internal/ib"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // The determinism golden test pins the exact simulation trajectory: the
@@ -41,6 +44,27 @@ type goldenRecord struct {
 	FECNMarked   uint64 `json:"fecn_marked"`
 	BECNReceived uint64 `json:"becn_received"`
 	CNPSent      uint64 `json:"cnp_sent"`
+	// Variants pins the model features the windy point does not reach
+	// (see goldenVariants).
+	Variants map[string]goldenVariant `json:"variants"`
+}
+
+// goldenVariant is one variant run's trajectory fingerprint. SimEvents
+// is the executed-event count — the one field an optimization that
+// elides no-op events may change; everything else is the observable
+// trajectory and must not move.
+type goldenVariant struct {
+	SimEvents       uint64 `json:"sim_events"`
+	ObsDigest       string `json:"obs_digest"`
+	ObsRecords      uint64 `json:"obs_records"`
+	Delivered       uint64 `json:"delivered"`
+	TotalGbps       string `json:"total_gbps"`
+	FECNMarked      uint64 `json:"fecn_marked"`
+	BECNReceived    uint64 `json:"becn_received"`
+	CNPSent         uint64 `json:"cnp_sent"`
+	ACKSent         uint64 `json:"ack_sent"`
+	TimerDecrements uint64 `json:"timer_decrements"`
+	MaxCCTI         uint16 `json:"max_ccti"`
 }
 
 // goldenBase is the reduced-window radix-12 scenario the golden
@@ -109,7 +133,128 @@ func buildGolden(t *testing.T) *goldenRecord {
 	rec.FECNMarked = res.CCStats.FECNMarked
 	rec.BECNReceived = res.CCStats.BECNReceived
 	rec.CNPSent = res.CCStats.CNPSent
+	rec.Variants = goldenVariants(t)
 	return rec
+}
+
+// goldenVariants runs the scenario shapes the checkpoint suite builds —
+// each exercises fabric state the windy point never touches: moving
+// hotspots, a second data VL, the rate-based backend, the fault layer
+// (flaps, stalls, degraded serializers, packet and credit drops),
+// store-and-forward timing, and dateline VL switching on a torus.
+func goldenVariants(t *testing.T) map[string]goldenVariant {
+	t.Helper()
+	moving := faultBase(2)
+	moving.HotspotLifetime = 150 * sim.Microsecond
+
+	vl := faultBase(4)
+	vl.SeparateHotspotVL = true
+
+	rcm := faultBase(5)
+	rcm.Backend = "rcm"
+
+	faulted := faultBase(7)
+	faulted.Faults = synthFor(t, &faulted, 77, 0.7)
+	if p := faulted.Faults; len(p.Flaps) == 0 || len(p.Degrades) == 0 || p.Drop.Credit == 0 {
+		t.Fatalf("faulted variant lost a fault class: %+v", p)
+	}
+
+	saf := faultBase(9)
+	saf.Fabric.CutThrough = false
+
+	out := map[string]goldenVariant{"torus_dateline": goldenTorus(t)}
+	for name, s := range map[string]Scenario{
+		"moving_hotspots":     moving,
+		"separate_hotspot_vl": vl,
+		"rcm_backend":         rcm,
+		"faulted":             faulted,
+		"store_and_forward":   saf,
+	} {
+		s.Name = "golden " + name
+		in, err := Build(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dig := in.AttachDigest()
+		res := in.Execute()
+		out[name] = goldenVariant{
+			SimEvents:       res.Events,
+			ObsDigest:       dig.Sum(),
+			ObsRecords:      dig.Records(),
+			Delivered:       in.DeliveredPackets(),
+			TotalGbps:       g9(res.Summary.TotalGbps),
+			FECNMarked:      res.CCStats.FECNMarked,
+			BECNReceived:    res.CCStats.BECNReceived,
+			CNPSent:         res.CCStats.CNPSent,
+			ACKSent:         res.CCStats.ACKSent,
+			TimerDecrements: res.CCStats.TimerDecrements,
+			MaxCCTI:         res.CCStats.MaxCCTI,
+		}
+	}
+	return out
+}
+
+// goldenFlood injects MTU packets to one destination as fast as the HCA
+// pulls, through the network's pool.
+type goldenFlood struct {
+	pool      *ib.PacketPool
+	src, dst  ib.LID
+	remaining int
+	nextID    uint64
+}
+
+func (f *goldenFlood) Pull(sim.Time) (*ib.Packet, sim.Time) {
+	if f.remaining == 0 {
+		return nil, sim.MaxTime
+	}
+	f.remaining--
+	p := f.pool.Get()
+	p.ID, p.Type, p.Src, p.Dst, p.PayloadBytes = f.nextID, ib.DataPacket, f.src, f.dst, ib.MTU
+	p.MsgID, p.MsgPackets = f.nextID, 1
+	f.nextID++
+	return p, 0
+}
+
+// goldenTorus saturates a 4x4 torus under the dateline VL policy: every
+// host floods the host half-way around both rings, so grants switch
+// lanes (Hooks.SelectVL) and need credits on a VL other than the one
+// the packet queued on. It runs below core (no Scenario builds a
+// torus), in two RunUntil slices so the kernel's between-runs state is
+// part of the pinned trajectory.
+func goldenTorus(t *testing.T) goldenVariant {
+	t.Helper()
+	g, err := topo.Torus2D(4, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := fabric.DefaultConfig()
+	cfg.NumVLs = 2
+	cfg.Check = true
+	simr := sim.New()
+	n, err := fabric.New(simr, g.Topology, g.DOR(), cfg, fabric.Hooks{SelectVL: g.TorusVLPolicy()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bus := obs.New()
+	dig := obs.NewDigest()
+	bus.Subscribe(dig)
+	n.SetBus(bus)
+	for s := 0; s < g.NumHosts; s++ {
+		sx, sy := s%g.W, s/g.W
+		dst := ib.LID((sx+g.W/2)%g.W + ((sy+g.H/2)%g.H)*g.W)
+		n.HCA(ib.LID(s)).SetSource(&goldenFlood{pool: n.PacketPool(), src: ib.LID(s), dst: dst, remaining: 300})
+	}
+	n.Start()
+	simr.RunUntil(sim.Time(0).Add(137 * sim.Microsecond))
+	simr.RunUntil(sim.Time(0).Add(50 * sim.Millisecond))
+	if err := n.CheckQuiescent(); err != nil {
+		t.Fatal(err)
+	}
+	var rx uint64
+	for s := 0; s < g.NumHosts; s++ {
+		rx += n.HCA(ib.LID(s)).Counters().RxPackets
+	}
+	return goldenVariant{SimEvents: simr.Processed(), ObsDigest: dig.Sum(), ObsRecords: dig.Records(), Delivered: rx}
 }
 
 // TestDeterminismGolden verifies the simulation trajectory is
@@ -167,5 +312,13 @@ func TestDeterminismGolden(t *testing.T) {
 		t.Errorf("cc stats: got fecn=%d becn=%d cnp=%d, golden fecn=%d becn=%d cnp=%d",
 			got.FECNMarked, got.BECNReceived, got.CNPSent,
 			want.FECNMarked, want.BECNReceived, want.CNPSent)
+	}
+	if len(got.Variants) != len(want.Variants) {
+		t.Errorf("variants: ran %d, golden has %d", len(got.Variants), len(want.Variants))
+	}
+	for name, w := range want.Variants {
+		if g := got.Variants[name]; g != w {
+			t.Errorf("variant %s:\n   got %+v\ngolden %+v", name, g, w)
+		}
 	}
 }
