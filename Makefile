@@ -35,12 +35,17 @@ race:
 	$(GO) test -race ./...
 
 # Runtime invariant + differential kernel suite: the internal/check unit
-# tests, the Table II wheel-vs-reference-heap trajectory comparison (run
-# with -count=1 so the differential corpus always executes), and an
+# tests, the reserved-key kernel properties (lazy ≡ eager order, Passed),
+# the fabric's on-demand-event tie-breaks against their pre-elision
+# golden and the link-armed rule's clauses, the Table II
+# wheel-vs-reference-heap trajectory comparison and the chunked-run
+# property (run with -count=1 so the corpora always execute), and an
 # end-to-end checked run through the paperbench CLI.
 invariants:
 	$(GO) test -count=1 ./internal/check
-	$(GO) test -count=1 ./internal/core -run 'Kernel|Check|Differential'
+	$(GO) test -count=1 ./internal/sim -run 'Reserve|ExplicitKey|Passed'
+	$(GO) test -count=1 ./internal/fabric -run 'Tiebreak|EnqueueAtBusyUntil|CreditAtBusyUntil|TwoCredits|ParkedRing|LinkUpWithCredit|RunToExhaustion|CheckLinkArmed'
+	$(GO) test -count=1 ./internal/core -run 'Kernel|Check|Differential|Chunked|Golden'
 	$(GO) run ./cmd/paperbench -radix 8 -diff-kernel -seeds 2
 
 # Fault-injection smoke: the fault-layer unit suites, then a tiny

@@ -61,15 +61,20 @@ type kernelReport struct {
 	} `json:"kernel"`
 
 	Lifecycle struct {
-		Scenario      string  `json:"scenario"`
-		Packets       float64 `json:"packets"`
-		WallNs        int64   `json:"wall_ns"`
-		NsPerPacket   float64 `json:"ns_per_packet"`
-		AllocsPerPkt  float64 `json:"allocs_per_packet"`
-		PoolGets      uint64  `json:"pool_gets"`
-		PoolMisses    uint64  `json:"pool_misses"`
-		SteadyAllocs  uint64  `json:"steady_window_allocs"`
-		SteadyWindows int     `json:"steady_windows"`
+		Scenario    string  `json:"scenario"`
+		Packets     float64 `json:"packets"`
+		WallNs      int64   `json:"wall_ns"`
+		NsPerPacket float64 `json:"ns_per_packet"`
+		// Events and EventsPerPacket are simulated counts over the timed
+		// windows: exact, the same on every host and every run, so the
+		// baseline compare gates them with no tolerance at all.
+		Events          uint64  `json:"events"`
+		EventsPerPacket float64 `json:"events_per_packet"`
+		AllocsPerPkt    float64 `json:"allocs_per_packet"`
+		PoolGets        uint64  `json:"pool_gets"`
+		PoolMisses      uint64  `json:"pool_misses"`
+		SteadyAllocs    uint64  `json:"steady_window_allocs"`
+		SteadyWindows   int     `json:"steady_windows"`
 	} `json:"lifecycle"`
 
 	SpeedupSteady  float64 `json:"speedup_steady"`
@@ -165,8 +170,8 @@ func runBenchKernel(path string, steadyEvents int64, baseline string) error {
 		rep.SpeedupSteady, baselineCommit)
 	fmt.Printf("shallow: %.1f ns/event — %.2fx over baseline\n",
 		rep.Kernel.ShallowNsPerEvent, rep.SpeedupShallow)
-	fmt.Printf("packets: %.0f ns/packet, %.4f allocs/packet (%d steady-window allocs over %d windows)\n",
-		rep.Lifecycle.NsPerPacket, rep.Lifecycle.AllocsPerPkt,
+	fmt.Printf("packets: %.0f ns/packet, %.2f events/packet, %.4f allocs/packet (%d steady-window allocs over %d windows)\n",
+		rep.Lifecycle.NsPerPacket, rep.Lifecycle.EventsPerPacket, rep.Lifecycle.AllocsPerPkt,
 		rep.Lifecycle.SteadyAllocs, rep.Lifecycle.SteadyWindows)
 	fmt.Printf("wrote %s (history ring: %s)\n", path, histPath)
 
@@ -177,7 +182,9 @@ func runBenchKernel(path string, steadyEvents int64, baseline string) error {
 }
 
 // compareBenchBaseline gates the fresh measurement against a committed
-// BENCH_kernel.json. The comparison takes the best (lowest) of the
+// BENCH_kernel.json: the lifecycle's events per packet may not exceed
+// the committed value, and the steady-state kernel time may not regress
+// by more than 10%. The timing comparison takes the best (lowest) of the
 // recorded run and two repeats: scheduler noise on a busy box only
 // ever slows a run down, so best-of damps false alarms without letting
 // a genuine regression through.
@@ -192,6 +199,12 @@ func compareBenchBaseline(path string, rep *kernelReport, steadyEvents int64) er
 	}
 	if base.Kernel.NsPerEvent <= 0 {
 		return fmt.Errorf("%s: missing kernel.ns_per_event", path)
+	}
+	// Events per packet is a count the simulation makes, not a timing:
+	// any rise means events that do nothing are being scheduled again.
+	if b, f := base.Lifecycle.EventsPerPacket, rep.Lifecycle.EventsPerPacket; b > 0 && f > b {
+		return fmt.Errorf("event-count regression: %.4f events/packet on %s vs committed %.4f (an exact count; no tolerance)",
+			f, rep.Lifecycle.Scenario, b)
 	}
 	best := rep.Kernel.NsPerEvent
 	for i := 0; i < 2; i++ {
@@ -238,7 +251,7 @@ func benchLifecycle(rep *kernelReport) error {
 		return sum
 	}
 
-	pre := rxBytes()
+	pre, ev0 := rxBytes(), simr.Processed()
 	a0 := mallocs()
 	start := time.Now()
 	end := simr.Now()
@@ -253,9 +266,11 @@ func benchLifecycle(rep *kernelReport) error {
 	rep.Lifecycle.Scenario = s.Name
 	rep.Lifecycle.Packets = pkts
 	rep.Lifecycle.WallNs = wall.Nanoseconds()
+	rep.Lifecycle.Events = simr.Processed() - ev0
 	if pkts > 0 {
 		rep.Lifecycle.NsPerPacket = float64(wall.Nanoseconds()) / pkts
 		rep.Lifecycle.AllocsPerPkt = float64(allocs) / pkts
+		rep.Lifecycle.EventsPerPacket = float64(rep.Lifecycle.Events) / pkts
 	}
 	st := in.Net.PacketPool().Stats()
 	rep.Lifecycle.PoolGets = st.Gets

@@ -88,7 +88,7 @@ type Violation struct {
 	// Time is the simulated time of detection.
 	Time sim.Time
 	// Rule names the invariant: "conservation", "pool-accounting",
-	// "credit-bounds", "voq-occupancy", "cc-state", "ccti-step",
+	// "credit-bounds", "voq-occupancy", "link-armed", "cc-state", "ccti-step",
 	// "fel-order", "watchdog".
 	Rule string
 	// Detail describes the breach.
@@ -362,6 +362,9 @@ func (c *Checker) sweep(now sim.Time) {
 		}
 		if err := c.t.Net.CheckVoQOccupancy(); err != nil {
 			c.violate(now, "voq-occupancy", "%v", err)
+		}
+		if err := c.t.Net.CheckLinkArmed(); err != nil {
+			c.violate(now, "link-armed", "%v", err)
 		}
 	}
 	if c.t.CC != nil {

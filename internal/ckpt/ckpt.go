@@ -25,7 +25,11 @@ import (
 // Version is the checkpoint schema version. Load rejects any other
 // value: the format carries exact kernel state, so silently accepting a
 // foreign layout would corrupt a continuation instead of failing it.
-const Version = 1
+// Version 2 added the kernel's exec_seq and, per fabric transmitter,
+// busy-until / tx-seq / armed / parked credits: a version-1 snapshot
+// implies a pending serializer-done event for every busy link and none
+// of the deferred credits, so it cannot be continued exactly.
+const Version = 2
 
 // EventRecord is one pending future-event-list entry. Kind names the
 // action codec that owns it; the A/F/B/Pkt fields are that codec's
@@ -193,13 +197,16 @@ type Snapshot struct {
 // core.Restore before any state is applied.
 func (s *Snapshot) Validate() error {
 	if s.Version != Version {
-		return fmt.Errorf("ckpt: snapshot version %d, want %d", s.Version, Version)
+		return fmt.Errorf("ckpt: snapshot %w", versionError(s.Version))
 	}
 	if len(s.Scenario) == 0 {
 		return fmt.Errorf("ckpt: snapshot carries no scenario")
 	}
 	if len(s.Fabric) == 0 {
 		return fmt.Errorf("ckpt: snapshot carries no fabric state")
+	}
+	if s.Kernel.ExecSeq > s.Kernel.Seq {
+		return fmt.Errorf("ckpt: kernel position seq %d beyond next seq %d", s.Kernel.ExecSeq, s.Kernel.Seq)
 	}
 	var lastT int64
 	var lastSeq uint64
@@ -209,6 +216,9 @@ func (s *Snapshot) Validate() error {
 		}
 		if e.T < int64(s.Kernel.Now) {
 			return fmt.Errorf("ckpt: event %d (%s) at %d before snapshot clock %d", i, e.Kind, e.T, int64(s.Kernel.Now))
+		}
+		if e.T == int64(s.Kernel.Now) && e.Seq < s.Kernel.ExecSeq {
+			return fmt.Errorf("ckpt: event %d (%s) seq %d behind the kernel position (seq %d) at the snapshot clock", i, e.Kind, e.Seq, s.Kernel.ExecSeq)
 		}
 		if e.Seq >= s.Kernel.Seq {
 			return fmt.Errorf("ckpt: event %d (%s) seq %d at or beyond next seq %d", i, e.Kind, e.Seq, s.Kernel.Seq)

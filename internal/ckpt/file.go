@@ -25,6 +25,14 @@ var fileMagic = [8]byte{'I', 'B', 'C', 'K', 'P', 'T', '0', '1'}
 // Ext is the checkpoint file extension.
 const Ext = ".ibckpt"
 
+// versionError explains a schema mismatch. There is no migration: a
+// snapshot is exact kernel and fabric state, and a layout that lacks (or
+// adds) a field cannot be continued byte-identically — the run has to
+// be repeated from its scenario.
+func versionError(got int) error {
+	return fmt.Errorf("version %d, this build reads and writes only version %d (checkpoints do not migrate; re-run from the scenario)", got, Version)
+}
+
 // Encode writes the snapshot envelope to w.
 func Encode(w io.Writer, s *Snapshot) error {
 	s.Version = Version
@@ -55,7 +63,7 @@ func Decode(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("ckpt: bad magic (not a checkpoint file)")
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != Version {
-		return nil, fmt.Errorf("ckpt: file version %d, want %d", v, Version)
+		return nil, fmt.Errorf("ckpt: file %w", versionError(int(v)))
 	}
 	wantCRC := binary.LittleEndian.Uint32(hdr[12:16])
 	n := binary.LittleEndian.Uint32(hdr[16:20])

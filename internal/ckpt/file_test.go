@@ -2,7 +2,9 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -73,6 +75,28 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 	corrupt(t, func(b []byte) []byte { b[8] = 0xFF; return b }, "version")
 }
 
+// TestDecodeRefusesOlderSchema is the version-skew guard: schema 2 added
+// kernel and link state a version-1 file does not carry, so both places
+// a version is recorded — the envelope header and the snapshot inside
+// it — must refuse the old value by name rather than restore half a
+// state. (The header is outside the CRC; the inner field needs the CRC
+// recomputed, as an old writer would have.)
+func TestDecodeRefusesOlderSchema(t *testing.T) {
+	corrupt(t, func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[8:12], 1)
+		return b
+	}, "file version 1, this build reads and writes only version 2")
+
+	corrupt(t, func(b []byte) []byte {
+		payload := bytes.Replace(b[20:], []byte(`"version":2`), []byte(`"version":1`), 1)
+		if bytes.Equal(payload, b[20:]) {
+			t.Fatal("payload carries no version field to age")
+		}
+		binary.LittleEndian.PutUint32(b[12:16], crc32.ChecksumIEEE(payload))
+		return append(b[:20], payload...)
+	}, "snapshot version 1, this build reads and writes only version 2")
+}
+
 func TestDecodeRejectsTruncatedPayload(t *testing.T) {
 	corrupt(t, func(b []byte) []byte { return b[:len(b)-5] }, "truncated")
 }
@@ -117,6 +141,8 @@ func TestValidateRejectsInconsistentSnapshots(t *testing.T) {
 		{"seq beyond kernel", func(s *Snapshot) { s.Events[1].Seq = 10 }, "beyond next seq"},
 		{"events out of order", func(s *Snapshot) { s.Events[1].T = s.Events[0].T; s.Events[1].Seq = s.Events[0].Seq }, "out of (time, seq) order"},
 		{"dangling packet ref", func(s *Snapshot) { s.Events[0].Pkt = 2 }, "references packet"},
+		{"kernel position beyond next seq", func(s *Snapshot) { s.Kernel.ExecSeq = 11 }, "position seq 11 beyond next seq 10"},
+		{"event behind the kernel position", func(s *Snapshot) { s.Kernel.ExecSeq = 4 }, "behind the kernel position"},
 	}
 	for _, tc := range cases {
 		s := testSnapshot(0)

@@ -210,6 +210,10 @@ func RestoreSnapshot(snap *ckpt.Snapshot) (*Instance, error) {
 		return nil, fmt.Errorf("core: checkpoint backend %q, scenario builds %q", snap.Backend, name)
 	}
 
+	// Kernel scalars first: the fabric judges its reserved keys against
+	// the snapshot's clock and sequence counter.
+	simr := in.Net.Sim()
+	simr.BeginRestore(snap.Kernel)
 	tab := ckpt.RestoreTable(snap.Pkts)
 	var fst fabric.State
 	if err := json.Unmarshal(snap.Fabric, &fst); err != nil {
@@ -261,18 +265,19 @@ func RestoreSnapshot(snap *ckpt.Snapshot) (*Instance, error) {
 		}
 	}
 
-	simr := in.Net.Sim()
-	simr.BeginRestore(snap.Kernel)
 	fc := in.Net.Codec(tab)
 	for i, rec := range snap.Events {
 		act, attach, err := in.decodeAction(rec, fc)
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint event %d (%s): %w", i, rec.Kind, err)
 		}
-		e := simr.RestoreEvent(sim.Time(rec.T), rec.Seq, act)
+		e := simr.ScheduleReserved(sim.Time(rec.T), rec.Seq, act)
 		if attach != nil {
 			attach(e)
 		}
+	}
+	if err := fc.CheckArmed(); err != nil {
+		return nil, err
 	}
 
 	if snap.Digest != nil {

@@ -52,8 +52,39 @@ func straightSig(t *testing.T, s Scenario) KernelSignature {
 	return ckptSig(dig, res)
 }
 
+// lazyStateAt counts, in a snapshot, the transmitters busy behind a
+// serializer-done key that is not in the event list and the credit
+// updates parked instead of scheduled — the state that exists only
+// because those events are created on demand.
+func lazyStateAt(t *testing.T, snap *ckpt.Snapshot) (unarmedBusy, parked int) {
+	t.Helper()
+	var st fabric.State
+	if err := json.Unmarshal(snap.Fabric, &st); err != nil {
+		t.Fatal(err)
+	}
+	count := func(l *fabric.LinkOutState) {
+		if l.Busy && !l.Armed {
+			unarmedBusy++
+		}
+	}
+	for i := range st.HCAs {
+		count(&st.HCAs[i].Out)
+	}
+	for i := range st.Switches {
+		for _, o := range st.Switches[i].Out {
+			if o != nil {
+				count(&o.Link)
+			}
+		}
+	}
+	return unarmedBusy, len(st.Parked)
+}
+
 // resumedSig runs s until cut, checkpoints, abandons the instance, and
-// finishes the run on the restored copy.
+// finishes the run on the restored copy. The cut is nudged forward, a
+// nanosecond at a time, to an instant at which a link is busy behind an
+// unarmed key and a credit update is parked, so the round trip cannot
+// pass without carrying that state.
 func resumedSig(t *testing.T, s Scenario, cut sim.Time) KernelSignature {
 	t.Helper()
 	in, err := Build(s)
@@ -63,7 +94,20 @@ func resumedSig(t *testing.T, s Scenario, cut sim.Time) KernelSignature {
 	in.AttachDigest()
 	in.executed = true
 	in.start()
-	in.Net.Sim().RunUntil(cut)
+	for tries := 0; ; tries++ {
+		in.Net.Sim().RunUntil(cut)
+		snap, err := in.Snapshot()
+		if err != nil {
+			t.Fatalf("snapshot at %v: %v", cut, err)
+		}
+		if busy, parked := lazyStateAt(t, snap); busy > 0 && parked > 0 {
+			break
+		}
+		if tries == 20_000 {
+			t.Fatalf("%s: no instant within 20 µs of the cut with an unarmed busy link and a parked credit", s.Name)
+		}
+		cut = cut.Add(sim.Nanosecond)
+	}
 	var buf bytes.Buffer
 	if err := in.Checkpoint(&buf); err != nil {
 		t.Fatalf("checkpoint at %v: %v", cut, err)
@@ -242,6 +286,17 @@ func TestCheckpointRejectsChecker(t *testing.T) {
 	}
 }
 
+// txDoneEvent returns the index of a pending serializer-done event in
+// the snapshot, or -1.
+func txDoneEvent(snap *ckpt.Snapshot) int {
+	for i, e := range snap.Events {
+		if e.Kind == "swTx" || e.Kind == "hcaTx" {
+			return i
+		}
+	}
+	return -1
+}
+
 // TestRestoreRejectsCorruptCRCValidCheckpoint: the envelope CRC vouches
 // for the bytes, not for what wrote them. A checkpoint edited before
 // sealing must fail Restore with an error. Before the hardening a VoQ
@@ -261,10 +316,22 @@ func TestRestoreRejectsCorruptCRCValidCheckpoint(t *testing.T) {
 	}
 	in.executed = true
 	in.start()
-	in.Net.Sim().RunUntil(sim.Time(0).Add(300 * sim.Microsecond))
-	good, err := in.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	// Cut where the on-demand event bookkeeping is all in play: a link
+	// busy behind an unarmed key, a credit update parked, and a
+	// serializer-done event armed.
+	var good *ckpt.Snapshot
+	for cut := sim.Time(0).Add(300 * sim.Microsecond); ; cut = cut.Add(sim.Nanosecond) {
+		in.Net.Sim().RunUntil(cut)
+		if good, err = in.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		busy, parked := lazyStateAt(t, good)
+		if busy > 0 && parked > 0 && txDoneEvent(good) >= 0 {
+			break
+		}
+		if cut > sim.Time(0).Add(320*sim.Microsecond) {
+			t.Fatal("no cut with an unarmed busy link, a parked credit and an armed serializer")
+		}
 	}
 
 	// firstVoQ finds a switch output port with a queued packet.
@@ -279,7 +346,64 @@ func TestRestoreRejectsCorruptCRCValidCheckpoint(t *testing.T) {
 		t.Fatal("no packet queued at any switch at the cut")
 		return nil
 	}
+	// eachLink visits every transmitter's state.
+	eachLink := func(st *fabric.State, f func(l *fabric.LinkOutState) (stop bool)) {
+		for i := range st.HCAs {
+			if f(&st.HCAs[i].Out) {
+				return
+			}
+		}
+		for i := range st.Switches {
+			for _, o := range st.Switches[i].Out {
+				if o != nil && f(&o.Link) {
+					return
+				}
+			}
+		}
+	}
 	cases := map[string]func(t *testing.T, snap *ckpt.Snapshot, st *fabric.State){
+		// Armed says the serializer-done event is pending; without it the
+		// link would stay busy forever.
+		"armed serializer without its event": func(t *testing.T, snap *ckpt.Snapshot, _ *fabric.State) {
+			i := txDoneEvent(snap)
+			snap.Events = append(append([]ckpt.EventRecord(nil), snap.Events[:i]...), snap.Events[i+1:]...)
+		},
+		// And the other way round: the event would complete a
+		// transmission the link state knows nothing about.
+		"serializer-done event for an unarmed link": func(t *testing.T, _ *ckpt.Snapshot, st *fabric.State) {
+			eachLink(st, func(l *fabric.LinkOutState) bool {
+				if l.Armed {
+					l.Armed = false
+				}
+				return false
+			})
+		},
+		"serializer-done event under another key": func(t *testing.T, _ *ckpt.Snapshot, st *fabric.State) {
+			eachLink(st, func(l *fabric.LinkOutState) bool {
+				if l.Armed {
+					l.TxSeq--
+				}
+				return l.Armed
+			})
+		},
+		"unarmed busy link whose key has passed": func(t *testing.T, snap *ckpt.Snapshot, st *fabric.State) {
+			eachLink(st, func(l *fabric.LinkOutState) bool {
+				if l.Busy && !l.Armed {
+					l.BusyUntil = snap.Kernel.Now
+					return true
+				}
+				return false
+			})
+		},
+		"parked credit with a seq the kernel never issued": func(t *testing.T, snap *ckpt.Snapshot, st *fabric.State) {
+			st.Parked[len(st.Parked)-1].Seq = snap.Kernel.Seq
+		},
+		"parked credit on a lane the fabric lacks": func(t *testing.T, _ *ckpt.Snapshot, st *fabric.State) {
+			st.Parked[0].VL = 1
+		},
+		"kernel position beyond the next seq": func(t *testing.T, snap *ckpt.Snapshot, _ *fabric.State) {
+			snap.Kernel.ExecSeq = snap.Kernel.Seq + 1
+		},
 		"voq in a padding slot": func(t *testing.T, _ *ckpt.Snapshot, st *fabric.State) {
 			o := firstVoQ(t, st)
 			o.VoQs[len(o.VoQs)-1].K = 6

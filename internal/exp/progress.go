@@ -27,7 +27,11 @@ type Reporter interface {
 // rewrites one status line ("done/total, events/sec, ETA") on its
 // writer, typically stderr. It tolerates an unknown total (no ETA) and
 // can be driven either as a Runner's Reporter or manually via Observe
-// from a core sweep's OnResult hook.
+// from a core sweep's OnResult hook. The events/sec figure says how busy
+// the host is, not how fast the sweep is: it counts executed events, and
+// the fabric schedules serializer-done and credit events only on demand,
+// so a faster build can show a lower rate — compare sweeps by wall time
+// or ns/packet.
 type Progress struct {
 	mu     sync.Mutex
 	w      io.Writer

@@ -86,9 +86,29 @@ func (c *creditAct) Act() {
 	taker.addCredit(vl, bytes)
 }
 
-// sendCredit schedules a credit update to arrive at taker after the link
-// propagation delay, modeling the flow-control packet carrying it.
+// sendCredit returns flow-control credits to taker, to count from the
+// link propagation delay on, modeling the flow-control packet carrying
+// them. An update the transmitter could not act on when it lands is
+// parked instead of scheduled (see Network.park); the rest
+// travel as events.
 func (n *Network) sendCredit(taker creditTaker, vl ib.VL, bytes int) {
+	d := n.cfg.PropDelay
+	delayed := n.dropper != nil && n.dropper.DropCredit(vl, bytes)
+	if delayed {
+		// The flow-control packet carrying this update is lost; the
+		// credits reach the transmitter with the next refresh instead
+		// (see CreditRefreshDelay).
+		n.creditDropped(taker, vl, bytes)
+		d += CreditRefreshDelay
+	}
+	if n.park(taker, n.simr.Now().Add(d), delayed, vl, bytes) {
+		return
+	}
+	n.simr.ScheduleAction(d, n.newCreditAct(taker, vl, bytes))
+}
+
+// newCreditAct returns a pooled credit-update action.
+func (n *Network) newCreditAct(taker creditTaker, vl ib.VL, bytes int) *creditAct {
 	var c *creditAct
 	if k := len(n.crdPool); k > 0 {
 		c = n.crdPool[k-1]
@@ -98,15 +118,7 @@ func (n *Network) sendCredit(taker creditTaker, vl ib.VL, bytes int) {
 		c = &creditAct{net: n}
 	}
 	c.taker, c.vl, c.bytes = taker, vl, bytes
-	d := n.cfg.PropDelay
-	if n.dropper != nil && n.dropper.DropCredit(vl, bytes) {
-		// The flow-control packet carrying this update is lost; the
-		// credits reach the transmitter with the next refresh instead
-		// (see CreditRefreshDelay).
-		n.creditDropped(taker, vl, bytes)
-		d += CreditRefreshDelay
-	}
-	n.simr.ScheduleAction(d, c)
+	return c
 }
 
 // swTxAct fires a switch output port's serializer-done callback.

@@ -72,13 +72,14 @@ func newArbRig(t testing.TB, ports, vls int, arb func(*swOutPort)) *arbRig {
 	return rig
 }
 
-// quietly runs f with the port's built-in arbiter call suppressed, then
+// quietly runs f with the port's built-in arbiter call suppressed (the
+// serializer reads as busy with its done event already armed), then
 // runs the arbiter under test exactly where the port would have.
 func (r *arbRig) quietly(f func()) {
-	busy := r.op.busy
-	r.op.busy = true
+	busy, armed := r.op.busy, r.op.armed
+	r.op.busy, r.op.armed = true, true
 	f()
-	r.op.busy = busy
+	r.op.busy, r.op.armed = busy, armed
 	r.arb(r.op)
 }
 
@@ -91,7 +92,7 @@ func (r *arbRig) credit(vl ib.VL, bytes int) {
 }
 
 func (r *arbRig) txDone() {
-	r.op.busy = false
+	r.op.linkOut.txDone()
 	r.arb(r.op)
 }
 
@@ -254,9 +255,9 @@ func BenchmarkArbiterSparse(b *testing.B) {
 			rig := newArbRig(b, 36, 1, arb.run)
 			op := rig.op
 			op.net.SetBus(nil)
-			op.busy = true
+			op.busy, op.armed = true, true
 			op.enqueue(35, &ib.Packet{Type: ib.DataPacket, PayloadBytes: ib.MTU})
-			op.busy = false
+			op.linkOut.txDone()
 			op.credits[0] = 0
 			b.ReportAllocs()
 			b.ResetTimer()

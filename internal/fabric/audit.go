@@ -124,8 +124,11 @@ func (n *Network) HeldPackets() int { return n.Census().Total() }
 // every event boundary, not just at quiescence: every transmitter's
 // per-VL credit count within [0, downstream buffer capacity], every
 // receiver's free space within [0, its capacity], and no negative
-// queue accounting anywhere. It returns the first violation found.
+// queue accounting anywhere. Credit updates whose landing instant has
+// passed are folded in first, so the counters read are the ones the
+// model would read. It returns the first violation found.
 func (n *Network) CheckCreditBounds() error {
+	n.fold()
 	for _, h := range n.hcas {
 		for v, cr := range h.out.credits {
 			// Hosts attach to leaf switches, so the downstream buffer
@@ -151,7 +154,7 @@ func (n *Network) CheckCreditBounds() error {
 			if op == nil {
 				continue
 			}
-			dcap := downstreamCap(op)
+			dcap := op.capBytes()
 			for v, cr := range op.credits {
 				if cr < 0 || cr > dcap {
 					return fmt.Errorf("fabric: switch %d port %d vl %d credits %d outside [0, %d]",
@@ -209,4 +212,58 @@ func (n *Network) CheckVoQOccupancy() error {
 		}
 	}
 	return nil
+}
+
+// CheckLinkArmed verifies the bookkeeping behind the events the fabric
+// schedules only on demand (see linkOut); each violation would be a
+// silent hang — a queued packet no event will ever grant. At every
+// transmitter: a busy serializer whose done callback is not in the
+// event list has nothing waiting behind it, and an armed callback
+// belongs to a busy serializer; an idle, up transmitter with packets
+// waiting is flagged stalled (or credit updates would be parked past
+// it), a stalled one has packets waiting and no update parked; the
+// credits held plus the ones parked never exceed the downstream buffer.
+// Along the parked ring: lanes the fabric has, positive sizes, ascending
+// keys, and per-link counts that match.
+func (n *Network) CheckLinkArmed() error {
+	n.fold()
+	parked := make(map[*linkOut]int)
+	var last *parkedCredit
+	for i := 0; i < n.parked.len; i++ {
+		c := n.parked.at(i)
+		if c.taker == nil {
+			continue
+		}
+		l := c.taker.txLink()
+		parked[l]++
+		if int(c.vl) >= len(l.credits) || c.bytes <= 0 {
+			return fmt.Errorf("fabric: %s parked credit of %d bytes on vl %d", l.name(), c.bytes, c.vl)
+		}
+		if last != nil && (c.at < last.at || c.seq <= last.seq) {
+			return fmt.Errorf("fabric: parked credit keys out of order: (%v, %d) after (%v, %d)", c.at, c.seq, last.at, last.seq)
+		}
+		last = c
+	}
+	return n.eachLink(func(l *linkOut, waiting bool) error {
+		switch busy := l.isBusy(); {
+		case busy && !l.armed && waiting:
+			return fmt.Errorf("fabric: %s busy until %v with packets waiting and no serializer-done event", l.name(), l.busyUntil)
+		case l.armed && !busy:
+			return fmt.Errorf("fabric: %s has a serializer-done event armed while idle", l.name())
+		case waiting && !busy && !l.down && !l.stalled:
+			return fmt.Errorf("fabric: %s idle with packets waiting but not marked stalled: credit updates would not wake it", l.name())
+		case l.stalled && (!waiting || busy):
+			return fmt.Errorf("fabric: %s marked stalled with waiting=%v busy=%v", l.name(), waiting, busy)
+		case l.stalled && l.nParked > 0:
+			return fmt.Errorf("fabric: %s stalled with %d credit updates parked", l.name(), l.nParked)
+		case int(l.nParked) != parked[l]:
+			return fmt.Errorf("fabric: %s counts %d parked credit updates, the ring holds %d", l.name(), l.nParked, parked[l])
+		}
+		for v, cr := range l.credits {
+			if sum := cr + n.parkedBytes(l, v); sum > l.capBytes() {
+				return fmt.Errorf("fabric: %s vl %d credits %d + parked exceed capacity %d", l.name(), v, sum, l.capBytes())
+			}
+		}
+		return nil
+	})
 }

@@ -20,12 +20,35 @@ import (
 // (takers, upstream credit destinations, action bindings) is identical
 // by construction, so only the mutable fields move.
 
-// LinkOutState is the mutable state of one transmitter.
+// LinkOutState is the mutable state of one transmitter. While Busy, the
+// serializer is occupied until the key (BusyUntil, TxSeq) passes; Armed
+// says that key's serializer-done event is among the snapshot's pending
+// events (it must be, and only then). An idle link exports neither.
+// Stalled marks an idle transmitter whose waiting packets found no
+// credits: its credit updates travel as events, everyone else's are
+// parked (State.Parked).
 type LinkOutState struct {
-	Credits []int   `json:"credits"`
-	Busy    bool    `json:"busy,omitempty"`
-	Down    bool    `json:"down,omitempty"`
-	Slow    float64 `json:"slow,omitempty"`
+	Credits   []int    `json:"credits"`
+	Busy      bool     `json:"busy,omitempty"`
+	Down      bool     `json:"down,omitempty"`
+	Slow      float64  `json:"slow,omitempty"`
+	BusyUntil sim.Time `json:"busy_until_ps,omitempty"`
+	TxSeq     uint64   `json:"tx_seq,omitempty"`
+	Armed     bool     `json:"armed,omitempty"`
+	Stalled   bool     `json:"stalled,omitempty"`
+}
+
+// ParkedCredit is one deferred credit update (see linkOut): Bytes on VL
+// count for the transmitter (AtSwitch, Node, Port) from the moment the
+// key (At, Seq) passes.
+type ParkedCredit struct {
+	At       sim.Time `json:"at_ps"`
+	Seq      uint64   `json:"seq"`
+	AtSwitch bool     `json:"at_switch,omitempty"`
+	Node     int      `json:"node"`
+	Port     int      `json:"port,omitempty"`
+	VL       uint8    `json:"vl,omitempty"`
+	Bytes    int      `json:"bytes"`
 }
 
 // HCAState is the mutable state of one end node. Queue fields hold
@@ -76,10 +99,12 @@ type SwitchState struct {
 
 // State is the fabric's complete mutable state.
 type State struct {
-	HCAs     []HCAState     `json:"hcas"`
-	Switches []SwitchState  `json:"switches"`
-	Pool     ib.PoolStats   `json:"pool"`
-	Audit    *AuditCounters `json:"audit,omitempty"`
+	HCAs     []HCAState    `json:"hcas"`
+	Switches []SwitchState `json:"switches"`
+	// Parked are the credit updates not yet landed, in key order.
+	Parked []ParkedCredit `json:"parked,omitempty"`
+	Pool   ib.PoolStats   `json:"pool"`
+	Audit  *AuditCounters `json:"audit,omitempty"`
 }
 
 func queueRefs(t *ckpt.PacketTable, q *pktQueue) []int {
@@ -127,19 +152,90 @@ func (n *Network) restoreQueue(t *ckpt.PacketTable, q *pktQueue, refs []int) (wi
 	return wire, nil
 }
 
+// exportLink captures a transmitter in canonical form: a transmission
+// whose unarmed key has passed is retired first (which changes nothing
+// the model will do), so equal model states export equal records
+// however lazily they were settled.
 func exportLink(l *linkOut) LinkOutState {
-	return LinkOutState{
-		Credits: append([]int(nil), l.credits...),
-		Busy:    l.busy, Down: l.down, Slow: l.slow,
+	st := LinkOutState{Credits: append([]int(nil), l.credits...), Down: l.down, Slow: l.slow, Stalled: l.stalled}
+	if l.isBusy() {
+		st.Busy, st.BusyUntil, st.TxSeq, st.Armed = true, l.busyUntil, l.txSeq, l.armed
 	}
+	return st
 }
 
-func restoreLink(l *linkOut, st LinkOutState) error {
+// restoreLink overlays one transmitter; waiting says whether its owner
+// restored packets queued behind the serializer. The kernel scalars are
+// already in place (core restores them first), so the key is judged
+// against the snapshot's own clock and sequence counter.
+func (n *Network) restoreLink(l *linkOut, st LinkOutState, waiting bool) error {
 	if len(st.Credits) != len(l.credits) {
 		return fmt.Errorf("%d credit lanes, want %d", len(st.Credits), len(l.credits))
 	}
+	switch nextSeq := n.simr.ExportKernel().Seq; {
+	case !st.Busy && st.Armed:
+		return fmt.Errorf("idle serializer with a done event armed")
+	case !st.Busy:
+		st.BusyUntil, st.TxSeq = 0, 0
+	case st.TxSeq >= nextSeq:
+		return fmt.Errorf("serializer-done seq %d at or beyond next seq %d", st.TxSeq, nextSeq)
+	case !st.Armed && n.simr.Passed(st.BusyUntil, st.TxSeq):
+		return fmt.Errorf("busy until %v (seq %d) with no done event armed, which the snapshot clock has passed", st.BusyUntil, st.TxSeq)
+	case !st.Armed && waiting:
+		return fmt.Errorf("packets wait behind a busy serializer with no done event armed")
+	}
+	switch {
+	case st.Stalled && (st.Busy || !waiting):
+		return fmt.Errorf("marked stalled with busy=%v waiting=%v", st.Busy, waiting)
+	case waiting && !st.Busy && !st.Down && !st.Stalled:
+		return fmt.Errorf("idle with packets waiting but not marked stalled")
+	}
 	copy(l.credits, st.Credits)
 	l.busy, l.down, l.slow = st.Busy, st.Down, st.Slow
+	l.busyUntil, l.txSeq, l.armed = st.BusyUntil, st.TxSeq, st.Armed
+	l.stalled, l.nParked = st.Stalled, 0
+	return nil
+}
+
+// restoreParked refills the parked-credit ring, after every link is
+// restored: each update must target a transmitter the fabric has whose
+// arbiter is not stalled, on a lane it has, not have landed yet (export
+// folds those), carry a sequence number the kernel has issued, keep the
+// ring's key order, and leave credits + parked within the downstream
+// buffer.
+func (n *Network) restoreParked(parked []ParkedCredit) error {
+	n.parked = parkedRing{}
+	if len(parked) > parkedCap {
+		return fmt.Errorf("%d parked credits, the ring holds %d", len(parked), parkedCap)
+	}
+	nextSeq := n.simr.ExportKernel().Seq
+	for i, c := range parked {
+		taker, err := n.transmitter(c.AtSwitch, int64(c.Node), int64(c.Port))
+		if err != nil {
+			return fmt.Errorf("parked credit %d: %w", i, err)
+		}
+		l := taker.txLink()
+		switch {
+		case int(c.VL) >= len(l.credits):
+			return fmt.Errorf("parked credit %d on vl %d of %d", i, c.VL, len(l.credits))
+		case c.Bytes <= 0 || c.Bytes > l.capBytes():
+			return fmt.Errorf("parked credit %d of %d bytes", i, c.Bytes)
+		case l.stalled:
+			return fmt.Errorf("parked credit %d for %s, whose arbiter is stalled", i, l.name())
+		case c.Seq >= nextSeq:
+			return fmt.Errorf("parked credit %d seq %d at or beyond next seq %d", i, c.Seq, nextSeq)
+		case n.simr.Passed(c.At, c.Seq):
+			return fmt.Errorf("parked credit %d key (%v, %d) is behind the snapshot clock", i, c.At, c.Seq)
+		case i > 0 && (c.At < parked[i-1].At || c.Seq <= parked[i-1].Seq):
+			return fmt.Errorf("parked credits out of key order at %d", i)
+		}
+		*n.parked.at(i) = parkedCredit{at: c.At, seq: c.Seq, taker: taker, bytes: int32(c.Bytes), vl: ib.VL(c.VL)}
+		n.parked.len++
+		l.nParked++
+		if sum := l.credits[c.VL] + n.parkedBytes(l, int(c.VL)); sum > l.capBytes() {
+			return fmt.Errorf("%s vl %d credits %d with parked updates exceed capacity %d", l.name(), c.VL, sum, l.capBytes())
+		}
+	}
 	return nil
 }
 
@@ -147,6 +243,20 @@ func restoreLink(l *linkOut, st LinkOutState) error {
 // packet into tab.
 func (n *Network) ExportState(tab *ckpt.PacketTable) *State {
 	st := &State{HCAs: make([]HCAState, len(n.hcas)), Switches: make([]SwitchState, len(n.switches))}
+	// Landed updates are folded first: like retiring a passed
+	// serializer key, it changes nothing the model will do.
+	n.fold()
+	for i := 0; i < n.parked.len; i++ {
+		c := n.parked.at(i)
+		if c.taker == nil {
+			continue
+		}
+		l := c.taker.txLink()
+		st.Parked = append(st.Parked, ParkedCredit{
+			At: c.at, Seq: c.seq, AtSwitch: l.atSwitch, Node: l.node, Port: l.port,
+			VL: uint8(c.vl), Bytes: int(c.bytes),
+		})
+	}
 	for i, h := range n.hcas {
 		st.HCAs[i] = HCAState{
 			Obuf:      queueRefs(tab, &h.obuf),
@@ -240,6 +350,9 @@ func (n *Network) RestoreState(st *State, tab *ckpt.PacketTable) error {
 			}
 		}
 	}
+	if err := n.restoreParked(st.Parked); err != nil {
+		return fmt.Errorf("fabric: restore: %w", err)
+	}
 	n.pool.RestoreStats(st.Pool)
 	if st.Audit != nil {
 		a := n.EnableAudit()
@@ -275,7 +388,7 @@ func (n *Network) restoreHCA(h *HCA, hs *HCAState, tab *ckpt.PacketTable) error 
 	if h.sinkPkt, err = n.claim(tab, hs.SinkPkt); err != nil {
 		return err
 	}
-	if err := restoreLink(&h.out, hs.Out); err != nil {
+	if err := n.restoreLink(&h.out, hs.Out, h.obuf.Len() > 0); err != nil {
 		return err
 	}
 	h.ctr = hs.Ctr
@@ -289,9 +402,6 @@ func (n *Network) restoreHCA(h *HCA, hs *HCAState, tab *ckpt.PacketTable) error 
 // slot's VL — and the occupancy bitmap and the redundant counters
 // (pending, qbytes) must agree with the queues they summarize.
 func (n *Network) restoreSwOut(op *swOutPort, st *SwOutState, tab *ckpt.PacketTable) error {
-	if err := restoreLink(&op.linkOut, st.Link); err != nil {
-		return err
-	}
 	if len(st.Qbytes) != len(op.qbytes) {
 		return fmt.Errorf("%d queue lanes, want %d", len(st.Qbytes), len(op.qbytes))
 	}
@@ -344,7 +454,7 @@ func (n *Network) restoreSwOut(op *swOutPort, st *SwOutState, tab *ckpt.PacketTa
 	}
 	op.pending = st.Pending
 	copy(op.qbytes, st.Qbytes)
-	return nil
+	return n.restoreLink(&op.linkOut, st.Link, pending > 0)
 }
 
 // Fabric action kinds in the checkpoint event records.
@@ -370,6 +480,9 @@ const (
 type Codec struct {
 	net *Network
 	tab *ckpt.PacketTable
+	// txDecoded counts the serializer-done events decoded, each matched
+	// to the armed transmitter that reserved its key (see CheckArmed).
+	txDecoded int
 }
 
 // Codec returns the fabric's action codec over the given packet table.
@@ -419,22 +532,72 @@ func (c *Codec) EncodeAction(a sim.Action) (rec ckpt.EventRecord, ok bool) {
 	return ckpt.EventRecord{}, false
 }
 
-func (c *Codec) host(a0 int64) (*HCA, error) {
-	if a0 < 0 || int(a0) >= len(c.net.hcas) {
-		return nil, fmt.Errorf("fabric: checkpoint references host %d of %d", a0, len(c.net.hcas))
+func (n *Network) host(a0 int64) (*HCA, error) {
+	if a0 < 0 || int(a0) >= len(n.hcas) {
+		return nil, fmt.Errorf("fabric: checkpoint references host %d of %d", a0, len(n.hcas))
 	}
-	return c.net.hcas[a0], nil
+	return n.hcas[a0], nil
 }
 
-func (c *Codec) swPort(a0, a1 int64) (*SwitchNode, int, error) {
-	if a0 < 0 || int(a0) >= len(c.net.switches) {
-		return nil, 0, fmt.Errorf("fabric: checkpoint references switch %d of %d", a0, len(c.net.switches))
+func (n *Network) swPort(a0, a1 int64) (*SwitchNode, int, error) {
+	if a0 < 0 || int(a0) >= len(n.switches) {
+		return nil, 0, fmt.Errorf("fabric: checkpoint references switch %d of %d", a0, len(n.switches))
 	}
-	sw := c.net.switches[a0]
+	sw := n.switches[a0]
 	if a1 < 0 || int(a1) >= len(sw.out) {
 		return nil, 0, fmt.Errorf("fabric: checkpoint references port %d of switch %d", a1, a0)
 	}
 	return sw, int(a1), nil
+}
+
+// transmitter resolves a credit destination — a pending credit event's
+// or a parked update's — in the flight-recorder namespace.
+func (n *Network) transmitter(atSwitch bool, node, port int64) (creditTaker, error) {
+	if !atSwitch {
+		h, err := n.host(node)
+		if err != nil {
+			return nil, err
+		}
+		return h, nil
+	}
+	sw, p, err := n.swPort(node, port)
+	if err != nil {
+		return nil, err
+	}
+	if sw.out[p] == nil {
+		return nil, fmt.Errorf("fabric: credit to unconnected port %d of switch %d", p, node)
+	}
+	return sw.out[p], nil
+}
+
+// armedTx resolves a pending serializer-done event to its transmitter's
+// callback. The event exists only because the restored link state says
+// it is armed under exactly this key; anything else would fire a
+// completion the serializer never started.
+func (c *Codec) armedTx(l *linkOut, rec ckpt.EventRecord) (sim.Action, error) {
+	if !l.armed || int64(l.busyUntil) != rec.T || l.txSeq != rec.Seq {
+		return nil, fmt.Errorf("fabric: serializer-done event (%d, seq %d) for %s, which is not armed under that key", rec.T, rec.Seq, l.name())
+	}
+	c.txDecoded++
+	return l.txAct, nil
+}
+
+// CheckArmed closes the armed ⇔ pending-event check once every event of
+// a snapshot is decoded: armedTx vouched for each serializer-done event,
+// so equal counts mean every armed transmitter has its event too. The
+// opposite — armed with no event — would leave the link busy forever.
+func (c *Codec) CheckArmed() error {
+	armed := 0
+	c.net.eachLink(func(l *linkOut, _ bool) error {
+		if l.armed {
+			armed++
+		}
+		return nil
+	})
+	if armed != c.txDecoded {
+		return fmt.Errorf("fabric: %d serializers armed but %d serializer-done events pending", armed, c.txDecoded)
+	}
+	return nil
 }
 
 // DecodeAction implements the checkpoint decoder for fabric actions.
@@ -454,7 +617,7 @@ func (c *Codec) DecodeAction(rec ckpt.EventRecord) (act sim.Action, attach func(
 		a.p = p
 		a.drop = rec.B1
 		if rec.B0 {
-			sw, port, e := c.swPort(rec.A0, rec.A1)
+			sw, port, e := c.net.swPort(rec.A0, rec.A1)
 			if e != nil {
 				return nil, nil, true, e
 			}
@@ -463,7 +626,7 @@ func (c *Codec) DecodeAction(rec ckpt.EventRecord) (act sim.Action, attach func(
 			}
 			a.dst = sw.in[port]
 		} else {
-			h, e := c.host(rec.A0)
+			h, e := c.net.host(rec.A0)
 			if e != nil {
 				return nil, nil, true, e
 			}
@@ -471,7 +634,7 @@ func (c *Codec) DecodeAction(rec ckpt.EventRecord) (act sim.Action, attach func(
 		}
 		if a.drop {
 			if rec.B2 {
-				sw, port, e := c.swPort(rec.A2, rec.A3)
+				sw, port, e := c.net.swPort(rec.A2, rec.A3)
 				if e != nil {
 					return nil, nil, true, e
 				}
@@ -480,7 +643,7 @@ func (c *Codec) DecodeAction(rec ckpt.EventRecord) (act sim.Action, attach func(
 				}
 				a.src = &sw.out[port].linkOut
 			} else {
-				h, e := c.host(rec.A2)
+				h, e := c.net.host(rec.A2)
 				if e != nil {
 					return nil, nil, true, e
 				}
@@ -489,41 +652,30 @@ func (c *Codec) DecodeAction(rec ckpt.EventRecord) (act sim.Action, attach func(
 		}
 		return a, nil, true, nil
 	case kindCredit:
-		cr := &creditAct{net: c.net, vl: ib.VL(rec.A2), bytes: int(rec.A3)}
-		if rec.B0 {
-			sw, port, e := c.swPort(rec.A0, rec.A1)
-			if e != nil {
-				return nil, nil, true, e
-			}
-			if sw.out[port] == nil {
-				return nil, nil, true, fmt.Errorf("fabric: credit to unconnected port %d of switch %d", port, rec.A0)
-			}
-			cr.taker = sw.out[port]
-		} else {
-			h, e := c.host(rec.A0)
-			if e != nil {
-				return nil, nil, true, e
-			}
-			cr.taker = h
+		taker, e := c.net.transmitter(rec.B0, rec.A0, rec.A1)
+		if e != nil {
+			return nil, nil, true, e
 		}
-		return cr, nil, true, nil
+		return &creditAct{net: c.net, taker: taker, vl: ib.VL(rec.A2), bytes: int(rec.A3)}, nil, true, nil
 	case kindSwTx:
-		sw, port, e := c.swPort(rec.A0, rec.A1)
+		sw, port, e := c.net.swPort(rec.A0, rec.A1)
 		if e != nil {
 			return nil, nil, true, e
 		}
 		if sw.out[port] == nil {
 			return nil, nil, true, fmt.Errorf("fabric: tx-done on unconnected port %d of switch %d", port, rec.A0)
 		}
-		return sw.out[port].txAct, nil, true, nil
+		act, e := c.armedTx(&sw.out[port].linkOut, rec)
+		return act, nil, true, e
 	case kindHCATx, kindHCAWake, kindHCADma, kindHCASink:
-		h, e := c.host(rec.A0)
+		h, e := c.net.host(rec.A0)
 		if e != nil {
 			return nil, nil, true, e
 		}
 		switch rec.Kind {
 		case kindHCATx:
-			return h.txAct, nil, true, nil
+			act, e := c.armedTx(&h.out, rec)
+			return act, nil, true, e
 		case kindHCADma:
 			return h.dmaAct, nil, true, nil
 		case kindHCASink:

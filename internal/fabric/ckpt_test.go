@@ -27,26 +27,70 @@ func ckptNet(t *testing.T) *Network {
 }
 
 // congestedState runs hosts 0–2 flooding host 3 across the inter-switch
-// link until VoQs, staging buffers and the sink queue all hold packets,
-// and exports that instant.
-func congestedState(t *testing.T) (blob []byte, recs []ckpt.PacketRecord) {
+// link (and host 4 sending to host 5 unhindered) until VoQs, staging buffers and the sink queue all hold packets
+// — and, nudging on a nanosecond at a time, until a credit update is
+// parked, a host is stalled and some link is busy behind an unarmed
+// key — and exports that instant together with the kernel scalars the
+// link keys are judged against.
+func congestedState(t *testing.T) (blob []byte, recs []ckpt.PacketRecord, ks sim.KernelState) {
 	t.Helper()
 	n := ckptNet(t)
 	for src := 0; src < 3; src++ {
 		n.HCA(ib.LID(src)).SetSource(&floodSource{src: ib.LID(src), dst: 3, remaining: -1})
 	}
+	// An uncongested flow beside them: host 4's link outruns its
+	// injection DMA, so its serializer is busy with nothing staged.
+	n.HCA(4).SetSource(&floodSource{src: 4, dst: 5, remaining: -1})
 	n.Start()
-	n.Sim().RunUntil(sim.Time(0).Add(30 * sim.Microsecond))
+	var tab *ckpt.PacketTable
+	var st *State
+	for at := sim.Time(0).Add(30 * sim.Microsecond); ; at = at.Add(sim.Nanosecond) {
+		if at > sim.Time(0).Add(60*sim.Microsecond) {
+			t.Fatal("fixture never holds a parked credit, a stalled host and an unarmed busy link at once")
+		}
+		n.Sim().RunUntil(at)
+		tab = ckpt.NewPacketTable()
+		st = n.ExportState(tab)
+		if len(st.Parked) > 0 && stalledHost(st) >= 0 && unarmedBusy(st) != nil {
+			break
+		}
+	}
 	if err := n.CheckVoQOccupancy(); err != nil {
 		t.Fatal(err)
 	}
-	tab := ckpt.NewPacketTable()
-	st := n.ExportState(tab)
 	blob, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return blob, append([]ckpt.PacketRecord(nil), tab.Records()...)
+	return blob, append([]ckpt.PacketRecord(nil), tab.Records()...), n.Sim().ExportKernel()
+}
+
+// stalledHost returns a host whose transmitter is stalled, or -1.
+func stalledHost(st *State) int {
+	for i := range st.HCAs {
+		if st.HCAs[i].Out.Stalled {
+			return i
+		}
+	}
+	return -1
+}
+
+// unarmedBusy returns a link busy behind a key that is not in the event
+// list, or nil.
+func unarmedBusy(st *State) *LinkOutState {
+	for i := range st.HCAs {
+		if l := &st.HCAs[i].Out; l.Busy && !l.Armed {
+			return l
+		}
+	}
+	for i := range st.Switches {
+		for _, o := range st.Switches[i].Out {
+			if o != nil && o.Link.Busy && !o.Link.Armed {
+				return &o.Link
+			}
+		}
+	}
+	return nil
 }
 
 // busiestOut returns the switch output port state holding the most
@@ -69,7 +113,7 @@ func busiestOut(st *State) *SwOutState {
 // answer each with an error instead of a panic at the first grant or a
 // silently inconsistent fabric.
 func TestRestoreStateRejectsCorruptSnapshots(t *testing.T) {
-	blob, recs := congestedState(t)
+	blob, recs, ks := congestedState(t)
 
 	var probe State
 	if err := json.Unmarshal(blob, &probe); err != nil {
@@ -134,6 +178,56 @@ func TestRestoreStateRejectsCorruptSnapshots(t *testing.T) {
 		{"staged packet on a lane the fabric lacks", func(st *State, recs []ckpt.PacketRecord) {
 			recs[st.HCAs[0].Obuf[0]-1].VL = 9
 		}, "vl 9 of 3"},
+
+		// The on-demand event bookkeeping (LinkOutState busy-until /
+		// tx-seq / armed / stalled, State.Parked).
+		{"done event armed on an idle serializer", func(st *State, _ []ckpt.PacketRecord) {
+			l := unarmedBusy(st)
+			l.Busy, l.Armed = false, true
+		}, "idle serializer with a done event armed"},
+		{"unarmed busy key behind the clock", func(st *State, _ []ckpt.PacketRecord) {
+			unarmedBusy(st).BusyUntil = ks.Now - 1
+		}, "the snapshot clock has passed"},
+		{"serializer-done seq never issued", func(st *State, _ []ckpt.PacketRecord) {
+			unarmedBusy(st).TxSeq = ks.Seq
+		}, "at or beyond next seq"},
+		{"packets waiting behind an unarmed serializer", func(st *State, _ []ckpt.PacketRecord) {
+			bo := busiestOut(st)
+			bo.Link.Busy, bo.Link.Armed, bo.Link.Stalled = true, false, false
+			bo.Link.BusyUntil, bo.Link.TxSeq = ks.Now+1000, 1
+		}, "no done event armed"},
+		{"stall flag lost", func(st *State, _ []ckpt.PacketRecord) {
+			st.HCAs[stalledHost(st)].Out.Stalled = false
+		}, "not marked stalled"},
+		{"stalled while busy", func(st *State, _ []ckpt.PacketRecord) { unarmedBusy(st).Stalled = true }, "marked stalled with busy=true"},
+		{"parked credit on a lane the fabric lacks", func(st *State, _ []ckpt.PacketRecord) { st.Parked[0].VL = 3 }, "on vl 3 of 3"},
+		{"parked credit seq never issued", func(st *State, _ []ckpt.PacketRecord) {
+			st.Parked[len(st.Parked)-1].Seq = ks.Seq
+		}, "at or beyond next seq"},
+		{"parked credit already landed", func(st *State, _ []ckpt.PacketRecord) { st.Parked[0].At = ks.Now - 1 }, "behind the snapshot clock"},
+		{"parked credits out of key order", func(st *State, _ []ckpt.PacketRecord) {
+			st.Parked = append(st.Parked, st.Parked[0])
+		}, "out of key order"},
+		{"parked credit for a stalled transmitter", func(st *State, _ []ckpt.PacketRecord) {
+			st.Parked[0].AtSwitch, st.Parked[0].Node, st.Parked[0].Port = false, stalledHost(st), 0
+		}, "whose arbiter is stalled"},
+		{"parked credit for a transmitter the fabric lacks", func(st *State, _ []ckpt.PacketRecord) {
+			st.Parked[0].AtSwitch, st.Parked[0].Node, st.Parked[0].Port = true, 0, 3
+		}, "unconnected port 3 of switch 0"},
+		{"parked credit larger than the buffer", func(st *State, _ []ckpt.PacketRecord) { st.Parked[0].Bytes = 1 << 20 }, "of 1048576 bytes"},
+		{"parked credit overflowing the buffer", func(st *State, _ []ckpt.PacketRecord) {
+			c := &st.Parked[0]
+			l := &st.HCAs[c.Node].Out
+			if c.AtSwitch {
+				l = &st.Switches[c.Node].Out[c.Port].Link
+			}
+			l.Credits[c.VL] = 16<<10 - c.Bytes + 1
+		}, "exceed capacity"},
+		{"more parked credits than the ring holds", func(st *State, _ []ckpt.PacketRecord) {
+			for len(st.Parked) <= parkedCap {
+				st.Parked = append(st.Parked, st.Parked[0])
+			}
+		}, "the ring holds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,6 +238,7 @@ func TestRestoreStateRejectsCorruptSnapshots(t *testing.T) {
 			rc := append([]ckpt.PacketRecord(nil), recs...)
 			tc.corrupt(&st, rc)
 			n := ckptNet(t)
+			n.Sim().BeginRestore(ks)
 			err := n.RestoreState(&st, ckpt.RestoreTable(rc))
 			if tc.want == "" {
 				if err != nil {

@@ -60,7 +60,7 @@ func (n *Network) SetLinkDown(atSwitch bool, node, port int, down bool) {
 		}
 		op.down = down
 		n.publishLink(now, down, true, node, port)
-		if !down && !op.busy {
+		if !down {
 			op.tryTx()
 		}
 		return
@@ -68,7 +68,7 @@ func (n *Network) SetLinkDown(atSwitch bool, node, port int, down bool) {
 	h := n.hcas[node]
 	h.out.down = down
 	n.publishLink(now, down, false, node, 0)
-	if !down && !h.out.busy {
+	if !down {
 		h.tryTxOut()
 	}
 }

@@ -66,8 +66,8 @@ type HCA struct {
 
 	// Pre-bound actions and their in-flight packets (one DMA and one
 	// sink service at a time).
-	txAct, dmaAct, sinkAct, wakeAct sim.Action
-	dmaPkt, sinkPkt                 *ib.Packet
+	dmaAct, sinkAct, wakeAct sim.Action
+	dmaPkt, sinkPkt          *ib.Packet
 
 	ctr HCACounters
 }
@@ -79,7 +79,7 @@ func newHCA(n *Network, node *topo.Node) *HCA {
 	for v := range h.rxFree {
 		h.rxFree[v] = n.cfg.HostIbufBytes
 	}
-	h.txAct = hcaTxAct{h}
+	h.out.txAct = hcaTxAct{h}
 	h.dmaAct = hcaDmaAct{h}
 	h.sinkAct = hcaSinkAct{h}
 	h.wakeAct = hcaWakeAct{h}
@@ -165,41 +165,39 @@ func (h *HCA) dmaDone(p *ib.Packet) {
 }
 
 // tryTxOut moves staged packets onto the wire under credit flow control.
+// While the serializer is busy a staged packet waits for its done
+// callback, which from here on must exist.
 func (h *HCA) tryTxOut() {
-	if h.out.busy || h.out.down {
-		return
-	}
 	p := h.obuf.Peek()
-	if p == nil {
+	if h.out.busyWith(p != nil) || h.out.down || p == nil {
 		return
 	}
+	h.net.fold()
 	if !h.out.canSend(p.VL, p.WireBytes()) {
 		h.net.bus.CreditStalled(h.net.simr.Now(), false, int(h.lid), 0, p.VL, h.out.credits[p.VL], p.WireBytes())
+		h.net.stall(&h.out)
 		return
 	}
 	h.obuf.Pop()
 	h.obufBytes -= p.WireBytes()
 	h.net.bus.PacketSent(h.net.simr.Now(), false, int(h.lid), 0, p)
-	ser := h.out.transmit(p)
-	h.net.simr.ScheduleAction(ser, h.txAct)
+	h.out.transmit(p, h.obuf.Len() > 0)
 	h.kickSend() // staging space freed
 }
 
 func (h *HCA) txDone() {
-	h.out.busy = false
+	h.out.txDone()
 	h.tryTxOut()
 }
 
-// addCredit is the flow-control update from the attached switch.
+// addCredit is a flow-control update from the attached switch that
+// travelled as an event (see Network.park for the ones that do not).
 func (h *HCA) addCredit(vl ib.VL, bytes int) {
-	h.out.credits[vl] += bytes
-	if h.net.cfg.Check && h.out.credits[vl] > h.net.cfg.SwitchIbufBytes {
-		panic(fmt.Sprintf("fabric: credit overflow at host %d", h.lid))
-	}
-	if !h.out.busy {
-		h.tryTxOut()
-	}
+	h.out.addCredits(vl, bytes)
+	h.tryTxOut()
 }
+
+func (h *HCA) txLink() *linkOut { return &h.out }
 
 // armWake schedules a send re-evaluation at t unless one at least as
 // early is already pending. Fired events are recycled by the kernel, so

@@ -25,44 +25,132 @@ type packetTaker interface {
 // the receiver returns as its buffer drains.
 type creditTaker interface {
 	addCredit(vl ib.VL, bytes int)
+	// txLink is the transmitter the credits belong to.
+	txLink() *linkOut
 }
 
 // linkOut is the transmit machinery shared by switch output ports and
 // HCA send ports: per-VL credit counters mirroring downstream free
-// buffer space, a busy flag for the serializer, and the downstream
+// buffer space, the serializer's busy state, and the downstream
 // endpoint.
+//
+// Two kinds of event would, most of the time, do nothing when they
+// fire, and are therefore scheduled only when something is waiting for
+// them (DESIGN.md, "Events that are never scheduled"):
+//
+//   - The serializer-done callback matters only if a packet waits
+//     behind the transmission. transmit reserves its (busyUntil, txSeq)
+//     key and schedules it only if one is already queued; otherwise the
+//     first arbitration pass that finds the link busy with something to
+//     send arms it under that key (busyWith), and if none comes the link
+//     simply reads as idle once the key has passed (isBusy).
+//   - A credit update matters when it lands only if the arbiter is
+//     stalled: packets wait, the serializer is idle, and no lane had
+//     credits for any of them. Otherwise it is a counter increment
+//     nobody can act on yet, so it is parked under its own reserved key
+//     (Network.park) and folded into credits, in key order, before
+//     anything reads the counter (Network.fold). An arbitration pass
+//     that stalls turns the updates still in flight for its link into
+//     real events (Network.stall).
+//
+// Because the keys are reserved at the point in program order where the
+// events used to be scheduled, every other event keeps its sequence
+// number and every timestamp tie resolves as it always did.
 type linkOut struct {
 	net     *Network
-	credits []int // bytes, per VL
-	busy    bool
+	credits []int // bytes, per VL; call net.fold before reading
 	dst     packetTaker
+
+	// busy: a transmission occupies the serializer until the key
+	// (busyUntil, txSeq) passes. armed: txAct is in the event list under
+	// that key. busy ∧ ¬armed ⇒ nothing is waiting to be sent.
+	busy, armed bool
 	// hostFacing reports whether the downstream endpoint is an HCA.
 	hostFacing bool
-
 	// Transmitter identity in the flight-recorder namespace: atSwitch
 	// selects switch vs host for node (dense switch index vs LID); port
-	// is always 0 on hosts. Set once at wiring time, read only by the
-	// fault layer (see fault.go).
-	atSwitch   bool
-	node, port int
-
+	// is always 0 on hosts. Set once at wiring time.
+	atSwitch bool
 	// Fault state, driven by SetLinkDown / SetLinkSlow. down gates the
 	// arbiter entry points (not canSend, so an outage never reads as a
 	// credit stall); slow > 1 multiplies serialization time.
 	down bool
-	slow float64
-
 	// check caches cfg.Check so the per-packet transmit path reads one
 	// local byte instead of chasing net→cfg.
 	check bool
+	// stalled: the last arbitration pass found packets waiting and no
+	// lane with credits for any of them, and nothing was sent since —
+	// the one state in which a credit update wakes somebody up.
+	stalled bool
+	// nParked counts this link's entries in the network's parked ring.
+	nParked uint8
+
+	node, port int
+	slow       float64
+
+	busyUntil sim.Time
+	txSeq     uint64
+	txAct     sim.Action // the owner's pre-bound serializer-done callback
 }
 
-func (l *linkOut) initCredits(n, per int) {
+// initCredits gives each of n lanes the full downstream buffer; the
+// caller has set hostFacing.
+func (l *linkOut) initCredits(n int) {
 	l.credits = make([]int, n)
 	for i := range l.credits {
-		l.credits[i] = per
+		l.credits[i] = l.capBytes()
 	}
 	l.check = l.net.cfg.Check
+}
+
+// capBytes is the downstream buffer capacity per VL: the initial credit
+// and the bound credits plus parked updates may never exceed.
+func (l *linkOut) capBytes() int {
+	if l.hostFacing {
+		return l.net.cfg.HostIbufBytes
+	}
+	return l.net.cfg.SwitchIbufBytes
+}
+
+// isBusy reports whether the serializer is occupied, retiring a
+// transmission whose unarmed completion key has passed.
+func (l *linkOut) isBusy() bool {
+	if l.busy && !l.armed && l.net.simr.Passed(l.busyUntil, l.txSeq) {
+		l.busy = false
+	}
+	return l.busy
+}
+
+// busyWith is the arbiters' first question: is the serializer occupied?
+// If it is and a packet is waiting, that packet needs the done callback,
+// which is put into the event list under the key reserved for it at
+// transmit time (once) — the one place busy ∧ ¬armed ⇒ nothing waiting
+// is maintained.
+func (l *linkOut) busyWith(waiting bool) bool {
+	if !l.isBusy() {
+		return false
+	}
+	if waiting && !l.armed {
+		l.armed = true
+		l.net.simr.ScheduleReserved(l.busyUntil, l.txSeq, l.txAct)
+	}
+	return true
+}
+
+// addCredits applies a landed credit update.
+func (l *linkOut) addCredits(vl ib.VL, bytes int) {
+	l.credits[vl] += bytes
+	if l.check && l.credits[vl] > l.capBytes() {
+		panic(fmt.Sprintf("fabric: credit overflow at %s", l.name()))
+	}
+}
+
+// name renders the transmitter for diagnostics.
+func (l *linkOut) name() string {
+	if l.atSwitch {
+		return fmt.Sprintf("switch %d port %d", l.node, l.port)
+	}
+	return fmt.Sprintf("host %d", l.node)
 }
 
 // canSend reports whether the VL has credits for a packet of wire size b.
@@ -70,16 +158,17 @@ func (l *linkOut) canSend(vl ib.VL, b int) bool {
 	return l.credits[vl] >= b
 }
 
-// transmit consumes credits and schedules the downstream arrival; the
-// caller must have checked canSend and the busy flag, and must arrange
-// the tx-done callback via the returned serialization time.
-func (l *linkOut) transmit(p *ib.Packet) sim.Duration {
+// transmit consumes credits, schedules the downstream arrival and
+// occupies the serializer; the caller must have checked isBusy and
+// canSend. waiting says whether another packet is already queued behind
+// this one: only then does anything need the serializer-done callback,
+// so only then is it scheduled now.
+func (l *linkOut) transmit(p *ib.Packet, waiting bool) {
 	wire := p.WireBytes()
 	l.credits[p.VL] -= wire
 	if l.check && l.credits[p.VL] < 0 {
 		panic(fmt.Sprintf("fabric: negative credits on vl %d", p.VL))
 	}
-	l.busy = true
 	ser := l.net.cfg.LinkRate.TxTime(wire)
 	if l.slow > 1 {
 		ser = sim.Duration(float64(ser) * l.slow)
@@ -93,5 +182,147 @@ func (l *linkOut) transmit(p *ib.Packet) sim.Duration {
 	} else {
 		l.net.scheduleArrival(arrival, l.dst, p)
 	}
-	return ser
+	l.busy, l.armed, l.stalled = true, false, false
+	l.busyUntil = l.net.simr.Now().Add(ser)
+	l.txSeq = l.net.simr.Reserve()
+	l.busyWith(waiting)
+}
+
+// txDone is the armed serializer-done callback's first step.
+func (l *linkOut) txDone() { l.busy, l.armed = false, false }
+
+// parkedCap bounds the credit updates the network defers at a time; a
+// further one travels as a real event. Entries live from the update's
+// departure until the first counter read after it lands, about one
+// propagation delay, so the ring holds the handful of updates in flight
+// network-wide, not one per packet: on the 648-node fabric it is below
+// 8 entries for 99.4 % of insertions and below 64 for all but the
+// synchronized start-up burst (0.02 %). A power of two.
+const parkedCap = 64
+
+// linkOut.nParked counts ring entries in a byte.
+const _ = uint8(parkedCap)
+
+// parkedCredit is a credit update that was never scheduled: bytes on
+// vl count for link from the moment the key (at, seq) passes.
+type parkedCredit struct {
+	at    sim.Time
+	seq   uint64
+	taker creditTaker // nil once materialised as an event (see stall)
+	bytes int32
+	vl    ib.VL
+}
+
+// parkedRing is the network's FIFO of parked credit updates. Every
+// parked update lands one propagation delay after it left and takes the
+// next sequence number, so keys ascend in insertion order and the ring
+// drains from the head.
+type parkedRing struct {
+	buf       [parkedCap]parkedCredit
+	head, len int
+}
+
+func (r *parkedRing) at(i int) *parkedCredit { return &r.buf[(r.head+i)%parkedCap] }
+
+// park defers a credit update for taker landing at `at` unless its
+// arbiter is stalled — the only state in which the update would do
+// more than increment a counter when it lands — and reports whether it
+// did. The update's sequence number is reserved here, where its event
+// would have been scheduled. An update delayed by a refresh would break
+// the ring's key order and stays a real event, as does one that finds
+// the ring full.
+func (n *Network) park(taker creditTaker, at sim.Time, delayed bool, vl ib.VL, bytes int) bool {
+	l := taker.txLink()
+	if delayed || l.stalled {
+		return false
+	}
+	r := &n.parked
+	if r.len == parkedCap {
+		n.fold()
+		if r.len == parkedCap {
+			return false
+		}
+	}
+	*r.at(r.len) = parkedCredit{at: at, seq: n.simr.Reserve(), taker: taker, bytes: int32(bytes), vl: vl}
+	r.len++
+	l.nParked++
+	return true
+}
+
+// fold moves every parked credit update whose key has passed into its
+// link's counters. Every read of any link's credits is preceded by it.
+func (n *Network) fold() {
+	if n.parked.len > 0 {
+		n.foldLanded()
+	}
+}
+
+func (n *Network) foldLanded() {
+	r := &n.parked
+	for r.len > 0 {
+		c := &r.buf[r.head]
+		if c.taker != nil {
+			if !n.simr.Passed(c.at, c.seq) {
+				return
+			}
+			l := c.taker.txLink()
+			l.addCredits(c.vl, int(c.bytes))
+			l.nParked--
+			c.taker = nil
+		}
+		r.head = (r.head + 1) % parkedCap
+		r.len--
+	}
+}
+
+// stall records that l's arbiter found packets waiting and could send
+// none of them for want of credits. From here until the next
+// transmission a credit update is a wake-up, so the ones still in
+// flight for l become real events under their reserved keys (callers
+// fold first: whatever is still parked has not landed) and later ones
+// are scheduled outright.
+func (n *Network) stall(l *linkOut) {
+	l.stalled = true
+	r := &n.parked
+	for i := 0; l.nParked > 0 && i < r.len; i++ {
+		c := r.at(i)
+		if c.taker == nil || c.taker.txLink() != l {
+			continue
+		}
+		n.simr.ScheduleReserved(c.at, c.seq, n.newCreditAct(c.taker, c.vl, int(c.bytes)))
+		c.taker = nil
+		l.nParked--
+	}
+}
+
+// parkedBytes sums the credit parked for l on vl, landed or not.
+func (n *Network) parkedBytes(l *linkOut, vl int) int {
+	sum := 0
+	for i := 0; l.nParked > 0 && i < n.parked.len; i++ {
+		if c := n.parked.at(i); c.taker != nil && c.taker.txLink() == l && int(c.vl) == vl {
+			sum += int(c.bytes)
+		}
+	}
+	return sum
+}
+
+// eachLink calls f for every transmitter with whether packets are queued
+// behind its serializer, stopping at the first error.
+func (n *Network) eachLink(f func(l *linkOut, waiting bool) error) error {
+	for _, h := range n.hcas {
+		if err := f(&h.out, h.obuf.Len() > 0); err != nil {
+			return err
+		}
+	}
+	for _, sw := range n.switches {
+		for _, op := range sw.out {
+			if op == nil {
+				continue
+			}
+			if err := f(&op.linkOut, op.pending > 0); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

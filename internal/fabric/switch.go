@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"repro/internal/ib"
-	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -59,7 +58,6 @@ type swOutPort struct {
 	vlShift uint       // log2 of the padded per-input VL stride
 	voqMask int        // len(voqs) - 1
 	pending int        // total queued packets
-	txAct   sim.Action // pre-bound serializer-done callback
 }
 
 // pow2ceil rounds x (≥ 1) up to the next power of two.
@@ -122,6 +120,7 @@ func (op *swOutPort) enqueue(inPort int, p *ib.Packet) {
 	// Arrival-side congestion sampling: the hook sees the queue the
 	// packet joins, before it is added.
 	if n.hooks.SwitchEnqueue != nil && p.Type == ib.DataPacket {
+		n.fold()
 		st := PortVLState{
 			QueuedBytes:   op.qbytes[p.VL],
 			CreditBytes:   op.credits[p.VL],
@@ -136,18 +135,19 @@ func (op *swOutPort) enqueue(inPort int, p *ib.Packet) {
 	op.qbytes[p.VL] += p.WireBytes()
 	op.pending++
 	n.bus.QueueSampled(n.simr.Now(), op.sw.index, op.port, op.hostFacing, p.VL, op.qbytes[p.VL])
-	if !op.busy {
-		op.tryTx()
-	}
+	op.tryTx()
 }
 
 // tryTx runs the output arbiter: visiting the occupied VoQs in cyclic
 // ring order from the round-robin pointer, grant the first whose head
-// packet has downstream credits.
+// packet has downstream credits. While the serializer is busy the
+// queued packets wait for its done callback, which from here on must
+// exist.
 func (op *swOutPort) tryTx() {
-	if op.busy || op.down || op.pending == 0 {
+	if op.busyWith(op.pending > 0) || op.down || op.pending == 0 {
 		return
 	}
+	op.net.fold()
 	// The cyclic walk is nw+1 word visits: the start word's bits at or
 	// above rr first, then every other word in ring order, and finally
 	// the start word's bits below rr.
@@ -173,6 +173,7 @@ func (op *swOutPort) tryTx() {
 			}
 		}
 	}
+	op.net.stall(&op.linkOut)
 }
 
 // grant transmits the head of occupied VoQ k if its outgoing VL has
@@ -225,36 +226,24 @@ func (op *swOutPort) grant(k int) bool {
 
 	n.bus.QueueSampled(n.simr.Now(), op.sw.index, op.port, op.hostFacing, ib.VL(vl), op.qbytes[vl])
 	n.bus.PacketSent(n.simr.Now(), true, op.sw.index, op.port, head)
-	ser := op.transmit(head)
-	n.simr.ScheduleAction(ser, op.txAct)
+	op.transmit(head, op.pending > 0)
 	return true
 }
 
 func (op *swOutPort) txDone() {
-	op.busy = false
+	op.linkOut.txDone()
 	op.tryTx()
 }
 
-// addCredit is the flow-control update from downstream; fresh credits
+// addCredit is a flow-control update from downstream that travelled as
+// an event (see Network.park for the ones that do not); fresh credits
 // may unblock the arbiter.
 func (op *swOutPort) addCredit(vl ib.VL, bytes int) {
-	op.credits[vl] += bytes
-	if op.net.cfg.Check && op.credits[vl] > downstreamCap(op) {
-		panic(fmt.Sprintf("fabric: credit overflow at switch %d port %d", op.sw.index, op.port))
-	}
-	if !op.busy {
-		op.tryTx()
-	}
+	op.addCredits(vl, bytes)
+	op.tryTx()
 }
 
-// downstreamCap returns the downstream buffer capacity this output's
-// credits are bounded by (only used under Check).
-func downstreamCap(op *swOutPort) int {
-	if op.hostFacing {
-		return op.net.cfg.HostIbufBytes
-	}
-	return op.net.cfg.SwitchIbufBytes
-}
+func (op *swOutPort) txLink() *linkOut { return &op.linkOut }
 
 // QueuedBytes reports the bytes queued for output port out on vl; tests
 // and the CC manager's observability use it.

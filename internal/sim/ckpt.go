@@ -23,11 +23,15 @@ type KernelState struct {
 	Seq uint64 `json:"seq"`
 	// Processed is the lifetime executed-event count.
 	Processed uint64 `json:"processed"`
+	// ExecSeq completes the kernel's position (see Passed): keys the
+	// model reserved but never materialised must read as passed or not
+	// exactly as they would have without the stop.
+	ExecSeq uint64 `json:"exec_seq"`
 }
 
 // ExportKernel returns the simulator's scalar state.
 func (s *Simulator) ExportKernel() KernelState {
-	return KernelState{Now: s.now, Seq: s.seq, Processed: s.processed}
+	return KernelState{Now: s.now, Seq: s.seq, Processed: s.processed, ExecSeq: s.execSeq}
 }
 
 // Action returns the event's callback. Checkpointing uses it to map
@@ -74,8 +78,10 @@ func (s *Simulator) PendingEvents() []*Event {
 
 // BeginRestore discards every pending event and resets the simulator's
 // scalar state to ks, anchoring the wheel cursor at the restored clock.
-// Events are then re-inserted with RestoreEvent in ascending (time, seq)
-// order. Restoring into a running simulator panics.
+// Events are then re-inserted with ScheduleReserved in ascending
+// (time, seq) order, so the wheel cursor never rewinds; the first
+// insertion re-anchors it via the empty-queue path. Restoring into a
+// running simulator panics.
 func (s *Simulator) BeginRestore(ks KernelState) {
 	if s.running {
 		panic("sim: BeginRestore while running")
@@ -93,22 +99,6 @@ func (s *Simulator) BeginRestore(ks KernelState) {
 	s.now = ks.Now
 	s.seq = ks.Seq
 	s.processed = ks.Processed
+	s.execSeq = ks.ExecSeq
 	s.stopped = false
-}
-
-// RestoreEvent schedules a at absolute time t with an explicit sequence
-// number, bypassing the counter (which BeginRestore already set to the
-// snapshot's next value). Callers insert events in ascending (time, seq)
-// order so the wheel cursor never rewinds; the first insertion re-anchors
-// it via the empty-queue path.
-func (s *Simulator) RestoreEvent(t Time, seq uint64, a Action) *Event {
-	if a == nil {
-		panic("sim: restoring nil action")
-	}
-	if t < s.now {
-		panicPast(t, s.now)
-	}
-	e := &Event{time: t, seq: seq, act: a}
-	s.push(e)
-	return e
 }

@@ -37,6 +37,14 @@ type Simulator struct {
 	// one nil check per queue operation for the switch.
 	ref *ReferenceFEL
 
+	// execSeq completes the kernel's position in the (time, seq) order:
+	// every key strictly below (now, execSeq) has been dispatched or
+	// never will be. During a callback it is the executing event's seq;
+	// once a run reaches its horizon it is the next unissued seq, so
+	// every key issued so far at or before the horizon reads as passed
+	// (see Passed).
+	execSeq uint64
+
 	// execHook, when non-nil, observes every executed event's
 	// (time, seq) just before its callback runs; the invariant checker
 	// uses it to assert FIFO order out of the FEL. When unset the run
@@ -114,6 +122,52 @@ func (s *Simulator) ScheduleActionAt(t Time, a Action) *Event {
 	return e
 }
 
+// Reserve issues the next sequence number without scheduling anything.
+// Together with a firing time it is a key under which ScheduleReserved
+// can insert an event later — at exactly the position in the
+// (time, seq) order an event scheduled now would have had — or never,
+// when nothing turns out to be waiting for it. Every other event keeps
+// the sequence number it would have had either way.
+func (s *Simulator) Reserve() uint64 {
+	seq := s.seq
+	s.seq++
+	return seq
+}
+
+// Passed reports whether the key (t, seq) lies behind the kernel's
+// position: an event under that key would already have been dispatched.
+// The answer is exact on timestamp ties — inside a callback the
+// position is the executing event's own key — and between runs: a run
+// that reached its horizon has passed every key issued so far with
+// t ≤ the horizon, while one ended by Stop or by exhausting the event
+// list stays at its last executed event.
+func (s *Simulator) Passed(t Time, seq uint64) bool {
+	return t < s.now || (t == s.now && seq < s.execSeq)
+}
+
+// ScheduleReserved inserts a under the explicit key (t, seq): seq came
+// from Reserve (or, restoring a checkpoint, from the snapshot) and the
+// key must not have passed — inserting behind the kernel's position is
+// the same causality violation as scheduling in the past, and panics.
+// It is the kernel's one explicit-key insertion path; the event list
+// orders by (time, seq) whatever the insertion order, so the event
+// fires exactly where an event scheduled at Reserve time would have.
+func (s *Simulator) ScheduleReserved(t Time, seq uint64, a Action) *Event {
+	if a == nil {
+		panic("sim: scheduling nil action")
+	}
+	if seq >= s.seq {
+		panic(fmt.Sprintf("sim: scheduling under unissued seq %d (next %d)", seq, s.seq))
+	}
+	if s.Passed(t, seq) {
+		panic(fmt.Sprintf("sim: scheduling key (%v, %d) behind the kernel position (%v, %d)", t, seq, s.now, s.execSeq))
+	}
+	e := s.take(t, seq)
+	e.act = a
+	s.push(e)
+	return e
+}
+
 // push inserts the event into the active kernel and tracks the pending
 // high-water mark.
 func (s *Simulator) push(e *Event) {
@@ -150,6 +204,13 @@ func (s *Simulator) alloc(t Time) *Event {
 	if t < s.now {
 		panicPast(t, s.now)
 	}
+	e := s.take(t, s.seq)
+	s.seq++
+	return e
+}
+
+// take returns a pooled (or new) event keyed (t, seq).
+func (s *Simulator) take(t Time, seq uint64) *Event {
 	var e *Event
 	if n := len(s.pool); n > 0 {
 		e = s.pool[n-1]
@@ -159,9 +220,8 @@ func (s *Simulator) alloc(t Time) *Event {
 		e = &Event{}
 	}
 	e.time = t
-	e.seq = s.seq
+	e.seq = seq
 	e.dead = false
-	s.seq++
 	return e
 }
 
@@ -224,6 +284,18 @@ func (s *Simulator) RunUntil(end Time) uint64 {
 	return s.runSlow(end, 0)
 }
 
+// reachHorizon commits a run that has executed every event at or before
+// end (end != MaxTime): the clock moves up to end, and every key issued
+// so far with time ≤ end reads as passed — an event that was never
+// materialised under such a key counts as having had its turn.
+func (s *Simulator) reachHorizon(end Time) {
+	if end < s.now {
+		return // a horizon behind the clock: nothing ran, nothing moves
+	}
+	s.now = end
+	s.execSeq = s.seq
+}
+
 // runWheel is the hot loop: one peek per timing-wheel slot, then a
 // batched drain of the loaded slot's scratch buffer. Events of a slot
 // strictly below the horizon's slot skip the per-event end comparison
@@ -245,9 +317,7 @@ func (s *Simulator) runWheel(end Time) uint64 {
 			break
 		}
 		if e.time > end {
-			if end != MaxTime && s.now < end {
-				s.now = end
-			}
+			s.reachHorizon(end)
 			return n
 		}
 		// peek's postcondition: the cursor slot is loaded and e is
@@ -258,15 +328,13 @@ func (s *Simulator) runWheel(end Time) uint64 {
 			var hitEnd bool
 			n, hitEnd = s.drainSlotTo(q, end, n)
 			if hitEnd {
-				if end != MaxTime && s.now < end {
-					s.now = end
-				}
+				s.reachHorizon(end)
 				return n
 			}
 		}
 	}
-	if end != MaxTime && s.now < end && s.Pending() == 0 && !s.stopped {
-		s.now = end
+	if end != MaxTime && !s.stopped {
+		s.reachHorizon(end)
 	}
 	return n
 }
@@ -291,7 +359,7 @@ func (s *Simulator) drainSlot(q *eventQueue, n uint64) uint64 {
 		if e.dead {
 			s.release(e)
 		} else {
-			s.now = e.time
+			s.now, s.execSeq = e.time, e.seq
 			act := e.act
 			s.release(e)
 			act.Act()
@@ -325,7 +393,7 @@ func (s *Simulator) drainSlotTo(q *eventQueue, end Time, n uint64) (_ uint64, hi
 		if e.dead {
 			s.release(e)
 		} else {
-			s.now = e.time
+			s.now, s.execSeq = e.time, e.seq
 			act := e.act
 			s.release(e)
 			act.Act()
@@ -357,9 +425,7 @@ func (s *Simulator) runSlow(end Time, n uint64) uint64 {
 			break
 		}
 		if e.time > end {
-			if end != MaxTime && s.now < end {
-				s.now = end
-			}
+			s.reachHorizon(end)
 			return n
 		}
 		if s.ref != nil {
@@ -371,7 +437,7 @@ func (s *Simulator) runSlow(end Time, n uint64) uint64 {
 			s.release(e)
 			continue
 		}
-		s.now = e.time
+		s.now, s.execSeq = e.time, e.seq
 		if s.execHook != nil {
 			s.execHook(e.time, e.seq)
 		}
@@ -381,8 +447,8 @@ func (s *Simulator) runSlow(end Time, n uint64) uint64 {
 		n++
 		s.processed++
 	}
-	if end != MaxTime && s.now < end && s.Pending() == 0 && !s.stopped {
-		s.now = end
+	if end != MaxTime && !s.stopped {
+		s.reachHorizon(end)
 	}
 	return n
 }

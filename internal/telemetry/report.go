@@ -39,7 +39,10 @@ const HistoryKeep = 20
 // the ratio of this sweep's full-model event rate to the synthetic
 // kernel ceiling (a utilization-style figure — the full model does real
 // per-event work, so well under 100% is normal; a collapse flags a
-// model-layer regression the kernel bench cannot see).
+// model-layer regression the kernel bench cannot see). The sweep rate
+// counts executed events, so it is comparable only between builds that
+// schedule the same events: eliding no-op events lowers it while the
+// sweep gets faster.
 type Trend struct {
 	Baseline        *BenchPoint  `json:"baseline,omitempty"`
 	History         []BenchPoint `json:"history,omitempty"`
