@@ -70,11 +70,14 @@ tournament:
 	$(GO) run ./cmd/cctinspect -tournament /tmp/ibcc-tournament.json
 
 # Telemetry smoke: the telemetry unit suite (histogram quantile bounds,
-# sampler zero-perturbation, span tracker, report schema, HTTP server),
+# sampler zero-perturbation, grid and views, span tracker, report schema,
+# HTTP server),
 # the obs-layer digest-stability guards, then end to end: a short sweep
 # with the live dashboard on an ephemeral port, /metrics.json probed
 # mid-sweep and after it, the unified run report written and finally
-# validated + rendered back with cctinspect.
+# validated + rendered back with cctinspect. Last, the single-run trace:
+# ibccsim with the sampler's CSV and cadence checkpoints on must execute
+# exactly the bare run's events and leave a header plus >= 10 rows.
 telemetry:
 	$(GO) test -count=1 ./internal/telemetry
 	$(GO) test -count=1 ./internal/obs -run 'Digest|Telemetry|MsgCompleted'
@@ -83,6 +86,12 @@ telemetry:
 		-intensities 0,0.6 -seeds 1 -serve 127.0.0.1:0 -serve-probe \
 		-report /tmp/ibcc-telemetry-report.json
 	$(GO) run ./cmd/cctinspect -report /tmp/ibcc-telemetry-report.json
+	rm -rf /tmp/ibcc-trace-ck
+	$(GO) run ./cmd/ibccsim -radix 8 -trace /tmp/ibcc-trace.csv -ckpt-every 1ms -ckpt-dir /tmp/ibcc-trace-ck \
+		| grep -o 'engine   : [0-9]* events' > /tmp/ibcc-trace-on.txt
+	$(GO) run ./cmd/ibccsim -radix 8 | grep -o 'engine   : [0-9]* events' > /tmp/ibcc-trace-off.txt
+	cmp /tmp/ibcc-trace-on.txt /tmp/ibcc-trace-off.txt
+	head -1 /tmp/ibcc-trace.csv | grep -q '^time_s,' && [ "$$(wc -l < /tmp/ibcc-trace.csv)" -ge 11 ]
 
 # Crash-safety smoke: the checkpoint format + differential restore
 # suites (byte-identical continuation), the executor's retry / watchdog

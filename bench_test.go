@@ -39,7 +39,7 @@ func benchScenario() Scenario {
 // BenchmarkTableII regenerates Table II (silent forest, 80% C / 20% V).
 func BenchmarkTableII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tab, err := RunTableII(benchScenario())
+		tab, err := RunTableIIOpts(benchScenario(), RunOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func BenchmarkTableII(b *testing.B) {
 func windyFigure(b *testing.B, fracB int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		pts, err := RunWindySweep(benchScenario(), fracB, []int{0, 60, 100})
+		pts, err := RunWindySweepOpts(benchScenario(), fracB, []int{0, 60, 100}, RunOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -89,9 +89,9 @@ func movingFigure(b *testing.B, mutate func(*Scenario)) {
 		s := benchScenario()
 		s.Measure = 6 * Millisecond
 		mutate(&s)
-		pts, err := RunMovingSweep(s, []Duration{
+		pts, err := RunMovingSweepOpts(s, []Duration{
 			2 * Millisecond, 500 * Microsecond, 125 * Microsecond,
-		})
+		}, RunOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

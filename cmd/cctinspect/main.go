@@ -4,9 +4,9 @@
 // quick way to sanity-check a parameter set before simulating it.
 //
 // With -run it additionally simulates a scenario under the parameter set
-// and prints the CCTI-over-time table recorded by the flight-recorder
-// event bus: per interval the throttle increments and decrements, the
-// number of flows holding congestion state, and the max and mean CCTI.
+// and prints the CCTI-over-time table of a telemetry sampler binned at
+// -interval: per bin the throttle increments and decrements, the number
+// of flows holding congestion state, and the max and mean CCTI.
 //
 // With -tournament it instead renders a backend-tournament JSON
 // artifact (written by paperbench -tournament) as the ranked comparison
@@ -38,6 +38,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/check"
 	"repro/internal/ckpt"
+	"repro/internal/cliflag"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/ib"
@@ -45,6 +46,9 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/tournament"
 )
+
+// runWarmup is the fixed warmup of the -run scenario.
+const runWarmup = 2 * time.Millisecond
 
 func main() {
 	log.SetFlags(0)
@@ -58,7 +62,7 @@ func main() {
 		radix    = flag.Int("radix", 12, "fat-tree radix of the -run scenario")
 		fracB    = flag.Int("fracb", 0, "percent of B nodes in the -run scenario")
 		pShare   = flag.Int("p", 0, "hotspot share of B nodes in the -run scenario")
-		measure  = flag.Duration("measure", 3*time.Millisecond, "-run measurement window (after a 2ms warmup)")
+		measure  = flag.Duration("measure", 3*time.Millisecond, fmt.Sprintf("-run measurement window (after a %v warmup)", runWarmup))
 		interval = flag.Duration("interval", 500*time.Microsecond, "-run table bucket size")
 		checkInv = flag.Bool("check", false, "run the -run scenario under the runtime invariant checker; exit non-zero on violations")
 		tourn    = flag.String("tournament", "", "render a backend-tournament JSON artifact (from paperbench -tournament) and exit")
@@ -66,6 +70,12 @@ func main() {
 		ckptPath = flag.String("ckpt", "", "validate and summarize a checkpoint file (or the newest in a directory) and exit; non-zero on corruption")
 	)
 	flag.Parse()
+
+	if *run {
+		if err := cliflag.Cadence("-interval", *interval, runWarmup+*measure, telemetry.RingCap); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	if *ckptPath != "" {
 		if err := renderCheckpoint(*ckptPath); err != nil {
@@ -264,27 +274,30 @@ func renderReport(path string) error {
 }
 
 // runTable simulates the scenario under params and prints the
-// CCTI-over-time table from the flight recorder's CCTI log, optionally
-// under the runtime invariant checker.
+// CCTI-over-time table from a telemetry sampler binned at interval,
+// optionally under the runtime invariant checker.
 func runTable(params cc.Params, radix, fracB, p int, measure, interval sim.Duration, checkInv bool) error {
 	s := core.Default(radix)
 	s.CC = params
 	s.FracBPct = fracB
 	s.PPercent = p
-	s.Warmup = 2 * sim.Millisecond
+	s.Warmup = sim.Duration(runWarmup.Nanoseconds()) * sim.Nanosecond
 	s.Measure = measure
 	in, err := core.Build(s)
 	if err != nil {
 		return err
 	}
-	ob := in.Observe(core.ObserveOpts{CCTILog: true})
+	smp := telemetry.NewSampler(s.Name, interval)
+	in.Observe(core.ObserveOpts{Telemetry: smp})
 	var ck *check.Checker
 	if checkInv {
 		ck = in.Check(core.CheckOpts{Diagnostics: os.Stderr})
 	}
 	res := in.Execute()
-	fmt.Printf("run: %s, B=%d%% p=%d%%, %d CCTI steps recorded (fecn=%d becn=%d maxCCTI=%d)\n",
-		s.Name, fracB, p, len(ob.CCTI.Samples),
+	smp.Finish()
+	snap := smp.Snapshot()
+	fmt.Printf("run: %s, B=%d%% p=%d%%, %.0f CCTI steps recorded (fecn=%d becn=%d maxCCTI=%d)\n",
+		s.Name, fracB, p, snap.CCTIIncr.Sum()+snap.CCTIDecr.Sum(),
 		res.CCStats.FECNMarked, res.CCStats.BECNReceived, res.CCStats.MaxCCTI)
 	if ck != nil {
 		rep := ck.Report()
@@ -296,5 +309,5 @@ func runTable(params cc.Params, radix, fracB, p int, measure, interval sim.Durat
 			return err
 		}
 	}
-	return ob.CCTI.WriteTable(os.Stdout, interval, sim.Time(0).Add(s.Warmup+s.Measure))
+	return snap.WriteCCTITable(os.Stdout)
 }

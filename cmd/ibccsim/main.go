@@ -8,6 +8,7 @@
 //	ibccsim -out results/                        # save a JSON artifact
 //	ibccsim -radix 12 -ctree                     # print the congestion trees
 //	ibccsim -chrome-trace run.trace              # flight recording for Perfetto
+//	ibccsim -trace run.csv -traceint 50us        # time series of the telemetry sampler
 //	ibccsim -faults plan.json -check             # inject a fault plan, audited
 //	ibccsim -ckpt-every 1ms -ckpt-dir ckpts/     # rolling crash-safe checkpoints
 //	ibccsim -resume-from ckpts/                  # continue from the newest one
@@ -54,8 +55,8 @@ func main() {
 		warmup   = flag.Duration("warmup", 4*time.Millisecond, "warmup before measurement")
 		measure  = flag.Duration("measure", 8*time.Millisecond, "measurement window")
 		quiet    = flag.Bool("q", false, "print only the summary line")
-		traceCSV = flag.String("trace", "", "write a time-series CSV (rates, CC activity) to this file")
-		traceInt = flag.Duration("traceint", 100*time.Microsecond, "trace sampling interval")
+		traceCSV = flag.String("trace", "", "write the telemetry sampler's time series (per-class rates, queues, CCTI, drops, stalls) as CSV to this file")
+		traceInt = flag.Duration("traceint", 100*time.Microsecond, "sampling interval of the -trace CSV (and of -telemetry when both are given)")
 		numSeeds = flag.Int("seeds", 1, "run this many seeds (seed, seed+1, ...) and report mean ±95% CI")
 		jobs     = flag.Int("jobs", 1, "simulation workers for -seeds > 1 (0 = one per CPU)")
 		out      = flag.String("out", "", "artifact directory: persist results as JSON (and resume -seeds runs)")
@@ -64,7 +65,7 @@ func main() {
 		ctree    = flag.Bool("ctree", false, "reconstruct the congestion trees from the event bus and print them")
 		checkInv = flag.Bool("check", false, "run under the runtime invariant checker; exit non-zero on violations")
 		faults   = flag.String("faults", "", "JSON fault plan: inject link faults and wire loss from this file")
-		telem    = flag.Bool("telemetry", false, "attach the in-sim telemetry sampler and print per-class rates, message-completion percentiles and the hottest ports")
+		telem    = flag.Bool("telemetry", false, "print the telemetry sampler's per-class rates, message-completion percentiles and hottest ports")
 		ckEvery  = flag.Duration("ckpt-every", 0, "write a crash-safe checkpoint every this much simulated time (0 = off)")
 		ckDir    = flag.String("ckpt-dir", "checkpoints", "directory for the -ckpt-every rolling series")
 		ckKeep   = flag.Int("ckpt-keep", 3, "checkpoints to keep in the -ckpt-every rolling series")
@@ -73,11 +74,17 @@ func main() {
 	flag.Parse()
 
 	// Reject nonsensical numeric flags with one line and a non-zero
-	// exit: a zero worker pool hangs and zero seeds shrink a sweep.
+	// exit: a zero worker pool hangs, zero seeds shrink a sweep, and a
+	// trace finer than the sampler's ring loses its oldest rows.
+	var traceSpan time.Duration
+	if *traceCSV != "" {
+		traceSpan = *warmup + *measure
+	}
 	for _, err := range []error{
 		cliflag.Workers("-jobs", *jobs),
 		cliflag.Positive("-seeds", *numSeeds),
 		cliflag.Positive("-radix", *radix),
+		cliflag.Cadence("-traceint", *traceInt, traceSpan, ibcc.TelemetryRingCap),
 	} {
 		if err != nil {
 			log.Fatal(err)
@@ -139,8 +146,8 @@ func main() {
 	}
 
 	if *numSeeds > 1 {
-		if *events != "" || *chrome != "" || *ctree || *telem {
-			log.Fatal("-events/-chrome-trace/-ctree/-telemetry record a single run; use -seeds 1")
+		if *traceCSV != "" || *events != "" || *chrome != "" || *ctree || *telem {
+			log.Fatal("-trace/-events/-chrome-trace/-ctree/-telemetry record a single run; use -seeds 1")
 		}
 		runSeeds(s, *numSeeds, *jobs, store, *quiet, *checkInv)
 		return
@@ -161,17 +168,17 @@ func main() {
 	} else if inst, err = ibcc.Build(s); err != nil {
 		log.Fatal(err)
 	}
-	var rec *ibcc.TraceRecorder
-	if *traceCSV != "" {
-		rec = inst.AttachStandardTrace(ibcc.Duration(traceInt.Nanoseconds()) * ibcc.Nanosecond)
-	}
+	// -trace and -telemetry are two views of one sampler; the CSV's
+	// cadence wins when both are given.
 	var smp *ibcc.TelemetrySampler
-	if *telem {
+	if *traceCSV != "" {
+		smp = ibcc.NewTelemetrySampler(s.Name, ibcc.Duration(traceInt.Nanoseconds())*ibcc.Nanosecond)
+	} else if *telem {
 		smp = ibcc.NewTelemetrySampler(s.Name, 0)
 	}
 	var ob *ibcc.Observation
 	var obFiles []*os.File
-	if *events != "" || *chrome != "" || *ctree || *telem {
+	if *events != "" || *chrome != "" || *ctree || smp != nil {
 		o := ibcc.ObserveOpts{Tree: *ctree, Telemetry: smp}
 		if *events != "" {
 			f, err := os.Create(*events)
@@ -214,6 +221,7 @@ func main() {
 		res = inst.Execute()
 	}
 	elapsed := time.Since(start)
+	smp.Finish()
 
 	if ob != nil {
 		if err := ob.Close(); err != nil {
@@ -243,20 +251,20 @@ func main() {
 		}
 	}
 
-	if rec != nil {
+	if *traceCSV != "" {
+		snap := smp.Snapshot()
 		f, err := os.Create(*traceCSV)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := rec.WriteCSV(f); err != nil {
+		if err := snap.WriteCSV(f); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
 		if !*quiet {
-			fmt.Printf("trace    : %d series x %d samples -> %s\n",
-				len(rec.Series()), len(rec.Series()[0].Values), *traceCSV)
+			fmt.Printf("trace    : %d samples every %v -> %s\n", len(snap.QueuedKB.V), *traceInt, *traceCSV)
 		}
 	}
 
@@ -290,31 +298,25 @@ func main() {
 		res.Events, elapsed.Round(time.Millisecond),
 		float64(res.Events)/elapsed.Seconds()/1e6)
 	reportFaults(res.Faults)
-	reportTelemetry(smp)
+	if *telem {
+		reportTelemetry(smp)
+	}
 	reportCheck(ck, *quiet)
 	if *ctree {
 		ob.TreeReport().WriteTo(os.Stdout)
 	}
 }
 
-// reportTelemetry finalizes the sampler and prints its aggregates:
-// mean per-class delivered rates, message-completion percentiles, and
-// the hottest output ports by peak queue depth (nil = -telemetry off).
+// reportTelemetry prints the finished sampler's aggregates: mean
+// per-class delivered rates, message-completion percentiles, and the
+// hottest output ports by peak queue depth.
 func reportTelemetry(smp *ibcc.TelemetrySampler) {
-	if smp == nil {
-		return
-	}
-	smp.Finish()
 	snap := smp.Snapshot()
 	mean := func(s ibcc.TelemetrySeries) float64 {
 		if len(s.V) == 0 {
 			return 0
 		}
-		var sum float64
-		for _, v := range s.V {
-			sum += v
-		}
-		return sum / float64(len(s.V))
+		return s.Sum() / float64(len(s.V))
 	}
 	fmt.Printf("telemetry: %.1fus cadence, %d bins; delivered hotspot %.3f / other %.3f / control %.3f Gbps (bin means)\n",
 		snap.CadenceUS, len(snap.QueuedKB.V), mean(snap.HotspotGbps), mean(snap.OtherGbps), mean(snap.ControlGbps))

@@ -33,7 +33,7 @@ func main() {
 		500 * ibcc.Microsecond,
 		250 * ibcc.Microsecond,
 	}
-	pts, err := ibcc.RunMovingSweep(base, lifetimes)
+	pts, err := ibcc.RunMovingSweepOpts(base, lifetimes, ibcc.RunOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

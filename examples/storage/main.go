@@ -23,7 +23,7 @@ func main() {
 	fmt.Println("p = fraction of each node's traffic written to storage")
 	fmt.Println()
 
-	pts, err := ibcc.RunWindySweep(base, 100, []int{10, 30, 50, 60, 70, 90})
+	pts, err := ibcc.RunWindySweepOpts(base, 100, []int{10, 30, 50, 60, 70, 90}, ibcc.RunOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}

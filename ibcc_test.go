@@ -24,12 +24,19 @@ func TestFacadeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := in.AttachStandardTrace(100 * Microsecond)
+	smp := NewTelemetrySampler(s.Name, 100*Microsecond)
+	in.Observe(ObserveOpts{Telemetry: smp})
 	if in.Execute() == nil {
 		t.Fatal("Execute returned nil")
 	}
-	if len(rec.Series()) == 0 {
-		t.Fatal("no trace series")
+	smp.Finish()
+	var csv strings.Builder
+	snap := smp.Snapshot()
+	if err := snap.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if rows := strings.Count(csv.String(), "\n") - 1; rows != 8 || rows > TelemetryRingCap {
+		t.Fatalf("800 µs at 100 µs cadence traced %d rows, want 8", rows)
 	}
 
 	if p := PaperCCParams(); p.CCTILimit != 127 || p.Threshold != 15 {
@@ -51,7 +58,7 @@ func TestFacadeSweepsAndPrinting(t *testing.T) {
 	s.Warmup = 200 * Microsecond
 	s.Measure = 600 * Microsecond
 
-	pts, err := RunWindySweep(s, 100, []int{60})
+	pts, err := RunWindySweepOpts(s, 100, []int{60}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +68,7 @@ func TestFacadeSweepsAndPrinting(t *testing.T) {
 		t.Fatalf("PrintWindy output: %q", sb.String())
 	}
 
-	mv, err := RunMovingSweep(s, []Duration{300 * Microsecond})
+	mv, err := RunMovingSweepOpts(s, []Duration{300 * Microsecond}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +78,7 @@ func TestFacadeSweepsAndPrinting(t *testing.T) {
 		t.Fatalf("PrintMoving output: %q", sb.String())
 	}
 
-	m, err := RunSeeds(s, Seeds(2))
+	m, err := RunSeedsOpts(s, Seeds(2), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +86,7 @@ func TestFacadeSweepsAndPrinting(t *testing.T) {
 		t.Fatalf("RunSeeds n = %d", m.Total.N())
 	}
 
-	tab, err := RunTableII(s)
+	tab, err := RunTableIIOpts(s, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Positive validates a count flag that must be at least 1 (seeds,
@@ -25,6 +26,21 @@ func Positive(name string, v int) error {
 func Workers(name string, v int) error {
 	if v < 0 {
 		return fmt.Errorf("%s must be >= 0 (0 = one per CPU), got %d", name, v)
+	}
+	return nil
+}
+
+// Cadence validates a time-series sampling interval flag: positive, and
+// coarse enough that the span it samples fits in maxBins bins (the
+// sampler's ring — a finer cadence would silently keep only the newest
+// bins). The error names the smallest interval that fits.
+func Cadence(name string, v, span time.Duration, maxBins int) error {
+	if v <= 0 {
+		return fmt.Errorf("%s must be > 0, got %v", name, v)
+	}
+	n := time.Duration(maxBins)
+	if min := (span + n - 1) / n; v < min {
+		return fmt.Errorf("%s %v cuts the %v run into more than %d bins; use %v or more", name, v, span, maxBins, min)
 	}
 	return nil
 }

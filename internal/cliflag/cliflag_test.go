@@ -3,6 +3,7 @@ package cliflag
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestPositive(t *testing.T) {
@@ -43,5 +44,28 @@ func TestIntensities(t *testing.T) {
 		if _, err := Intensities("-intensities", bad); err == nil {
 			t.Fatalf("Intensities(%q) accepted", bad)
 		}
+	}
+}
+
+func TestCadence(t *testing.T) {
+	span := 3 * time.Millisecond
+	for _, v := range []time.Duration{5860 * time.Nanosecond, 100 * time.Microsecond, time.Second} {
+		if err := Cadence("-traceint", v, span, 512); err != nil {
+			t.Fatalf("Cadence(%v): %v", v, err)
+		}
+	}
+	if err := Cadence("-traceint", time.Nanosecond, 0, 512); err != nil {
+		t.Fatalf("zero span: %v", err)
+	}
+	for _, v := range []time.Duration{0, -time.Microsecond} {
+		if err := Cadence("-traceint", v, span, 512); err == nil || !strings.Contains(err.Error(), "-traceint") {
+			t.Fatalf("Cadence(%v) = %v", v, err)
+		}
+	}
+	// 3 ms / 512 = 5859.375 ns: 5859 ns is one bin too many, and the
+	// error names 5.86µs, the smallest interval that fits.
+	err := Cadence("-traceint", 5859*time.Nanosecond, span, 512)
+	if err == nil || !strings.Contains(err.Error(), "5.86µs") || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("Cadence(5859ns) = %v", err)
 	}
 }

@@ -113,7 +113,7 @@ func (in *Instance) encodeAction(a sim.Action, fc *fabric.Codec) (ckpt.EventReco
 		return rec, nil
 	}
 	return ckpt.EventRecord{}, fmt.Errorf(
-		"core: pending event %T has no checkpoint codec (runs with trace or telemetry consumers scheduling their own events cannot be checkpointed)", a)
+		"core: pending event %T has no checkpoint codec (instrumentation that schedules its own events cannot be checkpointed)", a)
 }
 
 // decodeAction routes a record to the codec that owns its kind.

@@ -64,19 +64,14 @@ type DegradationPoint struct {
 	On        DegradationLeg `json:"cc_on"`
 }
 
-// RunDegradation sweeps fault intensity × CC on/off over the base
+// RunDegradationOpts sweeps fault intensity × CC on/off over the base
 // scenario: at each intensity a fault plan is synthesized per seed
 // (identical across the two CC legs, so the legs differ only in the
 // mechanism under test) and the receive-rate and recovery curves are
 // aggregated across seeds. Intensity 0 synthesizes a zero plan, which
 // the runner treats as absent — that point is the unfaulted baseline.
-func RunDegradation(base Scenario, intensities []float64, seeds []uint64) ([]DegradationPoint, error) {
-	return RunDegradationOpts(base, intensities, seeds, Opts{})
-}
-
-// RunDegradationOpts is RunDegradation with execution options; the
-// 2*len(intensities)*len(seeds) runs are independent and fan out across
-// the worker pool.
+// The 2*len(intensities)*len(seeds) runs are independent and fan out
+// across the worker pool.
 func RunDegradationOpts(base Scenario, intensities []float64, seeds []uint64, o Opts) ([]DegradationPoint, error) {
 	if len(intensities) == 0 || len(seeds) == 0 {
 		return nil, fmt.Errorf("core: degradation sweep needs intensities and seeds")

@@ -46,7 +46,7 @@ func TestDiagWindy(t *testing.T) {
 	}
 	base := Default(18)
 	for _, fracB := range []int{25, 100} {
-		pts, err := RunWindySweep(base, fracB, []int{0, 30, 60, 90, 100})
+		pts, err := RunWindySweepOpts(base, fracB, []int{0, 30, 60, 90, 100}, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestDiagMoving(t *testing.T) {
 	}
 	base := Default(12)
 	lts := []sim.Duration{2 * sim.Millisecond, 1 * sim.Millisecond, 500 * sim.Microsecond, 250 * sim.Microsecond}
-	pts, err := RunMovingSweep(base, lts)
+	pts, err := RunMovingSweepOpts(base, lts, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

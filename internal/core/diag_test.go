@@ -19,7 +19,7 @@ func TestDiagTableII(t *testing.T) {
 		base.Warmup = 2 * sim.Millisecond
 		base.Measure = 4 * sim.Millisecond
 		start := time.Now()
-		tab, err := RunTableII(base)
+		tab, err := RunTableIIOpts(base, Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}

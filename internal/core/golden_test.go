@@ -86,7 +86,7 @@ func buildGolden(t *testing.T) *goldenRecord {
 	t.Helper()
 	base := goldenBase()
 
-	tab, err := RunTableII(base)
+	tab, err := RunTableIIOpts(base, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,16 +17,11 @@ type MultiResult struct {
 	Events stats.Acc
 }
 
-// RunSeeds executes the scenario once per seed and aggregates the
-// results; the population and every random draw differ per seed.
-func RunSeeds(s Scenario, seeds []uint64) (*MultiResult, error) {
-	return RunSeedsOpts(s, seeds, Opts{})
-}
-
-// RunSeedsOpts is RunSeeds with execution options: the per-seed runs
-// are independent and fan out across Opts.Workers goroutines, and the
-// aggregation happens afterwards in seed order, so the aggregates are
-// bit-identical for any worker count.
+// RunSeedsOpts executes the scenario once per seed and aggregates the
+// results; the population and every random draw differ per seed. The
+// per-seed runs are independent and fan out across Opts.Workers
+// goroutines, and the aggregation happens afterwards in seed order, so
+// the aggregates are bit-identical for any worker count.
 func RunSeedsOpts(s Scenario, seeds []uint64, o Opts) (*MultiResult, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("core: no seeds")

@@ -7,7 +7,7 @@ import (
 
 func TestRunSeeds(t *testing.T) {
 	s := quick(8)
-	m, err := RunSeeds(s, []uint64{1, 2, 3})
+	m, err := RunSeedsOpts(s, []uint64{1, 2, 3}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,12 +35,12 @@ func TestRunSeeds(t *testing.T) {
 }
 
 func TestRunSeedsErrors(t *testing.T) {
-	if _, err := RunSeeds(quick(8), nil); err == nil {
+	if _, err := RunSeedsOpts(quick(8), nil, Opts{}); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
 	bad := quick(8)
 	bad.Radix = 3
-	if _, err := RunSeeds(bad, []uint64{1}); err == nil {
+	if _, err := RunSeedsOpts(bad, []uint64{1}, Opts{}); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
 }

@@ -21,8 +21,6 @@ type ObserveOpts struct {
 	Tree bool
 	// Counters attaches the per-switch-port counter registry.
 	Counters bool
-	// CCTILog records every CCTI step for later tabulation.
-	CCTILog bool
 	// Telemetry attaches a pre-built time-series sampler (nil skips it —
 	// the sampler's own nil guard makes the wiring unconditional).
 	Telemetry *telemetry.Sampler
@@ -38,8 +36,6 @@ type Observation struct {
 	Registry *obs.Registry
 	// Tree is the congestion-tree analyzer (Tree option).
 	Tree *obs.TreeAnalyzer
-	// CCTI is the CCTI step log (CCTILog option).
-	CCTI *obs.CCTILog
 
 	jsonl  *obs.JSONLWriter
 	chrome *obs.ChromeTracer
@@ -70,10 +66,6 @@ func (in *Instance) Observe(o ObserveOpts) *Observation {
 	if o.Counters {
 		ob.Registry = obs.NewRegistry(in.Net.Config().NumVLs)
 		ob.Registry.Attach(bus)
-	}
-	if o.CCTILog {
-		ob.CCTI = obs.NewCCTILog()
-		ob.CCTI.Attach(bus)
 	}
 	o.Telemetry.Attach(bus)
 	return ob

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // tiny returns a very short, very small scenario for streaming-consumer
@@ -31,8 +32,10 @@ func TestObserveTreeClassifiesContributorsAndVictims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ob := in.Observe(ObserveOpts{Tree: true, Counters: true, CCTILog: true})
+	smp := telemetry.NewSampler(s.Name, 0)
+	ob := in.Observe(ObserveOpts{Tree: true, Counters: true, Telemetry: smp})
 	in.Execute()
+	smp.Finish()
 
 	rep := ob.TreeReport()
 	if rep == nil || len(rep.Trees) == 0 {
@@ -89,8 +92,8 @@ func TestObserveTreeClassifiesContributorsAndVictims(t *testing.T) {
 	if _, hottest := ob.Registry.HottestPort(); hottest == nil || hottest.FECNMarks == 0 {
 		t.Fatal("no hottest port")
 	}
-	if len(ob.CCTI.Samples) == 0 {
-		t.Fatal("CCTI log is empty despite CC activity")
+	if snap := smp.Snapshot(); snap.CCTIIncr.Sum() == 0 {
+		t.Fatal("sampler saw no CCTI steps despite CC activity")
 	}
 
 	var sb strings.Builder
@@ -235,7 +238,7 @@ func TestObserveDoesNotPerturbResult(t *testing.T) {
 	var events, chrome bytes.Buffer
 	ob := in.Observe(ObserveOpts{
 		Events: &events, ChromeTrace: &chrome,
-		Tree: true, Counters: true, CCTILog: true,
+		Tree: true, Counters: true, Telemetry: telemetry.NewSampler("all", 0),
 	})
 	got := in.Execute()
 	if err := ob.Close(); err != nil {

@@ -10,9 +10,7 @@ import (
 )
 
 // Opts configures how a sweep driver executes its independent
-// simulations. The zero value runs serially with no hooks; every
-// driver's plain entry point (RunSeeds, RunTableII, ...) is equivalent
-// to its Opts variant with the zero value.
+// simulations. The zero value runs serially with no hooks.
 //
 // Determinism guarantee: a sweep's outcome depends only on its
 // scenarios, never on Workers. Runs execute concurrently, but results
@@ -73,66 +71,80 @@ func (o *Opts) workers() int {
 }
 
 // runBatch executes the scenarios on a worker pool and returns their
-// results in submission order. It is the single execution funnel of
-// every sweep driver.
+// results in submission order.
 func runBatch(o Opts, scenarios []Scenario) ([]*Result, error) {
+	trs, err := runTreedBatch(o, scenarios, false)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Result, len(trs))
+	for i, tr := range trs {
+		out[i] = tr.Result
+	}
+	return out, nil
+}
+
+// runTreedBatch is the single execution funnel of every sweep driver:
+// the pool loop with spans, artifact lookup and the result hook around
+// runOne, with the congestion-tree analyzer attached to every fresh run
+// when tree is set.
+func runTreedBatch(o Opts, scenarios []Scenario, tree bool) ([]*TreedResult, error) {
 	var mu sync.Mutex
-	return par.MapWorker(o.Ctx, o.workers(), len(scenarios), func(worker, i int) (*Result, error) {
+	return par.MapWorker(o.Ctx, o.workers(), len(scenarios), func(worker, i int) (*TreedResult, error) {
 		s := scenarios[i]
 		span := o.Spans.Begin(s.Name, worker)
+		var tr *TreedResult
 		cached := false
-		var r *Result
 		if o.Lookup != nil {
-			r, cached = o.Lookup(s)
+			var r *Result
+			if r, cached = o.Lookup(s); cached {
+				tr = &TreedResult{Result: r}
+			}
 		}
 		if !cached {
 			var err error
-			if r, err = o.runOne(s); err != nil {
+			if tr, err = o.runOne(s, tree); err != nil {
 				o.Spans.End(span, 0, false, err.Error())
 				return nil, err
 			}
 		}
-		o.Spans.End(span, r.Events, cached, "")
+		o.Spans.End(span, tr.Result.Events, cached, "")
 		if o.OnResult != nil {
 			mu.Lock()
-			o.OnResult(s, r, cached)
+			o.OnResult(s, tr.Result, cached)
 			mu.Unlock()
 		}
-		return r, nil
+		return tr, nil
 	})
 }
 
-// runOne executes one fresh scenario under the sweep's instrumentation:
-// the invariant checker when Check is set, and a telemetry sampler when
-// the sweep carries a hub. With neither, it is exactly Run.
-func (o *Opts) runOne(s Scenario) (*Result, error) {
-	if o.Telemetry == nil {
-		// Preserve the historical paths byte for byte.
-		if o.Check {
-			r, rep, err := RunChecked(s, CheckOpts{})
-			if err == nil {
-				err = rep.Err()
-			}
-			return r, err
-		}
-		return Run(s)
-	}
+// runOne builds, instruments, executes and reports one fresh scenario:
+// the tree analyzer when tree is set, a telemetry sampler when the sweep
+// carries a hub, the invariant checker when Check is set. With none of
+// them no bus is created and it is exactly Run. A run with violations
+// returns its result alongside the error.
+func (o *Opts) runOne(s Scenario, tree bool) (*TreedResult, error) {
 	in, err := Build(s)
 	if err != nil {
 		return nil, err
 	}
 	smp := o.Telemetry.StartRun(s.Name)
-	smp.Attach(in.bus())
+	var ob *Observation
+	if tree || smp != nil {
+		ob = in.Observe(ObserveOpts{Tree: tree, Telemetry: smp})
+	}
 	var ck *check.Checker
 	if o.Check {
 		ck = in.Check(CheckOpts{})
 	}
-	res := in.Execute()
+	tr := &TreedResult{Result: in.Execute()}
 	o.Telemetry.FinishRun(smp)
-	if ck != nil {
-		if err := ck.Report().Err(); err != nil {
-			return res, err
-		}
+	if ob != nil {
+		tr.Trees = ob.TreeReport()
 	}
-	return res, nil
+	if ck != nil {
+		tr.Check = ck.Report()
+		return tr, tr.Check.Err()
+	}
+	return tr, nil
 }

@@ -151,7 +151,7 @@ func TestScanEmptyBestAndPrint(t *testing.T) {
 
 func TestTableIIOptsMatchesSerial(t *testing.T) {
 	base := quick(6)
-	want, err := RunTableII(base)
+	want, err := RunTableIIOpts(base, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestTableIIOptsMatchesSerial(t *testing.T) {
 func TestMovingSweepOptsMatchesSerial(t *testing.T) {
 	base := quick(6)
 	lts := []sim.Duration{200 * sim.Microsecond, 400 * sim.Microsecond}
-	want, err := RunMovingSweep(base, lts)
+	want, err := RunMovingSweepOpts(base, lts, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

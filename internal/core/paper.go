@@ -21,13 +21,6 @@ type TableII struct {
 	TotalCC   float64
 }
 
-// RunTableII reproduces Table II: four configurations of the silent
-// forest scenario plus total-throughput rows, from one base scenario
-// (use Default(radix) and adjust Warmup/Measure/Seed).
-func RunTableII(base Scenario) (*TableII, error) {
-	return RunTableIIOpts(base, Opts{})
-}
-
 // TableIIScenarios derives Table II's four configurations (hotspots
 // off/on × CC off/on, in the table's row order) from one base scenario.
 // The differential kernel check reuses them as its validation corpus.
@@ -47,7 +40,9 @@ func TableIIScenarios(base Scenario) []Scenario {
 	return scenarios
 }
 
-// RunTableIIOpts is RunTableII with execution options; the table's four
+// RunTableIIOpts reproduces Table II: four configurations of the silent
+// forest scenario plus total-throughput rows, from one base scenario
+// (use Default(radix) and adjust Warmup/Measure/Seed). The four
 // configurations are independent and run concurrently under Workers>1.
 func RunTableIIOpts(base Scenario, o Opts) (*TableII, error) {
 	results, err := runBatch(o, TableIIScenarios(base))
@@ -97,15 +92,9 @@ type WindyPoint struct {
 	Improvement float64
 }
 
-// RunWindySweep reproduces one of figures 5–8: the base scenario with
-// fracB percent B nodes, swept over the given p values, with CC off and
-// on at each point.
-func RunWindySweep(base Scenario, fracB int, ps []int) ([]WindyPoint, error) {
-	return RunWindySweepOpts(base, fracB, ps, Opts{})
-}
-
-// RunWindySweepOpts is RunWindySweep with execution options; the
-// 2*len(ps) runs (CC off and on per p) are independent and fan out
+// RunWindySweepOpts reproduces one of figures 5–8: the base scenario
+// with fracB percent B nodes, swept over the given p values, with CC off
+// and on at each point. The 2*len(ps) runs are independent and fan out
 // across the worker pool.
 func RunWindySweepOpts(base Scenario, fracB int, ps []int, o Opts) ([]WindyPoint, error) {
 	scenarios := make([]Scenario, 0, 2*len(ps))
@@ -167,15 +156,10 @@ type MovingPoint struct {
 	AllOn    float64
 }
 
-// RunMovingSweep reproduces one series of figures 9 or 10: the base
+// RunMovingSweepOpts reproduces one series of figures 9 or 10: the base
 // scenario (node mix and p already set) swept over hotspot lifetimes.
-func RunMovingSweep(base Scenario, lifetimes []sim.Duration) ([]MovingPoint, error) {
-	return RunMovingSweepOpts(base, lifetimes, Opts{})
-}
-
-// RunMovingSweepOpts is RunMovingSweep with execution options; the
-// 2*len(lifetimes) runs are independent and fan out across the worker
-// pool.
+// The 2*len(lifetimes) runs are independent and fan out across the
+// worker pool.
 func RunMovingSweepOpts(base Scenario, lifetimes []sim.Duration, o Opts) ([]MovingPoint, error) {
 	scenarios := make([]Scenario, 0, 2*len(lifetimes))
 	for _, lt := range lifetimes {

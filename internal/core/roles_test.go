@@ -150,3 +150,29 @@ func TestBuildTargeters(t *testing.T) {
 		t.Fatalf("only %d of %d targeters moved", moved, len(ts))
 	}
 }
+
+func TestRoleBreakdown(t *testing.T) {
+	s := quick(12)
+	s.FracBPct = 50
+	s.PPercent = 60
+	res, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// All three roles are present and active.
+	if res.PopB == 0 || res.PopC == 0 || res.PopV == 0 {
+		t.Fatalf("population = %d/%d/%d", res.PopB, res.PopC, res.PopV)
+	}
+	for _, role := range []Role{RoleB, RoleC, RoleV} {
+		if res.RoleTxGbps[role] <= 0 {
+			t.Fatalf("role %v injected nothing", role)
+		}
+	}
+	// V nodes send only uniform traffic; C nodes only hotspot traffic.
+	// Every class must achieve a sane rate below the injection cap.
+	for r, v := range res.RoleTxGbps {
+		if v > 13.6 {
+			t.Fatalf("role %d tx = %.3f above injection cap", r, v)
+		}
+	}
+}

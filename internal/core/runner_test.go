@@ -89,7 +89,7 @@ func TestRunSeedMatters(t *testing.T) {
 }
 
 func TestTableIIShape(t *testing.T) {
-	tab, err := RunTableII(quick(12))
+	tab, err := RunTableIIOpts(quick(12), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestWindyNoHarmAtExtremes(t *testing.T) {
 	// 100% B nodes at p=0 is pure uniform traffic: enabling CC must be
 	// near-harmless (paper: a negligible penalty, -3% at full scale).
 	base := quick(12)
-	pts, err := RunWindySweep(base, 100, []int{0})
+	pts, err := RunWindySweepOpts(base, 100, []int{0}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestWindyNoHarmAtExtremes(t *testing.T) {
 
 func TestWindyP60Improvement(t *testing.T) {
 	base := quick(12)
-	pts, err := RunWindySweep(base, 100, []int{60})
+	pts, err := RunWindySweepOpts(base, 100, []int{60}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestMovingGainShrinksWithLifetime(t *testing.T) {
 	base.Measure = 4 * sim.Millisecond
 	long := 2 * sim.Millisecond
 	short := 250 * sim.Microsecond
-	pts, err := RunMovingSweep(base, []sim.Duration{long, short})
+	pts, err := RunMovingSweepOpts(base, []sim.Duration{long, short}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,19 +26,14 @@ type Scan struct {
 	Points   []ScanPoint
 }
 
-// ScanCC sweeps one congestion-control (or scenario) parameter: for each
+// ScanCCOpts sweeps one congestion-control (or scenario) parameter: for each
 // value, apply mutates a copy of the base scenario, which then runs with
 // CC on. A single CC-off baseline of the unmutated scenario anchors the
 // improvement factors. This reproduces the kind of tuning study the
 // authors' earlier hardware work performed, and which the paper says
-// "remains a highly specialized task".
-func ScanCC(base Scenario, name string, values []int, apply func(*Scenario, int)) (*Scan, error) {
-	return ScanCCOpts(base, name, values, apply, Opts{})
-}
-
-// ScanCCOpts is ScanCC with execution options; the baseline and every
-// scan point are independent and fan out across the worker pool, with
-// the improvement factors computed afterwards in value order.
+// "remains a highly specialized task". The baseline and every scan
+// point are independent and fan out across the worker pool, with the
+// improvement factors computed afterwards in value order.
 func ScanCCOpts(base Scenario, name string, values []int, apply func(*Scenario, int), o Opts) (*Scan, error) {
 	if len(values) == 0 {
 		return nil, fmt.Errorf("core: empty scan")

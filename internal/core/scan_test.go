@@ -10,9 +10,9 @@ func TestScanCC(t *testing.T) {
 	// reliably beats no-CC (at radix 8 the 3 contributors per hotspot
 	// make the harmonic CCT too coarse).
 	base := quick(12)
-	sc, err := ScanCC(base, "threshold", []int{0, 15}, func(s *Scenario, v int) {
+	sc, err := ScanCCOpts(base, "threshold", []int{0, 15}, func(s *Scenario, v int) {
 		s.CC.Threshold = uint8(v)
-	})
+	}, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,15 +49,15 @@ func TestScanCC(t *testing.T) {
 
 func TestScanCCErrors(t *testing.T) {
 	base := quick(8)
-	if _, err := ScanCC(base, "x", nil, func(*Scenario, int) {}); err == nil {
+	if _, err := ScanCCOpts(base, "x", nil, func(*Scenario, int) {}, Opts{}); err == nil {
 		t.Fatal("empty values accepted")
 	}
-	if _, err := ScanCC(base, "x", []int{1}, nil); err == nil {
+	if _, err := ScanCCOpts(base, "x", []int{1}, nil, Opts{}); err == nil {
 		t.Fatal("nil apply accepted")
 	}
-	if _, err := ScanCC(base, "x", []int{1}, func(s *Scenario, v int) {
+	if _, err := ScanCCOpts(base, "x", []int{1}, func(s *Scenario, v int) {
 		s.CC.CCT = nil
-	}); err == nil {
+	}, Opts{}); err == nil {
 		t.Fatal("invalid mutation accepted")
 	}
 }

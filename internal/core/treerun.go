@@ -1,12 +1,8 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/check"
 	"repro/internal/obs"
-	"repro/internal/par"
-	"repro/internal/telemetry"
 )
 
 // TreedResult pairs a run's result with the congestion-tree report its
@@ -14,67 +10,18 @@ import (
 // consumes.
 type TreedResult struct {
 	Result *Result
-	// Trees is the congestion-tree analyzer's report over the run.
+	// Trees is the congestion-tree analyzer's report over the run, nil
+	// when the analyzer was not attached.
 	Trees *obs.TreeReport
 	// Check is the invariant checker's report, nil for unchecked runs.
 	Check *check.Report
 }
 
-// RunTreed executes one scenario with the congestion-tree analyzer
-// attached (and, when checked, under the runtime invariant checker; a
-// run with violations returns the report alongside the error).
-func RunTreed(s Scenario, checked bool) (*TreedResult, error) {
-	return runTreed(s, checked, nil)
-}
-
-// runTreed is RunTreed with an optional telemetry hub: the sampler
-// shares the run's flight-recorder bus with the tree analyzer (and the
-// checker), so one run feeds all three without extra event cost.
-func runTreed(s Scenario, checked bool, hub *telemetry.Hub) (*TreedResult, error) {
-	in, err := Build(s)
-	if err != nil {
-		return nil, err
-	}
-	ob := in.Observe(ObserveOpts{Tree: true})
-	smp := hub.StartRun(s.Name)
-	smp.Attach(in.bus())
-	var ck *check.Checker
-	if checked {
-		ck = in.Check(CheckOpts{})
-	}
-	res := in.Execute()
-	hub.FinishRun(smp)
-	tr := &TreedResult{Result: res, Trees: ob.TreeReport()}
-	if ck != nil {
-		tr.Check = ck.Report()
-		if err := tr.Check.Err(); err != nil {
-			return tr, err
-		}
-	}
-	return tr, nil
-}
-
 // RunTreedBatch executes the scenarios on the sweep worker pool with
 // the tree analyzer attached to every run, returning results in
-// submission order. Opts.Lookup is not consulted: stored artifacts
-// carry no flight-recorder stream, so a tree-scored sweep always
-// simulates.
+// submission order. Opts.Lookup is ignored: stored artifacts carry no
+// flight-recorder stream, so a tree-scored sweep always simulates.
 func RunTreedBatch(o Opts, scenarios []Scenario) ([]*TreedResult, error) {
-	var mu sync.Mutex
-	return par.MapWorker(o.Ctx, o.workers(), len(scenarios), func(worker, i int) (*TreedResult, error) {
-		s := scenarios[i]
-		span := o.Spans.Begin(s.Name, worker)
-		tr, err := runTreed(s, o.Check, o.Telemetry)
-		if err != nil {
-			o.Spans.End(span, 0, false, err.Error())
-			return nil, err
-		}
-		o.Spans.End(span, tr.Result.Events, false, "")
-		if o.OnResult != nil {
-			mu.Lock()
-			o.OnResult(s, tr.Result, false)
-			mu.Unlock()
-		}
-		return tr, nil
-	})
+	o.Lookup = nil
+	return runTreedBatch(o, scenarios, true)
 }

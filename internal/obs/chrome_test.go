@@ -188,40 +188,3 @@ func TestJSONLWriter(t *testing.T) {
 		t.Fatal("mark queue depth not recorded")
 	}
 }
-
-func TestCCTILogTable(t *testing.T) {
-	b := New()
-	l := NewCCTILog()
-	l.Attach(b)
-	// Flow 1->9 ramps to 3 then decays; flow 2->9 reaches 1 and decays.
-	b.CCTIChanged(1000, 1, 9, 0, 2)
-	b.CCTIChanged(1500, 2, 9, 0, 1)
-	b.CCTIChanged(2500, 1, 9, 2, 3)
-	b.CCTIChanged(3500, 1, 9, 3, 2)
-	b.CCTIChanged(3600, 2, 9, 1, 0)
-
-	if len(l.Samples) != 5 {
-		t.Fatalf("samples = %d", len(l.Samples))
-	}
-	var sb strings.Builder
-	if err := l.WriteTable(&sb, 1000, 3000); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	// Header + buckets up to the last sample (3600ps -> 4 buckets).
-	if len(lines) != 5 {
-		t.Fatalf("lines = %d:\n%s", len(lines), sb.String())
-	}
-	// Bucket 1 (<=1000): one increase, one flow at CCTI 2.
-	if !strings.Contains(lines[1], " 1 ") || !strings.Contains(lines[1], "2.00") {
-		t.Fatalf("bucket 1 = %q", lines[1])
-	}
-	// Final bucket: flow 2->9 fully recovered, flow 1->9 at 2.
-	last := lines[len(lines)-1]
-	if !strings.Contains(last, "2.00") {
-		t.Fatalf("last bucket = %q", last)
-	}
-	if err := l.WriteTable(&sb, 0, 1000); err == nil {
-		t.Fatal("zero interval accepted")
-	}
-}

@@ -263,6 +263,14 @@ func (b *Bus) BECNReturned(t sim.Time, src, dst ib.LID, p *ib.Packet) {
 	b.Publish(e)
 }
 
+// CCTISample is one CCTI step. Publishers that find several steps in
+// map order buffer them as samples and sort before publishing, so the
+// event stream stays deterministic.
+type CCTISample struct {
+	Src, Dst ib.LID
+	Old, New uint16
+}
+
 // CCTIChanged publishes a CCTI step of flow src→dst from old to new.
 // dst is the CA table key: the destination LID at QP-level CC, or -1
 // when CC operates per service level.

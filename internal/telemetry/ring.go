@@ -1,25 +1,25 @@
 package telemetry
 
-// ringCap is the fixed capacity of every time-series ring: enough points
+// RingCap is the fixed capacity of every time-series ring: enough points
 // for a smooth dashboard sparkline, bounded so that an arbitrarily long
 // run holds a sliding window rather than growing without limit.
-const ringCap = 512
+const RingCap = 512
 
 // Ring is a fixed-capacity time-series ring buffer of (time, value)
 // points. Pushing beyond capacity overwrites the oldest point. The zero
 // value is ready to use.
 type Ring struct {
-	t     [ringCap]float64 // microseconds of simulated time
-	v     [ringCap]float64
+	t     [RingCap]float64 // microseconds of simulated time
+	v     [RingCap]float64
 	start int
 	n     int
 }
 
 // Push appends one point (tUS in simulated microseconds).
 func (r *Ring) Push(tUS, v float64) {
-	i := (r.start + r.n) % ringCap
-	if r.n == ringCap {
-		r.start = (r.start + 1) % ringCap
+	i := (r.start + r.n) % RingCap
+	if r.n == RingCap {
+		r.start = (r.start + 1) % RingCap
 		r.n--
 	}
 	r.t[i], r.v[i] = tUS, v
@@ -34,7 +34,7 @@ func (r *Ring) Last() float64 {
 	if r.n == 0 {
 		return 0
 	}
-	return r.v[(r.start+r.n-1)%ringCap]
+	return r.v[(r.start+r.n-1)%RingCap]
 }
 
 // Series is the JSON form of a ring: parallel time/value arrays ordered
@@ -48,7 +48,7 @@ type Series struct {
 func (r *Ring) Snapshot() Series {
 	s := Series{TUS: make([]float64, r.n), V: make([]float64, r.n)}
 	for i := 0; i < r.n; i++ {
-		j := (r.start + i) % ringCap
+		j := (r.start + i) % RingCap
 		s.TUS[i] = r.t[j]
 		s.V[i] = r.v[j]
 	}

@@ -65,9 +65,13 @@ type SamplerSnapshot struct {
 	QueuedKB  Series `json:"queued_kb"`
 	MaxPortKB Series `json:"max_port_kb"`
 
-	// Congestion-control state at each bin boundary.
+	// Congestion-control state at each bin boundary (throttled flows and
+	// the max and mean CCTI across them), and the CCTI steps per bin.
 	Throttled Series `json:"throttled"`
 	MaxCCTI   Series `json:"max_ccti"`
+	MeanCCTI  Series `json:"mean_ccti"`
+	CCTIIncr  Series `json:"ccti_incr"`
+	CCTIDecr  Series `json:"ccti_decr"`
 
 	// Fault-layer activity per bin.
 	Drops  Series `json:"drops"`
@@ -98,12 +102,17 @@ type Sampler struct {
 	binBytes   [numClasses]int64
 	binDrops   int
 	binStalls  int
+	binIncr    int
+	binDecr    int
 
 	rates     [numClasses]Ring
 	queued    Ring
 	maxPort   Ring
 	throttled Ring
 	maxCCTI   Ring
+	meanCCTI  Ring
+	cctiIncr  Ring
+	cctiDecr  Ring
 	drops     Ring
 	stalls    Ring
 
@@ -112,7 +121,7 @@ type Sampler struct {
 	portDepth map[portID]int
 	portPeak  map[portID]int
 	portHost  map[portID]bool
-	ccti      map[ib.FlowKey]uint16
+	ccti      map[ib.FlowKey]uint16 // throttled flows only: a step to 0 deletes
 	linksDown int
 
 	// Message spans: first-packet injection time by (source, message id),
@@ -167,7 +176,7 @@ func (s *Sampler) Consume(e obs.Event) {
 	case obs.KindQueueSampled:
 		s.queueSampled(e)
 	case obs.KindCCTIChanged:
-		s.ccti[e.Flow()] = e.NewCCTI
+		s.cctiChanged(e)
 	case obs.KindCreditStalled:
 		s.binStalls++
 	case obs.KindLinkDown:
@@ -201,6 +210,19 @@ func (s *Sampler) delivered(e obs.Event) {
 	}
 }
 
+func (s *Sampler) cctiChanged(e obs.Event) {
+	if e.NewCCTI > e.OldCCTI {
+		s.binIncr++
+	} else if e.NewCCTI < e.OldCCTI {
+		s.binDecr++
+	}
+	if e.NewCCTI == 0 {
+		delete(s.ccti, e.Flow())
+	} else {
+		s.ccti[e.Flow()] = e.NewCCTI
+	}
+}
+
 func (s *Sampler) queueSampled(e obs.Event) {
 	k := portVL{e.Node, e.Port, e.VL}
 	p := portID{e.Node, e.Port}
@@ -227,34 +249,45 @@ func (s *Sampler) msgCompleted(e obs.Event) {
 	s.completion.Record(int64(e.Time.Sub(start)))
 }
 
-// advance flushes the current bin when t has crossed its boundary.
+// advance flushes every bin t has moved past. Bin k covers the simulated
+// interval (k·cadence, (k+1)·cadence] and is stamped at its end, so a run
+// to a horizon of n cadences yields exactly n points. When t lands more
+// than one bin ahead (all links down, a drained fabric) the idle bins in
+// between are emitted too, so the series stay on the fixed grid: zero
+// rates, drops and stalls, the queue and CCTI state carried forward. A
+// gap longer than the ring emits only the bins the ring would keep.
 func (s *Sampler) advance(t sim.Time) {
 	if t > s.lastTime {
 		s.lastTime = t
 	}
-	bin := int64(t) / int64(s.cadence)
+	bin := (int64(t) - 1) / int64(s.cadence)
 	if s.curBin < 0 {
 		s.curBin = bin
 		return
 	}
-	if bin > s.curBin {
+	if bin <= s.curBin {
+		return
+	}
+	s.flushBin()
+	for s.curBin = max(s.curBin+1, bin-RingCap); s.curBin < bin; s.curBin++ {
 		s.flushBin()
-		s.curBin = bin
 	}
 }
 
 // flushBin turns the accumulated bin into one point per series, stamped
 // at the bin's end.
 func (s *Sampler) flushBin() {
-	endUS := float64(s.curBin+1) * sim.Duration(s.cadence).Seconds() * 1e6
-	binSec := sim.Duration(s.cadence).Seconds()
+	binSec := s.cadence.Seconds()
+	endUS := float64((s.curBin+1)*int64(s.cadence)) / float64(sim.Microsecond)
 	for c := 0; c < numClasses; c++ {
 		s.rates[c].Push(endUS, float64(s.binBytes[c])*8/binSec/1e9)
 		s.binBytes[c] = 0
 	}
 	s.drops.Push(endUS, float64(s.binDrops))
 	s.stalls.Push(endUS, float64(s.binStalls))
-	s.binDrops, s.binStalls = 0, 0
+	s.cctiIncr.Push(endUS, float64(s.binIncr))
+	s.cctiDecr.Push(endUS, float64(s.binDecr))
+	s.binDrops, s.binStalls, s.binIncr, s.binDecr = 0, 0, 0, 0
 
 	var total, maxP int
 	for _, d := range s.portDepth {
@@ -266,18 +299,21 @@ func (s *Sampler) flushBin() {
 	s.queued.Push(endUS, float64(total)/1024)
 	s.maxPort.Push(endUS, float64(maxP)/1024)
 
-	var nThrottled int
 	var maxCCTI uint16
+	var sum uint64
 	for _, c := range s.ccti {
-		if c > 0 {
-			nThrottled++
-		}
 		if c > maxCCTI {
 			maxCCTI = c
 		}
+		sum += uint64(c)
 	}
-	s.throttled.Push(endUS, float64(nThrottled))
+	mean := 0.0
+	if len(s.ccti) > 0 {
+		mean = float64(sum) / float64(len(s.ccti))
+	}
+	s.throttled.Push(endUS, float64(len(s.ccti)))
 	s.maxCCTI.Push(endUS, float64(maxCCTI))
+	s.meanCCTI.Push(endUS, mean)
 }
 
 // Finish flushes the final partial bin. Call it once when the run ends;
@@ -353,6 +389,9 @@ func (s *Sampler) Snapshot() SamplerSnapshot {
 		MaxPortKB:   s.maxPort.Snapshot(),
 		Throttled:   s.throttled.Snapshot(),
 		MaxCCTI:     s.maxCCTI.Snapshot(),
+		MeanCCTI:    s.meanCCTI.Snapshot(),
+		CCTIIncr:    s.cctiIncr.Snapshot(),
+		CCTIDecr:    s.cctiDecr.Snapshot(),
 		Drops:       s.drops.Snapshot(),
 		Stalls:      s.stalls.Snapshot(),
 		LinksDown:   s.linksDown,

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ib"
@@ -126,6 +127,111 @@ func TestSamplerLinkState(t *testing.T) {
 	}
 	if got := snap.Drops.V[len(snap.Drops.V)-1]; got != 1 {
 		t.Fatalf("drops = %v", got)
+	}
+}
+
+// TestSamplerCCTITable checks the CCTI-over-time view against a
+// hand-built step sequence: flow 1->9 ramps to 3 then decays, flow 2->9
+// reaches 1 and recovers.
+func TestSamplerCCTITable(t *testing.T) {
+	b := obs.New()
+	s := NewSampler("ccti", sim.Microsecond)
+	s.Attach(b)
+	us := func(f float64) sim.Time { return sim.Time(f * float64(sim.Microsecond)) }
+	b.CCTIChanged(us(1.0), 1, 9, 0, 2) // a bin includes its end instant
+	b.CCTIChanged(us(1.5), 2, 9, 0, 1)
+	b.CCTIChanged(us(2.5), 1, 9, 2, 3)
+	b.CCTIChanged(us(3.5), 1, 9, 3, 2)
+	b.CCTIChanged(us(3.6), 2, 9, 1, 0)
+	s.Finish()
+	snap := s.Snapshot()
+	if got := snap.CCTIIncr.Sum() + snap.CCTIDecr.Sum(); got != 5 {
+		t.Fatalf("%v steps recorded, want 5", got)
+	}
+
+	var sb strings.Builder
+	if err := snap.WriteCCTITable(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]string
+	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
+		rows = append(rows, strings.Fields(line))
+	}
+	want := [][]string{
+		{"t", "incr", "decr", "flows", "maxCCTI", "meanCCTI"},
+		{"1us", "1", "0", "1", "2", "2.00"},
+		{"2us", "1", "0", "2", "2", "1.50"},
+		{"3us", "1", "0", "2", "3", "2.00"},
+		{"4us", "0", "2", "1", "2", "2.00"},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("table has %d lines, want %d:\n%s", len(rows), len(want), sb.String())
+	}
+	for i := range want {
+		if strings.Join(rows[i], " ") != strings.Join(want[i], " ") {
+			t.Errorf("line %d = %v, want %v", i, rows[i], want[i])
+		}
+	}
+}
+
+// TestSamplerViewsOfEmptyRun: a sampler that saw nothing renders empty
+// tables — headers only, no error.
+func TestSamplerViewsOfEmptyRun(t *testing.T) {
+	s := NewSampler("empty", 0)
+	s.Finish()
+	snap := s.Snapshot()
+	var csv, tab strings.Builder
+	if err := snap.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.WriteCCTITable(&tab); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(csv.String(), "\n"); n != 1 || !strings.HasPrefix(csv.String(), "time_s,hotspot_gbps,") {
+		t.Fatalf("CSV = %q", csv.String())
+	}
+	if n := strings.Count(tab.String(), "\n"); n != 1 {
+		t.Fatalf("table = %q", tab.String())
+	}
+}
+
+// TestSamplerGapFill: an event landing several bins ahead emits the idle
+// bins in between with zero rates and carried-forward state, and a gap
+// longer than the ring emits no more than the ring holds.
+func TestSamplerGapFill(t *testing.T) {
+	b := obs.New()
+	s := NewSampler("gap", 10*sim.Microsecond)
+	s.Attach(b)
+	b.QueueSampled(sim.Time(2*sim.Microsecond), 3, 2, true, 0, 4096)
+	b.CCTIChanged(sim.Time(3*sim.Microsecond), 1, 9, 0, 5)
+	b.PacketDelivered(sim.Time(4*sim.Microsecond), 8, dataPacket(2, 8, 5, 0, 1, 0, false))
+	b.LinkDown(sim.Time(5*sim.Microsecond), true, 3, 2)
+	b.LinkUp(sim.Time(45*sim.Microsecond), true, 3, 2) // bin 4: bins 1..3 are idle
+	s.Finish()
+	snap := s.Snapshot()
+	if got := snap.OtherGbps.TUS; len(got) != 5 || got[0] != 10 || got[4] != 50 {
+		t.Fatalf("grid = %v, want 10..50 µs", got)
+	}
+	for i := 1; i <= 3; i++ {
+		if snap.OtherGbps.V[i] != 0 {
+			t.Errorf("idle bin %d carries rate %v", i, snap.OtherGbps.V[i])
+		}
+		if snap.QueuedKB.V[i] != 4 || snap.MaxCCTI.V[i] != 5 || snap.Throttled.V[i] != 1 {
+			t.Errorf("idle bin %d lost state: queued %v, max CCTI %v, throttled %v",
+				i, snap.QueuedKB.V[i], snap.MaxCCTI.V[i], snap.Throttled.V[i])
+		}
+	}
+
+	// 10 000 bins ahead: the ring is full of the newest idle bins and
+	// the walk was bounded by its capacity, not the gap.
+	b, s = obs.New(), NewSampler("long gap", 10*sim.Microsecond)
+	s.Attach(b)
+	b.LinkDown(sim.Time(5*sim.Microsecond), true, 3, 2)
+	b.LinkUp(sim.Time(100*sim.Millisecond), true, 3, 2)
+	snap = s.Snapshot()
+	tus := snap.Stalls.TUS
+	if len(tus) != RingCap || tus[RingCap-1] != 1e5-10 || tus[0] != 1e5-10*RingCap {
+		t.Fatalf("after a long gap the ring spans [%v, %v] µs over %d points", tus[0], tus[len(tus)-1], len(tus))
 	}
 }
 
