@@ -7,7 +7,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt-check vet build build-debug test race invariants degradation tournament telemetry resilience bench bench-obs bench-kernel bench-kernel-gate bench-e2e paperbench clean
+.PHONY: check fmt-check vet build build-debug test race alloc-budget invariants degradation tournament telemetry resilience bench bench-obs bench-kernel bench-kernel-gate bench-e2e paperbench clean
 
 check: fmt-check vet build build-debug race
 
@@ -33,6 +33,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Allocation and state budgets (DESIGN.md §9): steady state allocates
+# nothing at radix 8 bare and (to within slice growth) at radix 18 with
+# moving hotspots and CC on; a generator's flow slots follow its backlog,
+# not the fabric's size, and hand out exactly the packets the old
+# per-destination table did.
+alloc-budget:
+	$(GO) test -count=1 ./internal/core -run 'ZeroAlloc'
+	$(GO) test -count=1 ./internal/traffic -run 'Slots|Differential'
 
 # Runtime invariant + differential kernel suite: the internal/check unit
 # tests, the reserved-key kernel properties (lazy ≡ eager order, Passed),
@@ -99,12 +108,14 @@ telemetry:
 # must end up quarantined while the sweep completes), then the CLI story
 # end to end via scripts/resilience_smoke.sh: SIGKILL an in-flight
 # checkpointing run and a sweep, resume both, require identical output
-# and an identical artifact set.
+# and an identical artifact set. Last, ten seconds of fuzzing the traffic
+# generator's snapshot decoder from its seed corpus of hostile blobs.
 resilience:
 	$(GO) test -count=1 ./internal/ckpt ./internal/fault -run 'Decode|Encode|SaveAtomic|Validate|Keeper|Latest|Cadence|InjectorState'
 	$(GO) test -count=1 ./internal/core -run 'Checkpoint'
 	$(GO) test -count=1 ./internal/exp -run 'Retries|Retry|Timeout|Quarantine|Corrupt|CRC|Manifest'
 	sh scripts/resilience_smoke.sh
+	$(GO) test -run FuzzGeneratorRestore -fuzz=FuzzGeneratorRestore -fuzztime=10s ./internal/traffic
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -63,8 +63,8 @@ func (m *Manager) ExportState() ([]byte, error) {
 	for i := range m.ca {
 		ca := &m.ca[i]
 		cs := &st.CAs[i]
-		for key, fl := range ca.flows {
-			cs.Flows = append(cs.Flows, mgrFlowState{Key: int(key), CCTI: fl.ccti})
+		for _, fl := range ca.flows {
+			cs.Flows = append(cs.Flows, mgrFlowState{Key: int(fl.key), CCTI: fl.ccti})
 		}
 		sort.Slice(cs.Flows, func(a, b int) bool { return cs.Flows[a].Key < cs.Flows[b].Key })
 		for src, pend := range ca.fecnPending {
@@ -95,9 +95,12 @@ func (m *Manager) RestoreState(blob []byte) error {
 	}
 	for i := range m.ca {
 		ca := &m.ca[i]
-		ca.flows = make(map[ib.LID]*caFlow, len(st.CAs[i].Flows))
+		ca.flows = ca.flows[:0]
 		for _, fs := range st.CAs[i].Flows {
-			ca.flows[ib.LID(fs.Key)] = &caFlow{ccti: fs.CCTI}
+			if ca.find(ib.LID(fs.Key)) >= 0 {
+				return fmt.Errorf("cc: ca %d lists flow key %d twice", i, fs.Key)
+			}
+			ca.flows = append(ca.flows, caFlow{key: ib.LID(fs.Key), ccti: fs.CCTI})
 		}
 		ca.fecnPending = nil
 		if pend := st.CAs[i].FECNPending; len(pend) > 0 {

@@ -29,16 +29,43 @@ const allocWarm = 1000 * sim.Microsecond
 // with zero heap allocations. Any regression — a closure on the hot
 // path, a pool bypass, an observability retain — fails the budget.
 func TestPacketLifecycleZeroAlloc(t *testing.T) {
+	requireAllocBudget(t, allocScenario(), allocWarm, 0)
+}
+
+// TestMovingCCZeroAllocAtRadix18 holds the same budget where it used to
+// be false: 162 nodes, moving hotspots and CC on (the benchmark's
+// moving_cc_r18 shape). The warm-up is 1 ms: the packet pool reaches its
+// high-water mark when the third hotspot slot's trees form (≈ 900 µs),
+// and that is warm-up by anyone's definition; it is still far short of
+// the 162×161 flow pairs ever completing, so state sized by the
+// destinations ever seen — the generator's old flow table allocated
+// ≈ 600 objects per window here — would still be growing. What is left
+// is a slice reaching a length it has not had before: a CA's CCTI table
+// past 8 and 16 throttled flows (twice per CA at most), a generator's
+// active list past flowCap under repeated listing (DESIGN.md §3).
+// These thin out but have no last one, so the budget is 2, not 0.
+func TestMovingCCZeroAllocAtRadix18(t *testing.T) {
+	s := Default(18)
+	s.Name = "alloc-budget-moving-cc"
+	s.FracBPct, s.PPercent = 50, 60
+	s.HotspotLifetime = 250 * sim.Microsecond
+	requireAllocBudget(t, s, 1000*sim.Microsecond, 2)
+}
+
+// requireAllocBudget builds s, runs it for warm and then requires at most
+// budget allocations per 50 µs window, averaged over ten.
+func requireAllocBudget(t *testing.T, s Scenario, warm sim.Duration, budget float64) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("multi-window simulation")
 	}
-	in, err := Build(allocScenario())
+	in, err := Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	simr := in.Net.Sim()
 	in.Net.Start()
-	simr.RunUntil(sim.Time(0).Add(allocWarm))
+	simr.RunUntil(sim.Time(0).Add(warm))
 
 	preEvents := simr.Processed()
 	end := simr.Now()
@@ -49,8 +76,8 @@ func TestPacketLifecycleZeroAlloc(t *testing.T) {
 	if simr.Processed() == preEvents {
 		t.Fatal("measurement windows executed no events")
 	}
-	if avg != 0 {
-		t.Fatalf("steady state allocates: %.1f allocs per 50 us window, want 0", avg)
+	if avg > budget {
+		t.Fatalf("steady state allocates: %.1f allocs per 50 us window, want <= %v", avg, budget)
 	}
 
 	stats := in.Net.PacketPool().Stats()

@@ -107,7 +107,7 @@ type State struct {
 	Audit  *AuditCounters `json:"audit,omitempty"`
 }
 
-func queueRefs(t *ckpt.PacketTable, q *pktQueue) []int {
+func queueRefs(t *ckpt.PacketTable, q *ib.PacketQueue) []int {
 	if q.Len() == 0 {
 		return nil
 	}
@@ -136,8 +136,8 @@ func (n *Network) claim(t *ckpt.PacketTable, ref int) (*ib.Packet, error) {
 
 // restoreQueue relinks q from refs in FIFO order and returns the wire
 // bytes it now holds.
-func (n *Network) restoreQueue(t *ckpt.PacketTable, q *pktQueue, refs []int) (wire int, err error) {
-	*q = pktQueue{}
+func (n *Network) restoreQueue(t *ckpt.PacketTable, q *ib.PacketQueue, refs []int) (wire int, err error) {
+	*q = ib.PacketQueue{}
 	for _, r := range refs {
 		p, err := n.claim(t, r)
 		if err != nil {
@@ -410,7 +410,7 @@ func (n *Network) restoreSwOut(op *swOutPort, st *SwOutState, tab *ckpt.PacketTa
 	}
 	op.rr = st.RR
 	for k := range op.voqs {
-		op.voqs[k] = pktQueue{}
+		op.voqs[k] = ib.PacketQueue{}
 	}
 	for w := range op.occ {
 		op.occ[w] = 0

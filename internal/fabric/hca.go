@@ -50,17 +50,17 @@ type HCA struct {
 
 	// Send side.
 	out       linkOut
-	obuf      pktQueue
+	obuf      ib.PacketQueue
 	obufBytes int
 	dmaBusy   bool
-	ctrl      pktQueue
+	ctrl      ib.PacketQueue
 	source    Source
 	wake      *sim.Event
 	wakeSeq   uint64
 
 	// Receive side.
 	rxFree   []int
-	rxQ      pktQueue
+	rxQ      ib.PacketQueue
 	sinkBusy bool
 	up       creditTaker
 

@@ -7,8 +7,13 @@ import (
 	"repro/internal/ib"
 )
 
+// The tests below exercise ib.PacketQueue, the one intrusive FIFO the
+// generator's flow queues share with the fabric's VoQs, staging buffers
+// and sink queues. They stayed in this package, under their old names,
+// when the type moved to ib: the fabric is where the queue's hot path is.
+
 func TestPktQueueFIFO(t *testing.T) {
-	var q pktQueue
+	var q ib.PacketQueue
 	if q.Pop() != nil || q.Peek() != nil || q.Len() != 0 {
 		t.Fatal("empty queue misbehaves")
 	}
@@ -34,7 +39,7 @@ func TestPktQueueFIFO(t *testing.T) {
 }
 
 func TestPktQueueInterleaving(t *testing.T) {
-	var q pktQueue
+	var q ib.PacketQueue
 	id := uint64(0)
 	next := uint64(0)
 	// Interleave pushes and pops so the list repeatedly shrinks to one
@@ -68,7 +73,7 @@ func TestPktQueueInterleaving(t *testing.T) {
 // implementation.
 func TestPktQueueMatchesReference(t *testing.T) {
 	f := func(ops []bool) bool {
-		var q pktQueue
+		var q ib.PacketQueue
 		var ref []*ib.Packet
 		id := uint64(0)
 		for _, push := range ops {
@@ -105,7 +110,7 @@ func TestPktQueueMatchesReference(t *testing.T) {
 // must leave unlinked: a stale link would splice the next queue a packet
 // joins onto this one's remains.
 func TestPktQueueUnlinksOnPop(t *testing.T) {
-	var q, other pktQueue
+	var q, other ib.PacketQueue
 	a, b, c := &ib.Packet{ID: 1}, &ib.Packet{ID: 2}, &ib.Packet{ID: 3}
 	q.Push(a)
 	q.Push(b)
@@ -131,7 +136,7 @@ func TestPktQueueUnlinksOnPop(t *testing.T) {
 // Queue storage is the packets themselves: no push, at any occupancy,
 // may allocate.
 func TestPktQueueZeroAlloc(t *testing.T) {
-	var q pktQueue
+	var q ib.PacketQueue
 	pkts := make([]*ib.Packet, 1000)
 	for i := range pkts {
 		pkts[i] = &ib.Packet{ID: uint64(i)}
@@ -153,7 +158,7 @@ func TestPktQueueZeroAlloc(t *testing.T) {
 // occupancy — the pattern of every VoQ, staging buffer and sink queue on
 // the per-packet path.
 func BenchmarkPktQueue(b *testing.B) {
-	var q pktQueue
+	var q ib.PacketQueue
 	for i := 0; i < 24; i++ {
 		q.Push(&ib.Packet{})
 	}

@@ -51,13 +51,13 @@ type swOutPort struct {
 	linkOut
 	sw      *SwitchNode
 	port    int
-	voqs    []pktQueue // pow2 ring: [inPort<<vlShift | vl]
-	occ     []uint64   // bit k ⇔ voqs[k].Len() > 0
-	qbytes  []int      // queued bytes per VL across all inputs
-	rr      int        // arbitration pointer into voqs
-	vlShift uint       // log2 of the padded per-input VL stride
-	voqMask int        // len(voqs) - 1
-	pending int        // total queued packets
+	voqs    []ib.PacketQueue // pow2 ring: [inPort<<vlShift | vl]
+	occ     []uint64         // bit k ⇔ voqs[k].Len() > 0
+	qbytes  []int            // queued bytes per VL across all inputs
+	rr      int              // arbitration pointer into voqs
+	vlShift uint             // log2 of the padded per-input VL stride
+	voqMask int              // len(voqs) - 1
+	pending int              // total queued packets
 }
 
 // pow2ceil rounds x (≥ 1) up to the next power of two.
@@ -80,7 +80,7 @@ func newSwitchNode(n *Network, node *topo.Node, index int) *SwitchNode {
 		op := &swOutPort{sw: sw, port: p}
 		op.net = n
 		op.vlShift = uint(bits.Len(uint(n.cfg.NumVLs - 1)))
-		op.voqs = make([]pktQueue, pow2ceil(nports)<<op.vlShift)
+		op.voqs = make([]ib.PacketQueue, pow2ceil(nports)<<op.vlShift)
 		op.voqMask = len(op.voqs) - 1
 		op.occ = make([]uint64, (len(op.voqs)+63)/64)
 		op.qbytes = make([]int, n.cfg.NumVLs)

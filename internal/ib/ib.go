@@ -100,7 +100,7 @@ type Packet struct {
 	// logical payload; their wire size is CNPBytes).
 	PayloadBytes int
 
-	// Next is the intrusive FIFO link of the fabric queue currently
+	// Next is the intrusive FIFO link of the PacketQueue currently
 	// holding the packet (nil at a queue's tail and outside any queue).
 	// The single-owner lifecycle (pool.go) guarantees a packet sits in
 	// at most one queue, so one link suffices. It is queue plumbing, not

@@ -8,7 +8,7 @@ package ib
 //   - a packet may be released at most once per lifetime (double Put is
 //     the two-owners bug and panics immediately);
 //   - a packet may be released only by its sole owner: a packet still
-//     linked into a fabric queue (Next != nil) has a second holder, so
+//     linked into a queue (Next != nil) has a second holder, so
 //     Put panics, as does a queue Push of an already-linked packet
 //     (the fabric checks Debug for that);
 //   - a released packet must not be read: Put poisons every field with

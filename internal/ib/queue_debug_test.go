@@ -1,16 +1,12 @@
 //go:build debug
 
-package fabric
+package ib
 
-import (
-	"testing"
-
-	"repro/internal/ib"
-)
+import "testing"
 
 func TestDebugPushOfLinkedPacketPanics(t *testing.T) {
-	var q, other pktQueue
-	a, b := &ib.Packet{ID: 1}, &ib.Packet{ID: 2}
+	var q, other PacketQueue
+	a, b := &Packet{ID: 1}, &Packet{ID: 2}
 	q.Push(a)
 	q.Push(b) // a.Next == b: a is mid-list in q
 	defer func() {

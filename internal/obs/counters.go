@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PortKey addresses one switch output port.
 type PortKey struct {
@@ -36,12 +33,44 @@ type PortCounters struct {
 	HostPort bool
 }
 
+// PortTable is a dense [switch][port] table of per-port state. Switch
+// and port numbers are small dense integers, so a lookup on the publish
+// path is two bounds checks where a map would hash a struct key. The
+// table starts empty and grows to whatever index is named first — rows
+// to the highest switch, each row to its own highest port — so ports
+// may appear in any order and unnamed ones hold the zero T.
+type PortTable[T any] [][]T
+
+// At returns the entry of (sw, port), growing the table to hold it. The
+// pointer is good until the next At that grows the same row.
+func (t *PortTable[T]) At(sw, port int) *T {
+	if sw >= len(*t) {
+		*t = append(*t, make([][]T, sw+1-len(*t))...)
+	}
+	row := &(*t)[sw]
+	if port >= len(*row) {
+		*row = append(*row, make([]T, port+1-len(*row))...)
+	}
+	return &(*row)[port]
+}
+
+// Each calls f for every entry the table has grown to hold, in (switch,
+// port) order.
+func (t PortTable[T]) Each(f func(sw, port int, v *T)) {
+	for sw, row := range t {
+		for port := range row {
+			f(sw, port, &row[port])
+		}
+	}
+}
+
 // Registry is a bus consumer maintaining per-switch-port counters. Ports
-// materialize lazily on their first event, so an idle port costs
-// nothing. Subscribe it with Attach.
+// materialize lazily on their first event, so an idle port costs a nil
+// pointer. Subscribe it with Attach.
 type Registry struct {
 	numVLs int
-	ports  map[PortKey]*PortCounters
+	// ports holds nil for ports that never produced an event.
+	ports PortTable[*PortCounters]
 }
 
 // NewRegistry returns a registry for fabrics with numVLs virtual lanes.
@@ -49,7 +78,7 @@ func NewRegistry(numVLs int) *Registry {
 	if numVLs < 1 {
 		numVLs = 1
 	}
-	return &Registry{numVLs: numVLs, ports: make(map[PortKey]*PortCounters)}
+	return &Registry{numVLs: numVLs}
 }
 
 // Attach subscribes the registry to the kinds it consumes.
@@ -58,11 +87,11 @@ func (r *Registry) Attach(b *Bus) {
 }
 
 func (r *Registry) port(sw, port int, hostPort bool) *PortCounters {
-	k := PortKey{Switch: sw, Port: port}
-	c := r.ports[k]
+	slot := r.ports.At(sw, port)
+	c := *slot
 	if c == nil {
 		c = &PortCounters{FwdBytesVL: make([]uint64, r.numVLs)}
-		r.ports[k] = c
+		*slot = c
 	}
 	if hostPort {
 		c.HostPort = true
@@ -99,35 +128,39 @@ func (r *Registry) Consume(e Event) {
 // Port returns the counters of (sw, port), or nil when the port never
 // produced an event.
 func (r *Registry) Port(sw, port int) *PortCounters {
-	return r.ports[PortKey{Switch: sw, Port: port}]
+	if sw < 0 || sw >= len(r.ports) || port < 0 || port >= len(r.ports[sw]) {
+		return nil
+	}
+	return r.ports[sw][port]
+}
+
+// each calls f for every materialized port in (switch, port) order.
+func (r *Registry) each(f func(PortKey, *PortCounters)) {
+	r.ports.Each(func(sw, port int, c **PortCounters) {
+		if *c != nil {
+			f(PortKey{Switch: sw, Port: port}, *c)
+		}
+	})
 }
 
 // Ports returns the keys of every materialized port in (switch, port)
 // order.
 func (r *Registry) Ports() []PortKey {
-	out := make([]PortKey, 0, len(r.ports))
-	for k := range r.ports {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Switch != out[j].Switch {
-			return out[i].Switch < out[j].Switch
-		}
-		return out[i].Port < out[j].Port
-	})
+	var out []PortKey
+	r.each(func(k PortKey, _ *PortCounters) { out = append(out, k) })
 	return out
 }
 
 // Totals sums the counters across all ports.
 func (r *Registry) Totals() (marks, stalls, fwdPackets uint64, fwdBytes uint64) {
-	for _, c := range r.ports {
+	r.each(func(_ PortKey, c *PortCounters) {
 		marks += c.FECNMarks
 		stalls += c.CreditStalls
 		fwdPackets += c.FwdPackets
 		for _, b := range c.FwdBytesVL {
 			fwdBytes += b
 		}
-	}
+	})
 	return
 }
 
@@ -136,15 +169,11 @@ func (r *Registry) Totals() (marks, stalls, fwdPackets uint64, fwdBytes uint64) 
 func (r *Registry) HottestPort() (PortKey, *PortCounters) {
 	var bestK PortKey
 	var best *PortCounters
-	for _, k := range r.Ports() {
-		c := r.ports[k]
-		if best == nil || c.FECNMarks > best.FECNMarks {
+	r.each(func(k PortKey, c *PortCounters) {
+		if c.FECNMarks > 0 && (best == nil || c.FECNMarks > best.FECNMarks) {
 			bestK, best = k, c
 		}
-	}
-	if best == nil || best.FECNMarks == 0 {
-		return PortKey{}, nil
-	}
+	})
 	return bestK, best
 }
 

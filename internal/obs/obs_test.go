@@ -195,3 +195,64 @@ func TestRegistryHottestPortEmpty(t *testing.T) {
 		t.Fatal("hottest port on empty registry")
 	}
 }
+
+// TestRegistryPortsOutOfOrder: the dense table grows to whatever index
+// shows up — the highest switch first, sparse ports, the last data VL —
+// and still lists ports in (switch, port) order with the gaps skipped.
+func TestRegistryPortsOutOfOrder(t *testing.T) {
+	b := New()
+	r := NewRegistry(15)
+	r.Attach(b)
+
+	p := pkt(1, 2)
+	p.VL = 14
+	b.PacketSent(1, true, 40, 35, p)
+	b.QueueSampled(2, 40, 2, true, 14, 700)
+	b.FECNMarked(3, 7, 9, false, p, 9000, 10)
+	b.FECNMarked(4, 7, 9, false, p, 9000, 10)
+	b.CreditStalled(5, true, 0, 17, 14, 0, 2094)
+	b.PacketSent(6, true, 40, 35, p)
+	b.FECNMarked(7, 40, 35, false, p, 9000, 10)
+
+	want := []PortKey{{0, 17}, {7, 9}, {40, 2}, {40, 35}}
+	got := r.Ports()
+	if len(got) != len(want) {
+		t.Fatalf("ports = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ports = %v, want %v", got, want)
+		}
+	}
+	if c := r.Port(40, 35); c == nil || c.FwdPackets != 2 || c.FwdBytesVL[14] != 2*uint64(p.WireBytes()) || c.FECNMarks != 1 {
+		t.Fatalf("port 40.35 = %+v", c)
+	}
+	if c := r.Port(40, 2); c == nil || c.PeakQueuedBytes != 700 || !c.HostPort {
+		t.Fatalf("port 40.2 = %+v", c)
+	}
+	for _, k := range []PortKey{{40, 3}, {39, 0}, {41, 0}, {0, 18}, {-1, 0}, {0, -1}} {
+		if r.Port(k.Switch, k.Port) != nil {
+			t.Fatalf("port %v materialized without an event", k)
+		}
+	}
+	if marks, stalls, fp, _ := r.Totals(); marks != 3 || stalls != 1 || fp != 2 {
+		t.Fatalf("totals = %d %d %d", marks, stalls, fp)
+	}
+	if k, c := r.HottestPort(); c == nil || k != (PortKey{7, 9}) {
+		t.Fatalf("hottest = %v %+v", k, c)
+	}
+}
+
+func TestPortTableKeepsEntriesAcrossGrowth(t *testing.T) {
+	var tab PortTable[int]
+	*tab.At(5, 3) = 53
+	*tab.At(0, 0) = 1
+	*tab.At(5, 30) = 530 // regrows row 5
+	*tab.At(9, 1) = 91   // regrows the switch dimension
+	if len(tab) != 10 || len(tab[5]) != 31 || len(tab[4]) != 0 {
+		t.Fatalf("shape: %d switches, row 5 has %d ports, row 4 has %d", len(tab), len(tab[5]), len(tab[4]))
+	}
+	if *tab.At(5, 3) != 53 || *tab.At(0, 0) != 1 || *tab.At(5, 30) != 530 || *tab.At(9, 1) != 91 || *tab.At(5, 4) != 0 {
+		t.Fatalf("entries lost in growth: %v", tab)
+	}
+}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -43,8 +44,7 @@ type Hub struct {
 	done    int
 
 	completion Hist
-	peaks      map[portID]int
-	hosts      map[portID]bool
+	peaks      obs.PortTable[portState] // only peak and host are kept
 	last       *SamplerSnapshot
 }
 
@@ -57,8 +57,6 @@ func NewHub(cadence sim.Duration) *Hub {
 	return &Hub{
 		cadence: cadence,
 		active:  make(map[*Sampler]uint64),
-		peaks:   make(map[portID]int),
-		hosts:   make(map[portID]bool),
 	}
 }
 
@@ -91,7 +89,7 @@ func (h *Hub) FinishRun(s *Sampler) {
 	delete(h.active, s)
 	h.done++
 	h.last = &snap
-	s.mergeInto(&h.completion, h.peaks, h.hosts)
+	s.mergeInto(&h.completion, &h.peaks)
 }
 
 // Snapshot returns the sweep-level view. Safe for concurrent use.
@@ -111,7 +109,7 @@ func (h *Hub) Snapshot() HubSnapshot {
 		Runs:       h.done,
 		Active:     len(h.active),
 		Completion: h.completion.snapshot(1e-6),
-		HotPorts:   hotPorts(h.peaks, h.hosts),
+		HotPorts:   hotPorts(h.peaks),
 	}
 	if live != nil {
 		ls := live.Snapshot()

@@ -27,13 +27,19 @@ const (
 // hotPortsTopK bounds the hottest-ports table in snapshots.
 const hotPortsTopK = 8
 
-type portVL struct {
-	sw, port int
-	vl       ib.VL
-}
+// maxVLs bounds the per-port lane array: the fabric carries at most 15
+// data VLs (fabric.Config), VL 15 is management.
+const maxVLs = 16
 
-type portID struct {
-	sw, port int
+// portState is what the sampler keeps per switch output port, in one
+// obs.PortTable entry: the last sampled depth of each lane inline, their
+// sum, and the sum's high-water mark with the HostPort flag of the
+// sample that set it. A port has been seen iff peak > 0.
+type portState struct {
+	vlDepth [maxVLs]int32
+	depth   int32
+	peak    int32
+	host    bool
 }
 
 type msgKey struct {
@@ -117,10 +123,7 @@ type Sampler struct {
 	stalls    Ring
 
 	// Continuous state read at each bin boundary.
-	vlDepth   map[portVL]int
-	portDepth map[portID]int
-	portPeak  map[portID]int
-	portHost  map[portID]bool
+	ports     obs.PortTable[portState]
 	ccti      map[ib.FlowKey]uint16 // throttled flows only: a step to 0 deletes
 	linksDown int
 
@@ -139,15 +142,11 @@ func NewSampler(name string, cadence sim.Duration) *Sampler {
 		cadence = DefaultCadence
 	}
 	return &Sampler{
-		name:      name,
-		cadence:   cadence,
-		curBin:    -1,
-		vlDepth:   make(map[portVL]int),
-		portDepth: make(map[portID]int),
-		portPeak:  make(map[portID]int),
-		portHost:  make(map[portID]bool),
-		ccti:      make(map[ib.FlowKey]uint16),
-		msgStart:  make(map[msgKey]sim.Time),
+		name:     name,
+		cadence:  cadence,
+		curBin:   -1,
+		ccti:     make(map[ib.FlowKey]uint16),
+		msgStart: make(map[msgKey]sim.Time),
 	}
 }
 
@@ -224,15 +223,14 @@ func (s *Sampler) cctiChanged(e obs.Event) {
 }
 
 func (s *Sampler) queueSampled(e obs.Event) {
-	k := portVL{e.Node, e.Port, e.VL}
-	p := portID{e.Node, e.Port}
-	old := s.vlDepth[k]
-	s.vlDepth[k] = e.QueuedBytes
-	d := s.portDepth[p] + e.QueuedBytes - old
-	s.portDepth[p] = d
-	if d > s.portPeak[p] {
-		s.portPeak[p] = d
-		s.portHost[p] = e.HostPort
+	if e.VL >= maxVLs {
+		return
+	}
+	p := s.ports.At(e.Node, e.Port)
+	p.depth += int32(e.QueuedBytes) - p.vlDepth[e.VL]
+	p.vlDepth[e.VL] = int32(e.QueuedBytes)
+	if p.depth > p.peak {
+		p.peak, p.host = p.depth, e.HostPort
 	}
 }
 
@@ -290,12 +288,10 @@ func (s *Sampler) flushBin() {
 	s.binDrops, s.binStalls, s.binIncr, s.binDecr = 0, 0, 0, 0
 
 	var total, maxP int
-	for _, d := range s.portDepth {
-		total += d
-		if d > maxP {
-			maxP = d
-		}
-	}
+	s.ports.Each(func(_, _ int, p *portState) {
+		total += int(p.depth)
+		maxP = max(maxP, int(p.depth))
+	})
 	s.queued.Push(endUS, float64(total)/1024)
 	s.maxPort.Push(endUS, float64(maxP)/1024)
 
@@ -341,32 +337,29 @@ func (s *Sampler) Completion() HistSnapshot {
 // mergeInto folds the sampler's cross-run aggregates (completion
 // histogram, port peaks) into the hub's accumulators. Caller holds no
 // lock on s.
-func (s *Sampler) mergeInto(h *Hist, peaks map[portID]int, hosts map[portID]bool) {
+func (s *Sampler) mergeInto(h *Hist, peaks *obs.PortTable[portState]) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h.Merge(&s.completion)
-	for p, d := range s.portPeak {
-		if d > peaks[p] {
-			peaks[p] = d
-			hosts[p] = s.portHost[p]
+	s.ports.Each(func(sw, port int, p *portState) {
+		if p.peak > 0 {
+			if agg := peaks.At(sw, port); p.peak > agg.peak {
+				agg.peak, agg.host = p.peak, p.host
+			}
 		}
-	}
+	})
 }
 
-func hotPorts(peaks map[portID]int, hosts map[portID]bool) []HotPort {
-	hp := make([]HotPort, 0, len(peaks))
-	for p, d := range peaks {
-		hp = append(hp, HotPort{Switch: p.sw, Port: p.port, HostPort: hosts[p], PeakKB: float64(d) / 1024})
-	}
-	sort.Slice(hp, func(i, j int) bool {
-		if hp[i].PeakKB != hp[j].PeakKB {
-			return hp[i].PeakKB > hp[j].PeakKB
+// hotPorts ranks the ports that ever queued anything by peak depth,
+// ties in (switch, port) order — the order the table is walked in.
+func hotPorts(ports obs.PortTable[portState]) []HotPort {
+	hp := []HotPort{} // never null in the snapshot JSON
+	ports.Each(func(sw, port int, p *portState) {
+		if p.peak > 0 {
+			hp = append(hp, HotPort{Switch: sw, Port: port, HostPort: p.host, PeakKB: float64(p.peak) / 1024})
 		}
-		if hp[i].Switch != hp[j].Switch {
-			return hp[i].Switch < hp[j].Switch
-		}
-		return hp[i].Port < hp[j].Port
 	})
+	sort.SliceStable(hp, func(i, j int) bool { return hp[i].PeakKB > hp[j].PeakKB })
 	if len(hp) > hotPortsTopK {
 		hp = hp[:hotPortsTopK]
 	}
@@ -396,7 +389,7 @@ func (s *Sampler) Snapshot() SamplerSnapshot {
 		Stalls:      s.stalls.Snapshot(),
 		LinksDown:   s.linksDown,
 		Completion:  s.completion.snapshot(1e-6),
-		HotPorts:    hotPorts(s.portPeak, s.portHost),
+		HotPorts:    hotPorts(s.ports),
 	}
 	return snap
 }

@@ -281,3 +281,58 @@ func BenchmarkSamplerAttached(b *testing.B) {
 		bus.PacketDelivered(sim.Time(int64(i)*1000), 2, p)
 	}
 }
+
+// TestSamplerPortsOutOfOrder: queue samples may name the highest switch
+// first, sparse ports and the last data VL; per-port depth is the sum
+// over lanes, the series read the table's totals, and the hot-port table
+// breaks peak ties in (switch, port) order.
+func TestSamplerPortsOutOfOrder(t *testing.T) {
+	b := obs.New()
+	s := NewSampler("sparse", 10*sim.Microsecond)
+	s.Attach(b)
+	us := func(n int) sim.Time { return sim.Time(n) * sim.Time(sim.Microsecond) }
+
+	b.QueueSampled(us(1), 40, 35, true, 14, 4096)
+	b.QueueSampled(us(2), 40, 35, true, 0, 2048) // second lane of the same port
+	b.QueueSampled(us(3), 2, 7, false, 3, 6144)
+	b.QueueSampled(us(4), 40, 1, false, 0, 6144) // ties with 2.7
+	b.QueueSampled(us(5), 0, 20, false, 14, 1024)
+	b.QueueSampled(us(6), 40, 35, false, 14, 0) // lane drains; peak and its flag stay
+	b.QueueSampled(us(7), 5, 5, false, 200, 1<<20)
+	s.Finish()
+
+	snap := s.Snapshot()
+	if got := snap.QueuedKB.V[0]; got != (2048+6144+6144+1024)/1024.0 {
+		t.Fatalf("queued = %v KB", got)
+	}
+	if got := snap.MaxPortKB.V[0]; got != 6 {
+		t.Fatalf("max port = %v KB", got)
+	}
+	want := []HotPort{
+		{Switch: 2, Port: 7, PeakKB: 6},
+		{Switch: 40, Port: 1, PeakKB: 6},
+		{Switch: 40, Port: 35, HostPort: true, PeakKB: 6},
+		{Switch: 0, Port: 20, PeakKB: 1},
+	}
+	if len(snap.HotPorts) != len(want) {
+		t.Fatalf("hot ports = %+v", snap.HotPorts)
+	}
+	for i := range want {
+		if snap.HotPorts[i] != want[i] {
+			t.Fatalf("hot ports = %+v, want %+v", snap.HotPorts, want)
+		}
+	}
+
+	// The hub keeps the higher peak per port across runs.
+	h := NewHub(0)
+	s2 := h.StartRun("second")
+	s2.Attach(b)
+	h.FinishRun(s)
+	b.QueueSampled(us(20), 0, 20, true, 1, 8192)
+	b.QueueSampled(us(21), 40, 35, false, 0, 1024)
+	h.FinishRun(s2)
+	hot := h.Snapshot().HotPorts
+	if len(hot) != 4 || hot[0] != (HotPort{Switch: 0, Port: 20, HostPort: true, PeakKB: 8}) || hot[3] != want[2] {
+		t.Fatalf("hub hot ports = %+v", hot)
+	}
+}

@@ -70,12 +70,14 @@ type stream struct {
 	backlog   int   // messages currently queued awaiting injection
 }
 
-// flow carries per-destination (QP) state: the queue of packets awaiting
-// injection and the CC-imposed earliest next injection time.
-type flow struct {
-	dst         ib.LID
-	q           []*ib.Packet
+// flowSlot carries the state of one live flow (QP): the packets awaiting
+// injection, the CC-imposed earliest next injection time and how many
+// entries of the active list point at it. Its destination is
+// Generator.dsts at the same index.
+type flowSlot struct {
+	q           ib.PacketQueue
 	nextAllowed sim.Time
+	refs        int32
 }
 
 // Generator implements fabric.Source for one node. It owns per-flow (QP)
@@ -83,19 +85,36 @@ type flow struct {
 // CC delay has elapsed; eligible flows are served round-robin. The two
 // streams refill the queues under their cumulative budgets, so hotspot
 // and non-hotspot traffic stay independent per Frame I.
+//
+// Flow state is sized by the work in flight, not by the fabric: a node
+// keeps a slot per live flow — one with queued packets, an entry on the
+// active list or an unexpired gate — and the backlog caps bound how many
+// of those exist at once. Any other slot is indistinguishable from a
+// flow never sent to (its gate is only ever compared with After(now),
+// and now never runs backwards), so the next new destination takes it
+// over.
 type Generator struct {
 	cfg     NodeConfig
-	streams []*stream
-	// flows is indexed by destination LID and allocated with the first
-	// message; nil entries are destinations never sent to.
-	flows  []*flow
-	active []*flow // flows with queued packets, round-robin order
+	streams []stream
+	// dsts and slots are parallel: dsts is the packed key array a
+	// lookup scans, slots the state behind each key.
+	dsts  []ib.LID
+	slots []flowSlot
+	hand  int // where slotFor resumes looking for a dead slot
+	// active lists slot indices in round-robin order. A flow is listed
+	// once per message generated into its empty queue and unlisted
+	// lazily, so it can be listed — and is then served — several times
+	// per round (DESIGN.md §3).
+	active []int32
 	rr     int
 	// flowCap bounds any one flow's queue: every stream's full message
-	// backlog aimed at the same destination. Queues are pre-sized to it
-	// so steady state never grows them.
+	// backlog aimed at the same destination. It also bounds the flows
+	// with queued packets, so the slot tables are pre-sized to it.
 	flowCap int
 
+	// now is the latest Pull instant: what "expired" is judged against
+	// wherever the caller's clock is not at hand.
+	now sim.Time
 	// slGate is the shared next-injection time under SLThrottle.
 	slGate sim.Time
 
@@ -134,19 +153,21 @@ func NewGenerator(cfg NodeConfig) (*Generator, error) {
 	}
 	g := &Generator{cfg: cfg}
 	if cfg.PPercent > 0 {
-		g.streams = append(g.streams, &stream{
+		g.streams = append(g.streams, stream{
 			rate:    cfg.InjectionRate * sim.Rate(cfg.PPercent) / 100,
 			hotspot: true,
 		})
 	}
 	if cfg.PPercent < 100 {
-		g.streams = append(g.streams, &stream{
+		g.streams = append(g.streams, stream{
 			rate: cfg.InjectionRate * sim.Rate(100-cfg.PPercent) / 100,
 		})
 	}
 	pktsPerMsg := (cfg.MsgBytes + ib.MTU - 1) / ib.MTU
 	g.flowCap = cfg.BacklogCap * pktsPerMsg * len(g.streams)
-	g.active = make([]*flow, 0, cfg.NumNodes-1)
+	g.dsts = make([]ib.LID, 0, g.flowCap)
+	g.slots = make([]flowSlot, 0, g.flowCap)
+	g.active = make([]int32, 0, g.flowCap)
 	return g, nil
 }
 
@@ -154,8 +175,8 @@ func NewGenerator(cfg NodeConfig) (*Generator, error) {
 // queues (hotspot stream first when present); tests use it to verify the
 // Frame I budget invariant.
 func (g *Generator) GeneratedBytes() (hotspot, uniform int64) {
-	for _, s := range g.streams {
-		if s.hotspot {
+	for i := range g.streams {
+		if s := &g.streams[i]; s.hotspot {
 			hotspot = s.generated
 		} else {
 			uniform = s.generated
@@ -170,16 +191,15 @@ func (g *Generator) GeneratedBytes() (hotspot, uniform int64) {
 // sweeps: every live pool packet is either here or held by the fabric.
 func (g *Generator) PendingPackets() int {
 	n := 0
-	for _, fl := range g.flows {
-		if fl != nil {
-			n += len(fl.q)
-		}
+	for i := range g.slots {
+		n += g.slots[i].q.Len()
 	}
 	return n
 }
 
 // Pull implements fabric.Source.
 func (g *Generator) Pull(now sim.Time) (*ib.Packet, sim.Time) {
+	g.now = now
 	g.refill(now)
 
 	// Round-robin over flows with queued packets whose CC delay has
@@ -190,10 +210,14 @@ func (g *Generator) Pull(now sim.Time) (*ib.Packet, sim.Time) {
 		g.rr %= n
 	}
 	for i := 0; i < n; i++ {
-		k := (g.rr + i) % n
-		fl := g.active[k]
-		if len(fl.q) == 0 {
+		k := g.rr + i
+		if k >= n {
+			k -= n
+		}
+		fl := &g.slots[g.active[k]]
+		if fl.q.Len() == 0 {
 			// Lazily drop drained flows from the active list.
+			fl.refs--
 			g.active[k] = g.active[n-1]
 			g.active = g.active[:n-1]
 			n--
@@ -206,10 +230,7 @@ func (g *Generator) Pull(now sim.Time) (*ib.Packet, sim.Time) {
 		if g.gate(fl).After(now) {
 			continue
 		}
-		p := fl.q[0]
-		copy(fl.q, fl.q[1:])
-		fl.q[len(fl.q)-1] = nil
-		fl.q = fl.q[:len(fl.q)-1]
+		p := fl.q.Pop()
 		g.rr = k + 1
 		if g.rr >= len(g.active) {
 			g.rr = 0
@@ -220,7 +241,7 @@ func (g *Generator) Pull(now sim.Time) (*ib.Packet, sim.Time) {
 		}
 		delay := g.cfg.InjectionRate.TxTime(p.WireBytes())
 		if g.cfg.Throttle != nil {
-			delay += g.cfg.Throttle.IRD(g.cfg.LID, fl.dst, p.WireBytes())
+			delay += g.cfg.Throttle.IRD(g.cfg.LID, p.Dst, p.WireBytes())
 		}
 		if g.cfg.SLThrottle {
 			g.slGate = now.Add(delay)
@@ -235,17 +256,65 @@ func (g *Generator) Pull(now sim.Time) (*ib.Packet, sim.Time) {
 
 // gate returns the earliest injection time applying to fl: the shared
 // service-level gate under SLThrottle, the flow's own otherwise.
-func (g *Generator) gate(fl *flow) sim.Time {
+func (g *Generator) gate(fl *flowSlot) sim.Time {
 	if g.cfg.SLThrottle {
 		return g.slGate
 	}
 	return fl.nextAllowed
 }
 
+// live reports whether the slot still carries state a flow never sent to
+// would not: queued packets, an active-list entry or a gate still ahead
+// of now.
+func (fl *flowSlot) live(now sim.Time) bool {
+	return fl.q.Len() > 0 || fl.refs > 0 || fl.nextAllowed.After(now)
+}
+
+// findSlot returns the index of dst's slot, or -1.
+func (g *Generator) findSlot(dst ib.LID) int {
+	for i, d := range g.dsts {
+		if d == dst {
+			return i
+		}
+	}
+	return -1
+}
+
+// slotFor returns the index of dst's slot. A destination without one
+// takes over a slot that is no longer live, or a new one when every slot
+// is. The search for a dead slot resumes where the last one ended: the
+// slots just behind the hand were handed out most recently and are the
+// likeliest to be still live.
+func (g *Generator) slotFor(dst ib.LID, now sim.Time) int {
+	if i := g.findSlot(dst); i >= 0 {
+		return i
+	}
+	n := len(g.slots)
+	for k := 0; k < n; k++ {
+		i := g.hand + k
+		if i >= n {
+			i -= n
+		}
+		if fl := &g.slots[i]; !fl.live(now) {
+			fl.nextAllowed = 0
+			g.dsts[i] = dst
+			g.hand = i + 1
+			if g.hand == n {
+				g.hand = 0
+			}
+			return i
+		}
+	}
+	g.dsts = append(g.dsts, dst)
+	g.slots = append(g.slots, flowSlot{})
+	g.hand = 0
+	return n
+}
+
 // streamOf maps a packet back to the stream that generated it.
 func (g *Generator) streamOf(p *ib.Packet) *stream {
-	for _, s := range g.streams {
-		if s.hotspot == p.Hotspot {
+	for i := range g.streams {
+		if s := &g.streams[i]; s.hotspot == p.Hotspot {
 			return s
 		}
 	}
@@ -255,7 +324,8 @@ func (g *Generator) streamOf(p *ib.Packet) *stream {
 // refill lets each stream generate messages its cumulative budget and
 // backlog cap allow at the current time.
 func (g *Generator) refill(now sim.Time) {
-	for _, s := range g.streams {
+	for i := range g.streams {
+		s := &g.streams[i]
 		for s.backlog < g.cfg.BacklogCap && s.generated <= s.rate.BytesIn(now.Sub(0)) {
 			if !g.generate(s, now) {
 				break
@@ -283,18 +353,12 @@ func (g *Generator) generate(s *stream, now sim.Time) bool {
 		}
 		dst = ib.LID(r)
 	}
-	if g.flows == nil {
-		// Not in NewGenerator: idle nodes never need the table, and at
-		// paper scale the tables of all nodes together are megabytes.
-		g.flows = make([]*flow, g.cfg.NumNodes)
-	}
-	fl := g.flows[dst]
-	if fl == nil {
-		fl = &flow{dst: dst, q: make([]*ib.Packet, 0, g.flowCap)}
-		g.flows[dst] = fl
-	}
-	if len(fl.q) == 0 {
-		g.active = append(g.active, fl)
+	idx := g.slotFor(dst, now)
+	fl := &g.slots[idx]
+	if fl.q.Len() == 0 {
+		// Also when a drained entry is still listed: see active.
+		g.active = append(g.active, int32(idx))
+		fl.refs++
 	}
 	msgID := g.nextMsgID
 	g.nextMsgID++
@@ -324,7 +388,7 @@ func (g *Generator) generate(s *stream, now sim.Time) bool {
 		p.MsgID = msgID
 		p.MsgSeq = seq
 		p.MsgPackets = nPkts
-		fl.q = append(fl.q, p)
+		fl.q.Push(p)
 		g.pktSeq++
 	}
 	s.generated += int64(g.cfg.MsgBytes)
@@ -338,12 +402,14 @@ func (g *Generator) generate(s *stream, now sim.Time) bool {
 // self-targeted stream.
 func (g *Generator) nextWake(now sim.Time) sim.Time {
 	wake := sim.MaxTime
-	for _, fl := range g.active {
-		if t := g.gate(fl); len(fl.q) > 0 && t.After(now) && t.Before(wake) {
+	for _, idx := range g.active {
+		fl := &g.slots[idx]
+		if t := g.gate(fl); fl.q.Len() > 0 && t.After(now) && t.Before(wake) {
 			wake = t
 		}
 	}
-	for _, s := range g.streams {
+	for i := range g.streams {
+		s := &g.streams[i]
 		if s.backlog >= g.cfg.BacklogCap {
 			continue // replenished by a later Pull draining the queue
 		}
@@ -369,11 +435,4 @@ func (g *Generator) nextWake(now sim.Time) sim.Time {
 		}
 	}
 	return wake
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -513,5 +514,47 @@ func TestGeneratedBytesAccessors(t *testing.T) {
 	g.Pull(0)
 	if h, _ := g.GeneratedBytes(); h == 0 {
 		t.Fatal("no hotspot bytes after pull")
+	}
+}
+
+// TestSlotsBoundedAtPaperScale: flow state follows the backlog, not the
+// fabric. After 5 ms of uniform traffic on the paper's 648 nodes the
+// generator has sent to nearly all of them and still holds a handful of
+// slots.
+func TestSlotsBoundedAtPaperScale(t *testing.T) {
+	cfg := baseCfg(0)
+	cfg.NumNodes = 648
+	g := mustGen(t, cfg)
+	dsts := map[ib.LID]bool{}
+	for _, p := range drain(g, sim.Time(5*sim.Millisecond)) {
+		dsts[p.Dst] = true
+	}
+	if len(dsts) < 600 {
+		t.Fatalf("only %d destinations reached; the bound below would prove nothing", len(dsts))
+	}
+	if len(g.slots) > 2*g.flowCap || len(g.dsts) != len(g.slots) {
+		t.Fatalf("%d slots (%d keys) for flowCap %d after %d destinations", len(g.slots), len(g.dsts), g.flowCap, len(dsts))
+	}
+}
+
+// TestSlotsNewGeneratorAllocatesByFlowCap: building a node costs the same
+// few small objects on 16 nodes and on 648.
+func TestSlotsNewGeneratorAllocatesByFlowCap(t *testing.T) {
+	build := func(n int) (allocs float64, bytes uint64) {
+		cfg := baseCfg(50)
+		cfg.NumNodes = n
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs = testing.AllocsPerRun(100, func() { mustGen(t, cfg) })
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / 101
+	}
+	smallAllocs, smallBytes := build(16)
+	bigAllocs, bigBytes := build(648)
+	if bigAllocs != smallAllocs || bigBytes > smallBytes+64 {
+		t.Fatalf("NewGenerator: %v allocs / %d B on 648 nodes, %v / %d B on 16", bigAllocs, bigBytes, smallAllocs, smallBytes)
+	}
+	if g := mustGen(t, baseCfg(50)); bigBytes > uint64(64*g.flowCap+512) {
+		t.Fatalf("NewGenerator allocates %d B for flowCap %d", bigBytes, g.flowCap)
 	}
 }
