@@ -84,7 +84,8 @@ tournament:
 # the obs-layer digest-stability guards, then end to end: a short sweep
 # with the live dashboard on an ephemeral port, /metrics.json probed
 # mid-sweep and after it, the unified run report written and finally
-# validated + rendered back with cctinspect. Last, the single-run trace:
+# validated + rendered back with cctinspect (and held to carrying no
+# retry count: every simulation runs once). Last, the single-run trace:
 # ibccsim with the sampler's CSV and cadence checkpoints on must execute
 # exactly the bare run's events and leave a header plus >= 10 rows.
 telemetry:
@@ -95,6 +96,7 @@ telemetry:
 		-intensities 0,0.6 -seeds 1 -serve 127.0.0.1:0 -serve-probe \
 		-report /tmp/ibcc-telemetry-report.json
 	$(GO) run ./cmd/cctinspect -report /tmp/ibcc-telemetry-report.json
+	! grep -q '"retries"' /tmp/ibcc-telemetry-report.json
 	rm -rf /tmp/ibcc-trace-ck
 	$(GO) run ./cmd/ibccsim -radix 8 -trace /tmp/ibcc-trace.csv -ckpt-every 1ms -ckpt-dir /tmp/ibcc-trace-ck \
 		| grep -o 'engine   : [0-9]* events' > /tmp/ibcc-trace-on.txt
@@ -103,17 +105,18 @@ telemetry:
 	head -1 /tmp/ibcc-trace.csv | grep -q '^time_s,' && [ "$$(wc -l < /tmp/ibcc-trace.csv)" -ge 11 ]
 
 # Crash-safety smoke: the checkpoint format + differential restore
-# suites (byte-identical continuation), the executor's retry / watchdog
-# / quarantine / manifest suite (including the always-panicking job that
-# must end up quarantined while the sweep completes), then the CLI story
-# end to end via scripts/resilience_smoke.sh: SIGKILL an in-flight
+# suites (byte-identical continuation), the artifact store's CRC /
+# corrupt-artifact quarantine / manifest suite (including the sweep
+# cancelled mid-way that must leave a resumable manifest), then the CLI
+# story end to end via scripts/resilience_smoke.sh: SIGKILL an in-flight
 # checkpointing run and a sweep, resume both, require identical output
-# and an identical artifact set. Last, ten seconds of fuzzing the traffic
+# and an identical artifact set; re-run a -degradation sweep entirely
+# from its artifacts. Last, ten seconds of fuzzing the traffic
 # generator's snapshot decoder from its seed corpus of hostile blobs.
 resilience:
 	$(GO) test -count=1 ./internal/ckpt ./internal/fault -run 'Decode|Encode|SaveAtomic|Validate|Keeper|Latest|Cadence|InjectorState'
 	$(GO) test -count=1 ./internal/core -run 'Checkpoint'
-	$(GO) test -count=1 ./internal/exp -run 'Retries|Retry|Timeout|Quarantine|Corrupt|CRC|Manifest'
+	$(GO) test -count=1 ./internal/exp -run 'Quarantine|Corrupt|CRC|Manifest'
 	sh scripts/resilience_smoke.sh
 	$(GO) test -run FuzzGeneratorRestore -fuzz=FuzzGeneratorRestore -fuzztime=10s ./internal/traffic
 

@@ -244,7 +244,7 @@ func main() {
 	}
 
 	if store != nil {
-		if err := store.Save(ibcc.Job{Name: s.Name, Scenario: s}, res, elapsed); err != nil {
+		if err := store.Save(s, res, elapsed); err != nil {
 			log.Print(err)
 		} else if !*quiet {
 			fmt.Printf("artifact : %s/%s.json\n", store.Dir(), ibcc.ScenarioFingerprint(s)[:16])
@@ -379,17 +379,12 @@ func runSeeds(s ibcc.Scenario, n, jobs int, store *ibcc.ArtifactStore, quiet, ch
 	for i := range seeds {
 		seeds[i] = s.Seed + uint64(i)
 	}
-	opts := ibcc.RunOpts{Workers: jobs, Check: check}
+	opts := ibcc.SweepOpts(ibcc.RunOpts{Check: check}, jobs, n, store, nil)
 	if jobs <= 0 {
-		opts.Workers = ibcc.WorkersAll
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	if jobs > n {
 		jobs = n
-	}
-	if store != nil {
-		opts.Lookup = store.Lookup
-		opts.OnResult = store.SaveResult(func(err error) { log.Print(err) })
 	}
 	start := time.Now()
 	m, err := ibcc.RunSeedsOpts(s, seeds, opts)

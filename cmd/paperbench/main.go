@@ -33,7 +33,10 @@
 // figures are bit-identical to a serial (-jobs 1) run. With -out, every
 // simulation's result is persisted as a JSON artifact keyed by scenario
 // fingerprint, and a re-run loads matching artifacts instead of
-// simulating again.
+// simulating again. -jobs, -out, -resume-from, -progress, -check and
+// -report apply alike to the experiments, -degradation and -tournament
+// (whose tree-scored runs are persisted but always simulated: an
+// artifact carries no event stream to rebuild congestion trees from).
 //
 // At reduced radix the hotspot lifetimes of figures 9–10 are scaled by
 // (radix/36)^2 so the ratio of lifetime to congestion-tree timescale is
@@ -46,69 +49,17 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/pprof"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	ibcc "repro"
 	"repro/internal/cliflag"
 )
-
-// tally accumulates one experiment's execution counters via the
-// harness's OnResult hook.
-type tally struct {
-	sims   int
-	events uint64
-	cached int
-}
-
-// drainRecorder accumulates every completed simulation of the run so a
-// graceful SIGINT/SIGTERM drain can flush a resumable manifest next to
-// the artifacts.
-type drainRecorder struct {
-	mu      sync.Mutex
-	jobs    []ibcc.Job
-	results []ibcc.JobResult
-	total   int
-}
-
-func (d *drainRecorder) addTotal(n int) {
-	d.mu.Lock()
-	d.total += n
-	d.mu.Unlock()
-}
-
-func (d *drainRecorder) observe(s ibcc.Scenario, r *ibcc.Result, cached bool) {
-	d.mu.Lock()
-	d.jobs = append(d.jobs, ibcc.Job{Name: s.Name, Scenario: s})
-	d.results = append(d.results, ibcc.JobResult{Result: r, Cached: cached})
-	d.mu.Unlock()
-}
-
-// manifest writes the drain manifest into the store (nil-store no-op).
-// The sweep drivers don't expose their full job lists, so the pending
-// count is derived from the declared totals rather than enumerated.
-func (d *drainRecorder) manifest(st *ibcc.ArtifactStore) {
-	if st == nil {
-		return
-	}
-	d.mu.Lock()
-	m := ibcc.BuildSweepManifest(d.jobs, d.results, true)
-	m.Total = d.total
-	m.NumPending = d.total - m.NumDone
-	d.mu.Unlock()
-	if path, err := st.SaveManifest(m); err != nil {
-		log.Print(err)
-	} else {
-		log.Printf("drain: manifest -> %s (%d done, ~%d pending)", path, m.NumDone, m.NumPending)
-	}
-}
 
 func main() {
 	log.SetFlags(0)
@@ -166,9 +117,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	stopCPU := startCPUProfile(*cpuProf)
+	stopCPU := cliflag.StartCPUProfile(*cpuProf)
 	defer stopCPU()
-	defer writeMemProfile(*memProf)
+	defer cliflag.WriteMemProfile(*memProf)
 
 	if *benchK != "" {
 		if err := runBenchKernel(*benchK, int64(*benchN), *benchB); err != nil {
@@ -205,11 +156,6 @@ func main() {
 		return
 	}
 
-	workers := *jobs
-	if workers <= 0 {
-		workers = ibcc.WorkersAll
-	}
-
 	// SIGINT/SIGTERM cancel the sweep context: dispatch stops, in-flight
 	// simulations finish, and the fatal path below drains gracefully.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -221,31 +167,6 @@ func main() {
 	}
 	defer tel.close()
 
-	// fatal exits on a sweep error; an interrupt additionally flushes
-	// the final telemetry snapshot into the report and shuts the
-	// dashboard down before exiting non-zero.
-	fatal := func(err error) {
-		if errors.Is(err, context.Canceled) {
-			tel.drain(base.Name, *radix, *seeds)
-			log.Fatal("interrupted — completed results are saved; re-run with -resume-from to continue")
-		}
-		log.Fatal(err)
-	}
-
-	if *degrade != "" {
-		if err := runDegradation(ctx, base, *degrade, *intens, *seeds, workers, *checkInv, tel); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *tourn != "" {
-		if err := runTournament(ctx, base, *tourn, *intens, *seeds, workers, *checkInv, ccNames, tel); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	if *resume != "" {
 		switch {
 		case *out == "":
@@ -256,7 +177,6 @@ func main() {
 	}
 	var store *ibcc.ArtifactStore
 	if *out != "" {
-		var err error
 		if store, err = ibcc.NewArtifactStore(*out); err != nil {
 			log.Fatal(err)
 		}
@@ -265,73 +185,101 @@ func main() {
 		if m, ok, err := store.ReadManifest(); err != nil {
 			log.Print(err)
 		} else if ok {
-			log.Printf("resume: manifest of %s — %d done, %d pending, %d failed, %d quarantined",
-				m.WrittenAt, m.NumDone, m.NumPending, m.NumFailed, m.NumQuarant)
+			log.Printf("resume: manifest of %s — %d done, %d pending", m.WrittenAt, m.NumDone, m.NumPending)
 		} else {
 			log.Printf("resume: no manifest in %s; resuming from %d artifacts", *out, store.Len())
 		}
 	}
-	drain := &drainRecorder{}
 
-	// experiment runs one experiment's sweeps through the harness with
-	// shared worker/artifact options, then reports its cost: the
-	// simulated-event total comes from the OnResult hook the drivers
-	// invoke per completed run.
+	// fatal exits on a sweep error; an interrupt additionally flushes a
+	// resumable manifest next to the artifacts and the final telemetry
+	// snapshot into the report, and shuts the dashboard down before
+	// exiting non-zero.
+	fatal := func(err error) {
+		if errors.Is(err, context.Canceled) {
+			if store != nil {
+				if path, err := store.WriteManifest(true); err != nil {
+					log.Print(err)
+				} else {
+					log.Printf("drain: manifest -> %s", path)
+				}
+			}
+			tel.drain(base.Name, *radix, *seeds)
+			log.Fatal("interrupted — completed results are saved; re-run with -resume-from to continue")
+		}
+		log.Fatal(err)
+	}
+
+	// experiment runs one named batch of sweeps — a figure, the
+	// degradation grid, the tournament bracket — with the options every
+	// mode shares, then reports its cost from the progress counters.
 	experiment := func(name string, totalSims int, fn func(o ibcc.RunOpts) error) {
-		tl := &tally{}
-		var prog *ibcc.Progress
-		o := ibcc.RunOpts{Ctx: ctx, Workers: workers, Check: *checkInv}
-		tel.apply(&o)
-		tel.addTotal(totalSims)
-		drain.addTotal(totalSims)
-		if store != nil {
-			o.Lookup = store.Lookup
+		w := io.Discard
+		if *progress || *progJSON {
+			w = os.Stderr
 		}
-		save := func(ibcc.Scenario, *ibcc.Result, bool) {}
-		if store != nil {
-			save = store.SaveResult(func(err error) { log.Print(err) })
+		prog := ibcc.NewProgress(w, totalSims)
+		if *progJSON {
+			prog = ibcc.NewProgressJSONL(w, totalSims)
 		}
-		switch {
-		case *progJSON:
-			prog = ibcc.NewProgressJSONL(os.Stderr, totalSims)
-		case *progress:
-			prog = ibcc.NewProgress(os.Stderr, totalSims)
-		}
+		o := ibcc.SweepOpts(ibcc.RunOpts{Ctx: ctx, Check: *checkInv, Telemetry: tel.hub, Spans: tel.spans},
+			*jobs, totalSims, store, prog)
+		observe := o.OnResult
 		o.OnResult = func(s ibcc.Scenario, r *ibcc.Result, cached bool) {
-			save(s, r, cached)
-			drain.observe(s, r, cached)
-			tl.sims++
-			tl.events += r.Events
-			if cached {
-				tl.cached++
-			}
-			if prog != nil {
-				prog.Observe(r.Events, cached)
-			}
+			observe(s, r, cached)
 			tel.midProbe()
 		}
 		start := time.Now()
 		err := fn(o)
-		if prog != nil {
-			prog.Finish()
-		}
+		prog.Finish()
 		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				drain.manifest(store)
-			}
 			fatal(err)
 		}
 		wall := time.Since(start)
+		sims, cached, events := prog.Counts()
 		line := fmt.Sprintf("experiment %s: %d sims, %d simulated events, %v wall",
-			name, tl.sims, tl.events, wall.Round(time.Millisecond))
-		if secs := wall.Seconds(); secs > 0 && tl.events > 0 {
-			line += fmt.Sprintf(" (%.1fM events/s)", float64(tl.events)/secs/1e6)
+			name, sims, events, wall.Round(time.Millisecond))
+		if secs := wall.Seconds(); secs > 0 && events > 0 {
+			line += fmt.Sprintf(" (%.1fM events/s)", float64(events)/secs/1e6)
 		}
-		if tl.cached > 0 {
-			line += fmt.Sprintf(", %d from artifacts", tl.cached)
+		if cached > 0 {
+			line += fmt.Sprintf(", %d from artifacts", cached)
 		}
 		fmt.Println(line)
 		fmt.Println()
+	}
+	// finish writes the run report (and runs the final -serve-probe).
+	finish := func(kind string, payload []byte) {
+		if err := tel.finish(kind, base.Name, *radix, *seeds, payload); err != nil {
+			log.Fatal(err)
+		}
+	}
+
+	if *degrade != "" || *tourn != "" {
+		ins, err := cliflag.Intensities("-intensities", *intens)
+		if err != nil {
+			log.Fatal(err)
+		}
+		seedList := seedsFrom(base.Seed, *seeds)
+		var payload []byte
+		if *degrade != "" {
+			experiment("degradation", len(ins)*len(seedList)*2, func(o ibcc.RunOpts) (err error) {
+				payload, err = runDegradation(base, *degrade, ins, seedList, o)
+				return err
+			})
+			finish(ibcc.ReportDegradation, payload)
+			return
+		}
+		nBackends := len(ccNames)
+		if nBackends == 0 {
+			nBackends = len(ibcc.CCBackends())
+		}
+		experiment("tournament", len(ibcc.DefaultTournamentCorpus())*len(ins)*len(seedList)*nBackends, func(o ibcc.RunOpts) (err error) {
+			payload, err = runTournament(base, *tourn, ins, seedList, ccNames, o)
+			return err
+		})
+		finish(ibcc.ReportTournament, payload)
+		return
 	}
 
 	var ps []int
@@ -433,34 +381,22 @@ func main() {
 		})
 	}
 
-	if err := tel.finish(ibcc.ReportExperiments, base.Name, *radix, *seeds, nil); err != nil {
-		log.Fatal(err)
-	}
+	finish(ibcc.ReportExperiments, nil)
 	fmt.Printf("paperbench: done in %v\n", time.Since(start).Round(time.Second))
 }
 
 // runDegradation is the graceful-degradation mode: fault plans of
 // increasing intensity are synthesized per (intensity, seed), each one
 // runs with CC off and on, and the receive-rate / recovery curves are
-// printed and written as a JSON artifact. Intensity 0 is the unfaulted
-// baseline (a zero plan is treated as absent), so the curve starts at
-// the healthy operating point.
-func runDegradation(ctx context.Context, base ibcc.Scenario, path, intensities string, seeds, workers int, checked bool, tel *liveTelemetry) error {
-	ins, err := parseIntensities(intensities)
-	if err != nil {
-		return err
-	}
-	seedList := seedsFrom(base.Seed, seeds)
-
-	o := ibcc.RunOpts{Ctx: ctx, Workers: workers, Check: checked}
-	tel.apply(&o)
-	tel.addTotal(len(ins) * len(seedList) * 2)
-	o.OnResult = func(ibcc.Scenario, *ibcc.Result, bool) { tel.midProbe() }
-
+// printed and written as a JSON artifact, which is also returned for
+// the run report. Intensity 0 is the unfaulted baseline (a zero plan is
+// treated as absent), so the curve starts at the healthy operating
+// point.
+func runDegradation(base ibcc.Scenario, path string, ins []float64, seedList []uint64, o ibcc.RunOpts) ([]byte, error) {
 	start := time.Now()
 	pts, err := ibcc.RunDegradationOpts(base, ins, seedList, o)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ibcc.PrintDegradation(os.Stdout, pts)
 
@@ -471,34 +407,22 @@ func runDegradation(ctx context.Context, base ibcc.Scenario, path, intensities s
 		Points   []ibcc.DegradationPoint `json:"points"`
 	}{base.Name, base.Radix, seedList, pts}, "", "  ")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("degradation: %d intensities x %d seeds x 2 CC legs in %v -> %s\n",
-		len(ins), seeds, time.Since(start).Round(time.Millisecond), path)
-	return tel.finish(ibcc.ReportDegradation, base.Name, base.Radix, seeds, data)
+		len(ins), len(seedList), time.Since(start).Round(time.Millisecond), path)
+	return data, nil
 }
 
 // runTournament is the backend-tournament mode: every selected backend
 // runs the scenario corpus across the fault-intensity grid, each cell
 // is scored and ranked, and the table is printed and written as a JSON
-// artifact (render it again later with cctinspect -tournament).
-func runTournament(ctx context.Context, base ibcc.Scenario, path, intensities string, seeds, workers int, checked bool, backends []string, tel *liveTelemetry) error {
-	ins, err := parseIntensities(intensities)
-	if err != nil {
-		return err
-	}
-	seedList := seedsFrom(base.Seed, seeds)
-	nBackends := len(backends)
-	if nBackends == 0 {
-		nBackends = len(ibcc.CCBackends())
-	}
-	o := ibcc.RunOpts{Ctx: ctx, Workers: workers, Check: checked}
-	tel.apply(&o)
-	tel.addTotal(len(ibcc.DefaultTournamentCorpus()) * len(ins) * len(seedList) * nBackends)
-
+// artifact (render it again later with cctinspect -tournament), which
+// is also returned for the run report.
+func runTournament(base ibcc.Scenario, path string, ins []float64, seedList []uint64, backends []string, o ibcc.RunOpts) ([]byte, error) {
 	start := time.Now()
 	tab, err := ibcc.RunTournament(ibcc.TournamentConfig{
 		Base:        base,
@@ -508,21 +432,21 @@ func runTournament(ctx context.Context, base ibcc.Scenario, path, intensities st
 		Opts:        o,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ibcc.PrintTournament(os.Stdout, tab)
 
 	data, err := json.MarshalIndent(tab, "", "  ")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Printf("tournament: %d backends x %d shapes x %d intensities x %d seeds in %v -> %s\n",
 		len(tab.Backends), len(tab.Corpus), len(ins), len(seedList),
 		time.Since(start).Round(time.Millisecond), path)
-	return tel.finish(ibcc.ReportTournament, base.Name, base.Radix, seeds, data)
+	return data, nil
 }
 
 // parseCCNames validates the -cc flag: a comma-separated list of
@@ -542,11 +466,6 @@ func parseCCNames(s string) ([]string, error) {
 		names = append(names, n)
 	}
 	return names, nil
-}
-
-// parseIntensities parses and validates the shared -intensities grid.
-func parseIntensities(s string) ([]float64, error) {
-	return cliflag.Intensities("-intensities", s)
 }
 
 // seedsFrom returns n seeds counting up from base; n is validated
@@ -662,42 +581,6 @@ func flightRecord(s ibcc.Scenario, eventsPath, chromePath string, ctree bool) er
 		}
 	}
 	return nil
-}
-
-// startCPUProfile begins CPU profiling to path (no-op when empty) and
-// returns the stop function to defer.
-func startCPUProfile(path string) func() {
-	if path == "" {
-		return func() {}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		log.Fatal(err)
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
-	}
-}
-
-// writeMemProfile dumps the post-GC heap profile to path (no-op when
-// empty).
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		log.Fatal(err)
-	}
 }
 
 // stderrIsTTY reports whether stderr is a character device, gating the

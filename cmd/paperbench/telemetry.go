@@ -16,8 +16,9 @@ import (
 // liveTelemetry bundles the optional observability surface of a
 // paperbench invocation: the in-sim telemetry hub, the orchestration
 // span tracker, the live HTTP dashboard and the end-of-run report.
-// The zero struct (no -serve / -report) is a no-op everywhere, so the
-// call sites wire it unconditionally.
+// The zero struct (no -serve / -report) is a no-op everywhere — hub and
+// spans are nil-safe in RunOpts — so the call sites wire it
+// unconditionally.
 type liveTelemetry struct {
 	hub    *ibcc.TelemetryHub
 	spans  *ibcc.SpanTracker
@@ -26,8 +27,7 @@ type liveTelemetry struct {
 	probe  bool
 	report string
 
-	mu        sync.Mutex
-	total     int
+	mu        sync.Mutex // guards probeErr
 	probeOnce sync.Once
 	probeErr  error
 }
@@ -55,26 +55,6 @@ func newLiveTelemetry(serveAddr string, probe bool, report string) (*liveTelemet
 		log.Printf("telemetry: live dashboard on http://%s/", addr)
 	}
 	return t, nil
-}
-
-// apply wires the hub and tracker into sweep options (nil-safe fields,
-// so this is unconditional).
-func (t *liveTelemetry) apply(o *ibcc.RunOpts) {
-	o.Telemetry = t.hub
-	o.Spans = t.spans
-}
-
-// addTotal grows the declared job total (experiments run several sweeps
-// against one tracker).
-func (t *liveTelemetry) addTotal(n int) {
-	if t.spans == nil {
-		return
-	}
-	t.mu.Lock()
-	t.total += n
-	total := t.total
-	t.mu.Unlock()
-	t.spans.SetTotal(total)
 }
 
 // midProbe fetches /metrics.json once, mid-sweep, from an OnResult

@@ -21,8 +21,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"repro/internal/cliflag"
@@ -61,22 +59,18 @@ func main() {
 		}
 	}
 
-	stopCPU := startCPUProfile(*cpuProf)
+	stopCPU := cliflag.StartCPUProfile(*cpuProf)
 	defer stopCPU()
-	defer writeMemProfile(*memProf)
+	defer cliflag.WriteMemProfile(*memProf)
 
-	opts := core.Opts{Workers: *jobs}
-	if *jobs <= 0 {
-		opts.Workers = core.WorkersAll
-	}
+	var store *exp.Store
 	if *out != "" {
-		store, err := exp.NewStore(*out)
-		if err != nil {
+		var err error
+		if store, err = exp.NewStore(*out); err != nil {
 			log.Fatal(err)
 		}
-		opts.Lookup = store.Lookup
-		opts.OnResult = store.SaveResult(func(err error) { log.Print(err) })
 	}
+	opts := exp.SweepOpts(core.Opts{}, *jobs, 0, store, nil)
 
 	base := core.Default(*radix)
 	base.Seed = *seed
@@ -122,40 +116,4 @@ func main() {
 		log.Fatalf("unknown scan %q", *scan)
 	}
 	fmt.Printf("paramscan: done in %v\n", time.Since(start).Round(time.Second))
-}
-
-// startCPUProfile begins CPU profiling to path (no-op when empty) and
-// returns the stop function to defer.
-func startCPUProfile(path string) func() {
-	if path == "" {
-		return func() {}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		log.Fatal(err)
-	}
-	return func() {
-		pprof.StopCPUProfile()
-		f.Close()
-	}
-}
-
-// writeMemProfile dumps the post-GC heap profile to path (no-op when
-// empty).
-func writeMemProfile(path string) {
-	if path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		log.Fatal(err)
-	}
 }

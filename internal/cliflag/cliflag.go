@@ -1,12 +1,17 @@
-// Package cliflag holds the numeric flag validation shared by the
-// command-line tools: count-like flags reject zero/negative values with
-// a one-line error (and a non-zero exit at the caller) instead of
-// hanging a worker pool or panicking deep inside a sweep.
+// Package cliflag holds what the command-line tools share around their
+// flags: numeric validation — count-like flags reject zero/negative
+// values with a one-line error (and a non-zero exit at the caller)
+// instead of hanging a worker pool or panicking deep inside a sweep —
+// and the -cpuprofile / -memprofile writers.
 package cliflag
 
 import (
 	"fmt"
+	"log"
 	"math"
+	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -67,4 +72,41 @@ func Intensities(name, s string) ([]float64, error) {
 		return nil, fmt.Errorf("%s: empty intensity list", name)
 	}
 	return ins, nil
+}
+
+// StartCPUProfile begins CPU profiling to path (no-op when empty) and
+// returns the stop function to defer. Failures are fatal: a profiling
+// run without its profile is not worth finishing.
+func StartCPUProfile(path string) func() {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		log.Fatal(err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		f.Close()
+	}
+}
+
+// WriteMemProfile dumps the post-GC heap profile to path (no-op when
+// empty).
+func WriteMemProfile(path string) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer f.Close()
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"repro/internal/check"
@@ -93,6 +94,15 @@ func runTreedBatch(o Opts, scenarios []Scenario, tree bool) ([]*TreedResult, err
 	return par.MapWorker(o.Ctx, o.workers(), len(scenarios), func(worker, i int) (*TreedResult, error) {
 		s := scenarios[i]
 		span := o.Spans.Begin(s.Name, worker)
+		// The pool turns a panic into a *par.PanicError above this
+		// frame; close the span on the way there or the dashboard shows
+		// the run active forever.
+		defer func() {
+			if v := recover(); v != nil {
+				o.Spans.End(span, 0, false, fmt.Sprint("panic: ", v))
+				panic(v)
+			}
+		}()
 		var tr *TreedResult
 		cached := false
 		if o.Lookup != nil {

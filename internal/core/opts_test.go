@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // TestRunSeedsParallelDeterminism is the determinism guarantee of the
@@ -79,6 +81,33 @@ func TestSweepCancellation(t *testing.T) {
 	}
 	if ran != 0 {
 		t.Fatalf("%d runs executed under a cancelled context", ran)
+	}
+}
+
+// TestPanickingRunClosesItsSpan: the pool recovers a panicking run above
+// the funnel, so the funnel itself must close the run's span on the way
+// out — it used to stay in the tracker's active set forever, a job the
+// dashboard showed running long after the sweep had failed. The panic
+// comes from the lookup hook, the first thing a run does inside its span.
+func TestPanickingRunClosesItsSpan(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		tr := telemetry.NewTracker()
+		_, err := RunSeedsOpts(quick(6), []uint64{1}, Opts{
+			Workers: workers,
+			Spans:   tr,
+			Lookup:  func(Scenario) (*Result, bool) { panic("poisoned scenario") },
+		})
+		var pe *par.PanicError
+		if !errors.As(err, &pe) || pe.Value != "poisoned scenario" {
+			t.Fatalf("workers=%d: err = %v, want the run's *par.PanicError", workers, err)
+		}
+		st := tr.Stats()
+		if st.Active != 0 || st.Failed != 1 || st.Done != 0 {
+			t.Fatalf("workers=%d: active=%d failed=%d done=%d, want 0/1/0", workers, st.Active, st.Failed, st.Done)
+		}
+		if len(st.Recent) != 1 || !strings.Contains(st.Recent[0].Err, "poisoned scenario") {
+			t.Fatalf("workers=%d: span closed without the panic text: %+v", workers, st.Recent)
+		}
 	}
 }
 

@@ -273,7 +273,7 @@ func TestTelemetryWithCheckedTreedBatch(t *testing.T) {
 	s := quick(8)
 	hub := telemetry.NewHub(0)
 	tr := telemetry.NewTracker()
-	tr.SetTotal(2)
+	tr.AddTotal(2)
 	s2 := s
 	s2.Seed = 7
 	res, err := RunTreedBatch(Opts{Check: true, Telemetry: hub, Spans: tr}, []Scenario{s, s2})

@@ -1,307 +1,44 @@
-// Package exp is the experiment-orchestration subsystem: it fans
-// independent simulations out across a worker pool, recovers per-job
-// panics into structured errors, reports progress, and persists every
-// result as a JSON artifact keyed by a scenario fingerprint so sweeps
-// are resumable.
-//
-// The package sits above internal/core (jobs carry a core.Scenario and
-// produce a core.Result) and shares the ordered pool primitive of
-// internal/par with core's own sweep drivers. Use it directly for
-// ad-hoc job batches:
-//
-//	jobs := []exp.Job{{Name: "cc-on", Scenario: s1}, {Name: "cc-off", Scenario: s2}}
-//	r := &exp.Runner{Workers: 8, Reporter: exp.NewProgress(os.Stderr, len(jobs))}
-//	results, err := r.Run(ctx, jobs)
-//
-// or wire its Store and Progress into a core sweep via core.Opts
-// (Lookup/OnResult) — cmd/paperbench does both.
+// Package exp is what a sweep leaves on disk and shows on the terminal:
+// the artifact Store (one crash-safe, checksummed JSON document per
+// simulated scenario, keyed by Fingerprint, plus the resumable
+// manifest), the Progress line, and SweepOpts, which plugs both into
+// the one sweep executor — internal/core's funnel (core.Opts). The
+// package executes nothing itself and starts no goroutine: panics
+// become *par.PanicError in the pool, a failed run aborts the sweep with
+// its error, and what finished before that is already in the store.
 package exp
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"runtime/debug"
-	"sync"
-	"time"
+	"log"
 
 	"repro/internal/core"
-	"repro/internal/par"
-	"repro/internal/telemetry"
 )
 
-// Job is one named, taggable simulation to run.
-type Job struct {
-	// Name labels the job in progress output and artifacts; it
-	// defaults to the scenario name.
-	Name string
-	// Scenario is the simulation to run.
-	Scenario core.Scenario
-	// Tags carry free-form experiment metadata (figure id, sweep
-	// coordinates, ...) into the artifact.
-	Tags map[string]string
-}
-
-// JobResult is the outcome of one job, in submission order.
-type JobResult struct {
-	// Job echoes the submitted job.
-	Job Job
-	// Result is the simulation outcome; nil when Err is set.
-	Result *core.Result
-	// Err is the job's failure: a scenario/build error, a
-	// *par.PanicError when the simulation crashed, or a *TimeoutError
-	// when it outran the watchdog. One job's error never aborts the
-	// rest of the batch.
-	Err error
-	// Elapsed is the job's wall-clock time (zero for cache hits,
-	// cumulative over retries).
-	Elapsed time.Duration
-	// Cached reports that the result was loaded from the artifact
-	// store instead of being simulated.
-	Cached bool
-	// Attempts is how many times the job ran (0 for cache hits).
-	Attempts int
-	// Quarantined reports that the job exhausted its retries and a
-	// quarantine report was filed; the sweep completed without it.
-	Quarantined bool
-}
-
-// TimeoutError is the failure of a job whose single attempt outran the
-// runner's per-job watchdog. The abandoned attempt's goroutine is left
-// to finish in the background (a deterministic simulation cannot be
-// preempted mid-event); its eventual result is discarded.
-type TimeoutError struct {
-	// Name labels the job; Limit is the watchdog deadline it missed.
-	Name  string
-	Limit time.Duration
-}
-
-func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("exp: job %q exceeded the %v watchdog", e.Name, e.Limit)
-}
-
-// Runner executes job batches on a worker pool. The zero value runs
-// with one worker per CPU, no progress output and no artifacts.
-type Runner struct {
-	// Workers is the pool size; <= 0 means one worker per CPU
-	// (runtime.GOMAXPROCS), 1 runs serially.
-	Workers int
-	// Reporter, when non-nil, observes job completions; calls are
-	// serialized.
-	Reporter Reporter
-	// Store, when non-nil, is consulted before each job (a hit skips
-	// the simulation) and receives every fresh result afterwards.
-	Store *Store
-	// Spans, when non-nil, records an orchestration span per job
-	// (worker id, wall time, event count, cache flag, error) for the
-	// live sweep dashboard; Run also declares the batch total on it.
-	Spans *telemetry.Tracker
-
-	// Timeout, when positive, is the per-job wall-clock watchdog: an
-	// attempt still running after this long is abandoned and counted as
-	// failed (then retried like a panic).
-	Timeout time.Duration
-	// Retries is how many times a crashed or timed-out attempt is
-	// re-run before the job is quarantined. Deterministic simulations
-	// make the re-run exact — same fingerprint, same trajectory — so a
-	// retry only helps against host-level trouble (OOM kill pressure,
-	// watchdog near-misses), which is precisely the robustness target.
-	// Build/validation errors are never retried: they are properties of
-	// the scenario, not the host.
-	Retries int
-	// Backoff is the sleep before the first retry, doubling per
-	// subsequent retry (0 retries immediately).
-	Backoff time.Duration
-
-	// mu serializes Reporter calls from the pool goroutines.
-	mu sync.Mutex
-	// runFn substitutes core.Run in tests.
-	runFn func(core.Scenario) (*core.Result, error)
-	// sleepFn substitutes the backoff sleep in tests.
-	sleepFn func(time.Duration)
-}
-
-// Run executes the jobs and returns their results in submission order.
-//
-// Per-job failures — including panics inside a simulation, which are
-// recovered and converted to *par.PanicError — are reported in the
-// corresponding JobResult.Err and do not stop the batch. The returned
-// error is reserved for orchestration-level failures: a cancelled
-// context (ctx.Err()) or a nil runner invariant. Results slots are
-// populated for every job that ran; jobs skipped by cancellation keep
-// a zero JobResult with Err set to the context error.
-func (r *Runner) Run(ctx context.Context, jobs []Job) ([]JobResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// SweepOpts completes o the way every CLI sweep runs. The caller sets
+// the plain fields (Ctx, Check, Telemetry, Spans); SweepOpts turns the
+// -jobs value into the pool size (0 = one worker per CPU), declares the
+// sweep's total simulations (0 = unknown) to the span tracker and the
+// store's manifest, and attaches the -out store st and the progress
+// line p — either may be nil. Every completed run is counted by p;
+// fresh ones are persisted, with a failed save logged rather than
+// aborting the sweep, and a corrupt artifact found on lookup is counted
+// by o.Spans as well as quarantined.
+func SweepOpts(o core.Opts, jobs, total int, st *Store, p *Progress) core.Opts {
+	o.Workers = jobs
+	if jobs <= 0 {
+		o.Workers = core.WorkersAll
 	}
-	total := len(jobs)
-	if r.Reporter != nil {
-		r.Reporter.Start(total)
-		defer r.Reporter.Finish()
+	o.Spans.AddTotal(total)
+	save := func(core.Scenario, *core.Result, bool) {}
+	if st != nil {
+		st.Expect(total)
+		st.OnCorrupt(o.Spans.CorruptArtifact)
+		o.Lookup = st.Lookup
+		save = st.SaveResult(func(err error) { log.Print(err) })
 	}
-	r.Spans.SetTotal(total)
-	results, err := par.MapWorker(ctx, r.Workers, total, func(worker, i int) (JobResult, error) {
-		return r.runJob(jobs[i], worker), nil
-	})
-	if err != nil {
-		// Only cancellation can surface here (runJob never returns an
-		// error); mark the unrun slots so callers can tell them apart.
-		for i := range results {
-			if results[i].Result == nil && results[i].Err == nil {
-				results[i] = JobResult{Job: jobs[i], Err: err}
-			}
-		}
-		// Graceful drain: leave a resumable record of what finished and
-		// what didn't. Best-effort — the cancellation itself is the
-		// batch's outcome.
-		if r.Store != nil {
-			_, _ = r.Store.WriteManifest(jobs, results, true)
-		}
-		return results, err
+	o.OnResult = func(s core.Scenario, r *core.Result, cached bool) {
+		save(s, r, cached)
+		p.Observe(r.Events, cached)
 	}
-	return results, nil
-}
-
-// runJob executes one job with cache lookup, panic/timeout recovery,
-// bounded deterministic retry, quarantine and artifact persistence;
-// worker is the pool index running it.
-func (r *Runner) runJob(job Job, worker int) JobResult {
-	if job.Name == "" {
-		job.Name = job.Scenario.Name
-	}
-	res := JobResult{Job: job}
-	span := r.Spans.Begin(job.Name, worker)
-	if r.Store != nil {
-		if cached, ok := r.Store.Load(job.Scenario); ok {
-			res.Result, res.Cached = cached, true
-			r.Spans.End(span, cached.Events, true, "")
-			r.report(res)
-			return res
-		}
-	}
-
-	attempts := 1 + r.Retries
-	if attempts < 1 {
-		attempts = 1
-	}
-	for {
-		start := time.Now()
-		res.Result, res.Err = r.attempt(job)
-		res.Elapsed += time.Since(start)
-		res.Attempts++
-		if res.Err == nil || !retryable(res.Err) || res.Attempts >= attempts {
-			break
-		}
-		// Close the failed attempt's span — the tracker's re-Begin of
-		// the same name is what counts it as a retry — back off, and go
-		// again.
-		r.Spans.End(span, 0, false, res.Err.Error())
-		if r.Backoff > 0 {
-			sleep := r.sleepFn
-			if sleep == nil {
-				sleep = time.Sleep
-			}
-			sleep(r.Backoff << (res.Attempts - 1))
-		}
-		span = r.Spans.Begin(job.Name, worker)
-	}
-
-	if res.Err != nil {
-		exhausted := retryable(res.Err)
-		res.Err = fmt.Errorf("exp: job %q: %w", job.Name, res.Err)
-		if exhausted {
-			// The job crashed or hung on every attempt: file it in
-			// quarantine so the sweep completes around the gap and the
-			// failure stays reproducible.
-			res.Quarantined = true
-			r.Spans.Quarantined(job.Name)
-			if r.Store != nil {
-				if _, qerr := r.Store.QuarantineJob(job, res.Err, res.Attempts); qerr != nil {
-					res.Err = fmt.Errorf("%w (and quarantine report failed: %v)", res.Err, qerr)
-				}
-			}
-		}
-	} else if r.Store != nil {
-		if err := r.Store.Save(job, res.Result, res.Elapsed); err != nil {
-			res.Err = fmt.Errorf("exp: job %q: artifact: %w", job.Name, err)
-		}
-	}
-	var events uint64
-	if res.Result != nil {
-		events = res.Result.Events
-	}
-	errText := ""
-	if res.Err != nil {
-		errText = res.Err.Error()
-	}
-	r.Spans.End(span, events, false, errText)
-	r.report(res)
-	return res
-}
-
-// attempt runs the simulation once, converting a panic into a
-// *par.PanicError and enforcing the watchdog when one is configured.
-func (r *Runner) attempt(job Job) (*core.Result, error) {
-	run := r.runFn
-	if run == nil {
-		run = core.Run
-	}
-	if r.Timeout <= 0 {
-		return protectRun(run, job.Scenario)
-	}
-	type outcome struct {
-		res *core.Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := protectRun(run, job.Scenario)
-		done <- outcome{res, err}
-	}()
-	timer := time.NewTimer(r.Timeout)
-	defer timer.Stop()
-	select {
-	case o := <-done:
-		return o.res, o.err
-	case <-timer.C:
-		return nil, &TimeoutError{Name: job.Name, Limit: r.Timeout}
-	}
-}
-
-// protectRun runs one simulation with panic recovery.
-func protectRun(run func(core.Scenario) (*core.Result, error), s core.Scenario) (res *core.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &par.PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	return run(s)
-}
-
-// retryable reports whether an attempt's failure is worth re-running:
-// crashes and watchdog timeouts are (host-level trouble can be
-// transient), deterministic scenario/build errors are not.
-func retryable(err error) bool {
-	var pe *par.PanicError
-	var te *TimeoutError
-	return errors.As(err, &pe) || errors.As(err, &te)
-}
-
-func (r *Runner) report(res JobResult) {
-	if r.Reporter != nil {
-		r.mu.Lock()
-		r.Reporter.Done(res)
-		r.mu.Unlock()
-	}
-}
-
-// Errs collects the per-job errors of a batch, in submission order.
-func Errs(results []JobResult) []error {
-	var out []error
-	for _, r := range results {
-		if r.Err != nil {
-			out = append(out, r.Err)
-		}
-	}
-	return out
+	return o
 }

@@ -12,106 +12,54 @@ import (
 // directory. Store.Len ignores it.
 const ManifestName = "MANIFEST.json"
 
-// ManifestJob is one job's standing in a manifest.
+// ManifestJob is one completed run in a manifest.
 type ManifestJob struct {
-	// Name labels the job; Fingerprint keys its artifact.
+	// Name is the scenario's name; Fingerprint keys its artifact.
 	Name        string `json:"name"`
 	Fingerprint string `json:"fingerprint"`
-	// Artifact is the artifact filename relative to the store directory,
-	// present only for completed jobs.
-	Artifact string `json:"artifact,omitempty"`
-	// Cached marks a completed job that was served from the store.
+	// Artifact is the artifact filename relative to the store directory.
+	Artifact string `json:"artifact"`
+	// Cached marks a run that was served from the store.
 	Cached bool `json:"cached,omitempty"`
-	// Error is the final failure text for failed and quarantined jobs.
-	Error string `json:"error,omitempty"`
-	// Attempts is how many times the job ran.
-	Attempts int `json:"attempts,omitempty"`
 }
 
-// Manifest is the resumable record of an interrupted or finished sweep:
-// which jobs completed (and where their artifacts are), which failed,
-// which were quarantined, and which never ran. A sweep relaunched over
-// the same store skips the Done set via the artifact cache, so the
-// manifest's Pending list is exactly the remaining work.
+// Manifest is the resumable record of a sweep as its store saw it: the
+// runs that completed — saved fresh or served from an artifact — out of
+// the declared total. A sweep relaunched over the same store skips the
+// Done set via the artifact lookup, so NumPending is the remaining work.
+// The sweep drivers do not enumerate their scenarios up front, so
+// pending runs are counted, not listed.
 type Manifest struct {
 	// WrittenAt is the manifest's creation time (RFC 3339).
 	WrittenAt string `json:"written_at"`
 	// Interrupted marks a manifest flushed by a signal-triggered drain
 	// rather than a completed sweep.
 	Interrupted bool `json:"interrupted,omitempty"`
-	// Totals.
+	// Total is the declared sweep size (Store.Expect), or the number of
+	// completions when that is larger.
 	Total      int `json:"total"`
 	NumDone    int `json:"num_done"`
 	NumPending int `json:"num_pending"`
-	NumFailed  int `json:"num_failed"`
-	NumQuarant int `json:"num_quarantined"`
-	// Job lists, each in submission order.
-	Done        []ManifestJob `json:"done,omitempty"`
-	Pending     []ManifestJob `json:"pending,omitempty"`
-	Failed      []ManifestJob `json:"failed,omitempty"`
-	Quarantined []ManifestJob `json:"quarantined,omitempty"`
+	// Done lists the completed runs in completion order.
+	Done []ManifestJob `json:"done,omitempty"`
 }
 
-// BuildManifest classifies a batch's results. Jobs whose result slot is
-// still zero (skipped by a cancelled context, or the batch never reached
-// them) land in Pending; quarantined jobs are listed separately from
-// other failures because re-running them is known to be futile without a
-// fix. jobs and results are parallel slices as produced by Runner.Run;
-// results may be shorter or hold zero slots.
-func BuildManifest(jobs []Job, results []JobResult, interrupted bool) *Manifest {
-	m := &Manifest{
+// WriteManifest persists the manifest of what this store has observed
+// crash-safely into the store directory and returns its path. Call it
+// from a graceful drain (after a sweep returns a context error) so the
+// partial sweep is resumable, or after a completed sweep as a summary.
+func (st *Store) WriteManifest(interrupted bool) (string, error) {
+	st.mu.Lock()
+	m := Manifest{
 		WrittenAt:   time.Now().UTC().Format(time.RFC3339),
 		Interrupted: interrupted,
-		Total:       len(jobs),
+		Total:       max(st.total, len(st.done)),
+		NumDone:     len(st.done),
+		Done:        st.done,
 	}
-	for i, job := range jobs {
-		name := job.Name
-		if name == "" {
-			name = job.Scenario.Name
-		}
-		fp := Fingerprint(job.Scenario)
-		mj := ManifestJob{Name: name, Fingerprint: fp}
-		var res JobResult
-		if i < len(results) {
-			res = results[i]
-		}
-		switch {
-		case res.Result != nil && res.Err == nil:
-			mj.Artifact = fp[:16] + ".json"
-			mj.Cached = res.Cached
-			mj.Attempts = res.Attempts
-			m.Done = append(m.Done, mj)
-		case res.Err != nil && res.Quarantined:
-			mj.Error = res.Err.Error()
-			mj.Attempts = res.Attempts
-			m.Quarantined = append(m.Quarantined, mj)
-		case res.Err != nil && res.Attempts > 0:
-			mj.Error = res.Err.Error()
-			mj.Attempts = res.Attempts
-			m.Failed = append(m.Failed, mj)
-		default:
-			// Never ran: no attempts and no result (covers cancellation
-			// errors stamped onto unrun slots).
-			m.Pending = append(m.Pending, mj)
-		}
-	}
-	m.NumDone, m.NumPending = len(m.Done), len(m.Pending)
-	m.NumFailed, m.NumQuarant = len(m.Failed), len(m.Quarantined)
-	return m
-}
-
-// WriteManifest builds the manifest for a batch and persists it
-// crash-safely into the store directory, returning its path. Call it
-// from a graceful drain (after Run returns with a context error) so the
-// partial sweep is resumable, or after a completed sweep as a summary.
-func (st *Store) WriteManifest(jobs []Job, results []JobResult, interrupted bool) (string, error) {
-	return st.SaveManifest(BuildManifest(jobs, results, interrupted))
-}
-
-// SaveManifest persists an already-built manifest crash-safely into the
-// store directory, returning its path.
-func (st *Store) SaveManifest(m *Manifest) (string, error) {
-	b, err := json.MarshalIndent(m, "", "  ")
+	m.NumPending = m.Total - m.NumDone
+	b, err := json.MarshalIndent(&m, "", "  ")
+	st.mu.Unlock()
 	if err != nil {
 		return "", fmt.Errorf("exp: manifest: %w", err)
 	}

@@ -6,38 +6,23 @@ import (
 	"io"
 	"sync"
 	"time"
-
-	"repro/internal/core"
 )
-
-// Reporter observes a batch's lifecycle. Implementations need not be
-// concurrency-safe when driven by a Runner (which serializes calls);
-// Progress additionally locks internally so it can also be fed from
-// core.Opts.OnResult hooks.
-type Reporter interface {
-	// Start announces the batch size (0 when unknown).
-	Start(total int)
-	// Done reports one completed job.
-	Done(res JobResult)
-	// Finish flushes any pending output.
-	Finish()
-}
 
 // Progress is a line-oriented progress reporter: after every job it
 // rewrites one status line ("done/total, events/sec, ETA") on its
-// writer, typically stderr. It tolerates an unknown total (no ETA) and
-// can be driven either as a Runner's Reporter or manually via Observe
-// from a core sweep's OnResult hook. The events/sec figure says how busy
-// the host is, not how fast the sweep is: it counts executed events, and
-// the fabric schedules serializer-done and credit events only on demand,
-// so a faster build can show a lower rate — compare sweeps by wall time
-// or ns/packet.
+// writer, typically stderr, and keeps the counts a sweep reports when
+// it ends. It tolerates an unknown total (no ETA) and is fed by Observe
+// from a core sweep's OnResult hook (SweepOpts wires it); Observe and
+// Finish are no-ops on a nil *Progress. The events/sec figure says how
+// busy the host is, not how fast the sweep is: it counts executed
+// events, and the fabric schedules serializer-done and credit events
+// only on demand, so a faster build can show a lower rate — compare
+// sweeps by wall time or ns/packet.
 type Progress struct {
 	mu     sync.Mutex
 	w      io.Writer
 	total  int
 	done   int
-	failed int
 	cached int
 	events uint64
 	start  time.Time
@@ -62,7 +47,6 @@ func NewProgressJSONL(w io.Writer, total int) *Progress {
 type progressLine struct {
 	Done      int     `json:"done"`
 	Total     int     `json:"total,omitempty"`
-	Failed    int     `json:"failed,omitempty"`
 	Cached    int     `json:"cached,omitempty"`
 	Events    uint64  `json:"events"`
 	ElapsedMS float64 `json:"elapsed_ms"`
@@ -70,32 +54,12 @@ type progressLine struct {
 	ETAMS     float64 `json:"eta_ms,omitempty"`
 }
 
-// Start implements Reporter; it (re)arms the clock and total.
-func (p *Progress) Start(total int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.total = total
-	p.done, p.failed, p.cached, p.events = 0, 0, 0, 0
-	p.start = time.Now()
-}
-
-// Done implements Reporter.
-func (p *Progress) Done(res JobResult) {
-	var events uint64
-	if res.Result != nil {
-		events = res.Result.Events
-	}
-	p.observe(events, res.Cached, res.Err != nil)
-}
-
-// Observe records one completed simulation outside a Runner (the
-// core.Opts.OnResult signature adapts directly:
-// func(s, r, cached) { p.Observe(r.Events, cached) }).
+// Observe records one completed simulation: its executed events and
+// whether it was served from an artifact.
 func (p *Progress) Observe(events uint64, cached bool) {
-	p.observe(events, cached, false)
-}
-
-func (p *Progress) observe(events uint64, cached, failed bool) {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.done++
@@ -103,22 +67,22 @@ func (p *Progress) observe(events uint64, cached, failed bool) {
 	if cached {
 		p.cached++
 	}
-	if failed {
-		p.failed++
-	}
 	p.line()
 }
 
-// Events returns the total simulated events observed so far.
-func (p *Progress) Events() uint64 {
+// Counts returns the simulations observed so far, how many of them were
+// served from artifacts, and their total simulated events.
+func (p *Progress) Counts() (done, cached int, events uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.events
+	return p.done, p.cached, p.events
 }
 
-// Finish implements Reporter: it terminates the status line (JSONL
-// lines are already complete).
+// Finish terminates the status line (JSONL lines are already complete).
 func (p *Progress) Finish() {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.done > 0 && !p.jsonl {
@@ -132,7 +96,7 @@ func (p *Progress) line() {
 	rate := float64(p.events) / elapsed.Seconds() / 1e6
 	if p.jsonl {
 		rec := progressLine{
-			Done: p.done, Total: p.total, Failed: p.failed, Cached: p.cached,
+			Done: p.done, Total: p.total, Cached: p.cached,
 			Events: p.events, ElapsedMS: elapsed.Seconds() * 1e3, MEPS: rate,
 		}
 		if p.total > 0 && p.done > 0 && p.done < p.total {
@@ -162,21 +126,5 @@ func (p *Progress) status(elapsed time.Duration, rate float64) string {
 	if p.cached > 0 {
 		s += fmt.Sprintf(", %d cached", p.cached)
 	}
-	if p.failed > 0 {
-		s += fmt.Sprintf(", %d FAILED", p.failed)
-	}
 	return s
-}
-
-// OnResult returns a core.Opts.OnResult hook feeding this Progress, so
-// core sweep drivers report through the same status line as Runner
-// batches.
-func (p *Progress) OnResult() func(core.Scenario, *core.Result, bool) {
-	return func(_ core.Scenario, r *core.Result, cached bool) {
-		var events uint64
-		if r != nil {
-			events = r.Events
-		}
-		p.Observe(events, cached)
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"repro/internal/ckpt"
@@ -15,19 +16,17 @@ import (
 )
 
 // QuarantineDirName is the subdirectory of an artifact store that
-// receives corrupt artifacts and given-up job reports.
+// receives corrupt artifacts.
 const QuarantineDirName = "quarantine"
 
 // Artifact is the JSON document the store persists per simulation: the
 // full result, the scenario that produced it, and the fingerprint that
 // keys it.
 type Artifact struct {
-	// Name is the job or scenario label.
+	// Name is the scenario's name.
 	Name string `json:"name"`
 	// Fingerprint is the scenario's content hash (hex SHA-256).
 	Fingerprint string `json:"fingerprint"`
-	// Tags carry the job's metadata, if any.
-	Tags map[string]string `json:"tags,omitempty"`
 	// Scenario is the exact configuration that ran.
 	Scenario core.Scenario `json:"scenario"`
 	// Result is the complete simulation outcome.
@@ -90,11 +89,18 @@ func Fingerprint(s core.Scenario) string {
 // Store persists one JSON artifact per simulated scenario in a
 // directory, keyed by scenario fingerprint. A populated store makes
 // sweeps resumable: re-running the same scenarios loads the saved
-// results instead of simulating (see Runner.Store and core.Opts.Lookup).
+// results instead of simulating (see SweepOpts and core.Opts.Lookup).
+// Save and Load are safe for concurrent use.
 type Store struct {
 	dir string
 	// onCorrupt, when set, observes every artifact quarantined by Load.
 	onCorrupt func(path string)
+
+	// mu guards what the manifest is built from: the declared total and
+	// the completions (saves and load hits) this store has seen.
+	mu    sync.Mutex
+	total int
+	done  []ManifestJob
 }
 
 // NewStore opens (creating if needed) an artifact directory.
@@ -116,38 +122,49 @@ func (st *Store) QuarantineDir() string { return filepath.Join(st.dir, Quarantin
 // sweep trackers count them).
 func (st *Store) OnCorrupt(fn func(path string)) { st.onCorrupt = fn }
 
+// Expect declares n more simulations the sweep will put through this
+// store; the manifest reports completions against the sum.
+func (st *Store) Expect(n int) {
+	st.mu.Lock()
+	st.total += n
+	st.mu.Unlock()
+}
+
+// completed records one run the manifest will list as done.
+func (st *Store) completed(name, fp string, cached bool) {
+	st.mu.Lock()
+	st.done = append(st.done, ManifestJob{Name: name, Fingerprint: fp, Artifact: filepath.Base(st.path(fp)), Cached: cached})
+	st.mu.Unlock()
+}
+
 // path returns the artifact filename for a fingerprint.
 func (st *Store) path(fp string) string {
 	return filepath.Join(st.dir, fp[:16]+".json")
 }
 
-// Save writes the job's artifact crash-safely: temp file in the store
+// Save writes the run's artifact crash-safely: temp file in the store
 // directory, write, fsync the file, rename over the final name, fsync
 // the directory. An interrupted sweep therefore never leaves a torn
 // artifact under the final name, and a completed Save survives a
 // power cut.
-func (st *Store) Save(job Job, r *core.Result, elapsed time.Duration) error {
-	fp := Fingerprint(job.Scenario)
-	name := job.Name
-	if name == "" {
-		name = job.Scenario.Name
-	}
+func (st *Store) Save(s core.Scenario, r *core.Result, elapsed time.Duration) error {
+	fp := Fingerprint(s)
 	a := Artifact{
-		Name:        name,
+		Name:        s.Name,
 		Fingerprint: fp,
-		Tags:        job.Tags,
-		Scenario:    job.Scenario,
+		Scenario:    s,
 		Result:      r,
 		ElapsedNS:   elapsed.Nanoseconds(),
 		SavedAt:     time.Now().UTC().Format(time.RFC3339),
 	}
 	b, err := a.encode()
 	if err != nil {
-		return fmt.Errorf("exp: store: encode %s: %w", name, err)
+		return fmt.Errorf("exp: store: encode %s: %w", s.Name, err)
 	}
 	if err := writeFileAtomic(st.dir, st.path(fp), "."+fp[:16]+"-*.tmp", append(b, '\n')); err != nil {
-		return fmt.Errorf("exp: store: %s: %w", name, err)
+		return fmt.Errorf("exp: store: %s: %w", s.Name, err)
 	}
+	st.completed(s.Name, fp, false)
 	return nil
 }
 
@@ -205,6 +222,7 @@ func (st *Store) Load(s core.Scenario) (*core.Result, bool) {
 		st.quarantineFile(path, err.Error())
 		return nil, false
 	}
+	st.completed(s.Name, fp, true)
 	return a.Result, true
 }
 
@@ -228,44 +246,6 @@ func (st *Store) quarantineFile(path, reason string) {
 	}
 }
 
-// QuarantineJob records a job the runner gave up on: the scenario, the
-// final error and the attempt count land in the quarantine directory so
-// the sweep's gap is reproducible afterwards. It returns the report
-// path.
-func (st *Store) QuarantineJob(job Job, jobErr error, attempts int) (string, error) {
-	qdir := st.QuarantineDir()
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		return "", fmt.Errorf("exp: quarantine: %w", err)
-	}
-	fp := Fingerprint(job.Scenario)
-	name := job.Name
-	if name == "" {
-		name = job.Scenario.Name
-	}
-	rec := struct {
-		Name        string            `json:"name"`
-		Fingerprint string            `json:"fingerprint"`
-		Tags        map[string]string `json:"tags,omitempty"`
-		Scenario    core.Scenario     `json:"scenario"`
-		Attempts    int               `json:"attempts"`
-		Error       string            `json:"error"`
-		At          string            `json:"at"`
-	}{
-		Name: name, Fingerprint: fp, Tags: job.Tags, Scenario: job.Scenario,
-		Attempts: attempts, Error: jobErr.Error(),
-		At: time.Now().UTC().Format(time.RFC3339),
-	}
-	b, err := json.MarshalIndent(&rec, "", "  ")
-	if err != nil {
-		return "", fmt.Errorf("exp: quarantine: encode %s: %w", name, err)
-	}
-	path := filepath.Join(qdir, fp[:16]+".job.json")
-	if err := writeFileAtomic(qdir, path, "."+fp[:16]+"-*.tmp", append(b, '\n')); err != nil {
-		return "", fmt.Errorf("exp: quarantine: %s: %w", name, err)
-	}
-	return path, nil
-}
-
 // Lookup adapts Load to the core.Opts.Lookup hook signature.
 func (st *Store) Lookup(s core.Scenario) (*core.Result, bool) { return st.Load(s) }
 
@@ -278,7 +258,7 @@ func (st *Store) SaveResult(errf func(error)) func(core.Scenario, *core.Result, 
 		if cached {
 			return
 		}
-		if err := st.Save(Job{Name: s.Name, Scenario: s}, r, 0); err != nil && errf != nil {
+		if err := st.Save(s, r, 0); err != nil && errf != nil {
 			errf(err)
 		}
 	}

@@ -2,9 +2,7 @@
 // experiment harness: it fans a fixed set of independent tasks out
 // across goroutines while returning results in submission order, so a
 // parallel sweep reduces to bit-identical aggregates as a serial one.
-// It is the shared substrate of internal/core's sweep drivers and
-// internal/exp's job runner (which cannot share code directly without
-// an import cycle).
+// Its one user is the sweep funnel of internal/core (runTreedBatch).
 package par
 
 import (

@@ -153,7 +153,7 @@ function render(m){
  var sw=m.sweep||{},t=m.telemetry||{},lv=t.live;
  var fin=(sw.done||0)+(sw.failed||0),tot=sw.total||0;
  document.getElementById('prog').style.width=(tot?100*fin/tot:0)+'%';
- document.getElementById('progtxt').textContent=fin+'/'+tot+' jobs'+(sw.failed?' ('+sw.failed+' failed)':'')+(sw.cached?' ('+sw.cached+' cached)':'')+(sw.quarantined?' ('+sw.quarantined+' quarantined)':'');
+ document.getElementById('progtxt').textContent=fin+'/'+tot+' jobs'+(sw.failed?' ('+sw.failed+' failed)':'')+(sw.cached?' ('+sw.cached+' cached)':'')+(sw.corrupt_artifacts?' ('+sw.corrupt_artifacts+' corrupt artifacts)':'');
  document.getElementById('eta').textContent=sw.eta_ms?'eta '+ms(sw.eta_ms):'';
  document.getElementById('eps').textContent=sw.events_per_sec?f(sw.events_per_sec/1e6,2)+' M events/s':'';
  document.getElementById('util').textContent=sw.workers?sw.workers+' workers, '+f(100*(sw.worker_util||0),0)+'% busy':'';
@@ -162,7 +162,7 @@ function render(m){
  var c=t.completion||{};
  h+=card('message completion µs (all runs)','<span class="big">p50 '+f(c.p50)+'</span> <span class="dim">p99 '+f(c.p99)+' · max '+f(c.max)+' · n='+(c.count||0)+'</span>');
  var j=sw.job_ms||{};
- h+=card('job wall ms','<span class="big">p50 '+f(j.p50,0)+'</span> <span class="dim">p99 '+f(j.p99,0)+' · retries '+(sw.retries||0)+'</span>');
+ h+=card('job wall ms','<span class="big">p50 '+f(j.p50,0)+'</span> <span class="dim">p99 '+f(j.p99,0)+'</span>');
  if(lv){
   h+=card('hotspot Gbit/s · '+f(last(lv.hotspot_gbps),2),spark(lv.hotspot_gbps,'h'));
   h+=card('other Gbit/s · '+f(last(lv.other_gbps),2),spark(lv.other_gbps));
@@ -176,7 +176,7 @@ function render(m){
  var hp=(t.hot_ports||[]).map(function(p){return'<tr><td>sw'+p.switch+':p'+p.port+(p.host_port?' (host)':'')+'</td><td>'+f(p.peak_kb)+'</td></tr>'}).join('');
  if(hp)h+=card('hottest ports (peak KB)','<table><tr><th>port</th><th>peak</th></tr>'+hp+'</table>');
  var rec=(sw.recent||[]).slice(-12).reverse().map(function(r){
-  return'<tr><td>'+r.name+(r.retry?' <span class="err">retry</span>':'')+'</td><td>w'+r.worker+'</td><td>'+ms(r.ms)+'</td><td>'+(r.err?'<span class="err">fail</span>':r.cached?'<span class="dim">cache</span>':'<span class="ok">ok</span>')+'</td></tr>'}).join('');
+  return'<tr><td>'+r.name+'</td><td>w'+r.worker+'</td><td>'+ms(r.ms)+'</td><td>'+(r.err?'<span class="err">fail</span>':r.cached?'<span class="dim">cache</span>':'<span class="ok">ok</span>')+'</td></tr>'}).join('');
  if(rec)h+=card('recent jobs','<table><tr><th>job</th><th>wkr</th><th>wall</th><th></th></tr>'+rec+'</table>');
  var act=(sw.active_jobs||[]).map(function(r){return'<tr><td>'+r.name+'</td><td>w'+r.worker+'</td><td>'+ms(r.ms)+'</td></tr>'}).join('');
  if(act)h+=card('running now','<table><tr><th>job</th><th>wkr</th><th>for</th></tr>'+act+'</table>');

@@ -12,7 +12,7 @@ import (
 func TestServerMetricsJSON(t *testing.T) {
 	hub := NewHub(0)
 	tr := NewTracker()
-	tr.SetTotal(2)
+	tr.AddTotal(2)
 	id := tr.Begin("cell-1", 0)
 	s := hub.StartRun("cell-1")
 	s.completion.Record(2_000_000) // 2 µs

@@ -16,7 +16,6 @@ type JobSpan struct {
 	MS     float64 `json:"ms"`
 	Events uint64  `json:"events,omitempty"`
 	Cached bool    `json:"cached,omitempty"`
-	Retry  bool    `json:"retry,omitempty"`
 	Err    string  `json:"err,omitempty"`
 }
 
@@ -28,17 +27,16 @@ type ActiveJob struct {
 }
 
 // SweepStats is the orchestration view of a sweep: progress, throughput,
-// worker utilization and the job-latency distribution.
+// worker utilization and the job-latency distribution. Every simulation
+// runs once — a failure aborts the sweep — so the `retries` and
+// `quarantined` counts of earlier run reports are gone; readers of
+// ibcc.run-report/1 ignore absent fields.
 type SweepStats struct {
-	Total   int `json:"total"`
-	Done    int `json:"done"`
-	Failed  int `json:"failed"`
-	Cached  int `json:"cached"`
-	Active  int `json:"active"`
-	Retries int `json:"retries"`
-	// Quarantined counts jobs the self-healing runner gave up on after
-	// exhausting retries (they no longer block the sweep).
-	Quarantined int `json:"quarantined,omitempty"`
+	Total  int `json:"total"`
+	Done   int `json:"done"`
+	Failed int `json:"failed"`
+	Cached int `json:"cached"`
+	Active int `json:"active"`
 	// CorruptArtifacts counts stored artifacts that failed validation
 	// and were moved aside instead of being trusted.
 	CorruptArtifacts int `json:"corrupt_artifacts,omitempty"`
@@ -66,32 +64,27 @@ type span struct {
 	name   string
 	worker int
 	start  time.Time
-	retry  bool
 }
 
 // Tracker collects orchestration spans: every sweep job reports Begin
-// when a worker picks it up and End when it finishes. A name beginning a
-// second time counts as a retry (the fault-tolerant runner re-queues
-// failed scenarios). All methods are safe for concurrent use and no-ops
-// on a nil *Tracker, so wiring it through the runners costs one nil
-// check per job.
+// when a worker picks it up and End when it finishes. Names are labels,
+// not identities: sweeps sharing a tracker may repeat them. All methods
+// are safe for concurrent use and no-ops on a nil *Tracker, so wiring
+// it through the sweep funnel costs one nil check per job.
 type Tracker struct {
-	mu          sync.Mutex
-	start       time.Time
-	total       int
-	done        int
-	failed      int
-	cached      int
-	retries     int
-	quarantined int
-	corrupt     int
-	events      uint64
-	nextID      int
-	active      map[int]*span
-	begun       map[string]int
-	jobHist     Hist // nanoseconds of wall time
-	busy        map[int]time.Duration
-	recent      []JobSpan
+	mu      sync.Mutex
+	start   time.Time
+	total   int
+	done    int
+	failed  int
+	cached  int
+	corrupt int
+	events  uint64
+	nextID  int
+	active  map[int]*span
+	jobHist Hist // nanoseconds of wall time
+	busy    map[int]time.Duration
+	recent  []JobSpan
 }
 
 // NewTracker returns an empty tracker; the elapsed clock starts now.
@@ -99,18 +92,18 @@ func NewTracker() *Tracker {
 	return &Tracker{
 		start:  time.Now(),
 		active: make(map[int]*span),
-		begun:  make(map[string]int),
 		busy:   make(map[int]time.Duration),
 	}
 }
 
-// SetTotal declares how many jobs the sweep holds (for progress and ETA).
-func (t *Tracker) SetTotal(n int) {
+// AddTotal declares n more jobs (for progress and ETA); a run of several
+// sweeps against one tracker declares each as it starts.
+func (t *Tracker) AddTotal(n int) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.total = n
+	t.total += n
 	t.mu.Unlock()
 }
 
@@ -124,13 +117,7 @@ func (t *Tracker) Begin(name string, worker int) int {
 	defer t.mu.Unlock()
 	t.nextID++
 	id := t.nextID
-	sp := &span{name: name, worker: worker, start: time.Now()}
-	if t.begun[name] > 0 {
-		sp.retry = true
-		t.retries++
-	}
-	t.begun[name]++
-	t.active[id] = sp
+	t.active[id] = &span{name: name, worker: worker, start: time.Now()}
 	return id
 }
 
@@ -161,22 +148,11 @@ func (t *Tracker) End(id int, events uint64, cached bool, err string) {
 	}
 	t.recent = append(t.recent, JobSpan{
 		Name: sp.name, Worker: sp.worker, MS: wall.Seconds() * 1e3,
-		Events: events, Cached: cached, Retry: sp.retry, Err: err,
+		Events: events, Cached: cached, Err: err,
 	})
 	if len(t.recent) > recentJobs {
 		t.recent = t.recent[len(t.recent)-recentJobs:]
 	}
-}
-
-// Quarantined records that the runner gave up on a job after exhausting
-// its retries and moved it out of the sweep's way.
-func (t *Tracker) Quarantined(name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.quarantined++
-	t.mu.Unlock()
 }
 
 // CorruptArtifact records that a stored artifact failed validation and
@@ -208,8 +184,7 @@ func (t *Tracker) Stats() SweepStats {
 	}
 	st := SweepStats{
 		Total: t.total, Done: t.done, Failed: t.failed, Cached: t.cached,
-		Active: len(t.active), Retries: t.retries,
-		Quarantined: t.quarantined, CorruptArtifacts: t.corrupt,
+		Active: len(t.active), CorruptArtifacts: t.corrupt,
 		Events:    t.events,
 		ElapsedMS: elapsed.Seconds() * 1e3,
 		JobMS:     t.jobHist.snapshot(1e-6),

@@ -9,7 +9,7 @@ import (
 
 func TestTrackerLifecycle(t *testing.T) {
 	tr := NewTracker()
-	tr.SetTotal(3)
+	tr.AddTotal(3)
 
 	id1 := tr.Begin("cell-a", 0)
 	id2 := tr.Begin("cell-b", 1)
@@ -26,12 +26,12 @@ func TestTrackerLifecycle(t *testing.T) {
 	if mid := tr.Stats(); mid.ETAMS <= 0 {
 		t.Fatalf("eta = %v with %d/%d finished", mid.ETAMS, mid.Done+mid.Failed, mid.Total)
 	}
-	// cell-a re-runs: counted as a retry.
+	// A name is a label: another sweep's cell-a is one more job.
 	id3 := tr.Begin("cell-a", 0)
 	tr.End(id3, 500, false, "boom")
 
 	st = tr.Stats()
-	if st.Done != 2 || st.Failed != 1 || st.Cached != 1 || st.Retries != 1 {
+	if st.Done != 2 || st.Failed != 1 || st.Cached != 1 {
 		t.Fatalf("final stats: %+v", st)
 	}
 	if st.Events != 1500 {
@@ -50,7 +50,7 @@ func TestTrackerLifecycle(t *testing.T) {
 		t.Fatalf("recent = %+v", st.Recent)
 	}
 	last := st.Recent[2]
-	if last.Name != "cell-a" || !last.Retry || last.Err != "boom" {
+	if last.Name != "cell-a" || last.Err != "boom" {
 		t.Fatalf("recent tail: %+v", last)
 	}
 	if st.ETAMS != 0 {
@@ -71,15 +71,38 @@ func TestTrackerRecentRingBounded(t *testing.T) {
 	if st.Done != recentJobs+50 {
 		t.Fatalf("done = %d", st.Done)
 	}
-	// Every re-entry of the same name after the first is a retry.
-	if st.Retries != recentJobs+49 {
-		t.Fatalf("retries = %d", st.Retries)
+}
+
+// TestTrackerRepeatedNameIsNotARetry: two sweeps sharing scenario names
+// against one tracker — what `paperbench -exp table2 -seeds 2` produces,
+// its seed-1 hotspot scenarios run once in the table and once in the
+// per-seed aggregate — are plain jobs. The tracker used to count every
+// repeated name as a retry and wrote "retries": 3 into the run report
+// of eight jobs that each ran once.
+func TestTrackerRepeatedNameIsNotARetry(t *testing.T) {
+	tr := NewTracker()
+	for sweep := 0; sweep < 2; sweep++ {
+		tr.AddTotal(2)
+		for _, name := range []string{"silent cc=off", "silent cc=on"} {
+			tr.End(tr.Begin(name, 0), 10, false, "")
+		}
+	}
+	st := tr.Stats()
+	if st.Total != 4 || st.Done != 4 || st.Failed != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "retr") {
+		t.Fatalf("sweep stats still report retries: %s", data)
 	}
 }
 
 func TestTrackerNilSafe(t *testing.T) {
 	var tr *Tracker
-	tr.SetTotal(5)
+	tr.AddTotal(5)
 	id := tr.Begin("x", 0)
 	if id != -1 {
 		t.Fatalf("nil Begin = %d", id)
@@ -149,7 +172,7 @@ func TestHubNilSafe(t *testing.T) {
 // on ±Inf/NaN, so a bad division here fails the whole poll.
 func TestFreshTrackerStatsMarshal(t *testing.T) {
 	tr := NewTracker()
-	tr.SetTotal(100)
+	tr.AddTotal(100)
 	st := tr.Stats()
 	if _, err := json.Marshal(st); err != nil {
 		t.Fatalf("fresh tracker stats do not marshal: %v", err)
@@ -168,7 +191,7 @@ func TestFreshTrackerStatsMarshal(t *testing.T) {
 
 	// A tracker with active-but-unfinished work: still finished == 0.
 	tr2 := NewTracker()
-	tr2.SetTotal(4)
+	tr2.AddTotal(4)
 	tr2.Begin("job-a", 0)
 	st2 := tr2.Stats()
 	if _, err := json.Marshal(st2); err != nil {

@@ -8,6 +8,10 @@
 #   2. paperbench: SIGKILL a sweep mid-flight, resume from its artifact
 #      store, and require the final artifact set to equal the one an
 #      uninterrupted sweep produces.
+#   3. paperbench -degradation: run the sweep twice into one -out and
+#      require the second pass to simulate nothing and write the same
+#      curve — -out reaches every sweep mode through the one options
+#      builder, not just the experiments.
 #
 # Both kills are kill -9 — no handler runs, so what survives is exactly
 # what the atomic-write discipline put on disk.
@@ -74,3 +78,18 @@ if [ -d "$T/cut/quarantine" ] && [ -n "$(ls "$T/cut/quarantine" 2>/dev/null)" ];
     exit 1
 fi
 echo "resilience: paperbench kill -9 + resume converges on the uninterrupted artifact set"
+
+# --- 3. Degradation sweep: second pass served entirely from artifacts. ---
+DEG="-radix 8 -intensities 0,0.6 -seeds 2 -jobs 1"
+"$T/bin/paperbench" $DEG -degradation "$T/deg1.json" -out "$T/deg" > "$T/deg1.txt"
+"$T/bin/paperbench" $DEG -degradation "$T/deg2.json" -out "$T/deg" > "$T/deg2.txt"
+if ! grep -q "^experiment degradation: 8 sims, .* 8 from artifacts$" "$T/deg2.txt"; then
+    echo "resilience: second -degradation pass was not served from its artifacts:" >&2
+    grep "^experiment" "$T/deg1.txt" "$T/deg2.txt" >&2 || true
+    exit 1
+fi
+if ! cmp -s "$T/deg1.json" "$T/deg2.json"; then
+    echo "resilience: degradation curve from artifacts differs from the simulated one" >&2
+    exit 1
+fi
+echo "resilience: paperbench -degradation re-runs entirely from its -out artifacts"
