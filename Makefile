@@ -47,14 +47,15 @@ alloc-budget:
 # tests, the reserved-key kernel properties (lazy ≡ eager order, Passed),
 # the fabric's on-demand-event tie-breaks against their pre-elision
 # golden and the link-armed rule's clauses, the Table II
-# wheel-vs-reference-heap trajectory comparison and the chunked-run
-# property (run with -count=1 so the corpora always execute), and an
-# end-to-end checked run through the paperbench CLI.
+# wheel-vs-reference-heap trajectory comparison, the chunked-run
+# property and the checker × checkpoint/restore composition property
+# (run with -count=1 so the corpora always execute), and an end-to-end
+# checked run through the paperbench CLI.
 invariants:
 	$(GO) test -count=1 ./internal/check
 	$(GO) test -count=1 ./internal/sim -run 'Reserve|ExplicitKey|Passed'
 	$(GO) test -count=1 ./internal/fabric -run 'Tiebreak|EnqueueAtBusyUntil|CreditAtBusyUntil|TwoCredits|ParkedRing|LinkUpWithCredit|RunToExhaustion|CheckLinkArmed'
-	$(GO) test -count=1 ./internal/core -run 'Kernel|Check|Differential|Chunked|Golden'
+	$(GO) test -count=1 ./internal/core -run 'Kernel|Check|Differential|Chunked|Golden|ComposesWithChecker'
 	$(GO) run ./cmd/paperbench -radix 8 -diff-kernel -seeds 2
 
 # Fault-injection smoke: the fault-layer unit suites, then a tiny
@@ -109,8 +110,9 @@ telemetry:
 # corrupt-artifact quarantine / manifest suite (including the sweep
 # cancelled mid-way that must leave a resumable manifest), then the CLI
 # story end to end via scripts/resilience_smoke.sh: SIGKILL an in-flight
-# checkpointing run and a sweep, resume both, require identical output
-# and an identical artifact set; re-run a -degradation sweep entirely
+# checkpointing run (audited with -check, as is its resumption) and a
+# sweep, resume both, require identical output and an identical artifact
+# set; re-run a -degradation sweep entirely
 # from its artifacts. Last, ten seconds of fuzzing the traffic
 # generator's snapshot decoder from its seed corpus of hostile blobs.
 resilience:

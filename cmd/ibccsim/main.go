@@ -10,8 +10,8 @@
 //	ibccsim -chrome-trace run.trace              # flight recording for Perfetto
 //	ibccsim -trace run.csv -traceint 50us        # time series of the telemetry sampler
 //	ibccsim -faults plan.json -check             # inject a fault plan, audited
-//	ibccsim -ckpt-every 1ms -ckpt-dir ckpts/     # rolling crash-safe checkpoints
-//	ibccsim -resume-from ckpts/                  # continue from the newest one
+//	ibccsim -ckpt-every 1ms -ckpt-dir ckpts/ -check   # rolling crash-safe checkpoints, audited
+//	ibccsim -resume-from ckpts/ -check                # continue from the newest one, audited
 //
 // With -seeds N > 1 the scenario runs once per seed (seed, seed+1, ...)
 // fanned out over -jobs workers, and the mean rates with 95% confidence
@@ -24,7 +24,13 @@
 // checkpoints (atomic rename + fsync + CRC), and -resume-from continues
 // a run from a checkpoint file (or the newest one in a directory) with a
 // trajectory byte-identical to never having stopped. Scenario flags are
-// ignored on resume — the checkpoint carries the scenario.
+// ignored on resume — the checkpoint carries the scenario. -check
+// composes with both: the checker attaches at any event boundary, so a
+// checkpointing run and a resumed one (whether or not the run that wrote
+// the checkpoint was checked) are audited like any other. The flags that
+// record a run's event stream (-trace, -events, -chrome-trace, -ctree,
+// -telemetry) stay refused on -resume-from: they would show the resumed
+// part only while reading as the whole run.
 package main
 
 import (
@@ -94,9 +100,6 @@ func main() {
 		if *numSeeds > 1 {
 			log.Fatal("-ckpt-every checkpoints a single run; use -seeds 1")
 		}
-		if *checkInv {
-			log.Fatal("-ckpt-every and -check both drive the run loop; pick one")
-		}
 		if err := cliflag.Positive("-ckpt-keep", *ckKeep); err != nil {
 			log.Fatal(err)
 		}
@@ -108,8 +111,8 @@ func main() {
 		if *faults != "" {
 			log.Fatal("-resume-from: the checkpoint already carries the fault plan; drop -faults")
 		}
-		if *traceCSV != "" || *events != "" || *chrome != "" || *ctree || *telem || *checkInv {
-			log.Fatal("-resume-from: instrumentation attaches at build time; drop -trace/-events/-chrome-trace/-ctree/-telemetry/-check")
+		if *traceCSV != "" || *events != "" || *chrome != "" || *ctree || *telem {
+			log.Fatal("-resume-from: a recording of the resumed part alone would read as the whole run; drop -trace/-events/-chrome-trace/-ctree/-telemetry")
 		}
 	}
 
@@ -202,23 +205,21 @@ func main() {
 	if *checkInv {
 		ck = inst.Check(ibcc.CheckOpts{Diagnostics: os.Stderr})
 	}
-	var res *ibcc.Result
-	if *ckEvery > 0 {
-		res, err = inst.ExecuteWithCheckpoints(ibcc.CkptOpts{
-			Every: ibcc.Duration(ckEvery.Nanoseconds()) * ibcc.Nanosecond,
-			Dir:   *ckDir,
-			Keep:  *ckKeep,
-			OnSave: func(path string, at ibcc.Time) {
-				if !*quiet {
-					fmt.Printf("ckpt     : %s (t=%v)\n", path, at)
-				}
-			},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		res = inst.Execute()
+	// A resumed run's event count covers the whole run; the rate below
+	// is of the events this process executed.
+	resumedAt := inst.Net.Sim().Processed()
+	res, err := inst.ExecuteWithCheckpoints(ibcc.CkptOpts{
+		Every: ibcc.Duration(ckEvery.Nanoseconds()) * ibcc.Nanosecond, // 0 writes none
+		Dir:   *ckDir,
+		Keep:  *ckKeep,
+		OnSave: func(path string, at ibcc.Time) {
+			if !*quiet {
+				fmt.Printf("ckpt     : %s (t=%v)\n", path, at)
+			}
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 	elapsed := time.Since(start)
 	smp.Finish()
@@ -276,8 +277,8 @@ func main() {
 		}
 		return
 	}
-	fmt.Printf("scenario : %s (%d nodes, %d switches)\n", res.Name, s.NumNodes(), *radix+*radix/2)
-	fmt.Printf("mix      : B=%d C=%d V=%d, %d hotspots, p=%d%%", res.PopB, res.PopC, res.PopV, len(res.Hotspots), *p)
+	fmt.Printf("scenario : %s (%d nodes, %d switches)\n", res.Name, s.NumNodes(), len(inst.Net.Switches()))
+	fmt.Printf("mix      : B=%d C=%d V=%d, %d hotspots, p=%d%%", res.PopB, res.PopC, res.PopV, len(res.Hotspots), s.PPercent)
 	if s.HotspotLifetime > 0 {
 		fmt.Printf(", moving every %v", s.HotspotLifetime)
 	}
@@ -294,9 +295,12 @@ func main() {
 	fmt.Printf("total    : %.1f Gbps network throughput (tmax non-hotspot %.3f Gbps)\n",
 		res.Summary.TotalGbps, res.TMaxGbps)
 	fmt.Printf("latency  : %v\n", res.Latency)
-	fmt.Printf("engine   : %d events in %v (%.1fM events/s)\n",
-		res.Events, elapsed.Round(time.Millisecond),
-		float64(res.Events)/elapsed.Seconds()/1e6)
+	fmt.Printf("engine   : %d events", res.Events)
+	if resumedAt > 0 {
+		fmt.Printf(", %d of them since the checkpoint,", res.Events-resumedAt)
+	}
+	fmt.Printf(" in %v (%.1fM events/s)\n", elapsed.Round(time.Millisecond),
+		float64(res.Events-resumedAt)/elapsed.Seconds()/1e6)
 	reportFaults(res.Faults)
 	if *telem {
 		reportTelemetry(smp)

@@ -73,6 +73,53 @@ func TestTraceComposes(t *testing.T) {
 	}
 }
 
+// TestResumeReportsTheRestoredRun: a resumed run describes the scenario
+// its checkpoint carries — not the flag defaults of the resuming command
+// line — so apart from the resume line and the engine line's rate its
+// report is the uninterrupted run's, line for line. The checker rides
+// both the checkpointing and the resumed run, whether or not the run
+// that wrote the checkpoint was audited.
+func TestResumeReportsTheRestoredRun(t *testing.T) {
+	bin := binary(t)
+	scenario := []string{"-radix", "8", "-fracb", "100", "-p", "60", "-warmup", "1ms", "-measure", "2ms"}
+	run := func(args ...string) []string {
+		t.Helper()
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("ibccsim %v: %v\n%s", args, err, out)
+		}
+		var report []string
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			switch {
+			case strings.HasPrefix(line, "ckpt "), strings.HasPrefix(line, "resume "):
+			case strings.HasPrefix(line, "engine "):
+				report = append(report, engineLine.FindString(line))
+			case strings.HasPrefix(line, "check "):
+				if !strings.HasPrefix(line, "check    : clean (") {
+					t.Fatalf("ibccsim %v: %s", args, line)
+				}
+			default:
+				report = append(report, line)
+			}
+		}
+		return report
+	}
+	want := strings.Join(run(scenario...), "\n")
+	if !strings.Contains(want, "12 switches") || !strings.Contains(want, "p=60%") {
+		t.Fatalf("uninterrupted report does not describe the scenario:\n%s", want)
+	}
+	for _, writerFlags := range [][]string{{"-check"}, nil} {
+		ck := filepath.Join(t.TempDir(), "ck")
+		writer := append(append([]string{"-ckpt-every", "1ms", "-ckpt-dir", ck}, writerFlags...), scenario...)
+		if got := strings.Join(run(writer...), "\n"); got != want {
+			t.Errorf("checkpointing run %v:\n%s\nuninterrupted:\n%s", writerFlags, got, want)
+		}
+		if got := strings.Join(run("-resume-from", ck, "-check"), "\n"); got != want {
+			t.Errorf("resumed run (writer flags %v):\n%s\nuninterrupted:\n%s", writerFlags, got, want)
+		}
+	}
+}
+
 // TestTraceIntervalValidated: a non-positive or ring-overflowing
 // -traceint ends in one line on stderr and a non-zero exit before
 // anything is simulated.

@@ -57,7 +57,6 @@ func runPoisonedLoop(t *testing.T, params Params) Stats {
 	t.Helper()
 	tp, _ := topo.SingleSwitch(5)
 	tn := buildCC(t, tp, params, nil)
-	tn.net.EnableAudit()
 	pool := tn.net.PacketPool()
 	for s := ib.LID(1); s <= 4; s++ {
 		tn.net.HCA(s).SetSource(&pooledFlood{

@@ -1,23 +1,30 @@
 // Package check is the simulation's runtime invariant layer: an opt-in
 // checker that sweeps global conservation laws and local accounting
-// bounds at fixed simulated-time windows while a run executes, validates
+// rules at fixed simulated-time windows while a run executes, validates
 // every congestion-control table transition as it is published, probes
 // the future-event list's ordering contract on every executed event, and
 // watches for forward-progress loss (deadlock or livelock) while packets
 // are in flight.
 //
 // The checker is always compiled — there is no build tag — and costs
-// nothing when not attached: the model layers it reads expose their
-// state behind nil-checked audit hooks (fabric.Network.EnableAudit,
-// sim.Simulator.SetExecHook), so an unchecked run pays at most one
-// predictable branch per hot-path site.
+// nothing when not attached: everything the swept rules read is either
+// model state or derived from it (packets on the wire are the fabric's
+// live arrival actions), and the one hook it installs,
+// sim.Simulator.SetExecHook, is nil otherwise. Nothing has to be switched
+// on ahead of time, so a checker attaches at any event boundary: to a
+// freshly built instance, or to one restored from a checkpoint whoever
+// wrote it.
 //
 // Crucially, the checker never perturbs the trajectory it validates: it
 // only reads model state between event executions and consumes
 // flight-recorder events, and it never schedules simulator events of its
-// own (the sweep windows are driven by bounded RunUntil calls from the
-// outside). A checked run is bit-identical to an unchecked one, which
-// internal/core's differential tests assert by digest.
+// own (whoever drives the run stops at NextSweep and calls Sweep). A
+// checked run is bit-identical to an unchecked one, which internal/core's
+// differential tests assert by digest.
+//
+// The rules on state are one function, Target.Rules. A live run is swept
+// with it and a checkpoint restore ends with it, so "a legal state" is
+// written once.
 package check
 
 import (
@@ -50,8 +57,8 @@ type CCTarget interface {
 type Target struct {
 	// Sim is the driving simulator; required.
 	Sim *sim.Simulator
-	// Net is the fabric; enables the credit-bound and custody-census
-	// sweeps. New switches its wire-custody audit on.
+	// Net is the fabric; enables the fabric's own state rules and the
+	// custody census.
 	Net *fabric.Network
 	// CC is the congestion-control backend; enables the CC structural
 	// sweep and (for the ibcc manager) gives CCTI transition validation
@@ -88,8 +95,8 @@ type Violation struct {
 	// Time is the simulated time of detection.
 	Time sim.Time
 	// Rule names the invariant: "conservation", "pool-accounting",
-	// "credit-bounds", "voq-occupancy", "link-armed", "cc-state", "ccti-step",
-	// "fel-order", "watchdog".
+	// "credit-bounds", "voq-occupancy", "link-armed", "cc-state",
+	// "ccti-step", "fel-order", "watchdog".
 	Rule string
 	// Detail describes the breach.
 	Detail string
@@ -133,13 +140,16 @@ func (r *Report) Summary() string {
 	return fmt.Sprintf("%d violation(s) in %d sweeps, first: %s", r.Total, r.Sweeps, r.Violations[0])
 }
 
-// Checker validates a running simulation. Create with New, optionally
-// Attach to the run's flight-recorder bus, then drive the run through
-// Run instead of calling sim.Simulator.RunUntil directly.
+// Checker validates a running simulation. Create with New at any event
+// boundary, optionally Attach to the run's flight-recorder bus, then
+// have the run's loop stop at NextSweep and call Sweep.
 type Checker struct {
 	t   Target
 	cfg Config
 	rep Report
+
+	// next is the instant of the next windowed sweep.
+	next sim.Time
 
 	params     cc.Params // captured from t.CC; zero when CC is off
 	ccParamsOK bool
@@ -172,9 +182,9 @@ type Checker struct {
 // faultRingSize bounds the recent-fault-event window kept for dumps.
 const faultRingSize = 16
 
-// New builds a checker for the target, switching on the fabric's
-// wire-custody audit (which therefore must happen before the network
-// starts).
+// New builds a checker for the target and installs the FEL-order probe.
+// The first sweep is due one window after the simulator's current
+// instant, wherever in the run that is.
 func New(t Target, cfg Config) *Checker {
 	if t.Sim == nil {
 		panic("check: target simulator required")
@@ -188,10 +198,9 @@ func New(t Target, cfg Config) *Checker {
 	if cfg.MaxViolations <= 0 {
 		cfg.MaxViolations = 32
 	}
-	c := &Checker{t: t, cfg: cfg}
-	if t.Net != nil {
-		t.Net.EnableAudit()
-	}
+	now := t.Sim.Now()
+	c := &Checker{t: t, cfg: cfg, next: now.Add(cfg.Window), lastIOTime: now}
+	t.Sim.SetExecHook(c.execEvent)
 	if pp, ok := t.CC.(interface{ Params() cc.Params }); ok {
 		c.params = pp.Params()
 		c.ccParamsOK = true
@@ -227,31 +236,15 @@ func (c *Checker) consumeFault(e obs.Event) {
 	c.faultNext = (c.faultNext + 1) % faultRingSize
 }
 
-// Run drives the simulation to end in Config.Window steps, sweeping the
-// invariants between steps, and returns the number of events executed.
-// The FEL-order probe is installed for the duration of the call. Because
-// the sweeps run strictly between event executions and schedule nothing,
-// the trajectory is identical to a single RunUntil(end).
-func (c *Checker) Run(end sim.Time) uint64 {
-	simr := c.t.Sim
-	simr.SetExecHook(c.execEvent)
-	defer simr.SetExecHook(nil)
-	c.lastIOTime = simr.Now()
-	var n uint64
-	for {
-		now := simr.Now()
-		if !now.Before(end) {
-			break
-		}
-		next := now.Add(c.cfg.Window)
-		if next.After(end) {
-			next = end
-		}
-		n += simr.RunUntil(next)
-		c.sweep(simr.Now())
-	}
-	return n
-}
+// NextSweep returns the instant the next windowed sweep is due: one
+// Config.Window after the previous one.
+func (c *Checker) NextSweep() sim.Time { return c.next }
+
+// Sweep checks every windowed invariant at the current event boundary.
+// The run's loop calls it on reaching NextSweep and once more at the
+// end of the run. Because sweeps run strictly between event executions
+// and schedule nothing, the trajectory is identical to an unswept one.
+func (c *Checker) Sweep() { c.sweep(c.t.Sim.Now()) }
 
 // Report returns the accumulated outcome.
 func (c *Checker) Report() *Report {
@@ -318,68 +311,70 @@ func (c *Checker) consumeCCTI(e obs.Event) {
 	}
 }
 
-// sweep checks every windowed invariant at an event boundary.
+// sweep is Sweep at an explicit instant: the state rules, then the
+// watchdog, with violations stamped now.
 func (c *Checker) sweep(now sim.Time) {
 	c.rep.Sweeps++
+	c.next = now.Add(c.cfg.Window)
+	c.t.Rules(func(rule, detail string) { c.violate(now, rule, "%s", detail) })
+	c.watchdog(now)
+}
 
-	live := c.t.Pool.Live()
-	pending := 0
-	if c.t.SourcesPending != nil {
-		pending = c.t.SourcesPending()
+// sourcesPending counts the packets queued at sources awaiting
+// injection.
+func (t Target) sourcesPending() int {
+	if t.SourcesPending == nil {
+		return 0
 	}
+	return t.SourcesPending()
+}
 
-	if c.t.Net != nil {
-		// Packet conservation: every live pool packet is either queued
-		// at a source awaiting injection or in fabric custody (staging,
-		// wire, VoQ, receive side). A surplus is a leak; a deficit is a
-		// double release or custody miscount.
-		if c.t.Pool != nil {
-			held := c.t.Net.HeldPackets()
+// Rules evaluates every rule on model state the target supports, at the
+// current event boundary, and reports each one that does not hold. It is
+// the rule pass of a live run's sweeps and of a checkpoint restore
+// (core.RestoreSnapshot), which judges a snapshot by the laws a run is
+// held to rather than by a list of its own.
+func (t Target) Rules(report func(rule, detail string)) {
+	if t.Net != nil {
+		if t.Pool != nil {
+			// Packet conservation: every live pool packet is either
+			// queued at a source awaiting injection or in fabric custody
+			// (staging, wire, VoQ, receive side). A surplus is a leak; a
+			// deficit is a double release or custody miscount.
+			live, held, pending := t.Pool.Live(), t.Net.HeldPackets(), t.sourcesPending()
 			if live != held+pending {
-				c.violate(now, "conservation", "pool live %d != fabric held %d + source pending %d (census %v)",
-					live, held, pending, c.t.Net.Census())
+				report("conservation", fmt.Sprintf("pool live %d != fabric held %d + source pending %d (census %v)",
+					live, held, pending, t.Net.Census()))
 			}
 			// Pool accounting: the host sink releases every delivered
 			// packet and the fault layer releases every wire-dropped
 			// one; those are the only two release sites, so releases
-			// equal deliveries plus intentional drops (the Dropped
-			// audit column).
+			// equal deliveries plus intentional drops (the drop
+			// ledger's DroppedPackets).
 			var rx uint64
-			for lid := 0; lid < c.t.Net.NumHosts(); lid++ {
-				rx += c.t.Net.HCA(ib.LID(lid)).Counters().RxPackets
+			for lid := 0; lid < t.Net.NumHosts(); lid++ {
+				rx += t.Net.HCA(ib.LID(lid)).Counters().RxPackets
 			}
-			var dropped uint64
-			if aud := c.t.Net.Audit(); aud != nil {
-				dropped = uint64(aud.DroppedPackets)
-			}
-			if puts := c.t.Pool.Stats().Puts; puts != rx+dropped {
-				c.violate(now, "pool-accounting", "pool puts %d != delivered %d + fault-dropped %d",
-					puts, rx, dropped)
+			dropped := uint64(t.Net.Audit().DroppedPackets)
+			if puts := t.Pool.Stats().Puts; puts != rx+dropped {
+				report("pool-accounting", fmt.Sprintf("pool puts %d != delivered %d + fault-dropped %d",
+					puts, rx, dropped))
 			}
 		}
-		if err := c.t.Net.CheckCreditBounds(); err != nil {
-			c.violate(now, "credit-bounds", "%v", err)
-		}
-		if err := c.t.Net.CheckVoQOccupancy(); err != nil {
-			c.violate(now, "voq-occupancy", "%v", err)
-		}
-		if err := c.t.Net.CheckLinkArmed(); err != nil {
-			c.violate(now, "link-armed", "%v", err)
+		t.Net.CheckState(func(rule string, err error) { report(rule, err.Error()) })
+	}
+	if t.CC != nil {
+		if err := t.CC.CheckInvariants(); err != nil {
+			report("cc-state", err.Error())
 		}
 	}
-	if c.t.CC != nil {
-		if err := c.t.CC.CheckInvariants(); err != nil {
-			c.violate(now, "cc-state", "%v", err)
-		}
-	}
-	c.watchdog(now, live, pending)
 }
 
 // watchdog detects lost forward progress: the fabric holds packets but
 // no packet has entered or left it for WatchdogAfter of simulated time.
 // Source-queued packets do not arm it — a fully throttled source is
 // legal — but a packet stuck inside the fabric is not.
-func (c *Checker) watchdog(now sim.Time, live, pending int) {
+func (c *Checker) watchdog(now sim.Time) {
 	if c.cfg.WatchdogAfter < 0 || c.t.Net == nil {
 		return
 	}
@@ -388,7 +383,7 @@ func (c *Checker) watchdog(now sim.Time, live, pending int) {
 		ctr := c.t.Net.HCA(ib.LID(lid)).Counters()
 		io += ctr.TxPackets + ctr.RxPackets
 	}
-	inFabric := live - pending
+	inFabric := c.t.Pool.Live() - c.t.sourcesPending()
 	if io != c.lastIO || inFabric <= 0 {
 		c.lastIO, c.lastIOTime = io, now
 		c.tripped = false
@@ -436,10 +431,9 @@ func (c *Checker) dump(w io.Writer) {
 	}
 	if c.faultSeen > 0 {
 		if c.t.Net != nil {
-			if aud := c.t.Net.Audit(); aud != nil {
-				fmt.Fprintf(w, "check: fault drops data=%d fecn=%d cnp=%d ack=%d credits=%d\n",
-					aud.DroppedData, aud.DroppedFECN, aud.DroppedCNP, aud.DroppedAck, aud.DroppedCredits)
-			}
+			aud := c.t.Net.Audit()
+			fmt.Fprintf(w, "check: fault drops data=%d fecn=%d cnp=%d ack=%d credits=%d\n",
+				aud.DroppedData, aud.DroppedFECN, aud.DroppedCNP, aud.DroppedAck, aud.DroppedCredits)
 		}
 		fmt.Fprintf(w, "check: last %d of %d fault events:\n", len(c.faultRing), c.faultSeen)
 		for i := 0; i < len(c.faultRing); i++ {

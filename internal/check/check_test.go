@@ -38,6 +38,16 @@ func newFabric(t *testing.T, cfg Config) (*Checker, *fabric.Network) {
 	return c, net
 }
 
+// hold gets n packets from the pool and parks them in real fabric
+// custody that never progresses: host 0's control queue and injection
+// DMA, whose completion event nothing here runs. Custody balances (so
+// no conservation noise) and no packet is injected or delivered.
+func hold(net *fabric.Network, n int) {
+	for i := 0; i < n; i++ {
+		net.HCA(0).SendControl(net.PacketPool().Get())
+	}
+}
+
 func wantRule(t *testing.T, c *Checker, rule string) {
 	t.Helper()
 	rep := c.Report()
@@ -128,14 +138,7 @@ func TestConservationSweep(t *testing.T) {
 func TestWatchdogTrip(t *testing.T) {
 	var diag strings.Builder
 	c, net := newFabric(t, Config{WatchdogAfter: sim.Millisecond, Diagnostics: &diag})
-	aud := net.EnableAudit()
-
-	// Three packets "on the wire" forever: custody balances (so no
-	// conservation noise), but no sink progress.
-	for i := 0; i < 3; i++ {
-		_ = net.PacketPool().Get()
-	}
-	aud.WirePackets = 3
+	hold(net, 3)
 
 	c.sweep(0)
 	c.sweep(sim.Time(0).Add(500 * sim.Microsecond))
@@ -148,15 +151,16 @@ func TestWatchdogTrip(t *testing.T) {
 	if rep := c.Report(); rep.Total != 1 {
 		t.Fatalf("watchdog re-tripped without new progress: %d violations", rep.Total)
 	}
-	for _, want := range []string{"fabric custody", "pool gets=3"} {
+	for _, want := range []string{"fabric custody staged=3", "pool gets=3"} {
 		if !strings.Contains(diag.String(), want) {
 			t.Errorf("diagnostic dump missing %q:\n%s", want, diag.String())
 		}
 	}
 }
 
-// TestRunSweepsWindows drives a trivial event load through Run and
-// verifies the windowed execution sweeps and probes.
+// TestRunSweepsWindows drives a trivial event load the way a run loop
+// does — stop at NextSweep, Sweep — and verifies the windowed execution
+// sweeps and probes.
 func TestRunSweepsWindows(t *testing.T) {
 	simr := sim.New()
 	c := New(Target{Sim: simr}, Config{Window: 10 * sim.Microsecond})
@@ -169,7 +173,9 @@ func TestRunSweepsWindows(t *testing.T) {
 		}
 	}
 	simr.Schedule(0, tick)
-	c.Run(sim.Time(0).Add(200 * sim.Microsecond))
+	for end := sim.Time(0).Add(200 * sim.Microsecond); simr.Now().Before(end); c.Sweep() {
+		simr.RunUntil(min(end, c.NextSweep()))
+	}
 	rep := c.Report()
 	if n != 20 {
 		t.Fatalf("executed %d ticks, want 20", n)
@@ -190,7 +196,7 @@ func TestRunSweepsWindows(t *testing.T) {
 // release that matches neither side still fires the rule.
 func TestPoolAccountingWithDrops(t *testing.T) {
 	c, net := newFabric(t, Config{WatchdogAfter: -1})
-	aud := net.Audit() // New enabled it
+	aud := net.Audit()
 
 	// Two packets acquired and "wire-dropped" by the fault layer: the
 	// pool sees the puts, the sink saw nothing.
@@ -226,10 +232,7 @@ func TestDumpShowsFaultEvents(t *testing.T) {
 	bus.LinkDown(100, true, 1, 2)
 	bus.PacketDropped(200, true, 1, 2, nil, 0, 2094)
 	aud.DroppedCredits++
-	for i := 0; i < 2; i++ {
-		_ = net.PacketPool().Get()
-	}
-	aud.WirePackets = 2
+	hold(net, 2)
 	c.sweep(0)
 	c.sweep(sim.Time(0).Add(2 * sim.Millisecond))
 	wantRule(t, c, "watchdog")

@@ -28,8 +28,11 @@ import (
 // Version 2 added the kernel's exec_seq and, per fabric transmitter,
 // busy-until / tx-seq / armed / parked credits: a version-1 snapshot
 // implies a pending serializer-done event for every busy link and none
-// of the deferred credits, so it cannot be continued exactly.
-const Version = 2
+// of the deferred credits, so it cannot be continued exactly. Version 3
+// made the fabric's drop ledger unconditional: a version-2 snapshot of a
+// faulted run written without the checker lacks it, and a continuation
+// would balance the pool against drops it never counted.
+const Version = 3
 
 // EventRecord is one pending future-event-list entry. Kind names the
 // action codec that owns it; the A/F/B/Pkt fields are that codec's

@@ -84,22 +84,38 @@ func Decode(r io.Reader) (*Snapshot, error) {
 	return snap, nil
 }
 
-// SaveAtomic writes the snapshot to path crash-safely: temp file in the
-// same directory, write, fsync the file, rename over path, fsync the
-// directory. A crash at any instant leaves either the old file or the
-// new one, never a torn mix; the CRC in the envelope catches the
-// storage-level remainder.
+// SaveAtomic writes the snapshot to path crash-safely (WriteFileAtomic),
+// creating its directory; the CRC in the envelope catches what a crash
+// cannot tear but storage can.
 func SaveAtomic(path string, s *Snapshot) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	var buf bytes.Buffer
+	if err := Encode(&buf, s); err != nil {
+		return err
+	}
+	return WriteFileAtomic(path, buf.Bytes())
+}
+
+// WriteFileAtomic is the durable-write primitive of everything a run
+// leaves behind (checkpoints, sweep artifacts, manifests, run reports):
+// temp file in path's directory, write, fsync the file, rename over
+// path, fsync the directory. A crash — or a second Ctrl-C — at any
+// instant leaves either the old file or the new one, never a torn mix.
+// The file is world-readable, as os.WriteFile(path, data, 0o644) leaves it.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+"-*.tmp")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if err := Encode(tmp, s); err != nil {
+	if err := tmp.Chmod(0o644); err != nil {
+		tmp.Close()
+		return err
+	}
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -145,23 +161,18 @@ func Load(path string) (*Snapshot, error) {
 // keeping the newest Keep files (plus whatever was there before it
 // started) and deleting its own older ones.
 type Keeper struct {
-	// Dir receives the files; Base prefixes their names.
-	Dir  string
-	Base string
+	// Dir receives the files.
+	Dir string
 	// Keep bounds the series; values below 1 keep exactly 1.
 	Keep int
 
 	written []string
 }
 
-// Save writes the snapshot as <Base>-<sim time>.ibckpt and rotates the
+// Save writes the snapshot as ckpt-<sim time>.ibckpt and rotates the
 // series. It returns the written path.
 func (k *Keeper) Save(s *Snapshot) (string, error) {
-	base := k.Base
-	if base == "" {
-		base = "ckpt"
-	}
-	path := filepath.Join(k.Dir, fmt.Sprintf("%s-%020d%s", base, int64(s.Kernel.Now), Ext))
+	path := filepath.Join(k.Dir, fmt.Sprintf("ckpt-%020d%s", int64(s.Kernel.Now), Ext))
 	if err := SaveAtomic(path, s); err != nil {
 		return "", err
 	}

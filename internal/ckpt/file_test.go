@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -76,25 +77,28 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 }
 
 // TestDecodeRefusesOlderSchema is the version-skew guard: schema 2 added
-// kernel and link state a version-1 file does not carry, so both places
-// a version is recorded — the envelope header and the snapshot inside
-// it — must refuse the old value by name rather than restore half a
-// state. (The header is outside the CRC; the inner field needs the CRC
-// recomputed, as an old writer would have.)
+// kernel and link state a version-1 file does not carry and schema 3 a
+// drop ledger a version-2 file may lack, so both places a version is
+// recorded — the envelope header and the snapshot inside it — must
+// refuse each old value by name rather than restore half a state. (The
+// header is outside the CRC; the inner field needs the CRC recomputed,
+// as an old writer would have.)
 func TestDecodeRefusesOlderSchema(t *testing.T) {
-	corrupt(t, func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[8:12], 1)
-		return b
-	}, "file version 1, this build reads and writes only version 2")
+	for old := 1; old < Version; old++ {
+		corrupt(t, func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[8:12], uint32(old))
+			return b
+		}, fmt.Sprintf("file version %d, this build reads and writes only version 3", old))
 
-	corrupt(t, func(b []byte) []byte {
-		payload := bytes.Replace(b[20:], []byte(`"version":2`), []byte(`"version":1`), 1)
-		if bytes.Equal(payload, b[20:]) {
-			t.Fatal("payload carries no version field to age")
-		}
-		binary.LittleEndian.PutUint32(b[12:16], crc32.ChecksumIEEE(payload))
-		return append(b[:20], payload...)
-	}, "snapshot version 1, this build reads and writes only version 2")
+		corrupt(t, func(b []byte) []byte {
+			payload := bytes.Replace(b[20:], []byte(`"version":3`), []byte(fmt.Sprintf(`"version":%d`, old)), 1)
+			if bytes.Equal(payload, b[20:]) {
+				t.Fatal("payload carries no version field to age")
+			}
+			binary.LittleEndian.PutUint32(b[12:16], crc32.ChecksumIEEE(payload))
+			return append(b[:20], payload...)
+		}, fmt.Sprintf("snapshot version %d, this build reads and writes only version 3", old))
+	}
 }
 
 func TestDecodeRejectsTruncatedPayload(t *testing.T) {
@@ -157,12 +161,12 @@ func TestValidateRejectsInconsistentSnapshots(t *testing.T) {
 func TestKeeperRotatesOwnFilesOnly(t *testing.T) {
 	dir := t.TempDir()
 	// A pre-existing checkpoint the keeper must never delete.
-	foreign := filepath.Join(dir, "old"+Ext)
+	foreign := filepath.Join(dir, "before"+Ext)
 	if err := SaveAtomic(foreign, testSnapshot(1)); err != nil {
 		t.Fatal(err)
 	}
 
-	k := &Keeper{Dir: dir, Base: "run", Keep: 2}
+	k := &Keeper{Dir: dir, Keep: 2}
 	var paths []string
 	for _, now := range []sim.Time{100, 200, 300, 400} {
 		p, err := k.Save(testSnapshot(now))

@@ -1,41 +1,33 @@
 package core
 
 import (
-	"io"
-
 	"repro/internal/check"
 	"repro/internal/ib"
-	"repro/internal/sim"
 )
 
 // CheckOpts configures the runtime invariant checker attached to a run.
 // It is the CheckOpts sibling of ObserveOpts: the zero value enables the
 // full invariant suite at its defaults (50 µs sweep window, 1 ms
 // watchdog, no diagnostics stream).
-type CheckOpts struct {
-	// Window is the simulated time between invariant sweeps (default
-	// 50 µs).
-	Window sim.Duration
-	// WatchdogAfter is the forward-progress watchdog horizon: 0 means
-	// 1 ms, negative disables the watchdog.
-	WatchdogAfter sim.Duration
-	// Diagnostics, when non-nil, receives a structured model-state dump
-	// on the run's first violation and on a watchdog trip.
-	Diagnostics io.Writer
-	// MaxViolations bounds how many violations are recorded in full
-	// (default 32); further ones are only counted.
-	MaxViolations int
-}
+type CheckOpts = check.Config
 
-// Check attaches the runtime invariant checker to a built-but-not-
-// executed instance and returns it; Execute then runs the simulation in
-// sweep windows under the checker. Call between Build and Execute;
-// inspect the checker's Report after Execute. The checker never perturbs
-// the trajectory — a checked run is bit-identical to an unchecked one.
+// Check attaches the runtime invariant checker to a not-yet-executed
+// instance — freshly built, or restored from a checkpoint whoever wrote
+// it — and returns it; Execute then stops at every sweep window. Inspect
+// the checker's Report after Execute. The checker never perturbs the
+// trajectory — a checked run is bit-identical to an unchecked one.
 func (in *Instance) Check(o CheckOpts) *check.Checker {
 	if in.executed {
 		panic("core: Check after Execute")
 	}
+	ck := check.New(in.checkTarget(), o)
+	ck.Attach(in.bus())
+	in.checker = ck
+	return ck
+}
+
+// checkTarget is the instance as the invariant rules see it.
+func (in *Instance) checkTarget() check.Target {
 	t := check.Target{
 		Sim:            in.Net.Sim(),
 		Net:            in.Net,
@@ -47,15 +39,7 @@ func (in *Instance) Check(o CheckOpts) *check.Checker {
 		// interface would read as non-nil to the checker.
 		t.CC = in.Backend
 	}
-	ck := check.New(t, check.Config{
-		Window:        o.Window,
-		WatchdogAfter: o.WatchdogAfter,
-		Diagnostics:   o.Diagnostics,
-		MaxViolations: o.MaxViolations,
-	})
-	ck.Attach(in.bus())
-	in.checker = ck
-	return ck
+	return t
 }
 
 // sourcesPending sums the generated-but-not-injected packets across the

@@ -73,9 +73,9 @@ func (in *Instance) Snapshot() (*ckpt.Snapshot, error) {
 		return nil, fmt.Errorf("core: metrics collector: %w", err)
 	}
 
-	fc := in.Net.Codec(tab)
+	codecs := in.codecs(in.Net.Codec(tab))
 	for _, e := range simr.PendingEvents() {
-		rec, err := in.encodeAction(e.Action(), fc)
+		rec, err := encodeAction(codecs, e.Action())
 		if err != nil {
 			return nil, err
 		}
@@ -94,46 +94,43 @@ func (in *Instance) Snapshot() (*ckpt.Snapshot, error) {
 	return snap, nil
 }
 
-// encodeAction routes a pending action to the codec that owns it.
-func (in *Instance) encodeAction(a sim.Action, fc *fabric.Codec) (ckpt.EventRecord, error) {
-	if rec, ok := fc.EncodeAction(a); ok {
-		return rec, nil
-	}
+// actionCodec maps one layer's pending event actions to checkpoint
+// records and back; ok is false for actions and kinds the layer does
+// not own.
+type actionCodec interface {
+	EncodeAction(a sim.Action) (rec ckpt.EventRecord, ok bool)
+	DecodeAction(rec ckpt.EventRecord) (act sim.Action, attach func(*sim.Event), ok bool, err error)
+}
+
+// codecs lists the layers that schedule events, the fabric's first.
+func (in *Instance) codecs(fc *fabric.Codec) []actionCodec {
+	out := []actionCodec{fc, in.collector}
 	if cp, ok := in.Backend.(cc.Checkpointable); ok {
-		if rec, ok := cp.EncodeAction(a); ok {
-			return rec, nil
-		}
+		out = append(out, cp)
 	}
 	if in.injector != nil {
-		if rec, ok := in.injector.EncodeAction(a); ok {
+		out = append(out, in.injector)
+	}
+	return out
+}
+
+// encodeAction routes a pending action to the codec that owns it.
+func encodeAction(codecs []actionCodec, a sim.Action) (ckpt.EventRecord, error) {
+	for _, c := range codecs {
+		if rec, ok := c.EncodeAction(a); ok {
 			return rec, nil
 		}
-	}
-	if rec, ok := in.collector.EncodeAction(a); ok {
-		return rec, nil
 	}
 	return ckpt.EventRecord{}, fmt.Errorf(
 		"core: pending event %T has no checkpoint codec (instrumentation that schedules its own events cannot be checkpointed)", a)
 }
 
 // decodeAction routes a record to the codec that owns its kind.
-func (in *Instance) decodeAction(rec ckpt.EventRecord, fc *fabric.Codec) (sim.Action, func(*sim.Event), error) {
-	act, attach, ok, err := fc.DecodeAction(rec)
-	if ok || err != nil {
-		return act, attach, err
-	}
-	if cp, cok := in.Backend.(cc.Checkpointable); cok {
-		if act, attach, ok, err = cp.DecodeAction(rec); ok || err != nil {
+func decodeAction(codecs []actionCodec, rec ckpt.EventRecord) (sim.Action, func(*sim.Event), error) {
+	for _, c := range codecs {
+		if act, attach, ok, err := c.DecodeAction(rec); ok || err != nil {
 			return act, attach, err
 		}
-	}
-	if in.injector != nil {
-		if act, attach, ok, err = in.injector.DecodeAction(rec); ok || err != nil {
-			return act, attach, err
-		}
-	}
-	if act, attach, ok, err = in.collector.DecodeAction(rec); ok || err != nil {
-		return act, attach, err
 	}
 	return nil, nil, fmt.Errorf("unknown event kind %q", rec.Kind)
 }
@@ -159,9 +156,6 @@ func (in *Instance) AttachDigest() *obs.Digest {
 	}
 	return in.dig
 }
-
-// Restored reports whether the instance was rebuilt from a checkpoint.
-func (in *Instance) Restored() bool { return in.restored }
 
 // Restore reads a checkpoint envelope and rebuilds the run it captured,
 // ready for Execute (which continues from the snapshot instant).
@@ -266,8 +260,9 @@ func RestoreSnapshot(snap *ckpt.Snapshot) (*Instance, error) {
 	}
 
 	fc := in.Net.Codec(tab)
+	codecs := in.codecs(fc)
 	for i, rec := range snap.Events {
-		act, attach, err := in.decodeAction(rec, fc)
+		act, attach, err := decodeAction(codecs, rec)
 		if err != nil {
 			return nil, fmt.Errorf("core: checkpoint event %d (%s): %w", i, rec.Kind, err)
 		}
@@ -279,6 +274,17 @@ func RestoreSnapshot(snap *ckpt.Snapshot) (*Instance, error) {
 	if err := fc.CheckArmed(); err != nil {
 		return nil, err
 	}
+	// Every layer is overlaid and every event is back in the list: hold
+	// the state to the laws a live run is swept for.
+	var broken error
+	in.checkTarget().Rules(func(rule, detail string) {
+		if broken == nil {
+			broken = fmt.Errorf("core: checkpoint state breaks %s: %s", rule, detail)
+		}
+	})
+	if broken != nil {
+		return nil, broken
+	}
 
 	if snap.Digest != nil {
 		in.dig = obs.NewDigest()
@@ -289,61 +295,16 @@ func RestoreSnapshot(snap *ckpt.Snapshot) (*Instance, error) {
 	return in, nil
 }
 
-// CkptOpts configures periodic checkpointing during Execute.
+// CkptOpts configures periodic checkpointing during a run (see
+// ExecuteWithCheckpoints).
 type CkptOpts struct {
-	// Every is the sim-time cadence between checkpoints (<= 0 disables
-	// them, making ExecuteWithCheckpoints equivalent to Execute).
+	// Every is the sim-time cadence between checkpoints (<= 0 writes
+	// none).
 	Every sim.Duration
-	// Dir receives the rolling checkpoint files; Base prefixes their
-	// names (default "ckpt").
-	Dir  string
-	Base string
+	// Dir receives the rolling checkpoint files.
+	Dir string
 	// Keep bounds the rolling series (minimum 1).
 	Keep int
 	// OnSave, when set, observes each written checkpoint path.
 	OnSave func(path string, at sim.Time)
-}
-
-// ExecuteWithCheckpoints runs the instance like Execute, pausing at
-// every cadence boundary to write a crash-safe rolling checkpoint.
-// Stepping the simulator is trajectory-preserving (the invariant
-// checker's windowed sweeps pin that), so the result is identical to a
-// plain Execute. Incompatible with the invariant checker's own run
-// loop; attach one or the other.
-func (in *Instance) ExecuteWithCheckpoints(o CkptOpts) (*Result, error) {
-	if o.Every <= 0 {
-		return in.Execute(), nil
-	}
-	if in.checker != nil {
-		return nil, fmt.Errorf("core: cadence checkpointing cannot be combined with the invariant checker")
-	}
-	if in.executed {
-		panic("core: instance executed twice")
-	}
-	in.executed = true
-	s := &in.Scenario
-	simr := in.Net.Sim()
-	in.start()
-	end := sim.Time(0).Add(s.Warmup + s.Measure)
-	keeper := &ckpt.Keeper{Dir: o.Dir, Base: o.Base, Keep: o.Keep}
-	for {
-		next := ckpt.NextCadence(simr.Now(), o.Every)
-		if next >= end {
-			simr.RunUntil(end)
-			break
-		}
-		simr.RunUntil(next)
-		snap, err := in.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		path, err := keeper.Save(snap)
-		if err != nil {
-			return nil, err
-		}
-		if o.OnSave != nil {
-			o.OnSave(path, simr.Now())
-		}
-	}
-	return in.reduce(), nil
 }

@@ -24,16 +24,6 @@ const degradationPlanSalt = 0x5fa017ba5e
 // without swamping Stats with samples.
 const degradationSamples = 64
 
-// FaultLinks returns the faultable link set of the scenario's fat-tree:
-// the universe a hand-written or synthesized plan may reference.
-func FaultLinks(s Scenario) ([]fault.LinkRef, error) {
-	tp, err := topo.FatTree(s.Radix)
-	if err != nil {
-		return nil, err
-	}
-	return fault.FabricLinks(tp), nil
-}
-
 // DegradationLeg aggregates one CC setting of one sweep point across
 // seeds: the receive-rate aggregates, the intentional-loss tallies, and
 // the recovery behaviour.

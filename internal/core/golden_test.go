@@ -76,6 +76,18 @@ func goldenBase() Scenario {
 	return s
 }
 
+// goldenWindy is the one windy point (B=25%, p=60, CC on) whose complete
+// event stream the golden file pins.
+func goldenWindy() Scenario {
+	s := goldenBase()
+	s.FracBPct = 25
+	s.PPercent = 60
+	s.CNodesActive = true
+	s.CCOn = true
+	s.Name = "golden windy B=25% p=60 ccOn"
+	return s
+}
+
 func g9(v float64) string { return fmt.Sprintf("%.12g", v) }
 
 // buildGolden runs the golden workloads and assembles the record. The
@@ -106,13 +118,7 @@ func buildGolden(t *testing.T) *goldenRecord {
 	// One windy point, flight recorder attached: the digest covers the
 	// complete ordered event stream, so it pins not just the aggregates
 	// but the entire observable trajectory.
-	s := base
-	s.FracBPct = 25
-	s.PPercent = 60
-	s.CNodesActive = true
-	s.CCOn = true
-	s.Name = "golden windy B=25% p=60 ccOn"
-	in, err := Build(s)
+	in, err := Build(goldenWindy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,12 +143,13 @@ func buildGolden(t *testing.T) *goldenRecord {
 	return rec
 }
 
-// goldenVariants runs the scenario shapes the checkpoint suite builds —
-// each exercises fabric state the windy point never touches: moving
-// hotspots, a second data VL, the rate-based backend, the fault layer
-// (flaps, stalls, degraded serializers, packet and credit drops),
-// store-and-forward timing, and dateline VL switching on a torus.
-func goldenVariants(t *testing.T) map[string]goldenVariant {
+// goldenVariantScenarios are the scenario shapes the checkpoint suite
+// builds — each exercises fabric state the windy point never touches:
+// moving hotspots, a second data VL, the rate-based backend, the fault
+// layer (flaps, stalls, degraded serializers, packet and credit drops)
+// and store-and-forward timing. (The sixth variant, dateline VL
+// switching on a torus, runs below core: goldenTorus.)
+func goldenVariantScenarios(t *testing.T) map[string]Scenario {
 	t.Helper()
 	moving := faultBase(2)
 	moving.HotspotLifetime = 150 * sim.Microsecond
@@ -162,15 +169,25 @@ func goldenVariants(t *testing.T) map[string]goldenVariant {
 	saf := faultBase(9)
 	saf.Fabric.CutThrough = false
 
-	out := map[string]goldenVariant{"torus_dateline": goldenTorus(t)}
-	for name, s := range map[string]Scenario{
+	out := map[string]Scenario{
 		"moving_hotspots":     moving,
 		"separate_hotspot_vl": vl,
 		"rcm_backend":         rcm,
 		"faulted":             faulted,
 		"store_and_forward":   saf,
-	} {
+	}
+	for name, s := range out {
 		s.Name = "golden " + name
+		out[name] = s
+	}
+	return out
+}
+
+// goldenVariants runs the variant scenarios and the torus.
+func goldenVariants(t *testing.T) map[string]goldenVariant {
+	t.Helper()
+	out := map[string]goldenVariant{"torus_dateline": goldenTorus(t)}
+	for name, s := range goldenVariantScenarios(t) {
 		in, err := Build(s)
 		if err != nil {
 			t.Fatal(err)
@@ -215,13 +232,26 @@ func (f *goldenFlood) Pull(sim.Time) (*ib.Packet, sim.Time) {
 	return p, 0
 }
 
-// goldenTorus saturates a 4x4 torus under the dateline VL policy: every
-// host floods the host half-way around both rings, so grants switch
-// lanes (Hooks.SelectVL) and need credits on a VL other than the one
-// the packet queued on. It runs below core (no Scenario builds a
-// torus), in two RunUntil slices so the kernel's between-runs state is
-// part of the pinned trajectory.
-func goldenTorus(t *testing.T) goldenVariant {
+// torusRun is the torus variant's network with its event-stream digest
+// and per-host flood sources, before Start.
+type torusRun struct {
+	net    *fabric.Network
+	dig    *obs.Digest
+	floods []*goldenFlood
+}
+
+// The torus variant's slice boundary and end.
+var (
+	torusCut = sim.Time(0).Add(137 * sim.Microsecond)
+	torusEnd = sim.Time(0).Add(50 * sim.Millisecond)
+)
+
+// newTorusRun builds a 4x4 torus under the dateline VL policy on which
+// every host floods the host half-way around both rings, so grants
+// switch lanes (Hooks.SelectVL) and need credits on a VL other than the
+// one the packet queued on. It sits below core: no Scenario builds a
+// torus.
+func newTorusRun(t *testing.T) *torusRun {
 	t.Helper()
 	g, err := topo.Torus2D(4, 4, 1)
 	if err != nil {
@@ -236,25 +266,55 @@ func goldenTorus(t *testing.T) goldenVariant {
 		t.Fatal(err)
 	}
 	bus := obs.New()
-	dig := obs.NewDigest()
-	bus.Subscribe(dig)
+	tr := &torusRun{net: n, dig: obs.NewDigest()}
+	bus.Subscribe(tr.dig)
 	n.SetBus(bus)
 	for s := 0; s < g.NumHosts; s++ {
 		sx, sy := s%g.W, s/g.W
 		dst := ib.LID((sx+g.W/2)%g.W + ((sy+g.H/2)%g.H)*g.W)
-		n.HCA(ib.LID(s)).SetSource(&goldenFlood{pool: n.PacketPool(), src: ib.LID(s), dst: dst, remaining: 300})
+		f := &goldenFlood{pool: n.PacketPool(), src: ib.LID(s), dst: dst, remaining: 300}
+		n.HCA(ib.LID(s)).SetSource(f)
+		tr.floods = append(tr.floods, f)
 	}
-	n.Start()
-	simr.RunUntil(sim.Time(0).Add(137 * sim.Microsecond))
-	simr.RunUntil(sim.Time(0).Add(50 * sim.Millisecond))
-	if err := n.CheckQuiescent(); err != nil {
+	return tr
+}
+
+// variant fingerprints the finished (drained) torus run.
+func (tr *torusRun) variant(t *testing.T) goldenVariant {
+	t.Helper()
+	if err := tr.net.CheckQuiescent(); err != nil {
 		t.Fatal(err)
 	}
 	var rx uint64
-	for s := 0; s < g.NumHosts; s++ {
-		rx += n.HCA(ib.LID(s)).Counters().RxPackets
+	for s := 0; s < tr.net.NumHosts(); s++ {
+		rx += tr.net.HCA(ib.LID(s)).Counters().RxPackets
 	}
-	return goldenVariant{SimEvents: simr.Processed(), ObsDigest: dig.Sum(), ObsRecords: dig.Records(), Delivered: rx}
+	return goldenVariant{SimEvents: tr.net.Sim().Processed(), ObsDigest: tr.dig.Sum(), ObsRecords: tr.dig.Records(), Delivered: rx}
+}
+
+// goldenTorus saturates the torus in two RunUntil slices, so the
+// kernel's between-runs state is part of the pinned trajectory.
+func goldenTorus(t *testing.T) goldenVariant {
+	t.Helper()
+	tr := newTorusRun(t)
+	tr.net.Start()
+	tr.net.Sim().RunUntil(torusCut)
+	tr.net.Sim().RunUntil(torusEnd)
+	return tr.variant(t)
+}
+
+// loadGolden reads the pinned trajectories.
+func loadGolden(t *testing.T) *goldenRecord {
+	t.Helper()
+	blob, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("golden file missing (run with -update to create): %v", err)
+	}
+	var rec goldenRecord
+	if err := json.Unmarshal(blob, &rec); err != nil {
+		t.Fatal(err)
+	}
+	return &rec
 }
 
 // TestDeterminismGolden verifies the simulation trajectory is
@@ -282,15 +342,7 @@ func TestDeterminismGolden(t *testing.T) {
 		return
 	}
 
-	blob, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("golden file missing (run with -update to create): %v", err)
-	}
-	var want goldenRecord
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatal(err)
-	}
-
+	want := loadGolden(t)
 	for k, w := range want.TableII {
 		if g := got.TableII[k]; g != w {
 			t.Errorf("Table II %s: got %s, golden %s", k, g, w)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/check"
+	"repro/internal/ckpt"
 	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/ib"
@@ -85,7 +86,7 @@ type Instance struct {
 	// busv is the lazily created flight-recorder bus shared by Observe
 	// and Check.
 	busv *obs.Bus
-	// checker, when non-nil, drives Execute's run loop in sweep windows.
+	// checker, when non-nil, has Execute stop at its sweep windows.
 	checker *check.Checker
 	// injector, when non-nil, executes the scenario's fault plan.
 	injector *fault.Injector
@@ -213,6 +214,22 @@ func Build(s Scenario) (*Instance, error) {
 // Execute runs the assembled scenario to the end of its measurement
 // window and reduces the counters. It may be called once.
 func (in *Instance) Execute() *Result {
+	res, err := in.ExecuteWithCheckpoints(CkptOpts{})
+	if err != nil {
+		panic(err) // only writing a checkpoint fails, and none was asked for
+	}
+	return res
+}
+
+// ExecuteWithCheckpoints is Execute writing a crash-safe rolling
+// checkpoint at every cadence boundary of o, and the instance's one run
+// loop: the simulator is stepped to the next instant an attached
+// instrument asks to stop at — the checker's sweep window, the
+// checkpoint cadence — and with neither attached that is a single
+// RunUntil(end). Stops fall between events and schedule nothing, so the
+// trajectory and the result are those of the unstopped run however many
+// instruments share the loop.
+func (in *Instance) ExecuteWithCheckpoints(o CkptOpts) (*Result, error) {
 	if in.executed {
 		panic("core: instance executed twice")
 	}
@@ -221,12 +238,35 @@ func (in *Instance) Execute() *Result {
 	simr := in.Net.Sim()
 	in.start()
 	end := sim.Time(0).Add(s.Warmup + s.Measure)
-	if in.checker != nil {
-		in.checker.Run(end)
-	} else {
-		simr.RunUntil(end)
+	keeper := ckpt.Keeper{Dir: o.Dir, Keep: o.Keep}
+	for {
+		save := ckpt.NextCadence(simr.Now(), o.Every)
+		sweep := sim.MaxTime
+		if in.checker != nil {
+			sweep = in.checker.NextSweep()
+		}
+		next := min(end, save, sweep)
+		simr.RunUntil(next)
+		if in.checker != nil && (next == sweep || next == end) {
+			in.checker.Sweep()
+		}
+		if next == end {
+			return in.reduce(), nil
+		}
+		if next == save {
+			snap, err := in.Snapshot()
+			if err != nil {
+				return nil, err
+			}
+			path, err := keeper.Save(snap)
+			if err != nil {
+				return nil, err
+			}
+			if o.OnSave != nil {
+				o.OnSave(path, next)
+			}
+		}
 	}
-	return in.reduce()
 }
 
 // start kicks the fabric's sources exactly once. A restored instance

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/ckpt"
 )
 
 // ManifestName is the filename WriteManifest produces inside the store
@@ -64,7 +66,7 @@ func (st *Store) WriteManifest(interrupted bool) (string, error) {
 		return "", fmt.Errorf("exp: manifest: %w", err)
 	}
 	path := filepath.Join(st.dir, ManifestName)
-	if err := writeFileAtomic(st.dir, path, ".manifest-*.tmp", append(b, '\n')); err != nil {
+	if err := ckpt.WriteFileAtomic(path, append(b, '\n')); err != nil {
 		return "", fmt.Errorf("exp: manifest: %w", err)
 	}
 	return path, nil

@@ -161,36 +161,11 @@ func (st *Store) Save(s core.Scenario, r *core.Result, elapsed time.Duration) er
 	if err != nil {
 		return fmt.Errorf("exp: store: encode %s: %w", s.Name, err)
 	}
-	if err := writeFileAtomic(st.dir, st.path(fp), "."+fp[:16]+"-*.tmp", append(b, '\n')); err != nil {
+	if err := ckpt.WriteFileAtomic(st.path(fp), append(b, '\n')); err != nil {
 		return fmt.Errorf("exp: store: %s: %w", s.Name, err)
 	}
 	st.completed(s.Name, fp, false)
 	return nil
-}
-
-// writeFileAtomic is the store's durable-write primitive: temp file in
-// dir, write, fsync, rename to path, fsync dir.
-func writeFileAtomic(dir, path, tmpPattern string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, tmpPattern)
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return ckpt.SyncDir(dir)
 }
 
 // Load returns the stored result for a scenario, if a valid artifact

@@ -27,9 +27,6 @@ func (a *arrivalAct) Act() {
 	net, dst, p, src, drop := a.net, a.dst, a.p, a.src, a.drop
 	a.dst, a.p, a.src, a.drop = nil, nil, nil, false
 	net.arrPool = append(net.arrPool, a)
-	if net.aud != nil {
-		net.aud.WirePackets--
-	}
 	if drop {
 		net.dropped(src, dst, p)
 		return
@@ -44,6 +41,7 @@ func (n *Network) popArrival() *arrivalAct {
 		n.arrPool = n.arrPool[:k-1]
 		return a
 	}
+	n.arrMade++
 	return &arrivalAct{net: n}
 }
 
@@ -51,9 +49,6 @@ func (n *Network) popArrival() *arrivalAct {
 func (n *Network) scheduleArrival(d sim.Duration, dst packetTaker, p *ib.Packet) {
 	a := n.popArrival()
 	a.dst, a.p = dst, p
-	if n.aud != nil {
-		n.aud.WirePackets++
-	}
 	n.simr.ScheduleAction(d, a)
 }
 
@@ -63,9 +58,6 @@ func (n *Network) scheduleArrival(d sim.Duration, dst packetTaker, p *ib.Packet)
 func (n *Network) scheduleDrop(d sim.Duration, src *linkOut, p *ib.Packet) {
 	a := n.popArrival()
 	a.dst, a.p, a.src, a.drop = src.dst, p, src, true
-	if n.aud != nil {
-		n.aud.WirePackets++
-	}
 	n.simr.ScheduleAction(d, a)
 }
 

@@ -8,24 +8,21 @@ import (
 
 // This file is the fabric side of the runtime invariant layer
 // (internal/check): a custody census of every packet the fabric holds,
-// and mid-run bounds on the credit accounting. Unlike CheckQuiescent,
-// which only holds after a full drain, these invariants hold at every
-// event boundary, so the checker can sweep them during a run.
+// and the rules on its credit, queue and link bookkeeping. Unlike
+// CheckQuiescent, which only holds after a full drain, these hold at
+// every event boundary — mid-run, and on the state a checkpoint restore
+// has just overlaid (RestoreState ends with them) — so the checker can
+// sweep them whenever it is attached.
 
-// AuditCounters tracks packet custody that is otherwise implicit in the
-// future-event list: packets serialized onto a link whose arrival event
-// has not fired yet. The counter lives behind a nil pointer so the
-// unaudited hot path pays exactly one branch per link transmission.
+// AuditCounters is the fault path's drop ledger: what the fault layer
+// discarded on the wire (see Dropper). It always counts — a drop is
+// rare and already costs an event — and always travels in a checkpoint.
 type AuditCounters struct {
-	// WirePackets counts packets currently in flight on links (arrival
-	// scheduled, not yet arrived).
-	WirePackets int
-
-	// DroppedPackets counts packets the fault layer discarded on the
-	// wire (see Dropper). Dropped custody is intentional, so the pool
-	// accounting law becomes Puts == ΣRxPackets + DroppedPackets; the
-	// per-class columns below break the total down for audit reports
-	// (a FECN-marked data packet counts under DroppedFECN only).
+	// DroppedPackets counts the discarded packets. Dropped custody is
+	// intentional, so the pool accounting law is
+	// Puts == ΣRxPackets + DroppedPackets; the per-class columns below
+	// break the total down for audit reports (a FECN-marked data packet
+	// counts under DroppedFECN only).
 	DroppedPackets int
 	DroppedData    int
 	DroppedFECN    int
@@ -52,18 +49,8 @@ func (a *AuditCounters) countDrop(p *ib.Packet) {
 	}
 }
 
-// EnableAudit switches on the wire-custody counter and returns it. It
-// must be called before Start — packets already in flight when auditing
-// begins would be invisible to the census. Idempotent.
-func (n *Network) EnableAudit() *AuditCounters {
-	if n.aud == nil {
-		n.aud = &AuditCounters{}
-	}
-	return n.aud
-}
-
-// Audit returns the audit counters, or nil when auditing is off.
-func (n *Network) Audit() *AuditCounters { return n.aud }
+// Audit returns the drop ledger.
+func (n *Network) Audit() *AuditCounters { return &n.aud }
 
 // HeldCensus breaks down the fabric's packet custody by holding site.
 type HeldCensus struct {
@@ -75,8 +62,11 @@ type HeldCensus struct {
 	RxQueued int
 	// Queued counts packets in switch virtual output queues.
 	Queued int
-	// Wire counts packets in flight on links. It is exact only when
-	// auditing is enabled (EnableAudit before Start), zero otherwise.
+	// Wire counts packets in flight on links: arrival scheduled, not yet
+	// arrived. It is derived, not counted — every such packet is carried
+	// by one arrival action, and an action is either in flight or in the
+	// network's recycling pool — so it is exact at every event boundary,
+	// including the one a checkpoint restore resumes from.
 	Wire int
 }
 
@@ -88,11 +78,11 @@ func (c HeldCensus) String() string {
 }
 
 // Census walks every holding site and returns the custody breakdown.
-// With auditing enabled, Census().Total() accounts for every packet the
-// fabric owns, so pool.Live() − sources' pending == Total() is the
-// packet conservation law the checker sweeps.
+// Census().Total() accounts for every packet the fabric owns, so
+// pool.Live() − sources' pending == Total() is the packet conservation
+// law the checker sweeps.
 func (n *Network) Census() HeldCensus {
-	var c HeldCensus
+	c := HeldCensus{Wire: n.arrMade - len(n.arrPool)}
 	for _, h := range n.hcas {
 		c.Staged += h.obuf.Len() + h.ctrl.Len()
 		if h.dmaPkt != nil {
@@ -110,9 +100,6 @@ func (n *Network) Census() HeldCensus {
 			}
 		}
 	}
-	if n.aud != nil {
-		c.Wire = n.aud.WirePackets
-	}
 	return c
 }
 
@@ -120,56 +107,58 @@ func (n *Network) Census() HeldCensus {
 // owns (see Census).
 func (n *Network) HeldPackets() int { return n.Census().Total() }
 
-// CheckCreditBounds verifies the credit-accounting bounds that hold at
+// CheckState runs the fabric's state rules in the order the checker
+// names them, calling report for each one that does not hold.
+func (n *Network) CheckState(report func(rule string, err error)) {
+	if err := n.CheckCreditBounds(); err != nil {
+		report("credit-bounds", err)
+	}
+	if err := n.CheckVoQOccupancy(); err != nil {
+		report("voq-occupancy", err)
+	}
+	if err := n.CheckLinkArmed(); err != nil {
+		report("link-armed", err)
+	}
+}
+
+// CheckCreditBounds verifies the flow-control accounting that holds at
 // every event boundary, not just at quiescence: every transmitter's
 // per-VL credit count within [0, downstream buffer capacity], every
-// receiver's free space within [0, its capacity], and no negative
-// queue accounting anywhere. Credit updates whose landing instant has
-// passed are folded in first, so the counters read are the ones the
-// model would read. It returns the first violation found.
+// receiver's free space within [0, its capacity], and every host's
+// staging byte counter — what gates its injection DMA — equal to the
+// wire bytes actually staged and within the staging buffer. Credit
+// updates whose landing instant has passed are folded in first, so the
+// counters read are the ones the model would read. It returns the first
+// violation found.
 func (n *Network) CheckCreditBounds() error {
 	n.fold()
-	for _, h := range n.hcas {
-		for v, cr := range h.out.credits {
-			// Hosts attach to leaf switches, so the downstream buffer
-			// is always a switch input buffer.
-			if cr < 0 || cr > n.cfg.SwitchIbufBytes {
-				return fmt.Errorf("fabric: host %d tx vl %d credits %d outside [0, %d]",
-					h.lid, v, cr, n.cfg.SwitchIbufBytes)
+	if err := n.eachLink(func(l *linkOut, _ bool) error {
+		for v, cr := range l.credits {
+			if cr < 0 || cr > l.capBytes() {
+				return fmt.Errorf("fabric: %s vl %d credits %d outside [0, %d]", l.name(), v, cr, l.capBytes())
 			}
 		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	for _, h := range n.hcas {
 		for v, free := range h.rxFree {
 			if free < 0 || free > n.cfg.HostIbufBytes {
 				return fmt.Errorf("fabric: host %d rx vl %d free %d outside [0, %d]",
 					h.lid, v, free, n.cfg.HostIbufBytes)
 			}
 		}
-		if h.obufBytes < 0 || h.obufBytes > n.cfg.HostObufBytes {
-			return fmt.Errorf("fabric: host %d staging %d bytes outside [0, %d]",
-				h.lid, h.obufBytes, n.cfg.HostObufBytes)
+		staged := 0
+		for p := h.obuf.Peek(); p != nil; p = p.Next {
+			staged += p.WireBytes()
+		}
+		if staged != h.obufBytes || staged > n.cfg.HostObufBytes {
+			return fmt.Errorf("fabric: host %d staging holds %d wire bytes of %d, counter says %d",
+				h.lid, staged, n.cfg.HostObufBytes, h.obufBytes)
 		}
 	}
 	for _, sw := range n.switches {
-		for pi, op := range sw.out {
-			if op == nil {
-				continue
-			}
-			dcap := op.capBytes()
-			for v, cr := range op.credits {
-				if cr < 0 || cr > dcap {
-					return fmt.Errorf("fabric: switch %d port %d vl %d credits %d outside [0, %d]",
-						sw.index, pi, v, cr, dcap)
-				}
-			}
-			if op.pending < 0 {
-				return fmt.Errorf("fabric: switch %d port %d pending %d packets", sw.index, pi, op.pending)
-			}
-			for v, qb := range op.qbytes {
-				if qb < 0 {
-					return fmt.Errorf("fabric: switch %d port %d vl %d queued %d bytes", sw.index, pi, v, qb)
-				}
-			}
-		}
 		for pi, ip := range sw.in {
 			if ip == nil {
 				continue
@@ -185,11 +174,14 @@ func (n *Network) CheckCreditBounds() error {
 	return nil
 }
 
-// CheckVoQOccupancy verifies the arbiter's summary state against the
-// queues it summarizes, at every switch output port: occupancy bit k is
-// set exactly when voqs[k] holds packets, and pending equals the
-// packets queued. A stale set bit would make the arbiter dereference an
-// empty queue's head; a stale clear bit strands its packets forever.
+// CheckVoQOccupancy verifies everything a switch output port keeps
+// beside its queues against the queues themselves: occupancy bit k is
+// set exactly when voqs[k] holds packets, pending equals the packets
+// queued, the queued bytes per VL — what congestion detection samples —
+// are the wire bytes queued on that lane, and a VoQ holds only packets
+// of its slot's lane, the one a grant returns the input-buffer credit
+// on. A stale set bit would make the arbiter dereference an empty
+// queue's head; a stale clear bit strands its packets forever.
 func (n *Network) CheckVoQOccupancy() error {
 	for _, sw := range n.switches {
 		for pi, op := range sw.out {
@@ -197,6 +189,7 @@ func (n *Network) CheckVoQOccupancy() error {
 				continue
 			}
 			queued := 0
+			var lanes [16]int // wire bytes queued per VL; NumVLs ≤ 15 (Config.Validate)
 			for k := range op.voqs {
 				l := op.voqs[k].Len()
 				queued += l
@@ -204,10 +197,24 @@ func (n *Network) CheckVoQOccupancy() error {
 					return fmt.Errorf("fabric: switch %d port %d voq %d: occupancy bit %v with %d packets queued",
 						sw.index, pi, k, set, l)
 				}
+				vl := k & (1<<op.vlShift - 1)
+				for p := op.voqs[k].Peek(); p != nil; p = p.Next {
+					if int(p.VL) != vl || vl >= len(op.qbytes) {
+						return fmt.Errorf("fabric: switch %d port %d voq %d (vl %d) holds a packet on vl %d",
+							sw.index, pi, k, vl, p.VL)
+					}
+					lanes[vl] += p.WireBytes()
+				}
 			}
 			if queued != op.pending {
 				return fmt.Errorf("fabric: switch %d port %d: %d packets queued, pending says %d",
 					sw.index, pi, queued, op.pending)
+			}
+			for v, qb := range op.qbytes {
+				if lanes[v] != qb {
+					return fmt.Errorf("fabric: switch %d port %d vl %d voqs hold %d wire bytes, counter says %d",
+						sw.index, pi, v, lanes[v], qb)
+				}
 			}
 		}
 	}
@@ -224,9 +231,12 @@ func (n *Network) CheckVoQOccupancy() error {
 // it), a stalled one has packets waiting and no update parked; the
 // credits held plus the ones parked never exceed the downstream buffer.
 // Along the parked ring: lanes the fabric has, positive sizes, ascending
-// keys, and per-link counts that match.
+// keys, and per-link counts that match. Every reserved key — a busy
+// serializer's, a parked update's — carries a sequence number the kernel
+// has issued.
 func (n *Network) CheckLinkArmed() error {
 	n.fold()
+	nextSeq := n.simr.ExportKernel().Seq
 	parked := make(map[*linkOut]int)
 	var last *parkedCredit
 	for i := 0; i < n.parked.len; i++ {
@@ -239,6 +249,9 @@ func (n *Network) CheckLinkArmed() error {
 		if int(c.vl) >= len(l.credits) || c.bytes <= 0 {
 			return fmt.Errorf("fabric: %s parked credit of %d bytes on vl %d", l.name(), c.bytes, c.vl)
 		}
+		if c.seq >= nextSeq {
+			return fmt.Errorf("fabric: %s parked credit seq %d at or beyond next seq %d", l.name(), c.seq, nextSeq)
+		}
 		if last != nil && (c.at < last.at || c.seq <= last.seq) {
 			return fmt.Errorf("fabric: parked credit keys out of order: (%v, %d) after (%v, %d)", c.at, c.seq, last.at, last.seq)
 		}
@@ -246,6 +259,8 @@ func (n *Network) CheckLinkArmed() error {
 	}
 	return n.eachLink(func(l *linkOut, waiting bool) error {
 		switch busy := l.isBusy(); {
+		case busy && l.txSeq >= nextSeq:
+			return fmt.Errorf("fabric: %s serializer-done seq %d at or beyond next seq %d", l.name(), l.txSeq, nextSeq)
 		case busy && !l.armed && waiting:
 			return fmt.Errorf("fabric: %s busy until %v with packets waiting and no serializer-done event", l.name(), l.busyUntil)
 		case l.armed && !busy:

@@ -12,13 +12,20 @@ import (
 // (internal/ckpt): a typed export of every piece of mutable fabric
 // state — packet custody in staging/control/receive/VoQ queues and
 // in-service slots, per-VL credit and free-space accounting, link
-// serializer/fault state, traffic counters, pool books, audit ledger —
+// serializer/fault state, traffic counters, pool books, drop ledger —
 // and the action codec that maps the fabric's pending future-event-list
 // entries to serializable (kind, args) records and back.
 //
 // Restore overlays this state onto a freshly Built network: the wiring
 // (takers, upstream credit destinations, action bindings) is identical
-// by construction, so only the mutable fields move.
+// by construction, so only the mutable fields move. The envelope's CRC
+// only proves the bytes are the ones written, so the overlay checks what
+// it indexes with — shapes, lane counts, ring positions, packet claims,
+// transmitters — and that the state is in the canonical form export
+// writes. Whether the overlaid state is a legal one is not decided here:
+// RestoreState ends with the rules the invariant checker sweeps on a
+// live run (CheckState), so a snapshot is held to exactly the laws a run
+// is.
 
 // LinkOutState is the mutable state of one transmitter. While Busy, the
 // serializer is occupied until the key (BusyUntil, TxSeq) passes; Armed
@@ -104,7 +111,7 @@ type State struct {
 	// Parked are the credit updates not yet landed, in key order.
 	Parked []ParkedCredit `json:"parked,omitempty"`
 	Pool   ib.PoolStats   `json:"pool"`
-	Audit  *AuditCounters `json:"audit,omitempty"`
+	Audit  AuditCounters  `json:"audit"`
 }
 
 func queueRefs(t *ckpt.PacketTable, q *ib.PacketQueue) []int {
@@ -119,10 +126,9 @@ func queueRefs(t *ckpt.PacketTable, q *ib.PacketQueue) []int {
 }
 
 // claim resolves a packet reference for the custody site or event that
-// owns it. A snapshot's CRC only proves the bytes are the ones written,
-// so everything the forwarding path would index with is checked here: a
-// reference out of range or owned twice, and a lane the fabric does not
-// have, are errors rather than a panic at the packet's next hop.
+// owns it: a reference out of range or owned twice, and a lane the
+// fabric does not have, are errors rather than a panic at the packet's
+// next hop.
 func (n *Network) claim(t *ckpt.PacketTable, ref int) (*ib.Packet, error) {
 	p, err := t.Claim(ref)
 	if err != nil {
@@ -134,22 +140,20 @@ func (n *Network) claim(t *ckpt.PacketTable, ref int) (*ib.Packet, error) {
 	return p, nil
 }
 
-// restoreQueue relinks q from refs in FIFO order and returns the wire
-// bytes it now holds.
-func (n *Network) restoreQueue(t *ckpt.PacketTable, q *ib.PacketQueue, refs []int) (wire int, err error) {
+// restoreQueue relinks q from refs in FIFO order.
+func (n *Network) restoreQueue(t *ckpt.PacketTable, q *ib.PacketQueue, refs []int) error {
 	*q = ib.PacketQueue{}
 	for _, r := range refs {
 		p, err := n.claim(t, r)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if p == nil {
-			return 0, fmt.Errorf("nil packet reference in a queue")
+			return fmt.Errorf("nil packet reference in a queue")
 		}
 		q.Push(p)
-		wire += p.WireBytes()
 	}
-	return wire, nil
+	return nil
 }
 
 // exportLink captures a transmitter in canonical form: a transmission
@@ -164,31 +168,18 @@ func exportLink(l *linkOut) LinkOutState {
 	return st
 }
 
-// restoreLink overlays one transmitter; waiting says whether its owner
-// restored packets queued behind the serializer. The kernel scalars are
-// already in place (core restores them first), so the key is judged
-// against the snapshot's own clock and sequence counter.
-func (n *Network) restoreLink(l *linkOut, st LinkOutState, waiting bool) error {
+// restoreLink overlays one transmitter. Export retires an unarmed key
+// the clock has passed, so a snapshot still carrying one was not written
+// by it; the kernel scalars are already in place (core restores them
+// first), so the key is judged against the snapshot's own clock.
+func (n *Network) restoreLink(l *linkOut, st LinkOutState) error {
 	if len(st.Credits) != len(l.credits) {
 		return fmt.Errorf("%d credit lanes, want %d", len(st.Credits), len(l.credits))
 	}
-	switch nextSeq := n.simr.ExportKernel().Seq; {
-	case !st.Busy && st.Armed:
-		return fmt.Errorf("idle serializer with a done event armed")
-	case !st.Busy:
+	if !st.Busy {
 		st.BusyUntil, st.TxSeq = 0, 0
-	case st.TxSeq >= nextSeq:
-		return fmt.Errorf("serializer-done seq %d at or beyond next seq %d", st.TxSeq, nextSeq)
-	case !st.Armed && n.simr.Passed(st.BusyUntil, st.TxSeq):
+	} else if !st.Armed && n.simr.Passed(st.BusyUntil, st.TxSeq) {
 		return fmt.Errorf("busy until %v (seq %d) with no done event armed, which the snapshot clock has passed", st.BusyUntil, st.TxSeq)
-	case !st.Armed && waiting:
-		return fmt.Errorf("packets wait behind a busy serializer with no done event armed")
-	}
-	switch {
-	case st.Stalled && (st.Busy || !waiting):
-		return fmt.Errorf("marked stalled with busy=%v waiting=%v", st.Busy, waiting)
-	case waiting && !st.Busy && !st.Down && !st.Stalled:
-		return fmt.Errorf("idle with packets waiting but not marked stalled")
 	}
 	copy(l.credits, st.Credits)
 	l.busy, l.down, l.slow = st.Busy, st.Down, st.Slow
@@ -198,17 +189,14 @@ func (n *Network) restoreLink(l *linkOut, st LinkOutState, waiting bool) error {
 }
 
 // restoreParked refills the parked-credit ring, after every link is
-// restored: each update must target a transmitter the fabric has whose
-// arbiter is not stalled, on a lane it has, not have landed yet (export
-// folds those), carry a sequence number the kernel has issued, keep the
-// ring's key order, and leave credits + parked within the downstream
-// buffer.
+// restored: each update must fit the ring, target a transmitter and a
+// lane the fabric has with a size the ring's field holds, and not have
+// landed yet (export folds those).
 func (n *Network) restoreParked(parked []ParkedCredit) error {
 	n.parked = parkedRing{}
 	if len(parked) > parkedCap {
 		return fmt.Errorf("%d parked credits, the ring holds %d", len(parked), parkedCap)
 	}
-	nextSeq := n.simr.ExportKernel().Seq
 	for i, c := range parked {
 		taker, err := n.transmitter(c.AtSwitch, int64(c.Node), int64(c.Port))
 		if err != nil {
@@ -218,23 +206,14 @@ func (n *Network) restoreParked(parked []ParkedCredit) error {
 		switch {
 		case int(c.VL) >= len(l.credits):
 			return fmt.Errorf("parked credit %d on vl %d of %d", i, c.VL, len(l.credits))
-		case c.Bytes <= 0 || c.Bytes > l.capBytes():
+		case int(int32(c.Bytes)) != c.Bytes:
 			return fmt.Errorf("parked credit %d of %d bytes", i, c.Bytes)
-		case l.stalled:
-			return fmt.Errorf("parked credit %d for %s, whose arbiter is stalled", i, l.name())
-		case c.Seq >= nextSeq:
-			return fmt.Errorf("parked credit %d seq %d at or beyond next seq %d", i, c.Seq, nextSeq)
 		case n.simr.Passed(c.At, c.Seq):
 			return fmt.Errorf("parked credit %d key (%v, %d) is behind the snapshot clock", i, c.At, c.Seq)
-		case i > 0 && (c.At < parked[i-1].At || c.Seq <= parked[i-1].Seq):
-			return fmt.Errorf("parked credits out of key order at %d", i)
 		}
 		*n.parked.at(i) = parkedCredit{at: c.At, seq: c.Seq, taker: taker, bytes: int32(c.Bytes), vl: ib.VL(c.VL)}
 		n.parked.len++
 		l.nParked++
-		if sum := l.credits[c.VL] + n.parkedBytes(l, int(c.VL)); sum > l.capBytes() {
-			return fmt.Errorf("%s vl %d credits %d with parked updates exceed capacity %d", l.name(), c.VL, sum, l.capBytes())
-		}
 	}
 	return nil
 }
@@ -300,15 +279,13 @@ func (n *Network) ExportState(tab *ckpt.PacketTable) *State {
 		st.Switches[i] = ss
 	}
 	st.Pool = n.pool.Stats()
-	if n.aud != nil {
-		a := *n.aud
-		st.Audit = &a
-	}
+	st.Audit = n.aud
 	return st
 }
 
 // RestoreState overlays a checkpointed fabric state onto a freshly
-// built network of the same scenario.
+// built network of the same scenario and judges the result by the
+// fabric's state rules.
 func (n *Network) RestoreState(st *State, tab *ckpt.PacketTable) error {
 	if len(st.HCAs) != len(n.hcas) || len(st.Switches) != len(n.switches) {
 		return fmt.Errorf("fabric: restore shape %d hosts/%d switches, want %d/%d",
@@ -354,23 +331,23 @@ func (n *Network) RestoreState(st *State, tab *ckpt.PacketTable) error {
 		return fmt.Errorf("fabric: restore: %w", err)
 	}
 	n.pool.RestoreStats(st.Pool)
-	if st.Audit != nil {
-		a := n.EnableAudit()
-		*a = *st.Audit
-	}
-	return nil
+	n.aud = st.Audit
+	var broken error
+	n.CheckState(func(rule string, err error) {
+		if broken == nil {
+			broken = fmt.Errorf("%w (restored state breaks %s)", err, rule)
+		}
+	})
+	return broken
 }
 
 func (n *Network) restoreHCA(h *HCA, hs *HCAState, tab *ckpt.PacketTable) error {
-	obufBytes, err := n.restoreQueue(tab, &h.obuf, hs.Obuf)
+	err := n.restoreQueue(tab, &h.obuf, hs.Obuf)
 	if err != nil {
 		return err
 	}
-	if obufBytes != hs.ObufBytes {
-		return fmt.Errorf("staging holds %d wire bytes, state says %d", obufBytes, hs.ObufBytes)
-	}
 	h.obufBytes = hs.ObufBytes
-	if _, err = n.restoreQueue(tab, &h.ctrl, hs.Ctrl); err != nil {
+	if err = n.restoreQueue(tab, &h.ctrl, hs.Ctrl); err != nil {
 		return err
 	}
 	h.dmaBusy = hs.DmaBusy
@@ -381,14 +358,14 @@ func (n *Network) restoreHCA(h *HCA, hs *HCAState, tab *ckpt.PacketTable) error 
 		return fmt.Errorf("%d rx lanes, want %d", len(hs.RxFree), len(h.rxFree))
 	}
 	copy(h.rxFree, hs.RxFree)
-	if _, err = n.restoreQueue(tab, &h.rxQ, hs.RxQ); err != nil {
+	if err = n.restoreQueue(tab, &h.rxQ, hs.RxQ); err != nil {
 		return err
 	}
 	h.sinkBusy = hs.SinkBusy
 	if h.sinkPkt, err = n.claim(tab, hs.SinkPkt); err != nil {
 		return err
 	}
-	if err := n.restoreLink(&h.out, hs.Out, h.obuf.Len() > 0); err != nil {
+	if err := n.restoreLink(&h.out, hs.Out); err != nil {
 		return err
 	}
 	h.ctr = hs.Ctr
@@ -399,8 +376,8 @@ func (n *Network) restoreHCA(h *HCA, hs *HCAState, tab *ckpt.PacketTable) error 
 // restoreSwOut overlays one switch output port. The VoQ ring is
 // validated against everything the arbiter derives from a ring index —
 // the first grant reads sw.in[k>>vlShift] and the lane accounts of the
-// slot's VL — and the occupancy bitmap and the redundant counters
-// (pending, qbytes) must agree with the queues they summarize.
+// slot's VL — and the occupancy bitmap, which a snapshot does not carry,
+// is rebuilt from the queues.
 func (n *Network) restoreSwOut(op *swOutPort, st *SwOutState, tab *ckpt.PacketTable) error {
 	if len(st.Qbytes) != len(op.qbytes) {
 		return fmt.Errorf("%d queue lanes, want %d", len(st.Qbytes), len(op.qbytes))
@@ -415,8 +392,6 @@ func (n *Network) restoreSwOut(op *swOutPort, st *SwOutState, tab *ckpt.PacketTa
 	for w := range op.occ {
 		op.occ[w] = 0
 	}
-	pending := 0
-	qbytes := make([]int, len(op.qbytes))
 	for i, vs := range st.VoQs {
 		if vs.K < 0 || vs.K >= len(op.voqs) {
 			return fmt.Errorf("voq %d of %d", vs.K, len(op.voqs))
@@ -428,33 +403,16 @@ func (n *Network) restoreSwOut(op *swOutPort, st *SwOutState, tab *ckpt.PacketTa
 		if inPort >= len(op.sw.in) || op.sw.in[inPort] == nil || vl >= len(op.qbytes) {
 			return fmt.Errorf("voq %d is a padding slot (in-port %d, vl %d)", vs.K, inPort, vl)
 		}
-		q := &op.voqs[vs.K]
-		wire, err := n.restoreQueue(tab, q, vs.Pkts)
-		if err != nil {
+		if err := n.restoreQueue(tab, &op.voqs[vs.K], vs.Pkts); err != nil {
 			return err
 		}
-		for p := q.Peek(); p != nil; p = p.Next {
-			if int(p.VL) != vl {
-				return fmt.Errorf("voq %d (vl %d) holds a packet on vl %d", vs.K, vl, p.VL)
-			}
-		}
-		if q.Len() > 0 {
+		if len(vs.Pkts) > 0 {
 			op.occ[vs.K>>6] |= 1 << (vs.K & 63)
-		}
-		pending += q.Len()
-		qbytes[vl] += wire
-	}
-	if pending != st.Pending {
-		return fmt.Errorf("voqs hold %d packets, state says %d pending", pending, st.Pending)
-	}
-	for vl, b := range qbytes {
-		if b != st.Qbytes[vl] {
-			return fmt.Errorf("vl %d voqs hold %d wire bytes, state says %d", vl, b, st.Qbytes[vl])
 		}
 	}
 	op.pending = st.Pending
 	copy(op.qbytes, st.Qbytes)
-	return n.restoreLink(&op.linkOut, st.Link, pending > 0)
+	return n.restoreLink(&op.linkOut, st.Link)
 }
 
 // Fabric action kinds in the checkpoint event records.
@@ -508,16 +466,9 @@ func (c *Codec) EncodeAction(a sim.Action) (rec ckpt.EventRecord, ok bool) {
 		}
 		return rec, true
 	case *creditAct:
-		rec = ckpt.EventRecord{Kind: kindCredit, A2: int64(v.vl), A3: int64(v.bytes)}
-		switch t := v.taker.(type) {
-		case *HCA:
-			rec.A0 = int64(t.lid)
-		case *swOutPort:
-			rec.B0, rec.A0, rec.A1 = true, int64(t.sw.index), int64(t.port)
-		default:
-			return rec, false
-		}
-		return rec, true
+		l := v.taker.txLink()
+		return ckpt.EventRecord{Kind: kindCredit, B0: l.atSwitch, A0: int64(l.node), A1: int64(l.port),
+			A2: int64(v.vl), A3: int64(v.bytes)}, true
 	case swTxAct:
 		return ckpt.EventRecord{Kind: kindSwTx, A0: int64(v.op.sw.index), A1: int64(v.op.port)}, true
 	case hcaTxAct:
@@ -550,8 +501,9 @@ func (n *Network) swPort(a0, a1 int64) (*SwitchNode, int, error) {
 	return sw, int(a1), nil
 }
 
-// transmitter resolves a credit destination — a pending credit event's
-// or a parked update's — in the flight-recorder namespace.
+// transmitter resolves a transmitter — a pending credit event's or a
+// parked update's destination, a serializer-done event's owner, a
+// dropped arrival's source — in the flight-recorder namespace.
 func (n *Network) transmitter(atSwitch bool, node, port int64) (creditTaker, error) {
 	if !atSwitch {
 		h, err := n.host(node)
@@ -565,7 +517,7 @@ func (n *Network) transmitter(atSwitch bool, node, port int64) (creditTaker, err
 		return nil, err
 	}
 	if sw.out[p] == nil {
-		return nil, fmt.Errorf("fabric: credit to unconnected port %d of switch %d", p, node)
+		return nil, fmt.Errorf("fabric: checkpoint references unconnected port %d of switch %d", p, node)
 	}
 	return sw.out[p], nil
 }
@@ -633,22 +585,11 @@ func (c *Codec) DecodeAction(rec ckpt.EventRecord) (act sim.Action, attach func(
 			a.dst = h
 		}
 		if a.drop {
-			if rec.B2 {
-				sw, port, e := c.net.swPort(rec.A2, rec.A3)
-				if e != nil {
-					return nil, nil, true, e
-				}
-				if sw.out[port] == nil {
-					return nil, nil, true, fmt.Errorf("fabric: dropped arrival from unconnected port %d of switch %d", port, rec.A2)
-				}
-				a.src = &sw.out[port].linkOut
-			} else {
-				h, e := c.net.host(rec.A2)
-				if e != nil {
-					return nil, nil, true, e
-				}
-				a.src = &h.out
+			src, e := c.net.transmitter(rec.B2, rec.A2, rec.A3)
+			if e != nil {
+				return nil, nil, true, e
 			}
+			a.src = src.txLink()
 		}
 		return a, nil, true, nil
 	case kindCredit:
@@ -657,25 +598,19 @@ func (c *Codec) DecodeAction(rec ckpt.EventRecord) (act sim.Action, attach func(
 			return nil, nil, true, e
 		}
 		return &creditAct{net: c.net, taker: taker, vl: ib.VL(rec.A2), bytes: int(rec.A3)}, nil, true, nil
-	case kindSwTx:
-		sw, port, e := c.net.swPort(rec.A0, rec.A1)
+	case kindSwTx, kindHCATx:
+		tx, e := c.net.transmitter(rec.Kind == kindSwTx, rec.A0, rec.A1)
 		if e != nil {
 			return nil, nil, true, e
 		}
-		if sw.out[port] == nil {
-			return nil, nil, true, fmt.Errorf("fabric: tx-done on unconnected port %d of switch %d", port, rec.A0)
-		}
-		act, e := c.armedTx(&sw.out[port].linkOut, rec)
+		act, e := c.armedTx(tx.txLink(), rec)
 		return act, nil, true, e
-	case kindHCATx, kindHCAWake, kindHCADma, kindHCASink:
+	case kindHCAWake, kindHCADma, kindHCASink:
 		h, e := c.net.host(rec.A0)
 		if e != nil {
 			return nil, nil, true, e
 		}
 		switch rec.Kind {
-		case kindHCATx:
-			act, e := c.armedTx(&h.out, rec)
-			return act, nil, true, e
 		case kindHCADma:
 			return h.dmaAct, nil, true, nil
 		case kindHCASink:

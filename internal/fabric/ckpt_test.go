@@ -184,7 +184,7 @@ func TestRestoreStateRejectsCorruptSnapshots(t *testing.T) {
 		{"done event armed on an idle serializer", func(st *State, _ []ckpt.PacketRecord) {
 			l := unarmedBusy(st)
 			l.Busy, l.Armed = false, true
-		}, "idle serializer with a done event armed"},
+		}, "event armed while idle"},
 		{"unarmed busy key behind the clock", func(st *State, _ []ckpt.PacketRecord) {
 			unarmedBusy(st).BusyUntil = ks.Now - 1
 		}, "the snapshot clock has passed"},
@@ -195,11 +195,11 @@ func TestRestoreStateRejectsCorruptSnapshots(t *testing.T) {
 			bo := busiestOut(st)
 			bo.Link.Busy, bo.Link.Armed, bo.Link.Stalled = true, false, false
 			bo.Link.BusyUntil, bo.Link.TxSeq = ks.Now+1000, 1
-		}, "no done event armed"},
+		}, "packets waiting and no serializer-done event"},
 		{"stall flag lost", func(st *State, _ []ckpt.PacketRecord) {
 			st.HCAs[stalledHost(st)].Out.Stalled = false
 		}, "not marked stalled"},
-		{"stalled while busy", func(st *State, _ []ckpt.PacketRecord) { unarmedBusy(st).Stalled = true }, "marked stalled with busy=true"},
+		{"stalled while busy", func(st *State, _ []ckpt.PacketRecord) { unarmedBusy(st).Stalled = true }, "marked stalled with waiting=false busy=true"},
 		{"parked credit on a lane the fabric lacks", func(st *State, _ []ckpt.PacketRecord) { st.Parked[0].VL = 3 }, "on vl 3 of 3"},
 		{"parked credit seq never issued", func(st *State, _ []ckpt.PacketRecord) {
 			st.Parked[len(st.Parked)-1].Seq = ks.Seq
@@ -207,14 +207,14 @@ func TestRestoreStateRejectsCorruptSnapshots(t *testing.T) {
 		{"parked credit already landed", func(st *State, _ []ckpt.PacketRecord) { st.Parked[0].At = ks.Now - 1 }, "behind the snapshot clock"},
 		{"parked credits out of key order", func(st *State, _ []ckpt.PacketRecord) {
 			st.Parked = append(st.Parked, st.Parked[0])
-		}, "out of key order"},
+		}, "keys out of order"},
 		{"parked credit for a stalled transmitter", func(st *State, _ []ckpt.PacketRecord) {
 			st.Parked[0].AtSwitch, st.Parked[0].Node, st.Parked[0].Port = false, stalledHost(st), 0
-		}, "whose arbiter is stalled"},
+		}, "credit updates parked"},
 		{"parked credit for a transmitter the fabric lacks", func(st *State, _ []ckpt.PacketRecord) {
 			st.Parked[0].AtSwitch, st.Parked[0].Node, st.Parked[0].Port = true, 0, 3
 		}, "unconnected port 3 of switch 0"},
-		{"parked credit larger than the buffer", func(st *State, _ []ckpt.PacketRecord) { st.Parked[0].Bytes = 1 << 20 }, "of 1048576 bytes"},
+		{"parked credit larger than the buffer", func(st *State, _ []ckpt.PacketRecord) { st.Parked[0].Bytes = 1 << 20 }, "exceed capacity"},
 		{"parked credit overflowing the buffer", func(st *State, _ []ckpt.PacketRecord) {
 			c := &st.Parked[0]
 			l := &st.HCAs[c.Node].Out

@@ -107,9 +107,7 @@ func (n *Network) SetLinkSlow(atSwitch bool, node, port int, factor float64) {
 // besides the host sink.
 func (n *Network) dropped(src *linkOut, dst packetTaker, p *ib.Packet) {
 	dst.dropArrive(p)
-	if n.aud != nil {
-		n.aud.countDrop(p)
-	}
+	n.aud.countDrop(p)
 	n.bus.PacketDropped(n.simr.Now(), src.atSwitch, src.node, src.port, p, p.VL, p.WireBytes())
 	n.pool.Put(p)
 }
@@ -117,9 +115,7 @@ func (n *Network) dropped(src *linkOut, dst packetTaker, p *ib.Packet) {
 // creditDropped records a lost credit update before its deferred
 // redelivery; taker is the transmitter that keeps waiting for it.
 func (n *Network) creditDropped(taker creditTaker, vl ib.VL, bytes int) {
-	if n.aud != nil {
-		n.aud.DroppedCredits++
-	}
+	n.aud.DroppedCredits++
 	if !n.bus.Wants(obs.KindPacketDropped) {
 		return
 	}

@@ -29,7 +29,6 @@ func (d *testDropper) DropCredit(vl ib.VL, bytes int) bool {
 func TestLinkDownPausesAndResumes(t *testing.T) {
 	tp, _ := topo.SingleSwitch(2)
 	n := buildNet(t, tp, testCfg(), Hooks{})
-	n.EnableAudit()
 	n.HCA(0).SetSource(&floodSource{src: 0, dst: 1, remaining: 50})
 
 	// Stall the switch's host-facing port toward LID 1 (the port is the
@@ -100,7 +99,7 @@ func TestLinkSlowDegradesThroughput(t *testing.T) {
 func TestDropConservation(t *testing.T) {
 	tp, _ := topo.SingleSwitch(2)
 	n := buildNet(t, tp, testCfg(), Hooks{})
-	aud := n.EnableAudit()
+	aud := n.Audit()
 	var nth int
 	n.SetDropper(&testDropper{pkt: func(atSwitch, hostFacing bool, node, port int, p *ib.Packet) bool {
 		nth++
@@ -132,7 +131,7 @@ func TestDropConservation(t *testing.T) {
 func TestDropFinalHop(t *testing.T) {
 	tp, _ := topo.SingleSwitch(2)
 	n := buildNet(t, tp, testCfg(), Hooks{})
-	aud := n.EnableAudit()
+	aud := n.Audit()
 	var seenFinal int
 	n.SetDropper(&testDropper{pkt: func(atSwitch, hostFacing bool, node, port int, p *ib.Packet) bool {
 		if !hostFacing {
@@ -162,7 +161,7 @@ func TestDropFinalHop(t *testing.T) {
 func TestDropClassification(t *testing.T) {
 	tp, _ := topo.SingleSwitch(2)
 	n := buildNet(t, tp, testCfg(), Hooks{})
-	aud := n.EnableAudit()
+	aud := n.Audit()
 	n.SetDropper(&testDropper{pkt: func(atSwitch, hostFacing bool, node, port int, p *ib.Packet) bool {
 		return hostFacing // lose everything on its final hop
 	}})
@@ -193,7 +192,7 @@ func TestDropClassification(t *testing.T) {
 func TestDropCreditUpdateDefers(t *testing.T) {
 	tp, _ := topo.SingleSwitch(2)
 	n := buildNet(t, tp, testCfg(), Hooks{})
-	aud := n.EnableAudit()
+	aud := n.Audit()
 	var lost int
 	n.SetDropper(&testDropper{crd: func(vl ib.VL, bytes int) bool {
 		if lost < 7 {
@@ -245,7 +244,6 @@ func newCountingBus(t *testing.T, n *Network) *faultEventCount {
 func TestFaultEventsPublished(t *testing.T) {
 	tp, _ := topo.SingleSwitch(2)
 	n := buildNet(t, tp, testCfg(), Hooks{})
-	n.EnableAudit()
 	bus := newCountingBus(t, n)
 	var nth int
 	n.SetDropper(&testDropper{pkt: func(atSwitch, hostFacing bool, node, port int, p *ib.Packet) bool {

@@ -105,10 +105,6 @@ func (h *HCA) SendControl(p *ib.Packet) {
 	h.kickSend()
 }
 
-// Kick re-evaluates the send path; the network start-up and sources with
-// external state changes use it.
-func (h *HCA) Kick() { h.kickSend() }
-
 // kickSend starts the injection DMA when it is idle, the staging buffer
 // has room, and either a control packet or an eligible data packet is
 // available. When the source has nothing eligible, a wake-up is armed at

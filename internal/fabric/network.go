@@ -32,18 +32,19 @@ type Network struct {
 	// the ownership rules).
 	pool *ib.PacketPool
 
-	// Recycled per-packet event actions (see actions.go).
+	// Recycled per-packet event actions (see actions.go). arrMade counts
+	// the arrival actions ever allocated: the ones not in arrPool are in
+	// the event list, one per packet on a wire (see Census).
 	arrPool []*arrivalAct
+	arrMade int
 	crdPool []*creditAct
 
 	// parked holds the credit updates that were deferred instead of
 	// scheduled (see linkOut).
 	parked parkedRing
 
-	// aud, when non-nil, maintains the wire-custody counter the runtime
-	// invariant checker reads; nil (the default) keeps the transmission
-	// hot path audit-free apart from the nil check (see audit.go).
-	aud *AuditCounters
+	// aud is the fault path's drop ledger (see audit.go).
+	aud AuditCounters
 
 	// dropper, when non-nil, is the fault layer's wire-loss policy
 	// (see fault.go); nil loses nothing.

@@ -165,7 +165,7 @@ func buildNet(t *testing.T) *fabric.Network {
 
 func TestInjectorEndToEnd(t *testing.T) {
 	n := buildNet(t)
-	aud := n.EnableAudit()
+	aud := n.Audit()
 	plan := &Plan{
 		Seed:    11,
 		Horizon: sim.Time(10 * sim.Millisecond),

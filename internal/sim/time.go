@@ -55,9 +55,6 @@ func (t Time) String() string { return Duration(t).String() }
 // Seconds returns the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Picoseconds returns the duration as an integer number of picoseconds.
-func (d Duration) Picoseconds() int64 { return int64(d) }
-
 // String formats the duration with an adaptive unit.
 func (d Duration) String() string {
 	neg := ""

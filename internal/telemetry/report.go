@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/ckpt"
 )
 
 // ReportSchema is the schema marker every RunReport carries; bump the
@@ -17,7 +19,6 @@ const (
 	ReportExperiments = "experiments"
 	ReportDegradation = "degradation"
 	ReportTournament  = "tournament"
-	ReportSingle      = "single"
 )
 
 // BenchPoint is one kernel-benchmark measurement: the shape of a
@@ -71,9 +72,8 @@ type RunReport struct {
 	Sweep     *SweepStats  `json:"sweep,omitempty"`
 	Telemetry *HubSnapshot `json:"telemetry,omitempty"`
 
-	Degradation    json.RawMessage `json:"degradation,omitempty"`
-	Tournament     json.RawMessage `json:"tournament,omitempty"`
-	KernelBaseline json.RawMessage `json:"kernel_baseline,omitempty"`
+	Degradation json.RawMessage `json:"degradation,omitempty"`
+	Tournament  json.RawMessage `json:"tournament,omitempty"`
 
 	Trend *Trend `json:"trend,omitempty"`
 }
@@ -83,7 +83,6 @@ var validKinds = map[string]bool{
 	ReportExperiments: true,
 	ReportDegradation: true,
 	ReportTournament:  true,
-	ReportSingle:      true,
 }
 
 // Validate checks the report's structural invariants: the schema marker,
@@ -116,7 +115,7 @@ func (r *RunReport) Validate() error {
 			return fmt.Errorf("run-report: kind experiments without sweep stats")
 		}
 	}
-	for _, raw := range []json.RawMessage{r.Degradation, r.Tournament, r.KernelBaseline} {
+	for _, raw := range []json.RawMessage{r.Degradation, r.Tournament} {
 		if len(raw) == 0 {
 			continue
 		}
@@ -141,7 +140,9 @@ func ValidateReport(data []byte) (*RunReport, error) {
 	return &r, nil
 }
 
-// Write validates the report and writes it as indented JSON.
+// Write validates the report and writes it as indented JSON, durably:
+// it is also written on the signal-drain path, where a second Ctrl-C
+// must find the old report or the new one, not half of it.
 func (r *RunReport) Write(path string) error {
 	if err := r.Validate(); err != nil {
 		return err
@@ -150,7 +151,7 @@ func (r *RunReport) Write(path string) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return ckpt.WriteFileAtomic(path, append(data, '\n'))
 }
 
 // benchKernelFile mirrors the slice of BENCH_kernel.json the trend

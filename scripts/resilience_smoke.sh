@@ -4,7 +4,10 @@
 #
 #   1. ibccsim: checkpoint on a cadence, SIGKILL the process mid-flight,
 #      resume from the newest checkpoint, and require the summary line
-#      to be byte-identical to an uninterrupted run's.
+#      to be byte-identical to an uninterrupted run's. All three runs
+#      are under -check (the checker rides the same run loop as the
+#      checkpoint cadence and attaches to a restored run): a violation
+#      is a non-zero exit, and -q prints nothing for a clean audit.
 #   2. paperbench: SIGKILL a sweep mid-flight, resume from its artifact
 #      store, and require the final artifact set to equal the one an
 #      uninterrupted sweep produces.
@@ -24,7 +27,7 @@ trap 'rm -rf "$T"' EXIT
 "$GO" build -o "$T/bin/" ./cmd/ibccsim ./cmd/paperbench ./cmd/cctinspect
 
 # --- 1. Single run: checkpoint, kill -9, resume, identical summary. ---
-RUN="-radix 8 -fracb 100 -p 60 -warmup 200us -measure 10ms -q"
+RUN="-radix 8 -fracb 100 -p 60 -warmup 200us -measure 10ms -q -check"
 "$T/bin/ibccsim" $RUN > "$T/uninterrupted.txt"
 
 "$T/bin/ibccsim" $RUN -ckpt-every 100us -ckpt-dir "$T/ck" &
@@ -48,7 +51,7 @@ if ! cmp -s "$T/uninterrupted.txt" "$T/resumed.txt"; then
     diff "$T/uninterrupted.txt" "$T/resumed.txt" >&2 || true
     exit 1
 fi
-echo "resilience: ibccsim kill -9 + resume reproduces the uninterrupted run"
+echo "resilience: ibccsim kill -9 + resume reproduces the uninterrupted run, audited throughout"
 
 # --- 2. Sweep: kill -9 mid-sweep, resume, identical artifact set. ---
 SWEEP="-radix 8 -exp fig5 -seeds 2 -jobs 1"
