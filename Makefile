@@ -7,7 +7,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt-check vet build build-debug test race alloc-budget invariants degradation tournament telemetry resilience bench bench-obs bench-kernel bench-kernel-gate bench-e2e paperbench clean
+.PHONY: check fmt-check vet build build-debug test race alloc-budget invariants degradation tournament telemetry resilience bench bench-obs bench-kernel bench-kernel-gate bench-e2e bench-pairs paperbench clean
 
 check: fmt-check vet build build-debug race
 
@@ -38,15 +38,18 @@ race:
 # nothing at radix 8 bare and (to within slice growth) at radix 18 with
 # moving hotspots and CC on; a generator's flow slots follow its backlog,
 # not the fabric's size, and hand out exactly the packets the old
-# per-destination table did.
+# per-destination table did; the fabric's port structs stay inside their
+# byte budgets and building a fabric allocates per node, not per port.
 alloc-budget:
 	$(GO) test -count=1 ./internal/core -run 'ZeroAlloc'
 	$(GO) test -count=1 ./internal/traffic -run 'Slots|Differential'
+	$(GO) test -count=1 ./internal/fabric -run 'PortLayoutBudget|NewAllocatesPerNodeNotPerPort'
 
 # Runtime invariant + differential kernel suite: the internal/check unit
 # tests, the reserved-key kernel properties (lazy ≡ eager order, Passed),
 # the fabric's on-demand-event tie-breaks against their pre-elision
-# golden and the link-armed rule's clauses, the Table II
+# golden, the idle-port bypass against push-then-arbitrate and the
+# link-armed rule's clauses, the Table II
 # wheel-vs-reference-heap trajectory comparison, the chunked-run
 # property and the checker × checkpoint/restore composition property
 # (run with -count=1 so the corpora always execute), and an end-to-end
@@ -54,7 +57,7 @@ alloc-budget:
 invariants:
 	$(GO) test -count=1 ./internal/check
 	$(GO) test -count=1 ./internal/sim -run 'Reserve|ExplicitKey|Passed'
-	$(GO) test -count=1 ./internal/fabric -run 'Tiebreak|EnqueueAtBusyUntil|CreditAtBusyUntil|TwoCredits|ParkedRing|LinkUpWithCredit|RunToExhaustion|CheckLinkArmed'
+	$(GO) test -count=1 ./internal/fabric -run 'Tiebreak|EnqueueAtBusyUntil|CreditAtBusyUntil|TwoCredits|ParkedRing|LinkUpWithCredit|RunToExhaustion|CheckLinkArmed|Bypass'
 	$(GO) test -count=1 ./internal/core -run 'Kernel|Check|Differential|Chunked|Golden|ComposesWithChecker'
 	$(GO) run ./cmd/paperbench -radix 8 -diff-kernel -seeds 2
 
@@ -154,6 +157,13 @@ bench-kernel-gate:
 bench-e2e:
 	$(GO) run ./benchmark -out /tmp/ibcc-e2e.json
 	$(GO) run ./benchmark -compare benchmark/baseline.json /tmp/ibcc-e2e.json
+
+# Paired end-to-end timing of a parent revision against the working
+# tree (scripts/bench_pairs.sh): `make bench-pairs PARENT=HEAD~1
+# WORKLOAD=silent_cc_r36 [PAIRS=10]`. About a minute per pair; not part
+# of CI — timing on shared runners is advisory.
+bench-pairs:
+	bash scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
 # Quick end-to-end smoke: one figure, parallel, with artifacts.
 paperbench:

@@ -7,9 +7,10 @@ import (
 
 // The fabric schedules a handful of events per packet per hop; this file
 // keeps those events allocation-free. Repeating per-port callbacks
-// (serializer done, DMA done, sink done) are pre-bound Actions stored on
-// their owners; per-packet arrivals and credit updates use small pooled
-// action structs recycled through the Network.
+// (serializer done, DMA done, sink done, wake) are one-pointer structs,
+// which convert to an Action without allocating wherever one is needed;
+// per-packet arrivals and credit updates use small pooled action structs
+// recycled through the Network.
 
 // arrivalAct delivers a packet to a link's receiving endpoint — or, when
 // the fault layer marked it lost at transmit time, discards it at the
@@ -78,12 +79,12 @@ func (c *creditAct) Act() {
 	taker.addCredit(vl, bytes)
 }
 
-// sendCredit returns flow-control credits to taker, to count from the
-// link propagation delay on, modeling the flow-control packet carrying
-// them. An update the transmitter could not act on when it lands is
-// parked instead of scheduled (see Network.park); the rest
-// travel as events.
-func (n *Network) sendCredit(taker creditTaker, vl ib.VL, bytes int) {
+// sendCredit returns flow-control credits to taker, the transmitter of
+// link, to count from the link propagation delay on, modeling the
+// flow-control packet carrying them. An update the transmitter could not
+// act on when it lands is parked instead of scheduled (see
+// Network.park); the rest travel as events.
+func (n *Network) sendCredit(taker creditTaker, link int32, vl ib.VL, bytes int) {
 	d := n.cfg.PropDelay
 	delayed := n.dropper != nil && n.dropper.DropCredit(vl, bytes)
 	if delayed {
@@ -93,7 +94,7 @@ func (n *Network) sendCredit(taker creditTaker, vl ib.VL, bytes int) {
 		n.creditDropped(taker, vl, bytes)
 		d += CreditRefreshDelay
 	}
-	if n.park(taker, n.simr.Now().Add(d), delayed, vl, bytes) {
+	if n.park(taker, link, n.simr.Now().Add(d), delayed, vl, bytes) {
 		return
 	}
 	n.simr.ScheduleAction(d, n.newCreditAct(taker, vl, bytes))

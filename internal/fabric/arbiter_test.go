@@ -19,9 +19,10 @@ func (op *swOutPort) tryTxLinear() {
 	if op.busy || op.down || op.pending == 0 {
 		return
 	}
-	for i := 0; i < len(op.voqs); i++ {
-		k := (op.rr + i) & op.voqMask
-		if op.voqs[k].Len() > 0 && op.grant(k) {
+	voqs := op.voqs()
+	for i := range voqs {
+		k := (int(op.rr) + i) & int(op.sw.voqMask)
+		if !voqs[k].Empty() && op.grant(k) {
 			return
 		}
 	}
@@ -84,7 +85,7 @@ func (r *arbRig) quietly(f func()) {
 }
 
 func (r *arbRig) enqueue(inPort int, p ib.Packet) {
-	r.quietly(func() { r.op.enqueue(inPort, &p) })
+	r.quietly(func() { r.op.enqueue(r.op.sw.in[inPort], &p) })
 }
 
 func (r *arbRig) credit(vl ib.VL, bytes int) {
@@ -148,9 +149,9 @@ func checkArbiterEquivalence(t *testing.T, ports, vls, busyPorts int, seed int64
 				owed[e.VL] += e.Bytes
 			}
 		}
-		for w := range a.occ {
-			if a.occ[w] != b.occ[w] {
-				t.Fatalf("step %d (%s): occupancy word %d %#x, reference %#x", step, what, w, a.occ[w], b.occ[w])
+		for w, word := range a.occ() {
+			if ref := b.occ()[w]; word != ref {
+				t.Fatalf("step %d (%s): occupancy word %d %#x, reference %#x", step, what, w, word, ref)
 			}
 		}
 	}
@@ -256,9 +257,9 @@ func BenchmarkArbiterSparse(b *testing.B) {
 			op := rig.op
 			op.net.SetBus(nil)
 			op.busy, op.armed = true, true
-			op.enqueue(35, &ib.Packet{Type: ib.DataPacket, PayloadBytes: ib.MTU})
+			op.enqueue(op.sw.in[35], &ib.Packet{Type: ib.DataPacket, PayloadBytes: ib.MTU})
 			op.linkOut.txDone()
-			op.credits[0] = 0
+			op.credits()[0] = 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -96,7 +96,7 @@ func (n *Network) Census() HeldCensus {
 	for _, sw := range n.switches {
 		for _, op := range sw.out {
 			if op != nil {
-				c.Queued += op.pending
+				c.Queued += int(op.pending)
 			}
 		}
 	}
@@ -133,7 +133,7 @@ func (n *Network) CheckState(report func(rule string, err error)) {
 func (n *Network) CheckCreditBounds() error {
 	n.fold()
 	if err := n.eachLink(func(l *linkOut, _ bool) error {
-		for v, cr := range l.credits {
+		for v, cr := range l.credits() {
 			if cr < 0 || cr > l.capBytes() {
 				return fmt.Errorf("fabric: %s vl %d credits %d outside [0, %d]", l.name(), v, cr, l.capBytes())
 			}
@@ -143,7 +143,7 @@ func (n *Network) CheckCreditBounds() error {
 		return err
 	}
 	for _, h := range n.hcas {
-		for v, free := range h.rxFree {
+		for v, free := range h.rxFree() {
 			if free < 0 || free > n.cfg.HostIbufBytes {
 				return fmt.Errorf("fabric: host %d rx vl %d free %d outside [0, %d]",
 					h.lid, v, free, n.cfg.HostIbufBytes)
@@ -163,7 +163,7 @@ func (n *Network) CheckCreditBounds() error {
 			if ip == nil {
 				continue
 			}
-			for v, free := range ip.free {
+			for v, free := range ip.free() {
 				if free < 0 || free > n.cfg.SwitchIbufBytes {
 					return fmt.Errorf("fabric: switch %d in-port %d vl %d free %d outside [0, %d]",
 						sw.index, pi, v, free, n.cfg.SwitchIbufBytes)
@@ -190,27 +190,28 @@ func (n *Network) CheckVoQOccupancy() error {
 			}
 			queued := 0
 			var lanes [16]int // wire bytes queued per VL; NumVLs ≤ 15 (Config.Validate)
-			for k := range op.voqs {
-				l := op.voqs[k].Len()
+			voqs, occ, qbytes := op.voqs(), op.occ(), op.qbytes()
+			for k := range voqs {
+				l := voqs[k].Len()
 				queued += l
-				if set := op.occ[k>>6]>>(k&63)&1 != 0; set != (l > 0) {
+				if set := occ[k>>6]>>(k&63)&1 != 0; set != (l > 0) {
 					return fmt.Errorf("fabric: switch %d port %d voq %d: occupancy bit %v with %d packets queued",
 						sw.index, pi, k, set, l)
 				}
-				vl := k & (1<<op.vlShift - 1)
-				for p := op.voqs[k].Peek(); p != nil; p = p.Next {
-					if int(p.VL) != vl || vl >= len(op.qbytes) {
+				vl := k & (1<<sw.vlShift - 1)
+				for p := voqs[k].Peek(); p != nil; p = p.Next {
+					if int(p.VL) != vl || vl >= len(qbytes) {
 						return fmt.Errorf("fabric: switch %d port %d voq %d (vl %d) holds a packet on vl %d",
 							sw.index, pi, k, vl, p.VL)
 					}
 					lanes[vl] += p.WireBytes()
 				}
 			}
-			if queued != op.pending {
+			if queued != int(op.pending) {
 				return fmt.Errorf("fabric: switch %d port %d: %d packets queued, pending says %d",
 					sw.index, pi, queued, op.pending)
 			}
-			for v, qb := range op.qbytes {
+			for v, qb := range qbytes {
 				if lanes[v] != qb {
 					return fmt.Errorf("fabric: switch %d port %d vl %d voqs hold %d wire bytes, counter says %d",
 						sw.index, pi, v, lanes[v], qb)
@@ -237,7 +238,7 @@ func (n *Network) CheckVoQOccupancy() error {
 func (n *Network) CheckLinkArmed() error {
 	n.fold()
 	nextSeq := n.simr.ExportKernel().Seq
-	parked := make(map[*linkOut]int)
+	parked := make([]int, len(n.links))
 	var last *parkedCredit
 	for i := 0; i < n.parked.len; i++ {
 		c := n.parked.at(i)
@@ -245,8 +246,11 @@ func (n *Network) CheckLinkArmed() error {
 			continue
 		}
 		l := c.taker.txLink()
-		parked[l]++
-		if int(c.vl) >= len(l.credits) || c.bytes <= 0 {
+		parked[l.index]++
+		if c.link != l.index {
+			return fmt.Errorf("fabric: %s parked credit filed under link %d", l.name(), c.link)
+		}
+		if int(c.vl) >= n.cfg.NumVLs || c.bytes <= 0 {
 			return fmt.Errorf("fabric: %s parked credit of %d bytes on vl %d", l.name(), c.bytes, c.vl)
 		}
 		if c.seq >= nextSeq {
@@ -258,6 +262,7 @@ func (n *Network) CheckLinkArmed() error {
 		last = c
 	}
 	return n.eachLink(func(l *linkOut, waiting bool) error {
+		st := l.state()
 		switch busy := l.isBusy(); {
 		case busy && l.txSeq >= nextSeq:
 			return fmt.Errorf("fabric: %s serializer-done seq %d at or beyond next seq %d", l.name(), l.txSeq, nextSeq)
@@ -265,16 +270,16 @@ func (n *Network) CheckLinkArmed() error {
 			return fmt.Errorf("fabric: %s busy until %v with packets waiting and no serializer-done event", l.name(), l.busyUntil)
 		case l.armed && !busy:
 			return fmt.Errorf("fabric: %s has a serializer-done event armed while idle", l.name())
-		case waiting && !busy && !l.down && !l.stalled:
+		case waiting && !busy && !l.down && !st.stalled:
 			return fmt.Errorf("fabric: %s idle with packets waiting but not marked stalled: credit updates would not wake it", l.name())
-		case l.stalled && (!waiting || busy):
+		case st.stalled && (!waiting || busy):
 			return fmt.Errorf("fabric: %s marked stalled with waiting=%v busy=%v", l.name(), waiting, busy)
-		case l.stalled && l.nParked > 0:
-			return fmt.Errorf("fabric: %s stalled with %d credit updates parked", l.name(), l.nParked)
-		case int(l.nParked) != parked[l]:
-			return fmt.Errorf("fabric: %s counts %d parked credit updates, the ring holds %d", l.name(), l.nParked, parked[l])
+		case st.stalled && st.nParked > 0:
+			return fmt.Errorf("fabric: %s stalled with %d credit updates parked", l.name(), st.nParked)
+		case int(st.nParked) != parked[l.index]:
+			return fmt.Errorf("fabric: %s counts %d parked credit updates, the ring holds %d", l.name(), st.nParked, parked[l.index])
 		}
-		for v, cr := range l.credits {
+		for v, cr := range l.credits() {
 			if sum := cr + n.parkedBytes(l, v); sum > l.capBytes() {
 				return fmt.Errorf("fabric: %s vl %d credits %d + parked exceed capacity %d", l.name(), v, sum, l.capBytes())
 			}

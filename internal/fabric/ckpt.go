@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ckpt"
 	"repro/internal/ib"
@@ -115,7 +116,7 @@ type State struct {
 }
 
 func queueRefs(t *ckpt.PacketTable, q *ib.PacketQueue) []int {
-	if q.Len() == 0 {
+	if q.Empty() {
 		return nil
 	}
 	out := make([]int, 0, q.Len())
@@ -161,7 +162,7 @@ func (n *Network) restoreQueue(t *ckpt.PacketTable, q *ib.PacketQueue, refs []in
 // the model will do), so equal model states export equal records
 // however lazily they were settled.
 func exportLink(l *linkOut) LinkOutState {
-	st := LinkOutState{Credits: append([]int(nil), l.credits...), Down: l.down, Slow: l.slow, Stalled: l.stalled}
+	st := LinkOutState{Credits: append([]int(nil), l.credits()...), Down: l.down, Slow: l.slow, Stalled: l.state().stalled}
 	if l.isBusy() {
 		st.Busy, st.BusyUntil, st.TxSeq, st.Armed = true, l.busyUntil, l.txSeq, l.armed
 	}
@@ -173,18 +174,18 @@ func exportLink(l *linkOut) LinkOutState {
 // by it; the kernel scalars are already in place (core restores them
 // first), so the key is judged against the snapshot's own clock.
 func (n *Network) restoreLink(l *linkOut, st LinkOutState) error {
-	if len(st.Credits) != len(l.credits) {
-		return fmt.Errorf("%d credit lanes, want %d", len(st.Credits), len(l.credits))
+	if len(st.Credits) != n.cfg.NumVLs {
+		return fmt.Errorf("%d credit lanes, want %d", len(st.Credits), n.cfg.NumVLs)
 	}
 	if !st.Busy {
 		st.BusyUntil, st.TxSeq = 0, 0
 	} else if !st.Armed && n.simr.Passed(st.BusyUntil, st.TxSeq) {
 		return fmt.Errorf("busy until %v (seq %d) with no done event armed, which the snapshot clock has passed", st.BusyUntil, st.TxSeq)
 	}
-	copy(l.credits, st.Credits)
+	copy(l.credits(), st.Credits)
 	l.busy, l.down, l.slow = st.Busy, st.Down, st.Slow
 	l.busyUntil, l.txSeq, l.armed = st.BusyUntil, st.TxSeq, st.Armed
-	l.stalled, l.nParked = st.Stalled, 0
+	*l.state() = linkState{stalled: st.Stalled}
 	return nil
 }
 
@@ -204,16 +205,16 @@ func (n *Network) restoreParked(parked []ParkedCredit) error {
 		}
 		l := taker.txLink()
 		switch {
-		case int(c.VL) >= len(l.credits):
-			return fmt.Errorf("parked credit %d on vl %d of %d", i, c.VL, len(l.credits))
+		case int(c.VL) >= n.cfg.NumVLs:
+			return fmt.Errorf("parked credit %d on vl %d of %d", i, c.VL, n.cfg.NumVLs)
 		case int(int32(c.Bytes)) != c.Bytes:
 			return fmt.Errorf("parked credit %d of %d bytes", i, c.Bytes)
 		case n.simr.Passed(c.At, c.Seq):
 			return fmt.Errorf("parked credit %d key (%v, %d) is behind the snapshot clock", i, c.At, c.Seq)
 		}
-		*n.parked.at(i) = parkedCredit{at: c.At, seq: c.Seq, taker: taker, bytes: int32(c.Bytes), vl: ib.VL(c.VL)}
+		*n.parked.at(i) = parkedCredit{at: c.At, seq: c.Seq, taker: taker, bytes: int32(c.Bytes), link: l.index, vl: ib.VL(c.VL)}
 		n.parked.len++
-		l.nParked++
+		l.state().nParked++
 	}
 	return nil
 }
@@ -243,7 +244,7 @@ func (n *Network) ExportState(tab *ckpt.PacketTable) *State {
 			Ctrl:      queueRefs(tab, &h.ctrl),
 			DmaBusy:   h.dmaBusy,
 			DmaPkt:    tab.Ref(h.dmaPkt),
-			RxFree:    append([]int(nil), h.rxFree...),
+			RxFree:    append([]int(nil), h.rxFree()...),
 			RxQ:       queueRefs(tab, &h.rxQ),
 			SinkBusy:  h.sinkBusy,
 			SinkPkt:   tab.Ref(h.sinkPkt),
@@ -257,7 +258,7 @@ func (n *Network) ExportState(tab *ckpt.PacketTable) *State {
 			if ip == nil {
 				continue
 			}
-			ss.In[pi] = &SwInState{Free: append([]int(nil), ip.free...)}
+			ss.In[pi] = &SwInState{Free: append([]int(nil), ip.free()...)}
 		}
 		for pi, op := range sw.out {
 			if op == nil {
@@ -265,12 +266,13 @@ func (n *Network) ExportState(tab *ckpt.PacketTable) *State {
 			}
 			os := &SwOutState{
 				Link:    exportLink(&op.linkOut),
-				Qbytes:  append([]int(nil), op.qbytes...),
-				RR:      op.rr,
-				Pending: op.pending,
+				Qbytes:  append([]int(nil), op.qbytes()...),
+				RR:      int(op.rr),
+				Pending: int(op.pending),
 			}
-			for k := range op.voqs {
-				if refs := queueRefs(tab, &op.voqs[k]); refs != nil {
+			voqs := op.voqs()
+			for k := range voqs {
+				if refs := queueRefs(tab, &voqs[k]); refs != nil {
 					os.VoQs = append(os.VoQs, VoQState{K: k, Pkts: refs})
 				}
 			}
@@ -309,10 +311,10 @@ func (n *Network) RestoreState(st *State, tab *ckpt.PacketTable) error {
 			if ip == nil {
 				continue
 			}
-			if len(is.Free) != len(ip.free) {
+			if len(is.Free) != n.cfg.NumVLs {
 				return fmt.Errorf("fabric: restore switch %d in-port %d lane count", i, pi)
 			}
-			copy(ip.free, is.Free)
+			copy(ip.free(), is.Free)
 		}
 		for pi, op := range sw.out {
 			osrc := ss.Out[pi]
@@ -354,10 +356,10 @@ func (n *Network) restoreHCA(h *HCA, hs *HCAState, tab *ckpt.PacketTable) error 
 	if h.dmaPkt, err = n.claim(tab, hs.DmaPkt); err != nil {
 		return err
 	}
-	if len(hs.RxFree) != len(h.rxFree) {
-		return fmt.Errorf("%d rx lanes, want %d", len(hs.RxFree), len(h.rxFree))
+	if len(hs.RxFree) != n.cfg.NumVLs {
+		return fmt.Errorf("%d rx lanes, want %d", len(hs.RxFree), n.cfg.NumVLs)
 	}
-	copy(h.rxFree, hs.RxFree)
+	copy(h.rxFree(), hs.RxFree)
 	if err = n.restoreQueue(tab, &h.rxQ, hs.RxQ); err != nil {
 		return err
 	}
@@ -377,41 +379,46 @@ func (n *Network) restoreHCA(h *HCA, hs *HCAState, tab *ckpt.PacketTable) error 
 // validated against everything the arbiter derives from a ring index —
 // the first grant reads sw.in[k>>vlShift] and the lane accounts of the
 // slot's VL — and the occupancy bitmap, which a snapshot does not carry,
-// is rebuilt from the queues.
+// is rebuilt from the queues. RR and Pending are wider in the snapshot
+// than in the port: both are range-checked before they are narrowed, or
+// a Pending off by 2^32 would wrap into a state the rules accept.
 func (n *Network) restoreSwOut(op *swOutPort, st *SwOutState, tab *ckpt.PacketTable) error {
-	if len(st.Qbytes) != len(op.qbytes) {
-		return fmt.Errorf("%d queue lanes, want %d", len(st.Qbytes), len(op.qbytes))
+	voqs, occ, qbytes := op.voqs(), op.occ(), op.qbytes()
+	if len(st.Qbytes) != len(qbytes) {
+		return fmt.Errorf("%d queue lanes, want %d", len(st.Qbytes), len(qbytes))
 	}
-	if st.RR < 0 || st.RR >= len(op.voqs) {
-		return fmt.Errorf("arbiter pointer %d outside ring of %d", st.RR, len(op.voqs))
+	if st.RR < 0 || st.RR >= len(voqs) {
+		return fmt.Errorf("arbiter pointer %d outside ring of %d", st.RR, len(voqs))
 	}
-	op.rr = st.RR
-	for k := range op.voqs {
-		op.voqs[k] = ib.PacketQueue{}
+	if st.Pending < 0 || st.Pending > math.MaxInt32 {
+		return fmt.Errorf("pending %d outside [0, %d]", st.Pending, math.MaxInt32)
 	}
-	for w := range op.occ {
-		op.occ[w] = 0
+	op.rr, op.pending = int32(st.RR), int32(st.Pending)
+	for k := range voqs {
+		voqs[k] = ib.PacketQueue{}
+	}
+	for w := range occ {
+		occ[w] = 0
 	}
 	for i, vs := range st.VoQs {
-		if vs.K < 0 || vs.K >= len(op.voqs) {
-			return fmt.Errorf("voq %d of %d", vs.K, len(op.voqs))
+		if vs.K < 0 || vs.K >= len(voqs) {
+			return fmt.Errorf("voq %d of %d", vs.K, len(voqs))
 		}
 		if i > 0 && vs.K <= st.VoQs[i-1].K {
 			return fmt.Errorf("voq %d listed out of ring order", vs.K)
 		}
-		inPort, vl := vs.K>>op.vlShift, vs.K&(1<<op.vlShift-1)
-		if inPort >= len(op.sw.in) || op.sw.in[inPort] == nil || vl >= len(op.qbytes) {
+		inPort, vl := vs.K>>op.sw.vlShift, vs.K&(1<<op.sw.vlShift-1)
+		if inPort >= len(op.sw.in) || op.sw.in[inPort] == nil || vl >= len(qbytes) {
 			return fmt.Errorf("voq %d is a padding slot (in-port %d, vl %d)", vs.K, inPort, vl)
 		}
-		if err := n.restoreQueue(tab, &op.voqs[vs.K], vs.Pkts); err != nil {
+		if err := n.restoreQueue(tab, &voqs[vs.K], vs.Pkts); err != nil {
 			return err
 		}
 		if len(vs.Pkts) > 0 {
-			op.occ[vs.K>>6] |= 1 << (vs.K & 63)
+			occ[vs.K>>6] |= 1 << (vs.K & 63)
 		}
 	}
-	op.pending = st.Pending
-	copy(op.qbytes, st.Qbytes)
+	copy(qbytes, st.Qbytes)
 	return n.restoreLink(&op.linkOut, st.Link)
 }
 
@@ -612,11 +619,11 @@ func (c *Codec) DecodeAction(rec ckpt.EventRecord) (act sim.Action, attach func(
 		}
 		switch rec.Kind {
 		case kindHCADma:
-			return h.dmaAct, nil, true, nil
+			return hcaDmaAct{h}, nil, true, nil
 		case kindHCASink:
-			return h.sinkAct, nil, true, nil
+			return hcaSinkAct{h}, nil, true, nil
 		default:
-			return h.wakeAct, func(e *sim.Event) { h.wake, h.wakeSeq = e, e.Seq() }, true, nil
+			return hcaWakeAct{h}, func(e *sim.Event) { h.wake, h.wakeSeq = e, e.Seq() }, true, nil
 		}
 	}
 	return nil, nil, false, nil

@@ -155,6 +155,12 @@ func TestRestoreStateRejectsCorruptSnapshots(t *testing.T) {
 		{"arbiter pointer beyond ring", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).RR = 32 }, "arbiter pointer 32"},
 		{"arbiter pointer negative", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).RR = -1 }, "arbiter pointer -1"},
 		{"pending disagrees with queues", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).Pending++ }, "pending"},
+		// RR and Pending are int in the snapshot and int32 in the port:
+		// a value that is the true one plus 2^32 must be refused before
+		// it is narrowed, not wrapped back into a state the rules accept.
+		{"pending off by 2^32", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).Pending += 1 << 32 }, "outside [0, 2147483647]"},
+		{"pending negative", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).Pending -= 1 << 32 }, "outside [0, 2147483647]"},
+		{"arbiter pointer off by 2^32", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).RR += 1 << 32 }, "outside ring of 32"},
 		{"qbytes disagrees with queues", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).Qbytes[0] -= 64 }, "wire bytes"},
 		{"staging bytes disagree with queue", func(st *State, _ []ckpt.PacketRecord) { st.HCAs[0].ObufBytes++ }, "staging holds"},
 		{"voq packet reference beyond table", func(st *State, recs []ckpt.PacketRecord) {

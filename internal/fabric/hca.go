@@ -44,9 +44,8 @@ type HCACounters struct {
 // rate-limited sink). It corresponds to the gen/sink/obuf/ibuf composition
 // of the paper's HCA module.
 type HCA struct {
-	net  *Network
-	node topo.NodeID
-	lid  ib.LID
+	net *Network
+	lid ib.LID
 
 	// Send side.
 	out       linkOut
@@ -58,33 +57,34 @@ type HCA struct {
 	wake      *sim.Event
 	wakeSeq   uint64
 
-	// Receive side.
-	rxFree   []int
+	// Receive side; the per-VL free bytes are in the network's free
+	// slab from rxBase.
+	rxBase   int32
+	upLink   int32 // up's link index: all a credit return reads of it
 	rxQ      ib.PacketQueue
 	sinkBusy bool
 	up       creditTaker
 
-	// Pre-bound actions and their in-flight packets (one DMA and one
-	// sink service at a time).
-	dmaAct, sinkAct, wakeAct sim.Action
-	dmaPkt, sinkPkt          *ib.Packet
+	// The packets inside the DMA and the sink (one of each at a time).
+	dmaPkt, sinkPkt *ib.Packet
 
 	ctr HCACounters
 }
 
-func newHCA(n *Network, node *topo.Node) *HCA {
-	h := &HCA{net: n, node: node.ID, lid: node.LID}
+// newHCA builds a host whose link and receive buffer take their slab
+// stretches at cur.
+func newHCA(n *Network, node *topo.Node, cur *slabCursor) *HCA {
+	h := &HCA{net: n, lid: node.LID, rxBase: int32(cur.free)}
 	h.out.net = n
-	h.rxFree = make([]int, n.cfg.NumVLs)
-	for v := range h.rxFree {
-		h.rxFree[v] = n.cfg.HostIbufBytes
-	}
+	h.out.index = int32(cur.links)
+	cur.links++
+	cur.free += n.cfg.NumVLs
+	fill(h.rxFree(), n.cfg.HostIbufBytes)
 	h.out.txAct = hcaTxAct{h}
-	h.dmaAct = hcaDmaAct{h}
-	h.sinkAct = hcaSinkAct{h}
-	h.wakeAct = hcaWakeAct{h}
 	return h
 }
+
+func (h *HCA) rxFree() []int { return h.net.free[h.rxBase:][:h.net.cfg.NumVLs] }
 
 // LID returns the host's local identifier.
 func (h *HCA) LID() ib.LID { return h.lid }
@@ -117,7 +117,7 @@ func (h *HCA) kickSend() {
 		return // staging full; dmaDone/txDone will kick again
 	}
 	var p *ib.Packet
-	if h.ctrl.Len() > 0 {
+	if !h.ctrl.Empty() {
 		p = h.ctrl.Pop()
 	} else if h.source != nil {
 		var wakeAt sim.Time
@@ -135,7 +135,7 @@ func (h *HCA) kickSend() {
 	h.dmaBusy = true
 	h.dmaPkt = p
 	d := h.net.cfg.InjectionRate.TxTime(p.WireBytes())
-	h.net.simr.ScheduleAction(d, h.dmaAct)
+	h.net.simr.ScheduleAction(d, hcaDmaAct{h})
 }
 
 func (h *HCA) dmaDone(p *ib.Packet) {
@@ -169,15 +169,15 @@ func (h *HCA) tryTxOut() {
 		return
 	}
 	h.net.fold()
-	if !h.out.canSend(p.VL, p.WireBytes()) {
-		h.net.bus.CreditStalled(h.net.simr.Now(), false, int(h.lid), 0, p.VL, h.out.credits[p.VL], p.WireBytes())
+	if credits := *h.out.credit(p.VL); credits < p.WireBytes() {
+		h.net.bus.CreditStalled(h.net.simr.Now(), false, int(h.lid), 0, p.VL, credits, p.WireBytes())
 		h.net.stall(&h.out)
 		return
 	}
 	h.obuf.Pop()
 	h.obufBytes -= p.WireBytes()
 	h.net.bus.PacketSent(h.net.simr.Now(), false, int(h.lid), 0, p)
-	h.out.transmit(p, h.obuf.Len() > 0)
+	h.out.transmit(p, !h.obuf.Empty())
 	h.kickSend() // staging space freed
 }
 
@@ -209,7 +209,7 @@ func (h *HCA) armWake(t sim.Time) {
 	if live {
 		h.net.simr.Cancel(h.wake)
 	}
-	h.wake = h.net.simr.ScheduleActionAt(t, h.wakeAct)
+	h.wake = h.net.simr.ScheduleActionAt(t, hcaWakeAct{h})
 	h.wakeSeq = h.wake.Seq()
 }
 
@@ -217,14 +217,15 @@ func (h *HCA) armWake(t sim.Time) {
 // the rx buffer was never occupied, so the leaf switch gets its credit
 // straight back.
 func (h *HCA) dropArrive(p *ib.Packet) {
-	h.net.sendCredit(h.up, p.VL, p.WireBytes())
+	h.net.sendCredit(h.up, h.upLink, p.VL, p.WireBytes())
 }
 
 // arrive admits a packet into the receive buffer and starts the sink if
 // idle. Space is guaranteed by the credit discipline.
 func (h *HCA) arrive(p *ib.Packet) {
-	h.rxFree[p.VL] -= p.WireBytes()
-	if h.net.cfg.Check && h.rxFree[p.VL] < 0 {
+	free := &h.net.free[int(h.rxBase)+int(p.VL)]
+	*free -= p.WireBytes()
+	if h.net.cfg.Check && *free < 0 {
 		panic(fmt.Sprintf("fabric: rx buffer overflow at host %d", h.lid))
 	}
 	h.rxQ.Push(p)
@@ -245,12 +246,12 @@ func (h *HCA) consumeNext() {
 	h.sinkBusy = true
 	h.sinkPkt = p
 	d := h.net.cfg.SinkRate.TxTime(p.WireBytes())
-	h.net.simr.ScheduleAction(d, h.sinkAct)
+	h.net.simr.ScheduleAction(d, hcaSinkAct{h})
 }
 
 func (h *HCA) delivered(p *ib.Packet) {
-	h.rxFree[p.VL] += p.WireBytes()
-	h.net.sendCredit(h.up, p.VL, p.WireBytes())
+	h.net.free[int(h.rxBase)+int(p.VL)] += p.WireBytes()
+	h.net.sendCredit(h.up, h.upLink, p.VL, p.WireBytes())
 	h.ctr.RxPackets++
 	h.ctr.RxBytes += uint64(p.WireBytes())
 	switch p.Type {

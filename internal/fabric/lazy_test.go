@@ -87,7 +87,7 @@ func TestEnqueueAtBusyUntilAboveReservedSeq(t *testing.T) {
 func parkedFor(n *Network, l *linkOut) []parkedCredit {
 	var out []parkedCredit
 	for i := 0; i < n.parked.len; i++ {
-		if c := n.parked.at(i); c.taker != nil && c.taker.txLink() == l {
+		if c := n.parked.at(i); c.taker != nil && c.link == l.index {
 			out = append(out, *c)
 		}
 	}
@@ -108,8 +108,8 @@ func TestCreditAtBusyUntil(t *testing.T) {
 		op := r.op
 		r.n.fold() // A's own credit landed long ago; nothing has read the counter since
 		p := parkedFor(r.n, &op.linkOut)
-		if len(p) != 1 || op.nParked != 1 || !op.armed {
-			t.Fatalf("after the update left: %d parked (count %d), armed=%v", len(p), op.nParked, op.armed)
+		if len(p) != 1 || op.state().nParked != 1 || !op.armed {
+			t.Fatalf("after the update left: %d parked (count %d), armed=%v", len(p), op.state().nParked, op.armed)
 		}
 		if p[0].at != op.busyUntil || p[0].seq <= op.txSeq {
 			t.Fatalf("update keyed (%v, %d), serializer-done (%v, %d): want the same instant, later seq", p[0].at, p[0].seq, op.busyUntil, op.txSeq)
@@ -169,8 +169,8 @@ func TestParkedRingOverflowFallsBackToEvents(t *testing.T) {
 			return
 		}
 		seen = true
-		if r.n.parked.len != parkedCap || int(r.op.nParked) != parkedCap {
-			t.Fatalf("ring holds %d (%d for the port), want it full at %d", r.n.parked.len, r.op.nParked, parkedCap)
+		if r.n.parked.len != parkedCap || int(r.op.state().nParked) != parkedCap {
+			t.Fatalf("ring holds %d (%d for the port), want it full at %d", r.n.parked.len, r.op.state().nParked, parkedCap)
 		}
 		if got := r.n.simr.Pending() - before; got != 80-parkedCap {
 			t.Fatalf("%d updates became events, want the %d the ring had no room for", got, 80-parkedCap)
@@ -193,26 +193,26 @@ func TestLinkUpWithCreditParked(t *testing.T) {
 		seen := 0
 		var pendingBefore int
 		probeRun(t, name, func(r *tieRig, tag string, done bool) {
-			op := r.op
+			op, st := r.op, r.op.state()
 			switch {
 			case tag == "credit" && done:
 				seen++
 				// Down with a packet waiting: not stalled (no arbitration
 				// pass ran), so the update is parked like any other.
-				if op.stalled || op.nParked != 1 || !op.down || op.pending != 1 {
-					t.Fatalf("%s: after the update left: stalled=%v parked=%d down=%v pending=%d", name, op.stalled, op.nParked, op.down, op.pending)
+				if st.stalled || st.nParked != 1 || !op.down || op.pending != 1 {
+					t.Fatalf("%s: after the update left: stalled=%v parked=%d down=%v pending=%d", name, st.stalled, st.nParked, op.down, op.pending)
 				}
 			case tag == "up" && !done:
 				pendingBefore = r.n.simr.Pending()
 			case tag == "up" && done:
 				seen++
 				if wantStall {
-					if !op.stalled || op.nParked != 0 || op.pending != 1 || r.n.simr.Pending() != pendingBefore+1 {
+					if !st.stalled || st.nParked != 0 || op.pending != 1 || r.n.simr.Pending() != pendingBefore+1 {
 						t.Fatalf("%s: after coming up: stalled=%v parked=%d pending=%d events %+d; want the stall to have turned the update into an event",
-							name, op.stalled, op.nParked, op.pending, r.n.simr.Pending()-pendingBefore)
+							name, st.stalled, st.nParked, op.pending, r.n.simr.Pending()-pendingBefore)
 					}
-				} else if op.stalled || op.pending != 0 || !op.busy {
-					t.Fatalf("%s: after coming up: stalled=%v pending=%d busy=%v; want the landed update folded and A granted", name, op.stalled, op.pending, op.busy)
+				} else if st.stalled || op.pending != 0 || !op.busy {
+					t.Fatalf("%s: after coming up: stalled=%v pending=%d busy=%v; want the landed update folded and A granted", name, st.stalled, op.pending, op.busy)
 				}
 				if err := r.n.CheckLinkArmed(); err != nil {
 					t.Fatal(err)
@@ -269,8 +269,8 @@ func TestRunToExhaustionLeavesLazyLinks(t *testing.T) {
 	// Reaching a horizon past the keys retires them the ordinary way.
 	n.Sim().RunUntil(eagerDrainClock)
 	n.fold()
-	if leaf.isBusy() || n.parked.len != 0 || leaf.credits[0] != cfg.HostIbufBytes {
-		t.Fatalf("at the eager drain clock: busy=%v parked=%d credits=%d", leaf.isBusy(), n.parked.len, leaf.credits[0])
+	if leaf.isBusy() || n.parked.len != 0 || leaf.credits()[0] != cfg.HostIbufBytes {
+		t.Fatalf("at the eager drain clock: busy=%v parked=%d credits=%d", leaf.isBusy(), n.parked.len, leaf.credits()[0])
 	}
 }
 
@@ -297,7 +297,7 @@ func TestCheckLinkArmedClauses(t *testing.T) {
 		}
 		stalled = nil
 		for _, h := range n.hcas[:3] {
-			if h.out.stalled {
+			if h.out.state().stalled {
 				stalled = &h.out
 			}
 		}
@@ -321,25 +321,29 @@ func TestCheckLinkArmedClauses(t *testing.T) {
 			return func() { trunk.busy = busy }
 		}, "armed while idle"},
 		{"stall flag lost", func() func() {
-			stalled.stalled = false
-			return func() { stalled.stalled = true }
+			stalled.state().stalled = false
+			return func() { stalled.state().stalled = true }
 		}, "not marked stalled"},
 		{"stalled with nothing waiting", func() func() {
 			leaf2 := n.switches[1].out[1] // towards idle host 4
-			leaf2.stalled = true
-			return func() { leaf2.stalled = false }
+			leaf2.state().stalled = true
+			return func() { leaf2.state().stalled = false }
 		}, "marked stalled with waiting=false"},
 		{"update parked for a stalled transmitter", func() func() {
-			taker := head.taker
-			head.taker = n.hcas[stalled.node]
-			taker.txLink().nParked--
-			stalled.nParked++
-			return func() { head.taker = taker; taker.txLink().nParked++; stalled.nParked-- }
+			taker, link := head.taker, head.link
+			head.taker, head.link = n.hcas[stalled.node], stalled.index
+			n.links[link].nParked--
+			stalled.state().nParked++
+			return func() { head.taker, head.link = taker, link; n.links[link].nParked++; stalled.state().nParked-- }
 		}, "stalled with 1 credit updates parked"},
 		{"per-link count off", func() func() {
-			head.taker.txLink().nParked++
-			return func() { head.taker.txLink().nParked-- }
+			n.links[head.link].nParked++
+			return func() { n.links[head.link].nParked-- }
 		}, "the ring holds"},
+		{"parked update filed under another link", func() func() {
+			head.link = stalled.index
+			return func() { head.link = head.taker.txLink().index }
+		}, "filed under link"},
 		{"parked update on a lane the fabric lacks", func() func() {
 			vl := head.vl
 			head.vl = 9
@@ -349,13 +353,13 @@ func TestCheckLinkArmedClauses(t *testing.T) {
 			seq := head.seq
 			n.parked.len++
 			*n.parked.at(n.parked.len - 1) = *head
-			head.taker.txLink().nParked++
-			return func() { n.parked.len--; head.taker.txLink().nParked--; head.seq = seq }
+			n.links[head.link].nParked++
+			return func() { n.parked.len--; n.links[head.link].nParked--; head.seq = seq }
 		}, "out of order"},
 		{"credits plus parked above the buffer", func() func() {
 			l := head.taker.txLink()
-			l.credits[head.vl] += l.capBytes()
-			return func() { l.credits[head.vl] -= l.capBytes() }
+			l.credits()[head.vl] += l.capBytes()
+			return func() { l.credits()[head.vl] -= l.capBytes() }
 		}, "exceed capacity"},
 	}
 	for _, tc := range cases {

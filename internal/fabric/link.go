@@ -56,10 +56,15 @@ type creditTaker interface {
 // Because the keys are reserved at the point in program order where the
 // events used to be scheduled, every other event keeps its sequence
 // number and every timestamp tie resolves as it always did.
+//
+// What a link counts lives in the network's slabs (see Network), all of
+// it found from index: its per-VL credits (Network.credit) and the two
+// facts a credit return needs — stalled and the parked count — so the
+// receiver that returns a credit reads and writes those without touching
+// this struct.
 type linkOut struct {
-	net     *Network
-	credits []int // bytes, per VL; call net.fold before reading
-	dst     packetTaker
+	net *Network
+	dst packetTaker
 
 	// busy: a transmission occupies the serializer until the key
 	// (busyUntil, txSeq) passes. armed: txAct is in the event list under
@@ -72,18 +77,16 @@ type linkOut struct {
 	// is always 0 on hosts. Set once at wiring time.
 	atSwitch bool
 	// Fault state, driven by SetLinkDown / SetLinkSlow. down gates the
-	// arbiter entry points (not canSend, so an outage never reads as a
-	// credit stall); slow > 1 multiplies serialization time.
+	// arbiter entry points (not the credit test, so an outage never reads
+	// as a credit stall); slow > 1 multiplies serialization time.
 	down bool
 	// check caches cfg.Check so the per-packet transmit path reads one
 	// local byte instead of chasing net→cfg.
 	check bool
-	// stalled: the last arbitration pass found packets waiting and no
-	// lane with credits for any of them, and nothing was sent since —
-	// the one state in which a credit update wakes somebody up.
-	stalled bool
-	// nParked counts this link's entries in the network's parked ring.
-	nParked uint8
+
+	// index is the link's slot in net.links and names its stretch of
+	// net.credits (call net.fold before reading them).
+	index int32
 
 	node, port int
 	slow       float64
@@ -93,14 +96,50 @@ type linkOut struct {
 	txAct     sim.Action // the owner's pre-bound serializer-done callback
 }
 
-// initCredits gives each of n lanes the full downstream buffer; the
-// caller has set hostFacing.
-func (l *linkOut) initCredits(n int) {
-	l.credits = make([]int, n)
-	for i := range l.credits {
-		l.credits[i] = l.capBytes()
-	}
+// linkState is what a credit return needs to know about the transmitter
+// it goes back to, kept apart from linkOut in a dense per-link array.
+type linkState struct {
+	// stalled: the last arbitration pass found packets waiting and no
+	// lane with credits for any of them, and nothing was sent since —
+	// the one state in which a credit update wakes somebody up.
+	stalled bool
+	// nParked counts the link's entries in the network's parked ring.
+	nParked uint8
+}
+
+// credit is link's counter for vl in the credit slab, which holds NumVLs
+// counters per link in index order — a layout only this function and
+// linkOut.credits know. It needs nothing of the port but its index, so
+// a credit return can use it too.
+func (n *Network) credit(link int32, vl ib.VL) *int {
+	return &n.credits[int(link)*n.cfg.NumVLs+int(vl)]
+}
+
+// credits is the link's stretch of the credit slab, one counter per VL,
+// for cold code.
+func (l *linkOut) credits() []int {
+	nvl := l.net.cfg.NumVLs
+	return l.net.credits[int(l.index)*nvl:][:nvl]
+}
+
+// credit is the link's credit counter for vl.
+func (l *linkOut) credit(vl ib.VL) *int { return l.net.credit(l.index, vl) }
+
+// state is the link's entry in the dense per-link array.
+func (l *linkOut) state() *linkState { return &l.net.links[l.index] }
+
+// initCredits gives each lane the full downstream buffer; the caller has
+// set hostFacing.
+func (l *linkOut) initCredits() {
+	fill(l.credits(), l.capBytes())
 	l.check = l.net.cfg.Check
+}
+
+// fill sets every counter of a slab stretch to v.
+func fill(s []int, v int) {
+	for i := range s {
+		s[i] = v
+	}
 }
 
 // capBytes is the downstream buffer capacity per VL: the initial credit
@@ -139,8 +178,9 @@ func (l *linkOut) busyWith(waiting bool) bool {
 
 // addCredits applies a landed credit update.
 func (l *linkOut) addCredits(vl ib.VL, bytes int) {
-	l.credits[vl] += bytes
-	if l.check && l.credits[vl] > l.capBytes() {
+	cr := l.credit(vl)
+	*cr += bytes
+	if l.check && *cr > l.capBytes() {
 		panic(fmt.Sprintf("fabric: credit overflow at %s", l.name()))
 	}
 }
@@ -153,20 +193,16 @@ func (l *linkOut) name() string {
 	return fmt.Sprintf("host %d", l.node)
 }
 
-// canSend reports whether the VL has credits for a packet of wire size b.
-func (l *linkOut) canSend(vl ib.VL, b int) bool {
-	return l.credits[vl] >= b
-}
-
 // transmit consumes credits, schedules the downstream arrival and
-// occupies the serializer; the caller must have checked isBusy and
-// canSend. waiting says whether another packet is already queued behind
+// occupies the serializer; the caller must have checked isBusy and the
+// credits. waiting says whether another packet is already queued behind
 // this one: only then does anything need the serializer-done callback,
 // so only then is it scheduled now.
 func (l *linkOut) transmit(p *ib.Packet, waiting bool) {
 	wire := p.WireBytes()
-	l.credits[p.VL] -= wire
-	if l.check && l.credits[p.VL] < 0 {
+	cr := l.credit(p.VL)
+	*cr -= wire
+	if l.check && *cr < 0 {
 		panic(fmt.Sprintf("fabric: negative credits on vl %d", p.VL))
 	}
 	ser := l.net.cfg.LinkRate.TxTime(wire)
@@ -182,7 +218,8 @@ func (l *linkOut) transmit(p *ib.Packet, waiting bool) {
 	} else {
 		l.net.scheduleArrival(arrival, l.dst, p)
 	}
-	l.busy, l.armed, l.stalled = true, false, false
+	l.busy, l.armed = true, false
+	l.state().stalled = false
 	l.busyUntil = l.net.simr.Now().Add(ser)
 	l.txSeq = l.net.simr.Reserve()
 	l.busyWith(waiting)
@@ -200,16 +237,21 @@ func (l *linkOut) txDone() { l.busy, l.armed = false, false }
 // synchronized start-up burst (0.02 %). A power of two.
 const parkedCap = 64
 
-// linkOut.nParked counts ring entries in a byte.
+// linkState.nParked counts ring entries in a byte.
 const _ = uint8(parkedCap)
 
 // parkedCredit is a credit update that was never scheduled: bytes on
-// vl count for link from the moment the key (at, seq) passes.
+// vl count for link from the moment the key (at, seq) passes. The
+// transmitter is named twice: link indexes the slabs, which is all
+// parking and folding need; taker is stored but not followed, except to
+// materialise the update as an event (see stall) and to name the link in
+// diagnostics.
 type parkedCredit struct {
 	at    sim.Time
 	seq   uint64
 	taker creditTaker // nil once materialised as an event (see stall)
 	bytes int32
+	link  int32
 	vl    ib.VL
 }
 
@@ -224,15 +266,15 @@ type parkedRing struct {
 
 func (r *parkedRing) at(i int) *parkedCredit { return &r.buf[(r.head+i)%parkedCap] }
 
-// park defers a credit update for taker landing at `at` unless its
-// arbiter is stalled — the only state in which the update would do
-// more than increment a counter when it lands — and reports whether it
-// did. The update's sequence number is reserved here, where its event
-// would have been scheduled. An update delayed by a refresh would break
-// the ring's key order and stays a real event, as does one that finds
-// the ring full.
-func (n *Network) park(taker creditTaker, at sim.Time, delayed bool, vl ib.VL, bytes int) bool {
-	l := taker.txLink()
+// park defers a credit update for taker, the transmitter of link,
+// landing at `at` unless its arbiter is stalled — the only state in
+// which the update would do more than increment a counter when it lands
+// — and reports whether it did. The update's sequence number is
+// reserved here, where its event would have been scheduled. An update
+// delayed by a refresh would break the ring's key order and stays a real
+// event, as does one that finds the ring full.
+func (n *Network) park(taker creditTaker, link int32, at sim.Time, delayed bool, vl ib.VL, bytes int) bool {
+	l := &n.links[link]
 	if delayed || l.stalled {
 		return false
 	}
@@ -243,7 +285,7 @@ func (n *Network) park(taker creditTaker, at sim.Time, delayed bool, vl ib.VL, b
 			return false
 		}
 	}
-	*r.at(r.len) = parkedCredit{at: at, seq: n.simr.Reserve(), taker: taker, bytes: int32(bytes), vl: vl}
+	*r.at(r.len) = parkedCredit{at: at, seq: n.simr.Reserve(), taker: taker, bytes: int32(bytes), link: link, vl: vl}
 	r.len++
 	l.nParked++
 	return true
@@ -265,9 +307,14 @@ func (n *Network) foldLanded() {
 			if !n.simr.Passed(c.at, c.seq) {
 				return
 			}
-			l := c.taker.txLink()
-			l.addCredits(c.vl, int(c.bytes))
-			l.nParked--
+			cr := n.credit(c.link, c.vl)
+			*cr += int(c.bytes)
+			if n.cfg.Check {
+				if l := c.taker.txLink(); *cr > l.capBytes() {
+					panic(fmt.Sprintf("fabric: credit overflow at %s", l.name()))
+				}
+			}
+			n.links[c.link].nParked--
 			c.taker = nil
 		}
 		r.head = (r.head + 1) % parkedCap
@@ -282,24 +329,28 @@ func (n *Network) foldLanded() {
 // fold first: whatever is still parked has not landed) and later ones
 // are scheduled outright.
 func (n *Network) stall(l *linkOut) {
-	l.stalled = true
+	st := l.state()
+	st.stalled = true
 	r := &n.parked
-	for i := 0; l.nParked > 0 && i < r.len; i++ {
+	for i := 0; st.nParked > 0 && i < r.len; i++ {
 		c := r.at(i)
-		if c.taker == nil || c.taker.txLink() != l {
+		if c.taker == nil || c.link != l.index {
 			continue
 		}
 		n.simr.ScheduleReserved(c.at, c.seq, n.newCreditAct(c.taker, c.vl, int(c.bytes)))
 		c.taker = nil
-		l.nParked--
+		st.nParked--
 	}
 }
 
 // parkedBytes sums the credit parked for l on vl, landed or not.
 func (n *Network) parkedBytes(l *linkOut, vl int) int {
 	sum := 0
-	for i := 0; l.nParked > 0 && i < n.parked.len; i++ {
-		if c := n.parked.at(i); c.taker != nil && c.taker.txLink() == l && int(c.vl) == vl {
+	if l.state().nParked == 0 {
+		return sum
+	}
+	for i := 0; i < n.parked.len; i++ {
+		if c := n.parked.at(i); c.taker != nil && c.link == l.index && int(c.vl) == vl {
 			sum += int(c.bytes)
 		}
 	}
@@ -310,7 +361,7 @@ func (n *Network) parkedBytes(l *linkOut, vl int) int {
 // behind its serializer, stopping at the first error.
 func (n *Network) eachLink(f func(l *linkOut, waiting bool) error) error {
 	for _, h := range n.hcas {
-		if err := f(&h.out, h.obuf.Len() > 0); err != nil {
+		if err := f(&h.out, !h.obuf.Empty()); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ib"
 	"repro/internal/obs"
@@ -39,6 +40,21 @@ type Network struct {
 	arrMade int
 	crdPool []*creditAct
 
+	// Everything a port counts per VL or per ring slot lives in these
+	// slabs, not in the port: each is allocated once, at the size a
+	// counting pass over the topology finds, and every port owns the
+	// stretch its stored base names (bases are stored because port and
+	// lane counts are ragged across topologies). links and credits are
+	// per transmitter, both found from the link's index (see
+	// Network.credit), free per receiver, qbytes, occ and voqs per switch
+	// output port.
+	links   []linkState
+	credits []int
+	free    []int
+	qbytes  []int
+	occ     []uint64
+	voqs    []ib.PacketQueue
+
 	// parked holds the credit updates that were deferred instead of
 	// scheduled (see linkOut).
 	parked parkedRing
@@ -61,16 +77,55 @@ func New(s *sim.Simulator, t *topo.Topology, r *topo.Routing, cfg Config, hooks 
 	n.hcas = make([]*HCA, t.NumHosts)
 	n.swByNode = make([]*SwitchNode, len(t.Nodes))
 
+	// The counting pass: what the slabs must hold once every node is
+	// built (growing them by append instead costs more than all the
+	// rest of New at paper scale).
+	var want slabCursor
+	nsw := 0
+	for i := range t.Nodes {
+		node := &t.Nodes[i]
+		if node.Kind == topo.Host {
+			want.links++
+			want.free += cfg.NumVLs
+			continue
+		}
+		nsw++
+		_, ring, words := voqRing(len(node.Ports), cfg.NumVLs)
+		for _, port := range node.Ports {
+			if port.Connected() {
+				want.links++
+				want.free += cfg.NumVLs
+				want.qbytes += cfg.NumVLs
+				want.occ += words
+				want.voqs += ring
+			}
+		}
+	}
+	if want.voqs > math.MaxInt32 {
+		return nil, fmt.Errorf("fabric: %d VoQ slots exceed the slab index range", want.voqs)
+	}
+	n.links = make([]linkState, want.links)
+	n.credits = make([]int, want.links*cfg.NumVLs)
+	n.free = make([]int, want.free)
+	n.qbytes = make([]int, want.qbytes)
+	n.occ = make([]uint64, want.occ)
+	n.voqs = make([]ib.PacketQueue, want.voqs)
+	n.switches = make([]*SwitchNode, 0, nsw)
+
+	var cur slabCursor
 	for i := range t.Nodes {
 		node := &t.Nodes[i]
 		switch node.Kind {
 		case topo.Host:
-			n.hcas[node.LID] = newHCA(n, node)
+			n.hcas[node.LID] = newHCA(n, node, &cur)
 		case topo.Switch:
-			sw := newSwitchNode(n, node, len(n.switches))
+			sw := newSwitchNode(n, node, len(n.switches), &cur)
 			n.switches = append(n.switches, sw)
 			n.swByNode[node.ID] = sw
 		}
+	}
+	if cur != want {
+		return nil, fmt.Errorf("fabric: slabs sized for %+v but carved to %+v", want, cur)
 	}
 
 	// Wire every directed link endpoint: the transmit side gets its
@@ -87,13 +142,17 @@ func New(s *sim.Simulator, t *topo.Topology, r *topo.Routing, cfg Config, hooks 
 			taker, dstIsHost := n.rxSide(peer, port.PeerPort)
 			tx.dst = taker
 			tx.hostFacing = dstIsHost
-			tx.initCredits(n.cfg.NumVLs)
+			tx.initCredits()
 			// The peer's receive side returns credits to tx.
-			n.setUpstream(peer, port.PeerPort, rxCredits)
+			n.setUpstream(peer, port.PeerPort, rxCredits, tx.index)
 		}
 	}
 	return n, nil
 }
+
+// slabCursor counts, per slab, the entries handed out so far; the
+// counting pass in New runs one to the end to size the slabs.
+type slabCursor struct{ links, free, qbytes, occ, voqs int }
 
 // txSide returns the linkOut of (node, port) and the creditTaker the
 // peer's receiver must send credits to.
@@ -116,14 +175,16 @@ func (n *Network) rxSide(node *topo.Node, port int) (packetTaker, bool) {
 	return n.swByNode[node.ID].in[port], false
 }
 
-// setUpstream records ct as the credit destination of (node, port)'s
-// receive side.
-func (n *Network) setUpstream(node *topo.Node, port int, ct creditTaker) {
+// setUpstream records ct, the transmitter of link, as the credit
+// destination of (node, port)'s receive side.
+func (n *Network) setUpstream(node *topo.Node, port int, ct creditTaker, link int32) {
 	if node.Kind == topo.Host {
-		n.hcas[node.LID].up = ct
+		h := n.hcas[node.LID]
+		h.up, h.upLink = ct, link
 		return
 	}
-	n.swByNode[node.ID].in[port].up = ct
+	ip := n.swByNode[node.ID].in[port]
+	ip.up, ip.upLink = ct, link
 }
 
 // SetHooks installs policy hooks after construction; it must be called
@@ -184,7 +245,7 @@ func (n *Network) CheckQuiescent() error {
 		if l.armed {
 			return fmt.Errorf("fabric: %s not quiescent", l.name())
 		}
-		for v, c := range l.credits {
+		for v, c := range l.credits() {
 			if c += n.parkedBytes(l, v); c != want {
 				return fmt.Errorf("fabric: %s vl %d credits %d of %d", l.name(), v, c, want)
 			}
@@ -192,10 +253,10 @@ func (n *Network) CheckQuiescent() error {
 		return nil
 	}
 	for _, h := range n.hcas {
-		if h.obuf.Len() != 0 || h.rxQ.Len() != 0 || h.dmaBusy || h.sinkBusy {
+		if !h.obuf.Empty() || !h.rxQ.Empty() || h.dmaBusy || h.sinkBusy {
 			return fmt.Errorf("fabric: host %d not quiescent", h.lid)
 		}
-		for v, free := range h.rxFree {
+		for v, free := range h.rxFree() {
 			if free != n.cfg.HostIbufBytes {
 				return fmt.Errorf("fabric: host %d rx vl %d: %d free of %d", h.lid, v, free, n.cfg.HostIbufBytes)
 			}
@@ -220,7 +281,7 @@ func (n *Network) CheckQuiescent() error {
 			if ip == nil {
 				continue
 			}
-			for v, free := range ip.free {
+			for v, free := range ip.free() {
 				if free != n.cfg.SwitchIbufBytes {
 					return fmt.Errorf("fabric: switch %d in-port %d vl %d free %d", sw.index, pi, v, free)
 				}

@@ -106,22 +106,22 @@ func (r *tieRig) at(t sim.Time, tag string, f func()) {
 func (r *tieRig) inject(inPort, payload int) {
 	r.ids++
 	p := &ib.Packet{ID: r.ids, Type: ib.DataPacket, Src: ib.LID(inPort), Dst: 3, PayloadBytes: payload, MsgID: r.ids, MsgPackets: 1}
-	r.n.hcas[inPort].out.credits[0] -= p.WireBytes()
+	r.n.hcas[inPort].out.credits()[0] -= p.WireBytes()
 	r.n.switches[0].in[inPort].arrive(p)
 }
 
 // withhold lowers op's credits to leave, as if the downstream buffer
 // were that full; settle returns the difference late in the run.
 func (r *tieRig) withhold(leave int) {
-	r.withheld = r.op.credits[0] - leave
-	r.op.credits[0] = leave
+	r.withheld = r.op.credits()[0] - leave
+	r.op.credits()[0] = leave
 }
 
 // credit sends a credit update of bytes towards op now; it lands one
 // propagation delay (10 ns) later.
 func (r *tieRig) credit(bytes int) {
 	r.withheld -= bytes
-	r.n.sendCredit(r.op, 0, bytes)
+	r.n.sendCredit(r.op, r.op.index, 0, bytes)
 }
 
 // finish hands back what is still withheld, drains the run and
@@ -202,7 +202,7 @@ var tieScenarios = map[string]func(t *testing.T) *tieRig{
 	// instant behind it.
 	"two_credits_in_one_propdelay": func(t *testing.T) *tieRig {
 		r := newTieRig(t, true)
-		r.withhold(r.op.credits[0] - 300)
+		r.withhold(r.op.credits()[0] - 300)
 		r.at(tieT0, "A", func() { r.inject(0, ib.MTU) })
 		r.at(tieT0.Add(100*sim.Nanosecond), "c1", func() { r.credit(100) })
 		r.at(tieT0.Add(112*sim.Nanosecond), "D1", func() { r.inject(1, 256) })
@@ -218,7 +218,7 @@ var tieScenarios = map[string]func(t *testing.T) *tieRig{
 	// counter with all 80 in it.
 	"more_credits_than_the_ring_holds": func(t *testing.T) *tieRig {
 		r := newTieRig(t, true)
-		r.withhold(r.op.credits[0] - 80)
+		r.withhold(r.op.credits()[0] - 80)
 		r.at(tieT0, "A", func() { r.inject(0, ib.MTU) })
 		r.at(tieT0.Add(50*sim.Nanosecond), "burst", func() {
 			for i := 0; i < 80; i++ {

@@ -20,28 +20,29 @@ func TestVoQRingLayoutNonPow2(t *testing.T) {
 	cfg := testCfg()
 	cfg.NumVLs = 3 // non-pow2: stride must pad to 4
 	n := buildNet(t, tp, cfg, Hooks{})
-	op := n.switches[0].out[0]
-	if op.vlShift != 2 {
-		t.Fatalf("vlShift = %d, want 2", op.vlShift)
+	sw := n.switches[0]
+	op := sw.out[0]
+	if sw.vlShift != 2 {
+		t.Fatalf("vlShift = %d, want 2", sw.vlShift)
 	}
-	if len(op.voqs) != 16 { // pow2ceil(3 ports) << 2 = 4*4
-		t.Fatalf("len(voqs) = %d, want 16", len(op.voqs))
+	if len(op.voqs()) != 16 { // pow2ceil(3 ports) << 2 = 4*4
+		t.Fatalf("len(voqs) = %d, want 16", len(op.voqs()))
 	}
-	if op.voqMask != len(op.voqs)-1 {
-		t.Fatalf("voqMask = %d, want %d", op.voqMask, len(op.voqs)-1)
+	if int(sw.voqMask) != len(op.voqs())-1 {
+		t.Fatalf("voqMask = %d, want %d", sw.voqMask, len(op.voqs())-1)
 	}
 	seen := map[int]bool{}
 	for inPort := 0; inPort < 3; inPort++ {
 		for vl := 0; vl < cfg.NumVLs; vl++ {
-			k := inPort<<op.vlShift | vl
-			if k&op.voqMask != k {
+			k := inPort<<sw.vlShift | vl
+			if k&int(sw.voqMask) != k {
 				t.Fatalf("slot %d for (%d,%d) outside ring", k, inPort, vl)
 			}
 			if seen[k] {
 				t.Fatalf("slot %d aliases two (inPort, vl) pairs", k)
 			}
 			seen[k] = true
-			if got := k >> op.vlShift; got != inPort {
+			if got := k >> sw.vlShift; got != inPort {
 				t.Fatalf("slot %d recovers inPort %d, want %d", k, got, inPort)
 			}
 		}

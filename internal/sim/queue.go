@@ -1,6 +1,9 @@
 package sim
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
 // Event is a scheduled callback. Events are created through the
 // Simulator's Schedule methods; cancelling marks the event dead and it
@@ -468,13 +471,10 @@ func sortEvents(s []*Event) {
 		return
 	}
 	slices.SortFunc(s, func(a, b *Event) int {
-		if eventLess(a, b) {
-			return -1
+		if c := cmp.Compare(a.time, b.time); c != 0 {
+			return c
 		}
-		if eventLess(b, a) {
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.seq, b.seq)
 	})
 }
 

@@ -215,7 +215,7 @@ func (g *Generator) Pull(now sim.Time) (*ib.Packet, sim.Time) {
 			k -= n
 		}
 		fl := &g.slots[g.active[k]]
-		if fl.q.Len() == 0 {
+		if fl.q.Empty() {
 			// Lazily drop drained flows from the active list.
 			fl.refs--
 			g.active[k] = g.active[n-1]
@@ -267,7 +267,7 @@ func (g *Generator) gate(fl *flowSlot) sim.Time {
 // would not: queued packets, an active-list entry or a gate still ahead
 // of now.
 func (fl *flowSlot) live(now sim.Time) bool {
-	return fl.q.Len() > 0 || fl.refs > 0 || fl.nextAllowed.After(now)
+	return !fl.q.Empty() || fl.refs > 0 || fl.nextAllowed.After(now)
 }
 
 // findSlot returns the index of dst's slot, or -1.
@@ -355,7 +355,7 @@ func (g *Generator) generate(s *stream, now sim.Time) bool {
 	}
 	idx := g.slotFor(dst, now)
 	fl := &g.slots[idx]
-	if fl.q.Len() == 0 {
+	if fl.q.Empty() {
 		// Also when a drained entry is still listed: see active.
 		g.active = append(g.active, int32(idx))
 		fl.refs++
@@ -404,7 +404,7 @@ func (g *Generator) nextWake(now sim.Time) sim.Time {
 	wake := sim.MaxTime
 	for _, idx := range g.active {
 		fl := &g.slots[idx]
-		if t := g.gate(fl); fl.q.Len() > 0 && t.After(now) && t.Before(wake) {
+		if t := g.gate(fl); !fl.q.Empty() && t.After(now) && t.Before(wake) {
 			wake = t
 		}
 	}
