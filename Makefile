@@ -40,8 +40,13 @@ race:
 # not the fabric's size, and hand out exactly the packets the old
 # per-destination table did; the fabric's port structs stay inside their
 # byte budgets and building a fabric allocates per node, not per port.
+# The flight recorder's share: a disabled bus and one with only the
+# aggregate tier on allocate nothing on the forward path, and a run
+# carrying just the sampler and the checker builds no per-hop Event.
 alloc-budget:
 	$(GO) test -count=1 ./internal/core -run 'ZeroAlloc'
+	$(GO) test -count=1 ./internal/obs -run 'Allocs'
+	$(GO) test -count=1 ./internal/telemetry -run 'BuildsNoPerHopEvents'
 	$(GO) test -count=1 ./internal/traffic -run 'Slots|Differential'
 	$(GO) test -count=1 ./internal/fabric -run 'PortLayoutBudget|NewAllocatesPerNodeNotPerPort'
 
@@ -128,8 +133,10 @@ resilience:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Flight-recorder overhead: the disabled-bus benchmark must report
-# 0 allocs/op, proving observability costs nothing when off.
+# Flight-recorder overhead: BenchmarkBusDisabled must report 0 allocs/op
+# (observability costs nothing when off) and so must
+# BenchmarkBusAggregates (with only aggregate readers attached a hop
+# builds no Event); BenchmarkBusStream is the per-event tier beside them.
 bench-obs:
 	$(GO) test ./internal/obs -bench=Bus -benchmem
 

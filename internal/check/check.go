@@ -165,8 +165,8 @@ type Checker struct {
 	lastIOTime sim.Time
 	tripped    bool
 
-	// reg feeds the diagnostic dump's hottest-port view when the checker
-	// is attached to a bus.
+	// reg is the attached bus's aggregate table, read only by the
+	// diagnostic dump (port totals and the hottest port).
 	reg *obs.Registry
 
 	// faultRing holds the most recent fault-layer events (link state
@@ -216,12 +216,7 @@ func (c *Checker) Attach(bus *obs.Bus) {
 	bus.Subscribe(obs.ConsumerFunc(c.consumeCCTI), obs.KindCCTIChanged)
 	bus.Subscribe(obs.ConsumerFunc(c.consumeFault),
 		obs.KindLinkDown, obs.KindLinkUp, obs.KindPacketDropped)
-	nv := 1
-	if c.t.Net != nil {
-		nv = c.t.Net.Config().NumVLs
-	}
-	c.reg = obs.NewRegistry(nv)
-	c.reg.Attach(bus)
+	c.reg = bus.Registry()
 }
 
 // consumeFault records fault-layer events into the bounded ring dumps

@@ -19,7 +19,7 @@ type ObserveOpts struct {
 	ChromeTrace io.Writer
 	// Tree attaches the congestion-tree analyzer.
 	Tree bool
-	// Counters attaches the per-switch-port counter registry.
+	// Counters switches on the bus's per-switch-port counter registry.
 	Counters bool
 	// Telemetry attaches a pre-built time-series sampler (nil skips it —
 	// the sampler's own nil guard makes the wiring unconditional).
@@ -64,8 +64,7 @@ func (in *Instance) Observe(o ObserveOpts) *Observation {
 		ob.Tree.Attach(bus)
 	}
 	if o.Counters {
-		ob.Registry = obs.NewRegistry(in.Net.Config().NumVLs)
-		ob.Registry.Attach(bus)
+		ob.Registry = bus.Registry()
 	}
 	o.Telemetry.Attach(bus)
 	return ob

@@ -1,6 +1,10 @@
 package obs
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // PortKey addresses one switch output port.
 type PortKey struct {
@@ -10,27 +14,45 @@ type PortKey struct {
 
 func (k PortKey) String() string { return fmt.Sprintf("sw%d.p%d", k.Switch, k.Port) }
 
-// PortCounters accumulates the flight-recorder counters of one switch
-// output port.
+// MaxVLs bounds the per-port lane arrays: the fabric carries at most 15
+// data VLs (fabric.Config), VL 15 is management.
+const MaxVLs = 16
+
+// Traffic classes of Registry.Delivered.
+const (
+	ClassHotspot = iota // data payload addressed to the hotspot victim
+	ClassOther          // all other data payload
+	ClassControl        // CNP + ACK wire bytes
+	NumClasses
+)
+
+// PortCounters is one switch output port's row of the bus's aggregate
+// table. The fields a packet hop touches come first, so a single-VL
+// fabric works within a row's first 128 bytes.
 type PortCounters struct {
-	// FECNMarks counts data packets FECN-marked at this port.
-	FECNMarks uint64
-	// CreditStalls counts failed grant attempts for lack of downstream
-	// credits.
-	CreditStalls uint64
-	// PeakQueuedBytes is the highest queued-byte depth observed on any
-	// VL of the port.
-	PeakQueuedBytes int
-	// FwdPackets counts packets put on the wire.
-	FwdPackets uint64
-	// Dropped counts packets and credit updates the fault layer
-	// discarded after leaving this port.
-	Dropped uint64
-	// FwdBytesVL counts wire bytes forwarded per VL.
-	FwdBytesVL []uint64
+	// Depth is the sum of every VL's last sampled depth, PeakDepth its
+	// high-water mark.
+	Depth, PeakDepth int32
 	// HostPort reports whether the port faces an HCA (learned from the
 	// first event that says so).
 	HostPort bool
+	seen     bool
+	// PeakQueuedBytes is the highest queued-byte depth observed on any
+	// single VL of the port.
+	PeakQueuedBytes int
+	// FwdPackets counts packets put on the wire.
+	FwdPackets uint64
+	// CreditStalls counts failed grant attempts for lack of downstream
+	// credits.
+	CreditStalls uint64
+	// FECNMarks counts data packets FECN-marked at this port.
+	FECNMarks uint64
+	// Dropped counts packets and credit updates the fault layer
+	// discarded after leaving this port.
+	Dropped uint64
+	vlDepth [MaxVLs]int32
+	// FwdBytesVL counts wire bytes forwarded per VL.
+	FwdBytesVL [MaxVLs]uint64
 }
 
 // PortTable is a dense [switch][port] table of per-port state. Switch
@@ -64,96 +86,81 @@ func (t PortTable[T]) Each(f func(sw, port int, v *T)) {
 	}
 }
 
-// Registry is a bus consumer maintaining per-switch-port counters. Ports
-// materialize lazily on their first event, so an idle port costs a nil
-// pointer. Subscribe it with Attach.
+// Registry is the bus's aggregate tier: per-switch-port counters and a
+// few run totals that the publish helpers update in place — no Event is
+// built and no consumer called for them. Bus.Registry switches it on.
+// It is written on the simulation goroutine and read there; a reader on
+// another goroutine works from what it copied at a tick.
 type Registry struct {
-	numVLs int
-	// ports holds nil for ports that never produced an event.
-	ports PortTable[*PortCounters]
+	ports PortTable[PortCounters]
+	// Delivered is the cumulative bytes host sinks consumed per traffic
+	// class.
+	Delivered [NumClasses]int64
+	// Stalls counts every failed grant, host transmitters included.
+	Stalls uint64
+	// Last is the time of the latest queue sample, stall, delivery or
+	// drop.
+	Last sim.Time
+
+	tickAt sim.Time
+	onTick func(sim.Time) sim.Time
 }
 
-// NewRegistry returns a registry for fabrics with numVLs virtual lanes.
-func NewRegistry(numVLs int) *Registry {
-	if numVLs < 1 {
-		numVLs = 1
+// SetTick installs the bus's one time-driven reader. The first queue
+// sample, stall, delivery or drop published at a t beyond the boundary
+// fn last returned calls fn(t) before the table takes the update, so fn
+// reads the table as it stood at the boundary; the first such event
+// always ticks.
+func (r *Registry) SetTick(fn func(t sim.Time) (next sim.Time)) {
+	if r.onTick != nil {
+		panic("obs: the bus already has a tick reader")
 	}
-	return &Registry{numVLs: numVLs}
+	r.onTick, r.tickAt = fn, -1
 }
 
-// Attach subscribes the registry to the kinds it consumes.
-func (r *Registry) Attach(b *Bus) {
-	b.Subscribe(r, KindPacketSent, KindFECNMarked, KindCreditStalled, KindQueueSampled, KindPacketDropped)
+func (r *Registry) touch(t sim.Time) {
+	if t > r.tickAt {
+		r.tickAt = r.onTick(t)
+	}
+	r.Last = t
 }
 
-func (r *Registry) port(sw, port int, hostPort bool) *PortCounters {
-	slot := r.ports.At(sw, port)
-	c := *slot
-	if c == nil {
-		c = &PortCounters{FwdBytesVL: make([]uint64, r.numVLs)}
-		*slot = c
-	}
-	if hostPort {
-		c.HostPort = true
-	}
+func (r *Registry) port(sw, port int) *PortCounters {
+	c := r.ports.At(sw, port)
+	c.seen = true
 	return c
 }
 
-// Consume implements Consumer.
-func (r *Registry) Consume(e Event) {
-	if !e.Switch {
-		return // HCA-side events carry no switch port
-	}
-	switch e.Kind {
-	case KindPacketSent:
-		c := r.port(e.Node, e.Port, false)
-		c.FwdPackets++
-		if int(e.VL) < len(c.FwdBytesVL) {
-			c.FwdBytesVL[e.VL] += uint64(e.Bytes)
-		}
-	case KindFECNMarked:
-		r.port(e.Node, e.Port, e.HostPort).FECNMarks++
-	case KindCreditStalled:
-		r.port(e.Node, e.Port, false).CreditStalls++
-	case KindQueueSampled:
-		c := r.port(e.Node, e.Port, e.HostPort)
-		if e.QueuedBytes > c.PeakQueuedBytes {
-			c.PeakQueuedBytes = e.QueuedBytes
-		}
-	case KindPacketDropped:
-		r.port(e.Node, e.Port, false).Dropped++
-	}
-}
-
 // Port returns the counters of (sw, port), or nil when the port never
-// produced an event.
+// produced an event. The pointer is into the live table.
 func (r *Registry) Port(sw, port int) *PortCounters {
-	if sw < 0 || sw >= len(r.ports) || port < 0 || port >= len(r.ports[sw]) {
+	if sw < 0 || sw >= len(r.ports) || port < 0 || port >= len(r.ports[sw]) || !r.ports[sw][port].seen {
 		return nil
 	}
-	return r.ports[sw][port]
+	return &r.ports[sw][port]
 }
 
-// each calls f for every materialized port in (switch, port) order.
-func (r *Registry) each(f func(PortKey, *PortCounters)) {
-	r.ports.Each(func(sw, port int, c **PortCounters) {
-		if *c != nil {
-			f(PortKey{Switch: sw, Port: port}, *c)
+// Each calls f for every port that produced an event, in (switch, port)
+// order.
+func (r *Registry) Each(f func(PortKey, *PortCounters)) {
+	r.ports.Each(func(sw, port int, c *PortCounters) {
+		if c.seen {
+			f(PortKey{Switch: sw, Port: port}, c)
 		}
 	})
 }
 
-// Ports returns the keys of every materialized port in (switch, port)
-// order.
+// Ports returns the keys of every port that produced an event in
+// (switch, port) order.
 func (r *Registry) Ports() []PortKey {
 	var out []PortKey
-	r.each(func(k PortKey, _ *PortCounters) { out = append(out, k) })
+	r.Each(func(k PortKey, _ *PortCounters) { out = append(out, k) })
 	return out
 }
 
 // Totals sums the counters across all ports.
 func (r *Registry) Totals() (marks, stalls, fwdPackets uint64, fwdBytes uint64) {
-	r.each(func(_ PortKey, c *PortCounters) {
+	r.Each(func(_ PortKey, c *PortCounters) {
 		marks += c.FECNMarks
 		stalls += c.CreditStalls
 		fwdPackets += c.FwdPackets
@@ -169,12 +176,10 @@ func (r *Registry) Totals() (marks, stalls, fwdPackets uint64, fwdBytes uint64) 
 func (r *Registry) HottestPort() (PortKey, *PortCounters) {
 	var bestK PortKey
 	var best *PortCounters
-	r.each(func(k PortKey, c *PortCounters) {
+	r.Each(func(k PortKey, c *PortCounters) {
 		if c.FECNMarks > 0 && (best == nil || c.FECNMarks > best.FECNMarks) {
 			bestK, best = k, c
 		}
 	})
 	return bestK, best
 }
-
-var _ Consumer = (*Registry)(nil)

@@ -5,11 +5,16 @@
 // and a congestion-tree analyzer that labels contributor and victim
 // flows from the FECN topology.
 //
-// The bus is built so that a simulation with observability disabled pays
-// nothing for it: every publish helper is a method on a possibly-nil
-// *Bus that returns before constructing the event unless the kind has a
-// subscriber, so the packet-forward hot path adds a nil check and a
-// mask test but no allocation (BenchmarkBusDisabled asserts this).
+// The bus has two tiers. The aggregate tier (Registry) is a table of
+// per-port counters and run totals the per-hop publish helpers update in
+// place; the stream tier builds an Event and hands it to the consumers
+// subscribed to its kind. A simulation with observability disabled pays
+// for neither: every publish helper is a method on a possibly-nil *Bus
+// that returns before doing anything unless a tier wants the kind, so
+// the packet-forward hot path adds a nil check and a mask test but no
+// allocation (BenchmarkBusDisabled asserts this), and with only
+// aggregate readers attached a hop costs a few counter updates and no
+// Event (BenchmarkBusAggregates).
 package obs
 
 import (
@@ -167,9 +172,15 @@ func (f ConsumerFunc) Consume(e Event) { f(e) }
 // value is usable; a nil *Bus is a valid always-disabled bus, which is
 // how a simulation runs unobserved.
 type Bus struct {
-	mask uint32
+	mask uint32 // kinds with a stream subscriber
+	want uint32 // mask, plus aggKinds once the aggregate tier is on
+	reg  *Registry
 	subs [NumKinds][]Consumer
 }
+
+// aggKinds are the kinds the aggregate tier counts.
+const aggKinds = 1<<KindPacketSent | 1<<KindPacketDelivered | 1<<KindFECNMarked |
+	1<<KindCreditStalled | 1<<KindQueueSampled | 1<<KindPacketDropped
 
 // New returns an empty bus.
 func New() *Bus { return &Bus{} }
@@ -185,13 +196,29 @@ func (b *Bus) Subscribe(c Consumer, kinds ...Kind) {
 	for _, k := range kinds {
 		b.subs[k] = append(b.subs[k], c)
 		b.mask |= 1 << k
+		b.want |= 1 << k
 	}
 }
 
-// Wants reports whether any subscriber listens for kind k. Publishers
-// with expensive event construction may use it to skip work; the
-// standard helpers below already check it.
-func (b *Bus) Wants(k Kind) bool { return b != nil && b.mask&(1<<k) != 0 }
+// Registry returns the bus's aggregate tier, switching it on at the
+// first call; every caller reads the same table.
+func (b *Bus) Registry() *Registry {
+	if b.reg == nil {
+		b.reg = &Registry{tickAt: sim.MaxTime}
+		b.want |= aggKinds
+	}
+	return b.reg
+}
+
+// Wants reports whether publishing kind k does anything — a subscriber
+// listens for it or the aggregate tier counts it. Publishers with
+// expensive preparation may use it to skip work; the standard helpers
+// below already check it.
+func (b *Bus) Wants(k Kind) bool { return b != nil && b.want&(1<<k) != 0 }
+
+// Streams reports whether publishing kind k builds an Event, which only
+// a stream subscriber makes it do.
+func (b *Bus) Streams(k Kind) bool { return b != nil && b.mask&(1<<k) != 0 }
 
 // Publish delivers e to the subscribers of its kind.
 func (b *Bus) Publish(e Event) {
@@ -216,7 +243,17 @@ func (e *Event) packet(p *ib.Packet) {
 // PacketSent publishes a wire transmission at (node, port); sw selects
 // the switch/host namespace for node.
 func (b *Bus) PacketSent(t sim.Time, sw bool, node, port int, p *ib.Packet) {
-	if b == nil || b.mask&(1<<KindPacketSent) == 0 {
+	if b == nil || b.want&(1<<KindPacketSent) == 0 {
+		return
+	}
+	if b.reg != nil && sw {
+		c := b.reg.port(node, port)
+		c.FwdPackets++
+		if p.VL < MaxVLs {
+			c.FwdBytesVL[p.VL] += uint64(p.WireBytes())
+		}
+	}
+	if b.mask&(1<<KindPacketSent) == 0 {
 		return
 	}
 	e := Event{Kind: KindPacketSent, Time: t, Switch: sw, Node: node, Port: port}
@@ -226,7 +263,22 @@ func (b *Bus) PacketSent(t sim.Time, sw bool, node, port int, p *ib.Packet) {
 
 // PacketDelivered publishes a sink consumption at host lid.
 func (b *Bus) PacketDelivered(t sim.Time, lid ib.LID, p *ib.Packet) {
-	if b == nil || b.mask&(1<<KindPacketDelivered) == 0 {
+	if b == nil || b.want&(1<<KindPacketDelivered) == 0 {
+		return
+	}
+	if r := b.reg; r != nil {
+		r.touch(t)
+		class, bytes := ClassControl, p.WireBytes()
+		if p.Type == ib.DataPacket {
+			// Payload, the goodput the paper's throughput plots use.
+			class, bytes = ClassOther, bytes-ib.HeaderBytes
+			if p.Hotspot {
+				class = ClassHotspot
+			}
+		}
+		r.Delivered[class] += int64(bytes)
+	}
+	if b.mask&(1<<KindPacketDelivered) == 0 {
 		return
 	}
 	e := Event{Kind: KindPacketDelivered, Time: t, Node: int(lid)}
@@ -237,7 +289,15 @@ func (b *Bus) PacketDelivered(t sim.Time, lid ib.LID, p *ib.Packet) {
 // FECNMarked publishes a FECN mark of p at switch sw port out, with the
 // queue depth and credit state that triggered it.
 func (b *Bus) FECNMarked(t sim.Time, sw, out int, hostPort bool, p *ib.Packet, queued, credits int) {
-	if b == nil || b.mask&(1<<KindFECNMarked) == 0 {
+	if b == nil || b.want&(1<<KindFECNMarked) == 0 {
+		return
+	}
+	if b.reg != nil {
+		c := b.reg.port(sw, out)
+		c.FECNMarks++
+		c.HostPort = c.HostPort || hostPort
+	}
+	if b.mask&(1<<KindFECNMarked) == 0 {
 		return
 	}
 	e := Event{
@@ -288,7 +348,17 @@ func (b *Bus) CCTIChanged(t sim.Time, src, dst ib.LID, old, new uint16) {
 // (node, port) held a packet of wire size need on vl but only credits
 // bytes of downstream space.
 func (b *Bus) CreditStalled(t sim.Time, sw bool, node, port int, vl ib.VL, credits, need int) {
-	if b == nil || b.mask&(1<<KindCreditStalled) == 0 {
+	if b == nil || b.want&(1<<KindCreditStalled) == 0 {
+		return
+	}
+	if r := b.reg; r != nil {
+		r.touch(t)
+		r.Stalls++
+		if sw {
+			r.port(node, port).CreditStalls++
+		}
+	}
+	if b.mask&(1<<KindCreditStalled) == 0 {
 		return
 	}
 	b.Publish(Event{
@@ -319,7 +389,16 @@ func (b *Bus) LinkUp(t sim.Time, sw bool, node, port int) {
 // bytes describe the lost flow-control update and CreditBytes doubles as
 // the credit marker.
 func (b *Bus) PacketDropped(t sim.Time, sw bool, node, port int, p *ib.Packet, vl ib.VL, bytes int) {
-	if b == nil || b.mask&(1<<KindPacketDropped) == 0 {
+	if b == nil || b.want&(1<<KindPacketDropped) == 0 {
+		return
+	}
+	if r := b.reg; r != nil {
+		r.touch(t)
+		if sw {
+			r.port(node, port).Dropped++
+		}
+	}
+	if b.mask&(1<<KindPacketDropped) == 0 {
 		return
 	}
 	e := Event{Kind: KindPacketDropped, Time: t, Switch: sw, Node: node, Port: port}
@@ -349,7 +428,21 @@ func (b *Bus) MsgCompleted(t sim.Time, lid ib.LID, p *ib.Packet) {
 
 // QueueSampled publishes a switch output Port VL depth change.
 func (b *Bus) QueueSampled(t sim.Time, sw, port int, hostPort bool, vl ib.VL, queued int) {
-	if b == nil || b.mask&(1<<KindQueueSampled) == 0 {
+	if b == nil || b.want&(1<<KindQueueSampled) == 0 {
+		return
+	}
+	if r := b.reg; r != nil {
+		r.touch(t)
+		c := r.port(sw, port)
+		c.HostPort = c.HostPort || hostPort
+		c.PeakQueuedBytes = max(c.PeakQueuedBytes, queued)
+		if vl < MaxVLs {
+			c.Depth += int32(queued) - c.vlDepth[vl]
+			c.vlDepth[vl] = int32(queued)
+			c.PeakDepth = max(c.PeakDepth, c.Depth)
+		}
+	}
+	if b.mask&(1<<KindQueueSampled) == 0 {
 		return
 	}
 	b.Publish(Event{

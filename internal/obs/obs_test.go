@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -85,6 +86,18 @@ func TestWantsFollowsSubscriptions(t *testing.T) {
 	if !b.Wants(KindQueueSampled) || b.Wants(KindPacketSent) {
 		t.Fatal("mask wrong after subscribe")
 	}
+	// The aggregate tier wants what it counts — fabric/fault.go gates its
+	// dropped-credit publishes on Wants(KindPacketDropped) — but builds
+	// no Event for it.
+	b.Registry()
+	for _, k := range []Kind{KindPacketSent, KindPacketDelivered, KindFECNMarked, KindCreditStalled, KindPacketDropped} {
+		if !b.Wants(k) || b.Streams(k) {
+			t.Fatalf("%v with only the aggregate tier on: wants %v, streams %v", k, b.Wants(k), b.Streams(k))
+		}
+	}
+	if !b.Streams(KindQueueSampled) || b.Wants(KindCCTIChanged) || b.Wants(KindLinkDown) {
+		t.Fatal("mask wrong after Registry")
+	}
 }
 
 func TestKindStrings(t *testing.T) {
@@ -136,11 +149,28 @@ func BenchmarkBusDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkBusCounters is the enabled counterpart: the same sequence
-// fanned into the counter registry, for overhead comparison.
-func BenchmarkBusCounters(b *testing.B) {
+// BenchmarkBusAggregates is the cheap-when-on counterpart: the same
+// sequence with only the aggregate tier on (what a checker and a sampler
+// leave the per-hop kinds with), which must also report 0 allocs/op —
+// no Event is built. TestAggregateTierAllocs enforces it.
+func BenchmarkBusAggregates(b *testing.B) {
 	bus := New()
-	NewRegistry(1).Attach(bus)
+	bus.Registry()
+	p := pkt(1, 2)
+	forwardPath(bus, p, 0) // grow the table outside the timed loop
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		forwardPath(bus, p, sim.Time(i))
+	}
+}
+
+// BenchmarkBusStream is the stream tier on the same sequence: one
+// consumer of every kind, an Event built and handed over per publish.
+func BenchmarkBusStream(b *testing.B) {
+	bus := New()
+	var n int
+	bus.Subscribe(ConsumerFunc(func(Event) { n++ }))
 	p := pkt(1, 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -148,10 +178,64 @@ func BenchmarkBusCounters(b *testing.B) {
 	}
 }
 
+// TestAggregateTierAllocs: once the table has grown to its ports, the
+// forward path through the aggregate tier allocates nothing, ticking
+// reader included.
+func TestAggregateTierAllocs(t *testing.T) {
+	bus := New()
+	var ticks int
+	bus.Registry().SetTick(func(at sim.Time) sim.Time { ticks++; return at + 10 })
+	p := pkt(1, 2)
+	forwardPath(bus, p, 0)
+	at := sim.Time(0)
+	if a := testing.AllocsPerRun(200, func() { at += 7; forwardPath(bus, p, at) }); a != 0 {
+		t.Fatalf("aggregate tier: %v allocs/op on the forward path", a)
+	}
+	if ticks < 100 {
+		t.Fatalf("the tick reader ran %d times", ticks)
+	}
+}
+
+// TestRegistryTick pins the tick contract: the reader runs before the
+// update that crossed its boundary is applied, only the kinds a sampler
+// reads through the table tick, and Last follows them.
+func TestRegistryTick(t *testing.T) {
+	bus := New()
+	r := bus.Registry()
+	var seen []int32
+	r.SetTick(func(at sim.Time) sim.Time {
+		seen = append(seen, r.ports.At(0, 0).Depth)
+		return (at + 9) / 10 * 10
+	})
+	p := pkt(1, 2)
+	bus.PacketSent(3, true, 0, 0, p) // not a ticking kind
+	bus.FECNMarked(4, 0, 0, false, p, 1, 1)
+	if len(seen) != 0 || r.Last != 0 {
+		t.Fatalf("PacketSent/FECNMarked ticked: %v, last %v", seen, r.Last)
+	}
+	bus.QueueSampled(5, 0, 0, false, 0, 100)  // first event: ticks, sees 0
+	bus.QueueSampled(10, 0, 0, false, 0, 200) // on the boundary: no tick
+	bus.CreditStalled(11, false, 7, 0, 0, 0, 64)
+	bus.QueueSampled(25, 0, 0, false, 0, 50)
+	bus.PacketDelivered(31, 2, p)
+	bus.PacketDropped(41, false, 7, 0, nil, 0, 64)
+	if want := []int32{0, 200, 200, 50, 50}; fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("tick reader saw depths %v, want %v", seen, want)
+	}
+	if r.Last != 41 || r.Stalls != 1 || r.Delivered[ClassOther] != int64(p.WireBytes()-ib.HeaderBytes) {
+		t.Fatalf("last %v stalls %d delivered %v", r.Last, r.Stalls, r.Delivered)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second tick reader was accepted")
+		}
+	}()
+	r.SetTick(func(at sim.Time) sim.Time { return at })
+}
+
 func TestRegistryCounters(t *testing.T) {
 	b := New()
-	r := NewRegistry(2)
-	r.Attach(b)
+	r := b.Registry()
 
 	p := pkt(1, 2)
 	b.PacketSent(1, true, 0, 3, p)
@@ -190,7 +274,7 @@ func TestRegistryCounters(t *testing.T) {
 }
 
 func TestRegistryHottestPortEmpty(t *testing.T) {
-	r := NewRegistry(1)
+	r := New().Registry()
 	if _, c := r.HottestPort(); c != nil {
 		t.Fatal("hottest port on empty registry")
 	}
@@ -201,8 +285,7 @@ func TestRegistryHottestPortEmpty(t *testing.T) {
 // and still lists ports in (switch, port) order with the gaps skipped.
 func TestRegistryPortsOutOfOrder(t *testing.T) {
 	b := New()
-	r := NewRegistry(15)
-	r.Attach(b)
+	r := b.Registry()
 
 	p := pkt(1, 2)
 	p.VL = 14

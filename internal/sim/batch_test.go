@@ -8,7 +8,8 @@ import (
 // The batched slot-drain loop (runWheel/drainSlot/drainSlotTo) replaces
 // the per-event peek/pop loop; these tests pin its edge cases — the
 // horizon landing inside a slot, callbacks mutating the draining slot,
-// a hook installed mid-run — and the sortSlot partition fast path.
+// a hook installed mid-run, a hooked stepped run against the reference
+// heap — and the sortSlot partition fast path.
 
 // TestHorizonInsideSlot puts two events in the same wheel slot
 // with the run horizon strictly between them: the first must fire, the
@@ -81,8 +82,10 @@ func TestPushIntoDrainingSlot(t *testing.T) {
 }
 
 // TestExecHookInstalledMidRun installs the FEL-order probe from a
-// callback. The batched loop falls back to the generic loop at the next
-// slot boundary, so events in later slots must all be observed.
+// callback. The batched drains test the hook per event, so it sees the
+// very next event — the rest of the installing slot included, whether a
+// later instant of the slot or a same-instant sibling — and an
+// uninstall takes effect just as promptly.
 func TestExecHookInstalledMidRun(t *testing.T) {
 	s := New()
 	slotW := Time(1 << wheelGranShift)
@@ -94,13 +97,87 @@ func TestExecHookInstalledMidRun(t *testing.T) {
 			s.ScheduleAt(at, func() {
 				s.SetExecHook(func(tm Time, seq uint64) { hooked = append(hooked, tm) })
 			})
+			s.ScheduleAt(at, func() {})   // same instant, later seq
+			s.ScheduleAt(at+3, func() {}) // same slot, later instant
+		}
+		if i == 4 {
+			s.ScheduleAt(at, func() { s.SetExecHook(nil) })
+			s.ScheduleAt(at+1, func() {})
 		}
 	}
 	s.Run()
-	// Slots after the installing slot (events at 30·slotW and 40·slotW)
-	// must be hooked; the installing slot itself may complete unhooked.
-	if len(hooked) != 2 || hooked[0] != 30*slotW || hooked[1] != 40*slotW {
-		t.Fatalf("hooked = %v, want [30, 40] slot-widths", hooked)
+	want := []Time{20 * slotW, 20*slotW + 3, 30 * slotW, 40 * slotW, 40 * slotW}
+	if fmt.Sprint(hooked) != fmt.Sprint(want) {
+		t.Fatalf("hooked = %v, want %v", hooked, want)
+	}
+}
+
+// TestHookedWheelMatchesHookedReference drives the checker's pattern —
+// a hook on every event, the run stepped with RunUntil every 50 µs, so
+// horizons land inside slots and the cursor parks and rewinds — on both
+// kernels and demands the same (time, seq) sequence and per-step event
+// counts from the hooked batched drain as from the reference heap's
+// peek/pop loop.
+func TestHookedWheelMatchesHookedReference(t *testing.T) {
+	type key struct {
+		t   Time
+		seq uint64
+	}
+	trace := func(useRef bool) (keys []key, steps []uint64) {
+		s := New()
+		if useRef {
+			s.UseReferenceFEL()
+		}
+		s.SetExecHook(func(tm Time, seq uint64) { keys = append(keys, key{tm, seq}) })
+		rng := NewRNG(7)
+		n := 0
+		var victim *Event
+		var victimSeq uint64
+		var spawn func()
+		spawn = func() {
+			if n++; n >= 6000 {
+				return
+			}
+			// Same-instant bursts, in-slot and cross-slot delays, the odd
+			// far-future timer through the overflow heap, and cancels.
+			d := Duration(rng.Intn(5)) * Duration(1<<wheelGranShift) / 3
+			if rng.Intn(50) == 0 {
+				d = 150 * Microsecond
+			}
+			s.Schedule(d, spawn)
+			switch rng.Intn(6) {
+			case 0:
+				s.Schedule(d, spawn)
+			case 1:
+				if victim != nil && victim.Seq() == victimSeq { // not yet recycled
+					s.Cancel(victim)
+				}
+				victim = s.Schedule(d+Duration(rng.Intn(100)), spawn)
+				victimSeq = victim.Seq()
+			}
+		}
+		s.ScheduleAt(0, spawn)
+		for end := Time(0); s.Pending() > 0 && end < Time(50*Millisecond); {
+			end = end.Add(50 * Microsecond)
+			steps = append(steps, s.RunUntil(end))
+		}
+		return keys, steps
+	}
+	wk, ws := trace(false)
+	rk, rs := trace(true)
+	if len(wk) < 6000 || len(ws) < 3 {
+		t.Fatalf("workload too small: %d events in %d steps", len(wk), len(ws))
+	}
+	if fmt.Sprint(ws) != fmt.Sprint(rs) {
+		t.Fatalf("per-step event counts differ: wheel %v, reference %v", ws, rs)
+	}
+	if len(wk) != len(rk) {
+		t.Fatalf("hooked %d events on the wheel, %d on the reference heap", len(wk), len(rk))
+	}
+	for i := range wk {
+		if wk[i] != rk[i] {
+			t.Fatalf("hook sequence diverges at %d: wheel %v, reference %v", i, wk[i], rk[i])
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ type Simulator struct {
 	// execHook, when non-nil, observes every executed event's
 	// (time, seq) just before its callback runs; the invariant checker
 	// uses it to assert FIFO order out of the FEL. When unset the run
-	// loop pays a single nil check per event.
+	// loops pay a single nil check per event.
 	execHook func(t Time, seq uint64)
 }
 
@@ -263,13 +263,11 @@ func (s *Simulator) Run() uint64 {
 // end if the horizon was reached, so subsequent scheduling is relative to
 // the horizon. It returns the number of events executed by this call.
 //
-// The loop variant is pre-selected once per call instead of branching
-// per event: the default wheel kernel with no exec hook runs the
-// batched slot-drain loop (runWheel), while the reference kernel and
-// hooked runs take the generic peek/pop loop (runSlow). A hook
-// installed by a callback mid-run takes effect at the next slot
-// boundary (see runWheel); UseReferenceFEL cannot occur mid-run — it
-// panics while running.
+// The kernel is selected once per call: the default wheel runs the
+// batched slot-drain loop (runWheel), hooked or not — a hook installed
+// by a callback mid-run sees the very next event — and the reference
+// heap takes the peek/pop loop (runRef). UseReferenceFEL cannot occur
+// mid-run: it panics while running.
 func (s *Simulator) RunUntil(end Time) uint64 {
 	if s.running {
 		panic("sim: Run called reentrantly")
@@ -278,10 +276,10 @@ func (s *Simulator) RunUntil(end Time) uint64 {
 	s.stopped = false
 	defer func() { s.running = false }()
 
-	if s.ref == nil && s.execHook == nil {
+	if s.ref == nil {
 		return s.runWheel(end)
 	}
-	return s.runSlow(end, 0)
+	return s.runRef(end)
 }
 
 // reachHorizon commits a run that has executed every event at or before
@@ -307,11 +305,6 @@ func (s *Simulator) runWheel(end Time) uint64 {
 	endSlot := int64(end) >> wheelGranShift
 	var n uint64
 	for !s.stopped {
-		if s.execHook != nil {
-			// A callback installed the FEL-order probe mid-run; fall
-			// back to the generic loop at this slot boundary.
-			return s.runSlow(end, n)
-		}
 		e := q.peek()
 		if e == nil {
 			break
@@ -360,6 +353,9 @@ func (s *Simulator) drainSlot(q *eventQueue, n uint64) uint64 {
 			s.release(e)
 		} else {
 			s.now, s.execSeq = e.time, e.seq
+			if s.execHook != nil {
+				s.execHook(e.time, e.seq)
+			}
 			act := e.act
 			s.release(e)
 			act.Act()
@@ -394,6 +390,9 @@ func (s *Simulator) drainSlotTo(q *eventQueue, end Time, n uint64) (_ uint64, hi
 			s.release(e)
 		} else {
 			s.now, s.execSeq = e.time, e.seq
+			if s.execHook != nil {
+				s.execHook(e.time, e.seq)
+			}
 			act := e.act
 			s.release(e)
 			act.Act()
@@ -409,18 +408,11 @@ func (s *Simulator) drainSlotTo(q *eventQueue, end Time, n uint64) (_ uint64, hi
 	}
 }
 
-// runSlow is the generic per-event loop: it serves the reference heap
-// kernel and exec-hooked runs, paying the kernel-select and hook nil
-// checks per event. n is the count already executed by a preceding
-// batched phase.
-func (s *Simulator) runSlow(end Time, n uint64) uint64 {
+// runRef is the reference heap kernel's per-event peek/pop loop.
+func (s *Simulator) runRef(end Time) uint64 {
+	var n uint64
 	for !s.stopped {
-		var e *Event
-		if s.ref != nil {
-			e = s.ref.peek()
-		} else {
-			e = s.queue.peek()
-		}
+		e := s.ref.peek()
 		if e == nil {
 			break
 		}
@@ -428,11 +420,7 @@ func (s *Simulator) runSlow(end Time, n uint64) uint64 {
 			s.reachHorizon(end)
 			return n
 		}
-		if s.ref != nil {
-			s.ref.pop()
-		} else {
-			s.queue.pop()
-		}
+		s.ref.pop()
 		if e.dead {
 			s.release(e)
 			continue

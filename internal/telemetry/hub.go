@@ -44,7 +44,7 @@ type Hub struct {
 	done    int
 
 	completion Hist
-	peaks      obs.PortTable[portState] // only peak and host are kept
+	peaks      obs.PortTable[portPeak]
 	last       *SamplerSnapshot
 }
 

@@ -23,13 +23,25 @@ const (
 
 // BenchPoint is one kernel-benchmark measurement: the shape of a
 // BENCH_history.json entry and of the trend comparison points. Fields
-// mirror the kernel section of BENCH_kernel.json.
+// mirror the kernel section of BENCH_kernel.json. Workloads, when a PR
+// recorded them, are the end-to-end benchmark's medians on the same
+// tree (benchmark/README.md) — the numbers the synthetic kernel figure
+// does not predict; AppendHistory carries them through the ring.
 type BenchPoint struct {
 	GeneratedAt  string  `json:"generated_at"`
 	GoVersion    string  `json:"go_version,omitempty"`
 	NsPerEvent   float64 `json:"ns_per_event"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	Speedup      float64 `json:"speedup_steady,omitempty"`
+
+	Workloads map[string]WorkloadPoint `json:"workloads,omitempty"`
+}
+
+// WorkloadPoint is one benchmark workload's end-to-end medians.
+type WorkloadPoint struct {
+	NsPerPacket float64 `json:"ns_per_packet"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	PeakRSSMB   float64 `json:"peak_rss_mb"`
 }
 
 // HistoryKeep is how many entries BENCH_history.json retains.

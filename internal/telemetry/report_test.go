@@ -128,15 +128,24 @@ func TestAppendHistoryCorruptRestarts(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := AppendHistory(path, BenchPoint{GeneratedAt: "x", NsPerEvent: 50}); err != nil {
+	e2e := map[string]WorkloadPoint{"sweep_obs_r12": {NsPerPacket: 1700, AllocsPerOp: 404e3, PeakRSSMB: 13}}
+	if err := AppendHistory(path, BenchPoint{GeneratedAt: "x", NsPerEvent: 50, Workloads: e2e}); err != nil {
 		t.Fatalf("append over corrupt file: %v", err)
+	}
+	// A later kernel-only point must not cost the earlier entry its
+	// end-to-end medians.
+	if err := AppendHistory(path, BenchPoint{GeneratedAt: "y", NsPerEvent: 49}); err != nil {
+		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var hist []BenchPoint
-	if err := json.Unmarshal(data, &hist); err != nil || len(hist) != 1 {
+	if err := json.Unmarshal(data, &hist); err != nil || len(hist) != 2 {
 		t.Fatalf("restarted ring: %v %+v", err, hist)
+	}
+	if hist[0].Workloads["sweep_obs_r12"] != e2e["sweep_obs_r12"] || hist[1].Workloads != nil {
+		t.Fatalf("workload medians lost in the ring: %+v", hist)
 	}
 }

@@ -16,30 +16,15 @@ import (
 // of simulated time costs only 100 points.
 const DefaultCadence = 10 * sim.Microsecond
 
-// Traffic classes for the delivered-rate series.
-const (
-	classHotspot = iota // data payload addressed to the hotspot victim
-	classOther          // all other data payload
-	classControl        // CNP + ACK wire bytes
-	numClasses
-)
-
 // hotPortsTopK bounds the hottest-ports table in snapshots.
 const hotPortsTopK = 8
 
-// maxVLs bounds the per-port lane array: the fabric carries at most 15
-// data VLs (fabric.Config), VL 15 is management.
-const maxVLs = 16
-
-// portState is what the sampler keeps per switch output port, in one
-// obs.PortTable entry: the last sampled depth of each lane inline, their
-// sum, and the sum's high-water mark with the HostPort flag of the
-// sample that set it. A port has been seen iff peak > 0.
-type portState struct {
-	vlDepth [maxVLs]int32
-	depth   int32
-	peak    int32
-	host    bool
+// portPeak is a port's queued-depth high-water mark over a run (summed
+// over its lanes) and whether the port faces an HCA. A port has been
+// seen iff peak > 0.
+type portPeak struct {
+	peak int32
+	host bool
 }
 
 type msgKey struct {
@@ -92,26 +77,37 @@ type SamplerSnapshot struct {
 	HotPorts []HotPort `json:"hot_ports"`
 }
 
-// Sampler turns one run's event stream into fixed-cadence time series.
-// It is a pure bus consumer: attaching it never schedules a simulation
-// event, so the observed trajectory is byte-identical to the unobserved
-// one. Consume runs on the simulation goroutine; Snapshot may be called
-// concurrently from the HTTP server, so both take the mutex.
+// Sampler turns one run into fixed-cadence time series. Everything a
+// packet hop changes — queue depths, delivered bytes, credit stalls — it
+// reads from the bus's aggregate table (obs.Registry) once per bin, when
+// the bus ticks; only the low-rate kinds reach it as events. Attaching it
+// never schedules a simulation event, so the observed trajectory is
+// byte-identical to the unobserved one.
+//
+// Ticks and Consume run on the simulation goroutine; Snapshot may be
+// called concurrently from the HTTP server. The mutex covers what
+// Snapshot reads — the rings, peaks, lastTime, linksDown and the
+// completion histogram — and is taken once per tick and per stream
+// event, never per packet hop. reg is the bus's live table and is read
+// on the simulation goroutine only; Snapshot works from what the last
+// flush copied out of it.
 type Sampler struct {
 	mu      sync.Mutex
 	name    string
 	cadence sim.Duration
+	reg     *obs.Registry
 
-	// Per-bin accumulators, flushed when an event crosses a bin boundary.
+	// The open bin: its index (-1 before the first event), the
+	// registry's cumulative counters as of its start, and the counts
+	// the stream kinds add to it.
 	curBin     int64
-	binStarted bool
-	binBytes   [numClasses]int64
+	prevBytes  [obs.NumClasses]int64
+	prevStalls uint64
 	binDrops   int
-	binStalls  int
 	binIncr    int
 	binDecr    int
 
-	rates     [numClasses]Ring
+	rates     [obs.NumClasses]Ring
 	queued    Ring
 	maxPort   Ring
 	throttled Ring
@@ -123,12 +119,13 @@ type Sampler struct {
 	stalls    Ring
 
 	// Continuous state read at each bin boundary.
-	ports     obs.PortTable[portState]
-	ccti      map[ib.FlowKey]uint16 // throttled flows only: a step to 0 deletes
+	peaks     obs.PortTable[portPeak] // copied from reg by every flush
+	ccti      map[ib.FlowKey]uint16   // throttled flows only: a step to 0 deletes
 	linksDown int
 
 	// Message spans: first-packet injection time by (source, message id),
-	// recorded when the MsgSeq-0 packet is delivered.
+	// recorded when the MsgSeq-0 packet is delivered. Snapshot never
+	// reads the map, so it needs no lock.
 	msgStart   map[msgKey]sim.Time
 	completion Hist
 
@@ -150,34 +147,48 @@ func NewSampler(name string, cadence sim.Duration) *Sampler {
 	}
 }
 
-// Attach subscribes the sampler to the kinds it derives series from. A
-// nil sampler (telemetry off) attaches nothing, so call sites stay a
-// single unconditional line.
+// Attach makes the sampler the bus's tick reader and subscribes it to
+// the low-rate kinds it still takes as events. A nil sampler (telemetry
+// off) attaches nothing, so call sites stay a single unconditional line.
 func (s *Sampler) Attach(b *obs.Bus) {
 	if s == nil {
 		return
 	}
+	s.reg = b.Registry()
+	s.prevBytes, s.prevStalls = s.reg.Delivered, s.reg.Stalls
+	s.reg.SetTick(s.tick)
 	b.Subscribe(s,
-		obs.KindPacketDelivered, obs.KindQueueSampled, obs.KindCCTIChanged,
-		obs.KindCreditStalled, obs.KindLinkDown, obs.KindLinkUp,
-		obs.KindPacketDropped, obs.KindMsgCompleted,
+		obs.KindPacketDelivered, obs.KindCCTIChanged, obs.KindLinkDown,
+		obs.KindLinkUp, obs.KindPacketDropped, obs.KindMsgCompleted,
 	)
+}
+
+// tick is the bus's bin-boundary callback (obs.Registry.SetTick): it
+// flushes the bins t has moved past and names the end of t's bin as the
+// next boundary.
+func (s *Sampler) tick(t sim.Time) sim.Time {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.advance(t)
+	return sim.Time((s.curBin + 1) * int64(s.cadence))
 }
 
 // Consume implements obs.Consumer.
 func (s *Sampler) Consume(e obs.Event) {
+	if e.Kind == obs.KindPacketDelivered {
+		// The bus ticked and counted the bytes already; all that is left
+		// is a message's start stamp.
+		if e.Type == ib.DataPacket && e.MsgSeq == 0 {
+			s.msgStart[msgKey{e.Src, e.MsgID}] = e.Inject
+		}
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.advance(e.Time)
 	switch e.Kind {
-	case obs.KindPacketDelivered:
-		s.delivered(e)
-	case obs.KindQueueSampled:
-		s.queueSampled(e)
 	case obs.KindCCTIChanged:
 		s.cctiChanged(e)
-	case obs.KindCreditStalled:
-		s.binStalls++
 	case obs.KindLinkDown:
 		s.linksDown++
 	case obs.KindLinkUp:
@@ -191,24 +202,6 @@ func (s *Sampler) Consume(e obs.Event) {
 	}
 }
 
-func (s *Sampler) delivered(e obs.Event) {
-	switch e.Type {
-	case ib.DataPacket:
-		// Track payload, the goodput the paper's throughput plots use.
-		payload := e.Bytes - ib.HeaderBytes
-		if e.Hotspot {
-			s.binBytes[classHotspot] += int64(payload)
-		} else {
-			s.binBytes[classOther] += int64(payload)
-		}
-		if e.MsgSeq == 0 {
-			s.msgStart[msgKey{e.Src, e.MsgID}] = e.Inject
-		}
-	default:
-		s.binBytes[classControl] += int64(e.Bytes)
-	}
-}
-
 func (s *Sampler) cctiChanged(e obs.Event) {
 	if e.NewCCTI > e.OldCCTI {
 		s.binIncr++
@@ -219,18 +212,6 @@ func (s *Sampler) cctiChanged(e obs.Event) {
 		delete(s.ccti, e.Flow())
 	} else {
 		s.ccti[e.Flow()] = e.NewCCTI
-	}
-}
-
-func (s *Sampler) queueSampled(e obs.Event) {
-	if e.VL >= maxVLs {
-		return
-	}
-	p := s.ports.At(e.Node, e.Port)
-	p.depth += int32(e.QueuedBytes) - p.vlDepth[e.VL]
-	p.vlDepth[e.VL] = int32(e.QueuedBytes)
-	if p.depth > p.peak {
-		p.peak, p.host = p.depth, e.HostPort
 	}
 }
 
@@ -272,25 +253,31 @@ func (s *Sampler) advance(t sim.Time) {
 	}
 }
 
-// flushBin turns the accumulated bin into one point per series, stamped
-// at the bin's end.
+// flushBin turns the open bin into one point per series, stamped at the
+// bin's end: what the registry's cumulative counters gained since the
+// last flush, the stream kinds' counts, and the state as it stands. The
+// port walk that sums the depths also copies each port's peak out for
+// Snapshot.
 func (s *Sampler) flushBin() {
 	binSec := s.cadence.Seconds()
 	endUS := float64((s.curBin+1)*int64(s.cadence)) / float64(sim.Microsecond)
-	for c := 0; c < numClasses; c++ {
-		s.rates[c].Push(endUS, float64(s.binBytes[c])*8/binSec/1e9)
-		s.binBytes[c] = 0
+	for c, total := range s.reg.Delivered {
+		s.rates[c].Push(endUS, float64(total-s.prevBytes[c])*8/binSec/1e9)
 	}
+	s.stalls.Push(endUS, float64(s.reg.Stalls-s.prevStalls))
+	s.prevBytes, s.prevStalls = s.reg.Delivered, s.reg.Stalls
 	s.drops.Push(endUS, float64(s.binDrops))
-	s.stalls.Push(endUS, float64(s.binStalls))
 	s.cctiIncr.Push(endUS, float64(s.binIncr))
 	s.cctiDecr.Push(endUS, float64(s.binDecr))
-	s.binDrops, s.binStalls, s.binIncr, s.binDecr = 0, 0, 0, 0
+	s.binDrops, s.binIncr, s.binDecr = 0, 0, 0
 
 	var total, maxP int
-	s.ports.Each(func(_, _ int, p *portState) {
-		total += int(p.depth)
-		maxP = max(maxP, int(p.depth))
+	s.reg.Each(func(k obs.PortKey, p *obs.PortCounters) {
+		total += int(p.Depth)
+		maxP = max(maxP, int(p.Depth))
+		if p.PeakDepth > 0 {
+			*s.peaks.At(k.Switch, k.Port) = portPeak{p.PeakDepth, p.HostPort}
+		}
 	})
 	s.queued.Push(endUS, float64(total)/1024)
 	s.maxPort.Push(endUS, float64(maxP)/1024)
@@ -321,6 +308,7 @@ func (s *Sampler) Finish() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.curBin >= 0 {
+		s.lastTime = max(s.lastTime, s.reg.Last)
 		s.flushBin()
 		s.curBin = -1
 	}
@@ -337,11 +325,11 @@ func (s *Sampler) Completion() HistSnapshot {
 // mergeInto folds the sampler's cross-run aggregates (completion
 // histogram, port peaks) into the hub's accumulators. Caller holds no
 // lock on s.
-func (s *Sampler) mergeInto(h *Hist, peaks *obs.PortTable[portState]) {
+func (s *Sampler) mergeInto(h *Hist, peaks *obs.PortTable[portPeak]) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h.Merge(&s.completion)
-	s.ports.Each(func(sw, port int, p *portState) {
+	s.peaks.Each(func(sw, port int, p *portPeak) {
 		if p.peak > 0 {
 			if agg := peaks.At(sw, port); p.peak > agg.peak {
 				agg.peak, agg.host = p.peak, p.host
@@ -352,9 +340,9 @@ func (s *Sampler) mergeInto(h *Hist, peaks *obs.PortTable[portState]) {
 
 // hotPorts ranks the ports that ever queued anything by peak depth,
 // ties in (switch, port) order — the order the table is walked in.
-func hotPorts(ports obs.PortTable[portState]) []HotPort {
+func hotPorts(ports obs.PortTable[portPeak]) []HotPort {
 	hp := []HotPort{} // never null in the snapshot JSON
-	ports.Each(func(sw, port int, p *portState) {
+	ports.Each(func(sw, port int, p *portPeak) {
 		if p.peak > 0 {
 			hp = append(hp, HotPort{Switch: sw, Port: port, HostPort: p.host, PeakKB: float64(p.peak) / 1024})
 		}
@@ -366,8 +354,10 @@ func hotPorts(ports obs.PortTable[portState]) []HotPort {
 	return hp
 }
 
-// Snapshot copies the current series out for serving. It is safe to call
-// while the run is still consuming events.
+// Snapshot copies the series out for serving: everything up to the last
+// completed bin. It is safe to call while the run executes because it
+// reads only what a flush or a stream event stored under the mutex,
+// never the bus's live table.
 func (s *Sampler) Snapshot() SamplerSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -375,9 +365,9 @@ func (s *Sampler) Snapshot() SamplerSnapshot {
 		Name:        s.name,
 		CadenceUS:   sim.Duration(s.cadence).Seconds() * 1e6,
 		NowUS:       s.lastTime.Seconds() * 1e6,
-		HotspotGbps: s.rates[classHotspot].Snapshot(),
-		OtherGbps:   s.rates[classOther].Snapshot(),
-		ControlGbps: s.rates[classControl].Snapshot(),
+		HotspotGbps: s.rates[obs.ClassHotspot].Snapshot(),
+		OtherGbps:   s.rates[obs.ClassOther].Snapshot(),
+		ControlGbps: s.rates[obs.ClassControl].Snapshot(),
 		QueuedKB:    s.queued.Snapshot(),
 		MaxPortKB:   s.maxPort.Snapshot(),
 		Throttled:   s.throttled.Snapshot(),
@@ -389,7 +379,7 @@ func (s *Sampler) Snapshot() SamplerSnapshot {
 		Stalls:      s.stalls.Snapshot(),
 		LinksDown:   s.linksDown,
 		Completion:  s.completion.snapshot(1e-6),
-		HotPorts:    hotPorts(s.ports),
+		HotPorts:    hotPorts(s.peaks),
 	}
 	return snap
 }

@@ -323,13 +323,15 @@ func TestSamplerPortsOutOfOrder(t *testing.T) {
 		}
 	}
 
-	// The hub keeps the higher peak per port across runs.
+	// The hub keeps the higher peak per port across runs; a second run
+	// is a second bus, since depths and peaks live on the bus.
 	h := NewHub(0)
 	s2 := h.StartRun("second")
-	s2.Attach(b)
+	b2 := obs.New()
+	s2.Attach(b2)
 	h.FinishRun(s)
-	b.QueueSampled(us(20), 0, 20, true, 1, 8192)
-	b.QueueSampled(us(21), 40, 35, false, 0, 1024)
+	b2.QueueSampled(us(20), 0, 20, true, 1, 8192)
+	b2.QueueSampled(us(21), 40, 35, false, 0, 1024)
 	h.FinishRun(s2)
 	hot := h.Snapshot().HotPorts
 	if len(hot) != 4 || hot[0] != (HotPort{Switch: 0, Port: 20, HostPort: true, PeakKB: 8}) || hot[3] != want[2] {
