@@ -57,14 +57,16 @@ alloc-budget:
 # link-armed rule's clauses, the Table II
 # wheel-vs-reference-heap trajectory comparison, the chunked-run
 # property and the checker × checkpoint/restore composition property
-# (run with -count=1 so the corpora always execute), and an end-to-end
-# checked run through the paperbench CLI.
+# (run with -count=1 so the corpora always execute), then end to end
+# through the paperbench CLI: the differential kernel check and a
+# checked parameter scan.
 invariants:
 	$(GO) test -count=1 ./internal/check
 	$(GO) test -count=1 ./internal/sim -run 'Reserve|ExplicitKey|Passed'
 	$(GO) test -count=1 ./internal/fabric -run 'Tiebreak|EnqueueAtBusyUntil|CreditAtBusyUntil|TwoCredits|ParkedRing|LinkUpWithCredit|RunToExhaustion|CheckLinkArmed|Bypass'
 	$(GO) test -count=1 ./internal/core -run 'Kernel|Check|Differential|Chunked|Golden|ComposesWithChecker'
-	$(GO) run ./cmd/paperbench -radix 8 -diff-kernel -seeds 2
+	$(GO) run ./cmd/paperbench diff-kernel -radix 8 -seeds 2
+	$(GO) run ./cmd/paperbench scan -radix 8 -scan threshold -check
 
 # Fault-injection smoke: the fault-layer unit suites, then a tiny
 # graceful-degradation sweep (2 seeds, zero + nonzero intensity) through
@@ -73,8 +75,8 @@ invariants:
 degradation:
 	$(GO) test -count=1 ./internal/fault ./internal/fabric -run 'Fault|Drop|Link'
 	$(GO) test -count=1 ./internal/core -run 'Fault|ZeroIntensity|CCSurvives|Degradation'
-	$(GO) run ./cmd/paperbench -radix 8 -degradation /tmp/ibcc-degradation.json \
-		-intensities 0,0.6 -seeds 2 -check
+	$(GO) run ./cmd/paperbench degradation -radix 8 -intensities 0,0.6 -seeds 2 -check \
+		/tmp/ibcc-degradation.json
 
 # Backend tournament smoke: the tournament unit suite, then a reduced
 # bracket (radix 8, 2 seeds, 2 backends, one fault intensity) through
@@ -83,8 +85,8 @@ degradation:
 tournament:
 	$(GO) test -count=1 ./internal/tournament
 	$(GO) test -count=1 ./internal/cc -run 'Backend|RCM|Registry|NoCC|Oracle'
-	$(GO) run ./cmd/paperbench -radix 8 -tournament /tmp/ibcc-tournament.json \
-		-cc ibcc,nocc -intensities 0.6 -seeds 2 -check
+	$(GO) run ./cmd/paperbench tournament -radix 8 -cc ibcc,nocc -intensities 0.6 -seeds 2 -check \
+		/tmp/ibcc-tournament.json
 	$(GO) run ./cmd/cctinspect -tournament /tmp/ibcc-tournament.json
 
 # Telemetry smoke: the telemetry unit suite (histogram quantile bounds,
@@ -101,9 +103,9 @@ telemetry:
 	$(GO) test -count=1 ./internal/telemetry
 	$(GO) test -count=1 ./internal/obs -run 'Digest|Telemetry|MsgCompleted'
 	$(GO) test -count=1 ./internal/core -run 'Telemetry'
-	$(GO) run ./cmd/paperbench -radix 8 -degradation /tmp/ibcc-telemetry-deg.json \
-		-intensities 0,0.6 -seeds 1 -serve 127.0.0.1:0 -serve-probe \
-		-report /tmp/ibcc-telemetry-report.json
+	$(GO) run ./cmd/paperbench degradation -radix 8 -intensities 0,0.6 -seeds 1 \
+		-serve 127.0.0.1:0 -serve-probe -report /tmp/ibcc-telemetry-report.json \
+		/tmp/ibcc-telemetry-deg.json
 	$(GO) run ./cmd/cctinspect -report /tmp/ibcc-telemetry-report.json
 	! grep -q '"retries"' /tmp/ibcc-telemetry-report.json
 	rm -rf /tmp/ibcc-trace-ck
@@ -146,7 +148,7 @@ bench-obs:
 bench-kernel:
 	$(GO) test ./internal/sim -run '^$$' -bench 'BenchmarkKernel' -benchmem
 	$(GO) test ./internal/core -run '^$$' -bench BenchmarkPacketLifecycle -benchmem
-	$(GO) run ./cmd/paperbench -bench-kernel BENCH_kernel.json
+	$(GO) run ./cmd/paperbench bench-kernel BENCH_kernel.json
 
 # Kernel performance regression gate: the in-tree best-of-N guard test
 # against the committed BENCH_kernel.json, then a fresh paperbench
@@ -154,8 +156,8 @@ bench-kernel:
 # committed baseline — either fails on a >10% steady-state regression.
 bench-kernel-gate:
 	$(GO) test -count=1 -timeout 20m ./internal/core -run TestKernelBenchGuard
-	$(GO) run ./cmd/paperbench -bench-kernel /tmp/ibcc-bench-gate.json \
-		-bench-events 8000000 -bench-baseline BENCH_kernel.json
+	$(GO) run ./cmd/paperbench bench-kernel -events 8000000 -baseline BENCH_kernel.json \
+		/tmp/ibcc-bench-gate.json
 
 # End-to-end ledger: the four benchmark workloads (benchmark/README.md),
 # untraced, seed 1, judged against the committed baseline with the

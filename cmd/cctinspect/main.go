@@ -9,7 +9,7 @@
 // of flows holding congestion state, and the max and mean CCTI.
 //
 // With -tournament it instead renders a backend-tournament JSON
-// artifact (written by paperbench -tournament) as the ranked comparison
+// artifact (written by paperbench tournament) as the ranked comparison
 // table, and with -report it validates and summarizes a unified
 // run-report artifact (written by paperbench -report), rendering an
 // embedded tournament table when one is present.
@@ -65,7 +65,7 @@ func main() {
 		measure  = flag.Duration("measure", 3*time.Millisecond, fmt.Sprintf("-run measurement window (after a %v warmup)", runWarmup))
 		interval = flag.Duration("interval", 500*time.Microsecond, "-run table bucket size")
 		checkInv = flag.Bool("check", false, "run the -run scenario under the runtime invariant checker; exit non-zero on violations")
-		tourn    = flag.String("tournament", "", "render a backend-tournament JSON artifact (from paperbench -tournament) and exit")
+		tourn    = flag.String("tournament", "", "render a backend-tournament JSON artifact (from paperbench tournament) and exit")
 		report   = flag.String("report", "", "validate and summarize a run-report JSON artifact (from paperbench -report) and exit; non-zero on schema violations")
 		ckptPath = flag.String("ckpt", "", "validate and summarize a checkpoint file (or the newest in a directory) and exit; non-zero on corruption")
 	)

@@ -379,10 +379,7 @@ func reportCheck(ck interface{ Report() *ibcc.InvariantReport }, quiet bool) {
 // runSeeds executes the scenario over n consecutive seeds on a worker
 // pool and reports the aggregated rates.
 func runSeeds(s ibcc.Scenario, n, jobs int, store *ibcc.ArtifactStore, quiet, check bool) {
-	seeds := make([]uint64, n)
-	for i := range seeds {
-		seeds[i] = s.Seed + uint64(i)
-	}
+	seeds := cliflag.Seeds(s.Seed, n)
 	opts := ibcc.SweepOpts(ibcc.RunOpts{Check: check}, jobs, n, store, nil)
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)

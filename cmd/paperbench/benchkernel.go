@@ -2,13 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"time"
 
 	ibcc "repro"
+	"repro/internal/cliflag"
 	"repro/internal/core"
 	"repro/internal/ib"
 	"repro/internal/sim"
@@ -32,7 +35,7 @@ const (
 // benchGateRatio is the regression gate shared with
 // TestKernelBenchGuard: a fresh steady-state measurement more than 10%
 // slower than the committed BENCH_kernel.json fails the
-// -bench-baseline compare (and `make bench-kernel-gate`).
+// bench-kernel -baseline compare (and `make bench-kernel-gate`).
 const benchGateRatio = 1.10
 
 // kernelReport is the machine-readable BENCH_kernel.json document.
@@ -100,11 +103,25 @@ func benchKernelSteady(actors int, events int64) (wall time.Duration, allocs uin
 	return wall, mallocs() - a0
 }
 
+// benchKernelCmd registers the benchmark's flags; its body is
+// runBenchKernel.
+func benchKernelCmd(fs *flag.FlagSet, c *runConfig) func(string) error {
+	events := fs.Int("events", 20_000_000, "steady-state event budget (the shallow workload runs a quarter of it)")
+	baseline := fs.String("baseline", "", "compare the fresh measurement (best of 3) against this committed BENCH_kernel.json and fail on >10% regression")
+	return func(path string) error {
+		if err := cliflag.Positive("-events", *events); err != nil {
+			return err
+		}
+		return runBenchKernel(c.w, path, int64(*events), *baseline)
+	}
+}
+
 // runBenchKernel measures the event kernel and the pooled packet
 // lifecycle, then writes BENCH_kernel.json to path. steadyEvents is
-// the -bench-events budget (validated >= 1 at flag parse time); the
-// shallow workload scales with it at a 1:4 ratio.
-func runBenchKernel(path string, steadyEvents int64, baseline string) error {
+// the -events budget; the shallow workload scales with it at a 1:4
+// ratio. With a baseline path it also gates the measurement against
+// that committed copy.
+func runBenchKernel(w io.Writer, path string, steadyEvents int64, baseline string) error {
 	shallowEvents := steadyEvents / 4
 	if shallowEvents < 1 {
 		shallowEvents = 1
@@ -143,12 +160,7 @@ func runBenchKernel(path string, steadyEvents int64, baseline string) error {
 	rep.SpeedupSteady = rep.Baseline.SteadyNsPerEvent / rep.Kernel.NsPerEvent
 	rep.SpeedupShallow = rep.Baseline.ShallowNsPerEvent / rep.Kernel.ShallowNsPerEvent
 
-	data, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if _, err := writeJSON(path, &rep); err != nil {
 		return err
 	}
 
@@ -165,18 +177,18 @@ func runBenchKernel(path string, steadyEvents int64, baseline string) error {
 		return err
 	}
 
-	fmt.Printf("kernel : %.1f ns/event (%.2fM events/s), %.4f allocs/event — %.2fx over %s baseline\n",
+	fmt.Fprintf(w, "kernel : %.1f ns/event (%.2fM events/s), %.4f allocs/event — %.2fx over %s baseline\n",
 		rep.Kernel.NsPerEvent, rep.Kernel.EventsPerS/1e6, rep.Kernel.AllocsPerEvent,
 		rep.SpeedupSteady, baselineCommit)
-	fmt.Printf("shallow: %.1f ns/event — %.2fx over baseline\n",
+	fmt.Fprintf(w, "shallow: %.1f ns/event — %.2fx over baseline\n",
 		rep.Kernel.ShallowNsPerEvent, rep.SpeedupShallow)
-	fmt.Printf("packets: %.0f ns/packet, %.2f events/packet, %.4f allocs/packet (%d steady-window allocs over %d windows)\n",
+	fmt.Fprintf(w, "packets: %.0f ns/packet, %.2f events/packet, %.4f allocs/packet (%d steady-window allocs over %d windows)\n",
 		rep.Lifecycle.NsPerPacket, rep.Lifecycle.EventsPerPacket, rep.Lifecycle.AllocsPerPkt,
 		rep.Lifecycle.SteadyAllocs, rep.Lifecycle.SteadyWindows)
-	fmt.Printf("wrote %s (history ring: %s)\n", path, histPath)
+	fmt.Fprintf(w, "wrote %s (history ring: %s)\n", path, histPath)
 
 	if baseline != "" {
-		return compareBenchBaseline(baseline, &rep, steadyEvents)
+		return compareBenchBaseline(w, baseline, &rep, steadyEvents)
 	}
 	return nil
 }
@@ -188,7 +200,7 @@ func runBenchKernel(path string, steadyEvents int64, baseline string) error {
 // recorded run and two repeats: scheduler noise on a busy box only
 // ever slows a run down, so best-of damps false alarms without letting
 // a genuine regression through.
-func compareBenchBaseline(path string, rep *kernelReport, steadyEvents int64) error {
+func compareBenchBaseline(w io.Writer, path string, rep *kernelReport, steadyEvents int64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -218,7 +230,7 @@ func compareBenchBaseline(path string, rep *kernelReport, steadyEvents int64) er
 		return fmt.Errorf("kernel regression: best-of-3 %.1f ns/event vs committed %.1f ns/event (limit %.1f, +10%%)",
 			best, base.Kernel.NsPerEvent, limit)
 	}
-	fmt.Printf("gate   : best-of-3 %.1f ns/event within +10%% of committed %.1f (%s)\n",
+	fmt.Fprintf(w, "gate   : best-of-3 %.1f ns/event within +10%% of committed %.1f (%s)\n",
 		best, base.Kernel.NsPerEvent, path)
 	return nil
 }

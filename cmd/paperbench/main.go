@@ -1,42 +1,28 @@
 // Command paperbench regenerates every table and figure of the paper's
 // evaluation section (Table II and figures 5–10), printing the same rows
-// and series the paper reports.
+// and series the paper reports, and runs the sweeps around them. An
+// optional first word picks the command; without one it runs the
+// experiments:
 //
-//	paperbench                      # every experiment at radix 18
-//	paperbench -exp fig8            # one experiment
-//	paperbench -radix 36 -full      # paper scale and windows (slow)
-//	paperbench -jobs 8              # fan simulations over 8 workers
-//	paperbench -out results/        # persist + resume via JSON artifacts
-//	paperbench -cpuprofile cpu.pb   # profile the run (go tool pprof)
-//	paperbench -chrome-trace f5.trace -ctree  # flight-record the base scenario
-//	paperbench -bench-kernel BENCH_kernel.json  # event-kernel + packet-lifecycle benchmark
-//	paperbench -bench-kernel /tmp/fresh.json -bench-baseline BENCH_kernel.json  # >10% regression gate
-//	paperbench -diff-kernel         # timing wheel vs reference heap, byte-identical check
-//	paperbench -check -exp table2   # run experiments under the invariant checker
-//	paperbench -degradation deg.json -seeds 3   # fault-intensity sweep, JSON artifact
-//	paperbench -degradation deg.json -cc rcm    # the same, DCQCN-style backend in the CC-on leg
-//	paperbench -tournament tour.json -seeds 2   # backend tournament, ranked table + JSON artifact
-//	paperbench -tournament tour.json -cc ibcc,nocc  # restrict the bracket
-//	paperbench -serve :8080                     # live telemetry dashboard while the sweep runs
-//	paperbench -report run.json                 # unified run-report artifact (validate with cctinspect -report)
-//	paperbench -progress-jsonl                  # machine-readable progress lines on stderr
-//	paperbench -out results/                    # persist + resume via JSON artifacts
-//	paperbench -resume-from results/            # resume an interrupted run (reads its manifest)
+//	paperbench                         # every experiment at radix 18
+//	paperbench -exp fig8               # one experiment
+//	paperbench -radix 36 -full         # paper scale and windows (slow)
+//	paperbench -jobs 8 -out results/   # 8 workers; persist + resume via JSON artifacts
+//	paperbench -serve :8080 -report run.json  # live dashboard + unified run report
+//	paperbench scan -scan threshold -check    # checked CC parameter sensitivity scan
+//	paperbench degradation -seeds 3 deg.json       # fault intensity x CC on/off
+//	paperbench tournament -cc ibcc,nocc tour.json  # backend tournament
+//	paperbench diff-kernel -seeds 2    # timing wheel vs reference heap
+//	paperbench bench-kernel -baseline BENCH_kernel.json /tmp/fresh.json  # kernel benchmark + >10% gate
 //
-// SIGINT/SIGTERM drain the run gracefully: in-flight simulations finish,
-// completed results stay in the artifact store, a resumable manifest is
-// flushed next to them, the final telemetry snapshot lands in -report,
-// and the dashboard server shuts down cleanly.
+// Every command accepts only the flags it reads (`paperbench <command>
+// -h` lists them): a flag of another command is a usage error, never
+// silently ignored. An output path goes after the flags.
 //
-// Independent simulations fan out across -jobs workers (0 = one per
-// CPU); the experiment harness guarantees the printed tables and
-// figures are bit-identical to a serial (-jobs 1) run. With -out, every
-// simulation's result is persisted as a JSON artifact keyed by scenario
-// fingerprint, and a re-run loads matching artifacts instead of
-// simulating again. -jobs, -out, -resume-from, -progress, -check and
-// -report apply alike to the experiments, -degradation and -tournament
-// (whose tree-scored runs are persisted but always simulated: an
-// artifact carries no event stream to rebuild congestion trees from).
+// The sweep commands (experiments, scan, degradation, tournament) share
+// one harness: -jobs workers with tables bit-identical to a serial run,
+// a resumable -out artifact store, -check, -progress, -serve, -report,
+// and a graceful SIGINT/SIGTERM drain that leaves a manifest in -out.
 //
 // At reduced radix the hotspot lifetimes of figures 9–10 are scaled by
 // (radix/36)^2 so the ratio of lifetime to congestion-tree timescale is
@@ -53,443 +39,631 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
 	ibcc "repro"
 	"repro/internal/cliflag"
+	"repro/internal/core"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("paperbench: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var (
-		exp      = flag.String("exp", "all", "experiment: table2, fig5, fig6, fig7, fig8, fig9, fig10, all")
-		radix    = flag.Int("radix", 18, "fat-tree crossbar radix (36 = paper scale)")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		full     = flag.Bool("full", false, "paper-scale windows: 20 ms warmup, 100 ms measure, unscaled lifetimes")
-		pstep    = flag.Int("pstep", 10, "p sweep step for figures 5-8")
-		seeds    = flag.Int("seeds", 1, "seeds per Table II configuration (>1 adds confidence intervals)")
-		jobs     = flag.Int("jobs", 1, "simulation workers (0 = one per CPU)")
-		out      = flag.String("out", "", "artifact directory: persist every result as JSON and resume from it")
-		progress = flag.Bool("progress", stderrIsTTY(), "live progress line on stderr")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		benchK   = flag.String("bench-kernel", "", "benchmark the event kernel + packet lifecycle, write JSON here, then exit")
-		benchN   = flag.Int("bench-events", 20_000_000, "steady-state event budget for -bench-kernel")
-		benchB   = flag.String("bench-baseline", "", "with -bench-kernel: compare the fresh measurement (best of 3) against this committed BENCH_kernel.json and fail on >10% regression")
-		diffK    = flag.Bool("diff-kernel", false, "differential kernel validation: run the Table II corpus on both event-list kernels under the invariant checker, then exit")
-		checkInv = flag.Bool("check", false, "run every simulation under the runtime invariant checker (fails on violations)")
-		events   = flag.String("events", "", "flight-record the base scenario: JSONL event log to this file, then exit")
-		chrome   = flag.String("chrome-trace", "", "flight-record the base scenario: Chrome trace to this file, then exit")
-		ctree    = flag.Bool("ctree", false, "flight-record the base scenario: print its congestion trees, then exit")
-		degrade  = flag.String("degradation", "", "graceful-degradation sweep (fault intensity x CC on/off): write the JSON artifact here, then exit")
-		tourn    = flag.String("tournament", "", "congestion-control backend tournament (backends x corpus x fault intensity): write the JSON artifact here, then exit")
-		intens   = flag.String("intensities", "0,0.25,0.5,0.75,1", "comma-separated fault intensities for -degradation / -tournament")
-		ccName   = flag.String("cc", "", "congestion control backend selection: one registry name for the simulated backend (-degradation's CC-on leg and every experiment), or a comma-separated list for -tournament's bracket (empty = default backend / all registered)")
-		serve    = flag.String("serve", "", "serve the live telemetry dashboard on this address for the duration of the run (e.g. :8080, or 127.0.0.1:0 for an ephemeral port)")
-		sprobe   = flag.Bool("serve-probe", false, "with -serve: fetch and validate /metrics.json mid-sweep and again after it (CI smoke); exit non-zero on failure")
-		report   = flag.String("report", "", "write the unified run-report JSON artifact (sweep stats, telemetry aggregates, mode payload, kernel-bench trend) to this file")
-		progJSON = flag.Bool("progress-jsonl", false, "machine-readable progress: one JSON line per completed simulation on stderr instead of the status line")
-		resume   = flag.String("resume-from", "", "artifact directory of an interrupted run: report its manifest and resume from its artifacts (same as -out, plus the manifest summary)")
-	)
-	flag.Parse()
-
-	// Numeric flag validation up front: a zero worker pool hangs, a
-	// zero sweep step loops forever, and zero seeds silently shrink a
-	// sweep — all better rejected with one line and a non-zero exit.
-	for _, err := range []error{
-		cliflag.Workers("-jobs", *jobs),
-		cliflag.Positive("-seeds", *seeds),
-		cliflag.Positive("-pstep", *pstep),
-		cliflag.Positive("-radix", *radix),
-		cliflag.Positive("-bench-events", *benchN),
-	} {
-		if err != nil {
-			log.Fatal(err)
-		}
+// run parses and executes one invocation and returns its exit code: 2
+// for a usage error, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	c, body, err := parse(args, stdout, stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
 	}
-
-	ccNames, err := parseCCNames(*ccName)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	stopCPU := cliflag.StartCPUProfile(*cpuProf)
+	stopCPU := cliflag.StartCPUProfile(c.cpuProfile)
 	defer stopCPU()
-	defer cliflag.WriteMemProfile(*memProf)
-
-	if *benchK != "" {
-		if err := runBenchKernel(*benchK, int64(*benchN), *benchB); err != nil {
-			log.Fatal(err)
-		}
-		return
+	defer cliflag.WriteMemProfile(c.memProfile)
+	if err := body(); err != nil {
+		fmt.Fprintf(stderr, "paperbench: %v\n", err)
+		return 1
 	}
+	return 0
+}
 
-	base := ibcc.DefaultScenario(*radix)
-	base.Seed = *seed
-	if len(ccNames) == 1 {
-		base.Backend = ccNames[0]
-	} else if len(ccNames) > 1 && *tourn == "" {
-		log.Fatalf("-cc with multiple names (%v) only makes sense with -tournament", ccNames)
+// command is one paperbench mode: the first word that selects it, the
+// shared flag groups it reads, and define, which registers its own
+// flags and returns its body.
+type command struct {
+	name   string // "" = the experiments, run when no word is given
+	arg    string // its one positional argument ("" = none)
+	flags  flagGroup
+	about  string
+	define func(fs *flag.FlagSet, c *runConfig) func(arg string) error
+}
+
+var commands = []command{
+	{"", "", scenarioFlags | seedsFlag | ccFlag | sweepFlags,
+		"Table II and figures 5-10", experimentsCmd},
+	{"scan", "", scenarioFlags | sweepFlags,
+		"CC parameter sensitivity scans against a shared CC-off baseline", scanCmd},
+	{"degradation", "OUT.json", scenarioFlags | seedsFlag | ccFlag | sweepFlags,
+		"fault intensity x CC on/off sweep; writes the curves as JSON", degradationCmd},
+	{"tournament", "OUT.json", scenarioFlags | seedsFlag | bracketFlag | sweepFlags,
+		"CC backends x corpus x fault intensity; writes the ranked table as JSON", tournamentCmd},
+	{"diff-kernel", "", scenarioFlags | seedsFlag | ccFlag,
+		"Table II corpus on both event-list kernels under the invariant checker", diffKernelCmd},
+	{"bench-kernel", "OUT.json", 0,
+		"event-kernel + packet-lifecycle benchmark; writes BENCH_kernel.json", benchKernelCmd},
+}
+
+// parse resolves args against the command table without running
+// anything: an optional first word picks the command, whose FlagSet
+// holds only the flags that command reads. Errors are reported on
+// stderr; the returned function runs the command.
+func parse(args []string, stdout, stderr io.Writer) (*runConfig, func() error, error) {
+	name := ""
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, args = args[0], args[1:]
 	}
-	ltScale := float64(*radix) * float64(*radix) / (36 * 36)
-	if *full {
-		base.Warmup = 20 * ibcc.Millisecond
-		base.Measure = 100 * ibcc.Millisecond
-		ltScale = 1
+	i := slices.IndexFunc(commands, func(c command) bool { return c.name == name })
+	if i < 0 {
+		fmt.Fprintf(stderr, "paperbench: unknown command %q (paperbench -h lists them)\n", name)
+		return nil, nil, fmt.Errorf("unknown command %q", name)
 	}
-
-	if *events != "" || *chrome != "" || *ctree {
-		if err := flightRecord(base, *events, *chrome, *ctree); err != nil {
-			log.Fatal(err)
-		}
-		return
+	cmd := &commands[i]
+	fs := flag.NewFlagSet(strings.TrimSpace("paperbench "+name), flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() { usage(stderr, cmd, fs) }
+	c := &runConfig{w: stdout}
+	c.register(fs, cmd.flags)
+	body := cmd.define(fs, c)
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err // the flag package reported it
 	}
-
-	if *diffK {
-		if err := runDiffKernel(base, *seeds); err != nil {
-			log.Fatal(err)
-		}
-		return
+	err := c.validate(cmd.flags)
+	switch {
+	case err != nil:
+	case cmd.arg == "" && fs.NArg() > 0:
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case cmd.arg != "" && fs.NArg() != 1:
+		err = fmt.Errorf("%s takes one %s argument after its flags, got %q", name, cmd.arg, fs.Args())
 	}
-
-	// SIGINT/SIGTERM cancel the sweep context: dispatch stops, in-flight
-	// simulations finish, and the fatal path below drains gracefully.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	tel, err := newLiveTelemetry(*serve, *sprobe, *report)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(stderr, "paperbench: %v\n", err)
+		return nil, nil, err
 	}
-	defer tel.close()
+	return c, func() error { return body(fs.Arg(0)) }, nil
+}
 
-	if *resume != "" {
-		switch {
-		case *out == "":
-			*out = *resume
-		case *out != *resume:
-			log.Fatal("-resume-from and -out name different directories")
+// usage prints a command's synopsis and flags; the default command's
+// also lists the others.
+func usage(w io.Writer, cmd *command, fs *flag.FlagSet) {
+	fmt.Fprintf(w, "usage: %s\n  %s\n", strings.TrimSpace(fs.Name()+" [flags] "+cmd.arg), cmd.about)
+	if cmd.name == "" {
+		fmt.Fprintln(w, "\nor: paperbench <command> [flags], with commands")
+		for _, c := range commands[1:] {
+			fmt.Fprintf(w, "  %-13s %-9s %s\n", c.name, c.arg, c.about)
+		}
+		fmt.Fprintln(w)
+	}
+	fs.PrintDefaults()
+}
+
+// flagGroup selects the shared flags a command reads.
+type flagGroup uint8
+
+const (
+	scenarioFlags flagGroup = 1 << iota // -radix -seed -full
+	seedsFlag                           // -seeds
+	ccFlag                              // -cc: the one simulated backend
+	bracketFlag                         // -cc: the tournament's backend list
+	sweepFlags                          // -jobs -out -progress -progress-jsonl -check -serve -serve-probe -report
+)
+
+// runConfig is every flag the commands share, each defined once in
+// register; base and sweep build what the commands run from it.
+type runConfig struct {
+	radix                  int
+	seed                   uint64
+	seeds                  int
+	full                   bool
+	cc                     string
+	jobs                   int
+	out                    string
+	progress, progJSONL    bool
+	check                  bool
+	serve                  string
+	serveProbe             bool
+	report                 string
+	cpuProfile, memProfile string
+
+	w io.Writer // tables, experiment lines and mode summaries
+}
+
+func (c *runConfig) register(fs *flag.FlagSet, g flagGroup) {
+	if g&scenarioFlags != 0 {
+		fs.IntVar(&c.radix, "radix", 18, "fat-tree crossbar radix (36 = paper scale)")
+		fs.Uint64Var(&c.seed, "seed", 1, "random seed")
+		fs.BoolVar(&c.full, "full", false, "paper-scale windows: 20 ms warmup, 100 ms measure, unscaled lifetimes")
+	}
+	if g&seedsFlag != 0 {
+		fs.IntVar(&c.seeds, "seeds", 1, "seeds per configuration, counting up from -seed (>1 adds Table II's confidence intervals)")
+	}
+	if g&ccFlag != 0 {
+		fs.StringVar(&c.cc, "cc", "", "congestion control backend by registry name (empty = the default)")
+	}
+	if g&bracketFlag != 0 {
+		fs.StringVar(&c.cc, "cc", "", "comma-separated backends to bracket (empty = every registered one)")
+	}
+	if g&sweepFlags != 0 {
+		fs.IntVar(&c.jobs, "jobs", 1, "simulation workers (0 = one per CPU)")
+		fs.StringVar(&c.out, "out", "", "artifact directory: persist every result as JSON and resume from it, reporting an interrupted run's manifest")
+		fs.BoolVar(&c.progress, "progress", stderrIsTTY(), "live progress line on stderr")
+		fs.BoolVar(&c.progJSONL, "progress-jsonl", false, "machine-readable progress: one JSON line per completed simulation on stderr instead of the status line")
+		fs.BoolVar(&c.check, "check", false, "run every simulation under the runtime invariant checker (fails on violations)")
+		fs.StringVar(&c.serve, "serve", "", "serve the live telemetry dashboard on this address for the duration of the run (e.g. :8080, or 127.0.0.1:0 for an ephemeral port)")
+		fs.BoolVar(&c.serveProbe, "serve-probe", false, "with -serve: fetch and validate /metrics.json mid-sweep and again after it (CI smoke); exit non-zero on failure")
+		fs.StringVar(&c.report, "report", "", "write the unified run-report JSON artifact (sweep stats, telemetry aggregates, mode payload, kernel-bench trend) to this file")
+	}
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+}
+
+// validate rejects shared flag values up front: a zero worker pool
+// hangs, zero seeds silently shrink a sweep, and an unknown backend
+// name would silently run the default mechanism.
+func (c *runConfig) validate(g flagGroup) error {
+	var errs []error
+	if g&scenarioFlags != 0 {
+		errs = append(errs, cliflag.Positive("-radix", c.radix))
+	}
+	if g&seedsFlag != 0 {
+		errs = append(errs, cliflag.Positive("-seeds", c.seeds))
+	}
+	if g&sweepFlags != 0 {
+		errs = append(errs, cliflag.Workers("-jobs", c.jobs))
+		if c.serveProbe && c.serve == "" {
+			errs = append(errs, errors.New("-serve-probe requires -serve"))
 		}
 	}
-	var store *ibcc.ArtifactStore
-	if *out != "" {
-		if store, err = ibcc.NewArtifactStore(*out); err != nil {
-			log.Fatal(err)
+	names := []string{c.cc}
+	if g&bracketFlag != 0 {
+		names = c.bracket()
+	}
+	for _, n := range names {
+		if !ibcc.CCBackendKnown(n) {
+			errs = append(errs, fmt.Errorf("-cc: unknown backend %q (registered: %s)",
+				n, strings.Join(ibcc.CCBackends(), ", ")))
 		}
 	}
-	if *resume != "" {
-		if m, ok, err := store.ReadManifest(); err != nil {
+	return errors.Join(errs...)
+}
+
+// bracket is -cc as the tournament's backend list (empty = all).
+func (c *runConfig) bracket() []string {
+	if c.cc == "" {
+		return ibcc.CCBackends()
+	}
+	names := strings.Split(c.cc, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+	}
+	return names
+}
+
+// base is the scenario every command derives its runs from.
+func (c *runConfig) base() ibcc.Scenario {
+	s := ibcc.DefaultScenario(c.radix)
+	s.Seed = c.seed
+	if ibcc.CCBackendKnown(c.cc) { // one name, not the tournament's list
+		s.Backend = c.cc
+	}
+	if c.full {
+		s.Warmup = 20 * ibcc.Millisecond
+		s.Measure = 100 * ibcc.Millisecond
+	}
+	return s
+}
+
+// sweep is the harness a sweep command's experiments share. The first
+// failed experiment's error sticks: later ones do not run, and sweep
+// returns it.
+type sweep struct {
+	*runConfig
+	name  string // the base scenario's, for the run report
+	ctx   context.Context
+	store *ibcc.ArtifactStore
+	err   error
+
+	// The telemetry surface (telemetry.go).
+	hub       *ibcc.TelemetryHub
+	spans     *ibcc.SpanTracker
+	srv       *ibcc.TelemetryServer
+	addr      string
+	mu        sync.Mutex // guards probeErr
+	probeOnce sync.Once
+	probeErr  error
+}
+
+// sweep runs body in the harness — telemetry surface, -out store, a
+// context SIGINT/SIGTERM cancel — and ends with the run report of the
+// given kind carrying body's payload.
+func (c *runConfig) sweep(name, kind string, body func(sw *sweep) (payload []byte)) error {
+	sw := &sweep{runConfig: c, name: name}
+	defer sw.stopServer()
+	err := sw.startTelemetry()
+	if err != nil {
+		return err
+	}
+	if c.out != "" {
+		if sw.store, err = ibcc.NewArtifactStore(c.out); err != nil {
+			return err
+		}
+		if m, ok, err := sw.store.ReadManifest(); err != nil {
 			log.Print(err)
 		} else if ok {
 			log.Printf("resume: manifest of %s — %d done, %d pending", m.WrittenAt, m.NumDone, m.NumPending)
-		} else {
-			log.Printf("resume: no manifest in %s; resuming from %d artifacts", *out, store.Len())
 		}
 	}
+	var stop context.CancelFunc
+	sw.ctx, stop = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	payload := body(sw)
+	if sw.err != nil {
+		return sw.err
+	}
+	return sw.finish(kind, payload)
+}
 
-	// fatal exits on a sweep error; an interrupt additionally flushes a
-	// resumable manifest next to the artifacts and the final telemetry
-	// snapshot into the report, and shuts the dashboard down before
-	// exiting non-zero.
-	fatal := func(err error) {
-		if errors.Is(err, context.Canceled) {
-			if store != nil {
-				if path, err := store.WriteManifest(true); err != nil {
-					log.Print(err)
-				} else {
-					log.Printf("drain: manifest -> %s", path)
-				}
-			}
-			tel.drain(base.Name, *radix, *seeds)
-			log.Fatal("interrupted — completed results are saved; re-run with -resume-from to continue")
-		}
-		log.Fatal(err)
-	}
-
-	// experiment runs one named batch of sweeps — a figure, the
-	// degradation grid, the tournament bracket — with the options every
-	// mode shares, then reports its cost from the progress counters.
-	experiment := func(name string, totalSims int, fn func(o ibcc.RunOpts) error) {
-		w := io.Discard
-		if *progress || *progJSON {
-			w = os.Stderr
-		}
-		prog := ibcc.NewProgress(w, totalSims)
-		if *progJSON {
-			prog = ibcc.NewProgressJSONL(w, totalSims)
-		}
-		o := ibcc.SweepOpts(ibcc.RunOpts{Ctx: ctx, Check: *checkInv, Telemetry: tel.hub, Spans: tel.spans},
-			*jobs, totalSims, store, prog)
-		observe := o.OnResult
-		o.OnResult = func(s ibcc.Scenario, r *ibcc.Result, cached bool) {
-			observe(s, r, cached)
-			tel.midProbe()
-		}
-		start := time.Now()
-		err := fn(o)
-		prog.Finish()
-		if err != nil {
-			fatal(err)
-		}
-		wall := time.Since(start)
-		sims, cached, events := prog.Counts()
-		line := fmt.Sprintf("experiment %s: %d sims, %d simulated events, %v wall",
-			name, sims, events, wall.Round(time.Millisecond))
-		if secs := wall.Seconds(); secs > 0 && events > 0 {
-			line += fmt.Sprintf(" (%.1fM events/s)", float64(events)/secs/1e6)
-		}
-		if cached > 0 {
-			line += fmt.Sprintf(", %d from artifacts", cached)
-		}
-		fmt.Println(line)
-		fmt.Println()
-	}
-	// finish writes the run report (and runs the final -serve-probe).
-	finish := func(kind string, payload []byte) {
-		if err := tel.finish(kind, base.Name, *radix, *seeds, payload); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if *degrade != "" || *tourn != "" {
-		ins, err := cliflag.Intensities("-intensities", *intens)
-		if err != nil {
-			log.Fatal(err)
-		}
-		seedList := seedsFrom(base.Seed, *seeds)
-		var payload []byte
-		if *degrade != "" {
-			experiment("degradation", len(ins)*len(seedList)*2, func(o ibcc.RunOpts) (err error) {
-				payload, err = runDegradation(base, *degrade, ins, seedList, o)
-				return err
-			})
-			finish(ibcc.ReportDegradation, payload)
-			return
-		}
-		nBackends := len(ccNames)
-		if nBackends == 0 {
-			nBackends = len(ibcc.CCBackends())
-		}
-		experiment("tournament", len(ibcc.DefaultTournamentCorpus())*len(ins)*len(seedList)*nBackends, func(o ibcc.RunOpts) (err error) {
-			payload, err = runTournament(base, *tourn, ins, seedList, ccNames, o)
-			return err
-		})
-		finish(ibcc.ReportTournament, payload)
+// experiment runs one named batch of simulations — a figure, a scan,
+// the degradation grid, the tournament bracket — with the options every
+// command shares, then reports its cost from the progress counters. An
+// interrupt flushes a resumable manifest next to the artifacts and the
+// final telemetry snapshot into the report before failing.
+func (sw *sweep) experiment(name string, totalSims int, fn func(o ibcc.RunOpts) error) {
+	if sw.err != nil {
 		return
 	}
-
-	var ps []int
-	for p := 0; p <= 100; p += *pstep {
-		ps = append(ps, p)
+	w := io.Discard
+	if sw.progress || sw.progJSONL {
+		w = os.Stderr
 	}
-
-	want := func(name string) bool { return *exp == "all" || *exp == name }
+	prog := ibcc.NewProgress(w, totalSims)
+	if sw.progJSONL {
+		prog = ibcc.NewProgressJSONL(w, totalSims)
+	}
+	o := ibcc.SweepOpts(ibcc.RunOpts{Ctx: sw.ctx, Check: sw.check, Telemetry: sw.hub, Spans: sw.spans},
+		sw.jobs, totalSims, sw.store, prog)
+	observe := o.OnResult
+	o.OnResult = func(s ibcc.Scenario, r *ibcc.Result, cached bool) {
+		observe(s, r, cached)
+		sw.midProbe()
+	}
 	start := time.Now()
-
-	if want("table2") {
-		total := 4
-		if *seeds > 1 {
-			total += 2 * *seeds
-		}
-		experiment("table2", total, func(o ibcc.RunOpts) error {
-			tab, err := ibcc.RunTableIIOpts(base, o)
-			if err != nil {
-				return err
+	sw.err = fn(o)
+	prog.Finish()
+	if errors.Is(sw.err, context.Canceled) {
+		if sw.store != nil {
+			if path, err := sw.store.WriteManifest(true); err != nil {
+				log.Print(err)
+			} else {
+				log.Printf("drain: manifest -> %s", path)
 			}
-			tab.Print(os.Stdout)
-			fmt.Println()
-			if *seeds > 1 {
-				for _, ccOn := range []bool{false, true} {
-					s := base
-					s.CCOn = ccOn
-					m, err := ibcc.RunSeedsOpts(s, ibcc.Seeds(*seeds), o)
+		}
+		if err := sw.writeReport(ibcc.ReportExperiments, nil); err != nil {
+			log.Print(err)
+		}
+		sw.err = errors.New("interrupted — completed results are saved; re-run with the same -out to continue")
+	}
+	if sw.err != nil {
+		return
+	}
+	wall := time.Since(start)
+	sims, cached, events := prog.Counts()
+	line := fmt.Sprintf("experiment %s: %d sims, %d simulated events, %v wall",
+		name, sims, events, wall.Round(time.Millisecond))
+	if secs := wall.Seconds(); secs > 0 && events > 0 {
+		line += fmt.Sprintf(" (%.1fM events/s)", float64(events)/secs/1e6)
+	}
+	if cached > 0 {
+		line += fmt.Sprintf(", %d from artifacts", cached)
+	}
+	fmt.Fprintf(sw.w, "%s\n\n", line)
+}
+
+var experimentNames = []string{"table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"}
+
+// experimentsCmd is the default command: Table II and figures 5–10.
+func experimentsCmd(fs *flag.FlagSet, c *runConfig) func(string) error {
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(experimentNames, ", ")+", all")
+	pstep := fs.Int("pstep", 10, "p sweep step for figures 5-8")
+	return func(string) error {
+		if err := cliflag.Positive("-pstep", *pstep); err != nil {
+			return err
+		}
+		if *exp != "all" && !slices.Contains(experimentNames, *exp) {
+			return fmt.Errorf("-exp: unknown experiment %q", *exp)
+		}
+		want := func(name string) bool { return *exp == "all" || *exp == name }
+		base := c.base()
+		var ps []int
+		for p := 0; p <= 100; p += *pstep {
+			ps = append(ps, p)
+		}
+		ltScale := float64(c.radix) * float64(c.radix) / (36 * 36)
+		if c.full {
+			ltScale = 1
+		}
+		lifetimes := ibcc.PaperLifetimes(ltScale)
+		start := time.Now()
+		err := c.sweep(base.Name, ibcc.ReportExperiments, func(sw *sweep) []byte {
+			if want("table2") {
+				total := 4
+				if c.seeds > 1 {
+					total += 2 * c.seeds
+				}
+				sw.experiment("table2", total, func(o ibcc.RunOpts) error {
+					tab, err := ibcc.RunTableIIOpts(base, o)
 					if err != nil {
 						return err
 					}
-					label := "Table II hotspot scenario, CC off"
-					if ccOn {
-						label = "Table II hotspot scenario, CC on"
+					tab.Print(c.w)
+					fmt.Fprintln(c.w)
+					if c.seeds == 1 {
+						return nil
 					}
-					m.Print(os.Stdout, label)
+					for _, leg := range []struct {
+						ccOn  bool
+						label string
+					}{{false, "Table II hotspot scenario, CC off"}, {true, "Table II hotspot scenario, CC on"}} {
+						s := base
+						s.CCOn = leg.ccOn
+						m, err := ibcc.RunSeedsOpts(s, cliflag.Seeds(c.seed, c.seeds), o)
+						if err != nil {
+							return err
+						}
+						m.Print(c.w, leg.label)
+					}
+					fmt.Fprintln(c.w)
+					return nil
+				})
+			}
+
+			for _, wf := range []struct {
+				fig   string
+				fracB int
+			}{{"5", 25}, {"6", 50}, {"7", 75}, {"8", 100}} {
+				if want("fig" + wf.fig) {
+					sw.experiment("fig"+wf.fig, 2*len(ps), func(o ibcc.RunOpts) error {
+						pts, err := ibcc.RunWindySweepOpts(base, wf.fracB, ps, o)
+						if err != nil {
+							return err
+						}
+						ibcc.PrintWindy(c.w, wf.fig, wf.fracB, pts)
+						fmt.Fprintln(c.w)
+						return nil
+					})
 				}
-				fmt.Println()
+			}
+
+			if want("fig9") {
+				sw.experiment("fig9", 2*2*len(lifetimes), func(o ibcc.RunOpts) error {
+					for _, mix := range []struct {
+						label string
+						fracC int
+					}{{"9(a) 20% V / 80% C", 80}, {"9(b) 60% V / 40% C", 40}} {
+						s := base
+						s.FracBPct = 0
+						s.FracCOfRestPct = mix.fracC
+						pts, err := ibcc.RunMovingSweepOpts(s, lifetimes, o)
+						if err != nil {
+							return err
+						}
+						fig, label, _ := strings.Cut(mix.label, " ")
+						ibcc.PrintMoving(c.w, fig, label+" (lifetimes x"+fmt.Sprintf("%.3f", ltScale)+")", pts)
+						fmt.Fprintln(c.w)
+					}
+					return nil
+				})
+			}
+
+			if want("fig10") {
+				sw.experiment("fig10", 3*2*len(lifetimes), func(o ibcc.RunOpts) error {
+					for _, p := range []int{30, 60, 90} {
+						s := base
+						s.FracBPct = 100
+						s.PPercent = p
+						pts, err := ibcc.RunMovingSweepOpts(s, lifetimes, o)
+						if err != nil {
+							return err
+						}
+						label := fmt.Sprintf("100%% B nodes, p=%d (lifetimes x%.3f)", p, ltScale)
+						ibcc.PrintMoving(c.w, fmt.Sprintf("10 p=%d", p), label, pts)
+						fmt.Fprintln(c.w)
+					}
+					return nil
+				})
 			}
 			return nil
 		})
-	}
-
-	windy := []struct {
-		fig   string
-		fracB int
-	}{{"5", 25}, {"6", 50}, {"7", 75}, {"8", 100}}
-	for _, wf := range windy {
-		if !want("fig" + wf.fig) {
-			continue
+		if err != nil {
+			return err
 		}
-		experiment("fig"+wf.fig, 2*len(ps), func(o ibcc.RunOpts) error {
-			pts, err := ibcc.RunWindySweepOpts(base, wf.fracB, ps, o)
-			if err != nil {
-				return err
-			}
-			ibcc.PrintWindy(os.Stdout, wf.fig, wf.fracB, pts)
-			fmt.Println()
-			return nil
-		})
+		fmt.Fprintf(c.w, "paperbench: done in %v\n", time.Since(start).Round(time.Second))
+		return nil
 	}
-
-	lifetimes := ibcc.PaperLifetimes(ltScale)
-	if want("fig9") {
-		experiment("fig9", 2*2*len(lifetimes), func(o ibcc.RunOpts) error {
-			for _, mix := range []struct {
-				label string
-				fracC int
-			}{{"9(a) 20% V / 80% C", 80}, {"9(b) 60% V / 40% C", 40}} {
-				s := base
-				s.FracBPct = 0
-				s.FracCOfRestPct = mix.fracC
-				pts, err := ibcc.RunMovingSweepOpts(s, lifetimes, o)
-				if err != nil {
-					return err
-				}
-				fig, label, _ := strings.Cut(mix.label, " ")
-				ibcc.PrintMoving(os.Stdout, fig, label+" (lifetimes x"+fmt.Sprintf("%.3f", ltScale)+")", pts)
-				fmt.Println()
-			}
-			return nil
-		})
-	}
-
-	if want("fig10") {
-		experiment("fig10", 3*2*len(lifetimes), func(o ibcc.RunOpts) error {
-			for _, p := range []int{30, 60, 90} {
-				s := base
-				s.FracBPct = 100
-				s.PPercent = p
-				pts, err := ibcc.RunMovingSweepOpts(s, lifetimes, o)
-				if err != nil {
-					return err
-				}
-				label := fmt.Sprintf("100%% B nodes, p=%d (lifetimes x%.3f)", p, ltScale)
-				ibcc.PrintMoving(os.Stdout, fmt.Sprintf("10 p=%d", p), label, pts)
-				fmt.Println()
-			}
-			return nil
-		})
-	}
-
-	finish(ibcc.ReportExperiments, nil)
-	fmt.Printf("paperbench: done in %v\n", time.Since(start).Round(time.Second))
 }
 
-// runDegradation is the graceful-degradation mode: fault plans of
+// scans are the one-parameter CC sensitivity scans — the tuning problem
+// the paper calls "a highly specialized task". Each sweeps one value
+// over the base scenario, holding Table I values for the rest.
+type scan struct {
+	name   string
+	values []int
+	apply  func(*ibcc.Scenario, int)
+}
+
+var scans = []scan{
+	{"threshold", []int{1, 3, 5, 7, 9, 11, 13, 15},
+		func(s *ibcc.Scenario, v int) { s.CC.Threshold = uint8(v) }},
+	{"timer", []int{38, 75, 150, 300, 600, 1200},
+		func(s *ibcc.Scenario, v int) { s.CC.CCTITimer = uint16(v) }},
+	{"increase", []int{1, 2, 4, 8, 16},
+		func(s *ibcc.Scenario, v int) { s.CC.CCTIIncrease = uint16(v) }},
+	{"markingrate", []int{0, 1, 3, 7, 15},
+		func(s *ibcc.Scenario, v int) { s.CC.MarkingRate = uint16(v) }},
+	{"cctlimit", []int{7, 13, 27, 55, 111},
+		func(s *ibcc.Scenario, v int) { s.CC.CCTILimit = uint16(v) }},
+	{"backlog", []int{1, 2, 4, 8, 16},
+		func(s *ibcc.Scenario, v int) { s.BacklogCap = v }},
+}
+
+// scanCmd runs the parameter scans on the silent forest (or a windy one
+// with -fracb/-p), each against a shared CC-off baseline.
+func scanCmd(fs *flag.FlagSet, c *runConfig) func(string) error {
+	which := fs.String("scan", "all", "threshold, timer, increase, markingrate, cctlimit, backlog, all")
+	fracB := fs.Int("fracb", 0, "percent of B nodes")
+	p := fs.Int("p", 0, "hotspot share of B nodes")
+	return func(string) error {
+		if *which != "all" && !slices.ContainsFunc(scans, func(sc scan) bool { return sc.name == *which }) {
+			return fmt.Errorf("-scan: unknown scan %q", *which)
+		}
+		base := c.base()
+		base.FracBPct = *fracB
+		base.PPercent = *p
+		start := time.Now()
+		err := c.sweep(base.Name, ibcc.ReportExperiments, func(sw *sweep) []byte {
+			for _, sc := range scans {
+				if *which != "all" && *which != sc.name {
+					continue
+				}
+				sw.experiment("scan "+sc.name, 1+len(sc.values), func(o ibcc.RunOpts) error {
+					res, err := core.ScanCCOpts(base, sc.name, sc.values, sc.apply, o)
+					if err != nil {
+						return err
+					}
+					res.Print(c.w)
+					fmt.Fprintln(c.w)
+					return nil
+				})
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(c.w, "paperbench: done in %v\n", time.Since(start).Round(time.Second))
+		return nil
+	}
+}
+
+// degradationCmd is the graceful-degradation sweep: fault plans of
 // increasing intensity are synthesized per (intensity, seed), each one
 // runs with CC off and on, and the receive-rate / recovery curves are
-// printed and written as a JSON artifact, which is also returned for
-// the run report. Intensity 0 is the unfaulted baseline (a zero plan is
-// treated as absent), so the curve starts at the healthy operating
-// point.
-func runDegradation(base ibcc.Scenario, path string, ins []float64, seedList []uint64, o ibcc.RunOpts) ([]byte, error) {
-	start := time.Now()
-	pts, err := ibcc.RunDegradationOpts(base, ins, seedList, o)
-	if err != nil {
-		return nil, err
-	}
-	ibcc.PrintDegradation(os.Stdout, pts)
-
-	data, err := json.MarshalIndent(struct {
-		Scenario string                  `json:"scenario"`
-		Radix    int                     `json:"radix"`
-		Seeds    []uint64                `json:"seeds"`
-		Points   []ibcc.DegradationPoint `json:"points"`
-	}{base.Name, base.Radix, seedList, pts}, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return nil, err
-	}
-	fmt.Printf("degradation: %d intensities x %d seeds x 2 CC legs in %v -> %s\n",
-		len(ins), len(seedList), time.Since(start).Round(time.Millisecond), path)
-	return data, nil
-}
-
-// runTournament is the backend-tournament mode: every selected backend
-// runs the scenario corpus across the fault-intensity grid, each cell
-// is scored and ranked, and the table is printed and written as a JSON
-// artifact (render it again later with cctinspect -tournament), which
-// is also returned for the run report.
-func runTournament(base ibcc.Scenario, path string, ins []float64, seedList []uint64, backends []string, o ibcc.RunOpts) ([]byte, error) {
-	start := time.Now()
-	tab, err := ibcc.RunTournament(ibcc.TournamentConfig{
-		Base:        base,
-		Backends:    backends,
-		Intensities: ins,
-		Seeds:       seedList,
-		Opts:        o,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ibcc.PrintTournament(os.Stdout, tab)
-
-	data, err := json.MarshalIndent(tab, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return nil, err
-	}
-	fmt.Printf("tournament: %d backends x %d shapes x %d intensities x %d seeds in %v -> %s\n",
-		len(tab.Backends), len(tab.Corpus), len(ins), len(seedList),
-		time.Since(start).Round(time.Millisecond), path)
-	return data, nil
-}
-
-// parseCCNames validates the -cc flag: a comma-separated list of
-// registered backend names. Unknown names are fatal and list the
-// registry, so a typo cannot silently run the default mechanism.
-func parseCCNames(s string) ([]string, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var names []string
-	for _, n := range strings.Split(s, ",") {
-		n = strings.TrimSpace(n)
-		if !ibcc.CCBackendKnown(n) {
-			return nil, fmt.Errorf("-cc: unknown backend %q (registered: %s)",
-				n, strings.Join(ibcc.CCBackends(), ", "))
+// printed and written as a JSON artifact, which also goes into the run
+// report. Intensity 0 is the unfaulted baseline (a zero plan is treated
+// as absent), so the curve starts at the healthy operating point.
+func degradationCmd(fs *flag.FlagSet, c *runConfig) func(string) error {
+	intens := fs.String("intensities", "0,0.25,0.5,0.75,1", "comma-separated fault intensities in [0, 1]")
+	return func(path string) error {
+		ins, err := cliflag.Intensities("-intensities", *intens)
+		if err != nil {
+			return err
 		}
-		names = append(names, n)
+		base, seeds := c.base(), cliflag.Seeds(c.seed, c.seeds)
+		return c.sweep(base.Name, ibcc.ReportDegradation, func(sw *sweep) (data []byte) {
+			sw.experiment("degradation", len(ins)*len(seeds)*2, func(o ibcc.RunOpts) error {
+				start := time.Now()
+				pts, err := ibcc.RunDegradationOpts(base, ins, seeds, o)
+				if err != nil {
+					return err
+				}
+				ibcc.PrintDegradation(c.w, pts)
+				if data, err = writeJSON(path, struct {
+					Scenario string                  `json:"scenario"`
+					Radix    int                     `json:"radix"`
+					Seeds    []uint64                `json:"seeds"`
+					Points   []ibcc.DegradationPoint `json:"points"`
+				}{base.Name, base.Radix, seeds, pts}); err != nil {
+					return err
+				}
+				fmt.Fprintf(c.w, "degradation: %d intensities x %d seeds x 2 CC legs in %v -> %s\n",
+					len(ins), len(seeds), time.Since(start).Round(time.Millisecond), path)
+				return nil
+			})
+			return data
+		})
 	}
-	return names, nil
 }
 
-// seedsFrom returns n seeds counting up from base; n is validated
-// (>= 1) at flag parse time.
-func seedsFrom(base uint64, n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = base + uint64(i)
+// tournamentCmd is the backend tournament: every bracketed backend runs
+// the scenario corpus across the fault-intensity grid, each cell is
+// scored and ranked, and the table is printed and written as a JSON
+// artifact (render it again later with cctinspect -tournament), which
+// also goes into the run report.
+func tournamentCmd(fs *flag.FlagSet, c *runConfig) func(string) error {
+	intens := fs.String("intensities", "0,0.25,0.5,0.75,1", "comma-separated fault intensities in [0, 1]")
+	return func(path string) error {
+		ins, err := cliflag.Intensities("-intensities", *intens)
+		if err != nil {
+			return err
+		}
+		base, seeds, backends := c.base(), cliflag.Seeds(c.seed, c.seeds), c.bracket()
+		return c.sweep(base.Name, ibcc.ReportTournament, func(sw *sweep) (data []byte) {
+			sw.experiment("tournament", len(ibcc.DefaultTournamentCorpus())*len(ins)*len(seeds)*len(backends), func(o ibcc.RunOpts) error {
+				start := time.Now()
+				tab, err := ibcc.RunTournament(ibcc.TournamentConfig{
+					Base: base, Backends: backends, Intensities: ins, Seeds: seeds, Opts: o,
+				})
+				if err != nil {
+					return err
+				}
+				ibcc.PrintTournament(c.w, tab)
+				if data, err = writeJSON(path, tab); err != nil {
+					return err
+				}
+				fmt.Fprintf(c.w, "tournament: %d backends x %d shapes x %d intensities x %d seeds in %v -> %s\n",
+					len(tab.Backends), len(tab.Corpus), len(ins), len(seeds),
+					time.Since(start).Round(time.Millisecond), path)
+				return nil
+			})
+			return data
+		})
 	}
-	return out
 }
 
-// runDiffKernel is the differential kernel validation mode: every
-// Table II configuration of the base scenario, over the given number of
-// seeds, runs on both event-list kernels (production timing wheel and
-// reference binary heap) plus once more under the runtime invariant
-// checker. Any trajectory divergence, invariant violation, or
-// checker-induced perturbation is an error.
-func runDiffKernel(base ibcc.Scenario, seeds int) error {
+// writeJSON writes v indented to path and returns the document (without
+// the trailing newline) for the run report.
+func writeJSON(path string, v any) ([]byte, error) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return data, os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+func diffKernelCmd(_ *flag.FlagSet, c *runConfig) func(string) error {
+	return func(string) error { return runDiffKernel(c.w, c.base(), cliflag.Seeds(c.seed, c.seeds)) }
+}
+
+// runDiffKernel is the differential kernel validation: every Table II
+// configuration of the base scenario, over the given seeds, runs on
+// both event-list kernels (production timing wheel and reference binary
+// heap) plus once more under the runtime invariant checker. Any
+// trajectory divergence, invariant violation, or checker-induced
+// perturbation is an error.
+func runDiffKernel(w io.Writer, base ibcc.Scenario, seeds []uint64) error {
 	start := time.Now()
 	failures := 0
-	for seed := uint64(0); seed < uint64(seeds); seed++ {
+	for _, seed := range seeds {
 		s0 := base
-		s0.Seed = base.Seed + seed
+		s0.Seed = seed
 		for _, s := range ibcc.TableIIScenarios(s0) {
 			d, err := ibcc.RunDifferential(s)
 			if err != nil {
@@ -507,79 +681,25 @@ func runDiffKernel(base ibcc.Scenario, seeds int) error {
 				status = fmt.Sprintf("%d VIOLATIONS", rep.Total)
 				failures++
 			}
-			fmt.Printf("%-40s seed %-3d digest %s  %8d records  %-6s\n",
+			fmt.Fprintf(w, "%-40s seed %-3d digest %s  %8d records  %-6s\n",
 				s.Name, s0.Seed, d.Wheel.Digest, d.Wheel.Records, status)
-			fmt.Printf("    check: %s\n", rep.Summary())
+			fmt.Fprintf(w, "    check: %s\n", rep.Summary())
 			if !d.Match() {
 				for _, m := range d.Mismatches() {
-					fmt.Printf("    %s\n", m)
+					fmt.Fprintf(w, "    %s\n", m)
 				}
 			}
 			for _, v := range rep.Violations {
-				fmt.Printf("    %s\n", v)
+				fmt.Fprintf(w, "    %s\n", v)
 			}
 		}
 	}
-	fmt.Printf("diff-kernel: %d configurations x %d seeds in %v\n",
-		4, seeds, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "diff-kernel: %d configurations x %d seeds in %v\n",
+		4, len(seeds), time.Since(start).Round(time.Millisecond))
 	if failures > 0 {
 		return fmt.Errorf("diff-kernel: %d configuration(s) failed", failures)
 	}
-	fmt.Println("diff-kernel: wheel and reference-heap trajectories byte-identical, zero invariant violations")
-	return nil
-}
-
-// flightRecord runs the base scenario once with the flight recorder
-// attached, instead of the experiment sweeps: the observability pass
-// over the exact configuration the figures use.
-func flightRecord(s ibcc.Scenario, eventsPath, chromePath string, ctree bool) error {
-	inst, err := ibcc.Build(s)
-	if err != nil {
-		return err
-	}
-	o := ibcc.ObserveOpts{Tree: ctree}
-	var files []*os.File
-	if eventsPath != "" {
-		f, err := os.Create(eventsPath)
-		if err != nil {
-			return err
-		}
-		o.Events = f
-		files = append(files, f)
-	}
-	if chromePath != "" {
-		f, err := os.Create(chromePath)
-		if err != nil {
-			return err
-		}
-		o.ChromeTrace = f
-		files = append(files, f)
-	}
-	ob := inst.Observe(o)
-	start := time.Now()
-	res := inst.Execute()
-	if err := ob.Close(); err != nil {
-		return err
-	}
-	for _, f := range files {
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("flight recording: %s, %d events in %v\n",
-		s.Name, res.Events, time.Since(start).Round(time.Millisecond))
-	nj, nc := ob.EventsWritten()
-	if eventsPath != "" {
-		fmt.Printf("  events: %d -> %s\n", nj, eventsPath)
-	}
-	if chromePath != "" {
-		fmt.Printf("  trace : %d events -> %s (open in ui.perfetto.dev)\n", nc, chromePath)
-	}
-	if ctree {
-		if _, err := ob.TreeReport().WriteTo(os.Stdout); err != nil {
-			return err
-		}
-	}
+	fmt.Fprintln(w, "diff-kernel: wheel and reference-heap trajectories byte-identical, zero invariant violations")
 	return nil
 }
 

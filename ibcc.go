@@ -147,9 +147,6 @@ func TableIIScenarios(base Scenario) []Scenario { return core.TableIIScenarios(b
 // intervals.
 type MultiResult = core.MultiResult
 
-// Seeds returns the seed list 1..n.
-func Seeds(n int) []uint64 { return core.Seeds(n) }
-
 // PrintWindy formats a windy sweep like the corresponding paper figure.
 func PrintWindy(w io.Writer, fig string, fracB int, pts []WindyPoint) {
 	core.PrintWindy(w, fig, fracB, pts)

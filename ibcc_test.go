@@ -48,9 +48,6 @@ func TestFacadeSmoke(t *testing.T) {
 	if got := PaperLifetimes(1); len(got) != 8 || got[0] != 10*Millisecond {
 		t.Fatalf("PaperLifetimes = %v", got)
 	}
-	if got := Seeds(3); len(got) != 3 || got[2] != 3 {
-		t.Fatalf("Seeds = %v", got)
-	}
 }
 
 func TestFacadeSweepsAndPrinting(t *testing.T) {
@@ -78,7 +75,7 @@ func TestFacadeSweepsAndPrinting(t *testing.T) {
 		t.Fatalf("PrintMoving output: %q", sb.String())
 	}
 
-	m, err := RunSeedsOpts(s, Seeds(2), RunOpts{})
+	m, err := RunSeedsOpts(s, []uint64{1, 2}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

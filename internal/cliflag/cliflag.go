@@ -2,7 +2,7 @@
 // flags: numeric validation — count-like flags reject zero/negative
 // values with a one-line error (and a non-zero exit at the caller)
 // instead of hanging a worker pool or panicking deep inside a sweep —
-// and the -cpuprofile / -memprofile writers.
+// the -seeds list, and the -cpuprofile / -memprofile writers.
 package cliflag
 
 import (
@@ -48,6 +48,16 @@ func Cadence(name string, v, span time.Duration, maxBins int) error {
 		return fmt.Errorf("%s %v cuts the %v run into more than %d bins; use %v or more", name, v, span, maxBins, min)
 	}
 	return nil
+}
+
+// Seeds returns the -seeds list every multi-seed run uses: n seeds
+// counting up from first (the -seed value).
+func Seeds(first uint64, n int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = first + uint64(i)
+	}
+	return out
 }
 
 // Intensities parses a comma-separated fault-intensity grid and

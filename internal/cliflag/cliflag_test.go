@@ -32,6 +32,12 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
+func TestSeeds(t *testing.T) {
+	if s := Seeds(5, 3); len(s) != 3 || s[0] != 5 || s[2] != 7 {
+		t.Fatalf("Seeds(5, 3) = %v", s)
+	}
+}
+
 func TestIntensities(t *testing.T) {
 	ins, err := Intensities("-intensities", "0, 0.25,0.5,1")
 	if err != nil {

@@ -46,15 +46,6 @@ func RunSeedsOpts(s Scenario, seeds []uint64, o Opts) (*MultiResult, error) {
 	return out, nil
 }
 
-// Seeds returns 1..n as a convenience seed list.
-func Seeds(n int) []uint64 {
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = uint64(i + 1)
-	}
-	return out
-}
-
 // Print writes the aggregated metrics with 95% confidence intervals.
 func (m *MultiResult) Print(w io.Writer, label string) {
 	fmt.Fprintf(w, "%s over %d seeds (mean ±95%% CI):\n", label, len(m.Seeds))

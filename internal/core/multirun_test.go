@@ -44,10 +44,3 @@ func TestRunSeedsErrors(t *testing.T) {
 		t.Fatal("invalid scenario accepted")
 	}
 }
-
-func TestSeedsHelper(t *testing.T) {
-	s := Seeds(4)
-	if len(s) != 4 || s[0] != 1 || s[3] != 4 {
-		t.Fatalf("Seeds = %v", s)
-	}
-}

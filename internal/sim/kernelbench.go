@@ -1,7 +1,7 @@
 package sim
 
 // Steady-state kernel workload shared by BenchmarkKernelSteadyState and
-// the paperbench -bench-kernel mode: a fixed population of actors, each
+// the paperbench bench-kernel command: a fixed population of actors, each
 // rescheduling itself after a pseudo-random near-future delay drawn from
 // the span the fabric model actually schedules over (credit returns at
 // ~10 ns propagation up to ~4 us generator wakeups). The pending-event

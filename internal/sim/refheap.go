@@ -5,7 +5,7 @@ package sim
 // selectable kernel rather than dead history: because it implements the
 // same (time, seq) total order with a completely different data
 // structure, running a scenario on both kernels and comparing the full
-// trajectories (core.RunDifferential, `paperbench -diff-kernel`) turns
+// trajectories (core.RunDifferential, `paperbench diff-kernel`) turns
 // the golden-snapshot test into a continuous cross-implementation
 // check — an ordering bug in either kernel shows up as a divergence.
 //
