@@ -65,8 +65,8 @@ invariants:
 	$(GO) test -count=1 ./internal/sim -run 'Reserve|ExplicitKey|Passed'
 	$(GO) test -count=1 ./internal/fabric -run 'Tiebreak|EnqueueAtBusyUntil|CreditAtBusyUntil|TwoCredits|ParkedRing|LinkUpWithCredit|RunToExhaustion|CheckLinkArmed|Bypass'
 	$(GO) test -count=1 ./internal/core -run 'Kernel|Check|Differential|Chunked|Golden|ComposesWithChecker'
-	$(GO) run ./cmd/paperbench diff-kernel -radix 8 -seeds 2
-	$(GO) run ./cmd/paperbench scan -radix 8 -scan threshold -check
+	$(GO) run ./cmd/paperbench diff-kernel -radix 8 -short -seeds 2
+	$(GO) run ./cmd/paperbench scan -radix 8 -short -scan threshold -check
 
 # Fault-injection smoke: the fault-layer unit suites, then a tiny
 # graceful-degradation sweep (2 seeds, zero + nonzero intensity) through
@@ -75,7 +75,7 @@ invariants:
 degradation:
 	$(GO) test -count=1 ./internal/fault ./internal/fabric -run 'Fault|Drop|Link'
 	$(GO) test -count=1 ./internal/core -run 'Fault|ZeroIntensity|CCSurvives|Degradation'
-	$(GO) run ./cmd/paperbench degradation -radix 8 -intensities 0,0.6 -seeds 2 -check \
+	$(GO) run ./cmd/paperbench degradation -radix 8 -short -intensities 0,0.6 -seeds 2 -check \
 		/tmp/ibcc-degradation.json
 
 # Backend tournament smoke: the tournament unit suite, then a reduced
@@ -85,7 +85,7 @@ degradation:
 tournament:
 	$(GO) test -count=1 ./internal/tournament
 	$(GO) test -count=1 ./internal/cc -run 'Backend|RCM|Registry|NoCC|Oracle'
-	$(GO) run ./cmd/paperbench tournament -radix 8 -cc ibcc,nocc -intensities 0.6 -seeds 2 -check \
+	$(GO) run ./cmd/paperbench tournament -radix 8 -short -cc ibcc,nocc -intensities 0.6 -seeds 2 -check \
 		/tmp/ibcc-tournament.json
 	$(GO) run ./cmd/cctinspect -tournament /tmp/ibcc-tournament.json
 
@@ -103,7 +103,7 @@ telemetry:
 	$(GO) test -count=1 ./internal/telemetry
 	$(GO) test -count=1 ./internal/obs -run 'Digest|Telemetry|MsgCompleted'
 	$(GO) test -count=1 ./internal/core -run 'Telemetry'
-	$(GO) run ./cmd/paperbench degradation -radix 8 -intensities 0,0.6 -seeds 1 \
+	$(GO) run ./cmd/paperbench degradation -radix 8 -short -intensities 0,0.6 -seeds 1 \
 		-serve 127.0.0.1:0 -serve-probe -report /tmp/ibcc-telemetry-report.json \
 		/tmp/ibcc-telemetry-deg.json
 	$(GO) run ./cmd/cctinspect -report /tmp/ibcc-telemetry-report.json
@@ -176,7 +176,7 @@ bench-pairs:
 
 # Quick end-to-end smoke: one figure, parallel, with artifacts.
 paperbench:
-	$(GO) run ./cmd/paperbench -radix 12 -exp fig5 -jobs 0 -out /tmp/ibcc-artifacts
+	$(GO) run ./cmd/paperbench -radix 12 -short -exp fig5 -jobs 0 -out /tmp/ibcc-artifacts
 
 clean:
 	$(GO) clean ./...

@@ -1,20 +1,10 @@
 package ibcc
 
-// One benchmark per table and figure of the paper's evaluation section,
-// plus ablations over the model's design choices. Each benchmark runs
-// the experiment at a reduced radix (the full sweeps at larger scale are
-// produced by cmd/paperbench); the quantities the paper plots are
-// attached as custom benchmark metrics, so a -bench run regenerates the
-// headline numbers of every artifact:
-//
-//	x-total-gain     total-throughput improvement factor from CC
-//	Gbps-*           receive rates of the plotted node classes
-//	x-gain-long/short  moving-forest gain at long/short hotspot lifetime
-//
-// Shapes to expect (section V): CC never loses except at the windy
-// extremes p=0/100 where it is neutral; the improvement factor is
-// ∩-shaped in p with the peak near p=60; moving-forest gains shrink as
-// the hotspot lifetime shrinks.
+// Ablations over the model's design choices, each on a small fabric with
+// the quantities it moves attached as custom benchmark metrics
+// (Gbps-* are receive rates of the named node class). The paper's tables
+// and figures are regenerated by cmd/paperbench, and the simulator's own
+// end-to-end cost is measured by benchmark/.
 
 import (
 	"testing"
@@ -27,108 +17,13 @@ import (
 	"repro/internal/traffic"
 )
 
-// benchScenario is the reduced-scale base: a 72-node radix-12 fat-tree
-// with windows past the CC convergence transient.
+// benchScenario is the ablations' base: a 72-node radix-12 fat-tree over
+// a 2 + 4 ms window.
 func benchScenario() Scenario {
 	s := DefaultScenario(12)
 	s.Warmup = 2 * Millisecond
 	s.Measure = 4 * Millisecond
 	return s
-}
-
-// BenchmarkTableII regenerates Table II (silent forest, 80% C / 20% V).
-func BenchmarkTableII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := RunTableIIOpts(benchScenario(), RunOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(tab.TotalCC/tab.TotalNoCC, "x-total-gain")
-		b.ReportMetric(tab.HotspotsCC.Hot, "Gbps-hot-cc")
-		b.ReportMetric(tab.HotspotsCC.NonHot, "Gbps-nonhot-cc")
-		b.ReportMetric(tab.HotspotsNoCC.NonHot, "Gbps-nonhot-nocc")
-	}
-}
-
-// windyFigure runs the reduced sweep of one of figures 5–8 and reports
-// the peak-region numbers.
-func windyFigure(b *testing.B, fracB int) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		pts, err := RunWindySweepOpts(benchScenario(), fracB, []int{0, 60, 100}, RunOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		p0, p60, p100 := pts[0], pts[1], pts[2]
-		b.ReportMetric(p60.Improvement, "x-gain-p60")
-		b.ReportMetric(p0.Improvement, "x-gain-p0")
-		b.ReportMetric(p100.Improvement, "x-gain-p100")
-		b.ReportMetric(p60.NonHotOn, "Gbps-nonhot-cc-p60")
-		b.ReportMetric(p60.NonHotOn/p60.TMax*100, "pct-of-tmax-p60")
-		b.ReportMetric(p60.HotOn, "Gbps-hot-cc-p60")
-	}
-}
-
-// BenchmarkFig5 regenerates figure 5 (windy forest, 25% B nodes).
-func BenchmarkFig5(b *testing.B) { windyFigure(b, 25) }
-
-// BenchmarkFig6 regenerates figure 6 (windy forest, 50% B nodes).
-func BenchmarkFig6(b *testing.B) { windyFigure(b, 50) }
-
-// BenchmarkFig7 regenerates figure 7 (windy forest, 75% B nodes).
-func BenchmarkFig7(b *testing.B) { windyFigure(b, 75) }
-
-// BenchmarkFig8 regenerates figure 8 (windy forest, 100% B nodes).
-func BenchmarkFig8(b *testing.B) { windyFigure(b, 100) }
-
-// movingFigure runs a reduced lifetime sweep and reports the gain at the
-// longest and shortest lifetimes (the figure's left and right edges).
-func movingFigure(b *testing.B, mutate func(*Scenario)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		s := benchScenario()
-		s.Measure = 6 * Millisecond
-		mutate(&s)
-		pts, err := RunMovingSweepOpts(s, []Duration{
-			2 * Millisecond, 500 * Microsecond, 125 * Microsecond,
-		}, RunOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		long, short := pts[0], pts[len(pts)-1]
-		b.ReportMetric(long.AllOn/long.AllOff, "x-gain-long")
-		b.ReportMetric(short.AllOn/short.AllOff, "x-gain-short")
-		b.ReportMetric(long.AllOn, "Gbps-all-cc-long")
-		b.ReportMetric(short.AllOff, "Gbps-all-nocc-short")
-	}
-}
-
-// BenchmarkFig9a regenerates figure 9(a): moving silent trees with
-// 20% V / 80% C nodes.
-func BenchmarkFig9a(b *testing.B) {
-	movingFigure(b, func(s *Scenario) { s.FracCOfRestPct = 80 })
-}
-
-// BenchmarkFig9b regenerates figure 9(b): moving silent trees with
-// 60% V / 40% C nodes.
-func BenchmarkFig9b(b *testing.B) {
-	movingFigure(b, func(s *Scenario) { s.FracCOfRestPct = 40 })
-}
-
-// BenchmarkFig10p30 regenerates figure 10(a): moving windy trees,
-// 100% B nodes with p=30.
-func BenchmarkFig10p30(b *testing.B) {
-	movingFigure(b, func(s *Scenario) { s.FracBPct, s.PPercent = 100, 30 })
-}
-
-// BenchmarkFig10p60 regenerates figure 10(b): p=60.
-func BenchmarkFig10p60(b *testing.B) {
-	movingFigure(b, func(s *Scenario) { s.FracBPct, s.PPercent = 100, 60 })
-}
-
-// BenchmarkFig10p90 regenerates figure 10(c): p=90.
-func BenchmarkFig10p90(b *testing.B) {
-	movingFigure(b, func(s *Scenario) { s.FracBPct, s.PPercent = 100, 90 })
 }
 
 // BenchmarkAblationDepartureMarking compares the model's arrival-sampled
@@ -139,11 +34,9 @@ func BenchmarkFig10p90(b *testing.B) {
 func BenchmarkAblationDepartureMarking(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := benchScenario()
-		// The overshoot mechanism needs the full Table I CCT and deep
-		// switch buffers (long backlog drains): the reduced radix's
-		// scaled table and the default shallow buffers both bound the
-		// damage and would mask the difference.
-		s.CC.CCTILimit = 127
+		// The overshoot mechanism needs deep switch buffers (long backlog
+		// drains): the default shallow buffers bound the damage and would
+		// mask the difference.
 		s.Fabric.SwitchIbufBytes = 64 << 10
 		s.CC.MarkOnDeparture = true
 		dep, err := Run(s)
@@ -364,18 +257,4 @@ func BenchmarkDegradedFatTree(b *testing.B) {
 		b.ReportMetric(run(false, 0, 1, 2, 3), "Gbps-degraded-nocc")
 		b.ReportMetric(run(true, 0, 1, 2, 3), "Gbps-degraded-cc")
 	}
-}
-
-// BenchmarkEngine measures raw simulation speed on the Table II hotspot
-// scenario (events per wall-clock second).
-func BenchmarkEngine(b *testing.B) {
-	var events uint64
-	for i := 0; i < b.N; i++ {
-		res, err := Run(benchScenario())
-		if err != nil {
-			b.Fatal(err)
-		}
-		events += res.Events
-	}
-	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
 }

@@ -3,7 +3,7 @@
 //
 //	ibccsim -radix 18 -fracb 100 -p 60 -cc=true
 //	ibccsim -radix 12 -lifetime 1ms              # moving hotspots
-//	ibccsim -radix 36 -warmup 10ms -measure 50ms # paper scale (slow)
+//	ibccsim -radix 36 -warmup 20ms -measure 100ms # paper scale (~20 s)
 //	ibccsim -seeds 8 -jobs 4                     # 8 seeds over 4 workers
 //	ibccsim -out results/                        # save a JSON artifact
 //	ibccsim -radix 12 -ctree                     # print the congestion trees

@@ -4,9 +4,9 @@
 // optional first word picks the command; without one it runs the
 // experiments:
 //
-//	paperbench                         # every experiment at radix 18
+//	paperbench                         # every experiment at the paper's scale and windows
 //	paperbench -exp fig8               # one experiment
-//	paperbench -radix 36 -full         # paper scale and windows (slow)
+//	paperbench -radix 12 -short        # a small fabric over 4 + 8 ms (smokes)
 //	paperbench -jobs 8 -out results/   # 8 workers; persist + resume via JSON artifacts
 //	paperbench -serve :8080 -report run.json  # live dashboard + unified run report
 //	paperbench scan -scan threshold -check    # checked CC parameter sensitivity scan
@@ -23,10 +23,6 @@
 // one harness: -jobs workers with tables bit-identical to a serial run,
 // a resumable -out artifact store, -check, -progress, -serve, -report,
 // and a graceful SIGINT/SIGTERM drain that leaves a manifest in -out.
-//
-// At reduced radix the hotspot lifetimes of figures 9–10 are scaled by
-// (radix/36)^2 so the ratio of lifetime to congestion-tree timescale is
-// preserved; -full restores the paper's absolute values.
 package main
 
 import (
@@ -159,7 +155,7 @@ func usage(w io.Writer, cmd *command, fs *flag.FlagSet) {
 type flagGroup uint8
 
 const (
-	scenarioFlags flagGroup = 1 << iota // -radix -seed -full
+	scenarioFlags flagGroup = 1 << iota // -radix -seed -short
 	seedsFlag                           // -seeds
 	ccFlag                              // -cc: the one simulated backend
 	bracketFlag                         // -cc: the tournament's backend list
@@ -172,7 +168,7 @@ type runConfig struct {
 	radix                  int
 	seed                   uint64
 	seeds                  int
-	full                   bool
+	short                  bool
 	cc                     string
 	jobs                   int
 	out                    string
@@ -188,9 +184,9 @@ type runConfig struct {
 
 func (c *runConfig) register(fs *flag.FlagSet, g flagGroup) {
 	if g&scenarioFlags != 0 {
-		fs.IntVar(&c.radix, "radix", 18, "fat-tree crossbar radix (36 = paper scale)")
+		fs.IntVar(&c.radix, "radix", 36, "fat-tree crossbar radix (36 = the paper's 648 nodes)")
 		fs.Uint64Var(&c.seed, "seed", 1, "random seed")
-		fs.BoolVar(&c.full, "full", false, "paper-scale windows: 20 ms warmup, 100 ms measure, unscaled lifetimes")
+		fs.BoolVar(&c.short, "short", false, "short windows for smokes and tests: 4 ms warmup, 8 ms measure instead of the paper's 20 ms + 100 ms")
 	}
 	if g&seedsFlag != 0 {
 		fs.IntVar(&c.seeds, "seeds", 1, "seeds per configuration, counting up from -seed (>1 adds Table II's confidence intervals)")
@@ -264,7 +260,7 @@ func (c *runConfig) base() ibcc.Scenario {
 	if ibcc.CCBackendKnown(c.cc) { // one name, not the tournament's list
 		s.Backend = c.cc
 	}
-	if c.full {
+	if !c.short {
 		s.Warmup = 20 * ibcc.Millisecond
 		s.Measure = 100 * ibcc.Millisecond
 	}
@@ -396,11 +392,7 @@ func experimentsCmd(fs *flag.FlagSet, c *runConfig) func(string) error {
 		for p := 0; p <= 100; p += *pstep {
 			ps = append(ps, p)
 		}
-		ltScale := float64(c.radix) * float64(c.radix) / (36 * 36)
-		if c.full {
-			ltScale = 1
-		}
-		lifetimes := ibcc.PaperLifetimes(ltScale)
+		lifetimes := ibcc.PaperLifetimes()
 		start := time.Now()
 		err := c.sweep(base.Name, ibcc.ReportExperiments, func(sw *sweep) []byte {
 			if want("table2") {
@@ -466,7 +458,7 @@ func experimentsCmd(fs *flag.FlagSet, c *runConfig) func(string) error {
 							return err
 						}
 						fig, label, _ := strings.Cut(mix.label, " ")
-						ibcc.PrintMoving(c.w, fig, label+" (lifetimes x"+fmt.Sprintf("%.3f", ltScale)+")", pts)
+						ibcc.PrintMoving(c.w, fig, label, pts)
 						fmt.Fprintln(c.w)
 					}
 					return nil
@@ -483,8 +475,7 @@ func experimentsCmd(fs *flag.FlagSet, c *runConfig) func(string) error {
 						if err != nil {
 							return err
 						}
-						label := fmt.Sprintf("100%% B nodes, p=%d (lifetimes x%.3f)", p, ltScale)
-						ibcc.PrintMoving(c.w, fmt.Sprintf("10 p=%d", p), label, pts)
+						ibcc.PrintMoving(c.w, fmt.Sprintf("10 p=%d", p), fmt.Sprintf("100%% B nodes, p=%d", p), pts)
 						fmt.Fprintln(c.w)
 					}
 					return nil

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strings"
@@ -57,11 +58,11 @@ func TestEveryCommandRunsAtRadix8(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"scan", "-radix", "8", "-scan", "increase", "-check"}, "best total at increase="},
-		{[]string{"degradation", "-radix", "8", "-intensities", "0", "-out", p("arts"),
+		{[]string{"scan", "-radix", "8", "-short", "-scan", "increase", "-check"}, "best total at increase="},
+		{[]string{"degradation", "-radix", "8", "-short", "-intensities", "0", "-out", p("arts"),
 			"-serve", "127.0.0.1:0", "-serve-probe", "-report", p("r.json"), p("deg.json")}, "serve-probe: /metrics.json ok"},
-		{[]string{"tournament", "-radix", "8", "-cc", "nocc", "-intensities", "0", p("tour.json")}, "experiment tournament: 4 sims"},
-		{[]string{"diff-kernel", "-radix", "8"}, "zero invariant violations"},
+		{[]string{"tournament", "-radix", "8", "-short", "-cc", "nocc", "-intensities", "0", p("tour.json")}, "experiment tournament: 4 sims"},
+		{[]string{"diff-kernel", "-radix", "8", "-short"}, "zero invariant violations"},
 		{[]string{"bench-kernel", "-events", "20000", p("bench.json")}, "wrote " + p("bench.json")},
 	} {
 		code, stdout, stderr := invoke(tc.args...)
@@ -76,10 +77,31 @@ func TestEveryCommandRunsAtRadix8(t *testing.T) {
 	}
 }
 
+// Without flags the experiments run the paper: radix 36, 20 ms + 100 ms,
+// Table I. -short keeps the default scenario's windows and nothing else.
+func TestDefaultsAreThePaper(t *testing.T) {
+	base := func(args ...string) ibcc.Scenario {
+		c, _, err := parse(args, io.Discard, io.Discard)
+		if err != nil {
+			t.Fatalf("paperbench %v: %v", args, err)
+		}
+		return c.base()
+	}
+	s := base()
+	if s.Radix != 36 || s.Warmup != 20*ibcc.Millisecond || s.Measure != 100*ibcc.Millisecond ||
+		!reflect.DeepEqual(s.CC, ibcc.PaperCCParams()) {
+		t.Errorf("default scenario: radix %d, %v + %v, CC %+v", s.Radix, s.Warmup, s.Measure, s.CC)
+	}
+	short, def := base("-short"), ibcc.DefaultScenario(36)
+	if !reflect.DeepEqual(short, def) {
+		t.Errorf("-short scenario:\n%+v\nwant the default scenario\n%+v", short, def)
+	}
+}
+
 // Table II's confidence-interval rows run the -seeds list counting up
 // from -seed, like every other multi-seed mode.
 func TestTableIICIRowsFollowSeed(t *testing.T) {
-	code, stdout, stderr := invoke("-radix", "8", "-exp", "table2", "-seed", "5", "-seeds", "2")
+	code, stdout, stderr := invoke("-radix", "8", "-short", "-exp", "table2", "-seed", "5", "-seeds", "2")
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, stderr)
 	}

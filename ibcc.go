@@ -21,14 +21,14 @@
 //
 // Quick start:
 //
-//	s := ibcc.DefaultScenario(18) // 162-node fat-tree
+//	s := ibcc.DefaultScenario(36) // the paper's 648-node fat-tree
 //	s.FracBPct, s.PPercent = 100, 60
 //	res, err := ibcc.Run(s)
 //	// res.Summary holds hotspot / non-hotspot / total rates.
 //
 // The paper's tables and figures are regenerated by RunTableIIOpts,
-// RunWindySweepOpts and RunMovingSweepOpts (see cmd/paperbench), and
-// benchmarked one-per-artifact in bench_test.go.
+// RunWindySweepOpts and RunMovingSweepOpts (see cmd/paperbench); the
+// model's design choices are ablated in bench_test.go.
 package ibcc
 
 import (
@@ -115,7 +115,8 @@ type InvariantReport = check.Report
 type DiffReport = core.DiffReport
 
 // DefaultScenario returns the paper's baseline configuration on a
-// radix-r fat-tree (radix 36 = the 648-node Sun DCS 648).
+// radix-r fat-tree (radix 36 = the 648-node Sun DCS 648), with Table I's
+// CC parameters at every radix.
 func DefaultScenario(radix int) Scenario { return core.Default(radix) }
 
 // Build assembles a scenario without running it.
@@ -384,6 +385,5 @@ func LatestCheckpoint(path string) (string, error) { return ckpt.Latest(path) }
 // PaperPValues returns the paper's p sweep (0,10,…,100).
 func PaperPValues() []int { return core.PaperPValues() }
 
-// PaperLifetimes returns the paper's hotspot lifetimes (10 ms … 1 ms),
-// scaled by the given factor for reduced-scale runs.
-func PaperLifetimes(scale float64) []Duration { return core.PaperLifetimes(scale) }
+// PaperLifetimes returns the paper's hotspot lifetimes (10 ms … 1 ms).
+func PaperLifetimes() []Duration { return core.PaperLifetimes() }

@@ -45,7 +45,7 @@ func TestFacadeSmoke(t *testing.T) {
 	if got := PaperPValues(); len(got) != 11 {
 		t.Fatalf("PaperPValues = %v", got)
 	}
-	if got := PaperLifetimes(1); len(got) != 8 || got[0] != 10*Millisecond {
+	if got := PaperLifetimes(); len(got) != 8 || got[0] != 10*Millisecond {
 		t.Fatalf("PaperLifetimes = %v", got)
 	}
 }

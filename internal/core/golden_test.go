@@ -71,6 +71,7 @@ type goldenVariant struct {
 // trajectories run on.
 func goldenBase() Scenario {
 	s := Default(12)
+	s.CC.CCTILimit = 13 // 2 x 7 contributors per hotspot - 1: the limit the trajectories were recorded with
 	s.Warmup = 400 * sim.Microsecond
 	s.Measure = 800 * sim.Microsecond
 	return s

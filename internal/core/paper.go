@@ -212,12 +212,11 @@ func PaperPValues() []int {
 }
 
 // PaperLifetimes returns the paper's hotspot lifetimes (10 ms down to
-// 1 ms), optionally scaled by a factor for reduced-scale runs.
-func PaperLifetimes(scale float64) []sim.Duration {
-	base := []float64{10, 8, 6, 5, 4, 3, 2, 1}
-	out := make([]sim.Duration, len(base))
-	for i, ms := range base {
-		out[i] = sim.Duration(ms * scale * float64(sim.Millisecond))
+// 1 ms).
+func PaperLifetimes() []sim.Duration {
+	ms := []sim.Duration{10, 8, 6, 5, 4, 3, 2, 1}
+	for i := range ms {
+		ms[i] *= sim.Millisecond
 	}
-	return out
+	return ms
 }

@@ -84,15 +84,10 @@ type Scenario struct {
 
 // Default returns the paper's baseline configuration at the given radix:
 // 80% C / 20% V, 8 static hotspots, CC parameters from Table I, fabric
-// calibration from section IV. Below the full radix 36, the CCTI limit
-// is scaled down with the contributor count per hotspot, following the
-// paper's own practice ("the CCT values have been increased to reflect
-// the larger number of possible contributors ... compared to our
-// earlier hardware experiments"): the table must cover fair shares a
-// factor beyond the expected contributor count, and an oversized table
-// only lengthens recovery from the startup transient.
+// calibration from section IV. The CC parameters are Table I's at every
+// radix.
 func Default(radix int) Scenario {
-	s := Scenario{
+	return Scenario{
 		Name:           fmt.Sprintf("fattree-%d", radix),
 		Radix:          radix,
 		Seed:           1,
@@ -107,11 +102,6 @@ func Default(radix int) Scenario {
 		Warmup:         4 * sim.Millisecond,
 		Measure:        8 * sim.Millisecond,
 	}
-	contribs := s.NumNodes() * 80 / 100 / s.NumHotspots
-	if limit := 2*contribs - 1; limit < int(s.CC.CCTILimit) && limit >= 7 {
-		s.CC.CCTILimit = uint16(limit)
-	}
-	return s
 }
 
 // NumNodes returns the end-node count of the scenario's fat-tree.

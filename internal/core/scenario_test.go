@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"repro/internal/cc"
 	"repro/internal/sim"
 )
 
@@ -15,16 +17,11 @@ func TestDefaultScenario(t *testing.T) {
 	if s.NumNodes() != 648 {
 		t.Fatalf("NumNodes = %d", s.NumNodes())
 	}
-	// At the paper's scale the CCTI limit stays at Table I's 127:
-	// 2 x 64 contributors per hotspot - 1.
-	if s.CC.CCTILimit != 127 {
-		t.Fatalf("CCTILimit = %d at radix 36", s.CC.CCTILimit)
-	}
-	// Reduced scale shrinks the table with the contributor count.
-	// Radix 12: 7 contributors per hotspot -> limit 2*7-1 = 13.
-	s12 := Default(12)
-	if s12.CC.CCTILimit != 13 {
-		t.Fatalf("CCTILimit = %d at radix 12, want 13", s12.CC.CCTILimit)
+	// One scenario definition at every radix: Table I, unscaled.
+	for _, r := range []int{8, 12, 18, 36} {
+		if got := Default(r).CC; !reflect.DeepEqual(got, cc.PaperParams()) {
+			t.Errorf("Default(%d).CC = %+v, want Table I", r, got)
+		}
 	}
 }
 
@@ -121,7 +118,7 @@ func TestPaperPValues(t *testing.T) {
 }
 
 func TestPaperLifetimes(t *testing.T) {
-	lts := PaperLifetimes(1)
+	lts := PaperLifetimes()
 	if len(lts) != 8 {
 		t.Fatalf("lifetimes = %v", lts)
 	}
@@ -132,9 +129,5 @@ func TestPaperLifetimes(t *testing.T) {
 		if lts[i] >= lts[i-1] {
 			t.Fatal("lifetimes must decrease")
 		}
-	}
-	half := PaperLifetimes(0.5)
-	if half[0] != 5*sim.Millisecond {
-		t.Fatalf("scaled lifetime = %v", half[0])
 	}
 }

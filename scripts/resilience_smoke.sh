@@ -54,7 +54,7 @@ fi
 echo "resilience: ibccsim kill -9 + resume reproduces the uninterrupted run, audited throughout"
 
 # --- 2. Sweep: kill -9 mid-sweep, resume, identical artifact set. ---
-SWEEP="-radix 8 -exp fig5 -seeds 2 -jobs 1"
+SWEEP="-radix 8 -short -exp fig5 -seeds 2 -jobs 1"
 "$T/bin/paperbench" $SWEEP -out "$T/full" > /dev/null
 
 "$T/bin/paperbench" $SWEEP -out "$T/cut" > /dev/null 2>&1 &
@@ -83,7 +83,7 @@ fi
 echo "resilience: paperbench kill -9 + resume converges on the uninterrupted artifact set"
 
 # --- 3. Degradation sweep: second pass served entirely from artifacts. ---
-DEG="-radix 8 -intensities 0,0.6 -seeds 2 -jobs 1"
+DEG="-radix 8 -short -intensities 0,0.6 -seeds 2 -jobs 1"
 "$T/bin/paperbench" degradation $DEG -out "$T/deg" "$T/deg1.json" > "$T/deg1.txt"
 "$T/bin/paperbench" degradation $DEG -out "$T/deg" "$T/deg2.json" > "$T/deg2.txt"
 if ! grep -q "^experiment degradation: 8 sims, .* 8 from artifacts$" "$T/deg2.txt"; then
