@@ -41,8 +41,10 @@ race:
 # per-destination table did; the fabric's port structs stay inside their
 # byte budgets and building a fabric allocates per node, not per port.
 # The flight recorder's share: a disabled bus and one with only the
-# aggregate tier on allocate nothing on the forward path, and a run
-# carrying just the sampler and the checker builds no per-hop Event.
+# aggregate tier on allocate nothing on the forward path, a run
+# carrying just the sampler and the checker builds no per-packet Event,
+# and the radix-18 moving-CC run keeps its budget with both attached
+# (TestObservedMovingCCZeroAllocAtRadix18, matched by 'ZeroAlloc').
 alloc-budget:
 	$(GO) test -count=1 ./internal/core -run 'ZeroAlloc'
 	$(GO) test -count=1 ./internal/obs -run 'Allocs'
@@ -150,10 +152,12 @@ bench-kernel:
 	$(GO) test ./internal/core -run '^$$' -bench BenchmarkPacketLifecycle -benchmem
 	$(GO) run ./cmd/paperbench bench-kernel BENCH_kernel.json
 
-# Kernel performance regression gate: the in-tree best-of-N guard test
-# against the committed BENCH_kernel.json, then a fresh paperbench
-# measurement (reduced budget, best of 3) compared against the same
-# committed baseline — either fails on a >10% steady-state regression.
+# Kernel performance regression gate: the in-tree guard test, which
+# times the wheel against the reference heap in one process and fails
+# when their ratio exceeds the one BENCH_kernel.json records by >10%,
+# then a fresh paperbench measurement (reduced budget, best of 3)
+# compared against the committed absolute ns/event — either fails on a
+# >10% steady-state regression.
 bench-kernel-gate:
 	$(GO) test -count=1 -timeout 20m ./internal/core -run TestKernelBenchGuard
 	$(GO) run ./cmd/paperbench bench-kernel -events 8000000 -baseline BENCH_kernel.json \

@@ -32,10 +32,19 @@ const (
 	shallowActors = 64
 )
 
-// benchGateRatio is the regression gate shared with
-// TestKernelBenchGuard: a fresh steady-state measurement more than 10%
-// slower than the committed BENCH_kernel.json fails the
-// bench-kernel -baseline compare (and `make bench-kernel-gate`).
+// The wheel-versus-heap ratio's workload: TestKernelBenchGuard
+// re-measures it with these numbers and gates it at the recorded ratio
+// +10%.
+const (
+	ratioEvents = 500_000
+	ratioPairs  = 16
+)
+
+// benchGateRatio is the regression margin: a fresh steady-state
+// measurement more than 10% slower than the committed BENCH_kernel.json
+// fails the bench-kernel -baseline compare (and `make
+// bench-kernel-gate`); TestKernelBenchGuard holds the wheel-versus-heap
+// ratio to the same margin.
 const benchGateRatio = 1.10
 
 // kernelReport is the machine-readable BENCH_kernel.json document.
@@ -79,6 +88,17 @@ type kernelReport struct {
 		SteadyAllocs    uint64  `json:"steady_window_allocs"`
 		SteadyWindows   int     `json:"steady_windows"`
 	} `json:"lifecycle"`
+
+	// WheelVsReference is the median over interleaved pairs of the
+	// steady-state workload's time per event on the timing wheel divided
+	// by its time on the reference heap (sim.WheelVsReference): the
+	// host-independent figure TestKernelBenchGuard gates.
+	WheelVsReference struct {
+		Actors int     `json:"actors"`
+		Events int64   `json:"events"`
+		Pairs  int     `json:"pairs"`
+		Ratio  float64 `json:"ratio"`
+	} `json:"wheel_vs_reference"`
 
 	SpeedupSteady  float64 `json:"speedup_steady"`
 	SpeedupShallow float64 `json:"speedup_shallow"`
@@ -153,6 +173,10 @@ func runBenchKernel(w io.Writer, path string, steadyEvents int64, baseline strin
 	shWall, _ := benchKernelSteady(shallowActors, shallowEvents)
 	rep.Kernel.ShallowNsPerEvent = float64(shWall.Nanoseconds()) / float64(shallowEvents)
 
+	wr := &rep.WheelVsReference
+	wr.Actors, wr.Events, wr.Pairs = steadyActors, ratioEvents, ratioPairs
+	wr.Ratio = sim.WheelVsReference(steadyActors, ratioEvents, ratioPairs)
+
 	if err := benchLifecycle(&rep); err != nil {
 		return err
 	}
@@ -182,6 +206,7 @@ func runBenchKernel(w io.Writer, path string, steadyEvents int64, baseline strin
 		rep.SpeedupSteady, baselineCommit)
 	fmt.Fprintf(w, "shallow: %.1f ns/event — %.2fx over baseline\n",
 		rep.Kernel.ShallowNsPerEvent, rep.SpeedupShallow)
+	fmt.Fprintf(w, "ratio  : wheel/reference heap %.4f (median of %d pairs)\n", wr.Ratio, wr.Pairs)
 	fmt.Fprintf(w, "packets: %.0f ns/packet, %.2f events/packet, %.4f allocs/packet (%d steady-window allocs over %d windows)\n",
 		rep.Lifecycle.NsPerPacket, rep.Lifecycle.EventsPerPacket, rep.Lifecycle.AllocsPerPkt,
 		rep.Lifecycle.SteadyAllocs, rep.Lifecycle.SteadyWindows)

@@ -1,8 +1,9 @@
 package cc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/fabric"
 	"repro/internal/ib"
@@ -100,6 +101,9 @@ type Manager struct {
 
 	// bus is the flight-recorder event bus; nil disables publication.
 	bus *obs.Bus
+	// steps is timerTick's buffer of the CCTI decrements it publishes,
+	// kept across ticks so a recorded tick allocates nothing.
+	steps []obs.CCTISample
 }
 
 // New builds a manager bound to net. The caller must install
@@ -344,7 +348,7 @@ func (m *Manager) timerTick(src ib.LID) {
 	// Decrement steps are published sorted by table key: the map
 	// iteration order is random, and the flight-recorder log must
 	// be deterministic for a given seed.
-	var steps []obs.CCTISample
+	steps := m.steps[:0]
 	record := m.bus.Wants(obs.KindCCTIChanged)
 	for i := 0; i < len(ca.flows); {
 		fl := &ca.flows[i]
@@ -367,10 +371,11 @@ func (m *Manager) timerTick(src ib.LID) {
 		}
 	}
 	if record {
-		sort.Slice(steps, func(i, j int) bool { return steps[i].Dst < steps[j].Dst })
+		slices.SortFunc(steps, func(a, b obs.CCTISample) int { return cmp.Compare(a.Dst, b.Dst) })
 		for _, st := range steps {
 			m.bus.CCTIChanged(m.simr.Now(), st.Src, st.Dst, st.Old, st.New)
 		}
+		m.steps = steps
 	}
 	if len(ca.flows) > 0 {
 		period := sim.Duration(m.params.CCTITimer) * TimerUnit

@@ -3,8 +3,10 @@ package core
 import (
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/ib"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // allocScenario is the steady-state lifecycle workload: uniform traffic
@@ -29,7 +31,7 @@ const allocWarm = 1000 * sim.Microsecond
 // with zero heap allocations. Any regression — a closure on the hot
 // path, a pool bypass, an observability retain — fails the budget.
 func TestPacketLifecycleZeroAlloc(t *testing.T) {
-	requireAllocBudget(t, allocScenario(), allocWarm, 0)
+	requireAllocBudget(t, allocScenario(), allocWarm, 0, nil)
 }
 
 // TestMovingCCZeroAllocAtRadix18 holds the same budget where it used to
@@ -45,16 +47,36 @@ func TestPacketLifecycleZeroAlloc(t *testing.T) {
 // active list past flowCap under repeated listing (DESIGN.md §3).
 // These thin out but have no last one, so the budget is 2, not 0.
 func TestMovingCCZeroAllocAtRadix18(t *testing.T) {
+	requireAllocBudget(t, movingCCScenario(), 1000*sim.Microsecond, 2, nil)
+}
+
+// TestObservedMovingCCZeroAllocAtRadix18 holds the same shape to the
+// same budget with what every sweep run carries attached: the telemetry
+// sampler and the invariant checker, sweeping every 50 µs. Observation
+// adds nothing per packet (message completion is closed in the bus's
+// table), per CCTI recovery tick (the manager's step buffer) or per
+// sweep (the fabric's parked-credit counts).
+func TestObservedMovingCCZeroAllocAtRadix18(t *testing.T) {
+	requireAllocBudget(t, movingCCScenario(), 1000*sim.Microsecond, 2, func(in *Instance) *check.Checker {
+		in.Observe(ObserveOpts{Telemetry: telemetry.NewSampler(in.Scenario.Name, 0)})
+		return in.Check(CheckOpts{})
+	})
+}
+
+// movingCCScenario is the benchmark's moving_cc_r18 shape.
+func movingCCScenario() Scenario {
 	s := Default(18)
 	s.Name = "alloc-budget-moving-cc"
 	s.FracBPct, s.PPercent = 50, 60
 	s.HotspotLifetime = 250 * sim.Microsecond
-	requireAllocBudget(t, s, 1000*sim.Microsecond, 2)
+	return s
 }
 
 // requireAllocBudget builds s, runs it for warm and then requires at most
-// budget allocations per 50 µs window, averaged over ten.
-func requireAllocBudget(t *testing.T, s Scenario, warm sim.Duration, budget float64) {
+// budget allocations per 50 µs window, averaged over ten. A non-nil
+// observe attaches observers before the run; the checker it returns, if
+// any, sweeps on its own cadence as the run loop would sweep it.
+func requireAllocBudget(t *testing.T, s Scenario, warm sim.Duration, budget float64, observe func(*Instance) *check.Checker) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("multi-window simulation")
@@ -63,15 +85,26 @@ func requireAllocBudget(t *testing.T, s Scenario, warm sim.Duration, budget floa
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ck *check.Checker
+	if observe != nil {
+		ck = observe(in)
+	}
 	simr := in.Net.Sim()
+	runUntil := func(end sim.Time) {
+		for ck != nil && ck.NextSweep() <= end {
+			simr.RunUntil(ck.NextSweep())
+			ck.Sweep()
+		}
+		simr.RunUntil(end)
+	}
 	in.Net.Start()
-	simr.RunUntil(sim.Time(0).Add(warm))
+	runUntil(sim.Time(0).Add(warm))
 
 	preEvents := simr.Processed()
 	end := simr.Now()
 	avg := testing.AllocsPerRun(10, func() {
 		end = end.Add(50 * sim.Microsecond)
-		simr.RunUntil(end)
+		runUntil(end)
 	})
 	if simr.Processed() == preEvents {
 		t.Fatal("measurement windows executed no events")
@@ -83,6 +116,11 @@ func requireAllocBudget(t *testing.T, s Scenario, warm sim.Duration, budget floa
 	stats := in.Net.PacketPool().Stats()
 	if stats.Gets == 0 || stats.Puts == 0 {
 		t.Fatalf("packet pool unused: %+v", stats)
+	}
+	if ck != nil {
+		if err := ck.Report().Err(); err != nil || ck.Report().Sweeps == 0 {
+			t.Fatalf("checker: %v after %d sweeps", err, ck.Report().Sweeps)
+		}
 	}
 }
 

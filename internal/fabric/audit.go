@@ -238,7 +238,11 @@ func (n *Network) CheckVoQOccupancy() error {
 func (n *Network) CheckLinkArmed() error {
 	n.fold()
 	nextSeq := n.simr.ExportKernel().Seq
-	parked := make([]int, len(n.links))
+	if len(n.parkedPerLink) != len(n.links) {
+		n.parkedPerLink = make([]int, len(n.links))
+	}
+	parked := n.parkedPerLink
+	clear(parked)
 	var last *parkedCredit
 	for i := 0; i < n.parked.len; i++ {
 		c := n.parked.at(i)

@@ -58,6 +58,9 @@ type Network struct {
 	// parked holds the credit updates that were deferred instead of
 	// scheduled (see linkOut).
 	parked parkedRing
+	// parkedPerLink is CheckLinkArmed's count of parked updates per
+	// link, kept so a checker sweep allocates nothing.
+	parkedPerLink []int
 
 	// aud is the fault path's drop ledger (see audit.go).
 	aud AuditCounters

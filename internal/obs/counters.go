@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 
+	"repro/internal/ib"
 	"repro/internal/sim"
 )
 
@@ -86,11 +87,12 @@ func (t PortTable[T]) Each(f func(sw, port int, v *T)) {
 	}
 }
 
-// Registry is the bus's aggregate tier: per-switch-port counters and a
-// few run totals that the publish helpers update in place — no Event is
-// built and no consumer called for them. Bus.Registry switches it on.
-// It is written on the simulation goroutine and read there; a reader on
-// another goroutine works from what it copied at a tick.
+// Registry is the bus's aggregate tier: per-switch-port counters, a few
+// run totals and message-completion spans that the publish helpers
+// update in place — no Event is built and no consumer called for them.
+// Bus.Registry switches it on. It is written on the simulation
+// goroutine and read there; a reader on another goroutine works from
+// what it copied at a tick or a span.
 type Registry struct {
 	ports PortTable[PortCounters]
 	// Delivered is the cumulative bytes host sinks consumed per traffic
@@ -104,6 +106,12 @@ type Registry struct {
 
 	tickAt sim.Time
 	onTick func(sim.Time) sim.Time
+
+	// open holds the first packet's InjectTime of every message whose
+	// MsgSeq-0 packet was delivered and whose last was not, keyed by
+	// msgKey; only a span reader makes the table fill.
+	open   openTable
+	onSpan func(sim.Duration)
 }
 
 // SetTick installs the bus's one time-driven reader. The first queue
@@ -116,6 +124,48 @@ func (r *Registry) SetTick(fn func(t sim.Time) (next sim.Time)) {
 		panic("obs: the bus already has a tick reader")
 	}
 	r.onTick, r.tickAt = fn, -1
+}
+
+// SetSpan installs the bus's one message-completion reader. From then
+// on the delivery of a message's final data packet at t calls
+// fn(t − start), where start is the InjectTime of the message's MsgSeq-0
+// packet, or the final packet's own InjectTime when that packet's
+// delivery was never seen (exact for a one-packet message, a lower
+// bound otherwise). fn runs after the delivery ticked and was counted.
+func (r *Registry) SetSpan(fn func(span sim.Duration)) {
+	if r.onSpan != nil {
+		panic("obs: the bus already has a span reader")
+	}
+	r.onSpan = fn
+}
+
+// msgKey packs a message's identity into one word: the source LID in
+// the top 16 bits, the message id below.
+func msgKey(p *ib.Packet) uint64 {
+	if p.MsgID >= 1<<48 || uint32(p.Src) >= 1<<16 {
+		panic(fmt.Sprintf("obs: message %d from LID %d overflows the span key", p.MsgID, p.Src))
+	}
+	return uint64(p.Src)<<48 | p.MsgID
+}
+
+// span opens a message at its MsgSeq-0 data packet and closes it at its
+// last, handing the span to the reader.
+func (r *Registry) span(t sim.Time, p *ib.Packet) {
+	first, last := p.MsgSeq == 0, p.MsgSeq+1 == p.MsgPackets
+	start := p.InjectTime
+	switch {
+	case first && last:
+	case first:
+		r.open.put(msgKey(p), start)
+		return
+	case last:
+		if s, ok := r.open.take(msgKey(p)); ok {
+			start = s
+		}
+	default:
+		return
+	}
+	r.onSpan(t.Sub(start))
 }
 
 func (r *Registry) touch(t sim.Time) {

@@ -59,11 +59,12 @@ const (
 	// flow-control credit update (PktID 0, CreditBytes = lost credit).
 	KindPacketDropped
 	// KindMsgCompleted fires when a host sink consumes the final packet
-	// of an application message — the per-message completion signal the
-	// telemetry layer feeds its completion-time histogram from. The
-	// event carries the last packet's identity; Time − Inject is that
-	// packet's network latency, and the message's own span starts at
-	// the Inject of its MsgSeq-0 packet.
+	// of an application message, for the stream consumers (JSONL,
+	// Chrome trace). The event carries the last packet's identity;
+	// Time − Inject is that packet's network latency, and the message's
+	// own span starts at the Inject of its MsgSeq-0 packet. The
+	// telemetry layer's completion histogram does not need the event:
+	// the aggregate tier closes spans itself (Registry.SetSpan).
 	KindMsgCompleted
 
 	// NumKinds is the number of event kinds. Kinds are strictly
@@ -277,6 +278,9 @@ func (b *Bus) PacketDelivered(t sim.Time, lid ib.LID, p *ib.Packet) {
 			}
 		}
 		r.Delivered[class] += int64(bytes)
+		if r.onSpan != nil && p.Type == ib.DataPacket {
+			r.span(t, p)
+		}
 	}
 	if b.mask&(1<<KindPacketDelivered) == 0 {
 		return

@@ -233,6 +233,57 @@ func TestRegistryTick(t *testing.T) {
 	r.SetTick(func(at sim.Time) sim.Time { return at })
 }
 
+// TestRegistrySpan pins the span contract: a message opens at its
+// MsgSeq-0 data packet and closes at its last, keyed by source and
+// message id; a one-packet message spans its own flight; a close whose
+// open was never seen falls back to the last packet's InjectTime;
+// control packets and middle packets do nothing; and the table keeps
+// only open messages.
+func TestRegistrySpan(t *testing.T) {
+	bus := New()
+	r := bus.Registry()
+	var spans []sim.Duration
+	r.SetSpan(func(d sim.Duration) { spans = append(spans, d) })
+	msg := func(src ib.LID, id uint64, seq, total uint8, inject sim.Time) *ib.Packet {
+		p := pkt(src, 9)
+		p.MsgID, p.MsgSeq, p.MsgPackets, p.InjectTime = id, seq, total, inject
+		return p
+	}
+	bus.PacketDelivered(10, 9, msg(1, 4, 0, 3, 2))
+	bus.PacketDelivered(11, 9, msg(2, 4, 0, 2, 5)) // same id, other source
+	bus.PacketDelivered(12, 9, msg(1, 4, 1, 3, 6))
+	bus.PacketDelivered(13, 9, &ib.Packet{Type: ib.AckPacket, Src: 1, Dst: 9})
+	if len(spans) != 0 || r.open.n != 2 {
+		t.Fatalf("spans %v with %d open before any message ended", spans, r.open.n)
+	}
+	bus.PacketDelivered(20, 9, msg(1, 4, 2, 3, 7))  // 20 − 2
+	bus.PacketDelivered(21, 9, msg(3, 8, 0, 1, 16)) // one packet: 21 − 16
+	bus.PacketDelivered(30, 9, msg(5, 1, 1, 2, 24)) // open never seen: 30 − 24
+	bus.PacketDelivered(40, 9, msg(2, 4, 1, 2, 9))  // 40 − 5
+	if want := []sim.Duration{18, 5, 6, 35}; fmt.Sprint(spans) != fmt.Sprint(want) {
+		t.Fatalf("spans %v, want %v", spans, want)
+	}
+	if r.open.n != 0 {
+		t.Fatalf("%d messages left open", r.open.n)
+	}
+	for _, p := range []*ib.Packet{msg(1, 1<<48, 0, 2, 0), msg(1<<16, 1, 0, 2, 0)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("message %d from LID %d was keyed", p.MsgID, p.Src)
+				}
+			}()
+			bus.PacketDelivered(50, 9, p)
+		}()
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second span reader was accepted")
+		}
+	}()
+	r.SetSpan(func(sim.Duration) {})
+}
+
 func TestRegistryCounters(t *testing.T) {
 	b := New()
 	r := b.Registry()

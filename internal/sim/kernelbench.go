@@ -1,5 +1,10 @@
 package sim
 
+import (
+	"slices"
+	"time"
+)
+
 // Steady-state kernel workload shared by BenchmarkKernelSteadyState and
 // the paperbench bench-kernel command: a fixed population of actors, each
 // rescheduling itself after a pseudo-random near-future delay drawn from
@@ -35,6 +40,13 @@ func (a *steadyActor) Act() {
 // returns the simulator (for Processed/Pending inspection). It is
 // deterministic for a given (actors, events, seed).
 func SteadyStateWorkload(actors int, events int64, seed uint64) *Simulator {
+	s := steadyState(actors, events, seed)
+	s.Run()
+	return s
+}
+
+// steadyState builds SteadyStateWorkload's simulator without running it.
+func steadyState(actors int, events int64, seed uint64) *Simulator {
 	s := New()
 	rng := NewRNG(seed)
 	budget := events
@@ -43,6 +55,30 @@ func SteadyStateWorkload(actors int, events int64, seed uint64) *Simulator {
 		d := Duration(16+16*(a.rng.Uint64()&0xff)) * Nanosecond
 		s.ScheduleAction(d, a)
 	}
-	s.Run()
 	return s
+}
+
+// WheelVsReference runs the steady-state workload in pairs — once on
+// the timing wheel, then once on the reference binary heap
+// (UseReferenceFEL) — and returns the median over pairs of the wheel's
+// time per event divided by the heap's. The two halves of a pair run
+// back to back under the same host load, so the ratio measures the
+// wheel on any host, and the median ignores the pairs a load burst
+// split.
+func WheelVsReference(actors int, events int64, pairs int) float64 {
+	nsPerEvent := func(onHeap bool) float64 {
+		s := steadyState(actors, events, 1)
+		if onHeap {
+			s.UseReferenceFEL()
+		}
+		start := time.Now()
+		s.Run()
+		return float64(time.Since(start).Nanoseconds()) / float64(s.Processed())
+	}
+	ratios := make([]float64, pairs)
+	for i := range ratios {
+		ratios[i] = nsPerEvent(false) / nsPerEvent(true)
+	}
+	slices.Sort(ratios)
+	return (ratios[(pairs-1)/2] + ratios[pairs/2]) / 2
 }

@@ -220,11 +220,13 @@ func TestViolationDumpReadsBusTable(t *testing.T) {
 }
 
 // TestObservedRunBuildsNoPerHopEvents: with only a sampler and the
-// checker attached — what every sweep run carries — the four per-hop
+// checker attached — what every sweep run carries — the five per-packet
 // kinds have no stream subscriber, so their publish helpers build no
 // Event (Bus.Streams is the helpers' own gate), while the aggregate
-// tier still wants them. A subscription that put them back on the
-// stream would fail here deterministically, whatever the runner's noise.
+// tier still wants them; message completion is closed in that tier, so
+// KindMsgCompleted is not even wanted. A subscription that put any of
+// them back on the stream would fail here deterministically, whatever
+// the runner's noise.
 func TestObservedRunBuildsNoPerHopEvents(t *testing.T) {
 	s := differentialCorpus()[0]
 	in, err := core.Build(s)
@@ -234,17 +236,21 @@ func TestObservedRunBuildsNoPerHopEvents(t *testing.T) {
 	smp := telemetry.NewSampler(s.Name, 0)
 	bus := in.Observe(core.ObserveOpts{Telemetry: smp}).Bus
 	ck := in.Check(core.CheckOpts{})
-	for _, k := range []obs.Kind{obs.KindQueueSampled, obs.KindPacketSent, obs.KindCreditStalled, obs.KindFECNMarked} {
+	for _, k := range []obs.Kind{obs.KindQueueSampled, obs.KindPacketSent, obs.KindCreditStalled, obs.KindFECNMarked, obs.KindPacketDelivered} {
 		if bus.Streams(k) || !bus.Wants(k) {
 			t.Errorf("%v: streams %v, wants %v; want an aggregate-only kind", k, bus.Streams(k), bus.Wants(k))
 		}
+	}
+	if k := obs.KindMsgCompleted; bus.Streams(k) || bus.Wants(k) {
+		t.Errorf("%v: streams %v, wants %v; want neither", k, bus.Streams(k), bus.Wants(k))
 	}
 	in.Execute()
 	smp.Finish()
 	if err := ck.Report().Err(); err != nil {
 		t.Fatal(err)
 	}
-	if snap := smp.Snapshot(); snap.QueuedKB.Sum() == 0 || snap.Stalls.Sum() == 0 || snap.HotspotGbps.Sum() == 0 || len(snap.HotPorts) == 0 {
+	if snap := smp.Snapshot(); snap.QueuedKB.Sum() == 0 || snap.Stalls.Sum() == 0 || snap.HotspotGbps.Sum() == 0 ||
+		len(snap.HotPorts) == 0 || snap.Completion.Count == 0 {
 		t.Fatalf("the sampler read nothing from the aggregate tier: %+v", snap)
 	}
 }

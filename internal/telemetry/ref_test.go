@@ -14,6 +14,12 @@ import (
 // (differential_test.go) attaches them beside the real sampler, checker
 // and counters and demands identical snapshots and port views.
 
+// refMsgKey is a message's identity: its source and message id.
+type refMsgKey struct {
+	src ib.LID
+	id  uint64
+}
+
 type refPortState struct {
 	vlDepth [obs.MaxVLs]int32
 	depth   int32
@@ -40,7 +46,7 @@ type RefSampler struct {
 	ports                                           obs.PortTable[refPortState]
 	ccti                                            map[ib.FlowKey]uint16
 	linksDown                                       int
-	msgStart                                        map[msgKey]sim.Time
+	msgStart                                        map[refMsgKey]sim.Time
 	completion                                      Hist
 	lastTime                                        sim.Time
 	consumedQueue, consumedStall, consumedDelivered uint64
@@ -54,7 +60,7 @@ func NewRefSampler(name string, cadence sim.Duration) *RefSampler {
 	return &RefSampler{
 		name: name, cadence: cadence, curBin: -1,
 		ccti:     make(map[ib.FlowKey]uint16),
-		msgStart: make(map[msgKey]sim.Time),
+		msgStart: make(map[refMsgKey]sim.Time),
 	}
 }
 
@@ -89,7 +95,7 @@ func (s *RefSampler) Consume(e obs.Event) {
 			s.binBytes[obs.ClassOther] += int64(e.Bytes - ib.HeaderBytes)
 		}
 		if e.Type == ib.DataPacket && e.MsgSeq == 0 {
-			s.msgStart[msgKey{e.Src, e.MsgID}] = e.Inject
+			s.msgStart[refMsgKey{e.Src, e.MsgID}] = e.Inject
 		}
 	case obs.KindQueueSampled:
 		s.consumedQueue++
@@ -125,7 +131,7 @@ func (s *RefSampler) Consume(e obs.Event) {
 	case obs.KindPacketDropped:
 		s.binDrops++
 	case obs.KindMsgCompleted:
-		k := msgKey{e.Src, e.MsgID}
+		k := refMsgKey{e.Src, e.MsgID}
 		start, ok := s.msgStart[k]
 		if !ok {
 			start = e.Inject

@@ -21,27 +21,38 @@ const (
 	ReportTournament  = "tournament"
 )
 
-// BenchPoint is one kernel-benchmark measurement: the shape of a
-// BENCH_history.json entry and of the trend comparison points. Fields
-// mirror the kernel section of BENCH_kernel.json. Workloads, when a PR
-// recorded them, are the end-to-end benchmark's medians on the same
-// tree (benchmark/README.md) — the numbers the synthetic kernel figure
-// does not predict; AppendHistory carries them through the ring.
+// BenchPoint is one BENCH_history.json entry and trend comparison
+// point. A kernel-benchmark measurement (paperbench bench-kernel) fills
+// the fields that mirror the kernel section of BENCH_kernel.json.
+// Workloads are the end-to-end benchmark's figures on the same tree
+// (benchmark/README.md) — the numbers the synthetic kernel figure does
+// not predict; scripts/bench_pairs.sh appends a workloads-only entry per
+// paired run, and AppendHistory carries them through the ring.
 type BenchPoint struct {
 	GeneratedAt  string  `json:"generated_at"`
 	GoVersion    string  `json:"go_version,omitempty"`
-	NsPerEvent   float64 `json:"ns_per_event"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	NsPerEvent   float64 `json:"ns_per_event,omitempty"`
+	EventsPerSec float64 `json:"events_per_sec,omitempty"`
 	Speedup      float64 `json:"speedup_steady,omitempty"`
 
 	Workloads map[string]WorkloadPoint `json:"workloads,omitempty"`
 }
 
-// WorkloadPoint is one benchmark workload's end-to-end medians.
+// WorkloadPoint is one benchmark workload's end-to-end medians. A paired
+// run adds, in the same shape, each metric's interquartile range and the
+// pairs this side won (read lower than the other side), and nests the
+// parent revision's figures from the same seeds.
 type WorkloadPoint struct {
 	NsPerPacket float64 `json:"ns_per_packet"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	PeakRSSMB   float64 `json:"peak_rss_mb"`
+	SetupS      float64 `json:"setup_s,omitempty"`
+
+	IQR    *WorkloadPoint `json:"iqr,omitempty"`
+	Wins   *WorkloadPoint `json:"wins,omitempty"`
+	Pairs  int            `json:"pairs,omitempty"`
+	Rev    string         `json:"rev,omitempty"`
+	Parent *WorkloadPoint `json:"parent,omitempty"`
 }
 
 // HistoryKeep is how many entries BENCH_history.json retains.
@@ -203,9 +214,19 @@ func LoadTrend(dir string, sweepEventsPerSec float64) *Trend {
 		var hist []BenchPoint
 		if json.Unmarshal(data, &hist) == nil && len(hist) > 0 {
 			t.History = hist
-			first, last := hist[0], hist[len(hist)-1]
-			if first.NsPerEvent > 0 {
-				t.HistoryDriftPct = 100 * (last.NsPerEvent - first.NsPerEvent) / first.NsPerEvent
+			// Drift is over the kernel measurements; a workloads-only
+			// entry has no ns/event.
+			var first, last float64
+			for _, p := range hist {
+				if p.NsPerEvent > 0 {
+					if first == 0 {
+						first = p.NsPerEvent
+					}
+					last = p.NsPerEvent
+				}
+			}
+			if first > 0 {
+				t.HistoryDriftPct = 100 * (last - first) / first
 			}
 		}
 	}

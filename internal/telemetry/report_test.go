@@ -121,6 +121,36 @@ func TestLoadTrend(t *testing.T) {
 	if !near(tr.HistoryDriftPct, want, 1e-9) {
 		t.Fatalf("drift = %v, want %v", tr.HistoryDriftPct, want)
 	}
+
+	// A paired run's workloads-only entry, as scripts/bench_pairs.sh
+	// writes it, joins the ring without moving the kernel drift, and
+	// the next kernel point keeps it whole.
+	pair := `{"generated_at": "z", "workloads": {"uniform_r18": {"ns_per_packet": 1300, "allocs_per_op": 5686,
+	  "peak_rss_mb": 11.3, "setup_s": 0.0005, "iqr": {"ns_per_packet": 40, "allocs_per_op": 0, "peak_rss_mb": 0.1, "setup_s": 0.0001},
+	  "wins": {"ns_per_packet": 6, "allocs_per_op": 0, "peak_rss_mb": 3, "setup_s": 10}, "pairs": 10,
+	  "parent": {"ns_per_packet": 1350, "allocs_per_op": 5686, "peak_rss_mb": 11.3, "setup_s": 0.002, "rev": "01ebf3d"}}}}`
+	var row BenchPoint
+	if err := json.Unmarshal([]byte(pair), &row); err != nil {
+		t.Fatal(err)
+	}
+	if err := AppendHistory(histPath, row); err != nil {
+		t.Fatal(err)
+	}
+	if tr = LoadTrend(dir, 0); !near(tr.HistoryDriftPct, 100*(84.0-66.0)/66.0, 1e-9) {
+		t.Fatalf("drift with a workloads-only entry = %v", tr.HistoryDriftPct)
+	}
+	if err := AppendHistory(histPath, BenchPoint{GeneratedAt: "k", NsPerEvent: 66}); err != nil {
+		t.Fatal(err)
+	}
+	tr = LoadTrend(dir, 0)
+	w := tr.History[HistoryKeep-2].Workloads["uniform_r18"]
+	if w.SetupS != 0.0005 || w.IQR == nil || w.IQR.NsPerPacket != 40 || w.Wins == nil || w.Wins.SetupS != 10 ||
+		w.Pairs != 10 || w.Parent == nil || w.Parent.Rev != "01ebf3d" || w.Parent.SetupS != 0.002 {
+		t.Fatalf("paired row lost in the ring: %+v", w)
+	}
+	if want := 100 * (66.0 - 67.0) / 67.0; !near(tr.HistoryDriftPct, want, 1e-9) {
+		t.Fatalf("drift = %v, want %v (kernel points 67..84, then 66)", tr.HistoryDriftPct, want)
+	}
 }
 
 func TestAppendHistoryCorruptRestarts(t *testing.T) {

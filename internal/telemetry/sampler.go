@@ -27,11 +27,6 @@ type portPeak struct {
 	host bool
 }
 
-type msgKey struct {
-	src ib.LID
-	id  uint64
-}
-
 // HotPort is one row of the hottest-ports table: a switch output port
 // ranked by its peak queued bytes over the run.
 type HotPort struct {
@@ -80,17 +75,18 @@ type SamplerSnapshot struct {
 // Sampler turns one run into fixed-cadence time series. Everything a
 // packet hop changes — queue depths, delivered bytes, credit stalls — it
 // reads from the bus's aggregate table (obs.Registry) once per bin, when
-// the bus ticks; only the low-rate kinds reach it as events. Attaching it
-// never schedules a simulation event, so the observed trajectory is
+// the bus ticks, and the table hands it every message's completion span;
+// only the low-rate kinds reach it as events. Attaching it never
+// schedules a simulation event, so the observed trajectory is
 // byte-identical to the unobserved one.
 //
-// Ticks and Consume run on the simulation goroutine; Snapshot may be
-// called concurrently from the HTTP server. The mutex covers what
+// Ticks, spans and Consume run on the simulation goroutine; Snapshot may
+// be called concurrently from the HTTP server. The mutex covers what
 // Snapshot reads — the rings, peaks, lastTime, linksDown and the
-// completion histogram — and is taken once per tick and per stream
-// event, never per packet hop. reg is the bus's live table and is read
-// on the simulation goroutine only; Snapshot works from what the last
-// flush copied out of it.
+// completion histogram — and is taken once per tick, per completed
+// message and per stream event, never per packet hop. reg is the bus's
+// live table and is read on the simulation goroutine only; Snapshot
+// works from what the last flush copied out of it.
 type Sampler struct {
 	mu      sync.Mutex
 	name    string
@@ -123,10 +119,8 @@ type Sampler struct {
 	ccti      map[ib.FlowKey]uint16   // throttled flows only: a step to 0 deletes
 	linksDown int
 
-	// Message spans: first-packet injection time by (source, message id),
-	// recorded when the MsgSeq-0 packet is delivered. Snapshot never
-	// reads the map, so it needs no lock.
-	msgStart   map[msgKey]sim.Time
+	// Message completion spans (first packet injected → last packet
+	// delivered), as the bus's table closes them.
 	completion Hist
 
 	lastTime sim.Time
@@ -139,17 +133,17 @@ func NewSampler(name string, cadence sim.Duration) *Sampler {
 		cadence = DefaultCadence
 	}
 	return &Sampler{
-		name:     name,
-		cadence:  cadence,
-		curBin:   -1,
-		ccti:     make(map[ib.FlowKey]uint16),
-		msgStart: make(map[msgKey]sim.Time),
+		name:    name,
+		cadence: cadence,
+		curBin:  -1,
+		ccti:    make(map[ib.FlowKey]uint16),
 	}
 }
 
-// Attach makes the sampler the bus's tick reader and subscribes it to
-// the low-rate kinds it still takes as events. A nil sampler (telemetry
-// off) attaches nothing, so call sites stay a single unconditional line.
+// Attach makes the sampler the bus's tick and span reader and
+// subscribes it to the low-rate kinds it still takes as events. A nil
+// sampler (telemetry off) attaches nothing, so call sites stay a single
+// unconditional line.
 func (s *Sampler) Attach(b *obs.Bus) {
 	if s == nil {
 		return
@@ -157,10 +151,8 @@ func (s *Sampler) Attach(b *obs.Bus) {
 	s.reg = b.Registry()
 	s.prevBytes, s.prevStalls = s.reg.Delivered, s.reg.Stalls
 	s.reg.SetTick(s.tick)
-	b.Subscribe(s,
-		obs.KindPacketDelivered, obs.KindCCTIChanged, obs.KindLinkDown,
-		obs.KindLinkUp, obs.KindPacketDropped, obs.KindMsgCompleted,
-	)
+	s.reg.SetSpan(s.span)
+	b.Subscribe(s, obs.KindCCTIChanged, obs.KindLinkDown, obs.KindLinkUp, obs.KindPacketDropped)
 }
 
 // tick is the bus's bin-boundary callback (obs.Registry.SetTick): it
@@ -173,16 +165,16 @@ func (s *Sampler) tick(t sim.Time) sim.Time {
 	return sim.Time((s.curBin + 1) * int64(s.cadence))
 }
 
+// span is the bus's message-completion callback
+// (obs.Registry.SetSpan).
+func (s *Sampler) span(d sim.Duration) {
+	s.mu.Lock()
+	s.completion.Record(int64(d))
+	s.mu.Unlock()
+}
+
 // Consume implements obs.Consumer.
 func (s *Sampler) Consume(e obs.Event) {
-	if e.Kind == obs.KindPacketDelivered {
-		// The bus ticked and counted the bytes already; all that is left
-		// is a message's start stamp.
-		if e.Type == ib.DataPacket && e.MsgSeq == 0 {
-			s.msgStart[msgKey{e.Src, e.MsgID}] = e.Inject
-		}
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.advance(e.Time)
@@ -197,8 +189,6 @@ func (s *Sampler) Consume(e obs.Event) {
 		}
 	case obs.KindPacketDropped:
 		s.binDrops++
-	case obs.KindMsgCompleted:
-		s.msgCompleted(e)
 	}
 }
 
@@ -213,19 +203,6 @@ func (s *Sampler) cctiChanged(e obs.Event) {
 	} else {
 		s.ccti[e.Flow()] = e.NewCCTI
 	}
-}
-
-func (s *Sampler) msgCompleted(e obs.Event) {
-	k := msgKey{e.Src, e.MsgID}
-	start, ok := s.msgStart[k]
-	if !ok {
-		// Single-tracked fallback: the final packet's own injection time
-		// (exact for one-packet messages, a lower bound otherwise).
-		start = e.Inject
-	} else {
-		delete(s.msgStart, k)
-	}
-	s.completion.Record(int64(e.Time.Sub(start)))
 }
 
 // advance flushes every bin t has moved past. Bin k covers the simulated

@@ -22,11 +22,12 @@ func TestSamplerSeries(t *testing.T) {
 	s := NewSampler("run-a", 10*sim.Microsecond)
 	s.Attach(b)
 
-	// Two delivered data packets in bin 0 (one hotspot), a control packet,
-	// a queue movement, and a CCTI ramp.
+	// Two delivered data packets in bin 0 (one hotspot), each opening a
+	// two-packet message, a control packet, a queue movement, and a CCTI
+	// ramp.
 	p1 := dataPacket(1, 9, 1, 0, 2, sim.Time(0), true)
 	b.PacketDelivered(sim.Time(2*sim.Microsecond), 9, p1)
-	p2 := dataPacket(2, 8, 5, 0, 1, sim.Time(1*sim.Microsecond), false)
+	p2 := dataPacket(2, 8, 5, 0, 2, sim.Time(1*sim.Microsecond), false)
 	b.PacketDelivered(sim.Time(3*sim.Microsecond), 8, p2)
 	cnp := &ib.Packet{Type: ib.CNPPacket, Src: 9, Dst: 1}
 	b.PacketDelivered(sim.Time(4*sim.Microsecond), 1, cnp)
@@ -34,8 +35,10 @@ func TestSamplerSeries(t *testing.T) {
 	b.CCTIChanged(sim.Time(6*sim.Microsecond), 1, 9, 0, 4)
 	b.CreditStalled(sim.Time(7*sim.Microsecond), true, 3, 2, 0, 10, 2094)
 
-	// Crossing into bin 1 flushes bin 0.
+	// Crossing into bin 1 flushes bin 0. The final packet is published
+	// as the sink publishes it: delivered, then completed.
 	p3 := dataPacket(1, 9, 1, 1, 2, sim.Time(500*sim.Nanosecond), true)
+	b.PacketDelivered(sim.Time(14*sim.Microsecond), 9, p3)
 	b.MsgCompleted(sim.Time(14*sim.Microsecond), 9, p3)
 	s.Finish()
 
@@ -100,6 +103,7 @@ func TestSamplerFallbackCompletionSpan(t *testing.T) {
 	// A completion whose seq-0 delivery was never seen falls back to the
 	// final packet's own injection time.
 	p := dataPacket(2, 7, 9, 1, 2, sim.Time(3*sim.Microsecond), false)
+	b.PacketDelivered(sim.Time(8*sim.Microsecond), 7, p)
 	b.MsgCompleted(sim.Time(8*sim.Microsecond), 7, p)
 	s.Finish()
 	c := s.Completion()

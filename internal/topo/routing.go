@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ib"
 )
@@ -26,30 +25,57 @@ func (r *Routing) OutPort(n NodeID, dst ib.LID) int {
 // scheme (up-path spine = dst mod numSpines, unique down-path), matching
 // the routing the paper's simulator uses; on arbitrary topologies it
 // yields deterministic min-hop routing with load spreading.
+//
+// A host has one port and carries no transit traffic, so its distance to
+// every other node is its leaf's (the node its port attaches to) plus
+// one, and at every switch but that leaf the min-hop ports towards it
+// are the ones towards the leaf; the leaf itself forwards on the host's
+// link. So one breadth-first search per leaf, and one candidate list per
+// (leaf, switch), serve all of the leaf's hosts. Leaves are routed in
+// order of their lowest host LID, which makes the error reported the
+// one for the lowest LID some switch cannot reach.
 func ComputeLFT(t *Topology) (*Routing, error) {
 	n := len(t.Nodes)
 	r := &Routing{lft: make([][]int16, n)}
+	cells := make([]int16, t.NumSwitches()*t.NumHosts)
+	for i := range cells {
+		cells[i] = -1
+	}
 	for i := range t.Nodes {
 		if t.Nodes[i].Kind == Switch {
-			row := make([]int16, t.NumHosts)
-			for j := range row {
-				row[j] = -1
-			}
-			r.lft[i] = row
+			r.lft[i], cells = cells[:t.NumHosts:t.NumHosts], cells[t.NumHosts:]
 		}
+	}
+
+	// Hosts grouped by leaf, groups in order of their lowest LID; an
+	// unconnected host's group is keyed NoNode.
+	var leaves []NodeID
+	var hosts [][]int
+	group := make(map[NodeID]int)
+	for lid := 0; lid < t.NumHosts; lid++ {
+		leaf := t.Nodes[t.hostByLID[lid]].Ports[0].Peer
+		g, ok := group[leaf]
+		if !ok {
+			g = len(leaves)
+			group[leaf] = g
+			leaves = append(leaves, leaf)
+			hosts = append(hosts, nil)
+		}
+		hosts[g] = append(hosts[g], lid)
 	}
 
 	dist := make([]int32, n)
 	queue := make([]NodeID, 0, n)
-	for dstLID := 0; dstLID < t.NumHosts; dstLID++ {
-		dstNode := t.hostByLID[dstLID]
-		// BFS over the full node graph from the destination host.
+	var cands []int
+	for g, leaf := range leaves {
 		for i := range dist {
 			dist[i] = -1
 		}
-		dist[dstNode] = 0
 		queue = queue[:0]
-		queue = append(queue, dstNode)
+		if leaf != NoNode {
+			dist[leaf] = 0
+			queue = append(queue, leaf)
+		}
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]
@@ -63,26 +89,28 @@ func ComputeLFT(t *Topology) (*Routing, error) {
 		}
 		for i := range t.Nodes {
 			sw := &t.Nodes[i]
-			if sw.Kind != Switch {
-				continue
-			}
-			if dist[sw.ID] < 0 {
-				if !hasLinks(sw) {
-					continue // fully failed switch: carries no traffic
+			switch {
+			case sw.Kind != Switch:
+			case sw.ID == leaf:
+				for _, dst := range hosts[g] {
+					r.lft[sw.ID][dst] = int16(t.Nodes[t.hostByLID[dst]].Ports[0].PeerPort)
 				}
-				return nil, fmt.Errorf("topo: switch %q cannot reach host LID %d", sw.Name, dstLID)
-			}
-			var cands []int
-			for pi, p := range sw.Ports {
-				if p.Connected() && dist[p.Peer] == dist[sw.ID]-1 {
-					cands = append(cands, pi)
+			case dist[sw.ID] < 0:
+				if hasLinks(sw) {
+					return nil, fmt.Errorf("topo: switch %q cannot reach host LID %d", sw.Name, hosts[g][0])
+				}
+				// A fully failed switch carries no traffic.
+			default:
+				cands = cands[:0]
+				for pi, p := range sw.Ports {
+					if p.Connected() && dist[p.Peer] == dist[sw.ID]-1 {
+						cands = append(cands, pi)
+					}
+				}
+				for _, dst := range hosts[g] {
+					r.lft[sw.ID][dst] = int16(cands[dst%len(cands)])
 				}
 			}
-			if len(cands) == 0 {
-				return nil, fmt.Errorf("topo: no forwarding port on %q towards LID %d", sw.Name, dstLID)
-			}
-			sort.Ints(cands)
-			r.lft[sw.ID][dstLID] = int16(cands[dstLID%len(cands)])
 		}
 	}
 	return r, nil

@@ -12,8 +12,11 @@
 # first alternating — each run exactly what BENCHMARK.json's command
 # runs (`--seconds 30 --trace 0`).
 # Prints every run, then per metric each side's median and quartiles,
-# the per-pair change/parent ratios and the pairs won. Timing on a
-# shared box is advisory: CI does not run this.
+# the per-pair change/parent ratios and the pairs won, and appends the
+# ledger row to BENCH_history.json: each side's median, interquartile
+# range and pairs won per metric, as a workloads-only entry (the next
+# `paperbench bench-kernel` trims the ring to its 20 entries). Timing on
+# a shared box is advisory: CI does not run this.
 set -euo pipefail
 
 [ $# -ge 2 ] || { echo "usage: $0 PARENT_REV WORKLOAD [PAIRS]" >&2; exit 2; }
@@ -55,6 +58,30 @@ quartiles() {
             return lo >= NR ? v[NR] : v[lo] + (h - lo) * (v[lo + 1] - v[lo]) }'
 }
 
+# figure SIDE STAT METRIC prints one statistic of a side's column:
+# median, iqr (Q3 − Q1), or wins (pairs in which the side read lower).
+figure() {
+    local other=parent
+    [ "$1" = parent ] && other=change
+    case $2 in
+    wins) paste "$T/$1.$3" "$T/$other.$3" | awk '$1 < $2 { n++ } END { print n + 0 }' ;;
+    *) quartiles "$T/$1.$3" | awk -v s="$2" '{ print s == "median" ? $6 : $8 - $4 }' ;;
+    esac
+}
+
+# stats SIDE STAT prints one statistic of a side for every metric, as
+# JSON members.
+stats() {
+    local out="" m
+    for m in $metrics; do out="$out${out:+, }\"$m\": $(figure "$1" "$2" "$m")"; done
+    echo "$out"
+}
+
+# side_json SIDE prints a side's ledger members.
+side_json() {
+    echo "$(stats "$1" median), \"iqr\": {$(stats "$1" iqr)}, \"wins\": {$(stats "$1" wins)}, \"pairs\": $pairs"
+}
+
 echo
 echo "== $workload: $parent vs working tree, $pairs pairs, seeds 101..$((100 + pairs)) =="
 for m in $metrics; do
@@ -66,3 +93,20 @@ for m in $metrics; do
         if ($2 < $1) won++; else if ($2 > $1) lost++ }
         END { printf "\n  change wins %d, loses %d of %d pairs\n", won, lost, NR }'
 done
+
+hist="$root/BENCH_history.json"
+row="  {
+    \"generated_at\": \"$(date -u +%Y-%m-%dT%H:%M:%SZ)\",
+    \"go_version\": \"$(go env GOVERSION)\",
+    \"workloads\": {
+      \"$workload\": {$(side_json change), \"parent\": {$(side_json parent), \"rev\": \"$(git -C "$root" rev-parse --short "$parent")\"}}
+    }
+  }"
+if [ -s "$hist" ]; then
+    sed -i '$ d' "$hist"
+    sed -i '$ s/$/,/' "$hist"
+    printf '%s\n]\n' "$row" >> "$hist"
+else
+    printf '[\n%s\n]\n' "$row" > "$hist"
+fi
+echo "ledger row appended to $hist"
