@@ -228,3 +228,47 @@ func codeLines(t *testing.T, path string) []codeLine {
 	}
 	return out
 }
+
+var (
+	experimentWall = regexp.MustCompile(`(?m)^(experiment [^:]+: \d+ sims, \d+ simulated events), \S+ wall(?: \([\d.]+M events/s\))?`)
+	doneWall       = regexp.MustCompile(`(?m)^paperbench: done in .*$`)
+)
+
+// maskWall blanks what depends on the host: each experiment line's wall
+// clock and events per second, and the closing "done in" line.
+func maskWall(stdout string) string {
+	stdout = experimentWall.ReplaceAllString(stdout, "$1, <wall>")
+	return doneWall.ReplaceAllString(stdout, "paperbench: done in <wall>")
+}
+
+const experimentsGolden = "testdata/experiments.golden"
+
+// The experiments print exactly the tables in testdata/experiments.golden
+// at radix 6 with the short windows, wall clocks masked: Table II (with
+// and without its CI rows) and figures 5-8 at p = 0, 50, 100. Figures 9
+// and 10 stretch their windows to six hotspot lifetimes, too slow for
+// this suite; core's TestPaperScenariosGolden pins what they submit.
+func TestExperimentsStdoutGolden(t *testing.T) {
+	var got strings.Builder
+	for _, args := range [][]string{
+		{"-radix", "6", "-short", "-exp", "table2"},
+		{"-radix", "6", "-short", "-pstep", "50", "-exp", "fig5"},
+		{"-radix", "6", "-short", "-pstep", "50", "-exp", "fig6"},
+		{"-radix", "6", "-short", "-pstep", "50", "-exp", "fig7"},
+		{"-radix", "6", "-short", "-pstep", "50", "-exp", "fig8"},
+		{"-radix", "6", "-short", "-exp", "table2", "-seeds", "2"},
+	} {
+		code, stdout, stderr := invoke(append(args, "-jobs", "0")...)
+		if code != 0 {
+			t.Fatalf("paperbench %v: exit %d:\n%s", args, code, stderr)
+		}
+		got.WriteString("$ paperbench " + strings.Join(args, " ") + "\n" + maskWall(stdout))
+	}
+	want, err := os.ReadFile(experimentsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("stdout differs from %s; got\n%s", experimentsGolden, got.String())
+	}
+}
