@@ -74,13 +74,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // command is one paperbench mode: the first word that selects it, the
 // shared flag groups it reads, and define, which registers its own
-// flags and returns its body.
+// flags and returns their check (nil = nothing to check), run after
+// parsing, and its body.
 type command struct {
 	name   string // "" = the experiments, run when no word is given
 	arg    string // its one positional argument ("" = none)
 	flags  flagGroup
 	about  string
-	define func(fs *flag.FlagSet, c *runConfig) func(arg string) error
+	define func(fs *flag.FlagSet, c *runConfig) (check func() error, body func(arg string) error)
 }
 
 var commands = []command{
@@ -118,11 +119,14 @@ func parse(args []string, stdout, stderr io.Writer) (*runConfig, func() error, e
 	fs.Usage = func() { usage(stderr, cmd, fs) }
 	c := &runConfig{w: stdout}
 	c.register(fs, cmd.flags)
-	body := cmd.define(fs, c)
+	check, body := cmd.define(fs, c)
 	if err := fs.Parse(args); err != nil {
 		return nil, nil, err // the flag package reported it
 	}
 	err := c.validate(cmd.flags)
+	if err == nil && check != nil {
+		err = check()
+	}
 	switch {
 	case err != nil:
 	case cmd.arg == "" && fs.NArg() > 0:
@@ -373,111 +377,73 @@ func (sw *sweep) experiment(name string, totalSims int, fn func(o ibcc.RunOpts) 
 	fmt.Fprintf(sw.w, "%s\n\n", line)
 }
 
-var experimentNames = []string{"table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"}
-
-// experimentsCmd is the default command: Table II and figures 5–10.
-func experimentsCmd(fs *flag.FlagSet, c *runConfig) func(string) error {
-	exp := fs.String("exp", "all", "experiment: "+strings.Join(experimentNames, ", ")+", all")
+// experimentsCmd is the default command: the rows of ibcc.Paper, run
+// one experiment (-exp name) at a time.
+func experimentsCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) error) {
+	var names []string
+	for _, r := range ibcc.Paper(ibcc.Scenario{}, ibcc.PaperPValues()) {
+		names = append(names, r.Exp)
+	}
+	names = slices.Compact(names)
+	exp := fs.String("exp", "all", "experiment: "+strings.Join(names, ", ")+", all")
 	pstep := fs.Int("pstep", 10, "p sweep step for figures 5-8")
-	return func(string) error {
+	var rows []ibcc.PaperRow // the selected experiments'
+	check := func() (err error) {
 		if err := cliflag.Positive("-pstep", *pstep); err != nil {
 			return err
 		}
-		if *exp != "all" && !slices.Contains(experimentNames, *exp) {
+		if *exp != "all" && !slices.Contains(names, *exp) {
 			return fmt.Errorf("-exp: unknown experiment %q", *exp)
 		}
-		want := func(name string) bool { return *exp == "all" || *exp == name }
-		base := c.base()
 		var ps []int
 		for p := 0; p <= 100; p += *pstep {
 			ps = append(ps, p)
 		}
-		lifetimes := ibcc.PaperLifetimes()
+		rows = slices.DeleteFunc(ibcc.Paper(c.base(), ps), func(r ibcc.PaperRow) bool { return *exp != "all" && r.Exp != *exp })
+		// -seeds adds Table II's confidence intervals and -pstep sets the
+		// windy figures' p values: set explicitly, either must shape a
+		// selected experiment.
+		shapes := map[string]core.Layout{"seeds": core.TableIILayout, "pstep": core.WindyLayout}
+		fs.Visit(func(f *flag.Flag) {
+			if l, ok := shapes[f.Name]; ok && !slices.ContainsFunc(rows, func(r ibcc.PaperRow) bool { return r.Layout() == l }) {
+				err = fmt.Errorf("-%s: -exp %s does not read it", f.Name, *exp)
+			}
+		})
+		return err
+	}
+	return check, func(string) error {
+		base := c.base()
 		start := time.Now()
 		err := c.sweep(base.Name, ibcc.ReportExperiments, func(sw *sweep) []byte {
-			if want("table2") {
-				total := 4
-				if c.seeds > 1 {
+			for _, name := range names {
+				group := slices.DeleteFunc(slices.Clone(rows), func(r ibcc.PaperRow) bool { return r.Exp != name })
+				if len(group) == 0 {
+					continue
+				}
+				ci := c.seeds > 1 && group[0].Layout() == core.TableIILayout
+				total := 2 * len(group)
+				if ci {
 					total += 2 * c.seeds
 				}
-				sw.experiment("table2", total, func(o ibcc.RunOpts) error {
-					tab, err := ibcc.RunTableIIOpts(base, o)
+				sw.experiment(name, total, func(o ibcc.RunOpts) error {
+					recs, err := ibcc.RunPairs(group, o)
 					if err != nil {
 						return err
 					}
-					tab.Print(c.w)
-					fmt.Fprintln(c.w)
-					if c.seeds == 1 {
+					ibcc.PrintPaper(c.w, recs)
+					if !ci {
 						return nil
 					}
-					for _, leg := range []struct {
-						ccOn  bool
-						label string
-					}{{false, "Table II hotspot scenario, CC off"}, {true, "Table II hotspot scenario, CC on"}} {
+					for _, leg := range []string{"off", "on"} {
 						s := base
-						s.CCOn = leg.ccOn
+						s.CCOn = leg == "on"
 						m, err := ibcc.RunSeedsOpts(s, cliflag.Seeds(c.seed, c.seeds), o)
 						if err != nil {
 							return err
 						}
-						m.Print(c.w, leg.label)
+						m.Print(c.w, "Table II hotspot scenario, CC "+leg)
 					}
 					fmt.Fprintln(c.w)
-					return nil
-				})
-			}
-
-			for _, wf := range []struct {
-				fig   string
-				fracB int
-			}{{"5", 25}, {"6", 50}, {"7", 75}, {"8", 100}} {
-				if want("fig" + wf.fig) {
-					sw.experiment("fig"+wf.fig, 2*len(ps), func(o ibcc.RunOpts) error {
-						pts, err := ibcc.RunWindySweepOpts(base, wf.fracB, ps, o)
-						if err != nil {
-							return err
-						}
-						ibcc.PrintWindy(c.w, wf.fig, wf.fracB, pts)
-						fmt.Fprintln(c.w)
-						return nil
-					})
-				}
-			}
-
-			if want("fig9") {
-				sw.experiment("fig9", 2*2*len(lifetimes), func(o ibcc.RunOpts) error {
-					for _, mix := range []struct {
-						label string
-						fracC int
-					}{{"9(a) 20% V / 80% C", 80}, {"9(b) 60% V / 40% C", 40}} {
-						s := base
-						s.FracBPct = 0
-						s.FracCOfRestPct = mix.fracC
-						pts, err := ibcc.RunMovingSweepOpts(s, lifetimes, o)
-						if err != nil {
-							return err
-						}
-						fig, label, _ := strings.Cut(mix.label, " ")
-						ibcc.PrintMoving(c.w, fig, label, pts)
-						fmt.Fprintln(c.w)
-					}
-					return nil
-				})
-			}
-
-			if want("fig10") {
-				sw.experiment("fig10", 3*2*len(lifetimes), func(o ibcc.RunOpts) error {
-					for _, p := range []int{30, 60, 90} {
-						s := base
-						s.FracBPct = 100
-						s.PPercent = p
-						pts, err := ibcc.RunMovingSweepOpts(s, lifetimes, o)
-						if err != nil {
-							return err
-						}
-						ibcc.PrintMoving(c.w, fmt.Sprintf("10 p=%d", p), fmt.Sprintf("100%% B nodes, p=%d", p), pts)
-						fmt.Fprintln(c.w)
-					}
 					return nil
 				})
 			}
@@ -517,14 +483,17 @@ var scans = []scan{
 
 // scanCmd runs the parameter scans on the silent forest (or a windy one
 // with -fracb/-p), each against a shared CC-off baseline.
-func scanCmd(fs *flag.FlagSet, c *runConfig) func(string) error {
+func scanCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) error) {
 	which := fs.String("scan", "all", "threshold, timer, increase, markingrate, cctlimit, backlog, all")
 	fracB := fs.Int("fracb", 0, "percent of B nodes")
 	p := fs.Int("p", 0, "hotspot share of B nodes")
-	return func(string) error {
+	check := func() error {
 		if *which != "all" && !slices.ContainsFunc(scans, func(sc scan) bool { return sc.name == *which }) {
 			return fmt.Errorf("-scan: unknown scan %q", *which)
 		}
+		return nil
+	}
+	return check, func(string) error {
 		base := c.base()
 		base.FracBPct = *fracB
 		base.PPercent = *p
@@ -560,13 +529,9 @@ func scanCmd(fs *flag.FlagSet, c *runConfig) func(string) error {
 // printed and written as a JSON artifact, which also goes into the run
 // report. Intensity 0 is the unfaulted baseline (a zero plan is treated
 // as absent), so the curve starts at the healthy operating point.
-func degradationCmd(fs *flag.FlagSet, c *runConfig) func(string) error {
-	intens := fs.String("intensities", "0,0.25,0.5,0.75,1", "comma-separated fault intensities in [0, 1]")
-	return func(path string) error {
-		ins, err := cliflag.Intensities("-intensities", *intens)
-		if err != nil {
-			return err
-		}
+func degradationCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) error) {
+	var ins []float64
+	return intensitiesFlag(fs, &ins), func(path string) error {
 		base, seeds := c.base(), cliflag.Seeds(c.seed, c.seeds)
 		return c.sweep(base.Name, ibcc.ReportDegradation, func(sw *sweep) (data []byte) {
 			sw.experiment("degradation", len(ins)*len(seeds)*2, func(o ibcc.RunOpts) error {
@@ -598,13 +563,9 @@ func degradationCmd(fs *flag.FlagSet, c *runConfig) func(string) error {
 // scored and ranked, and the table is printed and written as a JSON
 // artifact (render it again later with cctinspect -tournament), which
 // also goes into the run report.
-func tournamentCmd(fs *flag.FlagSet, c *runConfig) func(string) error {
-	intens := fs.String("intensities", "0,0.25,0.5,0.75,1", "comma-separated fault intensities in [0, 1]")
-	return func(path string) error {
-		ins, err := cliflag.Intensities("-intensities", *intens)
-		if err != nil {
-			return err
-		}
+func tournamentCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) error) {
+	var ins []float64
+	return intensitiesFlag(fs, &ins), func(path string) error {
 		base, seeds, backends := c.base(), cliflag.Seeds(c.seed, c.seeds), c.bracket()
 		return c.sweep(base.Name, ibcc.ReportTournament, func(sw *sweep) (data []byte) {
 			sw.experiment("tournament", len(ibcc.DefaultTournamentCorpus())*len(ins)*len(seeds)*len(backends), func(o ibcc.RunOpts) error {
@@ -629,6 +590,16 @@ func tournamentCmd(fs *flag.FlagSet, c *runConfig) func(string) error {
 	}
 }
 
+// intensitiesFlag defines -intensities; its check parses the list into
+// *ins.
+func intensitiesFlag(fs *flag.FlagSet, ins *[]float64) func() error {
+	list := fs.String("intensities", "0,0.25,0.5,0.75,1", "comma-separated fault intensities in [0, 1]")
+	return func() (err error) {
+		*ins, err = cliflag.Intensities("-intensities", *list)
+		return err
+	}
+}
+
 // writeJSON writes v indented to path and returns the document (without
 // the trailing newline) for the run report.
 func writeJSON(path string, v any) ([]byte, error) {
@@ -639,8 +610,8 @@ func writeJSON(path string, v any) ([]byte, error) {
 	return data, os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func diffKernelCmd(_ *flag.FlagSet, c *runConfig) func(string) error {
-	return func(string) error { return runDiffKernel(c.w, c.base(), cliflag.Seeds(c.seed, c.seeds)) }
+func diffKernelCmd(_ *flag.FlagSet, c *runConfig) (func() error, func(string) error) {
+	return nil, func(string) error { return runDiffKernel(c.w, c.base(), cliflag.Seeds(c.seed, c.seeds)) }
 }
 
 // runDiffKernel is the differential kernel validation: every Table II

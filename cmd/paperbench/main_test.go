@@ -24,27 +24,53 @@ func invoke(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errb.String()
 }
 
-// A flag another command reads is a usage error, and nothing runs: no
-// artifact, report or output file appears. The first two cases are the
+// A flag another command reads is a usage error, and so is a bad value
+// of a command's own flag, or an experiments flag that no selected
+// experiment reads: each exits 2 and nothing runs, so no artifact,
+// report or output file appears. The first two cases are the
 // invocations the single flag set used to accept and half-ignore.
 func TestFlagOfAnotherCommandIsAUsageError(t *testing.T) {
 	dir := t.TempDir()
 	p := func(name string) string { return filepath.Join(dir, name) }
-	for _, args := range [][]string{
-		{"-radix", "8", "-degradation", p("a.json"), "-tournament", p("b.json")},
-		{"-diff-kernel", "-jobs", "3", "-out", p("d"), "-report", p("r.json"), "-serve", "127.0.0.1:0"},
-		{"diff-kernel", "-jobs", "3", "-out", p("d"), "-report", p("r.json"), "-serve", "127.0.0.1:0"},
-		{"degradation", "-radix", "8", "-tournament", p("b.json"), p("a.json")},
-		{"scan", "-seeds", "2"},
-		{"bench-kernel", "-radix", "8", p("b.json")},
+	const undefined = "flag provided but not defined"
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-radix", "8", "-degradation", p("a.json"), "-tournament", p("b.json")}, undefined},
+		{[]string{"-diff-kernel", "-jobs", "3", "-out", p("d"), "-report", p("r.json"), "-serve", "127.0.0.1:0"}, undefined},
+		{[]string{"diff-kernel", "-jobs", "3", "-out", p("d"), "-report", p("r.json"), "-serve", "127.0.0.1:0"}, undefined},
+		{[]string{"degradation", "-radix", "8", "-tournament", p("b.json"), p("a.json")}, undefined},
+		{[]string{"scan", "-seeds", "2"}, undefined},
+		{[]string{"bench-kernel", "-radix", "8", p("b.json")}, undefined},
+		{[]string{"-radix", "6", "-short", "-exp", "fig5", "-pstep", "100", "-seeds", "3", "-out", p("d")}, "-seeds: -exp fig5 does not read it"},
+		{[]string{"-radix", "6", "-short", "-exp", "table2", "-pstep", "50", "-report", p("r.json")}, "-pstep: -exp table2 does not read it"},
+		{[]string{"-radix", "6", "-short", "-exp", "fig9", "-pstep", "50"}, "-pstep: -exp fig9 does not read it"},
+		{[]string{"-radix", "6", "-short", "-exp", "fig10", "-seeds", "2"}, "-seeds: -exp fig10 does not read it"},
+		{[]string{"-exp", "bogus", "-out", p("d")}, `-exp: unknown experiment "bogus"`},
+		{[]string{"-pstep", "0"}, "-pstep"},
+		{[]string{"scan", "-scan", "bogus", "-report", p("r.json")}, `-scan: unknown scan "bogus"`},
+		{[]string{"degradation", "-intensities", "2", p("a.json")}, "-intensities"},
+		{[]string{"tournament", "-intensities", "x", p("b.json")}, "-intensities"},
+		{[]string{"bench-kernel", "-events", "0", p("b.json")}, "-events"},
 	} {
-		code, _, stderr := invoke(args...)
-		if code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
-			t.Errorf("paperbench %v: exit %d, stderr:\n%s", args, code, stderr)
+		code, _, stderr := invoke(tc.args...)
+		if code != 2 || !strings.Contains(stderr, tc.want) {
+			t.Errorf("paperbench %v: exit %d, want 2 and %q; stderr:\n%s", tc.args, code, tc.want, stderr)
 		}
 	}
 	if ents, _ := os.ReadDir(dir); len(ents) > 0 {
 		t.Errorf("rejected invocations left %v behind", ents)
+	}
+	// A flag that some selected experiment reads is accepted.
+	for _, args := range [][]string{
+		{"-exp", "all", "-seeds", "3", "-pstep", "20"},
+		{"-exp", "table2", "-seeds", "3"},
+		{"-exp", "fig8", "-pstep", "20"},
+	} {
+		if _, _, err := parse(args, io.Discard, io.Discard); err != nil {
+			t.Errorf("paperbench %v: %v", args, err)
+		}
 	}
 }
 

@@ -33,13 +33,13 @@ func main() {
 		500 * ibcc.Microsecond,
 		250 * ibcc.Microsecond,
 	}
-	pts, err := ibcc.RunMovingSweepOpts(base, lifetimes, ibcc.RunOpts{})
+	recs, err := ibcc.RunPairs(ibcc.MovingRows(base, lifetimes), ibcc.RunOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, pt := range pts {
-		fmt.Printf("  %10v  %9.3fG  %9.3fG  %6.2fx\n",
-			pt.Lifetime, pt.AllOff, pt.AllOn, pt.AllOn/pt.AllOff)
+	for _, r := range recs {
+		off, on := r.Off.Summary.AllAvgGbps, r.On.Summary.AllAvgGbps
+		fmt.Printf("  %10v  %9.3fG  %9.3fG  %6.2fx\n", r.Row.Off.HotspotLifetime, off, on, on/off)
 	}
 
 	fmt.Println()

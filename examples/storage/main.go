@@ -27,7 +27,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ibcc.PrintWindy(os.Stdout, "storage", 100, pts)
+	fmt.Println("Figure storage: windy forest, 100% B nodes")
+	ibcc.PrintWindy(os.Stdout, pts)
 
 	best := pts[0]
 	for _, pt := range pts {

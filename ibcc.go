@@ -26,9 +26,11 @@
 //	res, err := ibcc.Run(s)
 //	// res.Summary holds hotspot / non-hotspot / total rates.
 //
-// The paper's tables and figures are regenerated by RunTableIIOpts,
-// RunWindySweepOpts and RunMovingSweepOpts (see cmd/paperbench); the
-// model's design choices are ablated in bench_test.go.
+// The paper's evaluation is one table: Paper returns every CC-off/CC-on
+// row of Table II and figures 5–10, RunPairs runs any subset of rows,
+// and PrintPaper prints the records as the paper's tables (see
+// cmd/paperbench). The model's design choices are ablated in
+// bench_test.go.
 package ibcc
 
 import (
@@ -69,14 +71,14 @@ type Result = core.Result
 // CCParams are the InfiniBand congestion control parameters.
 type CCParams = cc.Params
 
-// TableIIResult holds the reproduction of the paper's Table II.
-type TableIIResult = core.TableII
+// PaperRow is one CC-off/CC-on comparison of the paper's evaluation.
+type PaperRow = core.PaperRow
+
+// PaperRecord is a row with the results of its two scenarios.
+type PaperRecord = core.PaperRecord
 
 // WindyPoint is one p-value of a figures-5–8 sweep.
 type WindyPoint = core.WindyPoint
-
-// MovingPoint is one lifetime of a figures-9–10 sweep.
-type MovingPoint = core.MovingPoint
 
 // Instance is a built-but-not-run scenario; it allows attaching
 // instrumentation (see Instance.Observe and Instance.Check) before
@@ -148,15 +150,11 @@ func TableIIScenarios(base Scenario) []Scenario { return core.TableIIScenarios(b
 // intervals.
 type MultiResult = core.MultiResult
 
-// PrintWindy formats a windy sweep like the corresponding paper figure.
-func PrintWindy(w io.Writer, fig string, fracB int, pts []WindyPoint) {
-	core.PrintWindy(w, fig, fracB, pts)
-}
+// PrintWindy formats a windy sweep like a paper figure's series.
+func PrintWindy(w io.Writer, pts []WindyPoint) { core.PrintWindy(w, pts) }
 
-// PrintMoving formats a moving sweep like the corresponding paper figure.
-func PrintMoving(w io.Writer, fig, label string, pts []MovingPoint) {
-	core.PrintMoving(w, fig, label, pts)
-}
+// PrintPaper formats records like the paper's tables and figures.
+func PrintPaper(w io.Writer, recs []PaperRecord) { core.PrintPaper(w, recs) }
 
 // RunOpts configures how a sweep driver executes its independent
 // simulations: worker-pool size, cancellation context, and the
@@ -173,21 +171,24 @@ func RunSeedsOpts(s Scenario, seeds []uint64, o RunOpts) (*MultiResult, error) {
 	return core.RunSeedsOpts(s, seeds, o)
 }
 
-// RunTableIIOpts reproduces Table II from a base scenario.
-func RunTableIIOpts(base Scenario, o RunOpts) (*TableIIResult, error) {
-	return core.RunTableIIOpts(base, o)
+// Paper returns every row of Table II and figures 5–10 in print order,
+// derived from a base scenario; ps are the p values of figures 5–8.
+func Paper(base Scenario, ps []int) []PaperRow { return core.Paper(base, ps) }
+
+// MovingRows returns one moving-forest series (figures 9–10) over the
+// given hotspot lifetimes.
+func MovingRows(base Scenario, lifetimes []Duration) []PaperRow {
+	return core.MovingRows(base, lifetimes)
 }
+
+// RunPairs runs every row's CC-off and CC-on scenario and returns one
+// record per row.
+func RunPairs(rows []PaperRow, o RunOpts) ([]PaperRecord, error) { return core.RunPairs(rows, o) }
 
 // RunWindySweepOpts reproduces one of figures 5–8 (windy forests with
 // fracB percent B nodes over the given p values).
 func RunWindySweepOpts(base Scenario, fracB int, ps []int, o RunOpts) ([]WindyPoint, error) {
 	return core.RunWindySweepOpts(base, fracB, ps, o)
-}
-
-// RunMovingSweepOpts reproduces one series of figures 9–10 (moving
-// forests over the given hotspot lifetimes).
-func RunMovingSweepOpts(base Scenario, lifetimes []Duration, o RunOpts) ([]MovingPoint, error) {
-	return core.RunMovingSweepOpts(base, lifetimes, o)
 }
 
 // SweepOpts completes o the way every CLI sweep runs: jobs is the -jobs
@@ -384,6 +385,3 @@ func LatestCheckpoint(path string) (string, error) { return ckpt.Latest(path) }
 
 // PaperPValues returns the paper's p sweep (0,10,…,100).
 func PaperPValues() []int { return core.PaperPValues() }
-
-// PaperLifetimes returns the paper's hotspot lifetimes (10 ms … 1 ms).
-func PaperLifetimes() []Duration { return core.PaperLifetimes() }

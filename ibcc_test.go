@@ -45,8 +45,8 @@ func TestFacadeSmoke(t *testing.T) {
 	if got := PaperPValues(); len(got) != 11 {
 		t.Fatalf("PaperPValues = %v", got)
 	}
-	if got := PaperLifetimes(); len(got) != 8 || got[0] != 10*Millisecond {
-		t.Fatalf("PaperLifetimes = %v", got)
+	if got := Paper(DefaultScenario(8), PaperPValues()); len(got) != 2+4*11+2*8+3*8 {
+		t.Fatalf("Paper has %d rows", len(got))
 	}
 }
 
@@ -60,19 +60,21 @@ func TestFacadeSweepsAndPrinting(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	PrintWindy(&sb, "test", 100, pts)
-	if !strings.Contains(sb.String(), "Figure test") {
+	PrintWindy(&sb, pts)
+	if !strings.Contains(sb.String(), "improvement") {
 		t.Fatalf("PrintWindy output: %q", sb.String())
 	}
 
-	mv, err := RunMovingSweepOpts(s, []Duration{300 * Microsecond}, RunOpts{})
+	rows := MovingRows(s, []Duration{300 * Microsecond})
+	rows[0].Series = "label"
+	mv, err := RunPairs(rows, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sb.Reset()
-	PrintMoving(&sb, "test", "label", mv)
+	PrintPaper(&sb, mv)
 	if !strings.Contains(sb.String(), "label") {
-		t.Fatalf("PrintMoving output: %q", sb.String())
+		t.Fatalf("PrintPaper output: %q", sb.String())
 	}
 
 	m, err := RunSeedsOpts(s, []uint64{1, 2}, RunOpts{})
@@ -83,13 +85,13 @@ func TestFacadeSweepsAndPrinting(t *testing.T) {
 		t.Fatalf("RunSeeds n = %d", m.Total.N())
 	}
 
-	tab, err := RunTableIIOpts(s, RunOpts{})
+	tab, err := RunPairs(Paper(s, nil)[:2], RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sb.Reset()
-	tab.Print(&sb)
+	PrintPaper(&sb, tab)
 	if !strings.Contains(sb.String(), "Table II") {
-		t.Fatal("TableII print wrong")
+		t.Fatal("Table II print wrong")
 	}
 }

@@ -75,7 +75,7 @@ func RunDegradationOpts(base Scenario, intensities []float64, seeds []uint64, o 
 	links := fault.FabricLinks(tp)
 	horizon := sim.Time(0).Add(base.Warmup + base.Measure)
 
-	scenarios := make([]Scenario, 0, 2*len(intensities)*len(seeds))
+	rows := make([]PaperRow, 0, len(intensities)*len(seeds))
 	for ii, in := range intensities {
 		for _, seed := range seeds {
 			plan, err := fault.Synth(fault.SynthConfig{
@@ -91,59 +91,50 @@ func RunDegradationOpts(base Scenario, intensities []float64, seeds []uint64, o 
 			s := base
 			s.Seed = seed
 			s.Faults = plan
-			s.CCOn = false
-			s.Name = fmt.Sprintf("degradation in=%.2f seed=%d ccOff", in, seed)
-			scenarios = append(scenarios, s)
-			s.CCOn = true
-			s.Name = fmt.Sprintf("degradation in=%.2f seed=%d ccOn", in, seed)
-			scenarios = append(scenarios, s)
+			rows = append(rows, pair(s, fmt.Sprintf("degradation in=%.2f seed=%d", in, seed)))
 		}
 	}
-	results, err := runBatch(o, scenarios)
+	recs, err := RunPairs(rows, o)
 	if err != nil {
 		return nil, err
 	}
-
-	out := make([]DegradationPoint, 0, len(intensities))
-	idx := 0
-	for _, in := range intensities {
-		pt := DegradationPoint{Intensity: in}
-		var acc [2]struct {
-			all, total, dropped, credits, recovery stats.Acc
-			recovered, seeds                       int
+	out := make([]DegradationPoint, len(intensities))
+	for i, in := range intensities {
+		cell := recs[i*len(seeds) : (i+1)*len(seeds)]
+		out[i] = DegradationPoint{Intensity: in,
+			Off: degradationLeg(cell, func(r PaperRecord) *Result { return r.Off }),
+			On:  degradationLeg(cell, func(r PaperRecord) *Result { return r.On }),
 		}
-		for range seeds {
-			for leg := 0; leg < 2; leg++ {
-				r := results[idx]
-				idx++
-				a := &acc[leg]
-				a.seeds++
-				a.all.Add(r.Summary.AllAvgGbps)
-				a.total.Add(r.Summary.TotalGbps)
-				if r.Faults != nil {
-					a.dropped.Add(float64(r.Faults.DroppedPackets()))
-					a.credits.Add(float64(r.Faults.DroppedCredits))
-				}
-				if r.Faults.Recovered() {
-					a.recovered++
-					if r.Faults != nil && r.Faults.Recovery > 0 {
-						a.recovery.Add(r.Faults.Recovery.Seconds() * 1e6)
-					}
-				}
-			}
-		}
-		for leg, dst := range []*DegradationLeg{&pt.Off, &pt.On} {
-			a := &acc[leg]
-			dst.AllGbps, dst.AllCI95 = a.all.Mean(), a.all.CI95()
-			dst.TotalGbps, dst.TotalCI95 = a.total.Mean(), a.total.CI95()
-			dst.DroppedPackets = a.dropped.Mean()
-			dst.DroppedCredits = a.credits.Mean()
-			dst.RecoveryUS = a.recovery.Mean()
-			dst.Recovered, dst.Seeds = a.recovered, a.seeds
-		}
-		out = append(out, pt)
 	}
 	return out, nil
+}
+
+// degradationLeg aggregates one CC setting of a sweep point across the
+// point's seeds.
+func degradationLeg(cell []PaperRecord, leg func(PaperRecord) *Result) DegradationLeg {
+	var all, total, dropped, credits, recovery stats.Acc
+	d := DegradationLeg{Seeds: len(cell)}
+	for _, rec := range cell {
+		r := leg(rec)
+		all.Add(r.Summary.AllAvgGbps)
+		total.Add(r.Summary.TotalGbps)
+		if r.Faults != nil {
+			dropped.Add(float64(r.Faults.DroppedPackets()))
+			credits.Add(float64(r.Faults.DroppedCredits))
+		}
+		if r.Faults.Recovered() {
+			d.Recovered++
+			if r.Faults != nil && r.Faults.Recovery > 0 {
+				recovery.Add(r.Faults.Recovery.Seconds() * 1e6)
+			}
+		}
+	}
+	d.AllGbps, d.AllCI95 = all.Mean(), all.CI95()
+	d.TotalGbps, d.TotalCI95 = total.Mean(), total.CI95()
+	d.DroppedPackets = dropped.Mean()
+	d.DroppedCredits = credits.Mean()
+	d.RecoveryUS = recovery.Mean()
+	return d
 }
 
 // PrintDegradation writes the sweep as a graceful-degradation table:

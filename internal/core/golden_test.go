@@ -99,20 +99,21 @@ func buildGolden(t *testing.T) *goldenRecord {
 	t.Helper()
 	base := goldenBase()
 
-	tab, err := RunTableIIOpts(base, Opts{})
+	recs, err := RunPairs(tableIIRows(base), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiet, hot := recs[0], recs[1]
 	rec := &goldenRecord{
 		TableII: map[string]string{
-			"no_hotspots_no_cc": g9(tab.NoHotspotsNoCC),
-			"no_hotspots_cc":    g9(tab.NoHotspotsCC),
-			"hotspots_no_cc_h":  g9(tab.HotspotsNoCC.Hot),
-			"hotspots_no_cc_n":  g9(tab.HotspotsNoCC.NonHot),
-			"hotspots_cc_h":     g9(tab.HotspotsCC.Hot),
-			"hotspots_cc_n":     g9(tab.HotspotsCC.NonHot),
-			"total_no_cc":       g9(tab.TotalNoCC),
-			"total_cc":          g9(tab.TotalCC),
+			"no_hotspots_no_cc": g9(quiet.Off.Summary.AllAvgGbps),
+			"no_hotspots_cc":    g9(quiet.On.Summary.AllAvgGbps),
+			"hotspots_no_cc_h":  g9(hot.Off.Summary.HotspotAvgGbps),
+			"hotspots_no_cc_n":  g9(hot.Off.Summary.NonHotspotAvgGbps),
+			"hotspots_cc_h":     g9(hot.On.Summary.HotspotAvgGbps),
+			"hotspots_cc_n":     g9(hot.On.Summary.NonHotspotAvgGbps),
+			"total_no_cc":       g9(hot.Off.Summary.TotalGbps),
+			"total_cc":          g9(hot.On.Summary.TotalGbps),
 		},
 	}
 

@@ -178,35 +178,33 @@ func TestScanEmptyBestAndPrint(t *testing.T) {
 	}
 }
 
-func TestTableIIOptsMatchesSerial(t *testing.T) {
-	base := quick(6)
-	want, err := RunTableIIOpts(base, Opts{})
+// TestPairsMatchSerial runs a subset of the paper table holding both
+// Table II and moving rows (figure 9's 1 ms lifetime, whose window
+// stretches to six lifetimes) serially and on four workers: every
+// record must come out identical.
+func TestPairsMatchSerial(t *testing.T) {
+	var rows []PaperRow
+	for _, r := range Paper(quick(6), nil) {
+		if r.Exp == "table2" || r.Exp == "fig9" && r.Off.HotspotLifetime == sim.Millisecond {
+			rows = append(rows, r)
+		}
+	}
+	if len(rows) != 4 {
+		t.Fatalf("subset has %d rows, want 2 Table II + 2 moving", len(rows))
+	}
+	want, err := RunPairs(rows, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunTableIIOpts(base, Opts{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *want != *got {
-		t.Fatalf("serial %+v != parallel %+v", want, got)
-	}
-}
-
-func TestMovingSweepOptsMatchesSerial(t *testing.T) {
-	base := quick(6)
-	lts := []sim.Duration{200 * sim.Microsecond, 400 * sim.Microsecond}
-	want, err := RunMovingSweepOpts(base, lts, Opts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunMovingSweepOpts(base, lts, Opts{Workers: 4})
+	got, err := RunPairs(rows, Opts{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("point %d: %+v != %+v", i, want[i], got[i])
+		for leg, pair := range [][2]*Result{{want[i].Off, got[i].Off}, {want[i].On, got[i].On}} {
+			if pair[0].Summary != pair[1].Summary || pair[0].Events != pair[1].Events {
+				t.Fatalf("row %d leg %d: serial %+v != parallel %+v", i, leg, pair[0].Summary, pair[1].Summary)
+			}
 		}
 	}
 }

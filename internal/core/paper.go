@@ -7,74 +7,208 @@ import (
 	"repro/internal/sim"
 )
 
-// TableII holds the five row groups of the paper's Table II (silent
-// congestion trees on the full population): rates in Gbit/s.
-type TableII struct {
-	// NoHotspotsNoCC / NoHotspotsCC: only the V nodes send, uniformly.
-	NoHotspotsNoCC float64
-	NoHotspotsCC   float64
-	// HotspotsNoCC / HotspotsCC: the C nodes flood the 8 hotspots.
-	HotspotsNoCC struct{ Hot, NonHot float64 }
-	HotspotsCC   struct{ Hot, NonHot float64 }
-	// Totals are the total network throughput with hotspots active.
-	TotalNoCC float64
-	TotalCC   float64
+// PaperRow is one CC-off/CC-on comparison of the paper's evaluation: a
+// Table II row, one p of figures 5–8 or one hotspot lifetime of
+// figures 9–10. Off and On differ only in CCOn and Name.
+type PaperRow struct {
+	Exp     string // the experiment it belongs to: table2, fig5 … fig10
+	Series  string // the heading it prints under
+	Off, On Scenario
 }
 
-// TableIIScenarios derives Table II's four configurations (hotspots
-// off/on × CC off/on, in the table's row order) from one base scenario.
-// The differential kernel check reuses them as its validation corpus.
-func TableIIScenarios(base Scenario) []Scenario {
-	configs := []struct{ ccOn, cActive bool }{
-		{false, false}, {true, false}, {false, true}, {true, true},
+// PaperRecord is a row with the results of its two scenarios.
+type PaperRecord struct {
+	Row     PaperRow
+	Off, On *Result
+}
+
+// Layout is the kind of paper artifact a row belongs to; it sets how
+// the row prints.
+type Layout int
+
+const (
+	TableIILayout Layout = iota // Table II: hotspots off or on, silent forest
+	WindyLayout                 // figures 5–8: one p of a windy forest
+	MovingLayout                // figures 9–10: one hotspot lifetime
+)
+
+// Layout tells the row's artifact from its scenarios.
+func (r PaperRow) Layout() Layout {
+	switch {
+	case r.Off.HotspotLifetime > 0:
+		return MovingLayout
+	case r.Off.FracBPct > 0:
+		return WindyLayout
 	}
-	scenarios := make([]Scenario, len(configs))
-	for i, c := range configs {
+	return TableIILayout
+}
+
+// Paper returns every row of the paper's evaluation, Table II and
+// figures 5–10 in print order, derived from one base scenario; ps are
+// the p values of figures 5–8.
+func Paper(base Scenario, ps []int) []PaperRow {
+	rows := tableIIRows(base)
+	for i, fracB := range []int{25, 50, 75, 100} {
+		series := fmt.Sprintf("Figure %d: windy forest, %d%% B nodes", 5+i, fracB)
+		rows = append(rows, label(fmt.Sprintf("fig%d", 5+i), series, WindyRows(base, fracB, ps))...)
+	}
+	const ms = sim.Millisecond
+	lifetimes := []sim.Duration{10 * ms, 8 * ms, 6 * ms, 5 * ms, 4 * ms, 3 * ms, 2 * ms, 1 * ms}
+	for i, fracC := range []int{80, 40} {
 		s := base
-		s.FracBPct = 0
-		s.CCOn = c.ccOn
-		s.CNodesActive = c.cActive
-		s.Name = fmt.Sprintf("tableII cc=%v hotspots=%v", c.ccOn, c.cActive)
-		scenarios[i] = s
+		s.FracBPct, s.FracCOfRestPct = 0, fracC
+		series := fmt.Sprintf("Figure 9(%c): moving congestion trees, %d%% V / %d%% C", 'a'+i, 100-fracC, fracC)
+		rows = append(rows, label("fig9", series, MovingRows(s, lifetimes))...)
 	}
-	return scenarios
+	for _, p := range []int{30, 60, 90} {
+		s := base
+		s.FracBPct, s.PPercent = 100, p
+		series := fmt.Sprintf("Figure 10 p=%d: moving congestion trees, 100%% B nodes, p=%d", p, p)
+		rows = append(rows, label("fig10", series, MovingRows(s, lifetimes))...)
+	}
+	return rows
 }
 
-// RunTableIIOpts reproduces Table II: four configurations of the silent
-// forest scenario plus total-throughput rows, from one base scenario
-// (use Default(radix) and adjust Warmup/Measure/Seed). The four
-// configurations are independent and run concurrently under Workers>1.
-func RunTableIIOpts(base Scenario, o Opts) (*TableII, error) {
-	results, err := runBatch(o, TableIIScenarios(base))
+// tableIIRows are Table II's two rows, hotspots off then on, on the
+// silent forest.
+func tableIIRows(base Scenario) []PaperRow {
+	rows := make([]PaperRow, 2)
+	for i, hot := range []bool{false, true} {
+		s := base
+		s.FracBPct, s.CNodesActive = 0, hot
+		rows[i] = pair(s, "")
+		for _, leg := range []*Scenario{&rows[i].Off, &rows[i].On} {
+			leg.Name = fmt.Sprintf("tableII cc=%v hotspots=%v", leg.CCOn, hot)
+		}
+	}
+	return label("table2", "Table II: performance numbers (Gbps), silent congestion trees", rows)
+}
+
+// TableIIScenarios is Table II's rows flattened: hotspots off/on × CC
+// off/on, in the table's row order. The differential kernel check
+// reuses them as its validation corpus.
+func TableIIScenarios(base Scenario) []Scenario { return flatten(tableIIRows(base)) }
+
+// WindyRows are one windy sweep (figures 5–8): the base scenario with
+// fracB percent B nodes at each p.
+func WindyRows(base Scenario, fracB int, ps []int) []PaperRow {
+	rows := make([]PaperRow, len(ps))
+	for i, p := range ps {
+		s := base
+		s.FracBPct, s.PPercent, s.CNodesActive = fracB, p, true
+		rows[i] = pair(s, fmt.Sprintf("windy B=%d%% p=%d", fracB, p))
+	}
+	return rows
+}
+
+// MovingRows are one series of figures 9–10: the base scenario (node
+// mix and p already set) at each hotspot lifetime. The window spans at
+// least six lifetimes, so the average covers several moves.
+func MovingRows(base Scenario, lifetimes []sim.Duration) []PaperRow {
+	rows := make([]PaperRow, len(lifetimes))
+	for i, lt := range lifetimes {
+		s := base
+		s.HotspotLifetime, s.CNodesActive = lt, true
+		s.Measure = max(s.Measure, 6*lt)
+		rows[i] = pair(s, fmt.Sprintf("moving lt=%v", lt))
+	}
+	return rows
+}
+
+// pair is s with CC off and on, named name+" ccOff" and name+" ccOn".
+func pair(s Scenario, name string) PaperRow {
+	r := PaperRow{Off: s, On: s}
+	r.Off.CCOn, r.Off.Name = false, name+" ccOff"
+	r.On.CCOn, r.On.Name = true, name+" ccOn"
+	return r
+}
+
+// label sets every row's experiment and heading.
+func label(exp, series string, rows []PaperRow) []PaperRow {
+	for i := range rows {
+		rows[i].Exp, rows[i].Series = exp, series
+	}
+	return rows
+}
+
+func flatten(rows []PaperRow) []Scenario {
+	ss := make([]Scenario, 0, 2*len(rows))
+	for _, r := range rows {
+		ss = append(ss, r.Off, r.On)
+	}
+	return ss
+}
+
+// RunPairs runs every row's two scenarios as one batch, submitted as
+// off₀, on₀, off₁, on₁, …, and returns one record per row. The runs are
+// independent and fan out across the worker pool.
+func RunPairs(rows []PaperRow, o Opts) ([]PaperRecord, error) {
+	results, err := runBatch(o, flatten(rows))
 	if err != nil {
 		return nil, err
 	}
-	t := &TableII{}
-	t.NoHotspotsNoCC = results[0].Summary.AllAvgGbps
-	t.NoHotspotsCC = results[1].Summary.AllAvgGbps
-	t.HotspotsNoCC.Hot = results[2].Summary.HotspotAvgGbps
-	t.HotspotsNoCC.NonHot = results[2].Summary.NonHotspotAvgGbps
-	t.TotalNoCC = results[2].Summary.TotalGbps
-	t.HotspotsCC.Hot = results[3].Summary.HotspotAvgGbps
-	t.HotspotsCC.NonHot = results[3].Summary.NonHotspotAvgGbps
-	t.TotalCC = results[3].Summary.TotalGbps
-	return t, nil
+	recs := make([]PaperRecord, len(rows))
+	for i, r := range rows {
+		recs[i] = PaperRecord{Row: r, Off: results[2*i], On: results[2*i+1]}
+	}
+	return recs, nil
 }
 
-// Print writes the table in the paper's row order.
-func (t *TableII) Print(w io.Writer) {
-	fmt.Fprintf(w, "Table II: performance numbers (Gbps), silent congestion trees\n")
-	fmt.Fprintf(w, "  No hotspots, no CC : avg receive rate        %7.3f\n", t.NoHotspotsNoCC)
-	fmt.Fprintf(w, "  No hotspots, CC on : avg receive rate        %7.3f\n", t.NoHotspotsCC)
-	fmt.Fprintf(w, "  Hotspots, no CC    : hotspots avg rcv        %7.3f\n", t.HotspotsNoCC.Hot)
-	fmt.Fprintf(w, "                       non-hotspots avg rcv    %7.3f\n", t.HotspotsNoCC.NonHot)
-	fmt.Fprintf(w, "  Hotspots, CC on    : hotspots avg rcv        %7.3f\n", t.HotspotsCC.Hot)
-	fmt.Fprintf(w, "                       non-hotspots avg rcv    %7.3f\n", t.HotspotsCC.NonHot)
-	fmt.Fprintf(w, "  Total throughput   : without CC              %7.1f\n", t.TotalNoCC)
-	fmt.Fprintf(w, "                       with CC                 %7.1f\n", t.TotalCC)
-	if t.TotalNoCC > 0 {
-		fmt.Fprintf(w, "  Improvement by enabling CC: %.2fx\n", t.TotalCC/t.TotalNoCC)
+// PrintPaper writes records in the paper's formats: each run of
+// records that share a Series under that heading, then a blank line.
+func PrintPaper(w io.Writer, recs []PaperRecord) {
+	for len(recs) > 0 {
+		n := 1
+		for n < len(recs) && recs[n].Row.Series == recs[0].Row.Series {
+			n++
+		}
+		series := recs[:n]
+		recs = recs[n:]
+		fmt.Fprintln(w, series[0].Row.Series)
+		switch series[0].Row.Layout() {
+		case TableIILayout:
+			for _, r := range series {
+				printTableIIRow(w, r)
+			}
+		case WindyLayout:
+			PrintWindy(w, windyPoints(series))
+		case MovingLayout:
+			fmt.Fprintf(w, "  %12s  %10s %10s  %8s\n", "lifetime", "allOff", "allOn", "gain")
+			for _, r := range series {
+				off, on := r.Off.Summary.AllAvgGbps, r.On.Summary.AllAvgGbps
+				fmt.Fprintf(w, "  %12v  %10.3f %10.3f  %7.2fx\n", r.Row.Off.HotspotLifetime, off, on, ratio(on, off))
+			}
+		}
+		fmt.Fprintln(w)
 	}
+}
+
+// printTableIIRow writes one Table II row: the receive rate of the
+// uniform baseline, or the hotspot row with the table's totals.
+func printTableIIRow(w io.Writer, r PaperRecord) {
+	off, on := r.Off.Summary, r.On.Summary
+	if !r.Row.Off.CNodesActive {
+		fmt.Fprintf(w, "  No hotspots, no CC : avg receive rate        %7.3f\n", off.AllAvgGbps)
+		fmt.Fprintf(w, "  No hotspots, CC on : avg receive rate        %7.3f\n", on.AllAvgGbps)
+		return
+	}
+	fmt.Fprintf(w, "  Hotspots, no CC    : hotspots avg rcv        %7.3f\n", off.HotspotAvgGbps)
+	fmt.Fprintf(w, "                       non-hotspots avg rcv    %7.3f\n", off.NonHotspotAvgGbps)
+	fmt.Fprintf(w, "  Hotspots, CC on    : hotspots avg rcv        %7.3f\n", on.HotspotAvgGbps)
+	fmt.Fprintf(w, "                       non-hotspots avg rcv    %7.3f\n", on.NonHotspotAvgGbps)
+	fmt.Fprintf(w, "  Total throughput   : without CC              %7.1f\n", off.TotalGbps)
+	fmt.Fprintf(w, "                       with CC                 %7.1f\n", on.TotalGbps)
+	if off.TotalGbps > 0 {
+		fmt.Fprintf(w, "  Improvement by enabling CC: %.2fx\n", on.TotalGbps/off.TotalGbps)
+	}
+}
+
+// ratio is on/off, or 0 when off is not positive.
+func ratio(on, off float64) float64 {
+	if off > 0 {
+		return on / off
+	}
+	return 0
 }
 
 // WindyPoint is one p-value of a windy-forest sweep (figures 5–8): all
@@ -92,54 +226,39 @@ type WindyPoint struct {
 	Improvement float64
 }
 
-// RunWindySweepOpts reproduces one of figures 5–8: the base scenario
-// with fracB percent B nodes, swept over the given p values, with CC off
-// and on at each point. The 2*len(ps) runs are independent and fan out
-// across the worker pool.
+// RunWindySweepOpts reproduces one of figures 5–8: WindyRows run as
+// pairs and read as points.
 func RunWindySweepOpts(base Scenario, fracB int, ps []int, o Opts) ([]WindyPoint, error) {
-	scenarios := make([]Scenario, 0, 2*len(ps))
-	for _, p := range ps {
-		s := base
-		s.FracBPct = fracB
-		s.PPercent = p
-		s.CNodesActive = true
-		s.CCOn = false
-		s.Name = fmt.Sprintf("windy B=%d%% p=%d ccOff", fracB, p)
-		scenarios = append(scenarios, s)
-		s.CCOn = true
-		s.Name = fmt.Sprintf("windy B=%d%% p=%d ccOn", fracB, p)
-		scenarios = append(scenarios, s)
-	}
-	results, err := runBatch(o, scenarios)
+	recs, err := RunPairs(WindyRows(base, fracB, ps), o)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]WindyPoint, 0, len(ps))
-	for i, p := range ps {
-		off, on := results[2*i], results[2*i+1]
-		pt := WindyPoint{
-			P:         p,
-			TMax:      scenarios[2*i].TMaxNonHotspotGbps(),
-			NonHotOff: off.Summary.NonHotspotAvgGbps,
-			HotOff:    off.Summary.HotspotAvgGbps,
-			TotalOff:  off.Summary.TotalGbps,
-			NonHotOn:  on.Summary.NonHotspotAvgGbps,
-			HotOn:     on.Summary.HotspotAvgGbps,
-			TotalOn:   on.Summary.TotalGbps,
-		}
-		if pt.TotalOff > 0 {
-			pt.Improvement = pt.TotalOn / pt.TotalOff
-		}
-		out = append(out, pt)
-	}
-	return out, nil
+	return windyPoints(recs), nil
 }
 
-// PrintWindy writes a windy sweep as the three series of one paper
-// figure: (a) non-hotspot receive rates with tmax, (b) hotspot receive
-// rates, (c) total throughput improvement.
-func PrintWindy(w io.Writer, fig string, fracB int, pts []WindyPoint) {
-	fmt.Fprintf(w, "Figure %s: windy forest, %d%% B nodes\n", fig, fracB)
+func windyPoints(recs []PaperRecord) []WindyPoint {
+	pts := make([]WindyPoint, len(recs))
+	for i, r := range recs {
+		off, on := r.Off.Summary, r.On.Summary
+		pts[i] = WindyPoint{
+			P:           r.Row.Off.PPercent,
+			TMax:        r.Row.Off.TMaxNonHotspotGbps(),
+			NonHotOff:   off.NonHotspotAvgGbps,
+			HotOff:      off.HotspotAvgGbps,
+			TotalOff:    off.TotalGbps,
+			NonHotOn:    on.NonHotspotAvgGbps,
+			HotOn:       on.HotspotAvgGbps,
+			TotalOn:     on.TotalGbps,
+			Improvement: ratio(on.TotalGbps, off.TotalGbps),
+		}
+	}
+	return pts
+}
+
+// PrintWindy writes a windy sweep in the format of one paper figure's
+// three series, one p a line: (a) non-hotspot receive rates with tmax,
+// (b) hotspot receive rates, (c) total throughput improvement.
+func PrintWindy(w io.Writer, pts []WindyPoint) {
 	fmt.Fprintf(w, "  %4s  %9s %9s %9s  %9s %9s  %12s\n",
 		"p", "nonhotOff", "nonhotOn", "tmax", "hotOff", "hotOn", "improvement")
 	for _, pt := range pts {
@@ -148,75 +267,7 @@ func PrintWindy(w io.Writer, fig string, fracB int, pts []WindyPoint) {
 	}
 }
 
-// MovingPoint is one hotspot lifetime of a moving-forest sweep
-// (figures 9–10): the average receive rate over all nodes, CC off/on.
-type MovingPoint struct {
-	Lifetime sim.Duration
-	AllOff   float64
-	AllOn    float64
-}
-
-// RunMovingSweepOpts reproduces one series of figures 9 or 10: the base
-// scenario (node mix and p already set) swept over hotspot lifetimes.
-// The 2*len(lifetimes) runs are independent and fan out across the
-// worker pool.
-func RunMovingSweepOpts(base Scenario, lifetimes []sim.Duration, o Opts) ([]MovingPoint, error) {
-	scenarios := make([]Scenario, 0, 2*len(lifetimes))
-	for _, lt := range lifetimes {
-		s := base
-		s.HotspotLifetime = lt
-		s.CNodesActive = true
-		// The window must span several hotspot lifetimes for the
-		// average to be meaningful.
-		if min := 6 * lt; s.Measure < min {
-			s.Measure = min
-		}
-		s.CCOn = false
-		s.Name = fmt.Sprintf("moving lt=%v ccOff", lt)
-		scenarios = append(scenarios, s)
-		s.CCOn = true
-		s.Name = fmt.Sprintf("moving lt=%v ccOn", lt)
-		scenarios = append(scenarios, s)
-	}
-	results, err := runBatch(o, scenarios)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]MovingPoint, 0, len(lifetimes))
-	for i, lt := range lifetimes {
-		out = append(out, MovingPoint{
-			Lifetime: lt,
-			AllOff:   results[2*i].Summary.AllAvgGbps,
-			AllOn:    results[2*i+1].Summary.AllAvgGbps,
-		})
-	}
-	return out, nil
-}
-
-// PrintMoving writes a moving sweep as one series of figures 9–10.
-func PrintMoving(w io.Writer, fig, label string, pts []MovingPoint) {
-	fmt.Fprintf(w, "Figure %s: moving congestion trees, %s\n", fig, label)
-	fmt.Fprintf(w, "  %12s  %10s %10s  %8s\n", "lifetime", "allOff", "allOn", "gain")
-	for _, pt := range pts {
-		gain := 0.0
-		if pt.AllOff > 0 {
-			gain = pt.AllOn / pt.AllOff
-		}
-		fmt.Fprintf(w, "  %12v  %10.3f %10.3f  %7.2fx\n", pt.Lifetime, pt.AllOff, pt.AllOn, gain)
-	}
-}
-
 // PaperPValues are the p values the paper sweeps in figures 5–8.
 func PaperPValues() []int {
 	return []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-}
-
-// PaperLifetimes returns the paper's hotspot lifetimes (10 ms down to
-// 1 ms).
-func PaperLifetimes() []sim.Duration {
-	ms := []sim.Duration{10, 8, 6, 5, 4, 3, 2, 1}
-	for i := range ms {
-		ms[i] *= sim.Millisecond
-	}
-	return ms
 }

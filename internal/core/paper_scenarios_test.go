@@ -25,37 +25,21 @@ func TestPaperScenariosGolden(t *testing.T) {
 		fmt.Fprintf(&got, "%-6s %s %s\n", name, exp.Fingerprint(s), s.Name)
 		return &core.Result{}, true
 	}}
-	must := func(_ any, err error) {
-		t.Helper()
-		if err != nil {
+	base := core.Default(8)
+	for _, r := range core.Paper(base, core.PaperPValues()) {
+		name = r.Exp
+		if _, err := core.RunPairs([]core.PaperRow{r}, o); err != nil {
 			t.Fatal(err)
 		}
-	}
-	base := core.Default(8)
-
-	name = "table2"
-	must(core.RunTableIIOpts(base, o))
-	for _, ccOn := range []bool{false, true} {
-		s := base
-		s.CCOn = ccOn
-		must(core.RunSeedsOpts(s, []uint64{1, 2}, o))
-	}
-	for i, fracB := range []int{25, 50, 75, 100} {
-		name = fmt.Sprintf("fig%d", 5+i)
-		must(core.RunWindySweepOpts(base, fracB, core.PaperPValues(), o))
-	}
-	name = "fig9"
-	for _, fracC := range []int{80, 40} {
-		s := base
-		s.FracCOfRestPct = fracC
-		must(core.RunMovingSweepOpts(s, core.PaperLifetimes(), o))
-	}
-	name = "fig10"
-	for _, p := range []int{30, 60, 90} {
-		s := base
-		s.FracBPct = 100
-		s.PPercent = p
-		must(core.RunMovingSweepOpts(s, core.PaperLifetimes(), o))
+		if r.Exp == "table2" && r.Off.CNodesActive { // paperbench -seeds 2 adds the CI rows
+			for _, ccOn := range []bool{false, true} {
+				s := base
+				s.CCOn = ccOn
+				if _, err := core.RunSeedsOpts(s, []uint64{1, 2}, o); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 
 	want, err := os.ReadFile(paperScenariosGolden)

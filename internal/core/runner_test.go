@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -93,42 +94,45 @@ func TestTableIIShape(t *testing.T) {
 	// A table sized to 7 contributors per hotspot: Table I's 128 entries
 	// overshoot past the hotspots' share inside a 2 + 3 ms window.
 	s.CC.CCTILimit = 13
-	tab, err := RunTableIIOpts(s, Opts{})
+	recs, err := RunPairs(tableIIRows(s), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiet, hot := recs[0], recs[1]
+	baseline := quiet.Off.Summary.AllAvgGbps
 	// Baselines: uniform V-only traffic, unaffected by CC.
-	if tab.NoHotspotsNoCC < 2 || tab.NoHotspotsNoCC > 4 {
-		t.Fatalf("baseline = %.3f", tab.NoHotspotsNoCC)
+	if baseline < 2 || baseline > 4 {
+		t.Fatalf("baseline = %.3f", baseline)
 	}
-	if d := tab.NoHotspotsCC / tab.NoHotspotsNoCC; d < 0.97 || d > 1.03 {
+	if d := quiet.On.Summary.AllAvgGbps / baseline; d < 0.97 || d > 1.03 {
 		t.Fatalf("CC changed the uncongested baseline by %.3f", d)
 	}
+	off, on := hot.Off.Summary, hot.On.Summary
 	// Hotspots saturate near the sink rate with and without CC.
-	if tab.HotspotsNoCC.Hot < 12 {
-		t.Fatalf("hotspot rate without CC = %.3f", tab.HotspotsNoCC.Hot)
+	if off.HotspotAvgGbps < 12 {
+		t.Fatalf("hotspot rate without CC = %.3f", off.HotspotAvgGbps)
 	}
-	if tab.HotspotsCC.Hot < 0.85*tab.HotspotsNoCC.Hot {
+	if on.HotspotAvgGbps < 0.85*off.HotspotAvgGbps {
 		t.Fatalf("CC costs the hotspots too much: %.3f vs %.3f",
-			tab.HotspotsCC.Hot, tab.HotspotsNoCC.Hot)
+			on.HotspotAvgGbps, off.HotspotAvgGbps)
 	}
 	// Without CC the victims collapse well below baseline; with CC they
 	// recover most of it.
-	if tab.HotspotsNoCC.NonHot > 0.7*tab.NoHotspotsNoCC {
+	if off.NonHotspotAvgGbps > 0.7*baseline {
 		t.Fatalf("no collapse without CC: %.3f vs baseline %.3f",
-			tab.HotspotsNoCC.NonHot, tab.NoHotspotsNoCC)
+			off.NonHotspotAvgGbps, baseline)
 	}
-	if tab.HotspotsCC.NonHot < 1.3*tab.HotspotsNoCC.NonHot {
+	if on.NonHotspotAvgGbps < 1.3*off.NonHotspotAvgGbps {
 		t.Fatalf("CC recovery too weak: %.3f vs %.3f",
-			tab.HotspotsCC.NonHot, tab.HotspotsNoCC.NonHot)
+			on.NonHotspotAvgGbps, off.NonHotspotAvgGbps)
 	}
-	if tab.HotspotsCC.NonHot < 0.7*tab.NoHotspotsNoCC {
+	if on.NonHotspotAvgGbps < 0.7*baseline {
 		t.Fatalf("CC-on victims far below baseline: %.3f vs %.3f",
-			tab.HotspotsCC.NonHot, tab.NoHotspotsNoCC)
+			on.NonHotspotAvgGbps, baseline)
 	}
 	// Total throughput strictly improves.
-	if tab.TotalCC <= tab.TotalNoCC {
-		t.Fatalf("total: CC %.1f <= no-CC %.1f", tab.TotalCC, tab.TotalNoCC)
+	if on.TotalGbps <= off.TotalGbps {
+		t.Fatalf("total: CC %.1f <= no-CC %.1f", on.TotalGbps, off.TotalGbps)
 	}
 }
 
@@ -136,11 +140,11 @@ func TestWindyNoHarmAtExtremes(t *testing.T) {
 	// 100% B nodes at p=0 is pure uniform traffic: enabling CC must be
 	// near-harmless (paper: a negligible penalty, -3% at full scale).
 	base := quick(12)
-	pts, err := RunWindySweepOpts(base, 100, []int{0}, Opts{})
+	recs, err := RunPairs(WindyRows(base, 100, []int{0}), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := pts[0]
+	pt := windyPoints(recs)[0]
 	if pt.Improvement < 0.90 || pt.Improvement > 1.10 {
 		t.Fatalf("p=0 improvement = %.3f, want ~1", pt.Improvement)
 	}
@@ -148,11 +152,11 @@ func TestWindyNoHarmAtExtremes(t *testing.T) {
 
 func TestWindyP60Improvement(t *testing.T) {
 	base := quick(12)
-	pts, err := RunWindySweepOpts(base, 100, []int{60}, Opts{})
+	recs, err := RunPairs(WindyRows(base, 100, []int{60}), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := pts[0]
+	pt := windyPoints(recs)[0]
 	if pt.Improvement < 1.15 {
 		t.Fatalf("p=60 improvement = %.3f", pt.Improvement)
 	}
@@ -197,20 +201,20 @@ func TestMovingGainShrinksWithLifetime(t *testing.T) {
 	base.Measure = 4 * sim.Millisecond
 	long := 2 * sim.Millisecond
 	short := 250 * sim.Microsecond
-	pts, err := RunMovingSweepOpts(base, []sim.Duration{long, short}, Opts{})
+	recs, err := RunPairs(MovingRows(base, []sim.Duration{long, short}), Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gain := func(p MovingPoint) float64 { return p.AllOn / p.AllOff }
-	if gain(pts[0]) <= gain(pts[1]) {
+	gain := func(r PaperRecord) float64 { return r.On.Summary.AllAvgGbps / r.Off.Summary.AllAvgGbps }
+	if gain(recs[0]) <= gain(recs[1]) {
 		t.Fatalf("gain did not shrink: %v=%.3f %v=%.3f",
-			long, gain(pts[0]), short, gain(pts[1]))
+			long, gain(recs[0]), short, gain(recs[1]))
 	}
 	// Receive rates generally rise as hotspots move faster (the traffic
 	// spreads itself); check the no-CC series.
-	if pts[1].AllOff <= pts[0].AllOff {
+	if recs[1].Off.Summary.AllAvgGbps <= recs[0].Off.Summary.AllAvgGbps {
 		t.Fatalf("no-CC rate did not rise with faster moves: %.3f vs %.3f",
-			pts[0].AllOff, pts[1].AllOff)
+			recs[0].Off.Summary.AllAvgGbps, recs[1].Off.Summary.AllAvgGbps)
 	}
 }
 
@@ -262,9 +266,23 @@ func TestConservationProperty(t *testing.T) {
 }
 
 func TestPrintFormats(t *testing.T) {
+	res := func(s metrics.Summary) *Result { return &Result{Summary: s} }
+	rows := Paper(Default(8), []int{60})
+	rowsOf := func(exp string) []PaperRow {
+		var out []PaperRow
+		for _, r := range rows {
+			if r.Exp == exp {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
 	var sb strings.Builder
-	tab := &TableII{NoHotspotsNoCC: 2.7, TotalNoCC: 216, TotalCC: 1543}
-	tab.Print(&sb)
+	t2 := rowsOf("table2")
+	PrintPaper(&sb, []PaperRecord{
+		{t2[0], res(metrics.Summary{AllAvgGbps: 2.7}), res(metrics.Summary{})},
+		{t2[1], res(metrics.Summary{TotalGbps: 216}), res(metrics.Summary{TotalGbps: 1543})},
+	})
 	out := sb.String()
 	for _, want := range []string{"Table II", "2.700", "216.0", "1543.0", "7.14x"} {
 		if !strings.Contains(out, want) {
@@ -273,7 +291,8 @@ func TestPrintFormats(t *testing.T) {
 	}
 
 	sb.Reset()
-	PrintWindy(&sb, "5", 25, []WindyPoint{{P: 60, NonHotOn: 3.5, TMax: 4, Improvement: 8.7}})
+	PrintPaper(&sb, []PaperRecord{{rowsOf("fig5")[0],
+		res(metrics.Summary{TotalGbps: 10}), res(metrics.Summary{NonHotspotAvgGbps: 3.5, TotalGbps: 87})}})
 	out = sb.String()
 	for _, want := range []string{"Figure 5", "25% B nodes", "60", "8.70x"} {
 		if !strings.Contains(out, want) {
@@ -282,9 +301,10 @@ func TestPrintFormats(t *testing.T) {
 	}
 
 	sb.Reset()
-	PrintMoving(&sb, "9(a)", "80% C", []MovingPoint{{Lifetime: sim.Millisecond, AllOff: 0.467, AllOn: 0.723}})
+	PrintPaper(&sb, []PaperRecord{{rowsOf("fig9")[7], // 9(a) at 1 ms
+		res(metrics.Summary{AllAvgGbps: 0.467}), res(metrics.Summary{AllAvgGbps: 0.723})}})
 	out = sb.String()
-	for _, want := range []string{"Figure 9(a)", "80% C", "0.467", "0.723", "1.55x"} {
+	for _, want := range []string{"Figure 9(a)", "80% C", "1ms", "0.467", "0.723", "1.55x"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("moving output missing %q:\n%s", want, out)
 		}

@@ -73,9 +73,7 @@ func ScanCCOpts(base Scenario, name string, values []int, apply func(*Scenario, 
 			MaxCCTI:    r.CCStats.MaxCCTI,
 			FECNMarked: r.CCStats.FECNMarked,
 		}
-		if out.Baseline.Total > 0 {
-			pt.Improvement = pt.Total / out.Baseline.Total
-		}
+		pt.Improvement = ratio(pt.Total, out.Baseline.Total)
 		out.Points = append(out.Points, pt)
 	}
 	return out, nil

@@ -117,17 +117,30 @@ func TestPaperPValues(t *testing.T) {
 	}
 }
 
+// Every moving series of the paper table (two in figure 9, three in
+// figure 10) sweeps the paper's eight hotspot lifetimes, 10 ms down to
+// 1 ms.
 func TestPaperLifetimes(t *testing.T) {
-	lts := PaperLifetimes()
-	if len(lts) != 8 {
-		t.Fatalf("lifetimes = %v", lts)
+	series := map[string][]sim.Duration{}
+	for _, r := range Paper(Default(8), nil) {
+		if r.Layout() == MovingLayout {
+			series[r.Series] = append(series[r.Series], r.Off.HotspotLifetime)
+		}
 	}
-	if lts[0] != 10*sim.Millisecond || lts[len(lts)-1] != sim.Millisecond {
-		t.Fatalf("range = %v .. %v", lts[0], lts[len(lts)-1])
+	if len(series) != 5 {
+		t.Fatalf("%d moving series, want 5", len(series))
 	}
-	for i := 1; i < len(lts); i++ {
-		if lts[i] >= lts[i-1] {
-			t.Fatal("lifetimes must decrease")
+	for name, lts := range series {
+		if len(lts) != 8 {
+			t.Fatalf("%s: lifetimes = %v", name, lts)
+		}
+		if lts[0] != 10*sim.Millisecond || lts[len(lts)-1] != sim.Millisecond {
+			t.Fatalf("%s: range = %v .. %v", name, lts[0], lts[len(lts)-1])
+		}
+		for i := 1; i < len(lts); i++ {
+			if lts[i] >= lts[i-1] {
+				t.Fatalf("%s: lifetimes must decrease", name)
+			}
 		}
 	}
 }
