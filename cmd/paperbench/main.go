@@ -387,7 +387,7 @@ func experimentsCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) 
 	names = slices.Compact(names)
 	exp := fs.String("exp", "all", "experiment: "+strings.Join(names, ", ")+", all")
 	pstep := fs.Int("pstep", 10, "p sweep step for figures 5-8")
-	var rows []ibcc.PaperRow // the selected experiments'
+	var rows []ibcc.PaperRow // the selected experiments' rows, set by check
 	check := func() (err error) {
 		if err := cliflag.Positive("-pstep", *pstep); err != nil {
 			return err
