@@ -178,19 +178,32 @@ func TestScanEmptyBestAndPrint(t *testing.T) {
 	}
 }
 
-// TestPairsMatchSerial runs a subset of the paper table holding both
-// Table II and moving rows (figure 9's 1 ms lifetime, whose window
-// stretches to six lifetimes) serially and on four workers: every
-// record must come out identical.
-func TestPairsMatchSerial(t *testing.T) {
+// TestTableIIOptsMatchesSerial runs Table II's rows of the paper table
+// serially and on four workers: every record must come out identical.
+func TestTableIIOptsMatchesSerial(t *testing.T) {
+	pairsMatchSerial(t, func(r PaperRow) bool { return r.Exp == "table2" })
+}
+
+// TestMovingSweepOptsMatchesSerial does the same for moving rows: figure
+// 9's 1 ms lifetime, whose window stretches to six lifetimes.
+func TestMovingSweepOptsMatchesSerial(t *testing.T) {
+	pairsMatchSerial(t, func(r PaperRow) bool {
+		return r.Exp == "fig9" && r.Off.HotspotLifetime == sim.Millisecond
+	})
+}
+
+// pairsMatchSerial runs the two rows of Paper that keep selects through
+// RunPairs serially and on four workers and compares every leg.
+func pairsMatchSerial(t *testing.T, keep func(PaperRow) bool) {
+	t.Helper()
 	var rows []PaperRow
 	for _, r := range Paper(quick(6), nil) {
-		if r.Exp == "table2" || r.Exp == "fig9" && r.Off.HotspotLifetime == sim.Millisecond {
+		if keep(r) {
 			rows = append(rows, r)
 		}
 	}
-	if len(rows) != 4 {
-		t.Fatalf("subset has %d rows, want 2 Table II + 2 moving", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("subset has %d rows, want 2", len(rows))
 	}
 	want, err := RunPairs(rows, Opts{})
 	if err != nil {
