@@ -118,8 +118,7 @@ func benchKernelSteady(actors int, events int64) (wall time.Duration, allocs uin
 	a0 := mallocs()
 	start := time.Now()
 	sim.SteadyStateWorkload(actors, events, 1)
-	wall = time.Since(start)
-	return wall, mallocs() - a0
+	return time.Since(start), mallocs() - a0
 }
 
 // benchKernelCmd registers the benchmark's flags; its body is
@@ -137,10 +136,7 @@ func benchKernelCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) 
 // ratio. With a baseline path it also gates the measurement against
 // that committed copy.
 func runBenchKernel(w io.Writer, path string, steadyEvents int64, baseline string) error {
-	shallowEvents := steadyEvents / 4
-	if shallowEvents < 1 {
-		shallowEvents = 1
-	}
+	shallowEvents := max(steadyEvents/4, 1)
 
 	var rep kernelReport
 	rep.GeneratedAt = time.Now().UTC().Format(time.RFC3339)

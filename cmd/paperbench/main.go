@@ -399,62 +399,52 @@ func experimentsCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) 
 		for p := 0; p <= 100; p += *pstep {
 			ps = append(ps, p)
 		}
-		rows = slices.DeleteFunc(ibcc.Paper(c.base(), ps), func(r ibcc.PaperRow) bool { return *exp != "all" && r.Exp != *exp })
-		// -seeds adds Table II's confidence intervals and -pstep sets the
-		// windy figures' p values: set explicitly, either must shape a
-		// selected experiment.
-		shapes := map[string]core.Layout{"seeds": core.TableIILayout, "pstep": core.WindyLayout}
+		selected := func(ps []int) []ibcc.PaperRow {
+			return slices.DeleteFunc(ibcc.Paper(c.base(), ps), func(r ibcc.PaperRow) bool { return *exp != "all" && r.Exp != *exp })
+		}
+		rows = selected(ps)
+		// Set explicitly, -seeds and -pstep must change what a selected
+		// experiment runs: Table II's confidence intervals, the windy
+		// figures' p values.
+		unread := map[string]bool{
+			"seeds": core.ExperimentSims(rows, make([]uint64, 2)) == core.ExperimentSims(rows, nil),
+			"pstep": len(selected(nil)) == len(rows),
+		}
 		fs.Visit(func(f *flag.Flag) {
-			if l, ok := shapes[f.Name]; ok && !slices.ContainsFunc(rows, func(r ibcc.PaperRow) bool { return r.Layout() == l }) {
+			if unread[f.Name] {
 				err = fmt.Errorf("-%s: -exp %s does not read it", f.Name, *exp)
 			}
 		})
 		return err
 	}
 	return check, func(string) error {
-		base := c.base()
-		start := time.Now()
-		err := c.sweep(base.Name, ibcc.ReportExperiments, func(sw *sweep) []byte {
+		base, seeds := c.base(), cliflag.Seeds(c.seed, c.seeds)
+		return c.timedSweep(base.Name, func(sw *sweep) {
 			for _, name := range names {
 				group := slices.DeleteFunc(slices.Clone(rows), func(r ibcc.PaperRow) bool { return r.Exp != name })
-				if len(group) == 0 {
-					continue
+				if len(group) > 0 {
+					sw.experiment(name, core.ExperimentSims(group, seeds), func(o ibcc.RunOpts) error {
+						return core.RunExperiment(c.w, base, group, seeds, o)
+					})
 				}
-				ci := c.seeds > 1 && group[0].Layout() == core.TableIILayout
-				total := 2 * len(group)
-				if ci {
-					total += 2 * c.seeds
-				}
-				sw.experiment(name, total, func(o ibcc.RunOpts) error {
-					recs, err := ibcc.RunPairs(group, o)
-					if err != nil {
-						return err
-					}
-					ibcc.PrintPaper(c.w, recs)
-					if !ci {
-						return nil
-					}
-					for _, leg := range []string{"off", "on"} {
-						s := base
-						s.CCOn = leg == "on"
-						m, err := ibcc.RunSeedsOpts(s, cliflag.Seeds(c.seed, c.seeds), o)
-						if err != nil {
-							return err
-						}
-						m.Print(c.w, "Table II hotspot scenario, CC "+leg)
-					}
-					fmt.Fprintln(c.w)
-					return nil
-				})
 			}
-			return nil
 		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(c.w, "paperbench: done in %v\n", time.Since(start).Round(time.Second))
-		return nil
 	}
+}
+
+// timedSweep runs the experiments of body as one sweep, then prints its
+// wall time.
+func (c *runConfig) timedSweep(name string, body func(sw *sweep)) error {
+	start := time.Now()
+	err := c.sweep(name, ibcc.ReportExperiments, func(sw *sweep) []byte {
+		body(sw)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(c.w, "paperbench: done in %v\n", time.Since(start).Round(time.Second))
+	return nil
 }
 
 // scans are the one-parameter CC sensitivity scans — the tuning problem
@@ -497,8 +487,7 @@ func scanCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) error) 
 		base := c.base()
 		base.FracBPct = *fracB
 		base.PPercent = *p
-		start := time.Now()
-		err := c.sweep(base.Name, ibcc.ReportExperiments, func(sw *sweep) []byte {
+		return c.timedSweep(base.Name, func(sw *sweep) {
 			for _, sc := range scans {
 				if *which != "all" && *which != sc.name {
 					continue
@@ -513,13 +502,7 @@ func scanCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) error) 
 					return nil
 				})
 			}
-			return nil
 		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(c.w, "paperbench: done in %v\n", time.Since(start).Round(time.Second))
-		return nil
 	}
 }
 
@@ -646,10 +629,8 @@ func runDiffKernel(w io.Writer, base ibcc.Scenario, seeds []uint64) error {
 			fmt.Fprintf(w, "%-40s seed %-3d digest %s  %8d records  %-6s\n",
 				s.Name, s0.Seed, d.Wheel.Digest, d.Wheel.Records, status)
 			fmt.Fprintf(w, "    check: %s\n", rep.Summary())
-			if !d.Match() {
-				for _, m := range d.Mismatches() {
-					fmt.Fprintf(w, "    %s\n", m)
-				}
+			for _, m := range d.Mismatches() {
+				fmt.Fprintf(w, "    %s\n", m)
 			}
 			for _, v := range rep.Violations {
 				fmt.Fprintf(w, "    %s\n", v)

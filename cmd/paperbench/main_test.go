@@ -152,17 +152,20 @@ func TestTableIICIRowsFollowSeed(t *testing.T) {
 }
 
 // invocation matches a line that runs paperbench — `go run
-// ./cmd/paperbench`, a binary path, or the bare name first — and
-// captures its arguments up to the first shell operator or comment.
-var invocation = regexp.MustCompile(`^(?:.*\brun\s+\S*/|\s*(?:\.?/(?:\S*/)?)?)paperbench((?:\s+[^\s|&;<>#)]+)*)(?:[\s|&;<>#)]|$)`)
+// ./cmd/paperbench`, a binary path (quoted in scripts), or the bare
+// name first — and captures its arguments up to the first shell
+// operator or comment.
+var invocation = regexp.MustCompile(`^(?:.*\brun\s+\S*/|\s*(?:"\S*/|\.?/(?:\S*/)?)?)paperbench"?((?:\s+[^\s|&;<>#)]+)*)(?:[\s|&;<>#)]|$)`)
 
 var codeSpan = regexp.MustCompile("`([^`]+)`")
 
 // Every literal paperbench invocation the docs, the Makefile, the
 // scripts and the verify skill show parses against the command table.
 // Markdown contributes its fenced code lines and its inline code spans;
-// other files every line; `\` continuations are joined, and lines whose
-// arguments use shell variables are skipped.
+// other files every line; `\` continuations are joined. In scripts, a
+// variable assigned a literal string (SWEEP="-radix 8 …") is expanded
+// and any other one ("$T/full") stands for a path; elsewhere, lines
+// whose arguments use variables are skipped.
 func TestDocumentedInvocationsParse(t *testing.T) {
 	root := filepath.Join("..", "..")
 	files := []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "Makefile",
@@ -173,7 +176,11 @@ func TestDocumentedInvocationsParse(t *testing.T) {
 	}
 	checked := 0
 	for _, name := range files {
-		for _, cand := range codeLines(t, filepath.Join(root, name)) {
+		lines := codeLines(t, filepath.Join(root, name))
+		if strings.HasSuffix(name, ".sh") {
+			lines = expandShell(lines)
+		}
+		for _, cand := range lines {
 			m := invocation.FindStringSubmatch(cand.text)
 			if m == nil || strings.Contains(m[1], "$") {
 				continue
@@ -197,6 +204,31 @@ func TestDocumentedInvocationsParse(t *testing.T) {
 		t.Fatalf("only %d invocations found; is the extraction broken?", checked)
 	}
 	t.Logf("%d invocations checked", checked)
+}
+
+var (
+	shellAssign = regexp.MustCompile(`^\s*(\w+)="([^"$]*)"\s*$`)
+	shellVar    = regexp.MustCompile(`\$\{?(\w+)\}?`)
+)
+
+// expandShell replaces, in a script's lines, each variable assigned a
+// literal string on an earlier line by that string, and any other
+// variable by its bare name.
+func expandShell(lines []codeLine) []codeLine {
+	vars := map[string]string{}
+	for i, l := range lines {
+		if m := shellAssign.FindStringSubmatch(l.text); m != nil {
+			vars[m[1]] = m[2]
+		}
+		lines[i].text = shellVar.ReplaceAllStringFunc(l.text, func(v string) string {
+			name := shellVar.FindStringSubmatch(v)[1]
+			if val, ok := vars[name]; ok {
+				return val
+			}
+			return name
+		})
+	}
+	return lines
 }
 
 type codeLine struct {

@@ -20,16 +20,23 @@ func main() {
 	fmt.Println("silent forest of congestion trees, 80% contributors / 20% victims")
 	fmt.Println()
 
-	// Table II's hotspot row runs this silent forest with CC off and on.
-	row := ibcc.Paper(base, nil)[1]
-	recs, err := ibcc.RunPairs([]ibcc.PaperRow{row}, ibcc.RunOpts{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	off, on := recs[0].Off, recs[0].On
-	for i, res := range []*ibcc.Result{off, on} {
+	var off, on *ibcc.Result
+	for _, ccOn := range []bool{false, true} {
+		s := base
+		s.CCOn = ccOn
+		res, err := ibcc.Run(s)
+		if err != nil {
+			log.Fatal(err)
+		}
+		state := "off"
+		if ccOn {
+			state = "on "
+			on = res
+		} else {
+			off = res
+		}
 		fmt.Printf("  cc %s: hotspots %6.3f Gbps  victims %6.3f Gbps  total %7.1f Gbps\n",
-			[]string{"off", "on "}[i], res.Summary.HotspotAvgGbps, res.Summary.NonHotspotAvgGbps,
+			state, res.Summary.HotspotAvgGbps, res.Summary.NonHotspotAvgGbps,
 			res.Summary.TotalGbps)
 	}
 

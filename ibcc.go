@@ -26,11 +26,9 @@
 //	res, err := ibcc.Run(s)
 //	// res.Summary holds hotspot / non-hotspot / total rates.
 //
-// The paper's evaluation is one table: Paper returns every CC-off/CC-on
-// row of Table II and figures 5–10, RunPairs runs any subset of rows,
-// and PrintPaper prints the records as the paper's tables (see
-// cmd/paperbench). The model's design choices are ablated in
-// bench_test.go.
+// The paper's evaluation is one table of CC-off/CC-on rows: Paper builds
+// it, RunPairs runs any subset and PrintPaper prints the records (see
+// cmd/paperbench); bench_test.go ablates the model's design choices.
 package ibcc
 
 import (

@@ -65,15 +65,13 @@ func TestFacadeSweepsAndPrinting(t *testing.T) {
 		t.Fatalf("PrintWindy output: %q", sb.String())
 	}
 
-	rows := MovingRows(s, []Duration{300 * Microsecond})
-	rows[0].Series = "label"
-	mv, err := RunPairs(rows, RunOpts{})
+	mv, err := RunPairs(MovingRows(s, []Duration{300 * Microsecond}), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sb.Reset()
-	PrintPaper(&sb, mv)
-	if !strings.Contains(sb.String(), "label") {
+	PrintPaper(&sb, mv) // an unlabelled row prints no heading line
+	if !strings.HasPrefix(sb.String(), "      lifetime") || strings.Count(sb.String(), "\n") != 3 {
 		t.Fatalf("PrintPaper output: %q", sb.String())
 	}
 

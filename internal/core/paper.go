@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -22,49 +23,32 @@ type PaperRecord struct {
 	Off, On *Result
 }
 
-// Layout is the kind of paper artifact a row belongs to; it sets how
-// the row prints.
-type Layout int
-
-const (
-	TableIILayout Layout = iota // Table II: hotspots off or on, silent forest
-	WindyLayout                 // figures 5–8: one p of a windy forest
-	MovingLayout                // figures 9–10: one hotspot lifetime
-)
-
-// Layout tells the row's artifact from its scenarios.
-func (r PaperRow) Layout() Layout {
-	switch {
-	case r.Off.HotspotLifetime > 0:
-		return MovingLayout
-	case r.Off.FracBPct > 0:
-		return WindyLayout
-	}
-	return TableIILayout
-}
-
 // Paper returns every row of the paper's evaluation, Table II and
 // figures 5–10 in print order, derived from one base scenario; ps are
 // the p values of figures 5–8.
 func Paper(base Scenario, ps []int) []PaperRow {
-	rows := tableIIRows(base)
+	var rows []PaperRow
+	add := func(exp, series string, rs []PaperRow) {
+		for _, r := range rs {
+			r.Exp, r.Series = exp, series
+			rows = append(rows, r)
+		}
+	}
+	add("table2", "Table II: performance numbers (Gbps), silent congestion trees", tableIIRows(base))
 	for i, fracB := range []int{25, 50, 75, 100} {
-		series := fmt.Sprintf("Figure %d: windy forest, %d%% B nodes", 5+i, fracB)
-		rows = append(rows, label(fmt.Sprintf("fig%d", 5+i), series, WindyRows(base, fracB, ps))...)
+		add(fmt.Sprintf("fig%d", 5+i), fmt.Sprintf("Figure %d: windy forest, %d%% B nodes", 5+i, fracB), WindyRows(base, fracB, ps))
 	}
 	const ms = sim.Millisecond
 	lifetimes := []sim.Duration{10 * ms, 8 * ms, 6 * ms, 5 * ms, 4 * ms, 3 * ms, 2 * ms, 1 * ms}
 	for i, fracC := range []int{80, 40} {
 		s := base
 		s.FracBPct, s.FracCOfRestPct = 0, fracC
-		series := fmt.Sprintf("Figure 9(%c): moving congestion trees, %d%% V / %d%% C", 'a'+i, 100-fracC, fracC)
-		rows = append(rows, label("fig9", series, MovingRows(s, lifetimes))...)
+		add("fig9", fmt.Sprintf("Figure 9(%c): moving congestion trees, %d%% V / %d%% C", 'a'+i, 100-fracC, fracC), MovingRows(s, lifetimes))
 	}
 	for _, p := range []int{30, 60, 90} {
 		s := base
 		s.FracBPct, s.PPercent = 100, p
-		series := fmt.Sprintf("Figure 10 p=%d: moving congestion trees, 100%% B nodes, p=%d", p, p)
-		rows = append(rows, label("fig10", series, MovingRows(s, lifetimes))...)
+		add("fig10", fmt.Sprintf("Figure 10 p=%d: moving congestion trees, 100%% B nodes, p=%d", p, p), MovingRows(s, lifetimes))
 	}
 	return rows
 }
@@ -81,7 +65,7 @@ func tableIIRows(base Scenario) []PaperRow {
 			leg.Name = fmt.Sprintf("tableII cc=%v hotspots=%v", leg.CCOn, hot)
 		}
 	}
-	return label("table2", "Table II: performance numbers (Gbps), silent congestion trees", rows)
+	return rows
 }
 
 // TableIIScenarios is Table II's rows flattened: hotspots off/on × CC
@@ -115,20 +99,15 @@ func MovingRows(base Scenario, lifetimes []sim.Duration) []PaperRow {
 	return rows
 }
 
-// pair is s with CC off and on, named name+" ccOff" and name+" ccOn".
+// pair is s with CC off and on, named name+" ccOff" and name+" ccOn",
+// or both s.Name when name is empty.
 func pair(s Scenario, name string) PaperRow {
 	r := PaperRow{Off: s, On: s}
-	r.Off.CCOn, r.Off.Name = false, name+" ccOff"
-	r.On.CCOn, r.On.Name = true, name+" ccOn"
-	return r
-}
-
-// label sets every row's experiment and heading.
-func label(exp, series string, rows []PaperRow) []PaperRow {
-	for i := range rows {
-		rows[i].Exp, rows[i].Series = exp, series
+	r.Off.CCOn, r.On.CCOn = false, true
+	if name != "" {
+		r.Off.Name, r.On.Name = name+" ccOff", name+" ccOn"
 	}
-	return rows
+	return r
 }
 
 func flatten(rows []PaperRow) []Scenario {
@@ -154,25 +133,86 @@ func RunPairs(rows []PaperRow, o Opts) ([]PaperRecord, error) {
 	return recs, nil
 }
 
+// RunExperiment runs one experiment's rows of Paper as pairs and
+// prints them. With more than one seed, Table II is followed by its
+// hotspot scenario under base's own name, CC off and on, each run over
+// the seeds and printed as means with 95 % confidence intervals.
+func RunExperiment(w io.Writer, base Scenario, rows []PaperRow, seeds []uint64, o Opts) error {
+	recs, err := RunPairs(rows, o)
+	if err != nil {
+		return err
+	}
+	PrintPaper(w, recs)
+	if seeds = ciSeeds(rows, seeds); seeds == nil {
+		return nil
+	}
+	base.FracBPct, base.CNodesActive = 0, true
+	ci := pair(base, "")
+	for i, s := range []Scenario{ci.Off, ci.On} {
+		m, err := RunSeedsOpts(s, seeds, o)
+		if err != nil {
+			return err
+		}
+		m.Print(w, "Table II hotspot scenario, CC "+[]string{"off", "on"}[i])
+	}
+	fmt.Fprintln(w)
+	return nil
+}
+
+// ExperimentSims is the number of simulations RunExperiment submits.
+func ExperimentSims(rows []PaperRow, seeds []uint64) int {
+	return 2*len(rows) + 2*len(ciSeeds(rows, seeds))
+}
+
+// ciSeeds are the seeds RunExperiment runs Table II's confidence
+// intervals over: none unless rows hold Table II and seeds are several.
+func ciSeeds(rows []PaperRow, seeds []uint64) []uint64 {
+	if len(seeds) < 2 || !slices.ContainsFunc(rows, isTableII) {
+		return nil
+	}
+	return seeds
+}
+
+// isTableII tells a Table II row, which has neither B nodes nor moving
+// hotspots, from the rows of figures 5–10.
+func isTableII(r PaperRow) bool { return r.Off.FracBPct == 0 && r.Off.HotspotLifetime == 0 }
+
 // PrintPaper writes records in the paper's formats: each run of
-// records that share a Series under that heading, then a blank line.
+// records that share a Series under that heading (none if empty), then
+// a blank line.
 func PrintPaper(w io.Writer, recs []PaperRecord) {
 	for len(recs) > 0 {
 		n := 1
 		for n < len(recs) && recs[n].Row.Series == recs[0].Row.Series {
 			n++
 		}
-		series := recs[:n]
+		series, first := recs[:n], recs[0].Row
 		recs = recs[n:]
-		fmt.Fprintln(w, series[0].Row.Series)
-		switch series[0].Row.Layout() {
-		case TableIILayout:
+		if first.Series != "" {
+			fmt.Fprintln(w, first.Series)
+		}
+		switch {
+		case isTableII(first): // the uniform baseline, or the hotspot row with the totals
 			for _, r := range series {
-				printTableIIRow(w, r)
+				off, on := r.Off.Summary, r.On.Summary
+				if !r.Row.Off.CNodesActive {
+					fmt.Fprintf(w, "  No hotspots, no CC : avg receive rate        %7.3f\n", off.AllAvgGbps)
+					fmt.Fprintf(w, "  No hotspots, CC on : avg receive rate        %7.3f\n", on.AllAvgGbps)
+					continue
+				}
+				fmt.Fprintf(w, "  Hotspots, no CC    : hotspots avg rcv        %7.3f\n", off.HotspotAvgGbps)
+				fmt.Fprintf(w, "                       non-hotspots avg rcv    %7.3f\n", off.NonHotspotAvgGbps)
+				fmt.Fprintf(w, "  Hotspots, CC on    : hotspots avg rcv        %7.3f\n", on.HotspotAvgGbps)
+				fmt.Fprintf(w, "                       non-hotspots avg rcv    %7.3f\n", on.NonHotspotAvgGbps)
+				fmt.Fprintf(w, "  Total throughput   : without CC              %7.1f\n", off.TotalGbps)
+				fmt.Fprintf(w, "                       with CC                 %7.1f\n", on.TotalGbps)
+				if off.TotalGbps > 0 {
+					fmt.Fprintf(w, "  Improvement by enabling CC: %.2fx\n", on.TotalGbps/off.TotalGbps)
+				}
 			}
-		case WindyLayout:
+		case first.Off.HotspotLifetime == 0: // figures 5–8: one p a row
 			PrintWindy(w, windyPoints(series))
-		case MovingLayout:
+		default: // figures 9–10: one lifetime a row
 			fmt.Fprintf(w, "  %12s  %10s %10s  %8s\n", "lifetime", "allOff", "allOn", "gain")
 			for _, r := range series {
 				off, on := r.Off.Summary.AllAvgGbps, r.On.Summary.AllAvgGbps
@@ -180,26 +220,6 @@ func PrintPaper(w io.Writer, recs []PaperRecord) {
 			}
 		}
 		fmt.Fprintln(w)
-	}
-}
-
-// printTableIIRow writes one Table II row: the receive rate of the
-// uniform baseline, or the hotspot row with the table's totals.
-func printTableIIRow(w io.Writer, r PaperRecord) {
-	off, on := r.Off.Summary, r.On.Summary
-	if !r.Row.Off.CNodesActive {
-		fmt.Fprintf(w, "  No hotspots, no CC : avg receive rate        %7.3f\n", off.AllAvgGbps)
-		fmt.Fprintf(w, "  No hotspots, CC on : avg receive rate        %7.3f\n", on.AllAvgGbps)
-		return
-	}
-	fmt.Fprintf(w, "  Hotspots, no CC    : hotspots avg rcv        %7.3f\n", off.HotspotAvgGbps)
-	fmt.Fprintf(w, "                       non-hotspots avg rcv    %7.3f\n", off.NonHotspotAvgGbps)
-	fmt.Fprintf(w, "  Hotspots, CC on    : hotspots avg rcv        %7.3f\n", on.HotspotAvgGbps)
-	fmt.Fprintf(w, "                       non-hotspots avg rcv    %7.3f\n", on.NonHotspotAvgGbps)
-	fmt.Fprintf(w, "  Total throughput   : without CC              %7.1f\n", off.TotalGbps)
-	fmt.Fprintf(w, "                       with CC                 %7.1f\n", on.TotalGbps)
-	if off.TotalGbps > 0 {
-		fmt.Fprintf(w, "  Improvement by enabling CC: %.2fx\n", on.TotalGbps/off.TotalGbps)
 	}
 }
 

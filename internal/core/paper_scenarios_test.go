@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -14,32 +15,34 @@ const paperScenariosGolden = "testdata/paper_scenarios.golden"
 
 // TestPaperScenariosGolden pins, for every experiment of the paper at
 // radix 8 with the short windows (Table II with the CI rows of two
-// seeds), the ordered name and exp.Fingerprint of every scenario it
-// submits. Fingerprints key -out artifact stores, and they hash the
-// name, so a change to either stops an existing store from resuming.
+// seeds), the ordered name and exp.Fingerprint of every scenario
+// RunExperiment submits, and that their count is ExperimentSims.
+// Fingerprints key -out artifact stores, and they hash the name, so a
+// change to either stops an existing store from resuming.
 // A recording Lookup answers every run: nothing is simulated.
 func TestPaperScenariosGolden(t *testing.T) {
 	var got strings.Builder
-	name := ""
+	name, sims := "", 0
 	o := core.Opts{Lookup: func(s core.Scenario) (*core.Result, bool) {
 		fmt.Fprintf(&got, "%-6s %s %s\n", name, exp.Fingerprint(s), s.Name)
+		sims++
 		return &core.Result{}, true
 	}}
-	base := core.Default(8)
-	for _, r := range core.Paper(base, core.PaperPValues()) {
-		name = r.Exp
-		if _, err := core.RunPairs([]core.PaperRow{r}, o); err != nil {
+	base, seeds := core.Default(8), []uint64{1, 2}
+	rows := core.Paper(base, core.PaperPValues())
+	for len(rows) > 0 { // one experiment at a time, as paperbench runs them
+		n := 1
+		for n < len(rows) && rows[n].Exp == rows[0].Exp {
+			n++
+		}
+		name, sims = rows[0].Exp, 0
+		if err := core.RunExperiment(io.Discard, base, rows[:n], seeds, o); err != nil {
 			t.Fatal(err)
 		}
-		if r.Exp == "table2" && r.Off.CNodesActive { // paperbench -seeds 2 adds the CI rows
-			for _, ccOn := range []bool{false, true} {
-				s := base
-				s.CCOn = ccOn
-				if _, err := core.RunSeedsOpts(s, []uint64{1, 2}, o); err != nil {
-					t.Fatal(err)
-				}
-			}
+		if want := core.ExperimentSims(rows[:n], seeds); sims != want {
+			t.Errorf("%s: %d scenarios submitted, ExperimentSims says %d", name, sims, want)
 		}
+		rows = rows[n:]
 	}
 
 	want, err := os.ReadFile(paperScenariosGolden)

@@ -123,7 +123,7 @@ func TestPaperPValues(t *testing.T) {
 func TestPaperLifetimes(t *testing.T) {
 	series := map[string][]sim.Duration{}
 	for _, r := range Paper(Default(8), nil) {
-		if r.Layout() == MovingLayout {
+		if r.Off.HotspotLifetime > 0 {
 			series[r.Series] = append(series[r.Series], r.Off.HotspotLifetime)
 		}
 	}

@@ -54,7 +54,7 @@ fi
 echo "resilience: ibccsim kill -9 + resume reproduces the uninterrupted run, audited throughout"
 
 # --- 2. Sweep: kill -9 mid-sweep, resume, identical artifact set. ---
-SWEEP="-radix 8 -short -exp fig5 -seeds 2 -jobs 1"
+SWEEP="-radix 8 -short -exp fig5 -jobs 1"
 "$T/bin/paperbench" $SWEEP -out "$T/full" > /dev/null
 
 "$T/bin/paperbench" $SWEEP -out "$T/cut" > /dev/null 2>&1 &
