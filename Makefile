@@ -44,16 +44,20 @@ race:
 # aggregate tier on allocate nothing on the forward path, a run
 # carrying just the sampler and the checker builds no per-packet Event,
 # and the radix-18 moving-CC run keeps its budget with both attached
-# (TestObservedMovingCCZeroAllocAtRadix18, matched by 'ZeroAlloc').
+# (TestObservedMovingCCZeroAllocAtRadix18, matched by 'ZeroAlloc');
+# the bus's port table is sized once, when the fabric attaches it, and
+# a row keeps a hop's fields in one cache line.
 alloc-budget:
 	$(GO) test -count=1 ./internal/core -run 'ZeroAlloc'
-	$(GO) test -count=1 ./internal/obs -run 'Allocs'
+	$(GO) test -count=1 ./internal/obs -run 'Allocs|TableOnce|PortCountersLayout'
 	$(GO) test -count=1 ./internal/telemetry -run 'BuildsNoPerHopEvents'
 	$(GO) test -count=1 ./internal/traffic -run 'Slots|Differential'
 	$(GO) test -count=1 ./internal/fabric -run 'PortLayoutBudget|NewAllocatesPerNodeNotPerPort'
 
 # Runtime invariant + differential kernel suite: the internal/check unit
-# tests, the reserved-key kernel properties (lazy ≡ eager order, Passed),
+# tests, the FEL-order probe — which lives in the kernel's run loops —
+# on legal and illegal key sequences, a mis-ordering mutant kernel and
+# across runs, the reserved-key kernel properties (lazy ≡ eager order, Passed),
 # the fabric's on-demand-event tie-breaks against their pre-elision
 # golden, the idle-port bypass against push-then-arbitrate and the
 # link-armed rule's clauses, the Table II
@@ -64,7 +68,7 @@ alloc-budget:
 # checked parameter scan.
 invariants:
 	$(GO) test -count=1 ./internal/check
-	$(GO) test -count=1 ./internal/sim -run 'Reserve|ExplicitKey|Passed'
+	$(GO) test -count=1 ./internal/sim -run 'KernelOrderProbe|Reserve|ExplicitKey|Passed'
 	$(GO) test -count=1 ./internal/fabric -run 'Tiebreak|EnqueueAtBusyUntil|CreditAtBusyUntil|TwoCredits|ParkedRing|LinkUpWithCredit|RunToExhaustion|CheckLinkArmed|Bypass'
 	$(GO) test -count=1 ./internal/core -run 'Kernel|Check|Differential|Chunked|Golden|ComposesWithChecker'
 	$(GO) run ./cmd/paperbench diff-kernel -radix 8 -short -seeds 2

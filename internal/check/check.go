@@ -1,17 +1,19 @@
 // Package check is the simulation's runtime invariant layer: an opt-in
 // checker that sweeps global conservation laws and local accounting
 // rules at fixed simulated-time windows while a run executes, validates
-// every congestion-control table transition as it is published, probes
-// the future-event list's ordering contract on every executed event, and
-// watches for forward-progress loss (deadlock or livelock) while packets
-// are in flight.
+// every congestion-control table transition as it is published, reports
+// every executed event that broke the future-event list's ordering
+// contract, and watches for forward-progress loss (deadlock or livelock)
+// while packets are in flight.
 //
 // The checker is always compiled — there is no build tag — and costs
 // nothing when not attached: everything the swept rules read is either
 // model state or derived from it (packets on the wire are the fabric's
-// live arrival actions), and the one hook it installs,
-// sim.Simulator.SetExecHook, is nil otherwise. Nothing has to be switched
-// on ahead of time, so a checker attaches at any event boundary: to a
+// live arrival actions), and it installs no hook. The FEL-order probe
+// lives in the kernel's run loops, which compare every executed event's
+// (time, seq) with the last one's (sim.Simulator.TakeInversions); a sweep
+// turns what they found into violations. Nothing has to be switched on
+// ahead of time, so a checker attaches at any event boundary: to a
 // freshly built instance, or to one restored from a checkpoint whoever
 // wrote it.
 //
@@ -115,7 +117,8 @@ type Report struct {
 	Total int
 	// Sweeps counts completed invariant sweeps.
 	Sweeps int
-	// EventsChecked counts executed events probed for FEL order.
+	// EventsChecked counts the events executed since the checker
+	// attached, every one of them probed for FEL order by the kernel.
 	EventsChecked uint64
 	// CCTISteps counts validated CCTI transitions.
 	CCTISteps uint64
@@ -154,10 +157,9 @@ type Checker struct {
 	params     cc.Params // captured from t.CC; zero when CC is off
 	ccParamsOK bool
 
-	// FEL order probe state: the (time, seq) of the last executed event.
-	lastTime sim.Time
-	lastSeq  uint64
-	haveLast bool
+	// execBase is the kernel's executed-event count when the checker
+	// attached.
+	execBase uint64
 
 	// Watchdog state: the last observed injection+delivery total and
 	// when it last moved.
@@ -182,9 +184,10 @@ type Checker struct {
 // faultRingSize bounds the recent-fault-event window kept for dumps.
 const faultRingSize = 16
 
-// New builds a checker for the target and installs the FEL-order probe.
-// The first sweep is due one window after the simulator's current
-// instant, wherever in the run that is.
+// New builds a checker for the target, starting a fresh FEL-order
+// record: inversions the kernel found before the checker attached are
+// not its to report. The first sweep is due one window after the
+// simulator's current instant, wherever in the run that is.
 func New(t Target, cfg Config) *Checker {
 	if t.Sim == nil {
 		panic("check: target simulator required")
@@ -199,8 +202,8 @@ func New(t Target, cfg Config) *Checker {
 		cfg.MaxViolations = 32
 	}
 	now := t.Sim.Now()
-	c := &Checker{t: t, cfg: cfg, next: now.Add(cfg.Window), lastIOTime: now}
-	t.Sim.SetExecHook(c.execEvent)
+	c := &Checker{t: t, cfg: cfg, next: now.Add(cfg.Window), lastIOTime: now, execBase: t.Sim.Processed()}
+	t.Sim.TakeInversions()
 	if pp, ok := t.CC.(interface{ Params() cc.Params }); ok {
 		c.params = pp.Params()
 		c.ccParamsOK = true
@@ -244,6 +247,7 @@ func (c *Checker) Sweep() { c.sweep(c.t.Sim.Now()) }
 // Report returns the accumulated outcome.
 func (c *Checker) Report() *Report {
 	rep := c.rep
+	rep.EventsChecked = c.t.Sim.Processed() - c.execBase
 	return &rep
 }
 
@@ -260,23 +264,22 @@ func (c *Checker) violate(t sim.Time, rule, format string, args ...interface{}) 
 	}
 }
 
-// execEvent is the FEL-order probe, fired by the simulator after every
-// event's time is committed and before its callback runs. The kernel's
-// ordering contract: execution order is (time, seq) lexicographic, so
-// time never decreases and, within one instant, sequence numbers
-// strictly increase.
-func (c *Checker) execEvent(t sim.Time, seq uint64) {
-	c.rep.EventsChecked++
-	if c.haveLast {
-		if t.Before(c.lastTime) {
-			c.violate(t, "fel-order", "event time went backwards: (%v, seq %d) after (%v, seq %d)",
-				t, seq, c.lastTime, c.lastSeq)
-		} else if t == c.lastTime && seq <= c.lastSeq {
-			c.violate(t, "fel-order", "event seq not increasing at %v: seq %d after seq %d",
-				t, seq, c.lastSeq)
-		}
+// felOrder turns the kernel's FEL-order record since the last sweep into
+// violations: the first inversion is recorded, stamped with the event's
+// own time, and the others counted.
+func (c *Checker) felOrder() {
+	n, v := c.t.Sim.TakeInversions()
+	if n == 0 {
+		return
 	}
-	c.lastTime, c.lastSeq, c.haveLast = t, seq, true
+	if v.Time.Before(v.PrevTime) {
+		c.violate(v.Time, "fel-order", "event time went backwards: (%v, seq %d) after (%v, seq %d)",
+			v.Time, v.Seq, v.PrevTime, v.PrevSeq)
+	} else {
+		c.violate(v.Time, "fel-order", "event seq not increasing at %v: seq %d after seq %d",
+			v.Time, v.Seq, v.PrevSeq)
+	}
+	c.rep.Total += int(n - 1)
 }
 
 // consumeCCTI validates one congestion-control table transition against
@@ -306,13 +309,15 @@ func (c *Checker) consumeCCTI(e obs.Event) {
 	}
 }
 
-// sweep is Sweep at an explicit instant: the state rules, then the
-// watchdog, with violations stamped now.
+// sweep is Sweep at an explicit instant: the kernel's FEL-order record,
+// then the state rules and the watchdog, with their violations stamped
+// now.
 func (c *Checker) sweep(now sim.Time) {
 	c.rep.Sweeps++
 	c.next = now.Add(c.cfg.Window)
-	c.t.Rules(func(rule, detail string) { c.violate(now, rule, "%s", detail) })
-	c.watchdog(now)
+	c.felOrder()
+	live, pending := c.t.rules(func(rule, detail string) { c.violate(now, rule, "%s", detail) })
+	c.watchdog(now, live, pending)
 }
 
 // sourcesPending counts the packets queued at sources awaiting
@@ -329,14 +334,20 @@ func (t Target) sourcesPending() int {
 // the rule pass of a live run's sweeps and of a checkpoint restore
 // (core.RestoreSnapshot), which judges a snapshot by the laws a run is
 // held to rather than by a list of its own.
-func (t Target) Rules(report func(rule, detail string)) {
+func (t Target) Rules(report func(rule, detail string)) { t.rules(report) }
+
+// rules is Rules returning the census the conservation rule took — the
+// pool's live packets and the source-queued ones, zero without a fabric
+// and a pool — so a sweep's watchdog reads the same instant's counts.
+func (t Target) rules(report func(rule, detail string)) (live, pending int) {
 	if t.Net != nil {
 		if t.Pool != nil {
 			// Packet conservation: every live pool packet is either
 			// queued at a source awaiting injection or in fabric custody
 			// (staging, wire, VoQ, receive side). A surplus is a leak; a
 			// deficit is a double release or custody miscount.
-			live, held, pending := t.Pool.Live(), t.Net.HeldPackets(), t.sourcesPending()
+			held := t.Net.HeldPackets()
+			live, pending = t.Pool.Live(), t.sourcesPending()
 			if live != held+pending {
 				report("conservation", fmt.Sprintf("pool live %d != fabric held %d + source pending %d (census %v)",
 					live, held, pending, t.Net.Census()))
@@ -363,13 +374,15 @@ func (t Target) Rules(report func(rule, detail string)) {
 			report("cc-state", err.Error())
 		}
 	}
+	return live, pending
 }
 
 // watchdog detects lost forward progress: the fabric holds packets but
 // no packet has entered or left it for WatchdogAfter of simulated time.
 // Source-queued packets do not arm it — a fully throttled source is
-// legal — but a packet stuck inside the fabric is not.
-func (c *Checker) watchdog(now sim.Time) {
+// legal — but a packet stuck inside the fabric is not. live and pending
+// are the census the sweep's rules took.
+func (c *Checker) watchdog(now sim.Time, live, pending int) {
 	if c.cfg.WatchdogAfter < 0 || c.t.Net == nil {
 		return
 	}
@@ -378,7 +391,7 @@ func (c *Checker) watchdog(now sim.Time) {
 		ctr := c.t.Net.HCA(ib.LID(lid)).Counters()
 		io += ctr.TxPackets + ctr.RxPackets
 	}
-	inFabric := c.t.Pool.Live() - c.t.sourcesPending()
+	inFabric := live - pending
 	if io != c.lastIO || inFabric <= 0 {
 		c.lastIO, c.lastIOTime = io, now
 		c.tripped = false

@@ -59,31 +59,6 @@ func wantRule(t *testing.T, c *Checker, rule string) {
 	}
 }
 
-// TestExecEventOrderProbe feeds the FEL-order probe legal and illegal
-// (time, seq) sequences.
-func TestExecEventOrderProbe(t *testing.T) {
-	c := newBare(t, Config{})
-	// Legal: time strictly up, seq free to reset; equal time, seq up.
-	c.execEvent(10, 5)
-	c.execEvent(10, 6)
-	c.execEvent(20, 1)
-	if rep := c.Report(); rep.Total != 0 {
-		t.Fatalf("legal sequence flagged: %v", rep.Violations)
-	}
-
-	// Time regression.
-	c2 := newBare(t, Config{})
-	c2.execEvent(20, 1)
-	c2.execEvent(10, 2)
-	wantRule(t, c2, "fel-order")
-
-	// Seq regression within an instant.
-	c3 := newBare(t, Config{})
-	c3.execEvent(10, 7)
-	c3.execEvent(10, 7)
-	wantRule(t, c3, "fel-order")
-}
-
 // TestCCTIStepValidation covers the legal transition shapes and a range
 // of illegal ones against the paper parameter set.
 func TestCCTIStepValidation(t *testing.T) {

@@ -221,3 +221,35 @@ func composeTorus(t *testing.T, want goldenVariant) {
 		requireClean(t, "checked continuation of the "+writer+" torus run", ck)
 	}
 }
+
+// TestCheckerAfterRestoreCountsOwnEvents: a checker attached to a
+// restored instance probes exactly the events executed after it
+// attached — the kernel's lifetime count resumes from the checkpoint,
+// the checker's does not — and the FEL-order probe, which the snapshot
+// does not carry, starts afresh and stays clean.
+func TestCheckerAfterRestoreCountsOwnEvents(t *testing.T) {
+	s := Default(8)
+	s.Name = "restore-checked"
+	s.Warmup, s.Measure = 100*sim.Microsecond, 200*sim.Microsecond
+	in, err := Build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := in.ExecuteWithCheckpoints(CkptOpts{Every: composeCadence, Dir: dir, Keep: 1 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	re, err := RestoreFile(midCheckpoint(t, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	attachedAt := re.Net.Sim().Processed()
+	ck := re.Check(CheckOpts{})
+	res := re.Execute()
+	rep := ck.Report()
+	if attachedAt == 0 || rep.EventsChecked != res.Events-attachedAt {
+		t.Fatalf("checker attached at event %d of %d probed %d events, want %d",
+			attachedAt, res.Events, rep.EventsChecked, res.Events-attachedAt)
+	}
+	requireClean(t, s.Name, ck)
+}

@@ -197,7 +197,23 @@ func (n *Network) SetHooks(h Hooks) { n.hooks = h }
 
 // SetBus attaches the flight-recorder event bus; it must be called
 // before Start. A nil bus (the default) disables event publication.
-func (n *Network) SetBus(b *obs.Bus) { n.bus = b }
+// The bus learns every transmitter's link index (obs.Bus.SetLinks): the
+// switch ports' per-hop publishes name their port by it.
+func (n *Network) SetBus(b *obs.Bus) {
+	n.bus = b
+	if b == nil {
+		return
+	}
+	links := make([]obs.Link, len(n.links))
+	for _, sw := range n.switches {
+		for _, op := range sw.out {
+			if op != nil {
+				links[op.index] = obs.Link{Key: obs.PortKey{Switch: sw.index, Port: op.port}, HostPort: op.hostFacing, Switch: true}
+			}
+		}
+	}
+	b.SetLinks(links)
+}
 
 // Bus returns the attached event bus (nil when observability is off).
 func (n *Network) Bus() *obs.Bus { return n.bus }

@@ -182,7 +182,7 @@ func (op *swOutPort) enqueue(ip *swInPort, p *ib.Packet) {
 		n.hooks.SwitchEnqueue(op.sw.index, op.port, p, st)
 	}
 	*qbytes += p.WireBytes()
-	n.bus.QueueSampled(n.simr.Now(), op.sw.index, op.port, op.hostFacing, p.VL, *qbytes)
+	n.bus.SwitchQueued(n.simr.Now(), op.index, p.VL, *qbytes)
 	k := int(ip.port)<<op.sw.vlShift | int(p.VL)
 	if op.pending == 0 && !op.down && !op.isBusy() {
 		n.fold()
@@ -278,7 +278,7 @@ func (op *swOutPort) admit(ip *swInPort, head *ib.Packet) (vlNext ib.VL, ok bool
 	}
 	wire := head.WireBytes()
 	if credits := *op.credit(vlNext); credits < wire {
-		n.bus.CreditStalled(n.simr.Now(), true, op.sw.index, op.port, vlNext, credits, wire)
+		n.bus.SwitchStalled(n.simr.Now(), op.index, vlNext, credits, wire)
 		return vlNext, false
 	}
 	return vlNext, true
@@ -311,8 +311,7 @@ func (op *swOutPort) depart(ip *swInPort, head *ib.Packet, vlNext ib.VL) {
 	n.sendCredit(ip.up, ip.upLink, vl, wire)
 	head.VL = vlNext
 
-	n.bus.QueueSampled(n.simr.Now(), op.sw.index, op.port, op.hostFacing, vl, *qbytes)
-	n.bus.PacketSent(n.simr.Now(), true, op.sw.index, op.port, head)
+	n.bus.SwitchDeparted(n.simr.Now(), op.index, vl, *qbytes, head)
 	op.transmit(head, op.pending > 0)
 }
 

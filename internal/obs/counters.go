@@ -28,21 +28,13 @@ const (
 )
 
 // PortCounters is one switch output port's row of the bus's aggregate
-// table. The fields a packet hop touches come first, so a single-VL
-// fabric works within a row's first 128 bytes.
+// table. A row is four cache lines, and on a one-VL fabric everything a
+// departure or an arrival touches sits in its second: the counters a
+// hop does not touch lead, the per-lane depths follow stored last lane
+// first so that lane 0's ends the first line's stretch, then the scalars
+// a hop updates, then FwdBytesVL, whose lane 0 closes the second line
+// (TestPortCountersLayout pins this).
 type PortCounters struct {
-	// Depth is the sum of every VL's last sampled depth, PeakDepth its
-	// high-water mark.
-	Depth, PeakDepth int32
-	// HostPort reports whether the port faces an HCA (learned from the
-	// first event that says so).
-	HostPort bool
-	seen     bool
-	// PeakQueuedBytes is the highest queued-byte depth observed on any
-	// single VL of the port.
-	PeakQueuedBytes int
-	// FwdPackets counts packets put on the wire.
-	FwdPackets uint64
 	// CreditStalls counts failed grant attempts for lack of downstream
 	// credits.
 	CreditStalls uint64
@@ -51,9 +43,50 @@ type PortCounters struct {
 	// Dropped counts packets and credit updates the fault layer
 	// discarded after leaving this port.
 	Dropped uint64
+	// vlDepth is each lane's last sampled depth, lane vl at
+	// vlDepth[MaxVLs-1-vl].
 	vlDepth [MaxVLs]int32
+	// Depth is the sum of every VL's last sampled depth, PeakDepth its
+	// high-water mark.
+	Depth, PeakDepth int32
+	// PeakQueuedBytes is the highest queued-byte depth observed on any
+	// single VL of the port.
+	PeakQueuedBytes int
+	// FwdPackets counts packets put on the wire.
+	FwdPackets uint64
+	// HostPort reports whether the port faces an HCA (learned from the
+	// first event that says so).
+	HostPort bool
+	seen     bool
+	// host is the HCA-facing flag the fabric declared for the port
+	// (Bus.SetLinks); the link-addressed helpers learn HostPort from it.
+	host bool
 	// FwdBytesVL counts wire bytes forwarded per VL.
 	FwdBytesVL [MaxVLs]uint64
+	_          [8]byte
+}
+
+// sample takes a queue sample: lane vl of the port now holds queued
+// bytes.
+func (c *PortCounters) sample(hostPort bool, vl ib.VL, queued int) {
+	c.seen = true
+	c.HostPort = c.HostPort || hostPort
+	c.PeakQueuedBytes = max(c.PeakQueuedBytes, queued)
+	if vl < MaxVLs {
+		d := &c.vlDepth[MaxVLs-1-vl]
+		c.Depth += int32(queued) - *d
+		*d = int32(queued)
+		c.PeakDepth = max(c.PeakDepth, c.Depth)
+	}
+}
+
+// sent counts p put on the wire.
+func (c *PortCounters) sent(p *ib.Packet) {
+	c.seen = true
+	c.FwdPackets++
+	if p.VL < MaxVLs {
+		c.FwdBytesVL[p.VL] += uint64(p.WireBytes())
+	}
 }
 
 // PortTable is a dense [switch][port] table of per-port state. Switch
@@ -93,8 +126,18 @@ func (t PortTable[T]) Each(f func(sw, port int, v *T)) {
 // Bus.Registry switches it on. It is written on the simulation
 // goroutine and read there; a reader on another goroutine works from
 // what it copied at a tick or a span.
+//
+// The port rows are one flat slice. The first rows are the fabric's
+// transmitters in its dense link-index order (Bus.SetLinks sizes them,
+// once; a host send port's row is never counted), so a link-addressed
+// publish is one index; a port a publisher names by (switch, port)
+// that the fabric did not declare gets a row appended on first sight.
+// index maps (switch, port) to row + 1 for the (switch, port) helpers
+// and the readers, which therefore walk ports in (switch, port) order
+// however the rows lie.
 type Registry struct {
-	ports PortTable[PortCounters]
+	rows  []PortCounters
+	index PortTable[int32]
 	// Delivered is the cumulative bytes host sinks consumed per traffic
 	// class.
 	Delivered [NumClasses]int64
@@ -175,27 +218,72 @@ func (r *Registry) touch(t sim.Time) {
 	r.Last = t
 }
 
+// layout sizes the table to the fabric's transmitters: one row per
+// link, and an index whose rows are carved from one slab at the length
+// their highest declared port needs.
+func (r *Registry) layout(links []Link) {
+	if len(r.rows) > 0 {
+		panic("obs: links declared after ports were counted")
+	}
+	r.rows = make([]PortCounters, len(links))
+	var ports []int // per switch: highest declared port + 1
+	for _, l := range links {
+		if l.Switch {
+			if sw := l.Key.Switch; sw >= len(ports) {
+				ports = append(ports, make([]int, sw+1-len(ports))...)
+			}
+			ports[l.Key.Switch] = max(ports[l.Key.Switch], l.Key.Port+1)
+		}
+	}
+	total := 0
+	for _, n := range ports {
+		total += n
+	}
+	slab := make([]int32, total)
+	r.index = make(PortTable[int32], len(ports))
+	for sw, n := range ports {
+		r.index[sw], slab = slab[:n:n], slab[n:]
+	}
+	for i, l := range links {
+		if l.Switch {
+			r.index[l.Key.Switch][l.Key.Port] = int32(i) + 1
+			r.rows[i].host = l.HostPort
+		}
+	}
+}
+
+// port returns the row of (sw, port), appending one for a port the
+// fabric did not declare, and marks it seen.
 func (r *Registry) port(sw, port int) *PortCounters {
-	c := r.ports.At(sw, port)
+	i := r.index.At(sw, port)
+	if *i == 0 {
+		r.rows = append(r.rows, PortCounters{})
+		*i = int32(len(r.rows))
+	}
+	c := &r.rows[*i-1]
 	c.seen = true
 	return c
 }
 
 // Port returns the counters of (sw, port), or nil when the port never
-// produced an event. The pointer is into the live table.
+// produced an event. The pointer is into the live table, good until a
+// publish names a port the fabric did not declare.
 func (r *Registry) Port(sw, port int) *PortCounters {
-	if sw < 0 || sw >= len(r.ports) || port < 0 || port >= len(r.ports[sw]) || !r.ports[sw][port].seen {
+	if sw < 0 || sw >= len(r.index) || port < 0 || port >= len(r.index[sw]) {
 		return nil
 	}
-	return &r.ports[sw][port]
+	if i := r.index[sw][port]; i > 0 && r.rows[i-1].seen {
+		return &r.rows[i-1]
+	}
+	return nil
 }
 
 // Each calls f for every port that produced an event, in (switch, port)
 // order.
 func (r *Registry) Each(f func(PortKey, *PortCounters)) {
-	r.ports.Each(func(sw, port int, c *PortCounters) {
-		if c.seen {
-			f(PortKey{Switch: sw, Port: port}, c)
+	r.index.Each(func(sw, port int, i *int32) {
+		if *i > 0 && r.rows[*i-1].seen {
+			f(PortKey{Switch: sw, Port: port}, &r.rows[*i-1])
 		}
 	})
 }

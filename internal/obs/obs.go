@@ -176,7 +176,19 @@ type Bus struct {
 	mask uint32 // kinds with a stream subscriber
 	want uint32 // mask, plus aggKinds once the aggregate tier is on
 	reg  *Registry
-	subs [NumKinds][]Consumer
+	// links is the fabric's transmitter layout (SetLinks): what the
+	// link-addressed helpers' link stands for when they build an Event.
+	links []Link
+	subs  [NumKinds][]Consumer
+}
+
+// Link is one fabric transmitter as the bus knows it: a switch output
+// port (Switch) with its key and whether it faces an HCA, or a host send
+// port, which the port table does not count.
+type Link struct {
+	Key      PortKey
+	HostPort bool
+	Switch   bool
 }
 
 // aggKinds are the kinds the aggregate tier counts.
@@ -206,9 +218,25 @@ func (b *Bus) Subscribe(c Consumer, kinds ...Kind) {
 func (b *Bus) Registry() *Registry {
 	if b.reg == nil {
 		b.reg = &Registry{tickAt: sim.MaxTime}
+		b.reg.layout(b.links)
 		b.want |= aggKinds
 	}
 	return b.reg
+}
+
+// SetLinks declares the fabric's transmitters, indexed by the fabric's
+// dense link index — the link the helpers SwitchQueued, SwitchDeparted
+// and SwitchStalled take. The fabric calls it once, when the bus is
+// attached and before anything is published, and the port table is
+// sized to it then: no publish for a declared port grows the table.
+func (b *Bus) SetLinks(links []Link) {
+	if b.links != nil {
+		panic("obs: links declared twice")
+	}
+	b.links = links
+	if b.reg != nil {
+		b.reg.layout(links)
+	}
 }
 
 // Wants reports whether publishing kind k does anything — a subscriber
@@ -248,11 +276,7 @@ func (b *Bus) PacketSent(t sim.Time, sw bool, node, port int, p *ib.Packet) {
 		return
 	}
 	if b.reg != nil && sw {
-		c := b.reg.port(node, port)
-		c.FwdPackets++
-		if p.VL < MaxVLs {
-			c.FwdBytesVL[p.VL] += uint64(p.WireBytes())
-		}
+		b.reg.port(node, port).sent(p)
 	}
 	if b.mask&(1<<KindPacketSent) == 0 {
 		return
@@ -437,14 +461,7 @@ func (b *Bus) QueueSampled(t sim.Time, sw, port int, hostPort bool, vl ib.VL, qu
 	}
 	if r := b.reg; r != nil {
 		r.touch(t)
-		c := r.port(sw, port)
-		c.HostPort = c.HostPort || hostPort
-		c.PeakQueuedBytes = max(c.PeakQueuedBytes, queued)
-		if vl < MaxVLs {
-			c.Depth += int32(queued) - c.vlDepth[vl]
-			c.vlDepth[vl] = int32(queued)
-			c.PeakDepth = max(c.PeakDepth, c.Depth)
-		}
+		r.port(sw, port).sample(hostPort, vl, queued)
 	}
 	if b.mask&(1<<KindQueueSampled) == 0 {
 		return
@@ -453,4 +470,85 @@ func (b *Bus) QueueSampled(t sim.Time, sw, port int, hostPort bool, vl ib.VL, qu
 		Kind: KindQueueSampled, Time: t, Switch: true, Node: sw, Port: port,
 		HostPort: hostPort, VL: vl, QueuedBytes: queued,
 	})
+}
+
+// The link-addressed helpers below are the fabric's per-hop publishes
+// for a switch transmitter it declared (SetLinks): the table row is the
+// link's, one index away, and the key and HCA-facing flag an Event
+// carries come from the declaration. Streams see exactly what the
+// (switch, port) helpers would publish.
+
+// SwitchQueued is QueueSampled at the switch transmitter link.
+func (b *Bus) SwitchQueued(t sim.Time, link int32, vl ib.VL, queued int) {
+	if b == nil || b.want&(1<<KindQueueSampled) == 0 {
+		return
+	}
+	if r := b.reg; r != nil {
+		r.touch(t)
+		c := &r.rows[link]
+		c.sample(c.host, vl, queued)
+	}
+	if b.mask&(1<<KindQueueSampled) != 0 {
+		b.Publish(b.queueEvent(t, link, vl, queued))
+	}
+}
+
+// SwitchDeparted publishes p leaving the switch transmitter link:
+// QueueSampled for the queued bytes its lane vl was left with, then
+// PacketSent, as one update of the link's row under one tick check. The
+// row takes both before either Event is streamed.
+func (b *Bus) SwitchDeparted(t sim.Time, link int32, vl ib.VL, queued int, p *ib.Packet) {
+	const kinds = 1<<KindQueueSampled | 1<<KindPacketSent
+	if b == nil || b.want&kinds == 0 {
+		return
+	}
+	if r := b.reg; r != nil {
+		r.touch(t)
+		c := &r.rows[link]
+		c.sample(c.host, vl, queued)
+		c.sent(p)
+	}
+	if b.mask&kinds == 0 {
+		return
+	}
+	if b.mask&(1<<KindQueueSampled) != 0 {
+		b.Publish(b.queueEvent(t, link, vl, queued))
+	}
+	if b.mask&(1<<KindPacketSent) != 0 {
+		l := &b.links[link]
+		e := Event{Kind: KindPacketSent, Time: t, Switch: true, Node: l.Key.Switch, Port: l.Key.Port}
+		e.packet(p)
+		b.Publish(e)
+	}
+}
+
+// SwitchStalled is CreditStalled at the switch transmitter link.
+func (b *Bus) SwitchStalled(t sim.Time, link int32, vl ib.VL, credits, need int) {
+	if b == nil || b.want&(1<<KindCreditStalled) == 0 {
+		return
+	}
+	if r := b.reg; r != nil {
+		r.touch(t)
+		r.Stalls++
+		c := &r.rows[link]
+		c.seen = true
+		c.CreditStalls++
+	}
+	if b.mask&(1<<KindCreditStalled) == 0 {
+		return
+	}
+	l := &b.links[link]
+	b.Publish(Event{
+		Kind: KindCreditStalled, Time: t, Switch: true, Node: l.Key.Switch, Port: l.Key.Port,
+		VL: vl, CreditBytes: credits, Bytes: need,
+	})
+}
+
+// queueEvent is the KindQueueSampled Event of a link-addressed sample.
+func (b *Bus) queueEvent(t sim.Time, link int32, vl ib.VL, queued int) Event {
+	l := &b.links[link]
+	return Event{
+		Kind: KindQueueSampled, Time: t, Switch: true, Node: l.Key.Switch, Port: l.Key.Port,
+		HostPort: l.HostPort, VL: vl, QueuedBytes: queued,
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ib"
 	"repro/internal/sim"
@@ -204,7 +205,7 @@ func TestRegistryTick(t *testing.T) {
 	r := bus.Registry()
 	var seen []int32
 	r.SetTick(func(at sim.Time) sim.Time {
-		seen = append(seen, r.ports.At(0, 0).Depth)
+		seen = append(seen, r.port(0, 0).Depth)
 		return (at + 9) / 10 * 10
 	})
 	p := pkt(1, 2)
@@ -388,5 +389,31 @@ func TestPortTableKeepsEntriesAcrossGrowth(t *testing.T) {
 	}
 	if *tab.At(5, 3) != 53 || *tab.At(0, 0) != 1 || *tab.At(5, 30) != 530 || *tab.At(9, 1) != 91 || *tab.At(5, 4) != 0 {
 		t.Fatalf("entries lost in growth: %v", tab)
+	}
+}
+
+// TestPortCountersLayout pins the row layout: a row is a whole number of
+// cache lines, and on a one-VL fabric everything a hop touches — lane
+// 0's depth, the depth sums, the peak, the forward counters and flags —
+// lies in the row's second line.
+func TestPortCountersLayout(t *testing.T) {
+	var c PortCounters
+	if size := unsafe.Sizeof(c); size != 256 {
+		t.Fatalf("PortCounters is %d bytes, want 256", size)
+	}
+	for name, f := range map[string][2]uintptr{
+		"lane 0 depth":    {unsafe.Offsetof(c.vlDepth) + 4*(MaxVLs-1), 4},
+		"Depth":           {unsafe.Offsetof(c.Depth), 4},
+		"PeakDepth":       {unsafe.Offsetof(c.PeakDepth), 4},
+		"PeakQueuedBytes": {unsafe.Offsetof(c.PeakQueuedBytes), 8},
+		"FwdPackets":      {unsafe.Offsetof(c.FwdPackets), 8},
+		"HostPort":        {unsafe.Offsetof(c.HostPort), 1},
+		"seen":            {unsafe.Offsetof(c.seen), 1},
+		"host":            {unsafe.Offsetof(c.host), 1},
+		"lane 0 bytes":    {unsafe.Offsetof(c.FwdBytesVL), 8},
+	} {
+		if off, size := f[0], f[1]; off < 64 || off+size > 128 {
+			t.Errorf("%s at bytes [%d, %d) of the row, outside its second cache line", name, off, off+size)
+		}
 	}
 }

@@ -80,8 +80,10 @@ func (s *Simulator) PendingEvents() []*Event {
 // scalar state to ks, anchoring the wheel cursor at the restored clock.
 // Events are then re-inserted with ScheduleReserved in ascending
 // (time, seq) order, so the wheel cursor never rewinds; the first
-// insertion re-anchors it via the empty-queue path. Restoring into a
-// running simulator panics.
+// insertion re-anchors it via the empty-queue path. The FEL-order probe
+// is not part of the snapshot: it starts afresh, so the first event
+// after the restore is compared with nothing. Restoring into a running
+// simulator panics.
 func (s *Simulator) BeginRestore(ks KernelState) {
 	if s.running {
 		panic("sim: BeginRestore while running")
@@ -101,4 +103,6 @@ func (s *Simulator) BeginRestore(ks KernelState) {
 	s.processed = ks.Processed
 	s.execSeq = ks.ExecSeq
 	s.stopped = false
+	s.lastTime, s.lastSeq = -1, 0
+	s.inversions, s.firstInv = 0, Inversion{}
 }

@@ -46,15 +46,33 @@ type Simulator struct {
 	execSeq uint64
 
 	// execHook, when non-nil, observes every executed event's
-	// (time, seq) just before its callback runs; the invariant checker
-	// uses it to assert FIFO order out of the FEL. When unset the run
+	// (time, seq) just before its callback runs. When unset the run
 	// loops pay a single nil check per event.
 	execHook func(t Time, seq uint64)
+
+	// The FEL-order probe (see probe): the key of the last executed
+	// event, lastTime -1 before the first, and the inversions found
+	// since the last TakeInversions.
+	lastTime   Time
+	lastSeq    uint64
+	inversions uint64
+	firstInv   Inversion
+}
+
+// Inversion is an executed event that broke the kernel's ordering
+// contract — execution order is (time, seq) lexicographic, so time never
+// decreases and, within one instant, sequence numbers strictly increase
+// — together with the event executed just before it.
+type Inversion struct {
+	Time     Time
+	Seq      uint64
+	PrevTime Time
+	PrevSeq  uint64
 }
 
 // New returns a Simulator with the clock at time zero.
 func New() *Simulator {
-	s := &Simulator{poolLimit: minEventPool}
+	s := &Simulator{poolLimit: minEventPool, lastTime: -1}
 	s.queue.init()
 	return s
 }
@@ -76,10 +94,33 @@ func (s *Simulator) Pending() int {
 
 // SetExecHook installs fn to be called with every executed event's
 // (time, seq) immediately before its callback runs; nil uninstalls it.
-// The hook must not touch the simulator. It exists for the runtime
-// invariant checker's FEL-order probe and costs unhooked runs one nil
+// The hook must not touch the simulator. It costs unhooked runs one nil
 // check per event.
 func (s *Simulator) SetExecHook(fn func(t Time, seq uint64)) { s.execHook = fn }
+
+// probe is the FEL-order probe every run loop applies to each event it
+// executes, before the clock takes the event's key: one compare against
+// the last executed key while the order holds. An inversion is counted,
+// and the first since the last take recorded.
+func (s *Simulator) probe(t Time, seq uint64) {
+	if t < s.lastTime || (t == s.lastTime && seq <= s.lastSeq) {
+		if s.inversions == 0 {
+			s.firstInv = Inversion{Time: t, Seq: seq, PrevTime: s.lastTime, PrevSeq: s.lastSeq}
+		}
+		s.inversions++
+	}
+	s.lastTime, s.lastSeq = t, seq
+}
+
+// TakeInversions returns how many executed events broke (time, seq)
+// order since the previous call — or since the simulator was built or
+// restored — and the first of them, and starts a fresh count. The
+// runtime invariant checker turns them into fel-order violations.
+func (s *Simulator) TakeInversions() (n uint64, first Inversion) {
+	n, first = s.inversions, s.firstInv
+	s.inversions, s.firstInv = 0, Inversion{}
+	return n, first
+}
 
 // PeakPending returns the high-water mark of the future-event list over
 // the simulator's lifetime; it sizes the event recycle pool.
@@ -352,6 +393,7 @@ func (s *Simulator) drainSlot(q *eventQueue, n uint64) uint64 {
 		if e.dead {
 			s.release(e)
 		} else {
+			s.probe(e.time, e.seq)
 			s.now, s.execSeq = e.time, e.seq
 			if s.execHook != nil {
 				s.execHook(e.time, e.seq)
@@ -389,6 +431,7 @@ func (s *Simulator) drainSlotTo(q *eventQueue, end Time, n uint64) (_ uint64, hi
 		if e.dead {
 			s.release(e)
 		} else {
+			s.probe(e.time, e.seq)
 			s.now, s.execSeq = e.time, e.seq
 			if s.execHook != nil {
 				s.execHook(e.time, e.seq)
@@ -425,6 +468,7 @@ func (s *Simulator) runRef(end Time) uint64 {
 			s.release(e)
 			continue
 		}
+		s.probe(e.time, e.seq)
 		s.now, s.execSeq = e.time, e.seq
 		if s.execHook != nil {
 			s.execHook(e.time, e.seq)

@@ -83,10 +83,11 @@ type SamplerSnapshot struct {
 // Ticks, spans and Consume run on the simulation goroutine; Snapshot may
 // be called concurrently from the HTTP server. The mutex covers what
 // Snapshot reads — the rings, peaks, lastTime, linksDown and the
-// completion histogram — and is taken once per tick, per completed
-// message and per stream event, never per packet hop. reg is the bus's
-// live table and is read on the simulation goroutine only; Snapshot
-// works from what the last flush copied out of it.
+// completion histogram — and is taken once per tick and per stream
+// event, never per packet hop or per message. reg is the bus's live
+// table and spans the histogram completed messages are recorded into;
+// both are touched on the simulation goroutine only, and Snapshot works
+// from what the last flush copied out of them.
 type Sampler struct {
 	mu      sync.Mutex
 	name    string
@@ -120,8 +121,10 @@ type Sampler struct {
 	linksDown int
 
 	// Message completion spans (first packet injected → last packet
-	// delivered), as the bus's table closes them.
+	// delivered), as the bus's table closes them: recorded into spans
+	// without the lock, merged into completion at every flush.
 	completion Hist
+	spans      Hist
 
 	lastTime sim.Time
 }
@@ -167,11 +170,7 @@ func (s *Sampler) tick(t sim.Time) sim.Time {
 
 // span is the bus's message-completion callback
 // (obs.Registry.SetSpan).
-func (s *Sampler) span(d sim.Duration) {
-	s.mu.Lock()
-	s.completion.Record(int64(d))
-	s.mu.Unlock()
-}
+func (s *Sampler) span(d sim.Duration) { s.spans.Record(int64(d)) }
 
 // Consume implements obs.Consumer.
 func (s *Sampler) Consume(e obs.Event) {
@@ -236,6 +235,7 @@ func (s *Sampler) advance(t sim.Time) {
 // port walk that sums the depths also copies each port's peak out for
 // Snapshot.
 func (s *Sampler) flushBin() {
+	s.mergeSpans()
 	binSec := s.cadence.Seconds()
 	endUS := float64((s.curBin+1)*int64(s.cadence)) / float64(sim.Microsecond)
 	for c, total := range s.reg.Delivered {
@@ -276,6 +276,15 @@ func (s *Sampler) flushBin() {
 	s.meanCCTI.Push(endUS, mean)
 }
 
+// mergeSpans moves the spans recorded since the last flush into the
+// completion histogram; the caller holds the lock.
+func (s *Sampler) mergeSpans() {
+	if s.spans.Count() > 0 {
+		s.completion.Merge(&s.spans)
+		s.spans.Reset()
+	}
+}
+
 // Finish flushes the final partial bin. Call it once when the run ends;
 // a nil sampler is a no-op.
 func (s *Sampler) Finish() {
@@ -284,6 +293,7 @@ func (s *Sampler) Finish() {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.mergeSpans()
 	if s.curBin >= 0 {
 		s.lastTime = max(s.lastTime, s.reg.Last)
 		s.flushBin()
