@@ -14,7 +14,7 @@ type key struct {
 
 // recorder collects the keys of executed events through the exec hook,
 // failing on any step that does not advance in (time, seq) order — the
-// invariant checker's FEL-order probe.
+// rule the kernel's FEL-order probe checks.
 type recorder struct {
 	t    *testing.T
 	keys []key
