@@ -7,7 +7,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt-check vet build build-debug test race alloc-budget invariants degradation tournament telemetry resilience bench bench-obs bench-kernel bench-kernel-gate bench-e2e bench-pairs paperbench clean
+.PHONY: check fmt-check vet build build-debug test race alloc-budget invariants degradation telemetry resilience bench bench-obs bench-kernel bench-kernel-gate bench-e2e bench-pairs paperbench clean
 
 check: fmt-check vet build build-debug race
 
@@ -83,17 +83,6 @@ degradation:
 	$(GO) test -count=1 ./internal/core -run 'Fault|ZeroIntensity|CCSurvives|Degradation'
 	$(GO) run ./cmd/paperbench degradation -radix 8 -short -intensities 0,0.6 -seeds 2 -check \
 		/tmp/ibcc-degradation.json
-
-# Backend tournament smoke: the tournament unit suite, then a reduced
-# bracket (radix 8, 2 seeds, 2 backends, one fault intensity) through
-# the paperbench CLI under the invariant checker, rendered back from
-# the JSON artifact with cctinspect.
-tournament:
-	$(GO) test -count=1 ./internal/tournament
-	$(GO) test -count=1 ./internal/cc -run 'Backend|RCM|Registry|NoCC|Oracle'
-	$(GO) run ./cmd/paperbench tournament -radix 8 -short -cc ibcc,nocc -intensities 0.6 -seeds 2 -check \
-		/tmp/ibcc-tournament.json
-	$(GO) run ./cmd/cctinspect -tournament /tmp/ibcc-tournament.json
 
 # Telemetry smoke: the telemetry unit suite (histogram quantile bounds,
 # sampler zero-perturbation, grid and views, span tracker, report schema,

@@ -8,11 +8,8 @@
 // -interval: per bin the throttle increments and decrements, the number
 // of flows holding congestion state, and the max and mean CCTI.
 //
-// With -tournament it instead renders a backend-tournament JSON
-// artifact (written by paperbench tournament) as the ranked comparison
-// table, and with -report it validates and summarizes a unified
-// run-report artifact (written by paperbench -report), rendering an
-// embedded tournament table when one is present.
+// With -report it instead validates and summarizes a unified run-report
+// artifact (written by paperbench -report).
 //
 // With -ckpt it validates a checkpoint file (or the newest one in a
 // directory) and prints its header: scenario, simulated clock, pending
@@ -21,7 +18,6 @@
 //	cctinspect -threshold 3
 //	cctinspect -run -radix 12 -fracb 100 -p 60 -interval 500us
 //	cctinspect -run -check    # the same, audited by the invariant checker
-//	cctinspect -tournament tour.json
 //	cctinspect -report run.json
 //	cctinspect -ckpt ckpts/
 package main
@@ -44,7 +40,6 @@ import (
 	"repro/internal/ib"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/tournament"
 )
 
 // runWarmup is the fixed warmup of the -run scenario.
@@ -65,7 +60,6 @@ func main() {
 		measure  = flag.Duration("measure", 3*time.Millisecond, fmt.Sprintf("-run measurement window (after a %v warmup)", runWarmup))
 		interval = flag.Duration("interval", 500*time.Microsecond, "-run table bucket size")
 		checkInv = flag.Bool("check", false, "run the -run scenario under the runtime invariant checker; exit non-zero on violations")
-		tourn    = flag.String("tournament", "", "render a backend-tournament JSON artifact (from paperbench tournament) and exit")
 		report   = flag.String("report", "", "validate and summarize a run-report JSON artifact (from paperbench -report) and exit; non-zero on schema violations")
 		ckptPath = flag.String("ckpt", "", "validate and summarize a checkpoint file (or the newest in a directory) and exit; non-zero on corruption")
 	)
@@ -79,13 +73,6 @@ func main() {
 
 	if *ckptPath != "" {
 		if err := renderCheckpoint(*ckptPath); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	if *tourn != "" {
-		if err := renderTournament(*tourn); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -199,27 +186,8 @@ func renderCheckpoint(path string) error {
 	return nil
 }
 
-// renderTournament reads a tournament JSON artifact and prints its
-// ranked comparison table.
-func renderTournament(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var tab tournament.Table
-	if err := json.Unmarshal(raw, &tab); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if len(tab.Cells) == 0 {
-		return fmt.Errorf("%s: no tournament cells", path)
-	}
-	tournament.Print(os.Stdout, &tab)
-	return nil
-}
-
 // renderReport validates a run-report artifact and prints its summary:
-// orchestration stats, telemetry aggregates, the kernel-bench trend,
-// and — for tournament reports — the embedded ranked table.
+// orchestration stats, telemetry aggregates and the kernel-bench trend.
 func renderReport(path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -261,14 +229,6 @@ func renderReport(path string) error {
 			fmt.Printf("  history  : %d bench points, drift %+.1f%% ns/event\n",
 				len(tr.History), tr.HistoryDriftPct)
 		}
-	}
-	if len(rep.Tournament) > 0 {
-		var tab tournament.Table
-		if err := json.Unmarshal(rep.Tournament, &tab); err != nil {
-			return fmt.Errorf("%s: tournament payload: %w", path, err)
-		}
-		fmt.Println()
-		tournament.Print(os.Stdout, &tab)
 	}
 	return nil
 }

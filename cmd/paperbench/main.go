@@ -10,8 +10,7 @@
 //	paperbench -jobs 8 -out results/   # 8 workers; persist + resume via JSON artifacts
 //	paperbench -serve :8080 -report run.json  # live dashboard + unified run report
 //	paperbench scan -scan threshold -check    # checked CC parameter sensitivity scan
-//	paperbench degradation -seeds 3 deg.json       # fault intensity x CC on/off
-//	paperbench tournament -cc ibcc,nocc tour.json  # backend tournament
+//	paperbench degradation -seeds 3 deg.json  # fault intensity x CC on/off
 //	paperbench diff-kernel -seeds 2    # timing wheel vs reference heap
 //	paperbench bench-kernel -baseline BENCH_kernel.json /tmp/fresh.json  # kernel benchmark + >10% gate
 //
@@ -19,7 +18,7 @@
 // -h` lists them): a flag of another command is a usage error, never
 // silently ignored. An output path goes after the flags.
 //
-// The sweep commands (experiments, scan, degradation, tournament) share
+// The sweep commands (experiments, scan, degradation) share
 // one harness: -jobs workers with tables bit-identical to a serial run,
 // a resumable -out artifact store, -check, -progress, -serve, -report,
 // and a graceful SIGINT/SIGTERM drain that leaves a manifest in -out.
@@ -91,8 +90,6 @@ var commands = []command{
 		"CC parameter sensitivity scans against a shared CC-off baseline", scanCmd},
 	{"degradation", "OUT.json", scenarioFlags | seedsFlag | ccFlag | sweepFlags,
 		"fault intensity x CC on/off sweep; writes the curves as JSON", degradationCmd},
-	{"tournament", "OUT.json", scenarioFlags | seedsFlag | bracketFlag | sweepFlags,
-		"CC backends x corpus x fault intensity; writes the ranked table as JSON", tournamentCmd},
 	{"diff-kernel", "", scenarioFlags | seedsFlag | ccFlag,
 		"Table II corpus on both event-list kernels under the invariant checker", diffKernelCmd},
 	{"bench-kernel", "OUT.json", 0,
@@ -161,8 +158,7 @@ type flagGroup uint8
 const (
 	scenarioFlags flagGroup = 1 << iota // -radix -seed -short
 	seedsFlag                           // -seeds
-	ccFlag                              // -cc: the one simulated backend
-	bracketFlag                         // -cc: the tournament's backend list
+	ccFlag                              // -cc: the simulated backend
 	sweepFlags                          // -jobs -out -progress -progress-jsonl -check -serve -serve-probe -report
 )
 
@@ -198,9 +194,6 @@ func (c *runConfig) register(fs *flag.FlagSet, g flagGroup) {
 	if g&ccFlag != 0 {
 		fs.StringVar(&c.cc, "cc", "", "congestion control backend by registry name (empty = the default)")
 	}
-	if g&bracketFlag != 0 {
-		fs.StringVar(&c.cc, "cc", "", "comma-separated backends to bracket (empty = every registered one)")
-	}
 	if g&sweepFlags != 0 {
 		fs.IntVar(&c.jobs, "jobs", 1, "simulation workers (0 = one per CPU)")
 		fs.StringVar(&c.out, "out", "", "artifact directory: persist every result as JSON and resume from it, reporting an interrupted run's manifest")
@@ -232,38 +225,18 @@ func (c *runConfig) validate(g flagGroup) error {
 			errs = append(errs, errors.New("-serve-probe requires -serve"))
 		}
 	}
-	names := []string{c.cc}
-	if g&bracketFlag != 0 {
-		names = c.bracket()
-	}
-	for _, n := range names {
-		if !ibcc.CCBackendKnown(n) {
-			errs = append(errs, fmt.Errorf("-cc: unknown backend %q (registered: %s)",
-				n, strings.Join(ibcc.CCBackends(), ", ")))
-		}
+	if !ibcc.CCBackendKnown(c.cc) {
+		errs = append(errs, fmt.Errorf("-cc: unknown backend %q (registered: %s)",
+			c.cc, strings.Join(ibcc.CCBackends(), ", ")))
 	}
 	return errors.Join(errs...)
-}
-
-// bracket is -cc as the tournament's backend list (empty = all).
-func (c *runConfig) bracket() []string {
-	if c.cc == "" {
-		return ibcc.CCBackends()
-	}
-	names := strings.Split(c.cc, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
-	return names
 }
 
 // base is the scenario every command derives its runs from.
 func (c *runConfig) base() ibcc.Scenario {
 	s := ibcc.DefaultScenario(c.radix)
 	s.Seed = c.seed
-	if ibcc.CCBackendKnown(c.cc) { // one name, not the tournament's list
-		s.Backend = c.cc
-	}
+	s.Backend = c.cc
 	if !c.short {
 		s.Warmup = 20 * ibcc.Millisecond
 		s.Measure = 100 * ibcc.Millisecond
@@ -322,10 +295,10 @@ func (c *runConfig) sweep(name, kind string, body func(sw *sweep) (payload []byt
 }
 
 // experiment runs one named batch of simulations — a figure, a scan,
-// the degradation grid, the tournament bracket — with the options every
-// command shares, then reports its cost from the progress counters. An
-// interrupt flushes a resumable manifest next to the artifacts and the
-// final telemetry snapshot into the report before failing.
+// the degradation grid — with the options every command shares, then
+// reports its cost from the progress counters. An interrupt flushes a
+// resumable manifest next to the artifacts and the final telemetry
+// snapshot into the report before failing.
 func (sw *sweep) experiment(name string, totalSims int, fn func(o ibcc.RunOpts) error) {
 	if sw.err != nil {
 		return
@@ -534,38 +507,6 @@ func degradationCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) 
 				}
 				fmt.Fprintf(c.w, "degradation: %d intensities x %d seeds x 2 CC legs in %v -> %s\n",
 					len(ins), len(seeds), time.Since(start).Round(time.Millisecond), path)
-				return nil
-			})
-			return data
-		})
-	}
-}
-
-// tournamentCmd is the backend tournament: every bracketed backend runs
-// the scenario corpus across the fault-intensity grid, each cell is
-// scored and ranked, and the table is printed and written as a JSON
-// artifact (render it again later with cctinspect -tournament), which
-// also goes into the run report.
-func tournamentCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) error) {
-	var ins []float64
-	return intensitiesFlag(fs, &ins), func(path string) error {
-		base, seeds, backends := c.base(), cliflag.Seeds(c.seed, c.seeds), c.bracket()
-		return c.sweep(base.Name, ibcc.ReportTournament, func(sw *sweep) (data []byte) {
-			sw.experiment("tournament", len(ibcc.DefaultTournamentCorpus())*len(ins)*len(seeds)*len(backends), func(o ibcc.RunOpts) error {
-				start := time.Now()
-				tab, err := ibcc.RunTournament(ibcc.TournamentConfig{
-					Base: base, Backends: backends, Intensities: ins, Seeds: seeds, Opts: o,
-				})
-				if err != nil {
-					return err
-				}
-				ibcc.PrintTournament(c.w, tab)
-				if data, err = writeJSON(path, tab); err != nil {
-					return err
-				}
-				fmt.Fprintf(c.w, "tournament: %d backends x %d shapes x %d intensities x %d seeds in %v -> %s\n",
-					len(tab.Backends), len(tab.Corpus), len(ins), len(seeds),
-					time.Since(start).Round(time.Millisecond), path)
 				return nil
 			})
 			return data

@@ -37,10 +37,10 @@ func TestFlagOfAnotherCommandIsAUsageError(t *testing.T) {
 		args []string
 		want string
 	}{
-		{[]string{"-radix", "8", "-degradation", p("a.json"), "-tournament", p("b.json")}, undefined},
+		{[]string{"-radix", "8", "-degradation", p("a.json")}, undefined},
 		{[]string{"-diff-kernel", "-jobs", "3", "-out", p("d"), "-report", p("r.json"), "-serve", "127.0.0.1:0"}, undefined},
 		{[]string{"diff-kernel", "-jobs", "3", "-out", p("d"), "-report", p("r.json"), "-serve", "127.0.0.1:0"}, undefined},
-		{[]string{"degradation", "-radix", "8", "-tournament", p("b.json"), p("a.json")}, undefined},
+		{[]string{"degradation", "-radix", "8", "-exp", "fig5", p("a.json")}, undefined},
 		{[]string{"scan", "-seeds", "2"}, undefined},
 		{[]string{"bench-kernel", "-radix", "8", p("b.json")}, undefined},
 		{[]string{"-radix", "6", "-short", "-exp", "fig5", "-pstep", "100", "-seeds", "3", "-out", p("d")}, "-seeds: -exp fig5 does not read it"},
@@ -51,7 +51,9 @@ func TestFlagOfAnotherCommandIsAUsageError(t *testing.T) {
 		{[]string{"-pstep", "0"}, "-pstep"},
 		{[]string{"scan", "-scan", "bogus", "-report", p("r.json")}, `-scan: unknown scan "bogus"`},
 		{[]string{"degradation", "-intensities", "2", p("a.json")}, "-intensities"},
-		{[]string{"tournament", "-intensities", "x", p("b.json")}, "-intensities"},
+		{[]string{"tournament", "-radix", "8", "-short", p("b.json")}, `unknown command "tournament"`},
+		{[]string{"-cc", "rcm", "-out", p("d")}, `-cc: unknown backend "rcm" (registered: ibcc, nocc, oracle)`},
+		{[]string{"degradation", "-cc", "ibcc,nocc", p("a.json")}, `-cc: unknown backend "ibcc,nocc" (registered: ibcc, nocc, oracle)`},
 		{[]string{"bench-kernel", "-events", "0", p("b.json")}, "-events"},
 	} {
 		code, _, stderr := invoke(tc.args...)
@@ -87,7 +89,6 @@ func TestEveryCommandRunsAtRadix8(t *testing.T) {
 		{[]string{"scan", "-radix", "8", "-short", "-scan", "increase", "-check"}, "best total at increase="},
 		{[]string{"degradation", "-radix", "8", "-short", "-intensities", "0", "-out", p("arts"),
 			"-serve", "127.0.0.1:0", "-serve-probe", "-report", p("r.json"), p("deg.json")}, "serve-probe: /metrics.json ok"},
-		{[]string{"tournament", "-radix", "8", "-short", "-cc", "nocc", "-intensities", "0", p("tour.json")}, "experiment tournament: 4 sims"},
 		{[]string{"diff-kernel", "-radix", "8", "-short"}, "zero invariant violations"},
 		{[]string{"bench-kernel", "-events", "20000", p("bench.json")}, "wrote " + p("bench.json")},
 	} {
@@ -96,7 +97,7 @@ func TestEveryCommandRunsAtRadix8(t *testing.T) {
 			t.Errorf("paperbench %v: exit %d, want %q in stdout:\n%s\nstderr:\n%s", tc.args, code, tc.want, stdout, stderr)
 		}
 	}
-	for _, f := range []string{"r.json", "deg.json", "tour.json", "bench.json"} {
+	for _, f := range []string{"r.json", "deg.json", "bench.json"} {
 		if _, err := os.Stat(p(f)); err != nil {
 			t.Error(err)
 		}

@@ -81,7 +81,7 @@ func (sw *sweep) fetchMetrics() error {
 
 // finish runs the final probe and writes the unified run report.
 // kind is one of the ibcc.Report* constants; payload is the raw
-// mode-specific JSON artifact (degradation curve, tournament table).
+// degradation curve JSON (nil for the experiments).
 func (sw *sweep) finish(kind string, payload []byte) error {
 	if sw.srv != nil && sw.serveProbe {
 		sw.mu.Lock()
@@ -115,13 +115,8 @@ func (sw *sweep) writeReport(kind string, payload []byte) error {
 		Seeds:       sw.seeds,
 		Sweep:       &st,
 		Telemetry:   &snap,
+		Degradation: payload,
 		Trend:       ibcc.LoadPerfTrend(".", st.EventsPerSec),
-	}
-	switch kind {
-	case ibcc.ReportDegradation:
-		rep.Degradation = payload
-	case ibcc.ReportTournament:
-		rep.Tournament = payload
 	}
 	if err := rep.Write(sw.report); err != nil {
 		return err

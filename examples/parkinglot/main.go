@@ -18,6 +18,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/fabric"
 	"repro/internal/ib"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -89,17 +90,6 @@ func run(ccOn bool) []float64 {
 	return rates
 }
 
-// jain computes Jain's fairness index: 1.0 is perfectly fair, 1/n is
-// maximally unfair.
-func jain(rates []float64) float64 {
-	var sum, sq float64
-	for _, r := range rates {
-		sum += r
-		sq += r * r
-	}
-	return sum * sum / (float64(len(rates)) * sq)
-}
-
 func main() {
 	fmt.Println("the parking lot problem: 4 senders, 3/2/1/0 hops from one destination")
 	fmt.Println()
@@ -116,7 +106,7 @@ func main() {
 			fmt.Printf("  %s %6.3fG", labels[i], r)
 			total += r
 		}
-		fmt.Printf("   total %6.3fG  fairness %.3f\n", total, jain(rates))
+		fmt.Printf("   total %6.3fG  fairness %.3f\n", total, metrics.Jain(rates))
 	}
 	fmt.Println()
 	fmt.Println("without CC, round-robin arbitration halves the rate per extra hop;")

@@ -43,7 +43,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/tournament"
 )
 
 // Re-exported durations for scenario configuration.
@@ -280,9 +279,9 @@ func NewTelemetryServer(hub *TelemetryHub, tracker *SpanTracker) *TelemetryServe
 }
 
 // RunReport is the unified end-of-run artifact: sweep statistics,
-// telemetry aggregates, the mode-specific payload (degradation curve,
-// tournament table, ...) and the performance trend against the
-// committed kernel benchmarks.
+// telemetry aggregates, the mode-specific payload (the degradation
+// curve) and the performance trend against the committed kernel
+// benchmarks.
 type RunReport = telemetry.RunReport
 
 // RunReportSchema is the schema identifier every RunReport carries.
@@ -292,7 +291,6 @@ const RunReportSchema = telemetry.ReportSchema
 const (
 	ReportExperiments = telemetry.ReportExperiments
 	ReportDegradation = telemetry.ReportDegradation
-	ReportTournament  = telemetry.ReportTournament
 )
 
 // PerfTrend relates a run's throughput to the committed kernel
@@ -346,27 +344,6 @@ func CCBackends() []string { return cc.Names() }
 // CCBackendKnown reports whether name selects a registered backend
 // (the empty string selects the default).
 func CCBackendKnown(name string) bool { return cc.Known(name) }
-
-// TournamentConfig describes one backend tournament: backends ×
-// scenario corpus × fault intensities × seeds.
-type TournamentConfig = tournament.Config
-
-// TournamentTable is the tournament's ranked-comparison artifact.
-type TournamentTable = tournament.Table
-
-// TournamentShape is one named scenario mutation of a tournament corpus.
-type TournamentShape = tournament.Shape
-
-// DefaultTournamentCorpus returns the standard corpus: the Table II
-// traffic shapes plus the paper's windy and moving variants.
-func DefaultTournamentCorpus() []TournamentShape { return tournament.DefaultCorpus() }
-
-// RunTournament executes a backend tournament and returns the ranked
-// table.
-func RunTournament(cfg TournamentConfig) (*TournamentTable, error) { return tournament.Run(cfg) }
-
-// PrintTournament renders a tournament table as text.
-func PrintTournament(w io.Writer, t *TournamentTable) { tournament.Print(w, t) }
 
 // CkptOpts configures cadence checkpointing for
 // Instance.ExecuteWithCheckpoints: the simulated-time interval, the

@@ -3,7 +3,6 @@ package cc
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/fabric"
 	"repro/internal/ib"
@@ -62,14 +61,11 @@ type Backend interface {
 type BackendConfig struct {
 	// Params is the IB CCA parameter set (the ibcc backend).
 	Params Params
-	// RCM tunes the DCQCN-style backend; the zero value selects
-	// DefaultRCMParams.
-	RCM RCMParams
 	// OracleShares is the clairvoyant per-flow fair-share allocation of
 	// the oracle backend: flows absent from the map are never gated.
 	OracleShares map[ib.FlowKey]sim.Rate
 	// InjectionRate is the host injection line rate, the reference the
-	// rate-based backends (oracle, rcm) compute pacing against.
+	// oracle computes pacing against.
 	InjectionRate sim.Rate
 }
 
@@ -80,23 +76,18 @@ type Factory func(net *fabric.Network, cfg BackendConfig) (Backend, error)
 // the classic IB CCA manager.
 const DefaultBackend = "ibcc"
 
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]Factory)
-)
-
-// Register adds a backend factory under a unique name. It is intended
-// for init-time registration; duplicate names panic.
-func Register(name string, f Factory) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if name == "" || f == nil {
-		panic("cc: Register needs a name and a factory")
-	}
-	if _, dup := registry[name]; dup {
-		panic("cc: duplicate backend " + name)
-	}
-	registry[name] = f
+// registry holds the backends: the IB CC annex under study and its two
+// bounds, nocc below and oracle above.
+var registry = map[string]Factory{
+	DefaultBackend: func(net *fabric.Network, cfg BackendConfig) (Backend, error) {
+		return New(net, cfg.Params)
+	},
+	"nocc": func(*fabric.Network, BackendConfig) (Backend, error) {
+		return NoCC{}, nil
+	},
+	"oracle": func(_ *fabric.Network, cfg BackendConfig) (Backend, error) {
+		return NewOracle(cfg.OracleShares, cfg.InjectionRate)
+	},
 }
 
 // Known reports whether a backend name is registered ("" counts: it is
@@ -105,16 +96,12 @@ func Known(name string) bool {
 	if name == "" {
 		name = DefaultBackend
 	}
-	registryMu.RLock()
-	defer registryMu.RUnlock()
 	_, ok := registry[name]
 	return ok
 }
 
 // Names returns the registered backend names, sorted.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
 	out := make([]string, 0, len(registry))
 	for name := range registry {
 		out = append(out, name)
@@ -129,17 +116,9 @@ func NewBackend(name string, net *fabric.Network, cfg BackendConfig) (Backend, e
 	if name == "" {
 		name = DefaultBackend
 	}
-	registryMu.RLock()
 	f := registry[name]
-	registryMu.RUnlock()
 	if f == nil {
 		return nil, fmt.Errorf("cc: unknown backend %q (registered: %v)", name, Names())
 	}
 	return f(net, cfg)
-}
-
-func init() {
-	Register(DefaultBackend, func(net *fabric.Network, cfg BackendConfig) (Backend, error) {
-		return New(net, cfg.Params)
-	})
 }

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,43 +26,17 @@ func backendNet(t *testing.T) *fabric.Network {
 }
 
 func TestRegistryNames(t *testing.T) {
-	names := Names()
-	for _, want := range []string{"ibcc", "nocc", "oracle", "rcm"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("registry missing %q: %v", want, names)
-		}
-		if !Known(want) {
-			t.Errorf("Known(%q) = false", want)
-		}
+	if got, want := Names(), []string{"ibcc", "nocc", "oracle"}; !slices.Equal(got, want) {
+		t.Errorf("Names() = %v, want %v", got, want)
 	}
-	if !Known("") {
-		t.Error("empty selector must resolve to the default backend")
+	for _, name := range []string{"", "ibcc", "nocc", "oracle"} {
+		if !Known(name) {
+			t.Errorf("Known(%q) = false", name)
+		}
 	}
 	if Known("bogus") {
 		t.Error("Known(bogus) = true")
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("Names() not sorted: %v", names)
-		}
-	}
-}
-
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	Register(DefaultBackend, func(*fabric.Network, BackendConfig) (Backend, error) {
-		return NoCC{}, nil
-	})
 }
 
 func TestNewBackendDefaultIsManager(t *testing.T) {

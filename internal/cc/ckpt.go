@@ -29,11 +29,8 @@ type Checkpointable interface {
 	DecodeAction(rec ckpt.EventRecord) (act sim.Action, attach func(*sim.Event), ok bool, err error)
 }
 
-// Checkpoint action kinds.
-const (
-	kindCCTick  = "ccTick"
-	kindRCMTick = "rcmTick"
-)
+// kindCCTick is the checkpoint action kind of the ibcc CA timer.
+const kindCCTick = "ccTick"
 
 // mgrFlowState is one throttled flow in the manager's export. Key is
 // the CA table key (destination LID, or -1 at SL level).
@@ -139,90 +136,3 @@ func (m *Manager) DecodeAction(rec ckpt.EventRecord) (sim.Action, func(*sim.Even
 }
 
 var _ Checkpointable = (*Manager)(nil)
-
-// rcmFlowState is one rate-limited flow in the RCM export.
-type rcmFlowState struct {
-	Dst   int      `json:"dst"`
-	RC    sim.Rate `json:"rc"`
-	RT    sim.Rate `json:"rt"`
-	Alpha float64  `json:"alpha"`
-	Ticks int      `json:"ticks"`
-}
-
-type rcmCAState struct {
-	Flows []rcmFlowState `json:"flows,omitempty"`
-}
-
-type rcmState struct {
-	CAs   []rcmCAState `json:"cas"`
-	Acc   [][]float64  `json:"acc"`
-	Stats Stats        `json:"stats"`
-}
-
-// ExportState implements Checkpointable for the DCQCN-style backend.
-func (r *RCM) ExportState() ([]byte, error) {
-	st := rcmState{CAs: make([]rcmCAState, len(r.ca)), Acc: r.acc, Stats: r.stats}
-	for i := range r.ca {
-		cs := &st.CAs[i]
-		for dst, fl := range r.ca[i].flows {
-			cs.Flows = append(cs.Flows, rcmFlowState{
-				Dst: int(dst), RC: fl.rc, RT: fl.rt, Alpha: fl.alpha, Ticks: fl.ticks,
-			})
-		}
-		sort.Slice(cs.Flows, func(a, b int) bool { return cs.Flows[a].Dst < cs.Flows[b].Dst })
-	}
-	return json.Marshal(&st)
-}
-
-// RestoreState implements Checkpointable.
-func (r *RCM) RestoreState(blob []byte) error {
-	var st rcmState
-	if err := json.Unmarshal(blob, &st); err != nil {
-		return fmt.Errorf("cc: decoding rcm state: %w", err)
-	}
-	if len(st.CAs) != len(r.ca) || len(st.Acc) != len(r.acc) {
-		return fmt.Errorf("cc: rcm state shape %d CAs/%d switches, want %d/%d",
-			len(st.CAs), len(st.Acc), len(r.ca), len(r.acc))
-	}
-	for i := range r.acc {
-		if len(st.Acc[i]) != len(r.acc[i]) {
-			return fmt.Errorf("cc: rcm accumulator table %d length %d, want %d", i, len(st.Acc[i]), len(r.acc[i]))
-		}
-		copy(r.acc[i], st.Acc[i])
-	}
-	for i := range r.ca {
-		ca := &r.ca[i]
-		ca.flows = make(map[ib.LID]*rcmFlow, len(st.CAs[i].Flows))
-		for _, fs := range st.CAs[i].Flows {
-			ca.flows[ib.LID(fs.Dst)] = &rcmFlow{rc: fs.RC, rt: fs.RT, alpha: fs.Alpha, ticks: fs.Ticks}
-		}
-		ca.timer = nil
-	}
-	r.stats = st.Stats
-	return nil
-}
-
-// EncodeAction implements Checkpointable (kind rcmTick, A0 = CA LID).
-func (r *RCM) EncodeAction(a sim.Action) (ckpt.EventRecord, bool) {
-	if t, ok := a.(*rcmTickAct); ok && t.r == r {
-		return ckpt.EventRecord{Kind: kindRCMTick, A0: int64(t.src)}, true
-	}
-	return ckpt.EventRecord{}, false
-}
-
-// DecodeAction implements Checkpointable.
-func (r *RCM) DecodeAction(rec ckpt.EventRecord) (sim.Action, func(*sim.Event), bool, error) {
-	if rec.Kind != kindRCMTick {
-		return nil, nil, false, nil
-	}
-	if rec.A0 < 0 || int(rec.A0) >= len(r.ca) {
-		return nil, nil, true, fmt.Errorf("cc: checkpoint references rcm CA %d of %d", rec.A0, len(r.ca))
-	}
-	ca := &r.ca[rec.A0]
-	if ca.tick == nil {
-		ca.tick = &rcmTickAct{r: r, src: ib.LID(rec.A0)}
-	}
-	return ca.tick, func(e *sim.Event) { ca.timer = e }, true, nil
-}
-
-var _ Checkpointable = (*RCM)(nil)

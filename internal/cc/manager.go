@@ -390,8 +390,8 @@ func (m *Manager) nextTick(ca *caState, period sim.Duration) sim.Time {
 }
 
 // nextGridTick returns the first point of the fixed grid phase + k·period
-// strictly after now; free-running CC timers (ibcc CCTI, rcm rate/alpha)
-// land their ticks on it so an idle stretch cannot re-phase them.
+// strictly after now; the free-running CCTI timer lands its ticks on it
+// so an idle stretch cannot re-phase it.
 func nextGridTick(now sim.Time, phase, period sim.Duration) sim.Time {
 	elapsed := now.Sub(sim.Time(phase))
 	var k int64

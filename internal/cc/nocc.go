@@ -9,7 +9,7 @@ import (
 // injection gating. Running a scenario with CCOn and the "nocc" backend
 // takes exactly the code path a CC-off build takes (zero fabric hooks,
 // nil throttle), so its trajectory is byte-identical to CCOn=false —
-// the tournament's floor on every congestion metric.
+// the floor on every congestion metric.
 type NoCC struct{}
 
 // Name implements Backend.
@@ -34,9 +34,3 @@ func (NoCC) CheckInvariants() error { return nil }
 func (NoCC) ThrottleSummary() (int, float64) { return 0, 0 }
 
 var _ Backend = NoCC{}
-
-func init() {
-	Register("nocc", func(*fabric.Network, BackendConfig) (Backend, error) {
-		return NoCC{}, nil
-	})
-}

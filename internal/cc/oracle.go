@@ -15,7 +15,7 @@ import (
 // it paces exactly those flows to their share from time zero. There is
 // no detection, no notification traffic and no control-loop transient —
 // victims are never gated, contributors never overshoot — so it bounds
-// what any reactive mechanism (ibcc, rcm) can achieve on the fairness
+// what the reactive mechanism (ibcc) can achieve on the fairness
 // and victim-throughput scores. The idiom follows the NoCC/OracleCC
 // baseline pair common in CC evaluation harnesses.
 type Oracle struct {
@@ -92,9 +92,3 @@ func (o *Oracle) IRD(src, dst ib.LID, wireBytes int) sim.Duration {
 }
 
 var _ Backend = (*Oracle)(nil)
-
-func init() {
-	Register("oracle", func(_ *fabric.Network, cfg BackendConfig) (Backend, error) {
-		return NewOracle(cfg.OracleShares, cfg.InjectionRate)
-	})
-}

@@ -162,7 +162,7 @@ func TestCheckpointRestoreContinuation(t *testing.T) {
 
 // TestCheckpointRestoreVariants covers the model features whose state
 // lives outside the Table II defaults: moving hotspots, SL-level
-// throttling, the separate hotspot VL, and the rcm backend.
+// throttling, the separate hotspot VL, and windy B nodes.
 func TestCheckpointRestoreVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("checkpoint variants are not short")
@@ -181,16 +181,12 @@ func TestCheckpointRestoreVariants(t *testing.T) {
 	vl.Name = "ckpt separate hotspot VL"
 	vl.SeparateHotspotVL = true
 
-	rcm := faultBase(5)
-	rcm.Name = "ckpt rcm backend"
-	rcm.Backend = "rcm"
-
 	windy := faultBase(6)
 	windy.Name = "ckpt windy B=25% p=60"
 	windy.FracBPct = 25
 	windy.PPercent = 60
 
-	for _, s := range []Scenario{moving, sl, vl, rcm, windy} {
+	for _, s := range []Scenario{moving, sl, vl, windy} {
 		requireIdentical(t, s.Name, straightSig(t, s), resumedSig(t, s, cut))
 	}
 }
@@ -433,6 +429,20 @@ func TestRestoreRejectsCorruptCRCValidCheckpoint(t *testing.T) {
 			o.Qbytes[lost.VL] -= wire
 		},
 		"pool gets off by one": func(t *testing.T, _ *ckpt.Snapshot, st *fabric.State) { st.Pool.Gets++ },
+		// A checkpoint of a backend the registry no longer holds.
+		"scenario naming a removed backend": func(t *testing.T, snap *ckpt.Snapshot, _ *fabric.State) {
+			var sc map[string]json.RawMessage
+			if err := json.Unmarshal(snap.Scenario, &sc); err != nil {
+				t.Fatal(err)
+			}
+			sc["CCOn"], sc["Backend"] = json.RawMessage(`true`), json.RawMessage(`"rcm"`)
+			snap.Scenario, _ = json.Marshal(sc)
+			snap.Backend, snap.CC = "rcm", json.RawMessage(`{}`)
+		},
+	}
+	// Cases whose error must say what is wrong, not just fail.
+	wantErr := map[string]string{
+		"scenario naming a removed backend": `unknown cc backend "rcm" (registered: [ibcc nocc oracle])`,
 	}
 	for name, corrupt := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -450,8 +460,12 @@ func TestRestoreRejectsCorruptCRCValidCheckpoint(t *testing.T) {
 			if err := ckpt.Encode(&buf, &snap); err != nil {
 				t.Fatalf("sealing the corrupt snapshot: %v", err)
 			}
-			if _, err := Restore(&buf); err == nil {
+			_, err := Restore(&buf)
+			if err == nil {
 				t.Fatal("corrupt checkpoint restored without error")
+			}
+			if want := wantErr[name]; !strings.Contains(err.Error(), want) {
+				t.Fatalf("restore error %q does not say %q", err, want)
 			}
 		})
 	}

@@ -66,31 +66,16 @@ func RunDegradationOpts(base Scenario, intensities []float64, seeds []uint64, o 
 	if len(intensities) == 0 || len(seeds) == 0 {
 		return nil, fmt.Errorf("core: degradation sweep needs intensities and seeds")
 	}
-	// One topology build serves every plan synthesis: the link set
-	// depends only on the radix.
-	tp, err := topo.FatTree(base.Radix)
+	plans, err := degradationPlans(base, intensities, seeds)
 	if err != nil {
 		return nil, err
 	}
-	links := fault.FabricLinks(tp)
-	horizon := sim.Time(0).Add(base.Warmup + base.Measure)
-
-	rows := make([]PaperRow, 0, len(intensities)*len(seeds))
+	rows := make([]PaperRow, 0, len(plans))
 	for ii, in := range intensities {
-		for _, seed := range seeds {
-			plan, err := fault.Synth(fault.SynthConfig{
-				Seed:        seed ^ (degradationPlanSalt + uint64(ii)*0x9e3779b97f4a7c15),
-				Intensity:   in,
-				Links:       links,
-				Horizon:     horizon,
-				SampleEvery: (base.Warmup + base.Measure) / degradationSamples,
-			})
-			if err != nil {
-				return nil, err
-			}
+		for si, seed := range seeds {
 			s := base
 			s.Seed = seed
-			s.Faults = plan
+			s.Faults = plans[ii*len(seeds)+si]
 			rows = append(rows, pair(s, fmt.Sprintf("degradation in=%.2f seed=%d", in, seed)))
 		}
 	}
@@ -107,6 +92,36 @@ func RunDegradationOpts(base Scenario, intensities []float64, seeds []uint64, o 
 		}
 	}
 	return out, nil
+}
+
+// degradationPlans synthesizes the sweep's fault plans over base's
+// fabric and windows, one per (intensity, seed) cell in intensity-major
+// order. One topology build serves every synthesis: the link set
+// depends only on the radix.
+func degradationPlans(base Scenario, intensities []float64, seeds []uint64) ([]*fault.Plan, error) {
+	tp, err := topo.FatTree(base.Radix)
+	if err != nil {
+		return nil, err
+	}
+	links := fault.FabricLinks(tp)
+	horizon := sim.Time(0).Add(base.Warmup + base.Measure)
+	plans := make([]*fault.Plan, 0, len(intensities)*len(seeds))
+	for ii, in := range intensities {
+		for _, seed := range seeds {
+			plan, err := fault.Synth(fault.SynthConfig{
+				Seed:        seed ^ (degradationPlanSalt + uint64(ii)*0x9e3779b97f4a7c15),
+				Intensity:   in,
+				Links:       links,
+				Horizon:     horizon,
+				SampleEvery: (base.Warmup + base.Measure) / degradationSamples,
+			})
+			if err != nil {
+				return nil, err
+			}
+			plans = append(plans, plan)
+		}
+	}
+	return plans, nil
 }
 
 // degradationLeg aggregates one CC setting of a sweep point across the

@@ -147,10 +147,10 @@ func buildGolden(t *testing.T) *goldenRecord {
 
 // goldenVariantScenarios are the scenario shapes the checkpoint suite
 // builds — each exercises fabric state the windy point never touches:
-// moving hotspots, a second data VL, the rate-based backend, the fault
-// layer (flaps, stalls, degraded serializers, packet and credit drops)
-// and store-and-forward timing. (The sixth variant, dateline VL
-// switching on a torus, runs below core: goldenTorus.)
+// moving hotspots, a second data VL, the fault layer (flaps, stalls,
+// degraded serializers, packet and credit drops) and store-and-forward
+// timing. (The fifth variant, dateline VL switching on a torus, runs
+// below core: goldenTorus.)
 func goldenVariantScenarios(t *testing.T) map[string]Scenario {
 	t.Helper()
 	moving := faultBase(2)
@@ -158,9 +158,6 @@ func goldenVariantScenarios(t *testing.T) map[string]Scenario {
 
 	vl := faultBase(4)
 	vl.SeparateHotspotVL = true
-
-	rcm := faultBase(5)
-	rcm.Backend = "rcm"
 
 	faulted := faultBase(7)
 	faulted.Faults = synthFor(t, &faulted, 77, 0.7)
@@ -174,7 +171,6 @@ func goldenVariantScenarios(t *testing.T) map[string]Scenario {
 	out := map[string]Scenario{
 		"moving_hotspots":     moving,
 		"separate_hotspot_vl": vl,
-		"rcm_backend":         rcm,
 		"faulted":             faulted,
 		"store_and_forward":   saf,
 	}

@@ -71,27 +71,12 @@ func (o *Opts) workers() int {
 	return o.Workers
 }
 
-// runBatch executes the scenarios on a worker pool and returns their
-// results in submission order.
+// runBatch is the single execution funnel of every sweep driver: the
+// pool loop with spans, artifact lookup and the result hook around
+// runOne, returning results in submission order.
 func runBatch(o Opts, scenarios []Scenario) ([]*Result, error) {
-	trs, err := runTreedBatch(o, scenarios, false)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Result, len(trs))
-	for i, tr := range trs {
-		out[i] = tr.Result
-	}
-	return out, nil
-}
-
-// runTreedBatch is the single execution funnel of every sweep driver:
-// the pool loop with spans, artifact lookup and the result hook around
-// runOne, with the congestion-tree analyzer attached to every fresh run
-// when tree is set.
-func runTreedBatch(o Opts, scenarios []Scenario, tree bool) ([]*TreedResult, error) {
 	var mu sync.Mutex
-	return par.MapWorker(o.Ctx, o.workers(), len(scenarios), func(worker, i int) (*TreedResult, error) {
+	return par.MapWorker(o.Ctx, o.workers(), len(scenarios), func(worker, i int) (*Result, error) {
 		s := scenarios[i]
 		span := o.Spans.Begin(s.Name, worker)
 		// The pool turns a panic into a *par.PanicError above this
@@ -103,58 +88,50 @@ func runTreedBatch(o Opts, scenarios []Scenario, tree bool) ([]*TreedResult, err
 				panic(v)
 			}
 		}()
-		var tr *TreedResult
+		var r *Result
 		cached := false
 		if o.Lookup != nil {
-			var r *Result
-			if r, cached = o.Lookup(s); cached {
-				tr = &TreedResult{Result: r}
-			}
+			r, cached = o.Lookup(s)
 		}
 		if !cached {
 			var err error
-			if tr, err = o.runOne(s, tree); err != nil {
+			if r, err = o.runOne(s); err != nil {
 				o.Spans.End(span, 0, false, err.Error())
 				return nil, err
 			}
 		}
-		o.Spans.End(span, tr.Result.Events, cached, "")
+		o.Spans.End(span, r.Events, cached, "")
 		if o.OnResult != nil {
 			mu.Lock()
-			o.OnResult(s, tr.Result, cached)
+			o.OnResult(s, r, cached)
 			mu.Unlock()
 		}
-		return tr, nil
+		return r, nil
 	})
 }
 
 // runOne builds, instruments, executes and reports one fresh scenario:
-// the tree analyzer when tree is set, a telemetry sampler when the sweep
-// carries a hub, the invariant checker when Check is set. With none of
-// them no bus is created and it is exactly Run. A run with violations
-// returns its result alongside the error.
-func (o *Opts) runOne(s Scenario, tree bool) (*TreedResult, error) {
+// a telemetry sampler when the sweep carries a hub, the invariant
+// checker when Check is set. With neither no bus is created and it is
+// exactly Run. A run with violations returns its result alongside the
+// error.
+func (o *Opts) runOne(s Scenario) (*Result, error) {
 	in, err := Build(s)
 	if err != nil {
 		return nil, err
 	}
 	smp := o.Telemetry.StartRun(s.Name)
-	var ob *Observation
-	if tree || smp != nil {
-		ob = in.Observe(ObserveOpts{Tree: tree, Telemetry: smp})
+	if smp != nil {
+		in.Observe(ObserveOpts{Telemetry: smp})
 	}
 	var ck *check.Checker
 	if o.Check {
 		ck = in.Check(CheckOpts{})
 	}
-	tr := &TreedResult{Result: in.Execute()}
+	r := in.Execute()
 	o.Telemetry.FinishRun(smp)
-	if ob != nil {
-		tr.Trees = ob.TreeReport()
-	}
 	if ck != nil {
-		tr.Check = ck.Report()
-		return tr, tr.Check.Err()
+		return r, ck.Report().Err()
 	}
-	return tr, nil
+	return r, nil
 }

@@ -267,21 +267,22 @@ func TestTelemetryDoesNotPerturbSweep(t *testing.T) {
 	}
 }
 
-// TestTelemetryWithCheckedTreedBatch exercises the tournament path: the
-// sampler shares the bus with the tree analyzer and invariant checker.
-func TestTelemetryWithCheckedTreedBatch(t *testing.T) {
+// TestTelemetryWithCheckedBatch runs a two-run batch through the sweep
+// funnel with a hub, a tracker and the invariant checker: the sampler
+// shares the bus with the checker.
+func TestTelemetryWithCheckedBatch(t *testing.T) {
 	s := quick(8)
 	hub := telemetry.NewHub(0)
 	tr := telemetry.NewTracker()
 	tr.AddTotal(2)
 	s2 := s
 	s2.Seed = 7
-	res, err := RunTreedBatch(Opts{Check: true, Telemetry: hub, Spans: tr}, []Scenario{s, s2})
+	res, err := runBatch(Opts{Check: true, Telemetry: hub, Spans: tr}, []Scenario{s, s2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 2 || res[0].Trees == nil {
-		t.Fatalf("treed results: %+v", res)
+	if len(res) != 2 || res[0] == nil || res[1] == nil {
+		t.Fatalf("batch results: %+v", res)
 	}
 	snap := hub.Snapshot()
 	if snap.Runs != 2 {

@@ -48,8 +48,8 @@ func (s *Stats) DroppedPackets() uint64 {
 // scheduled fault (Recovery > 0), or there was nothing to recover from
 // (Recovery == 0: no scheduled faults or no samples). A nil receiver —
 // a run without an injector at all — is trivially recovered. Only
-// Recovery < 0 (never regained within the horizon) counts as failed;
-// the degradation and tournament reducers share this reading.
+// Recovery < 0 (never regained within the horizon) counts as failed,
+// as the degradation reducer reads it.
 func (s *Stats) Recovered() bool {
 	return s == nil || s.Recovery >= 0
 }

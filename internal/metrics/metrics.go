@@ -210,3 +210,22 @@ func Percentiles(vals []float64, ps ...float64) []float64 {
 	}
 	return out
 }
+
+// Jain is the Jain fairness index of the sample: (Σx)²/(n·Σx²), 1 when
+// every value is equal and 1/n when one value holds everything. An
+// all-zero sample is perfectly (if vacuously) fair and scores 1; an
+// empty sample scores 0 — there is no population to be fair to.
+func Jain(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var sum, sumsq float64
+	for _, x := range xs {
+		sum += x
+		sumsq += x * x
+	}
+	if sumsq == 0 {
+		return 1
+	}
+	return sum * sum / (float64(len(xs)) * sumsq)
+}

@@ -208,3 +208,24 @@ func TestPercentiles(t *testing.T) {
 		t.Fatalf("clamped percentiles = %v", got)
 	}
 }
+
+func TestJain(t *testing.T) {
+	cases := []struct {
+		name string
+		xs   []float64
+		want float64
+	}{
+		{"empty", nil, 0},
+		{"all-zero", []float64{0, 0, 0}, 1},
+		{"single-zero", []float64{0}, 1},
+		{"equal", []float64{5, 5, 5, 5}, 1},
+		{"one-takes-all", []float64{8, 0, 0, 0}, 0.25},
+		{"two-to-one", []float64{2, 1}, 0.9},
+		{"single", []float64{3}, 1},
+	}
+	for _, c := range cases {
+		if got := Jain(c.xs); math.Abs(got-c.want) > 1e-9 {
+			t.Errorf("%s: Jain = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

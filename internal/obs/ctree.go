@@ -119,32 +119,6 @@ func (r *TreeReport) HotspotSet() map[ib.LID]bool {
 // Class returns the classification of flow f.
 func (r *TreeReport) Class(f ib.FlowKey) FlowClass { return r.Flows[f] }
 
-// PureVictimSources returns, sorted, the source nodes classified as
-// pure victims: at least one victim flow and no contributor flow. With
-// zero reconstructed trees every observed source is a victim — nothing
-// marked, so nothing contributed — which is exactly what a markless
-// congestion-control backend looks like from the FECN record.
-func (r *TreeReport) PureVictimSources() []ib.LID {
-	contrib := make(map[ib.LID]bool)
-	victim := make(map[ib.LID]bool)
-	for f, class := range r.Flows {
-		switch class {
-		case FlowContributor:
-			contrib[f.Src] = true
-		case FlowVictim:
-			victim[f.Src] = true
-		}
-	}
-	out := make([]ib.LID, 0, len(victim))
-	for src := range victim {
-		if !contrib[src] {
-			out = append(out, src)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // WriteTo renders the report as the table ibccsim -ctree prints.
 func (r *TreeReport) WriteTo(w io.Writer) (int64, error) {
 	var n int64

@@ -2,7 +2,7 @@
 // experiment harness: it fans a fixed set of independent tasks out
 // across goroutines while returning results in submission order, so a
 // parallel sweep reduces to bit-identical aggregates as a serial one.
-// Its one user is the sweep funnel of internal/core (runTreedBatch).
+// Its one user is the sweep funnel of internal/core (runBatch).
 package par
 
 import (

@@ -18,7 +18,7 @@ import (
 // differentialCorpus is the small-scenario corpus the aggregate tier is
 // held to its per-event references on: both radices the sweep benchmark
 // and the unit suites run at, every CC backend family (classic CCA, off,
-// the rate-based rcm that publishes no CCTI steps), hotspots that move
+// the oracle whose gate publishes no CCTI steps), hotspots that move
 // so congestion trees form and dissolve inside a run, hotspot traffic on
 // its own lane, and a fault plan that flaps a switch port and a host
 // link and drops every class — credit updates included, whose publishes
@@ -40,7 +40,7 @@ func differentialCorpus() []core.Scenario {
 	}
 	add(base(8, "r8 cc on"), nil)
 	add(base(8, "r8 cc off"), func(s *core.Scenario) { s.CCOn = false })
-	add(base(8, "r8 rcm"), func(s *core.Scenario) { s.Backend = "rcm" })
+	add(base(8, "r8 oracle"), func(s *core.Scenario) { s.Backend = "oracle" })
 	add(base(12, "r12 windy cc on"), func(s *core.Scenario) { s.FracBPct, s.PPercent = 100, 60 })
 	add(base(12, "r12 cc off"), func(s *core.Scenario) { s.CCOn = false; s.Seed = 7 })
 	add(base(8, "r8 moving hotspots"), func(s *core.Scenario) { s.HotspotLifetime = 80 * sim.Microsecond; s.Seed = 3 })

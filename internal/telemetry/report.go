@@ -18,7 +18,6 @@ const ReportSchema = "ibcc.run-report/1"
 const (
 	ReportExperiments = "experiments"
 	ReportDegradation = "degradation"
-	ReportTournament  = "tournament"
 )
 
 // BenchPoint is one BENCH_history.json entry and trend comparison
@@ -96,7 +95,6 @@ type RunReport struct {
 	Telemetry *HubSnapshot `json:"telemetry,omitempty"`
 
 	Degradation json.RawMessage `json:"degradation,omitempty"`
-	Tournament  json.RawMessage `json:"tournament,omitempty"`
 
 	Trend *Trend `json:"trend,omitempty"`
 }
@@ -105,7 +103,6 @@ type RunReport struct {
 var validKinds = map[string]bool{
 	ReportExperiments: true,
 	ReportDegradation: true,
-	ReportTournament:  true,
 }
 
 // Validate checks the report's structural invariants: the schema marker,
@@ -129,21 +126,14 @@ func (r *RunReport) Validate() error {
 		if len(r.Degradation) == 0 {
 			return fmt.Errorf("run-report: kind degradation without degradation payload")
 		}
-	case ReportTournament:
-		if len(r.Tournament) == 0 {
-			return fmt.Errorf("run-report: kind tournament without tournament payload")
-		}
 	case ReportExperiments:
 		if r.Sweep == nil {
 			return fmt.Errorf("run-report: kind experiments without sweep stats")
 		}
 	}
-	for _, raw := range []json.RawMessage{r.Degradation, r.Tournament} {
-		if len(raw) == 0 {
-			continue
-		}
+	if len(r.Degradation) > 0 {
 		var v any
-		if err := json.Unmarshal(raw, &v); err != nil {
+		if err := json.Unmarshal(r.Degradation, &v); err != nil {
 			return fmt.Errorf("run-report: embedded payload is not valid JSON: %v", err)
 		}
 	}

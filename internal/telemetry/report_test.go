@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -11,34 +12,50 @@ func validReport() *RunReport {
 	return &RunReport{
 		Schema:      ReportSchema,
 		GeneratedAt: "2026-08-07T00:00:00Z",
-		Kind:        ReportTournament,
+		Kind:        ReportDegradation,
 		Name:        "smoke",
 		Radix:       8,
 		Seeds:       2,
 		Sweep:       &SweepStats{Total: 4, Done: 4},
-		Tournament:  json.RawMessage(`{"cells":[]}`),
+		Degradation: json.RawMessage(`[]`),
 	}
 }
 
+// TestReportValidate mutates a valid report one field at a time; each
+// mutant must be refused by Validate and, written out as JSON, by
+// ValidateReport, with the error naming what is wrong.
 func TestReportValidate(t *testing.T) {
 	if err := validReport().Validate(); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
 	}
-	cases := map[string]func(r *RunReport){
-		"bad schema":        func(r *RunReport) { r.Schema = "ibcc.run-report/0" },
-		"no generated_at":   func(r *RunReport) { r.GeneratedAt = "" },
-		"bad kind":          func(r *RunReport) { r.Kind = "sweep" },
-		"no name":           func(r *RunReport) { r.Name = "" },
-		"missing payload":   func(r *RunReport) { r.Tournament = nil },
-		"corrupt payload":   func(r *RunReport) { r.Tournament = json.RawMessage(`{"cells":`) },
-		"degradation empty": func(r *RunReport) { r.Kind = ReportDegradation },
-		"experiments sweep": func(r *RunReport) { r.Kind = ReportExperiments; r.Sweep = nil },
+	cases := map[string]struct {
+		mutate func(r *RunReport)
+		want   string
+	}{
+		"bad schema":        {func(r *RunReport) { r.Schema = "ibcc.run-report/0" }, "schema"},
+		"no generated_at":   {func(r *RunReport) { r.GeneratedAt = "" }, "generated_at"},
+		"bad kind":          {func(r *RunReport) { r.Kind = "sweep" }, "unknown kind"},
+		"tournament kind":   {func(r *RunReport) { r.Kind = "tournament" }, "unknown kind"},
+		"no name":           {func(r *RunReport) { r.Name = "" }, "missing name"},
+		"missing payload":   {func(r *RunReport) { r.Degradation = nil }, "without degradation payload"},
+		"corrupt payload":   {func(r *RunReport) { r.Degradation = json.RawMessage(`[{"intensity":`) }, "not valid JSON"},
+		"experiments sweep": {func(r *RunReport) { r.Kind = ReportExperiments; r.Sweep = nil }, "without sweep stats"},
 	}
-	for name, mutate := range cases {
+	for name, c := range cases {
 		r := validReport()
-		mutate(r)
-		if err := r.Validate(); err == nil {
-			t.Errorf("%s: accepted", name)
+		c.mutate(r)
+		if err := r.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", name, err, c.want)
+		}
+		if name == "corrupt payload" {
+			continue // json.Marshal refuses an invalid RawMessage itself
+		}
+		data, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := ValidateReport(data); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ValidateReport = %v, want an error naming %q", name, err, c.want)
 		}
 	}
 }
@@ -56,7 +73,7 @@ func TestReportWriteAndValidateBytes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
-	if r.Kind != ReportTournament || r.Radix != 8 {
+	if r.Kind != ReportDegradation || r.Radix != 8 {
 		t.Fatalf("round-tripped report: %+v", r)
 	}
 	bad := &RunReport{Schema: ReportSchema}

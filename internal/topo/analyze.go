@@ -130,28 +130,3 @@ func (a *Analysis) Print(w io.Writer) {
 	fmt.Fprintf(w, "inter-switch link load: min %d, max %d, balance %.3f\n",
 		a.MinLoad, a.MaxLoad, a.Balance())
 }
-
-// WriteDOT emits the topology as a Graphviz graph, hosts as boxes and
-// switches as ellipses.
-func WriteDOT(w io.Writer, t *Topology) error {
-	if _, err := fmt.Fprintf(w, "graph %q {\n", t.Name); err != nil {
-		return err
-	}
-	for i := range t.Nodes {
-		n := &t.Nodes[i]
-		shape := "ellipse"
-		if n.Kind == Host {
-			shape = "box"
-		}
-		if _, err := fmt.Fprintf(w, "  n%d [label=%q shape=%s];\n", n.ID, n.Name, shape); err != nil {
-			return err
-		}
-	}
-	for _, l := range t.Links() {
-		if _, err := fmt.Fprintf(w, "  n%d -- n%d;\n", l[0][0], l[1][0]); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
-}

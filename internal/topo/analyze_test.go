@@ -90,20 +90,3 @@ func TestAnalysisPrint(t *testing.T) {
 		}
 	}
 }
-
-func TestWriteDOT(t *testing.T) {
-	tp, _ := SingleSwitch(3)
-	var sb strings.Builder
-	if err := WriteDOT(&sb, tp); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"graph", "shape=box", "shape=ellipse", "--"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("DOT missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Count(out, "--") != 3 {
-		t.Fatalf("edge count wrong:\n%s", out)
-	}
-}

@@ -96,9 +96,6 @@ func routingCorpus(t *testing.T) []*Topology {
 	add(FatTreeDegraded(12, DeadSpines(0, 3)))
 	add(FatTreeDegraded(18, func(leaf, spine int) bool { return (leaf+2*spine)%5 == 0 }))
 	add(FatTreeDegraded(36, DeadSpines(17)))
-	for _, kn := range [][2]int{{2, 2}, {2, 3}, {3, 2}, {4, 3}, {3, 4}} {
-		add(KAryNTree(kn[0], kn[1]))
-	}
 	add(grid(Mesh2D(3, 4, 2)))
 	add(grid(Torus2D(4, 4, 1)))
 	add(grid(Torus2D(5, 3, 3)))
