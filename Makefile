@@ -46,13 +46,21 @@ race:
 # and the radix-18 moving-CC run keeps its budget with both attached
 # (TestObservedMovingCCZeroAllocAtRadix18, matched by 'ZeroAlloc');
 # the bus's port table is sized once, when the fabric attaches it, and
-# a row keeps a hop's fields in one cache line.
+# a row keeps a hop's fields in one cache line. A run allocates per
+# slab, not per object: a whole radix-12 Table II CC-on run and 1 ms at
+# radix 36 stay under a fixed count (packets, events and pooled actions
+# carved from doubling chunks), Build grows by fewer allocations than
+# the hosts it adds from radix 12 to 36, and under the debug tag a
+# chunk-carved packet keeps the ownership rules while a restore-built
+# one is still adopted.
 alloc-budget:
-	$(GO) test -count=1 ./internal/core -run 'ZeroAlloc'
+	$(GO) test -count=1 ./internal/core -run 'ZeroAlloc|PerSlab'
+	$(GO) test -count=1 ./internal/slab
 	$(GO) test -count=1 ./internal/obs -run 'Allocs|TableOnce|PortCountersLayout'
 	$(GO) test -count=1 ./internal/telemetry -run 'BuildsNoPerHopEvents'
 	$(GO) test -count=1 ./internal/traffic -run 'Slots|Differential'
 	$(GO) test -count=1 ./internal/fabric -run 'PortLayoutBudget|NewAllocatesPerNodeNotPerPort'
+	$(GO) test -count=1 -tags debug ./internal/ib -run 'ChunkCarved|RestoreBuilt'
 
 # Runtime invariant + differential kernel suite: the internal/check unit
 # tests, the FEL-order probe — which lives in the kernel's run loops —

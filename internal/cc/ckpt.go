@@ -129,10 +129,7 @@ func (m *Manager) DecodeAction(rec ckpt.EventRecord) (sim.Action, func(*sim.Even
 		return nil, nil, true, fmt.Errorf("cc: checkpoint references CA %d of %d", rec.A0, len(m.ca))
 	}
 	ca := &m.ca[rec.A0]
-	if ca.tick == nil {
-		ca.tick = &caTickAct{m: m, src: ib.LID(rec.A0)}
-	}
-	return ca.tick, func(e *sim.Event) { ca.timer = e }, true, nil
+	return &ca.tick, func(e *sim.Event) { ca.timer = e }, true, nil
 }
 
 var _ Checkpointable = (*Manager)(nil)

@@ -62,7 +62,7 @@ type caState struct {
 	// allocates nothing once the slice has grown to the working size.
 	flows []caFlow
 	timer *sim.Event
-	tick  sim.Action // pre-bound timer callback, created on first arm
+	tick  caTickAct // pre-bound timer callback
 	phase sim.Duration
 	// fecnPending, in BECNOnACK mode, remembers per remote source
 	// whether the in-progress message has carried a FECN (per-flow
@@ -120,9 +120,16 @@ func New(net *fabric.Network, p Params) (*Manager, error) {
 	m.thr = p.ThresholdBytes(m.thrCap)
 	nv := cfg.NumVLs
 	tp := net.Topology()
+	// Every switch's row is a stretch of one slab.
 	m.mark = make([][]uint16, len(net.Switches()))
+	cells := 0
 	for _, sw := range net.Switches() {
-		m.mark[sw.Index()] = make([]uint16, len(tp.Nodes[sw.NodeID()].Ports)*nv)
+		cells += len(tp.Nodes[sw.NodeID()].Ports) * nv
+	}
+	marks := make([]uint16, cells)
+	for _, sw := range net.Switches() {
+		k := len(tp.Nodes[sw.NodeID()].Ports) * nv
+		m.mark[sw.Index()], marks = marks[:k:k], marks[k:]
 	}
 	m.ca = make([]caState, net.NumHosts())
 	// Every CA's table starts on its own stretch of one array, capped so
@@ -131,9 +138,11 @@ func New(net *fabric.Network, p Params) (*Manager, error) {
 	period := sim.Duration(p.CCTITimer) * TimerUnit
 	for i := range m.ca {
 		m.ca[i].flows = tables[i*caFlowsCap : i*caFlowsCap : (i+1)*caFlowsCap]
+		m.ca[i].tick = caTickAct{m: m, src: ib.LID(i)}
 		if period > 0 {
 			// Deterministic per-CA phase of the free-running timer.
-			m.ca[i].phase = sim.Duration(sim.NewRNG(uint64(i)+1).Uint64() % uint64(period))
+			rng := sim.SeedRNG(uint64(i) + 1)
+			m.ca[i].phase = sim.Duration(rng.Uint64() % uint64(period))
 		}
 	}
 	return m, nil
@@ -322,11 +331,8 @@ func (m *Manager) armTimer(src ib.LID) {
 	if ca.timer != nil {
 		return
 	}
-	if ca.tick == nil {
-		ca.tick = &caTickAct{m: m, src: src}
-	}
 	period := sim.Duration(m.params.CCTITimer) * TimerUnit
-	ca.timer = m.simr.ScheduleActionAt(m.nextTick(ca, period), ca.tick)
+	ca.timer = m.simr.ScheduleActionAt(m.nextTick(ca, period), &ca.tick)
 }
 
 // caTickAct is a CA's pre-bound timer callback; one per CA keeps the
@@ -379,7 +385,7 @@ func (m *Manager) timerTick(src ib.LID) {
 	}
 	if len(ca.flows) > 0 {
 		period := sim.Duration(m.params.CCTITimer) * TimerUnit
-		ca.timer = m.simr.ScheduleAction(period, ca.tick)
+		ca.timer = m.simr.ScheduleAction(period, &ca.tick)
 	}
 }
 

@@ -118,12 +118,15 @@ func (t *PacketTable) Ref(p *ib.Packet) int {
 func (t *PacketTable) Records() []PacketRecord { return t.recs }
 
 // RestoreTable materializes every packet of a snapshot for the restore
-// side. Packets are allocated directly — never through a pool — because
-// the pool's traffic counters are restored wholesale from the snapshot.
+// side. Packets are carved from one slab — never taken from a pool —
+// because the pool's traffic counters are restored wholesale from the
+// snapshot; the pool adopts them when they are released.
 func RestoreTable(recs []PacketRecord) *PacketTable {
 	t := &PacketTable{recs: recs, pkts: make([]*ib.Packet, len(recs)), claimed: make([]bool, len(recs))}
+	backing := make([]ib.Packet, len(recs))
 	for i, r := range recs {
-		t.pkts[i] = &ib.Packet{
+		t.pkts[i] = &backing[i]
+		backing[i] = ib.Packet{
 			ID: r.ID, Type: ib.PacketType(r.Type), Src: r.Src, Dst: r.Dst,
 			SL: ib.SL(r.SL), VL: ib.VL(r.VL), PayloadBytes: r.PayloadBytes,
 			FECN: r.FECN, BECN: r.BECN, Hotspot: r.Hotspot,

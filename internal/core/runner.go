@@ -152,7 +152,10 @@ func Build(s Scenario) (*Instance, error) {
 		mgr, _ = backend.(*cc.Manager)
 	}
 
-	sources := make([]*traffic.Generator, s.NumNodes())
+	// Every generator, RNG and flow table comes from one slab each (see
+	// traffic.NewGenerators); nodes without traffic get no generator.
+	rngs := make([]sim.RNG, s.NumNodes())
+	cfgs := make([]traffic.NodeConfig, 0, s.NumNodes())
 	for node := 0; node < s.NumNodes(); node++ {
 		role := pop.Roles[node]
 		if role == RoleC && !s.CNodesActive {
@@ -168,7 +171,8 @@ func Build(s Scenario) (*Instance, error) {
 			p = s.PPercent
 			hs = targeters[pop.Subset[node]]
 		}
-		gen, err := traffic.NewGenerator(traffic.NodeConfig{
+		rngs[node] = root.DeriveValue(1000 + uint64(node))
+		cfgs = append(cfgs, traffic.NodeConfig{
 			LID:           ib.LID(node),
 			NumNodes:      s.NumNodes(),
 			PPercent:      p,
@@ -179,13 +183,18 @@ func Build(s Scenario) (*Instance, error) {
 			SLThrottle:    s.CCOn && s.CC.SLLevel,
 			HotspotVL:     hotspotVL(&s),
 			Pool:          net.PacketPool(),
-			RNG:           root.Derive(1000 + uint64(node)),
+			RNG:           &rngs[node],
 		})
-		if err != nil {
-			return nil, fmt.Errorf("core: node %d: %w", node, err)
-		}
-		net.HCA(ib.LID(node)).SetSource(gen)
-		sources[node] = gen
+	}
+	gens, err := traffic.NewGenerators(cfgs)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	sources := make([]*traffic.Generator, s.NumNodes())
+	for i, gen := range gens {
+		lid := cfgs[i].LID
+		net.HCA(lid).SetSource(gen)
+		sources[lid] = gen
 	}
 
 	// A nil or zero plan takes the exact code path a fault-free build

@@ -10,7 +10,8 @@ import (
 // (serializer done, DMA done, sink done, wake) are one-pointer structs,
 // which convert to an Action without allocating wherever one is needed;
 // per-packet arrivals and credit updates use small pooled action structs
-// recycled through the Network.
+// recycled through the Network and, when its freelist is empty, carved
+// from chunks.
 
 // arrivalAct delivers a packet to a link's receiving endpoint — or, when
 // the fault layer marked it lost at transmit time, discards it at the
@@ -43,7 +44,9 @@ func (n *Network) popArrival() *arrivalAct {
 		return a
 	}
 	n.arrMade++
-	return &arrivalAct{net: n}
+	a := n.arrChunks.New()
+	a.net = n
+	return a
 }
 
 // scheduleArrival enqueues a packet arrival after d.
@@ -108,7 +111,8 @@ func (n *Network) newCreditAct(taker creditTaker, vl ib.VL, bytes int) *creditAc
 		n.crdPool[k-1] = nil
 		n.crdPool = n.crdPool[:k-1]
 	} else {
-		c = &creditAct{net: n}
+		c = n.crdChunks.New()
+		c.net = n
 	}
 	c.taker, c.vl, c.bytes = taker, vl, bytes
 	return c

@@ -604,7 +604,7 @@ func (c *Codec) DecodeAction(rec ckpt.EventRecord) (act sim.Action, attach func(
 		if e != nil {
 			return nil, nil, true, e
 		}
-		return &creditAct{net: c.net, taker: taker, vl: ib.VL(rec.A2), bytes: int(rec.A3)}, nil, true, nil
+		return c.net.newCreditAct(taker, ib.VL(rec.A2), int(rec.A3)), nil, true, nil
 	case kindSwTx, kindHCATx:
 		tx, e := c.net.transmitter(rec.Kind == kindSwTx, rec.A0, rec.A1)
 		if e != nil {

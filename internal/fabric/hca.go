@@ -71,10 +71,10 @@ type HCA struct {
 	ctr HCACounters
 }
 
-// newHCA builds a host whose link and receive buffer take their slab
-// stretches at cur.
-func newHCA(n *Network, node *topo.Node, cur *slabCursor) *HCA {
-	h := &HCA{net: n, lid: node.LID, rxBase: int32(cur.free)}
+// initHCA builds, in h, a host whose link and receive buffer take their
+// slab stretches at cur.
+func initHCA(h *HCA, n *Network, node *topo.Node, cur *slabCursor) *HCA {
+	*h = HCA{net: n, lid: node.LID, rxBase: int32(cur.free)}
 	h.out.net = n
 	h.out.index = int32(cur.links)
 	cur.links++

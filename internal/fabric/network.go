@@ -7,6 +7,7 @@ import (
 	"repro/internal/ib"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/slab"
 	"repro/internal/topo"
 )
 
@@ -33,12 +34,15 @@ type Network struct {
 	// the ownership rules).
 	pool *ib.PacketPool
 
-	// Recycled per-packet event actions (see actions.go). arrMade counts
-	// the arrival actions ever allocated: the ones not in arrPool are in
-	// the event list, one per packet on a wire (see Census).
-	arrPool []*arrivalAct
-	arrMade int
-	crdPool []*creditAct
+	// Recycled per-packet event actions (see actions.go), carved from
+	// the chunks when their freelist is empty. arrMade counts the arrival
+	// actions ever made: the ones not in arrPool are in the event list,
+	// one per packet on a wire (see Census).
+	arrPool   []*arrivalAct
+	arrMade   int
+	arrChunks slab.Chunks[arrivalAct]
+	crdPool   []*creditAct
+	crdChunks slab.Chunks[creditAct]
 
 	// Everything a port counts per VL or per ring slot lives in these
 	// slabs, not in the port: each is allocated once, at the size a
@@ -114,13 +118,14 @@ func New(s *sim.Simulator, t *topo.Topology, r *topo.Routing, cfg Config, hooks 
 	n.occ = make([]uint64, want.occ)
 	n.voqs = make([]ib.PacketQueue, want.voqs)
 	n.switches = make([]*SwitchNode, 0, nsw)
+	hcas := make([]HCA, t.NumHosts)
 
 	var cur slabCursor
 	for i := range t.Nodes {
 		node := &t.Nodes[i]
 		switch node.Kind {
 		case topo.Host:
-			n.hcas[node.LID] = newHCA(n, node, &cur)
+			n.hcas[node.LID] = initHCA(&hcas[node.LID], n, node, &cur)
 		case topo.Switch:
 			sw := newSwitchNode(n, node, len(n.switches), &cur)
 			n.switches = append(n.switches, sw)

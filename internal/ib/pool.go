@@ -1,15 +1,24 @@
 package ib
 
+import (
+	"unsafe"
+
+	"repro/internal/slab"
+)
+
 // Packet memory lifecycle. The simulator moves tens of millions of
 // packets per run and every one of them dies at a host sink, so packets
 // are recycled through a freelist instead of being handed to the
 // garbage collector: generators and the CC manager acquire with Get,
 // the delivering sink releases with Put once every delivery consumer
-// has returned. Ownership is single-holder and transfers with the
-// packet: whoever holds the pointer owns it, and no component may keep
-// a *Packet past the call that handed it over (observability consumers
-// copy the fields they need into value events). The `debug` build tag
-// turns ownership violations into panics; see poolcheck_debug.go.
+// has returned. A Get that finds the freelist empty carves the packet
+// from a chunk (see internal/slab), so a run whose pool peaks at n
+// packets makes O(log n) allocations for them. Ownership is
+// single-holder and transfers with the packet: whoever holds the
+// pointer owns it, and no component may keep a *Packet past the call
+// that handed it over (observability consumers copy the fields they
+// need into value events). The `debug` build tag turns ownership
+// violations into panics; see poolcheck_debug.go.
 
 // Reset returns p to the zero state a freshly allocated packet has.
 // Get calls it on every recycled packet, so stale FECN/BECN bits or
@@ -19,8 +28,8 @@ func (p *Packet) Reset() { *p = Packet{} }
 // PoolStats counts a pool's traffic; tests and the kernel benchmark
 // harness use it to prove steady-state runs stop allocating.
 type PoolStats struct {
-	// Gets counts acquisitions; Misses the subset that had to allocate
-	// because the freelist was empty.
+	// Gets counts acquisitions; Misses the Gets that found the
+	// freelist empty.
 	Gets, Misses uint64
 	// Puts counts releases.
 	Puts uint64
@@ -32,9 +41,21 @@ type PoolStats struct {
 // per network). A nil *PacketPool is valid and degrades to plain heap
 // allocation, so components can be wired with or without pooling.
 type PacketPool struct {
-	free  []*Packet
-	stats PoolStats
-	check poolChecker
+	free   []*Packet
+	chunks slab.Chunks[linePacket]
+	stats  PoolStats
+	check  poolChecker
+}
+
+// linePacket is what a chunk holds: a packet padded to the 64-byte cache
+// line, the size class a packet allocated alone has, so that no
+// chunk-carved packet straddles two lines. The padding trails the
+// packet: a chunk's elements start at a line, or 8 bytes past one where
+// the allocator puts its type header in front of the chunk, and a
+// 56-byte packet fits the line either way.
+type linePacket struct {
+	Packet
+	_ [64 - unsafe.Sizeof(Packet{})]byte
 }
 
 // NewPacketPool returns an empty pool.
@@ -55,7 +76,7 @@ func (pp *PacketPool) Get() *Packet {
 		return p
 	}
 	pp.stats.Misses++
-	return &Packet{}
+	return &pp.chunks.New().Packet
 }
 
 // Put releases p back to the pool. The caller must be the packet's sole

@@ -90,11 +90,18 @@ func TestPacketReset(t *testing.T) {
 }
 
 // The queue link must fit beside the model fields in the allocator's
-// 64-byte class (one packet, one cache line), and a recycled packet must
-// never carry a link into its next lifetime.
+// 64-byte class (one packet, one cache line) — and a packet carved from
+// the pool's chunks must start a line of its own — and a recycled
+// packet must never carry a link into its next lifetime.
 func TestPacketLayoutAndResetClearLink(t *testing.T) {
 	if sz := unsafe.Sizeof(Packet{}); sz > 64 {
 		t.Fatalf("Packet is %d bytes; it must stay within the 64-byte size class", sz)
+	}
+	pp := NewPacketPool()
+	for i := 0; i < 5000; i++ {
+		if a := uintptr(unsafe.Pointer(pp.Get())); a%64+unsafe.Sizeof(Packet{}) > 64 {
+			t.Fatalf("chunk-carved packet %d at %#x straddles a cache line", i, a)
+		}
 	}
 	p := &Packet{ID: 1, Next: &Packet{ID: 2}}
 	p.Reset()

@@ -110,6 +110,32 @@ func (t *PortTable[T]) At(sw, port int) *T {
 	return &(*row)[port]
 }
 
+// NewPortTable returns a zero table shaped like r's declared ports —
+// a row per switch, each as long as its highest declared port needs —
+// so a table filled from r's rows never grows for a declared port.
+func NewPortTable[T any](r *Registry) PortTable[T] {
+	ports := make([]int, len(r.index))
+	for sw, row := range r.index {
+		ports[sw] = len(row)
+	}
+	return shapedTable[T](ports)
+}
+
+// shapedTable returns a table whose row sw holds ports[sw] entries, the
+// rows carved from one slab.
+func shapedTable[T any](ports []int) PortTable[T] {
+	total := 0
+	for _, n := range ports {
+		total += n
+	}
+	cells := make([]T, total)
+	t := make(PortTable[T], len(ports))
+	for sw, n := range ports {
+		t[sw], cells = cells[:n:n], cells[n:]
+	}
+	return t
+}
+
 // Each calls f for every entry the table has grown to hold, in (switch,
 // port) order.
 func (t PortTable[T]) Each(f func(sw, port int, v *T)) {
@@ -235,15 +261,7 @@ func (r *Registry) layout(links []Link) {
 			ports[l.Key.Switch] = max(ports[l.Key.Switch], l.Key.Port+1)
 		}
 	}
-	total := 0
-	for _, n := range ports {
-		total += n
-	}
-	slab := make([]int32, total)
-	r.index = make(PortTable[int32], len(ports))
-	for sw, n := range ports {
-		r.index[sw], slab = slab[:n:n], slab[n:]
-	}
+	r.index = shapedTable[int32](ports)
 	for i, l := range links {
 		if l.Switch {
 			r.index[l.Key.Switch][l.Key.Port] = int32(i) + 1

@@ -1,10 +1,5 @@
 package sim
 
-import (
-	"cmp"
-	"slices"
-)
-
 // Event is a scheduled callback. Events are created through the
 // Simulator's Schedule methods; cancelling marks the event dead and it
 // is discarded when it reaches the head of the queue. Fired and dead
@@ -102,7 +97,13 @@ const (
 	wheelGranShift = 13             // log2 slot width in picoseconds
 	wheelSlots     = 1 << 13        // slots in the wheel (power of two)
 	wheelMask      = wheelSlots - 1 // index mask
-	sortThreshold  = 32             // insertion sort below, pdqsort above
+	sortThreshold  = 32             // insertion sort alone up to here
+
+	// A slot above sortThreshold is first distributed over subSlots
+	// sub-slots of 2^subSlotShift ps (32 of 256 ps), so the insertion
+	// pass that finishes it moves events only within a sub-slot.
+	subSlotShift = 8
+	subSlots     = 1 << (wheelGranShift - subSlotShift)
 
 	// initialScratch is the pre-sized capacity of the shared slot
 	// scratch buffer. Slot occupancy is bounded by how many model
@@ -133,8 +134,8 @@ type eventQueue struct {
 	// wcount is the number of events resident in the wheel (chains
 	// plus the loaded scratch).
 	wcount int
-	// spare is sortSlot's partition buffer; retained across loads so the
-	// two-timestamp fast path stays allocation-free.
+	// spare is sortSlot's partition and sortEvents' distribution
+	// buffer; retained across loads so both stay allocation-free.
 	spare []*Event
 	// overflow holds events at or beyond the wheel horizon.
 	overflow overflowHeap
@@ -327,7 +328,7 @@ func (q *eventQueue) load(idx int) {
 // partition by timestamp re-sorts it in O(k) pointer moves with
 // no comparator calls. Anything else — three or more distinct times, or
 // a within-time seq inversion (rewind re-pushes reverse the chain) —
-// falls back to the comparison sort.
+// falls back to sortEvents.
 func (q *eventQueue) sortSlot(s []*Event) {
 	a := s[0].time
 	b := a
@@ -350,13 +351,13 @@ func (q *eventQueue) sortSlot(s []*Event) {
 			}
 		}
 		if !ok {
-			sortEvents(s)
+			q.sortEvents(s)
 			return
 		}
 	}
 	if a == b {
 		// Single timestamp yet unsorted: within-time inversion.
-		sortEvents(s)
+		q.sortEvents(s)
 		return
 	}
 	lo := a
@@ -455,28 +456,48 @@ func sortedInsert(s []*Event, lo int, e *Event) []*Event {
 	return s
 }
 
-// sortEvents orders a slot by (time, seq): insertion sort while small
-// (slots typically hold a few tens of events), pdqsort beyond.
-func sortEvents(s []*Event) {
-	if len(s) <= sortThreshold {
-		for i := 1; i < len(s); i++ {
-			e := s[i]
-			j := i - 1
-			for j >= 0 && eventLess(e, s[j]) {
-				s[j+1] = s[j]
-				j--
-			}
-			s[j+1] = e
+// sortEvents orders a slot by (time, seq) with an insertion pass.
+// Slots typically hold a few tens of events; a larger one is first
+// distributed stably over its sub-slots — a counting pass into q.spare
+// — which orders it by sub-slot and leaves the insertion pass only the
+// events sharing one. All of a slot's events lie in one wheel slot, so
+// the sub-slot index grows with time; were it not so, the insertion
+// pass would still sort, only slower.
+func (q *eventQueue) sortEvents(s []*Event) {
+	if len(s) > sortThreshold {
+		var at [subSlots]int
+		for _, e := range s {
+			at[subSlot(e)]++
 		}
-		return
+		sum := 0
+		for k, n := range at {
+			at[k], sum = sum, sum+n
+		}
+		if cap(q.spare) < len(s) {
+			q.spare = make([]*Event, 0, 2*len(s))
+		}
+		spare := q.spare[:len(s)]
+		for _, e := range s {
+			k := subSlot(e)
+			spare[at[k]] = e
+			at[k]++
+		}
+		copy(s, spare)
+		clear(spare)
 	}
-	slices.SortFunc(s, func(a, b *Event) int {
-		if c := cmp.Compare(a.time, b.time); c != 0 {
-			return c
+	for i := 1; i < len(s); i++ {
+		e := s[i]
+		j := i - 1
+		for j >= 0 && eventLess(e, s[j]) {
+			s[j+1] = s[j]
+			j--
 		}
-		return cmp.Compare(a.seq, b.seq)
-	})
+		s[j+1] = e
+	}
 }
+
+// subSlot is e's sub-slot within its wheel slot.
+func subSlot(e *Event) int { return int(e.time>>subSlotShift) & (subSlots - 1) }
 
 // overflowHeap is a binary min-heap ordered by eventLess, holding the
 // far-future tail of the event population. A hand-rolled heap (rather

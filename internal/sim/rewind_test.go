@@ -217,3 +217,65 @@ func TestWheelCursorSlotRandomized(t *testing.T) {
 		}
 	}
 }
+
+// TestBigSlotSortMatchesReference pins sortEvents' sub-slot distribution
+// on slots above sortThreshold: events over several sub-slots, with
+// equal-time ties and a seq order the pushes scrambled, must come out
+// in exact (time, seq) order — once sorted directly and once through a
+// rewind, whose returned tail reloads as a chain in reverse order.
+func TestBigSlotSortMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(35))
+	slotW := int64(1) << wheelGranShift
+	for trial := 0; trial < 40; trial++ {
+		n := sortThreshold + 1 + r.Intn(300)
+		base := slotW * int64(1+r.Intn(50))
+		// A few shared instants make equal-time ties in most sub-slots.
+		instants := make([]int64, 1+r.Intn(n))
+		for i := range instants {
+			instants[i] = base + r.Int63n(slotW)
+		}
+		events := make([]*Event, n)
+		for i, seq := range r.Perm(n) {
+			events[i] = &Event{time: Time(instants[r.Intn(len(instants))]), seq: uint64(seq)}
+		}
+		want := append([]*Event(nil), events...)
+		sort.Slice(want, func(i, j int) bool { return eventLess(want[i], want[j]) })
+
+		var q eventQueue
+		q.init()
+		got := append([]*Event(nil), events...)
+		q.sortEvents(got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: direct sort pos %d = (t=%d,seq=%d), want (t=%d,seq=%d)",
+					trial, i, got[i].time, got[i].seq, want[i].time, want[i].seq)
+			}
+		}
+
+		// Through the wheel: load the slot, rewind behind it, drain.
+		var w eventQueue
+		w.init()
+		for _, e := range events {
+			e.next = nil
+			w.push(e)
+		}
+		if w.peek() != want[0] {
+			t.Fatalf("trial %d: loaded slot's head is not the minimum", trial)
+		}
+		early := &Event{time: Time(base - 1), seq: uint64(n)}
+		w.push(early)
+		if head := w.slots[int(base/slotW)&wheelMask]; head != want[0] {
+			t.Fatalf("trial %d: rewound tail is not chained in ascending order", trial)
+		}
+		drained := drain(&w)
+		if len(drained) != n+1 || drained[0] != early {
+			t.Fatalf("trial %d: drained %d events, first %v", trial, len(drained), drained[0])
+		}
+		for i := range want {
+			if drained[i+1] != want[i] {
+				t.Fatalf("trial %d: rewound drain pos %d = (t=%d,seq=%d), want (t=%d,seq=%d)",
+					trial, i, drained[i+1].time, drained[i+1].seq, want[i].time, want[i].seq)
+			}
+		}
+	}
+}

@@ -25,7 +25,14 @@ func splitmix64(x *uint64) uint64 {
 // NewRNG returns a generator seeded from seed. Distinct seeds give
 // statistically independent streams.
 func NewRNG(seed uint64) *RNG {
-	r := &RNG{}
+	r := SeedRNG(seed)
+	return &r
+}
+
+// SeedRNG is NewRNG by value, for generators that live inside another
+// object or in a slab instead of one allocation each.
+func SeedRNG(seed uint64) RNG {
+	var r RNG
 	x := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&x)
@@ -41,8 +48,14 @@ func NewRNG(seed uint64) *RNG {
 // label). It does not disturb r's own sequence position; callers use it at
 // setup time to hand each model component its own stream.
 func (r *RNG) Derive(label uint64) *RNG {
+	d := r.DeriveValue(label)
+	return &d
+}
+
+// DeriveValue is Derive by value (see SeedRNG).
+func (r *RNG) DeriveValue(label uint64) RNG {
 	x := r.s[0] ^ (r.s[2] << 1) ^ label*0x2545f4914f6cdd1d
-	return NewRNG(splitmix64(&x))
+	return SeedRNG(splitmix64(&x))
 }
 
 // State returns the generator's current position as its raw xoshiro256**

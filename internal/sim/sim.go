@@ -1,10 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
 
-// minEventPool is the floor on the event recycle pool: small runs keep at
-// least this many handles warm regardless of their measured peak.
-const minEventPool = 64
+	"repro/internal/slab"
+)
 
 // Simulator owns the simulated clock and the future-event list. It is not
 // safe for concurrent use: the discrete-event model is inherently
@@ -16,17 +16,13 @@ type Simulator struct {
 	seq     uint64
 	running bool
 	stopped bool
-	pool    []*Event
+	// pool recycles fired and discarded events; a take that finds it
+	// empty carves the event from chunks.
+	pool   []*Event
+	chunks slab.Chunks[Event]
 
-	// peakPending is the high-water mark of the future-event list. It
-	// bounds the recycle pool: a pool larger than the peak number of
-	// simultaneously pending events can never be fully drawn down, so
-	// releases beyond it return events to the garbage collector.
+	// peakPending is the high-water mark of the future-event list.
 	peakPending int
-
-	// poolLimit caches max(peakPending, minEventPool) so release pays a
-	// single compare instead of recomputing the floor per event.
-	poolLimit int
 
 	// Processed counts events executed since construction (dead events
 	// discarded from the queue are not counted).
@@ -72,7 +68,7 @@ type Inversion struct {
 
 // New returns a Simulator with the clock at time zero.
 func New() *Simulator {
-	s := &Simulator{poolLimit: minEventPool, lastTime: -1}
+	s := &Simulator{lastTime: -1}
 	s.queue.init()
 	return s
 }
@@ -123,7 +119,7 @@ func (s *Simulator) TakeInversions() (n uint64, first Inversion) {
 }
 
 // PeakPending returns the high-water mark of the future-event list over
-// the simulator's lifetime; it sizes the event recycle pool.
+// the simulator's lifetime.
 func (s *Simulator) PeakPending() int { return s.peakPending }
 
 // Schedule runs fn after delay d. It returns the event handle, which can
@@ -216,49 +212,45 @@ func (s *Simulator) push(e *Event) {
 		s.ref.push(e)
 		if n := len(s.ref.items); n > s.peakPending {
 			s.peakPending = n
-			if n > s.poolLimit {
-				s.poolLimit = n
-			}
 		}
 		return
 	}
 	s.queue.push(e)
 	if n := s.queue.wcount + len(s.queue.overflow.items); n > s.peakPending {
 		s.peakPending = n
-		if n > s.poolLimit {
-			s.poolLimit = n
-		}
 	}
 }
 
-// panicPast reports a causality violation; split out of alloc so the
-// format call does not weigh down alloc's inlining budget.
+// panicPast reports a causality violation; split out of take so the
+// format call stays off its path.
 func panicPast(t, now Time) {
 	panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, now))
 }
 
-// alloc takes an event from the recycle pool or makes a new one. Pooled
-// events were part-normalized by release (act and next already nil);
-// dead is cleared here, not there, so a cancelled handle keeps
-// reporting Cancelled() until the event is actually reused.
+// alloc takes an event keyed (t, next seq) and issues the seq. It is
+// small enough to inline, so scheduling pays one call, to take.
 func (s *Simulator) alloc(t Time) *Event {
-	if t < s.now {
-		panicPast(t, s.now)
-	}
 	e := s.take(t, s.seq)
 	s.seq++
 	return e
 }
 
-// take returns a pooled (or new) event keyed (t, seq).
+// take returns an event keyed (t, seq), recycled from the pool or, when
+// the pool is empty, carved from the chunks. Pooled events were
+// part-normalized by release (act and next already nil); dead is
+// cleared here, not there, so a cancelled handle keeps reporting
+// Cancelled() until the event is actually reused.
 func (s *Simulator) take(t Time, seq uint64) *Event {
+	if t < s.now {
+		panicPast(t, s.now)
+	}
 	var e *Event
 	if n := len(s.pool); n > 0 {
 		e = s.pool[n-1]
 		s.pool[n-1] = nil
 		s.pool = s.pool[:n-1]
 	} else {
-		e = &Event{}
+		e = s.chunks.New()
 	}
 	e.time = t
 	e.seq = seq
@@ -269,15 +261,11 @@ func (s *Simulator) take(t Time, seq uint64) *Event {
 // release recycles a fired or discarded event, dropping its callback
 // reference (the caller guarantees e is unlinked, so next is already
 // nil; dead is left for alloc so stale handles still read Cancelled).
-// The pool is capped at the measured pending high-water mark (with a
-// small floor): the number of live handles is pending + pooled, so a
-// pool of peakPending events is exactly enough to make every future
-// alloc a recycle — a larger one is garbage that can never drain.
+// Every released event is kept: it shares its chunk with live ones, so
+// dropping it would free no memory.
 func (s *Simulator) release(e *Event) {
 	e.act = nil
-	if len(s.pool) < s.poolLimit {
-		s.pool = append(s.pool, e)
-	}
+	s.pool = append(s.pool, e)
 }
 
 // Cancel marks e dead so it will not fire. Cancelling an already-fired or

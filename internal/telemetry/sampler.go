@@ -116,7 +116,7 @@ type Sampler struct {
 	stalls    Ring
 
 	// Continuous state read at each bin boundary.
-	peaks     obs.PortTable[portPeak] // copied from reg by every flush
+	peaks     obs.PortTable[portPeak] // copied from reg by every flush; shaped like it
 	ccti      map[ib.FlowKey]uint16   // throttled flows only: a step to 0 deletes
 	linksDown int
 
@@ -248,6 +248,11 @@ func (s *Sampler) flushBin() {
 	s.cctiDecr.Push(endUS, float64(s.binDecr))
 	s.binDrops, s.binIncr, s.binDecr = 0, 0, 0
 
+	if s.peaks == nil {
+		// Sized once, at the first flush: the fabric has declared its
+		// ports by the time anything is published.
+		s.peaks = obs.NewPortTable[portPeak](s.reg)
+	}
 	var total, maxP int
 	s.reg.Each(func(k obs.PortKey, p *obs.PortCounters) {
 		total += int(p.Depth)

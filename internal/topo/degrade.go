@@ -11,44 +11,10 @@ import "fmt"
 // traffic over the surviving spines, concentrating load exactly the way
 // degraded real installations do.
 func FatTreeDegraded(radix int, skip func(leaf, spine int) bool) (*Topology, error) {
-	if radix < 2 || radix%2 != 0 {
-		return nil, fmt.Errorf("topo: fat-tree radix must be even and >= 2, got %d", radix)
-	}
 	if skip == nil {
 		return FatTree(radix)
 	}
-	half := radix / 2
-	b := NewBuilder(fmt.Sprintf("fattree-%d-degraded", radix))
-
-	hosts := make([]NodeID, radix*half)
-	for i := range hosts {
-		hosts[i] = b.AddHost(fmt.Sprintf("node%d", i))
-	}
-	leaves := make([]NodeID, radix)
-	for l := range leaves {
-		leaves[l] = b.AddSwitch(fmt.Sprintf("leaf%d", l), radix)
-	}
-	spines := make([]NodeID, half)
-	for s := range spines {
-		spines[s] = b.AddSwitch(fmt.Sprintf("spine%d", s), radix)
-	}
-	for h, hn := range hosts {
-		b.Connect(hn, 0, leaves[h/half], h%half)
-	}
-	alive := 0
-	for l, ln := range leaves {
-		for s, sn := range spines {
-			if skip(l, s) {
-				continue
-			}
-			alive++
-			b.Connect(ln, half+s, sn, l)
-		}
-	}
-	if alive == 0 {
-		return nil, fmt.Errorf("topo: every leaf-spine link removed")
-	}
-	return b.Build()
+	return fatTree(radix, fmt.Sprintf("fattree-%d-degraded", radix), skip)
 }
 
 // DeadSpines returns a skip function removing every link of the given

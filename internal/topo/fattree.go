@@ -13,32 +13,46 @@ import "fmt"
 // spine s. Spine port l attaches leaf l. Host h (LID h) hangs off leaf
 // h/(r/2), port h mod (r/2).
 func FatTree(radix int) (*Topology, error) {
+	return fatTree(radix, fmt.Sprintf("fattree-%d (%d nodes)", radix, radix*radix/2), nil)
+}
+
+// fatTree builds FatTree(radix) under the given name, without the
+// leaf–spine links skip reports dead (none when skip is nil).
+func fatTree(radix int, name string, skip func(leaf, spine int) bool) (*Topology, error) {
 	if radix < 2 || radix%2 != 0 {
 		return nil, fmt.Errorf("topo: fat-tree radix must be even and >= 2, got %d", radix)
 	}
 	half := radix / 2
-	b := NewBuilder(fmt.Sprintf("fattree-%d (%d nodes)", radix, radix*half))
+	b := NewBuilder(name)
 
 	hosts := make([]NodeID, radix*half)
-	for i := range hosts {
-		hosts[i] = b.AddHost(fmt.Sprintf("node%d", i))
+	for i, name := range indexedNames("node", len(hosts)) {
+		hosts[i] = b.AddHost(name)
 	}
 	leaves := make([]NodeID, radix)
-	for l := range leaves {
-		leaves[l] = b.AddSwitch(fmt.Sprintf("leaf%d", l), radix)
+	for l, name := range indexedNames("leaf", radix) {
+		leaves[l] = b.AddSwitch(name, radix)
 	}
 	spines := make([]NodeID, half)
-	for s := range spines {
-		spines[s] = b.AddSwitch(fmt.Sprintf("spine%d", s), radix)
+	for s, name := range indexedNames("spine", half) {
+		spines[s] = b.AddSwitch(name, radix)
 	}
 
 	for h, hn := range hosts {
 		b.Connect(hn, 0, leaves[h/half], h%half)
 	}
+	alive := 0
 	for l, ln := range leaves {
 		for s, sn := range spines {
+			if skip != nil && skip(l, s) {
+				continue
+			}
+			alive++
 			b.Connect(ln, half+s, sn, l)
 		}
+	}
+	if alive == 0 {
+		return nil, fmt.Errorf("topo: every leaf-spine link removed")
 	}
 	return b.Build()
 }

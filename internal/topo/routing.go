@@ -48,19 +48,30 @@ func ComputeLFT(t *Topology) (*Routing, error) {
 	}
 
 	// Hosts grouped by leaf, groups in order of their lowest LID; an
-	// unconnected host's group is keyed NoNode.
+	// unconnected host's group is keyed NoNode. The groups are stretches
+	// of one slab: a counting pass sizes them, a second fills them.
 	var leaves []NodeID
-	var hosts [][]int
+	var sizes []int
 	group := make(map[NodeID]int)
-	for lid := 0; lid < t.NumHosts; lid++ {
+	groupOf := make([]int, t.NumHosts)
+	for lid := range groupOf {
 		leaf := t.Nodes[t.hostByLID[lid]].Ports[0].Peer
 		g, ok := group[leaf]
 		if !ok {
 			g = len(leaves)
 			group[leaf] = g
 			leaves = append(leaves, leaf)
-			hosts = append(hosts, nil)
+			sizes = append(sizes, 0)
 		}
+		groupOf[lid] = g
+		sizes[g]++
+	}
+	hosts := make([][]int, len(leaves))
+	members := make([]int, t.NumHosts)
+	for g, size := range sizes {
+		hosts[g], members = members[:0:size], members[size:]
+	}
+	for lid, g := range groupOf {
 		hosts[g] = append(hosts[g], lid)
 	}
 
@@ -76,9 +87,8 @@ func ComputeLFT(t *Topology) (*Routing, error) {
 			dist[leaf] = 0
 			queue = append(queue, leaf)
 		}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
 			for _, p := range t.Nodes[cur].Ports {
 				if !p.Connected() || dist[p.Peer] != -1 {
 					continue

@@ -8,8 +8,10 @@ package topo
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/ib"
+	"repro/internal/slab"
 )
 
 // NodeID indexes a node (host or switch) within a Topology.
@@ -90,10 +92,12 @@ func (t *Topology) Links() [][2][2]int {
 	return out
 }
 
-// Builder assembles a Topology incrementally.
+// Builder assembles a Topology incrementally. Every node's ports are
+// carved from one slab of chunks, not allocated per node.
 type Builder struct {
 	name  string
 	nodes []Node
+	ports slab.Chunks[Port]
 	hosts int
 	err   error
 }
@@ -106,12 +110,9 @@ func NewBuilder(name string) *Builder {
 // AddHost appends an end node with one port and returns its NodeID.
 func (b *Builder) AddHost(name string) NodeID {
 	id := NodeID(len(b.nodes))
-	b.nodes = append(b.nodes, Node{
-		ID:    id,
-		Kind:  Host,
-		Name:  name,
-		Ports: []Port{{Peer: NoNode}},
-	})
+	ps := b.ports.Make(1)
+	ps[0].Peer = NoNode
+	b.nodes = append(b.nodes, Node{ID: id, Kind: Host, Name: name, Ports: ps})
 	b.hosts++
 	return id
 }
@@ -120,12 +121,29 @@ func (b *Builder) AddHost(name string) NodeID {
 // NodeID.
 func (b *Builder) AddSwitch(name string, ports int) NodeID {
 	id := NodeID(len(b.nodes))
-	ps := make([]Port, ports)
+	ps := b.ports.Make(ports)
 	for i := range ps {
 		ps[i].Peer = NoNode
 	}
 	b.nodes = append(b.nodes, Node{ID: id, Kind: Switch, Name: name, Ports: ps})
 	return id
+}
+
+// indexedNames returns prefix0 … prefix<n-1>, carved from one string.
+func indexedNames(prefix string, n int) []string {
+	buf := make([]byte, 0, n*(len(prefix)+len(strconv.Itoa(n))))
+	ends := make([]int, n)
+	for i := range ends {
+		buf = strconv.AppendInt(append(buf, prefix...), int64(i), 10)
+		ends[i] = len(buf)
+	}
+	all := string(buf)
+	names := make([]string, n)
+	start := 0
+	for i, end := range ends {
+		names[i], start = all[start:end], end
+	}
+	return names
 }
 
 // Connect links port ap of node a to port bp of node b (full duplex).

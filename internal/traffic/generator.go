@@ -124,51 +124,92 @@ type Generator struct {
 
 // NewGenerator validates cfg and builds the node's generator.
 func NewGenerator(cfg NodeConfig) (*Generator, error) {
+	gs, err := NewGenerators([]NodeConfig{cfg})
+	if err != nil {
+		return nil, err
+	}
+	return gs[0], nil
+}
+
+// NewGenerators validates cfgs and builds one generator per config. The
+// generators, their streams and their dsts / slots / active tables are
+// each carved from one backing array, so building a fabric's sources
+// makes the same few allocations however many hosts it has. A table
+// is capped at its generator's flowCap: one that outgrows it
+// reallocates on its own instead of spilling into the next generator's.
+func NewGenerators(cfgs []NodeConfig) ([]*Generator, error) {
+	gens := make([]Generator, len(cfgs))
+	streams := make([]stream, 0, 2*len(cfgs))
+	flows := 0
+	for i := range gens {
+		cfg, err := validate(cfgs[i])
+		if err != nil {
+			return nil, fmt.Errorf("traffic: node %d: %w", cfgs[i].LID, err)
+		}
+		g := &gens[i]
+		g.cfg = cfg
+		k := len(streams)
+		if cfg.PPercent > 0 {
+			streams = append(streams, stream{
+				rate:    cfg.InjectionRate * sim.Rate(cfg.PPercent) / 100,
+				hotspot: true,
+			})
+		}
+		if cfg.PPercent < 100 {
+			streams = append(streams, stream{
+				rate: cfg.InjectionRate * sim.Rate(100-cfg.PPercent) / 100,
+			})
+		}
+		g.streams = streams[k:len(streams):len(streams)]
+		pktsPerMsg := (cfg.MsgBytes + ib.MTU - 1) / ib.MTU
+		g.flowCap = cfg.BacklogCap * pktsPerMsg * len(g.streams)
+		flows += g.flowCap
+	}
+	dsts := make([]ib.LID, flows)
+	slots := make([]flowSlot, flows)
+	active := make([]int32, flows)
+	out := make([]*Generator, len(gens))
+	at := 0
+	for i := range gens {
+		g := &gens[i]
+		end := at + g.flowCap
+		g.dsts, g.slots, g.active = dsts[at:at:end], slots[at:at:end], active[at:at:end]
+		at = end
+		out[i] = g
+	}
+	return out, nil
+}
+
+// validate checks cfg and fills in its defaults.
+func validate(cfg NodeConfig) (NodeConfig, error) {
 	if cfg.NumNodes < 2 {
-		return nil, fmt.Errorf("traffic: need >= 2 nodes")
+		return cfg, fmt.Errorf("need >= 2 nodes")
 	}
 	if cfg.PPercent < 0 || cfg.PPercent > 100 {
-		return nil, fmt.Errorf("traffic: p = %d out of [0,100]", cfg.PPercent)
+		return cfg, fmt.Errorf("p = %d out of [0,100]", cfg.PPercent)
 	}
 	if cfg.PPercent > 0 && cfg.Hotspot == nil {
-		return nil, fmt.Errorf("traffic: p > 0 requires a hotspot targeter")
+		return cfg, fmt.Errorf("p > 0 requires a hotspot targeter")
 	}
 	if cfg.RNG == nil {
-		return nil, fmt.Errorf("traffic: RNG required")
+		return cfg, fmt.Errorf("RNG required")
 	}
 	if cfg.InjectionRate <= 0 {
-		return nil, fmt.Errorf("traffic: non-positive injection rate")
+		return cfg, fmt.Errorf("non-positive injection rate")
 	}
 	if cfg.MsgBytes == 0 {
 		cfg.MsgBytes = ib.MessageBytes
 	}
 	if cfg.MsgBytes < 1 || cfg.MsgBytes > 64*ib.MTU {
-		return nil, fmt.Errorf("traffic: message size %d out of range", cfg.MsgBytes)
+		return cfg, fmt.Errorf("message size %d out of range", cfg.MsgBytes)
 	}
 	if cfg.BacklogCap == 0 {
 		cfg.BacklogCap = 8
 	}
 	if cfg.BacklogCap < 1 {
-		return nil, fmt.Errorf("traffic: backlog cap must be positive")
+		return cfg, fmt.Errorf("backlog cap must be positive")
 	}
-	g := &Generator{cfg: cfg}
-	if cfg.PPercent > 0 {
-		g.streams = append(g.streams, stream{
-			rate:    cfg.InjectionRate * sim.Rate(cfg.PPercent) / 100,
-			hotspot: true,
-		})
-	}
-	if cfg.PPercent < 100 {
-		g.streams = append(g.streams, stream{
-			rate: cfg.InjectionRate * sim.Rate(100-cfg.PPercent) / 100,
-		})
-	}
-	pktsPerMsg := (cfg.MsgBytes + ib.MTU - 1) / ib.MTU
-	g.flowCap = cfg.BacklogCap * pktsPerMsg * len(g.streams)
-	g.dsts = make([]ib.LID, 0, g.flowCap)
-	g.slots = make([]flowSlot, 0, g.flowCap)
-	g.active = make([]int32, 0, g.flowCap)
-	return g, nil
+	return cfg, nil
 }
 
 // GeneratedBytes returns the bytes each stream has handed to the flow
