@@ -93,23 +93,20 @@ degradation:
 		/tmp/ibcc-degradation.json
 
 # Telemetry smoke: the telemetry unit suite (histogram quantile bounds,
-# sampler zero-perturbation, grid and views, span tracker, report schema,
-# HTTP server),
+# sampler zero-perturbation, grid and views, span tracker, report schema),
 # the obs-layer digest-stability guards, then end to end: a short sweep
-# with the live dashboard on an ephemeral port, /metrics.json probed
-# mid-sweep and after it, the unified run report written and finally
-# validated + rendered back with cctinspect (and held to carrying no
-# retry count: every simulation runs once). Last, the single-run trace:
-# ibccsim with the sampler's CSV and cadence checkpoints on must execute
-# exactly the bare run's events and leave a header plus >= 10 rows.
+# writes the unified run report, which `paperbench report` validates and
+# renders back (and which must carry no retry count: every simulation
+# runs once). Last, the single-run trace: ibccsim with the sampler's CSV
+# and cadence checkpoints on must execute exactly the bare run's events
+# and leave a header plus >= 10 rows.
 telemetry:
 	$(GO) test -count=1 ./internal/telemetry
 	$(GO) test -count=1 ./internal/obs -run 'Digest|Telemetry|MsgCompleted'
 	$(GO) test -count=1 ./internal/core -run 'Telemetry'
 	$(GO) run ./cmd/paperbench degradation -radix 8 -short -intensities 0,0.6 -seeds 1 \
-		-serve 127.0.0.1:0 -serve-probe -report /tmp/ibcc-telemetry-report.json \
-		/tmp/ibcc-telemetry-deg.json
-	$(GO) run ./cmd/cctinspect -report /tmp/ibcc-telemetry-report.json
+		-report /tmp/ibcc-telemetry-report.json /tmp/ibcc-telemetry-deg.json
+	$(GO) run ./cmd/paperbench report /tmp/ibcc-telemetry-report.json
 	! grep -q '"retries"' /tmp/ibcc-telemetry-report.json
 	rm -rf /tmp/ibcc-trace-ck
 	$(GO) run ./cmd/ibccsim -radix 8 -trace /tmp/ibcc-trace.csv -ckpt-every 1ms -ckpt-dir /tmp/ibcc-trace-ck \

@@ -7,7 +7,7 @@
 //	ibccsim -seeds 8 -jobs 4                     # 8 seeds over 4 workers
 //	ibccsim -out results/                        # save a JSON artifact
 //	ibccsim -radix 12 -ctree                     # print the congestion trees
-//	ibccsim -chrome-trace run.trace              # flight recording for Perfetto
+//	ibccsim -events run.jsonl                    # every bus event as one JSON line
 //	ibccsim -trace run.csv -traceint 50us        # time series of the telemetry sampler
 //	ibccsim -faults plan.json -check             # inject a fault plan, audited
 //	ibccsim -ckpt-every 1ms -ckpt-dir ckpts/ -check   # rolling crash-safe checkpoints, audited
@@ -28,9 +28,9 @@
 // composes with both: the checker attaches at any event boundary, so a
 // checkpointing run and a resumed one (whether or not the run that wrote
 // the checkpoint was checked) are audited like any other. The flags that
-// record a run's event stream (-trace, -events, -chrome-trace, -ctree,
-// -telemetry) stay refused on -resume-from: they would show the resumed
-// part only while reading as the whole run.
+// record a run's event stream (-trace, -events, -ctree, -telemetry) stay
+// refused on -resume-from: they would show the resumed part only while
+// reading as the whole run.
 package main
 
 import (
@@ -67,7 +67,6 @@ func main() {
 		jobs     = flag.Int("jobs", 1, "simulation workers for -seeds > 1 (0 = one per CPU)")
 		out      = flag.String("out", "", "artifact directory: persist results as JSON (and resume -seeds runs)")
 		events   = flag.String("events", "", "write a JSONL event log of the run to this file")
-		chrome   = flag.String("chrome-trace", "", "write a Chrome trace_event file (open in Perfetto) to this file")
 		ctree    = flag.Bool("ctree", false, "reconstruct the congestion trees from the event bus and print them")
 		checkInv = flag.Bool("check", false, "run under the runtime invariant checker; exit non-zero on violations")
 		faults   = flag.String("faults", "", "JSON fault plan: inject link faults and wire loss from this file")
@@ -111,8 +110,8 @@ func main() {
 		if *faults != "" {
 			log.Fatal("-resume-from: the checkpoint already carries the fault plan; drop -faults")
 		}
-		if *traceCSV != "" || *events != "" || *chrome != "" || *ctree || *telem {
-			log.Fatal("-resume-from: a recording of the resumed part alone would read as the whole run; drop -trace/-events/-chrome-trace/-ctree/-telemetry")
+		if *traceCSV != "" || *events != "" || *ctree || *telem {
+			log.Fatal("-resume-from: a recording of the resumed part alone would read as the whole run; drop -trace/-events/-ctree/-telemetry")
 		}
 	}
 
@@ -149,8 +148,8 @@ func main() {
 	}
 
 	if *numSeeds > 1 {
-		if *traceCSV != "" || *events != "" || *chrome != "" || *ctree || *telem {
-			log.Fatal("-trace/-events/-chrome-trace/-ctree/-telemetry record a single run; use -seeds 1")
+		if *traceCSV != "" || *events != "" || *ctree || *telem {
+			log.Fatal("-trace/-events/-ctree/-telemetry record a single run; use -seeds 1")
 		}
 		runSeeds(s, *numSeeds, *jobs, store, *quiet, *checkInv)
 		return
@@ -180,24 +179,14 @@ func main() {
 		smp = ibcc.NewTelemetrySampler(s.Name, 0)
 	}
 	var ob *ibcc.Observation
-	var obFiles []*os.File
-	if *events != "" || *chrome != "" || *ctree || smp != nil {
+	var evFile *os.File
+	if *events != "" || *ctree || smp != nil {
 		o := ibcc.ObserveOpts{Tree: *ctree, Telemetry: smp}
 		if *events != "" {
-			f, err := os.Create(*events)
-			if err != nil {
+			if evFile, err = os.Create(*events); err != nil {
 				log.Fatal(err)
 			}
-			o.Events = f
-			obFiles = append(obFiles, f)
-		}
-		if *chrome != "" {
-			f, err := os.Create(*chrome)
-			if err != nil {
-				log.Fatal(err)
-			}
-			o.ChromeTrace = f
-			obFiles = append(obFiles, f)
+			o.Events = evFile
 		}
 		ob = inst.Observe(o)
 	}
@@ -228,19 +217,13 @@ func main() {
 		if err := ob.Close(); err != nil {
 			log.Fatal(err)
 		}
-		for _, f := range obFiles {
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
+	}
+	if evFile != nil {
+		if err := evFile.Close(); err != nil {
+			log.Fatal(err)
 		}
 		if !*quiet {
-			nj, nc := ob.EventsWritten()
-			if *events != "" {
-				fmt.Printf("events   : %d -> %s\n", nj, *events)
-			}
-			if *chrome != "" {
-				fmt.Printf("trace    : %d events -> %s (open in ui.perfetto.dev)\n", nc, *chrome)
-			}
+			fmt.Printf("events   : %d -> %s\n", ob.EventsWritten(), *events)
 		}
 	}
 

@@ -39,7 +39,8 @@ func outcome(t *testing.T, out []byte) (events, rates string) {
 
 // TestTraceComposes: -trace is a view of a bus-fed sampler, so the
 // traced run executes exactly the bare run's events, composes with
-// -ckpt-every, and its checkpoints resume to the same outcome.
+// -ckpt-every, and its checkpoints resume to the same outcome. The CSV
+// carries every series, the per-bin CCTI increases and decreases too.
 func TestTraceComposes(t *testing.T) {
 	bin := binary(t)
 	dir := t.TempDir()
@@ -63,8 +64,10 @@ func TestTraceComposes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const header = "time_s,hotspot_gbps,other_gbps,control_gbps,queued_kb,max_port_kb," +
+		"throttled,max_ccti,mean_ccti,ccti_incr,ccti_decr,drops,stalls"
 	lines := strings.Split(strings.TrimSpace(string(table)), "\n")
-	if !strings.HasPrefix(lines[0], "time_s,hotspot_gbps,") || len(lines) != 1+30 {
+	if lines[0] != header || len(lines) != 1+30 {
 		t.Fatalf("3 ms at the default 100 µs cadence wrote %d lines, header %q", len(lines), lines[0])
 	}
 	events, rates = outcome(t, run("-resume-from", ck))
@@ -151,5 +154,29 @@ func TestTraceIntervalValidated(t *testing.T) {
 	}
 	if _, err := os.Stat(csv); err == nil {
 		t.Error("a rejected run left a trace file behind")
+	}
+}
+
+// TestRemovedFlagIsAUsageError: -chrome-trace is gone (the -events JSONL
+// log carries every event field), so naming it exits 2 before anything
+// is simulated or written.
+func TestRemovedFlagIsAUsageError(t *testing.T) {
+	bin := binary(t)
+	out := filepath.Join(t.TempDir(), "f")
+	cmd := exec.Command(bin, "-radix", "8", "-chrome-trace", out)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if e, ok := err.(*exec.ExitError); !ok || e.ExitCode() != 2 {
+		t.Fatalf("err = %v, want exit 2", err)
+	}
+	if msg := stderr.String(); !strings.HasPrefix(msg, "flag provided but not defined: -chrome-trace") {
+		t.Errorf("stderr = %q", msg)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("simulated before rejecting the flag:\n%s", stdout.String())
+	}
+	if _, err := os.Stat(out); err == nil {
+		t.Error("a rejected run left a file behind")
 	}
 }

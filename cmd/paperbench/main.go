@@ -8,11 +8,14 @@
 //	paperbench -exp fig8               # one experiment
 //	paperbench -radix 12 -short        # a small fabric over 4 + 8 ms (smokes)
 //	paperbench -jobs 8 -out results/   # 8 workers; persist + resume via JSON artifacts
-//	paperbench -serve :8080 -report run.json  # live dashboard + unified run report
+//	paperbench -exp table2 -report run.json   # + the unified run report
 //	paperbench scan -scan threshold -check    # checked CC parameter sensitivity scan
 //	paperbench degradation -seeds 3 deg.json  # fault intensity x CC on/off
 //	paperbench diff-kernel -seeds 2    # timing wheel vs reference heap
 //	paperbench bench-kernel -baseline BENCH_kernel.json /tmp/fresh.json  # kernel benchmark + >10% gate
+//	paperbench cct -threshold 3        # what a CC parameter set means
+//	paperbench ckpt ckpts/             # the newest checkpoint's header, CRC-checked
+//	paperbench report run.json         # validate and summarize a run report
 //
 // Every command accepts only the flags it reads (`paperbench <command>
 // -h` lists them): a flag of another command is a usage error, never
@@ -20,8 +23,8 @@
 //
 // The sweep commands (experiments, scan, degradation) share
 // one harness: -jobs workers with tables bit-identical to a serial run,
-// a resumable -out artifact store, -check, -progress, -serve, -report,
-// and a graceful SIGINT/SIGTERM drain that leaves a manifest in -out.
+// a resumable -out artifact store, -check, -progress, -report, and a
+// graceful SIGINT/SIGTERM drain that leaves a manifest in -out.
 package main
 
 import (
@@ -36,7 +39,6 @@ import (
 	"os/signal"
 	"slices"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -84,16 +86,22 @@ type command struct {
 }
 
 var commands = []command{
-	{"", "", scenarioFlags | seedsFlag | ccFlag | sweepFlags,
+	{"", "", scenarioFlags | seedsFlag | ccFlag | sweepFlags | profileFlags,
 		"Table II and figures 5-10", experimentsCmd},
-	{"scan", "", scenarioFlags | sweepFlags,
+	{"scan", "", scenarioFlags | sweepFlags | profileFlags,
 		"CC parameter sensitivity scans against a shared CC-off baseline", scanCmd},
-	{"degradation", "OUT.json", scenarioFlags | seedsFlag | ccFlag | sweepFlags,
+	{"degradation", "OUT.json", scenarioFlags | seedsFlag | ccFlag | sweepFlags | profileFlags,
 		"fault intensity x CC on/off sweep; writes the curves as JSON", degradationCmd},
-	{"diff-kernel", "", scenarioFlags | seedsFlag | ccFlag,
+	{"diff-kernel", "", scenarioFlags | seedsFlag | ccFlag | profileFlags,
 		"Table II corpus on both event-list kernels under the invariant checker", diffKernelCmd},
-	{"bench-kernel", "OUT.json", 0,
+	{"bench-kernel", "OUT.json", profileFlags,
 		"event-kernel + packet-lifecycle benchmark; writes BENCH_kernel.json", benchKernelCmd},
+	{"cct", "", 0,
+		"what a CC parameter set means: CCT rates, recovery timer, threshold weights", cctCmd},
+	{"ckpt", "PATH", 0,
+		"validate a checkpoint (or the newest in a directory) and print its header", ckptCmd},
+	{"report", "PATH", 0,
+		"validate a run report (written by -report) and print its summary", reportCmd},
 }
 
 // parse resolves args against the command table without running
@@ -159,7 +167,8 @@ const (
 	scenarioFlags flagGroup = 1 << iota // -radix -seed -short
 	seedsFlag                           // -seeds
 	ccFlag                              // -cc: the simulated backend
-	sweepFlags                          // -jobs -out -progress -progress-jsonl -check -serve -serve-probe -report
+	sweepFlags                          // -jobs -out -progress -progress-jsonl -check -report
+	profileFlags                        // -cpuprofile -memprofile
 )
 
 // runConfig is every flag the commands share, each defined once in
@@ -174,8 +183,6 @@ type runConfig struct {
 	out                    string
 	progress, progJSONL    bool
 	check                  bool
-	serve                  string
-	serveProbe             bool
 	report                 string
 	cpuProfile, memProfile string
 
@@ -200,12 +207,12 @@ func (c *runConfig) register(fs *flag.FlagSet, g flagGroup) {
 		fs.BoolVar(&c.progress, "progress", stderrIsTTY(), "live progress line on stderr")
 		fs.BoolVar(&c.progJSONL, "progress-jsonl", false, "machine-readable progress: one JSON line per completed simulation on stderr instead of the status line")
 		fs.BoolVar(&c.check, "check", false, "run every simulation under the runtime invariant checker (fails on violations)")
-		fs.StringVar(&c.serve, "serve", "", "serve the live telemetry dashboard on this address for the duration of the run (e.g. :8080, or 127.0.0.1:0 for an ephemeral port)")
-		fs.BoolVar(&c.serveProbe, "serve-probe", false, "with -serve: fetch and validate /metrics.json mid-sweep and again after it (CI smoke); exit non-zero on failure")
 		fs.StringVar(&c.report, "report", "", "write the unified run-report JSON artifact (sweep stats, telemetry aggregates, mode payload, kernel-bench trend) to this file")
 	}
-	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
-	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	if g&profileFlags != 0 {
+		fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+		fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	}
 }
 
 // validate rejects shared flag values up front: a zero worker pool
@@ -221,9 +228,6 @@ func (c *runConfig) validate(g flagGroup) error {
 	}
 	if g&sweepFlags != 0 {
 		errs = append(errs, cliflag.Workers("-jobs", c.jobs))
-		if c.serveProbe && c.serve == "" {
-			errs = append(errs, errors.New("-serve-probe requires -serve"))
-		}
 	}
 	if !ibcc.CCBackendKnown(c.cc) {
 		errs = append(errs, fmt.Errorf("-cc: unknown backend %q (registered: %s)",
@@ -254,25 +258,20 @@ type sweep struct {
 	store *ibcc.ArtifactStore
 	err   error
 
-	// The telemetry surface (telemetry.go).
-	hub       *ibcc.TelemetryHub
-	spans     *ibcc.SpanTracker
-	srv       *ibcc.TelemetryServer
-	addr      string
-	mu        sync.Mutex // guards probeErr
-	probeOnce sync.Once
-	probeErr  error
+	// What the run report reads: the in-sim telemetry hub and the
+	// orchestration span tracker. Without -report both stay nil, which
+	// RunOpts treats as off.
+	hub   *ibcc.TelemetryHub
+	spans *ibcc.SpanTracker
 }
 
-// sweep runs body in the harness — telemetry surface, -out store, a
+// sweep runs body in the harness — report sources, -out store, a
 // context SIGINT/SIGTERM cancel — and ends with the run report of the
 // given kind carrying body's payload.
-func (c *runConfig) sweep(name, kind string, body func(sw *sweep) (payload []byte)) error {
+func (c *runConfig) sweep(name, kind string, body func(sw *sweep) (payload []byte)) (err error) {
 	sw := &sweep{runConfig: c, name: name}
-	defer sw.stopServer()
-	err := sw.startTelemetry()
-	if err != nil {
-		return err
+	if c.report != "" {
+		sw.hub, sw.spans = ibcc.NewTelemetryHub(0), ibcc.NewSpanTracker()
 	}
 	if c.out != "" {
 		if sw.store, err = ibcc.NewArtifactStore(c.out); err != nil {
@@ -291,7 +290,7 @@ func (c *runConfig) sweep(name, kind string, body func(sw *sweep) (payload []byt
 	if sw.err != nil {
 		return sw.err
 	}
-	return sw.finish(kind, payload)
+	return sw.writeReport(kind, payload)
 }
 
 // experiment runs one named batch of simulations — a figure, a scan,
@@ -313,11 +312,6 @@ func (sw *sweep) experiment(name string, totalSims int, fn func(o ibcc.RunOpts) 
 	}
 	o := ibcc.SweepOpts(ibcc.RunOpts{Ctx: sw.ctx, Check: sw.check, Telemetry: sw.hub, Spans: sw.spans},
 		sw.jobs, totalSims, sw.store, prog)
-	observe := o.OnResult
-	o.OnResult = func(s ibcc.Scenario, r *ibcc.Result, cached bool) {
-		observe(s, r, cached)
-		sw.midProbe()
-	}
 	start := time.Now()
 	sw.err = fn(o)
 	prog.Finish()
@@ -348,6 +342,36 @@ func (sw *sweep) experiment(name string, totalSims int, fn func(o ibcc.RunOpts) 
 		line += fmt.Sprintf(", %d from artifacts", cached)
 	}
 	fmt.Fprintf(sw.w, "%s\n\n", line)
+}
+
+// writeReport writes the unified run report from the current tracker
+// and hub state (no-op without -report). kind is one of the
+// ibcc.Report* constants; payload is the raw degradation curve JSON
+// (nil for the experiments).
+func (sw *sweep) writeReport(kind string, payload []byte) error {
+	if sw.report == "" {
+		return nil
+	}
+	st := sw.spans.Stats()
+	snap := sw.hub.Snapshot()
+	rep := &ibcc.RunReport{
+		Schema:      ibcc.RunReportSchema,
+		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		Kind:        kind,
+		Name:        sw.name,
+		Radix:       sw.radix,
+		Seeds:       sw.seeds,
+		Sweep:       &st,
+		Telemetry:   &snap,
+		Degradation: payload,
+		Trend:       ibcc.LoadPerfTrend(".", st.EventsPerSec),
+	}
+	if err := rep.Write(sw.report); err != nil {
+		return err
+	}
+	fmt.Fprintf(sw.w, "report : %s (%s, %d jobs, %.1fM events/s)\n",
+		sw.report, kind, st.Done+st.Failed, st.EventsPerSec/1e6)
+	return nil
 }
 
 // experimentsCmd is the default command: the rows of ibcc.Paper, run

@@ -25,10 +25,12 @@ func invoke(args ...string) (code int, stdout, stderr string) {
 }
 
 // A flag another command reads is a usage error, and so is a bad value
-// of a command's own flag, or an experiments flag that no selected
-// experiment reads: each exits 2 and nothing runs, so no artifact,
-// report or output file appears. The first two cases are the
-// invocations the single flag set used to accept and half-ignore.
+// of a command's own flag, an experiments flag that no selected
+// experiment reads, or a removed flag: each exits 2 and nothing runs,
+// so no artifact, report or output file appears. The first two cases
+// are the invocations the single flag set used to accept and
+// half-ignore; the cct cases are values that would loop forever, index
+// outside the CCT or wrap through the parameter's integer type.
 func TestFlagOfAnotherCommandIsAUsageError(t *testing.T) {
 	dir := t.TempDir()
 	p := func(name string) string { return filepath.Join(dir, name) }
@@ -38,8 +40,8 @@ func TestFlagOfAnotherCommandIsAUsageError(t *testing.T) {
 		want string
 	}{
 		{[]string{"-radix", "8", "-degradation", p("a.json")}, undefined},
-		{[]string{"-diff-kernel", "-jobs", "3", "-out", p("d"), "-report", p("r.json"), "-serve", "127.0.0.1:0"}, undefined},
-		{[]string{"diff-kernel", "-jobs", "3", "-out", p("d"), "-report", p("r.json"), "-serve", "127.0.0.1:0"}, undefined},
+		{[]string{"-diff-kernel", "-jobs", "3", "-out", p("d"), "-report", p("r.json")}, undefined},
+		{[]string{"diff-kernel", "-jobs", "3", "-out", p("d"), "-report", p("r.json")}, undefined},
 		{[]string{"degradation", "-radix", "8", "-exp", "fig5", p("a.json")}, undefined},
 		{[]string{"scan", "-seeds", "2"}, undefined},
 		{[]string{"bench-kernel", "-radix", "8", p("b.json")}, undefined},
@@ -55,6 +57,19 @@ func TestFlagOfAnotherCommandIsAUsageError(t *testing.T) {
 		{[]string{"-cc", "rcm", "-out", p("d")}, `-cc: unknown backend "rcm" (registered: ibcc, nocc, oracle)`},
 		{[]string{"degradation", "-cc", "ibcc,nocc", p("a.json")}, `-cc: unknown backend "ibcc,nocc" (registered: ibcc, nocc, oracle)`},
 		{[]string{"bench-kernel", "-events", "0", p("b.json")}, "-events"},
+		{[]string{"-serve", ":0"}, undefined + ": -serve"},
+		{[]string{"-serve-probe"}, undefined + ": -serve-probe"},
+		{[]string{"degradation", "-serve", "127.0.0.1:0", "-report", p("r.json"), p("a.json")}, undefined + ": -serve"},
+		{[]string{"cct", "-every", "0"}, "-every must be >= 1, got 0"},
+		{[]string{"cct", "-every", "-1"}, "-every must be >= 1, got -1"},
+		{[]string{"cct", "-threshold", "271"}, "-threshold must be in [0, 15], got 271"},
+		{[]string{"cct", "-limit", "200"}, "-limit must be in [0, 127], got 200"},
+		{[]string{"cct", "-timer", "65536"}, "-timer must be in [0, 65535], got 65536"},
+		{[]string{"cct", "-cpuprofile", p("cpu.out")}, undefined},
+		{[]string{"cct", p("x")}, `unexpected argument`},
+		{[]string{"ckpt", "-radix", "8", p("ck")}, undefined},
+		{[]string{"ckpt"}, "ckpt takes one PATH argument"},
+		{[]string{"report", p("r.json"), p("s.json")}, "report takes one PATH argument"},
 	} {
 		code, _, stderr := invoke(tc.args...)
 		if code != 2 || !strings.Contains(stderr, tc.want) {
@@ -78,19 +93,34 @@ func TestFlagOfAnotherCommandIsAUsageError(t *testing.T) {
 
 // Every command runs end to end at radix 8 (the experiments in
 // TestTableIICIRowsFollowSeed). The scan runs checked: a violation
-// would fail its sweep.
+// would fail its sweep. ckpt reads a checkpoint the test writes, report
+// the report the degradation sweep writes; a checkpoint with a flipped
+// byte and a report of an unknown kind then fail with exit 1 and the
+// error that names the fault.
 func TestEveryCommandRunsAtRadix8(t *testing.T) {
 	dir := t.TempDir()
 	p := func(name string) string { return filepath.Join(dir, name) }
+	s := ibcc.DefaultScenario(8)
+	s.Warmup, s.Measure = 200*ibcc.Microsecond, ibcc.Millisecond
+	in, err := ibcc.Build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.ExecuteWithCheckpoints(ibcc.CkptOpts{Every: 500 * ibcc.Microsecond, Dir: p("ck"), Keep: 1}); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"scan", "-radix", "8", "-short", "-scan", "increase", "-check"}, "best total at increase="},
 		{[]string{"degradation", "-radix", "8", "-short", "-intensities", "0", "-out", p("arts"),
-			"-serve", "127.0.0.1:0", "-serve-probe", "-report", p("r.json"), p("deg.json")}, "serve-probe: /metrics.json ok"},
+			"-report", p("r.json"), p("deg.json")}, "report : " + p("r.json") + " (degradation, 2 jobs"},
 		{[]string{"diff-kernel", "-radix", "8", "-short"}, "zero invariant violations"},
 		{[]string{"bench-kernel", "-events", "20000", p("bench.json")}, "wrote " + p("bench.json")},
+		{[]string{"cct", "-threshold", "3"}, "-> weight  3: mark above  53248 B queued"},
+		{[]string{"ckpt", p("ck")}, "scenario : " + s.Name + " — radix 8, seed 1, backend ibcc"},
+		{[]string{"report", p("r.json")}, "kind degradation, scenario " + s.Name + " radix 8 seeds 1"},
 	} {
 		code, stdout, stderr := invoke(tc.args...)
 		if code != 0 || !strings.Contains(stdout, tc.want) {
@@ -100,6 +130,38 @@ func TestEveryCommandRunsAtRadix8(t *testing.T) {
 	for _, f := range []string{"r.json", "deg.json", "bench.json"} {
 		if _, err := os.Stat(p(f)); err != nil {
 			t.Error(err)
+		}
+	}
+
+	ck, err := ibcc.LatestCheckpoint(p("ck"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(blob)/2] ^= 0x40
+	rep, err := os.ReadFile(p("r.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep = bytes.Replace(rep, []byte(`"kind": "degradation"`), []byte(`"kind": "tournament"`), 1)
+	for _, tc := range []struct {
+		file string
+		data []byte
+		cmd  string
+		want string
+	}{
+		{"flipped.ckpt", blob, "ckpt", "(corrupt file)"},
+		{"tournament.json", rep, "report", `unknown kind "tournament"`},
+	} {
+		if err := os.WriteFile(p(tc.file), tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := invoke(tc.cmd, p(tc.file))
+		if code != 1 || stdout != "" || !strings.Contains(stderr, tc.want) {
+			t.Errorf("paperbench %s %s: exit %d, want 1 and %q; stdout:\n%s\nstderr:\n%s", tc.cmd, tc.file, code, tc.want, stdout, stderr)
 		}
 	}
 }

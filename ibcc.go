@@ -83,7 +83,7 @@ type WindyPoint = core.WindyPoint
 type Instance = core.Instance
 
 // ObserveOpts selects the flight-recorder consumers Instance.Observe
-// attaches: JSONL event log, Chrome trace, congestion-tree analyzer,
+// attaches: JSONL event log, congestion-tree analyzer,
 // per-port counters, telemetry sampler.
 type ObserveOpts = core.ObserveOpts
 
@@ -267,16 +267,6 @@ func NewSpanTracker() *SpanTracker { return telemetry.NewTracker() }
 // SweepStats is a SpanTracker's aggregate view: progress, throughput,
 // ETA, worker utilization and the job-latency histogram.
 type SweepStats = telemetry.SweepStats
-
-// TelemetryServer serves the live dashboard: /metrics.json (the merged
-// hub + tracker state) and a self-contained HTML view at /.
-type TelemetryServer = telemetry.Server
-
-// NewTelemetryServer returns a server over the given hub and tracker
-// (either may be nil); call Start with a listen address, Close on exit.
-func NewTelemetryServer(hub *TelemetryHub, tracker *SpanTracker) *TelemetryServer {
-	return telemetry.NewServer(hub, tracker)
-}
 
 // RunReport is the unified end-of-run artifact: sweep statistics,
 // telemetry aggregates, the mode-specific payload (the degradation

@@ -14,9 +14,6 @@ import (
 type ObserveOpts struct {
 	// Events streams every event as one JSON line.
 	Events io.Writer
-	// ChromeTrace streams a Chrome trace_event document viewable in
-	// chrome://tracing or Perfetto.
-	ChromeTrace io.Writer
 	// Tree attaches the congestion-tree analyzer.
 	Tree bool
 	// Counters switches on the bus's per-switch-port counter registry.
@@ -28,7 +25,7 @@ type ObserveOpts struct {
 
 // Observation is the handle to a run's attached flight recorder. The
 // analytical consumers are ready after Execute; Close must run before
-// the Events/ChromeTrace outputs are read.
+// the Events output is read.
 type Observation struct {
 	// Bus is the event bus wired into the fabric and the CC manager.
 	Bus *obs.Bus
@@ -37,8 +34,7 @@ type Observation struct {
 	// Tree is the congestion-tree analyzer (Tree option).
 	Tree *obs.TreeAnalyzer
 
-	jsonl  *obs.JSONLWriter
-	chrome *obs.ChromeTracer
+	jsonl *obs.JSONLWriter
 }
 
 // Observe attaches the flight recorder to a built-but-not-executed
@@ -54,10 +50,6 @@ func (in *Instance) Observe(o ObserveOpts) *Observation {
 	if o.Events != nil {
 		ob.jsonl = obs.NewJSONLWriter(o.Events)
 		ob.jsonl.Attach(bus)
-	}
-	if o.ChromeTrace != nil {
-		ob.chrome = obs.NewChromeTracer(o.ChromeTrace)
-		ob.chrome.Attach(bus)
 	}
 	if o.Tree {
 		ob.Tree = obs.NewTreeAnalyzer()
@@ -93,30 +85,20 @@ func (ob *Observation) TreeReport() *obs.TreeReport {
 	return ob.Tree.Report()
 }
 
-// Close finalizes the streaming consumers (flushing the JSONL log and
-// terminating the Chrome trace document) and returns the first write
-// error any of them hit. Call after Execute.
+// Close finalizes the streaming consumer (flushing the JSONL log) and
+// returns the first write error it hit. Call after Execute.
 func (ob *Observation) Close() error {
-	var err error
-	if ob.jsonl != nil {
-		err = ob.jsonl.Close()
+	if ob.jsonl == nil {
+		return nil
 	}
-	if ob.chrome != nil {
-		if cerr := ob.chrome.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return ob.jsonl.Close()
 }
 
-// EventsWritten reports how many events the JSONL and Chrome consumers
-// emitted (zero for unattached consumers).
-func (ob *Observation) EventsWritten() (jsonl, chrome uint64) {
-	if ob.jsonl != nil {
-		jsonl = ob.jsonl.Events()
+// EventsWritten reports how many events the JSONL log wrote (zero
+// without the Events option).
+func (ob *Observation) EventsWritten() uint64 {
+	if ob.jsonl == nil {
+		return 0
 	}
-	if ob.chrome != nil {
-		chrome = ob.chrome.Events()
-	}
-	return
+	return ob.jsonl.Events()
 }

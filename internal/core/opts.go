@@ -51,7 +51,7 @@ type Opts struct {
 	Telemetry *telemetry.Hub
 	// Spans, when non-nil, records an orchestration span per run (begin
 	// on worker pickup, end with event count / cache flag / error) for
-	// the live sweep dashboard.
+	// the run report's sweep statistics.
 	Spans *telemetry.Tracker
 }
 
@@ -80,7 +80,7 @@ func runBatch(o Opts, scenarios []Scenario) ([]*Result, error) {
 		s := scenarios[i]
 		span := o.Spans.Begin(s.Name, worker)
 		// The pool turns a panic into a *par.PanicError above this
-		// frame; close the span on the way there or the dashboard shows
+		// frame; close the span on the way there or the tracker counts
 		// the run active forever.
 		defer func() {
 			if v := recover(); v != nil {

@@ -86,8 +86,8 @@ func TestSweepCancellation(t *testing.T) {
 
 // TestPanickingRunClosesItsSpan: the pool recovers a panicking run above
 // the funnel, so the funnel itself must close the run's span on the way
-// out — it used to stay in the tracker's active set forever, a job the
-// dashboard showed running long after the sweep had failed. The panic
+// out — it used to stay in the tracker's active set forever, a job
+// counted running long after the sweep had failed. The panic
 // comes from the lookup hook, the first thing a run does inside its span.
 func TestPanickingRunClosesItsSpan(t *testing.T) {
 	for _, workers := range []int{1, 2} {

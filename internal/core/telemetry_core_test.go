@@ -137,7 +137,7 @@ func TestTelemetryTraceSeries(t *testing.T) {
 	if len(lines) != bins+1 {
 		t.Fatalf("CSV has %d lines, want header + %d rows", len(lines), bins)
 	}
-	if lines[0] != "time_s,hotspot_gbps,other_gbps,control_gbps,queued_kb,max_port_kb,throttled,max_ccti,mean_ccti,drops,stalls" {
+	if lines[0] != "time_s,hotspot_gbps,other_gbps,control_gbps,queued_kb,max_port_kb,throttled,max_ccti,mean_ccti,ccti_incr,ccti_decr,drops,stalls" {
 		t.Fatalf("CSV header = %q", lines[0])
 	}
 	if !strings.HasPrefix(lines[1], "0.0001,") || !strings.HasPrefix(lines[bins], "0.005,") {

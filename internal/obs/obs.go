@@ -1,9 +1,8 @@
 // Package obs is the simulation flight recorder: a typed event bus the
 // fabric and the congestion-control manager publish to, plus consumers
 // that turn the event stream into artifacts — per-switch-port counters,
-// a JSONL event log, a Chrome trace_event export viewable in Perfetto,
-// and a congestion-tree analyzer that labels contributor and victim
-// flows from the FECN topology.
+// a JSONL event log, and a congestion-tree analyzer that labels
+// contributor and victim flows from the FECN topology.
 //
 // The bus has two tiers. The aggregate tier (Registry) is a table of
 // per-port counters and run totals the per-hop publish helpers update in
@@ -59,8 +58,8 @@ const (
 	// flow-control credit update (PktID 0, CreditBytes = lost credit).
 	KindPacketDropped
 	// KindMsgCompleted fires when a host sink consumes the final packet
-	// of an application message, for the stream consumers (JSONL,
-	// Chrome trace). The event carries the last packet's identity;
+	// of an application message, for the stream consumers (the JSONL
+	// log). The event carries the last packet's identity;
 	// Time − Inject is that packet's network latency, and the message's
 	// own span starts at the Inject of its MsgSeq-0 packet. The
 	// telemetry layer's completion histogram does not need the event:

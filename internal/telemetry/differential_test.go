@@ -256,7 +256,7 @@ func TestObservedRunBuildsNoPerHopEvents(t *testing.T) {
 }
 
 // TestSnapshotDuringRun is the lock-discipline test `make check` runs
-// under -race: the dashboard's goroutine snapshots the hub and the live
+// under -race: another goroutine snapshots the hub and the live
 // sampler in a loop while the run executes on this one. The bus's table
 // is written without a lock, so a Snapshot that read it — not just what
 // a tick copied out under the sampler's mutex — is a reported race.

@@ -2,8 +2,7 @@
 // recorder: fixed-cadence ring-buffer time series sampled from the
 // internal/obs event bus, an HDR-style log-linear histogram for
 // per-message completion times, orchestration spans over sweep jobs,
-// and a serving layer (JSON snapshots plus a self-contained HTML
-// dashboard) that watches a long sweep while it runs.
+// and the run report that carries a sweep's aggregates once it ends.
 //
 // The package deliberately sits beside internal/obs, not inside the
 // simulation: samplers are pure bus consumers, so attaching one never
@@ -172,7 +171,7 @@ func (h *Hist) Merge(other *Hist) {
 func (h *Hist) Reset() { *h = Hist{} }
 
 // HistSnapshot is the JSON form of a histogram: the percentile summary
-// the dashboard tiles and the RunReport carry. Values are microseconds
+// the RunReport carries. Values are microseconds
 // when the histogram recorded picoseconds of simulated time (the
 // caller scales; see Sampler and Tracker).
 type HistSnapshot struct {

@@ -8,7 +8,7 @@ import (
 )
 
 // HubSnapshot is the sweep-level telemetry view: cross-run aggregates
-// plus one live run's series for the dashboard sparklines.
+// plus one run's series, the live one while the sweep runs.
 type HubSnapshot struct {
 	// Runs counts finished runs folded into the aggregates; Active
 	// counts runs currently consuming events.
@@ -32,8 +32,8 @@ type HubSnapshot struct {
 // Hub aggregates per-run samplers into sweep-level telemetry. Parallel
 // runs have independent simulated clocks, so each run gets its own
 // Sampler (StartRun) and the hub folds finished runs into cross-run
-// aggregates (FinishRun). Snapshot is safe to call concurrently from the
-// HTTP server while workers start and finish runs. A nil *Hub is a valid
+// aggregates (FinishRun). Snapshot is safe to call concurrently from
+// another goroutine while workers start and finish runs. A nil *Hub is a valid
 // disabled hub: StartRun returns a nil sampler and every attach point
 // stays a single nil check.
 type Hub struct {

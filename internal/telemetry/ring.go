@@ -1,7 +1,7 @@
 package telemetry
 
 // RingCap is the fixed capacity of every time-series ring: enough points
-// for a smooth dashboard sparkline, bounded so that an arbitrarily long
+// to draw a run's curve smoothly, bounded so that an arbitrarily long
 // run holds a sliding window rather than growing without limit.
 const RingCap = 512
 

@@ -81,7 +81,7 @@ type SamplerSnapshot struct {
 // byte-identical to the unobserved one.
 //
 // Ticks, spans and Consume run on the simulation goroutine; Snapshot may
-// be called concurrently from the HTTP server. The mutex covers what
+// be called concurrently from another goroutine (Hub.Snapshot). The mutex covers what
 // Snapshot reads — the rings, peaks, lastTime, linksDown and the
 // completion histogram — and is taken once per tick and per stream
 // event, never per packet hop or per message. reg is the bus's live

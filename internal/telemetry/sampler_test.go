@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -134,9 +135,11 @@ func TestSamplerLinkState(t *testing.T) {
 	}
 }
 
-// TestSamplerCCTITable checks the CCTI-over-time view against a
+// TestSamplerCCTITable checks the CSV's CCTI columns against a
 // hand-built step sequence: flow 1->9 ramps to 3 then decays, flow 2->9
-// reaches 1 and recovers.
+// reaches 1 and recovers. Per bin the increase and decrease counts sum
+// to the steps recorded, next to the throttled flows and the max and
+// mean CCTI at the bin's close.
 func TestSamplerCCTITable(t *testing.T) {
 	b := obs.New()
 	s := NewSampler("ccti", sim.Microsecond)
@@ -154,48 +157,60 @@ func TestSamplerCCTITable(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := snap.WriteCCTITable(&sb); err != nil {
+	if err := snap.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
-	var rows [][]string
-	for _, line := range strings.Split(strings.TrimSpace(sb.String()), "\n") {
-		rows = append(rows, strings.Fields(line))
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	col := map[string]int{}
+	for i, name := range strings.Split(lines[0], ",") {
+		col[name] = i
 	}
+	names := []string{"time_s", "ccti_incr", "ccti_decr", "throttled", "max_ccti", "mean_ccti"}
 	want := [][]string{
-		{"t", "incr", "decr", "flows", "maxCCTI", "meanCCTI"},
-		{"1us", "1", "0", "1", "2", "2.00"},
-		{"2us", "1", "0", "2", "2", "1.50"},
-		{"3us", "1", "0", "2", "3", "2.00"},
-		{"4us", "0", "2", "1", "2", "2.00"},
+		{"1e-06", "1", "0", "1", "2", "2"},
+		{"2e-06", "1", "0", "2", "2", "1.5"},
+		{"3e-06", "1", "0", "2", "3", "2"},
+		{"4e-06", "0", "2", "1", "2", "2"},
 	}
-	if len(rows) != len(want) {
-		t.Fatalf("table has %d lines, want %d:\n%s", len(rows), len(want), sb.String())
+	if len(lines) != 1+len(want) {
+		t.Fatalf("CSV has %d lines, want %d:\n%s", len(lines), 1+len(want), sb.String())
 	}
-	for i := range want {
-		if strings.Join(rows[i], " ") != strings.Join(want[i], " ") {
-			t.Errorf("line %d = %v, want %v", i, rows[i], want[i])
+	steps := 0
+	for i, w := range want {
+		fields := strings.Split(lines[1+i], ",")
+		got := make([]string, len(names))
+		for j, name := range names {
+			k, ok := col[name]
+			if !ok {
+				t.Fatalf("no %s column in header %q", name, lines[0])
+			}
+			got[j] = fields[k]
 		}
+		if strings.Join(got, " ") != strings.Join(w, " ") {
+			t.Errorf("bin %d: %v = %v, want %v", i, names, got, w)
+		}
+		for _, f := range got[1:3] {
+			n, _ := strconv.Atoi(f)
+			steps += n
+		}
+	}
+	if steps != 5 {
+		t.Errorf("ccti_incr + ccti_decr columns sum to %d, want the 5 steps", steps)
 	}
 }
 
-// TestSamplerViewsOfEmptyRun: a sampler that saw nothing renders empty
-// tables — headers only, no error.
+// TestSamplerViewsOfEmptyRun: a sampler that saw nothing renders an
+// empty table — the header only, no error.
 func TestSamplerViewsOfEmptyRun(t *testing.T) {
 	s := NewSampler("empty", 0)
 	s.Finish()
 	snap := s.Snapshot()
-	var csv, tab strings.Builder
+	var csv strings.Builder
 	if err := snap.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.WriteCCTITable(&tab); err != nil {
 		t.Fatal(err)
 	}
 	if n := strings.Count(csv.String(), "\n"); n != 1 || !strings.HasPrefix(csv.String(), "time_s,hotspot_gbps,") {
 		t.Fatalf("CSV = %q", csv.String())
-	}
-	if n := strings.Count(tab.String(), "\n"); n != 1 {
-		t.Fatalf("table = %q", tab.String())
 	}
 }
 

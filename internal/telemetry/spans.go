@@ -192,8 +192,8 @@ func (t *Tracker) Stats() SweepStats {
 	}
 	// Rate and ETA guards: a fresh tracker has elapsed ≈ 0 and
 	// finished == 0, and encoding/json refuses ±Inf/NaN, so an
-	// unguarded division here would break every /metrics.json poll
-	// against a just-started sweep. Divide only when both denominators
+	// unguarded division here would break the run report of a sweep
+	// interrupted just after it started. Divide only when both denominators
 	// are strictly positive, and sanitize the end result regardless.
 	if sec := elapsed.Seconds(); sec > 0 {
 		st.EventsPerSec = float64(t.events) / sec

@@ -166,8 +166,8 @@ func TestHubNilSafe(t *testing.T) {
 	}
 }
 
-// TestFreshTrackerStatsMarshal polls a just-created tracker the way
-// /metrics.json does: zero finished jobs and near-zero elapsed time
+// TestFreshTrackerStatsMarshal reads a just-created tracker the way the
+// report of an at-once interrupted sweep does: zero finished jobs and near-zero elapsed time
 // must still produce finite, marshalable stats — encoding/json errors
 // on ±Inf/NaN, so a bad division here fails the whole poll.
 func TestFreshTrackerStatsMarshal(t *testing.T) {

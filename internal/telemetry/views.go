@@ -2,12 +2,8 @@ package telemetry
 
 import (
 	"bufio"
-	"fmt"
 	"io"
-	"math"
 	"strconv"
-
-	"repro/internal/sim"
 )
 
 // WriteCSV writes the snapshot's series as one table on the sampler's
@@ -23,7 +19,7 @@ func (s *SamplerSnapshot) WriteCSV(w io.Writer) error {
 		{"hotspot_gbps", &s.HotspotGbps}, {"other_gbps", &s.OtherGbps}, {"control_gbps", &s.ControlGbps},
 		{"queued_kb", &s.QueuedKB}, {"max_port_kb", &s.MaxPortKB},
 		{"throttled", &s.Throttled}, {"max_ccti", &s.MaxCCTI}, {"mean_ccti", &s.MeanCCTI},
-		{"drops", &s.Drops}, {"stalls", &s.Stalls},
+		{"ccti_incr", &s.CCTIIncr}, {"ccti_decr", &s.CCTIDecr}, {"drops", &s.Drops}, {"stalls", &s.Stalls},
 	}
 	bw := bufio.NewWriter(w)
 	bw.WriteString("time_s")
@@ -38,21 +34,6 @@ func (s *SamplerSnapshot) WriteCSV(w io.Writer) error {
 			bw.WriteString(strconv.FormatFloat(c.series.V[i], 'g', 8, 64))
 		}
 		bw.WriteByte('\n')
-	}
-	return bw.Flush()
-}
-
-// WriteCCTITable renders the congestion-control series as the
-// CCTI-over-time table (cctinspect -run): per bin the number of CCTI
-// increases and decreases, and at the bin's close the number of
-// throttled flows and the max and mean CCTI across them.
-func (s *SamplerSnapshot) WriteCCTITable(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "%12s %8s %8s %8s %8s %8s\n", "t", "incr", "decr", "flows", "maxCCTI", "meanCCTI")
-	for i, tUS := range s.Throttled.TUS {
-		t := sim.Time(math.Round(tUS * float64(sim.Microsecond)))
-		fmt.Fprintf(bw, "%12v %8.0f %8.0f %8.0f %8.0f %8.2f\n",
-			t, s.CCTIIncr.V[i], s.CCTIDecr.V[i], s.Throttled.V[i], s.MaxCCTI.V[i], s.MeanCCTI.V[i])
 	}
 	return bw.Flush()
 }

@@ -24,7 +24,7 @@ GO=${GO:-go}
 T=$(mktemp -d)
 trap 'rm -rf "$T"' EXIT
 
-"$GO" build -o "$T/bin/" ./cmd/ibccsim ./cmd/paperbench ./cmd/cctinspect
+"$GO" build -o "$T/bin/" ./cmd/ibccsim ./cmd/paperbench
 
 # --- 1. Single run: checkpoint, kill -9, resume, identical summary. ---
 RUN="-radix 8 -fracb 100 -p 60 -warmup 200us -measure 10ms -q -check"
@@ -44,7 +44,7 @@ if [ -z "$(ls "$T/ck" 2>/dev/null)" ]; then
     exit 1
 fi
 
-"$T/bin/cctinspect" -ckpt "$T/ck"
+"$T/bin/paperbench" ckpt "$T/ck"
 "$T/bin/ibccsim" $RUN -resume-from "$T/ck" > "$T/resumed.txt"
 if ! cmp -s "$T/uninterrupted.txt" "$T/resumed.txt"; then
     echo "resilience: resumed summary differs from the uninterrupted run:" >&2
