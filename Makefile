@@ -93,21 +93,28 @@ degradation:
 		/tmp/ibcc-degradation.json
 
 # Telemetry smoke: the telemetry unit suite (histogram quantile bounds,
-# sampler zero-perturbation, grid and views, span tracker, report schema),
-# the obs-layer digest-stability guards, then end to end: a short sweep
-# writes the unified run report, which `paperbench report` validates and
-# renders back (and which must carry no retry count: every simulation
-# runs once). Last, the single-run trace: ibccsim with the sampler's CSV
-# and cadence checkpoints on must execute exactly the bare run's events
-# and leave a header plus >= 10 rows.
+# sampler zero-perturbation, grid and views, span tracker and its
+# progress line, report schema), the obs-layer digest-stability guards,
+# then end to end: a short sweep prints its progress as JSON lines on
+# stderr, the last of which must count every job done, and writes the
+# unified run report, which `paperbench report` validates and renders
+# back. The report must carry no retry count (every simulation runs
+# once), no kernel-bench trend (a sweep reads no benchmark files) and no
+# live series (it is written when the sweep has ended). Last, the
+# single-run trace: ibccsim with the sampler's CSV and cadence
+# checkpoints on must execute exactly the bare run's events and leave a
+# header plus >= 10 rows.
 telemetry:
 	$(GO) test -count=1 ./internal/telemetry
 	$(GO) test -count=1 ./internal/obs -run 'Digest|Telemetry|MsgCompleted'
 	$(GO) test -count=1 ./internal/core -run 'Telemetry'
-	$(GO) run ./cmd/paperbench degradation -radix 8 -short -intensities 0,0.6 -seeds 1 \
-		-report /tmp/ibcc-telemetry-report.json /tmp/ibcc-telemetry-deg.json
+	2> /tmp/ibcc-telemetry-progress.jsonl $(GO) run ./cmd/paperbench degradation -radix 8 -short \
+		-intensities 0,0.6 -seeds 1 -progress-jsonl -report /tmp/ibcc-telemetry-report.json /tmp/ibcc-telemetry-deg.json
+	tail -1 /tmp/ibcc-telemetry-progress.jsonl | grep -q '^{"total":\([0-9]*\),"done":\1,'
 	$(GO) run ./cmd/paperbench report /tmp/ibcc-telemetry-report.json
 	! grep -q '"retries"' /tmp/ibcc-telemetry-report.json
+	! grep -q '"trend"' /tmp/ibcc-telemetry-report.json
+	! grep -q '"live"' /tmp/ibcc-telemetry-report.json
 	rm -rf /tmp/ibcc-trace-ck
 	$(GO) run ./cmd/ibccsim -radix 8 -trace /tmp/ibcc-trace.csv -ckpt-every 1ms -ckpt-dir /tmp/ibcc-trace-ck \
 		| grep -o 'engine   : [0-9]* events' > /tmp/ibcc-trace-on.txt
@@ -150,16 +157,15 @@ bench-kernel:
 	$(GO) test ./internal/core -run '^$$' -bench BenchmarkPacketLifecycle -benchmem
 	$(GO) run ./cmd/paperbench bench-kernel BENCH_kernel.json
 
-# Kernel performance regression gate: the in-tree guard test, then a
-# fresh paperbench measurement (reduced budget) against the committed
-# BENCH_kernel.json. Both time the wheel against the reference heap in
-# one process and fail when their ratio exceeds the committed one by
-# >10%, so the gate holds on any host; paperbench also fails on any
-# rise in the lifecycle's events per packet, an exact count.
+# Kernel performance regression gate against the committed
+# BENCH_kernel.json, each quantity checked once: TestKernelBenchGuard
+# times the wheel against the reference heap in one process and fails
+# when their ratio exceeds the committed one by >10%, so it holds on any
+# host; TestLifecycleEventsPerPacket fails on any rise in the packet
+# lifecycle's events per packet, an exact count.
 bench-kernel-gate:
 	$(GO) test -count=1 -timeout 20m ./internal/core -run TestKernelBenchGuard
-	$(GO) run ./cmd/paperbench bench-kernel -events 8000000 -baseline BENCH_kernel.json \
-		/tmp/ibcc-bench-gate.json
+	$(GO) test -count=1 ./cmd/paperbench -run TestLifecycleEventsPerPacket
 
 # End-to-end ledger: the four benchmark workloads (benchmark/README.md),
 # untraced, seed 1, judged against the committed baseline with the

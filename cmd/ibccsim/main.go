@@ -49,85 +49,59 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ibccsim: ")
 
-	var (
-		radix    = flag.Int("radix", 18, "fat-tree crossbar radix (36 = paper's 648 nodes)")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		ccOn     = flag.Bool("cc", true, "enable congestion control")
-		fracB    = flag.Int("fracb", 0, "percent of nodes that are B nodes")
-		p        = flag.Int("p", 0, "hotspot share p of B nodes (percent)")
-		fracC    = flag.Int("fracc", 80, "percent of non-B nodes that are C contributors")
-		hotspots = flag.Int("hotspots", 8, "number of hotspots")
-		lifetime = flag.Duration("lifetime", 0, "hotspot lifetime (0 = static hotspots)")
-		warmup   = flag.Duration("warmup", 4*time.Millisecond, "warmup before measurement")
-		measure  = flag.Duration("measure", 8*time.Millisecond, "measurement window")
-		quiet    = flag.Bool("q", false, "print only the summary line")
-		traceCSV = flag.String("trace", "", "write the telemetry sampler's time series (per-class rates, queues, CCTI, drops, stalls) as CSV to this file")
-		traceInt = flag.Duration("traceint", 100*time.Microsecond, "sampling interval of the -trace CSV (and of -telemetry when both are given)")
-		numSeeds = flag.Int("seeds", 1, "run this many seeds (seed, seed+1, ...) and report mean ±95% CI")
-		jobs     = flag.Int("jobs", 1, "simulation workers for -seeds > 1 (0 = one per CPU)")
-		out      = flag.String("out", "", "artifact directory: persist results as JSON (and resume -seeds runs)")
-		events   = flag.String("events", "", "write a JSONL event log of the run to this file")
-		ctree    = flag.Bool("ctree", false, "reconstruct the congestion trees from the event bus and print them")
-		checkInv = flag.Bool("check", false, "run under the runtime invariant checker; exit non-zero on violations")
-		faults   = flag.String("faults", "", "JSON fault plan: inject link faults and wire loss from this file")
-		telem    = flag.Bool("telemetry", false, "print the telemetry sampler's per-class rates, message-completion percentiles and hottest ports")
-		ckEvery  = flag.Duration("ckpt-every", 0, "write a crash-safe checkpoint every this much simulated time (0 = off)")
-		ckDir    = flag.String("ckpt-dir", "checkpoints", "directory for the -ckpt-every rolling series")
-		ckKeep   = flag.Int("ckpt-keep", 3, "checkpoints to keep in the -ckpt-every rolling series")
-		resume   = flag.String("resume-from", "", "continue from a checkpoint file, or the newest checkpoint in a directory; scenario flags are ignored")
-	)
-	flag.Parse()
+	fs, o := newFlagSet(flag.ExitOnError)
+	fs.Parse(os.Args[1:]) // ExitOnError: a bad flag exits 2 before this returns
 
 	// Reject nonsensical numeric flags with one line and a non-zero
 	// exit: a zero worker pool hangs, zero seeds shrink a sweep, and a
 	// trace finer than the sampler's ring loses its oldest rows.
 	var traceSpan time.Duration
-	if *traceCSV != "" {
-		traceSpan = *warmup + *measure
+	if o.traceCSV != "" {
+		traceSpan = o.warmup + o.measure
 	}
 	for _, err := range []error{
-		cliflag.Workers("-jobs", *jobs),
-		cliflag.Positive("-seeds", *numSeeds),
-		cliflag.Positive("-radix", *radix),
-		cliflag.Cadence("-traceint", *traceInt, traceSpan, ibcc.TelemetryRingCap),
+		cliflag.Workers("-jobs", o.jobs),
+		cliflag.Positive("-seeds", o.numSeeds),
+		cliflag.Positive("-radix", o.radix),
+		cliflag.Cadence("-traceint", o.traceInt, traceSpan, ibcc.TelemetryRingCap),
 	} {
 		if err != nil {
 			log.Fatal(err)
 		}
 	}
-	if *ckEvery > 0 {
-		if *numSeeds > 1 {
+	if o.ckEvery > 0 {
+		if o.numSeeds > 1 {
 			log.Fatal("-ckpt-every checkpoints a single run; use -seeds 1")
 		}
-		if err := cliflag.Positive("-ckpt-keep", *ckKeep); err != nil {
+		if err := cliflag.Positive("-ckpt-keep", o.ckKeep); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if *resume != "" {
-		if *numSeeds > 1 {
+	if o.resume != "" {
+		if o.numSeeds > 1 {
 			log.Fatal("-resume-from continues a single run; use -seeds 1")
 		}
-		if *faults != "" {
+		if o.faults != "" {
 			log.Fatal("-resume-from: the checkpoint already carries the fault plan; drop -faults")
 		}
-		if *traceCSV != "" || *events != "" || *ctree || *telem {
+		if o.traceCSV != "" || o.events != "" || o.ctree || o.telem {
 			log.Fatal("-resume-from: a recording of the resumed part alone would read as the whole run; drop -trace/-events/-ctree/-telemetry")
 		}
 	}
 
-	s := ibcc.DefaultScenario(*radix)
-	s.Seed = *seed
-	s.CCOn = *ccOn
-	s.FracBPct = *fracB
-	s.PPercent = *p
-	s.FracCOfRestPct = *fracC
-	s.NumHotspots = *hotspots
-	s.HotspotLifetime = ibcc.Duration(lifetime.Nanoseconds()) * ibcc.Nanosecond
-	s.Warmup = ibcc.Duration(warmup.Nanoseconds()) * ibcc.Nanosecond
-	s.Measure = ibcc.Duration(measure.Nanoseconds()) * ibcc.Nanosecond
+	s := ibcc.DefaultScenario(o.radix)
+	s.Seed = o.seed
+	s.CCOn = o.ccOn
+	s.FracBPct = o.fracB
+	s.PPercent = o.p
+	s.FracCOfRestPct = o.fracC
+	s.NumHotspots = o.hotspots
+	s.HotspotLifetime = ibcc.Duration(o.lifetime.Nanoseconds()) * ibcc.Nanosecond
+	s.Warmup = ibcc.Duration(o.warmup.Nanoseconds()) * ibcc.Nanosecond
+	s.Measure = ibcc.Duration(o.measure.Nanoseconds()) * ibcc.Nanosecond
 
-	if *faults != "" {
-		f, err := os.Open(*faults)
+	if o.faults != "" {
+		f, err := os.Open(o.faults)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -140,31 +114,31 @@ func main() {
 	}
 
 	var store *ibcc.ArtifactStore
-	if *out != "" {
+	if o.out != "" {
 		var err error
-		if store, err = ibcc.NewArtifactStore(*out); err != nil {
+		if store, err = ibcc.NewArtifactStore(o.out); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	if *numSeeds > 1 {
-		if *traceCSV != "" || *events != "" || *ctree || *telem {
+	if o.numSeeds > 1 {
+		if o.traceCSV != "" || o.events != "" || o.ctree || o.telem {
 			log.Fatal("-trace/-events/-ctree/-telemetry record a single run; use -seeds 1")
 		}
-		runSeeds(s, *numSeeds, *jobs, store, *quiet, *checkInv)
+		runSeeds(s, o.numSeeds, o.jobs, store, o.quiet, o.checkInv)
 		return
 	}
 
 	start := time.Now()
 	var inst *ibcc.Instance
 	var err error
-	if *resume != "" {
-		if inst, err = ibcc.RestoreFile(*resume); err != nil {
+	if o.resume != "" {
+		if inst, err = ibcc.RestoreFile(o.resume); err != nil {
 			log.Fatal(err)
 		}
 		s = inst.Scenario
-		if !*quiet {
-			from, _ := ibcc.LatestCheckpoint(*resume)
+		if !o.quiet {
+			from, _ := ibcc.LatestCheckpoint(o.resume)
 			fmt.Printf("resume   : %s (%s)\n", from, s.Name)
 		}
 	} else if inst, err = ibcc.Build(s); err != nil {
@@ -173,36 +147,36 @@ func main() {
 	// -trace and -telemetry are two views of one sampler; the CSV's
 	// cadence wins when both are given.
 	var smp *ibcc.TelemetrySampler
-	if *traceCSV != "" {
-		smp = ibcc.NewTelemetrySampler(s.Name, ibcc.Duration(traceInt.Nanoseconds())*ibcc.Nanosecond)
-	} else if *telem {
+	if o.traceCSV != "" {
+		smp = ibcc.NewTelemetrySampler(s.Name, ibcc.Duration(o.traceInt.Nanoseconds())*ibcc.Nanosecond)
+	} else if o.telem {
 		smp = ibcc.NewTelemetrySampler(s.Name, 0)
 	}
 	var ob *ibcc.Observation
 	var evFile *os.File
-	if *events != "" || *ctree || smp != nil {
-		o := ibcc.ObserveOpts{Tree: *ctree, Telemetry: smp}
-		if *events != "" {
-			if evFile, err = os.Create(*events); err != nil {
+	if o.events != "" || o.ctree || smp != nil {
+		oo := ibcc.ObserveOpts{Tree: o.ctree, Telemetry: smp}
+		if o.events != "" {
+			if evFile, err = os.Create(o.events); err != nil {
 				log.Fatal(err)
 			}
-			o.Events = evFile
+			oo.Events = evFile
 		}
-		ob = inst.Observe(o)
+		ob = inst.Observe(oo)
 	}
 	var ck interface{ Report() *ibcc.InvariantReport }
-	if *checkInv {
+	if o.checkInv {
 		ck = inst.Check(ibcc.CheckOpts{Diagnostics: os.Stderr})
 	}
 	// A resumed run's event count covers the whole run; the rate below
 	// is of the events this process executed.
 	resumedAt := inst.Net.Sim().Processed()
 	res, err := inst.ExecuteWithCheckpoints(ibcc.CkptOpts{
-		Every: ibcc.Duration(ckEvery.Nanoseconds()) * ibcc.Nanosecond, // 0 writes none
-		Dir:   *ckDir,
-		Keep:  *ckKeep,
+		Every: ibcc.Duration(o.ckEvery.Nanoseconds()) * ibcc.Nanosecond, // 0 writes none
+		Dir:   o.ckDir,
+		Keep:  o.ckKeep,
 		OnSave: func(path string, at ibcc.Time) {
-			if !*quiet {
+			if !o.quiet {
 				fmt.Printf("ckpt     : %s (t=%v)\n", path, at)
 			}
 		},
@@ -222,22 +196,22 @@ func main() {
 		if err := evFile.Close(); err != nil {
 			log.Fatal(err)
 		}
-		if !*quiet {
-			fmt.Printf("events   : %d -> %s\n", ob.EventsWritten(), *events)
+		if !o.quiet {
+			fmt.Printf("events   : %d -> %s\n", ob.EventsWritten(), o.events)
 		}
 	}
 
 	if store != nil {
 		if err := store.Save(s, res, elapsed); err != nil {
 			log.Print(err)
-		} else if !*quiet {
+		} else if !o.quiet {
 			fmt.Printf("artifact : %s/%s.json\n", store.Dir(), ibcc.ScenarioFingerprint(s)[:16])
 		}
 	}
 
-	if *traceCSV != "" {
+	if o.traceCSV != "" {
 		snap := smp.Snapshot()
-		f, err := os.Create(*traceCSV)
+		f, err := os.Create(o.traceCSV)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -247,15 +221,15 @@ func main() {
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
-		if !*quiet {
-			fmt.Printf("trace    : %d samples every %v -> %s\n", len(snap.QueuedKB.V), *traceInt, *traceCSV)
+		if !o.quiet {
+			fmt.Printf("trace    : %d samples every %v -> %s\n", len(snap.QueuedKB.V), o.traceInt, o.traceCSV)
 		}
 	}
 
-	if *quiet {
+	if o.quiet {
 		fmt.Println(res.Summary)
 		reportCheck(ck, true)
-		if *ctree {
+		if o.ctree {
 			ob.TreeReport().WriteTo(os.Stdout)
 		}
 		return
@@ -285,13 +259,55 @@ func main() {
 	fmt.Printf(" in %v (%.1fM events/s)\n", elapsed.Round(time.Millisecond),
 		float64(res.Events-resumedAt)/elapsed.Seconds()/1e6)
 	reportFaults(res.Faults)
-	if *telem {
+	if o.telem {
 		reportTelemetry(smp)
 	}
-	reportCheck(ck, *quiet)
-	if *ctree {
+	reportCheck(ck, o.quiet)
+	if o.ctree {
 		ob.TreeReport().WriteTo(os.Stdout)
 	}
+}
+
+// options holds every ibccsim flag.
+type options struct {
+	radix, fracB, p, fracC, hotspots, numSeeds, jobs, ckKeep int
+	seed                                                     uint64
+	ccOn, quiet, ctree, checkInv, telem                      bool
+	lifetime, warmup, measure, traceInt, ckEvery             time.Duration
+	traceCSV, out, events, faults, ckDir, resume             string
+}
+
+// newFlagSet defines every ibccsim flag on a fresh FlagSet, so a test
+// can parse an invocation without running it.
+func newFlagSet(onError flag.ErrorHandling) (*flag.FlagSet, *options) {
+	fs := flag.NewFlagSet("ibccsim", onError)
+	o := &options{}
+	fs.IntVar(&o.radix, "radix", 18, "fat-tree crossbar radix (36 = paper's 648 nodes)")
+	fs.Uint64Var(&o.seed, "seed", 1, "random seed")
+	fs.BoolVar(&o.ccOn, "cc", true, "enable congestion control")
+	fs.IntVar(&o.fracB, "fracb", 0, "percent of nodes that are B nodes")
+	fs.IntVar(&o.p, "p", 0, "hotspot share p of B nodes (percent)")
+	fs.IntVar(&o.fracC, "fracc", 80, "percent of non-B nodes that are C contributors")
+	fs.IntVar(&o.hotspots, "hotspots", 8, "number of hotspots")
+	fs.DurationVar(&o.lifetime, "lifetime", 0, "hotspot lifetime (0 = static hotspots)")
+	fs.DurationVar(&o.warmup, "warmup", 4*time.Millisecond, "warmup before measurement")
+	fs.DurationVar(&o.measure, "measure", 8*time.Millisecond, "measurement window")
+	fs.BoolVar(&o.quiet, "q", false, "print only the summary line")
+	fs.StringVar(&o.traceCSV, "trace", "", "write the telemetry sampler's time series (per-class rates, queues, CCTI, drops, stalls) as CSV to this file")
+	fs.DurationVar(&o.traceInt, "traceint", 100*time.Microsecond, "sampling interval of the -trace CSV (and of -telemetry when both are given)")
+	fs.IntVar(&o.numSeeds, "seeds", 1, "run this many seeds (seed, seed+1, ...) and report mean ±95% CI")
+	fs.IntVar(&o.jobs, "jobs", 1, "simulation workers for -seeds > 1 (0 = one per CPU)")
+	fs.StringVar(&o.out, "out", "", "artifact directory: persist results as JSON (and resume -seeds runs)")
+	fs.StringVar(&o.events, "events", "", "write a JSONL event log of the run to this file")
+	fs.BoolVar(&o.ctree, "ctree", false, "reconstruct the congestion trees from the event bus and print them")
+	fs.BoolVar(&o.checkInv, "check", false, "run under the runtime invariant checker; exit non-zero on violations")
+	fs.StringVar(&o.faults, "faults", "", "JSON fault plan: inject link faults and wire loss from this file")
+	fs.BoolVar(&o.telem, "telemetry", false, "print the telemetry sampler's per-class rates, message-completion percentiles and hottest ports")
+	fs.DurationVar(&o.ckEvery, "ckpt-every", 0, "write a crash-safe checkpoint every this much simulated time (0 = off)")
+	fs.StringVar(&o.ckDir, "ckpt-dir", "checkpoints", "directory for the -ckpt-every rolling series")
+	fs.IntVar(&o.ckKeep, "ckpt-keep", 3, "checkpoints to keep in the -ckpt-every rolling series")
+	fs.StringVar(&o.resume, "resume-from", "", "continue from a checkpoint file, or the newest checkpoint in a directory; scenario flags are ignored")
+	return fs, o
 }
 
 // reportTelemetry prints the finished sampler's aggregates: mean
@@ -363,7 +379,7 @@ func reportCheck(ck interface{ Report() *ibcc.InvariantReport }, quiet bool) {
 // pool and reports the aggregated rates.
 func runSeeds(s ibcc.Scenario, n, jobs int, store *ibcc.ArtifactStore, quiet, check bool) {
 	seeds := cliflag.Seeds(s.Seed, n)
-	opts := ibcc.SweepOpts(ibcc.RunOpts{Check: check}, jobs, n, store, nil)
+	opts := ibcc.SweepOpts(ibcc.RunOpts{Check: check}, jobs, n, store)
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}

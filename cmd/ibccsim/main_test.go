@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/cliflag"
 )
 
 // binary builds ibccsim into the test's temp directory.
@@ -179,4 +182,28 @@ func TestRemovedFlagIsAUsageError(t *testing.T) {
 	if _, err := os.Stat(out); err == nil {
 		t.Error("a rejected run left a file behind")
 	}
+}
+
+// Every literal ibccsim invocation the docs, the Makefile, the scripts,
+// the verify skill and the package doc show parses against ibccsim's
+// flags.
+func TestDocumentedInvocationsParse(t *testing.T) {
+	invs, err := cliflag.Documented(filepath.Join("..", ".."), "ibccsim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inv := range invs {
+		fs, _ := newFlagSet(flag.ContinueOnError)
+		var stderr bytes.Buffer
+		fs.SetOutput(&stderr)
+		if err := fs.Parse(inv.Args); err != nil {
+			t.Errorf("%s:%d: ibccsim %s: %v", inv.File, inv.Line, strings.Join(inv.Args, " "), err)
+		} else if fs.NArg() > 0 {
+			t.Errorf("%s:%d: ibccsim %s: unexpected argument %q", inv.File, inv.Line, strings.Join(inv.Args, " "), fs.Arg(0))
+		}
+	}
+	if len(invs) < 20 {
+		t.Fatalf("only %d invocations found; is the extraction broken?", len(invs))
+	}
+	t.Logf("%d invocations checked", len(invs))
 }

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -10,7 +12,7 @@ import (
 	"runtime"
 	"time"
 
-	ibcc "repro"
+	"repro/internal/ckpt"
 	"repro/internal/cliflag"
 	"repro/internal/core"
 	"repro/internal/ib"
@@ -39,12 +41,6 @@ const (
 	ratioEvents = 500_000
 	ratioPairs  = 16
 )
-
-// benchGateRatio is the regression margin: a fresh wheel-versus-heap
-// ratio more than 10% above the committed BENCH_kernel.json's fails the
-// bench-kernel -baseline compare (and `make bench-kernel-gate`), as it
-// fails TestKernelBenchGuard.
-const benchGateRatio = 1.10
 
 // kernelReport is the machine-readable BENCH_kernel.json document.
 type kernelReport struct {
@@ -77,8 +73,8 @@ type kernelReport struct {
 		WallNs      int64   `json:"wall_ns"`
 		NsPerPacket float64 `json:"ns_per_packet"`
 		// Events and EventsPerPacket are simulated counts over the timed
-		// windows: exact, the same on every host and every run, so the
-		// baseline compare gates them with no tolerance at all.
+		// windows: exact, the same on every host and every run, so
+		// TestLifecycleEventsPerPacket gates them with no tolerance.
 		Events          uint64  `json:"events"`
 		EventsPerPacket float64 `json:"events_per_packet"`
 		AllocsPerPkt    float64 `json:"allocs_per_packet"`
@@ -125,17 +121,15 @@ func benchKernelSteady(actors int, events int64) (wall time.Duration, allocs uin
 // runBenchKernel.
 func benchKernelCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) error) {
 	events := fs.Int("events", 20_000_000, "steady-state event budget (the shallow workload runs a quarter of it)")
-	baseline := fs.String("baseline", "", "gate the fresh wheel/reference-heap ratio and events per packet against this committed BENCH_kernel.json: fail on a >10% higher ratio or any rise in events per packet")
 	return func() error { return cliflag.Positive("-events", *events) },
-		func(path string) error { return runBenchKernel(c.w, path, int64(*events), *baseline) }
+		func(path string) error { return runBenchKernel(c.w, path, int64(*events)) }
 }
 
 // runBenchKernel measures the event kernel and the pooled packet
-// lifecycle, then writes BENCH_kernel.json to path. steadyEvents is
-// the -events budget; the shallow workload scales with it at a 1:4
-// ratio. With a baseline path it also gates the measurement against
-// that committed copy.
-func runBenchKernel(w io.Writer, path string, steadyEvents int64, baseline string) error {
+// lifecycle, writes BENCH_kernel.json to path and appends the kernel
+// row to the BENCH_history.json beside it. steadyEvents is the -events
+// budget; the shallow workload scales with it at a 1:4 ratio.
+func runBenchKernel(w io.Writer, path string, steadyEvents int64) error {
 	shallowEvents := max(steadyEvents/4, 1)
 
 	var rep kernelReport
@@ -179,16 +173,14 @@ func runBenchKernel(w io.Writer, path string, steadyEvents int64, baseline strin
 		return err
 	}
 
-	// Ring-buffer history alongside the artifact: the run-report trend
-	// block reads it to detect kernel drift across re-measurements.
 	histPath := filepath.Join(filepath.Dir(path), "BENCH_history.json")
-	if err := ibcc.AppendBenchHistory(histPath, ibcc.BenchPoint{
-		GeneratedAt:  rep.GeneratedAt,
-		GoVersion:    rep.GoVersion,
-		NsPerEvent:   rep.Kernel.NsPerEvent,
-		EventsPerSec: rep.Kernel.EventsPerS,
-		Speedup:      rep.SpeedupSteady,
-	}); err != nil {
+	if err := appendHistory(histPath, struct {
+		GeneratedAt  string  `json:"generated_at"`
+		GoVersion    string  `json:"go_version"`
+		NsPerEvent   float64 `json:"ns_per_event"`
+		EventsPerSec float64 `json:"events_per_sec"`
+		Speedup      float64 `json:"speedup_steady"`
+	}{rep.GeneratedAt, rep.GoVersion, rep.Kernel.NsPerEvent, rep.Kernel.EventsPerS, rep.SpeedupSteady}); err != nil {
 		return err
 	}
 
@@ -201,52 +193,34 @@ func runBenchKernel(w io.Writer, path string, steadyEvents int64, baseline strin
 	fmt.Fprintf(w, "packets: %.0f ns/packet, %.2f events/packet, %.4f allocs/packet (%d steady-window allocs over %d windows)\n",
 		rep.Lifecycle.NsPerPacket, rep.Lifecycle.EventsPerPacket, rep.Lifecycle.AllocsPerPkt,
 		rep.Lifecycle.SteadyAllocs, rep.Lifecycle.SteadyWindows)
-	fmt.Fprintf(w, "wrote %s (history ring: %s)\n", path, histPath)
-
-	if baseline != "" {
-		return compareBenchBaseline(w, baseline, &rep)
-	}
+	fmt.Fprintf(w, "wrote %s (history row appended to %s)\n", path, histPath)
 	return nil
 }
 
-// compareBenchBaseline gates the fresh measurement against a committed
-// BENCH_kernel.json: the lifecycle's events per packet may not exceed
-// the committed value, and the steady-state workload's time per event
-// on the timing wheel over its time on the reference heap may not
-// exceed the committed ratio by more than 10%. Both kernels are timed in
-// this process, so a slower or busier host slows both and leaves the
-// ratio alone; TestKernelBenchGuard makes the same check.
-func compareBenchBaseline(w io.Writer, path string, rep *kernelReport) error {
-	data, err := os.ReadFile(path)
+// appendHistory appends row to the BENCH_history.json ledger at path,
+// creating it when missing. The ledger is append-only: the rows already
+// there — this command's and scripts/bench_pairs.sh's — are kept byte
+// for byte, and a file that is not a JSON array is an error that leaves
+// it untouched. The write is atomic.
+func appendHistory(path string, row any) error {
+	var rows []json.RawMessage
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, &rows); err != nil {
+			return fmt.Errorf("%s is not a JSON array of rows, left as it is: %w", path, err)
+		}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	data, err := json.MarshalIndent(row, "  ", "  ")
 	if err != nil {
 		return err
 	}
-	var base kernelReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+	parts := [][]byte{}
+	for _, r := range rows {
+		parts = append(parts, r)
 	}
-	// Events per packet is a count the simulation makes, not a timing:
-	// any rise means events that do nothing are being scheduled again.
-	if b, f := base.Lifecycle.EventsPerPacket, rep.Lifecycle.EventsPerPacket; b > 0 && f > b {
-		return fmt.Errorf("event-count regression: %.4f events/packet on %s vs committed %.4f (an exact count; no tolerance)",
-			f, rep.Lifecycle.Scenario, b)
-	}
-	b, f := base.WheelVsReference, rep.WheelVsReference
-	if b.Ratio <= 0 {
-		return fmt.Errorf("%s: missing wheel_vs_reference.ratio", path)
-	}
-	if b.Actors != f.Actors || b.Events != f.Events || b.Pairs != f.Pairs {
-		return fmt.Errorf("%s: ratio measured on %d actors, %d events, %d pairs; this build measures %d, %d, %d",
-			path, b.Actors, b.Events, b.Pairs, f.Actors, f.Events, f.Pairs)
-	}
-	limit := b.Ratio * benchGateRatio
-	if f.Ratio > limit {
-		return fmt.Errorf("kernel regression: wheel/reference heap %.4f vs committed %.4f (limit %.4f, +10%%)",
-			f.Ratio, b.Ratio, limit)
-	}
-	fmt.Fprintf(w, "gate   : wheel/reference heap %.4f within +10%% of committed %.4f (%s)\n",
-		f.Ratio, b.Ratio, path)
-	return nil
+	parts = append(parts, data)
+	return ckpt.WriteFileAtomic(path, fmt.Appendf(nil, "[\n  %s\n]\n", bytes.Join(parts, []byte(",\n  "))))
 }
 
 // benchLifecycle measures the pooled gen → fabric → sink path: a

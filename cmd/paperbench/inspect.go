@@ -150,7 +150,7 @@ func reportCmd(_ *flag.FlagSet, c *runConfig) (func() error, func(string) error)
 }
 
 // renderReport validates a run-report artifact and prints its summary:
-// orchestration stats, telemetry aggregates and the kernel-bench trend.
+// orchestration stats and telemetry aggregates.
 func renderReport(w io.Writer, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -181,16 +181,6 @@ func renderReport(w io.Writer, path string) error {
 				kind = "host"
 			}
 			fmt.Fprintf(w, "  hot port : sw%d port%d (%s) peak %.1f KB queued\n", p.Switch, p.Port, kind, p.PeakKB)
-		}
-	}
-	if tr := rep.Trend; tr != nil {
-		if tr.Baseline != nil {
-			fmt.Fprintf(w, "  trend    : kernel baseline %.1f ns/event (%s); sweep at %.1f%% of kernel ceiling\n",
-				tr.Baseline.NsPerEvent, tr.Baseline.GeneratedAt, tr.SweepVsKernelPct)
-		}
-		if len(tr.History) > 0 {
-			fmt.Fprintf(w, "  history  : %d bench points, drift %+.1f%% ns/event\n",
-				len(tr.History), tr.HistoryDriftPct)
 		}
 	}
 	return nil

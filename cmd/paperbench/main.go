@@ -12,7 +12,7 @@
 //	paperbench scan -scan threshold -check    # checked CC parameter sensitivity scan
 //	paperbench degradation -seeds 3 deg.json  # fault intensity x CC on/off
 //	paperbench diff-kernel -seeds 2    # timing wheel vs reference heap
-//	paperbench bench-kernel -baseline BENCH_kernel.json /tmp/fresh.json  # kernel benchmark + >10% gate
+//	paperbench bench-kernel BENCH_kernel.json   # kernel + packet-lifecycle benchmark
 //	paperbench cct -threshold 3        # what a CC parameter set means
 //	paperbench ckpt ckpts/             # the newest checkpoint's header, CRC-checked
 //	paperbench report run.json         # validate and summarize a run report
@@ -122,7 +122,7 @@ func parse(args []string, stdout, stderr io.Writer) (*runConfig, func() error, e
 	fs := flag.NewFlagSet(strings.TrimSpace("paperbench "+name), flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() { usage(stderr, cmd, fs) }
-	c := &runConfig{w: stdout}
+	c := &runConfig{w: stdout, stderr: stderr}
 	c.register(fs, cmd.flags)
 	check, body := cmd.define(fs, c)
 	if err := fs.Parse(args); err != nil {
@@ -186,7 +186,8 @@ type runConfig struct {
 	report                 string
 	cpuProfile, memProfile string
 
-	w io.Writer // tables, experiment lines and mode summaries
+	w      io.Writer // tables, experiment lines and mode summaries
+	stderr io.Writer // the progress line
 }
 
 func (c *runConfig) register(fs *flag.FlagSet, g flagGroup) {
@@ -205,9 +206,9 @@ func (c *runConfig) register(fs *flag.FlagSet, g flagGroup) {
 		fs.IntVar(&c.jobs, "jobs", 1, "simulation workers (0 = one per CPU)")
 		fs.StringVar(&c.out, "out", "", "artifact directory: persist every result as JSON and resume from it, reporting an interrupted run's manifest")
 		fs.BoolVar(&c.progress, "progress", stderrIsTTY(), "live progress line on stderr")
-		fs.BoolVar(&c.progJSONL, "progress-jsonl", false, "machine-readable progress: one JSON line per completed simulation on stderr instead of the status line")
+		fs.BoolVar(&c.progJSONL, "progress-jsonl", false, "machine-readable progress: one JSON line of sweep stats per completed simulation on stderr instead of the status line")
 		fs.BoolVar(&c.check, "check", false, "run every simulation under the runtime invariant checker (fails on violations)")
-		fs.StringVar(&c.report, "report", "", "write the unified run-report JSON artifact (sweep stats, telemetry aggregates, mode payload, kernel-bench trend) to this file")
+		fs.StringVar(&c.report, "report", "", "write the unified run-report JSON artifact (sweep stats, telemetry aggregates, mode payload) to this file")
 	}
 	if g&profileFlags != 0 {
 		fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -258,20 +259,24 @@ type sweep struct {
 	store *ibcc.ArtifactStore
 	err   error
 
-	// What the run report reads: the in-sim telemetry hub and the
-	// orchestration span tracker. Without -report both stay nil, which
-	// RunOpts treats as off.
-	hub   *ibcc.TelemetryHub
+	// The orchestration span tracker is the sweep's one ledger: the
+	// progress line, each experiment's counts and the run report read
+	// it. The in-sim telemetry hub feeds the run report alone, so
+	// without -report it stays nil, which RunOpts treats as off.
 	spans *ibcc.SpanTracker
+	hub   *ibcc.TelemetryHub
 }
 
-// sweep runs body in the harness — report sources, -out store, a
-// context SIGINT/SIGTERM cancel — and ends with the run report of the
-// given kind carrying body's payload.
+// sweep runs body in the harness — span tracker, telemetry hub, -out
+// store, a context SIGINT/SIGTERM cancel — and ends with the run report
+// of the given kind carrying body's payload.
 func (c *runConfig) sweep(name, kind string, body func(sw *sweep) (payload []byte)) (err error) {
-	sw := &sweep{runConfig: c, name: name}
+	sw := &sweep{runConfig: c, name: name, spans: ibcc.NewSpanTracker()}
+	if c.progress || c.progJSONL {
+		sw.spans.StatusTo(c.stderr, c.progJSONL)
+	}
 	if c.report != "" {
-		sw.hub, sw.spans = ibcc.NewTelemetryHub(0), ibcc.NewSpanTracker()
+		sw.hub = ibcc.NewTelemetryHub(0)
 	}
 	if c.out != "" {
 		if sw.store, err = ibcc.NewArtifactStore(c.out); err != nil {
@@ -295,26 +300,22 @@ func (c *runConfig) sweep(name, kind string, body func(sw *sweep) (payload []byt
 
 // experiment runs one named batch of simulations — a figure, a scan,
 // the degradation grid — with the options every command shares, then
-// reports its cost from the progress counters. An interrupt flushes a
-// resumable manifest next to the artifacts and the final telemetry
-// snapshot into the report before failing.
+// reports its cost from what the span tracker counted meanwhile. An
+// interrupt flushes a resumable manifest next to the artifacts and the
+// final telemetry snapshot into the report before failing.
 func (sw *sweep) experiment(name string, totalSims int, fn func(o ibcc.RunOpts) error) {
 	if sw.err != nil {
 		return
 	}
-	w := io.Discard
-	if sw.progress || sw.progJSONL {
-		w = os.Stderr
-	}
-	prog := ibcc.NewProgress(w, totalSims)
-	if sw.progJSONL {
-		prog = ibcc.NewProgressJSONL(w, totalSims)
-	}
+	before := sw.spans.Stats()
 	o := ibcc.SweepOpts(ibcc.RunOpts{Ctx: sw.ctx, Check: sw.check, Telemetry: sw.hub, Spans: sw.spans},
-		sw.jobs, totalSims, sw.store, prog)
+		sw.jobs, totalSims, sw.store)
 	start := time.Now()
 	sw.err = fn(o)
-	prog.Finish()
+	after := sw.spans.Stats()
+	if sw.progress && !sw.progJSONL && after.Done+after.Failed > before.Done+before.Failed {
+		fmt.Fprintln(sw.stderr) // ends the status line
+	}
 	if errors.Is(sw.err, context.Canceled) {
 		if sw.store != nil {
 			if path, err := sw.store.WriteManifest(true); err != nil {
@@ -332,7 +333,7 @@ func (sw *sweep) experiment(name string, totalSims int, fn func(o ibcc.RunOpts) 
 		return
 	}
 	wall := time.Since(start)
-	sims, cached, events := prog.Counts()
+	sims, cached, events := after.Done-before.Done, after.Cached-before.Cached, after.Events-before.Events
 	line := fmt.Sprintf("experiment %s: %d sims, %d simulated events, %v wall",
 		name, sims, events, wall.Round(time.Millisecond))
 	if secs := wall.Seconds(); secs > 0 && events > 0 {
@@ -364,7 +365,6 @@ func (sw *sweep) writeReport(kind string, payload []byte) error {
 		Sweep:       &st,
 		Telemetry:   &snap,
 		Degradation: payload,
-		Trend:       ibcc.LoadPerfTrend(".", st.EventsPerSec),
 	}
 	if err := rep.Write(sw.report); err != nil {
 		return err

@@ -1,8 +1,8 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	ibcc "repro"
+	"repro/internal/cliflag"
 )
 
 // invoke runs one paperbench invocation in-process.
@@ -121,6 +122,9 @@ func TestEveryCommandRunsAtRadix8(t *testing.T) {
 		{[]string{"cct", "-threshold", "3"}, "-> weight  3: mark above  53248 B queued"},
 		{[]string{"ckpt", p("ck")}, "scenario : " + s.Name + " — radix 8, seed 1, backend ibcc"},
 		{[]string{"report", p("r.json")}, "kind degradation, scenario " + s.Name + " radix 8 seeds 1"},
+		// A report written before the run report lost its trend and
+		// live-series keys (trend, live, live_done, active) still renders.
+		{[]string{"report", filepath.Join("testdata", "report-before-trend-removal.json")}, "  sweep    : 4/4 jobs (0 failed, 0 cached)"},
 	} {
 		code, stdout, stderr := invoke(tc.args...)
 		if code != 0 || !strings.Contains(stdout, tc.want) {
@@ -163,6 +167,31 @@ func TestEveryCommandRunsAtRadix8(t *testing.T) {
 		if code != 1 || stdout != "" || !strings.Contains(stderr, tc.want) {
 			t.Errorf("paperbench %s %s: exit %d, want 1 and %q; stdout:\n%s\nstderr:\n%s", tc.cmd, tc.file, code, tc.want, stdout, stderr)
 		}
+	}
+}
+
+// The progress line goes to run's stderr writer: with -progress-jsonl
+// one SweepStats object per finished simulation, the last at 4 of 4
+// and without the recent jobs; with -progress the status line.
+func TestProgressOnStderr(t *testing.T) {
+	args := []string{"-radix", "6", "-short", "-exp", "table2"}
+	code, _, stderr := invoke(append(args, "-progress-jsonl")...)
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, stderr)
+	}
+	lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
+	var last ibcc.SweepStats
+	for i, line := range lines {
+		last = ibcc.SweepStats{}
+		if err := json.Unmarshal([]byte(line), &last); err != nil {
+			t.Fatalf("stderr line %d is not SweepStats: %v: %q", i, err, line)
+		}
+	}
+	if len(lines) != 4 || last.Done != 4 || last.Total != 4 || last.Recent != nil {
+		t.Fatalf("%d lines, the last %+v", len(lines), last)
+	}
+	if code, _, stderr = invoke(append(args, "-progress")...); code != 0 || !strings.Contains(stderr, "[4/4]") {
+		t.Fatalf("-progress: exit %d, stderr %q", code, stderr)
 	}
 }
 
@@ -214,140 +243,28 @@ func TestTableIICIRowsFollowSeed(t *testing.T) {
 	}
 }
 
-// invocation matches a line that runs paperbench — `go run
-// ./cmd/paperbench`, a binary path (quoted in scripts), or the bare
-// name first — and captures its arguments up to the first shell
-// operator or comment.
-var invocation = regexp.MustCompile(`^(?:.*\brun\s+\S*/|\s*(?:"\S*/|\.?/(?:\S*/)?)?)paperbench"?((?:\s+[^\s|&;<>#)]+)*)(?:[\s|&;<>#)]|$)`)
-
-var codeSpan = regexp.MustCompile("`([^`]+)`")
-
 // Every literal paperbench invocation the docs, the Makefile, the
-// scripts and the verify skill show parses against the command table.
-// Markdown contributes its fenced code lines and its inline code spans;
-// other files every line; `\` continuations are joined. In scripts, a
-// variable assigned a literal string (SWEEP="-radix 8 …") is expanded
-// and any other one ("$T/full") stands for a path; elsewhere, lines
-// whose arguments use variables are skipped.
+// scripts, the verify skill and the package doc show parses against the
+// command table.
 func TestDocumentedInvocationsParse(t *testing.T) {
-	root := filepath.Join("..", "..")
-	files := []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "Makefile",
-		filepath.Join(".claude", "skills", "verify", "SKILL.md")}
-	scripts, _ := filepath.Glob(filepath.Join(root, "scripts", "*.sh"))
-	for _, s := range scripts {
-		files = append(files, strings.TrimPrefix(s, root+string(filepath.Separator)))
-	}
-	checked := 0
-	for _, name := range files {
-		lines := codeLines(t, filepath.Join(root, name))
-		if strings.HasSuffix(name, ".sh") {
-			lines = expandShell(lines)
-		}
-		for _, cand := range lines {
-			m := invocation.FindStringSubmatch(cand.text)
-			if m == nil || strings.Contains(m[1], "$") {
-				continue
-			}
-			args := strings.Fields(m[1])
-			for i, a := range args {
-				args[i] = strings.Trim(a, `"'`)
-			}
-			checked++
-			if len(args) == 1 && slices.ContainsFunc(commands, func(c command) bool { return c.name == args[0] }) {
-				continue // names a command rather than running it
-			}
-			var stderr bytes.Buffer
-			if _, _, err := parse(args, io.Discard, &stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
-				first, _, _ := strings.Cut(stderr.String(), "\n")
-				t.Errorf("%s:%d: paperbench%s: %s", name, cand.line, m[1], first)
-			}
-		}
-	}
-	if checked < 40 {
-		t.Fatalf("only %d invocations found; is the extraction broken?", checked)
-	}
-	t.Logf("%d invocations checked", checked)
-}
-
-var (
-	shellAssign = regexp.MustCompile(`^\s*(\w+)="([^"$]*)"\s*$`)
-	shellVar    = regexp.MustCompile(`\$\{?(\w+)\}?`)
-)
-
-// expandShell replaces, in a script's lines, each variable assigned a
-// literal string on an earlier line by that string, and any other
-// variable by its bare name.
-func expandShell(lines []codeLine) []codeLine {
-	vars := map[string]string{}
-	for i, l := range lines {
-		if m := shellAssign.FindStringSubmatch(l.text); m != nil {
-			vars[m[1]] = m[2]
-		}
-		lines[i].text = shellVar.ReplaceAllStringFunc(l.text, func(v string) string {
-			name := shellVar.FindStringSubmatch(v)[1]
-			if val, ok := vars[name]; ok {
-				return val
-			}
-			return name
-		})
-	}
-	return lines
-}
-
-type codeLine struct {
-	line int
-	text string
-}
-
-// codeLines returns a file's code: every line (continuations joined),
-// or for Markdown its fenced lines and, per prose paragraph, its inline
-// code spans.
-func codeLines(t *testing.T, path string) []codeLine {
-	t.Helper()
-	f, err := os.Open(path)
+	invs, err := cliflag.Documented(filepath.Join("..", ".."), "paperbench")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	md := strings.HasSuffix(path, ".md")
-	var out []codeLine
-	var para strings.Builder
-	paraLine, fenced := 0, false
-	flush := func() {
-		for _, span := range codeSpan.FindAllStringSubmatch(para.String(), -1) {
-			out = append(out, codeLine{paraLine, span[1]})
+	for _, inv := range invs {
+		if len(inv.Args) == 1 && slices.ContainsFunc(commands, func(c command) bool { return c.name == inv.Args[0] }) {
+			continue // names a command rather than running it
 		}
-		para.Reset()
-	}
-	sc := bufio.NewScanner(f)
-	for n := 1; sc.Scan(); n++ {
-		text, start := sc.Text(), n
-		for strings.HasSuffix(text, `\`) && sc.Scan() {
-			text = strings.TrimSuffix(text, `\`) + " " + sc.Text()
-			n++
-		}
-		switch {
-		case !md:
-			out = append(out, codeLine{start, text})
-		case strings.HasPrefix(strings.TrimSpace(text), "```"):
-			flush()
-			fenced = !fenced
-		case fenced:
-			out = append(out, codeLine{start, text})
-		case strings.TrimSpace(text) == "":
-			flush()
-		default:
-			if para.Len() == 0 {
-				paraLine = start
-			}
-			para.WriteString(text + " ")
+		var stderr bytes.Buffer
+		if _, _, err := parse(inv.Args, io.Discard, &stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+			first, _, _ := strings.Cut(stderr.String(), "\n")
+			t.Errorf("%s:%d: paperbench %s: %s", inv.File, inv.Line, strings.Join(inv.Args, " "), first)
 		}
 	}
-	flush()
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+	if len(invs) < 40 {
+		t.Fatalf("only %d invocations found; is the extraction broken?", len(invs))
 	}
-	return out
+	t.Logf("%d invocations checked", len(invs))
 }
 
 var (

@@ -190,11 +190,10 @@ func RunWindySweepOpts(base Scenario, fracB int, ps []int, o RunOpts) ([]WindyPo
 
 // SweepOpts completes o the way every CLI sweep runs: jobs is the -jobs
 // value (0 = one worker per CPU), total the number of simulations the
-// sweep will run (0 = unknown), st the -out artifact store and p the
-// progress line (either may be nil). The caller sets Ctx, Check,
-// Telemetry and Spans on o directly.
-func SweepOpts(o RunOpts, jobs, total int, st *ArtifactStore, p *Progress) RunOpts {
-	return exp.SweepOpts(o, jobs, total, st, p)
+// sweep will run (0 = unknown) and st the -out artifact store (nil =
+// none). The caller sets Ctx, Check, Telemetry and Spans on o directly.
+func SweepOpts(o RunOpts, jobs, total int, st *ArtifactStore) RunOpts {
+	return exp.SweepOpts(o, jobs, total, st)
 }
 
 // ArtifactStore persists one JSON artifact per simulated scenario,
@@ -209,20 +208,6 @@ func NewArtifactStore(dir string) (*ArtifactStore, error) { return exp.NewStore(
 // ScenarioFingerprint returns the stable content hash an ArtifactStore
 // keys a scenario's artifact by.
 func ScenarioFingerprint(s Scenario) string { return exp.Fingerprint(s) }
-
-// Progress is a one-line progress reporter (done/total, events/sec,
-// ETA) that also keeps the counts a sweep reports at its end; hand it
-// to SweepOpts.
-type Progress = exp.Progress
-
-// NewProgress returns a Progress writing to w, expecting total jobs
-// (0 = unknown).
-func NewProgress(w io.Writer, total int) *Progress { return exp.NewProgress(w, total) }
-
-// NewProgressJSONL returns a Progress in machine-readable mode: one
-// JSON line per completed job instead of a rewritten terminal status
-// line.
-func NewProgressJSONL(w io.Writer, total int) *Progress { return exp.NewProgressJSONL(w, total) }
 
 // TelemetryHub aggregates in-sim time-series samplers across a sweep's
 // runs; assign one to RunOpts.Telemetry. The samplers are pure event-bus
@@ -253,12 +238,13 @@ const TelemetryRingCap = telemetry.RingCap
 type TelemetrySeries = telemetry.Series
 
 // TelemetryHubSnapshot is a hub's published state: run counts, the
-// cross-run completion histogram, and the live (or last) run's series.
+// cross-run completion histogram and the hottest ports.
 type TelemetryHubSnapshot = telemetry.HubSnapshot
 
 // SpanTracker records orchestration spans (one per sweep job: worker,
-// wall time, events, cache flag, error) and aggregates them into live
-// sweep statistics; assign one to RunOpts.Spans.
+// wall time, events, cache flag, error) and aggregates them into sweep
+// statistics, optionally writing a progress line per finished job
+// (StatusTo); assign one to RunOpts.Spans.
 type SpanTracker = telemetry.Tracker
 
 // NewSpanTracker returns an empty tracker.
@@ -269,9 +255,8 @@ func NewSpanTracker() *SpanTracker { return telemetry.NewTracker() }
 type SweepStats = telemetry.SweepStats
 
 // RunReport is the unified end-of-run artifact: sweep statistics,
-// telemetry aggregates, the mode-specific payload (the degradation
-// curve) and the performance trend against the committed kernel
-// benchmarks.
+// telemetry aggregates and the mode-specific payload (the degradation
+// curve).
 type RunReport = telemetry.RunReport
 
 // RunReportSchema is the schema identifier every RunReport carries.
@@ -282,23 +267,6 @@ const (
 	ReportExperiments = telemetry.ReportExperiments
 	ReportDegradation = telemetry.ReportDegradation
 )
-
-// PerfTrend relates a run's throughput to the committed kernel
-// benchmark artifacts (BENCH_kernel.json, BENCH_history.json).
-type PerfTrend = telemetry.Trend
-
-// LoadPerfTrend reads the benchmark artifacts from dir and relates the
-// given sweep rate to them; nil when neither exists and the rate is 0.
-func LoadPerfTrend(dir string, sweepEventsPerSec float64) *PerfTrend {
-	return telemetry.LoadTrend(dir, sweepEventsPerSec)
-}
-
-// BenchPoint is one kernel-benchmark observation of BENCH_history.json.
-type BenchPoint = telemetry.BenchPoint
-
-// AppendBenchHistory appends p to the history ring at path, keeping the
-// most recent telemetry.HistoryKeep points.
-func AppendBenchHistory(path string, p BenchPoint) error { return telemetry.AppendHistory(path, p) }
 
 // FaultPlan is a deterministic fault-injection schedule: link flaps,
 // switch-port stalls, rate degradations, and per-class probabilistic

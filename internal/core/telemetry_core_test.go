@@ -242,20 +242,14 @@ func TestTelemetryDoesNotPerturbSweep(t *testing.T) {
 	}
 
 	snap := hub.Snapshot()
-	if snap.Runs != len(seeds) || snap.Active != 0 {
-		t.Fatalf("hub folded %d runs (%d active), want %d", snap.Runs, snap.Active, len(seeds))
+	if snap.Runs != len(seeds) {
+		t.Fatalf("hub folded %d runs, want %d", snap.Runs, len(seeds))
 	}
 	if snap.Completion.Count == 0 {
 		t.Fatal("no message completions aggregated")
 	}
 	if len(snap.HotPorts) == 0 {
 		t.Fatal("no hot ports ranked")
-	}
-	if snap.Live == nil || !snap.LiveDone {
-		t.Fatalf("idle hub should expose the last run: %+v", snap.Live)
-	}
-	if len(snap.Live.HotspotGbps.V) == 0 && len(snap.Live.OtherGbps.V) == 0 {
-		t.Fatal("live snapshot has no rate series")
 	}
 
 	st := tr.Stats()

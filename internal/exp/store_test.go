@@ -225,7 +225,7 @@ func TestSweepOptsCountsCorruptArtifact(t *testing.T) {
 	}
 	s := quick(6)
 	seeds := []uint64{1, 2}
-	fresh, err := core.RunSeedsOpts(s, seeds, SweepOpts(core.Opts{}, 1, len(seeds), st, nil))
+	fresh, err := core.RunSeedsOpts(s, seeds, SweepOpts(core.Opts{}, 1, len(seeds), st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +234,7 @@ func TestSweepOptsCountsCorruptArtifact(t *testing.T) {
 	tamper(t, st, s2)
 
 	tr := telemetry.NewTracker()
-	prog := NewProgress(&bytes.Buffer{}, len(seeds))
-	resumed, err := core.RunSeedsOpts(s, seeds, SweepOpts(core.Opts{Spans: tr}, 2, len(seeds), st, prog))
+	resumed, err := core.RunSeedsOpts(s, seeds, SweepOpts(core.Opts{Spans: tr}, 2, len(seeds), st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,9 +244,6 @@ func TestSweepOptsCountsCorruptArtifact(t *testing.T) {
 	stats := tr.Stats()
 	if stats.CorruptArtifacts != 1 || stats.Total != 2 || stats.Done != 2 || stats.Cached != 1 {
 		t.Fatalf("sweep stats: %+v", stats)
-	}
-	if done, cached, events := prog.Counts(); done != 2 || cached != 1 || events != stats.Events {
-		t.Fatalf("progress counted %d done, %d cached, %d events; tracker %d events", done, cached, events, stats.Events)
 	}
 	files, err := filepath.Glob(filepath.Join(st.QuarantineDir(), "*.json"))
 	if err != nil {
@@ -344,7 +340,7 @@ func TestCancelledSweepLeavesInterruptedManifest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seeds := []uint64{1, 2, 3, 4, 5}
-	o := SweepOpts(core.Opts{Ctx: ctx}, 1, len(seeds), st, nil)
+	o := SweepOpts(core.Opts{Ctx: ctx}, 1, len(seeds), st)
 	save := o.OnResult
 	finished := 0
 	o.OnResult = func(s core.Scenario, r *core.Result, cached bool) {
@@ -372,11 +368,11 @@ func TestCancelledSweepLeavesInterruptedManifest(t *testing.T) {
 		}
 	}
 	// The resumed sweep simulates only what was pending.
-	prog := NewProgress(&bytes.Buffer{}, len(seeds))
-	if _, err := core.RunSeedsOpts(quick(6), seeds, SweepOpts(core.Opts{}, 1, len(seeds), st, prog)); err != nil {
+	tr := telemetry.NewTracker()
+	if _, err := core.RunSeedsOpts(quick(6), seeds, SweepOpts(core.Opts{Spans: tr}, 1, len(seeds), st)); err != nil {
 		t.Fatal(err)
 	}
-	if done, cached, _ := prog.Counts(); done != 5 || cached != 2 {
-		t.Fatalf("resume ran %d, %d from artifacts; want 5, 2", done, cached)
+	if stats := tr.Stats(); stats.Done != 5 || stats.Cached != 2 {
+		t.Fatalf("resume ran %d, %d from artifacts; want 5, 2", stats.Done, stats.Cached)
 	}
 }

@@ -255,52 +255,6 @@ func TestObservedRunBuildsNoPerHopEvents(t *testing.T) {
 	}
 }
 
-// TestSnapshotDuringRun is the lock-discipline test `make check` runs
-// under -race: another goroutine snapshots the hub and the live
-// sampler in a loop while the run executes on this one. The bus's table
-// is written without a lock, so a Snapshot that read it — not just what
-// a tick copied out under the sampler's mutex — is a reported race.
-func TestSnapshotDuringRun(t *testing.T) {
-	s := differentialCorpus()[0]
-	in, err := core.Build(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub := telemetry.NewHub(0)
-	smp := hub.StartRun(s.Name)
-	in.Observe(core.ObserveOpts{Telemetry: smp})
-	in.Check(core.CheckOpts{})
-
-	stop, done := make(chan struct{}), make(chan int)
-	go func() {
-		n := 0
-		for {
-			select {
-			case <-stop:
-				done <- n
-				return
-			default:
-			}
-			hs := hub.Snapshot()
-			ss := smp.Snapshot()
-			if hs.Live == nil || hs.Active != 1 || ss.Name != s.Name {
-				t.Errorf("mid-run snapshot: %+v", hs)
-			}
-			n++
-		}
-	}()
-	in.Execute()
-	close(stop)
-	if n := <-done; n == 0 {
-		t.Fatal("no snapshot was taken while the run executed")
-	}
-	hub.FinishRun(smp)
-	hs := hub.Snapshot()
-	if hs.Runs != 1 || hs.Active != 0 || !hs.LiveDone || len(hs.HotPorts) == 0 || len(hs.Live.QueuedKB.V) == 0 {
-		t.Fatalf("hub after the run: %+v", hs)
-	}
-}
-
 // TestCountersAloneSeeCreditDrops: the fabric publishes a dropped credit
 // update only when Bus.Wants(KindPacketDropped), so with nothing but the
 // port counters attached — an aggregate reader, no stream subscriber —

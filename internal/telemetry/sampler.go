@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/ib"
 	"repro/internal/obs"
@@ -80,16 +79,11 @@ type SamplerSnapshot struct {
 // schedules a simulation event, so the observed trajectory is
 // byte-identical to the unobserved one.
 //
-// Ticks, spans and Consume run on the simulation goroutine; Snapshot may
-// be called concurrently from another goroutine (Hub.Snapshot). The mutex covers what
-// Snapshot reads — the rings, peaks, lastTime, linksDown and the
-// completion histogram — and is taken once per tick and per stream
-// event, never per packet hop or per message. reg is the bus's live
-// table and spans the histogram completed messages are recorded into;
-// both are touched on the simulation goroutine only, and Snapshot works
-// from what the last flush copied out of them.
+// A sampler belongs to its run: ticks, spans and Consume run on the
+// simulation goroutine, and Finish, Snapshot and the hub's FinishRun
+// read it after the run, so it takes no lock. reg is the bus's live
+// table; Snapshot works from what the last flush copied out of it.
 type Sampler struct {
-	mu      sync.Mutex
 	name    string
 	cadence sim.Duration
 	reg     *obs.Registry
@@ -121,10 +115,8 @@ type Sampler struct {
 	linksDown int
 
 	// Message completion spans (first packet injected → last packet
-	// delivered), as the bus's table closes them: recorded into spans
-	// without the lock, merged into completion at every flush.
+	// delivered), recorded as the bus's table closes them.
 	completion Hist
-	spans      Hist
 
 	lastTime sim.Time
 }
@@ -162,20 +154,16 @@ func (s *Sampler) Attach(b *obs.Bus) {
 // flushes the bins t has moved past and names the end of t's bin as the
 // next boundary.
 func (s *Sampler) tick(t sim.Time) sim.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.advance(t)
 	return sim.Time((s.curBin + 1) * int64(s.cadence))
 }
 
 // span is the bus's message-completion callback
 // (obs.Registry.SetSpan).
-func (s *Sampler) span(d sim.Duration) { s.spans.Record(int64(d)) }
+func (s *Sampler) span(d sim.Duration) { s.completion.Record(int64(d)) }
 
 // Consume implements obs.Consumer.
 func (s *Sampler) Consume(e obs.Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.advance(e.Time)
 	switch e.Kind {
 	case obs.KindCCTIChanged:
@@ -235,7 +223,6 @@ func (s *Sampler) advance(t sim.Time) {
 // port walk that sums the depths also copies each port's peak out for
 // Snapshot.
 func (s *Sampler) flushBin() {
-	s.mergeSpans()
 	binSec := s.cadence.Seconds()
 	endUS := float64((s.curBin+1)*int64(s.cadence)) / float64(sim.Microsecond)
 	for c, total := range s.reg.Delivered {
@@ -281,24 +268,12 @@ func (s *Sampler) flushBin() {
 	s.meanCCTI.Push(endUS, mean)
 }
 
-// mergeSpans moves the spans recorded since the last flush into the
-// completion histogram; the caller holds the lock.
-func (s *Sampler) mergeSpans() {
-	if s.spans.Count() > 0 {
-		s.completion.Merge(&s.spans)
-		s.spans.Reset()
-	}
-}
-
 // Finish flushes the final partial bin. Call it once when the run ends;
 // a nil sampler is a no-op.
 func (s *Sampler) Finish() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.mergeSpans()
 	if s.curBin >= 0 {
 		s.lastTime = max(s.lastTime, s.reg.Last)
 		s.flushBin()
@@ -306,20 +281,9 @@ func (s *Sampler) Finish() {
 	}
 }
 
-// Completion returns a summary of the completion-time histogram in
-// microseconds.
-func (s *Sampler) Completion() HistSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.completion.snapshot(1e-6)
-}
-
 // mergeInto folds the sampler's cross-run aggregates (completion
-// histogram, port peaks) into the hub's accumulators. Caller holds no
-// lock on s.
+// histogram, port peaks) into the hub's accumulators.
 func (s *Sampler) mergeInto(h *Hist, peaks *obs.PortTable[portPeak]) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	h.Merge(&s.completion)
 	s.peaks.Each(func(sw, port int, p *portPeak) {
 		if p.peak > 0 {
@@ -346,13 +310,10 @@ func hotPorts(ports obs.PortTable[portPeak]) []HotPort {
 	return hp
 }
 
-// Snapshot copies the series out for serving: everything up to the last
-// completed bin. It is safe to call while the run executes because it
-// reads only what a flush or a stream event stored under the mutex,
-// never the bus's live table.
+// Snapshot copies the series out: everything up to the last completed
+// bin. It reads only what a flush or a stream event stored, never the
+// bus's live table.
 func (s *Sampler) Snapshot() SamplerSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	snap := SamplerSnapshot{
 		Name:        s.name,
 		CadenceUS:   sim.Duration(s.cadence).Seconds() * 1e6,

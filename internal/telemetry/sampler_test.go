@@ -107,7 +107,7 @@ func TestSamplerFallbackCompletionSpan(t *testing.T) {
 	b.PacketDelivered(sim.Time(8*sim.Microsecond), 7, p)
 	b.MsgCompleted(sim.Time(8*sim.Microsecond), 7, p)
 	s.Finish()
-	c := s.Completion()
+	c := s.Snapshot().Completion
 	if c.Count != 1 {
 		t.Fatalf("count = %d", c.Count)
 	}

@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"sync"
 	"time"
@@ -19,18 +22,12 @@ type JobSpan struct {
 	Err    string  `json:"err,omitempty"`
 }
 
-// ActiveJob is one currently running job.
-type ActiveJob struct {
-	Name   string  `json:"name"`
-	Worker int     `json:"worker"`
-	MS     float64 `json:"ms"`
-}
-
 // SweepStats is the orchestration view of a sweep: progress, throughput,
 // worker utilization and the job-latency distribution. Every simulation
-// runs once — a failure aborts the sweep — so the `retries` and
-// `quarantined` counts of earlier run reports are gone; readers of
-// ibcc.run-report/1 ignore absent fields.
+// runs once — a failure aborts the sweep — and nothing reads a sweep's
+// running jobs, so the `retries`, `quarantined` and `active_jobs` fields
+// of earlier run reports are gone; readers of ibcc.run-report/1 ignore
+// absent fields.
 type SweepStats struct {
 	Total  int `json:"total"`
 	Done   int `json:"done"`
@@ -56,8 +53,7 @@ type SweepStats struct {
 	// tracker started, in [0,1].
 	WorkerUtil float64 `json:"worker_util"`
 
-	ActiveJobs []ActiveJob `json:"active_jobs,omitempty"`
-	Recent     []JobSpan   `json:"recent,omitempty"`
+	Recent []JobSpan `json:"recent,omitempty"`
 }
 
 type span struct {
@@ -67,10 +63,12 @@ type span struct {
 }
 
 // Tracker collects orchestration spans: every sweep job reports Begin
-// when a worker picks it up and End when it finishes. Names are labels,
-// not identities: sweeps sharing a tracker may repeat them. All methods
-// are safe for concurrent use and no-ops on a nil *Tracker, so wiring
-// it through the sweep funnel costs one nil check per job.
+// when a worker picks it up and End when it finishes. It is a sweep's
+// one ledger: the progress line (StatusTo), the per-experiment counts
+// and the run report all read it. Names are labels, not identities:
+// sweeps sharing a tracker may repeat them. All methods are safe for
+// concurrent use and no-ops on a nil *Tracker, so wiring it through
+// the sweep funnel costs one nil check per job.
 type Tracker struct {
 	mu      sync.Mutex
 	start   time.Time
@@ -85,6 +83,9 @@ type Tracker struct {
 	jobHist Hist // nanoseconds of wall time
 	busy    map[int]time.Duration
 	recent  []JobSpan
+
+	status io.Writer // the progress line's writer; nil = none
+	jsonl  bool
 }
 
 // NewTracker returns an empty tracker; the elapsed clock starts now.
@@ -104,6 +105,23 @@ func (t *Tracker) AddTotal(n int) {
 	}
 	t.mu.Lock()
 	t.total += n
+	t.mu.Unlock()
+}
+
+// StatusTo makes every End write the sweep's progress to w: a
+// rewritten terminal status line ("[done/total] elapsed, events/s,
+// ETA, cached"), or with jsonl one SweepStats object per line, without
+// its recent jobs, for a wrapper process to read. End writes under the
+// tracker's lock, so the lines arrive in completion order and the last
+// one counts every job. The events/s figure says how busy the host is,
+// not how fast the sweep is: the fabric schedules some events only on
+// demand, so a faster build can show a lower rate.
+func (t *Tracker) StatusTo(w io.Writer, jsonl bool) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.status, t.jsonl = w, jsonl
 	t.mu.Unlock()
 }
 
@@ -153,6 +171,29 @@ func (t *Tracker) End(id int, events uint64, cached bool, err string) {
 	if len(t.recent) > recentJobs {
 		t.recent = t.recent[len(t.recent)-recentJobs:]
 	}
+	if t.status != nil {
+		t.writeStatus()
+	}
+}
+
+// writeStatus emits one progress update; the caller holds t.mu.
+func (t *Tracker) writeStatus() {
+	st := t.stats()
+	if t.jsonl {
+		if data, err := json.Marshal(&st); err == nil {
+			fmt.Fprintf(t.status, "%s\n", data)
+		}
+		return
+	}
+	line := fmt.Sprintf("[%d/%d] %v, %.1fM events/s", st.Done, st.Total,
+		time.Since(t.start).Round(time.Second), st.EventsPerSec/1e6)
+	if st.ETAMS > 0 {
+		line += fmt.Sprintf(", ETA %v", time.Duration(st.ETAMS*1e6).Round(time.Second))
+	}
+	if st.Cached > 0 {
+		line += fmt.Sprintf(", %d cached", st.Cached)
+	}
+	fmt.Fprintf(t.status, "\r\x1b[K%s", line)
 }
 
 // CorruptArtifact records that a stored artifact failed validation and
@@ -174,6 +215,14 @@ func (t *Tracker) Stats() SweepStats {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	st := t.stats()
+	st.Recent = append([]JobSpan(nil), t.recent...)
+	return st
+}
+
+// stats builds the sweep view without the recent jobs; the caller holds
+// t.mu.
+func (t *Tracker) stats() SweepStats {
 	elapsed := time.Since(t.start)
 	workers := make(map[int]bool, len(t.busy))
 	for w := range t.busy {
@@ -217,12 +266,6 @@ func (t *Tracker) Stats() SweepStats {
 			st.WorkerUtil = 1
 		}
 	}
-	for _, sp := range t.active {
-		st.ActiveJobs = append(st.ActiveJobs, ActiveJob{
-			Name: sp.name, Worker: sp.worker, MS: time.Since(sp.start).Seconds() * 1e3,
-		})
-	}
-	st.Recent = append([]JobSpan(nil), t.recent...)
 	st.sanitize()
 	return st
 }

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -16,9 +18,6 @@ func TestTrackerLifecycle(t *testing.T) {
 	st := tr.Stats()
 	if st.Active != 2 || st.Total != 3 || st.Done != 0 {
 		t.Fatalf("mid-flight stats: %+v", st)
-	}
-	if len(st.ActiveJobs) != 2 {
-		t.Fatalf("active jobs: %+v", st.ActiveJobs)
 	}
 
 	tr.End(id1, 1000, false, "")
@@ -100,8 +99,63 @@ func TestTrackerRepeatedNameIsNotARetry(t *testing.T) {
 	}
 }
 
+// The status line counts what the tracker counts: one rewritten line
+// per finished job with done/total, the event rate, and the cached
+// count once there is one.
+func TestTrackerStatusLine(t *testing.T) {
+	var sb strings.Builder
+	tr := NewTracker()
+	tr.StatusTo(&sb, false)
+	tr.AddTotal(2)
+	tr.End(tr.Begin("a", 0), 1000, false, "")
+	tr.End(tr.Begin("b", 0), 1000, true, "")
+	out := sb.String()
+	if strings.Count(out, "\r\x1b[K") != 2 || !strings.Contains(out, "[1/2]") || !strings.Contains(out, "[2/2]") {
+		t.Fatalf("status lines missing counters:\n%q", out)
+	}
+	if !strings.Contains(out, "events/s") || !strings.HasSuffix(out, ", 1 cached") {
+		t.Fatalf("status line missing rate or cache count:\n%q", out)
+	}
+}
+
+// In JSONL mode every finished job appends one SweepStats object, the
+// recent jobs left out; the last one carries no ETA.
+func TestTrackerStatusJSONL(t *testing.T) {
+	var buf bytes.Buffer
+	tr := NewTracker()
+	tr.StatusTo(&buf, true)
+	tr.AddTotal(3)
+	for i := 0; i < 3; i++ {
+		tr.End(tr.Begin("job", i%2), 10, false, "")
+	}
+	out := strings.TrimRight(buf.String(), "\n")
+	if strings.ContainsAny(out, "\r\x1b") {
+		t.Fatalf("JSONL output contains terminal control codes: %q", out)
+	}
+	lines := strings.Split(out, "\n")
+	if len(lines) != 3 {
+		t.Fatalf("%d lines, want 3: %q", len(lines), out)
+	}
+	for i, line := range lines {
+		var st SweepStats
+		if err := json.Unmarshal([]byte(line), &st); err != nil {
+			t.Fatalf("line %d not JSON: %v: %q", i, err, line)
+		}
+		if st.Done != i+1 || st.Total != 3 || st.Events != uint64(10*(i+1)) || st.JobMS.Count != uint64(i+1) {
+			t.Fatalf("line %d: %+v", i, st)
+		}
+		if st.Recent != nil {
+			t.Fatalf("line %d carries the recent jobs: %q", i, line)
+		}
+		if i == 2 && st.ETAMS != 0 {
+			t.Fatalf("final line carries an ETA: %+v", st)
+		}
+	}
+}
+
 func TestTrackerNilSafe(t *testing.T) {
 	var tr *Tracker
+	tr.StatusTo(io.Discard, true)
 	tr.AddTotal(5)
 	id := tr.Begin("x", 0)
 	if id != -1 {
@@ -129,12 +183,8 @@ func TestHubAggregation(t *testing.T) {
 	if s1 == nil || s2 == nil {
 		t.Fatalf("StartRun returned nil on a live hub")
 	}
-	snap := h.Snapshot()
-	if snap.Active != 2 || snap.Runs != 0 {
-		t.Fatalf("active snapshot: %+v", snap)
-	}
-	if snap.Live == nil || snap.Live.Name != "cell-1" {
-		t.Fatalf("live should be the oldest active run: %+v", snap.Live)
+	if snap := h.Snapshot(); snap.Runs != 0 || snap.Completion.Count != 0 {
+		t.Fatalf("snapshot before any run finished: %+v", snap)
 	}
 
 	s1.completion.Record(int64(1000))
@@ -142,15 +192,12 @@ func TestHubAggregation(t *testing.T) {
 	s2.completion.Record(int64(3000))
 	h.FinishRun(s2)
 
-	snap = h.Snapshot()
-	if snap.Runs != 2 || snap.Active != 0 {
+	snap := h.Snapshot()
+	if snap.Runs != 2 {
 		t.Fatalf("finished snapshot: %+v", snap)
 	}
 	if snap.Completion.Count != 2 {
 		t.Fatalf("aggregate completion count = %d", snap.Completion.Count)
-	}
-	if snap.Live == nil || !snap.LiveDone || snap.Live.Name != "cell-2" {
-		t.Fatalf("idle hub should serve the last finished run: live=%+v done=%v", snap.Live, snap.LiveDone)
 	}
 }
 
@@ -161,7 +208,7 @@ func TestHubNilSafe(t *testing.T) {
 		t.Fatalf("nil hub handed out a sampler")
 	}
 	h.FinishRun(s)
-	if snap := h.Snapshot(); snap.Runs != 0 || snap.Live != nil {
+	if snap := h.Snapshot(); snap.Runs != 0 || snap.HotPorts != nil {
 		t.Fatalf("nil hub snapshot: %+v", snap)
 	}
 }

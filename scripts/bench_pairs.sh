@@ -14,9 +14,11 @@
 # Prints every run, then per metric each side's median and quartiles,
 # the per-pair change/parent ratios and the pairs won, and appends the
 # ledger row to BENCH_history.json: each side's median, interquartile
-# range and pairs won per metric, as a workloads-only entry (the next
-# `paperbench bench-kernel` trims the ring to its 20 entries). Timing on
-# a shared box is advisory: CI does not run this.
+# range and pairs won per metric, as a workloads-only entry. The ledger
+# is append-only, here as in `paperbench bench-kernel`: every row already
+# there is kept, and a ledger that is not the JSON array both write is an
+# error that leaves it as it is. Timing on a shared box is advisory: CI
+# does not run this.
 set -euo pipefail
 
 [ $# -ge 2 ] || { echo "usage: $0 PARENT_REV WORKLOAD [PAIRS]" >&2; exit 2; }
@@ -103,10 +105,11 @@ row="  {
     }
   }"
 if [ -s "$hist" ]; then
-    sed -i '$ d' "$hist"
-    sed -i '$ s/$/,/' "$hist"
-    printf '%s\n]\n' "$row" >> "$hist"
+    [ "$(head -n 1 "$hist")" = "[" ] && [ "$(tail -n 1 "$hist")" = "]" ] ||
+        { echo "$hist is not a JSON array of rows; left as it is" >&2; exit 1; }
+    { sed '$ d' "$hist" | sed '$ s/$/,/'; printf '%s\n]\n' "$row"; } > "$hist.tmp"
 else
-    printf '[\n%s\n]\n' "$row" > "$hist"
+    printf '[\n%s\n]\n' "$row" > "$hist.tmp"
 fi
+mv "$hist.tmp" "$hist"
 echo "ledger row appended to $hist"
