@@ -7,7 +7,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt-check vet build build-debug test race alloc-budget invariants degradation telemetry resilience bench bench-obs bench-kernel bench-kernel-gate bench-e2e bench-pairs paperbench clean
+.PHONY: check fmt-check vet build build-debug test race examples alloc-budget invariants degradation telemetry resilience bench bench-obs bench-kernel bench-kernel-gate bench-e2e bench-pairs paperbench clean
 
 check: fmt-check vet build build-debug race
 
@@ -33,6 +33,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Every example under examples/ built and run to completion (about 10 s
+# together); a failing example fails the target.
+examples:
+	@for e in examples/*/; do echo "== $$e"; $(GO) run ./$$e || exit 1; done
 
 # Allocation and state budgets (DESIGN.md §9): steady state allocates
 # nothing at radix 8 bare and (to within slice growth) at radix 18 with

@@ -4,12 +4,14 @@ package ibcc
 // the quantities it moves attached as custom benchmark metrics
 // (Gbps-* are receive rates of the named node class). The paper's tables
 // and figures are regenerated by cmd/paperbench, and the simulator's own
-// end-to-end cost is measured by benchmark/.
+// end-to-end cost is measured by benchmark/. This file is the module
+// root's only Go file: the package exists for `go test -bench` alone.
 
 import (
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/ib"
 	"repro/internal/sim"
@@ -19,10 +21,10 @@ import (
 
 // benchScenario is the ablations' base: a 72-node radix-12 fat-tree over
 // a 2 + 4 ms window.
-func benchScenario() Scenario {
-	s := DefaultScenario(12)
-	s.Warmup = 2 * Millisecond
-	s.Measure = 4 * Millisecond
+func benchScenario() core.Scenario {
+	s := core.Default(12)
+	s.Warmup = 2 * sim.Millisecond
+	s.Measure = 4 * sim.Millisecond
 	return s
 }
 
@@ -39,12 +41,12 @@ func BenchmarkAblationDepartureMarking(b *testing.B) {
 		// mask the difference.
 		s.Fabric.SwitchIbufBytes = 64 << 10
 		s.CC.MarkOnDeparture = true
-		dep, err := Run(s)
+		dep, err := core.Run(s)
 		if err != nil {
 			b.Fatal(err)
 		}
 		s.CC.MarkOnDeparture = false
-		arr, err := Run(s)
+		arr, err := core.Run(s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -63,12 +65,12 @@ func BenchmarkAblationVictimMask(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := benchScenario()
 		s.CC.VictimMaskHostPorts = false
-		off, err := Run(s)
+		off, err := core.Run(s)
 		if err != nil {
 			b.Fatal(err)
 		}
 		s.CC.VictimMaskHostPorts = true
-		on, err := Run(s)
+		on, err := core.Run(s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,12 +87,12 @@ func BenchmarkAblationThresholdWeight(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := benchScenario()
 		s.CC.Threshold = 1
-		w1, err := Run(s)
+		w1, err := core.Run(s)
 		if err != nil {
 			b.Fatal(err)
 		}
 		s.CC.Threshold = 15
-		w15, err := Run(s)
+		w15, err := core.Run(s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,12 +109,12 @@ func BenchmarkAblationBECNOnACK(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := benchScenario()
 		s.CC.BECNOnACK = true
-		ack, err := Run(s)
+		ack, err := core.Run(s)
 		if err != nil {
 			b.Fatal(err)
 		}
 		s.CC.BECNOnACK = false
-		cnp, err := Run(s)
+		cnp, err := core.Run(s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -133,12 +135,12 @@ func BenchmarkAblationSLLevelCC(b *testing.B) {
 		s := benchScenario()
 		s.FracBPct, s.PPercent = 100, 60
 		s.CC.SLLevel = true
-		sl, err := Run(s)
+		sl, err := core.Run(s)
 		if err != nil {
 			b.Fatal(err)
 		}
 		s.CC.SLLevel = false
-		qp, err := Run(s)
+		qp, err := core.Run(s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,11 +157,11 @@ func BenchmarkAblationSLLevelCC(b *testing.B) {
 // throttling, but leaves the congestion tree itself standing (and costs
 // a second lane's buffers). Combining both is also measured.
 func BenchmarkAblationVLSeparation(b *testing.B) {
-	run := func(ccOn, sep bool) *Result {
+	run := func(ccOn, sep bool) *core.Result {
 		s := benchScenario()
 		s.CCOn = ccOn
 		s.SeparateHotspotVL = sep
-		r, err := Run(s)
+		r, err := core.Run(s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,12 +187,12 @@ func BenchmarkAblationRecoveryTimer(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := benchScenario()
 		s.CC.CCTITimer = 600
-		slow, err := Run(s)
+		slow, err := core.Run(s)
 		if err != nil {
 			b.Fatal(err)
 		}
 		s.CC.CCTITimer = 150
-		paper, err := Run(s)
+		paper, err := core.Run(s)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -41,8 +41,14 @@ import (
 	"runtime"
 	"time"
 
-	ibcc "repro"
+	"repro/internal/check"
+	"repro/internal/ckpt"
 	"repro/internal/cliflag"
+	"repro/internal/core"
+	"repro/internal/exp"
+	"repro/internal/fault"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -63,7 +69,7 @@ func main() {
 		cliflag.Workers("-jobs", o.jobs),
 		cliflag.Positive("-seeds", o.numSeeds),
 		cliflag.Positive("-radix", o.radix),
-		cliflag.Cadence("-traceint", o.traceInt, traceSpan, ibcc.TelemetryRingCap),
+		cliflag.Cadence("-traceint", o.traceInt, traceSpan, telemetry.RingCap),
 	} {
 		if err != nil {
 			log.Fatal(err)
@@ -89,23 +95,23 @@ func main() {
 		}
 	}
 
-	s := ibcc.DefaultScenario(o.radix)
+	s := core.Default(o.radix)
 	s.Seed = o.seed
 	s.CCOn = o.ccOn
 	s.FracBPct = o.fracB
 	s.PPercent = o.p
 	s.FracCOfRestPct = o.fracC
 	s.NumHotspots = o.hotspots
-	s.HotspotLifetime = ibcc.Duration(o.lifetime.Nanoseconds()) * ibcc.Nanosecond
-	s.Warmup = ibcc.Duration(o.warmup.Nanoseconds()) * ibcc.Nanosecond
-	s.Measure = ibcc.Duration(o.measure.Nanoseconds()) * ibcc.Nanosecond
+	s.HotspotLifetime = sim.Duration(o.lifetime.Nanoseconds()) * sim.Nanosecond
+	s.Warmup = sim.Duration(o.warmup.Nanoseconds()) * sim.Nanosecond
+	s.Measure = sim.Duration(o.measure.Nanoseconds()) * sim.Nanosecond
 
 	if o.faults != "" {
 		f, err := os.Open(o.faults)
 		if err != nil {
 			log.Fatal(err)
 		}
-		plan, err := ibcc.DecodeFaultPlan(f)
+		plan, err := fault.Decode(f)
 		f.Close()
 		if err != nil {
 			log.Fatal(err)
@@ -113,10 +119,10 @@ func main() {
 		s.Faults = plan
 	}
 
-	var store *ibcc.ArtifactStore
+	var store *exp.Store
 	if o.out != "" {
 		var err error
-		if store, err = ibcc.NewArtifactStore(o.out); err != nil {
+		if store, err = exp.NewStore(o.out); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -130,32 +136,32 @@ func main() {
 	}
 
 	start := time.Now()
-	var inst *ibcc.Instance
+	var inst *core.Instance
 	var err error
 	if o.resume != "" {
-		if inst, err = ibcc.RestoreFile(o.resume); err != nil {
+		if inst, err = core.RestoreFile(o.resume); err != nil {
 			log.Fatal(err)
 		}
 		s = inst.Scenario
 		if !o.quiet {
-			from, _ := ibcc.LatestCheckpoint(o.resume)
+			from, _ := ckpt.Latest(o.resume)
 			fmt.Printf("resume   : %s (%s)\n", from, s.Name)
 		}
-	} else if inst, err = ibcc.Build(s); err != nil {
+	} else if inst, err = core.Build(s); err != nil {
 		log.Fatal(err)
 	}
 	// -trace and -telemetry are two views of one sampler; the CSV's
 	// cadence wins when both are given.
-	var smp *ibcc.TelemetrySampler
+	var smp *telemetry.Sampler
 	if o.traceCSV != "" {
-		smp = ibcc.NewTelemetrySampler(s.Name, ibcc.Duration(o.traceInt.Nanoseconds())*ibcc.Nanosecond)
+		smp = telemetry.NewSampler(s.Name, sim.Duration(o.traceInt.Nanoseconds())*sim.Nanosecond)
 	} else if o.telem {
-		smp = ibcc.NewTelemetrySampler(s.Name, 0)
+		smp = telemetry.NewSampler(s.Name, 0)
 	}
-	var ob *ibcc.Observation
+	var ob *core.Observation
 	var evFile *os.File
 	if o.events != "" || o.ctree || smp != nil {
-		oo := ibcc.ObserveOpts{Tree: o.ctree, Telemetry: smp}
+		oo := core.ObserveOpts{Tree: o.ctree, Telemetry: smp}
 		if o.events != "" {
 			if evFile, err = os.Create(o.events); err != nil {
 				log.Fatal(err)
@@ -164,18 +170,18 @@ func main() {
 		}
 		ob = inst.Observe(oo)
 	}
-	var ck interface{ Report() *ibcc.InvariantReport }
+	var ck interface{ Report() *check.Report }
 	if o.checkInv {
-		ck = inst.Check(ibcc.CheckOpts{Diagnostics: os.Stderr})
+		ck = inst.Check(core.CheckOpts{Diagnostics: os.Stderr})
 	}
 	// A resumed run's event count covers the whole run; the rate below
 	// is of the events this process executed.
 	resumedAt := inst.Net.Sim().Processed()
-	res, err := inst.ExecuteWithCheckpoints(ibcc.CkptOpts{
-		Every: ibcc.Duration(o.ckEvery.Nanoseconds()) * ibcc.Nanosecond, // 0 writes none
+	res, err := inst.ExecuteWithCheckpoints(core.CkptOpts{
+		Every: sim.Duration(o.ckEvery.Nanoseconds()) * sim.Nanosecond, // 0 writes none
 		Dir:   o.ckDir,
 		Keep:  o.ckKeep,
-		OnSave: func(path string, at ibcc.Time) {
+		OnSave: func(path string, at sim.Time) {
 			if !o.quiet {
 				fmt.Printf("ckpt     : %s (t=%v)\n", path, at)
 			}
@@ -205,7 +211,7 @@ func main() {
 		if err := store.Save(s, res, elapsed); err != nil {
 			log.Print(err)
 		} else if !o.quiet {
-			fmt.Printf("artifact : %s/%s.json\n", store.Dir(), ibcc.ScenarioFingerprint(s)[:16])
+			fmt.Printf("artifact : %s/%s.json\n", store.Dir(), exp.Fingerprint(s)[:16])
 		}
 	}
 
@@ -313,9 +319,9 @@ func newFlagSet(onError flag.ErrorHandling) (*flag.FlagSet, *options) {
 // reportTelemetry prints the finished sampler's aggregates: mean
 // per-class delivered rates, message-completion percentiles, and the
 // hottest output ports by peak queue depth.
-func reportTelemetry(smp *ibcc.TelemetrySampler) {
+func reportTelemetry(smp *telemetry.Sampler) {
 	snap := smp.Snapshot()
-	mean := func(s ibcc.TelemetrySeries) float64 {
+	mean := func(s telemetry.Series) float64 {
 		if len(s.V) == 0 {
 			return 0
 		}
@@ -341,7 +347,7 @@ func reportTelemetry(smp *ibcc.TelemetrySampler) {
 }
 
 // reportFaults prints what the fault injector did (nil = no plan).
-func reportFaults(st *ibcc.FaultStats) {
+func reportFaults(st *fault.Stats) {
 	if st == nil {
 		return
 	}
@@ -359,7 +365,7 @@ func reportFaults(st *ibcc.FaultStats) {
 
 // reportCheck prints the invariant checker's verdict (nil ck = checker
 // off) and exits non-zero on violations.
-func reportCheck(ck interface{ Report() *ibcc.InvariantReport }, quiet bool) {
+func reportCheck(ck interface{ Report() *check.Report }, quiet bool) {
 	if ck == nil {
 		return
 	}
@@ -377,9 +383,9 @@ func reportCheck(ck interface{ Report() *ibcc.InvariantReport }, quiet bool) {
 
 // runSeeds executes the scenario over n consecutive seeds on a worker
 // pool and reports the aggregated rates.
-func runSeeds(s ibcc.Scenario, n, jobs int, store *ibcc.ArtifactStore, quiet, check bool) {
+func runSeeds(s core.Scenario, n, jobs int, store *exp.Store, quiet, checkInv bool) {
 	seeds := cliflag.Seeds(s.Seed, n)
-	opts := ibcc.SweepOpts(ibcc.RunOpts{Check: check}, jobs, n, store)
+	opts := exp.SweepOpts(core.Opts{Check: checkInv}, jobs, store)
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
@@ -387,7 +393,7 @@ func runSeeds(s ibcc.Scenario, n, jobs int, store *ibcc.ArtifactStore, quiet, ch
 		jobs = n
 	}
 	start := time.Now()
-	m, err := ibcc.RunSeedsOpts(s, seeds, opts)
+	m, err := core.RunSeedsOpts(s, seeds, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

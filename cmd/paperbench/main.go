@@ -42,9 +42,12 @@ import (
 	"syscall"
 	"time"
 
-	ibcc "repro"
+	"repro/internal/cc"
 	"repro/internal/cliflag"
 	"repro/internal/core"
+	"repro/internal/exp"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -230,21 +233,21 @@ func (c *runConfig) validate(g flagGroup) error {
 	if g&sweepFlags != 0 {
 		errs = append(errs, cliflag.Workers("-jobs", c.jobs))
 	}
-	if !ibcc.CCBackendKnown(c.cc) {
+	if !cc.Known(c.cc) {
 		errs = append(errs, fmt.Errorf("-cc: unknown backend %q (registered: %s)",
-			c.cc, strings.Join(ibcc.CCBackends(), ", ")))
+			c.cc, strings.Join(cc.Names(), ", ")))
 	}
 	return errors.Join(errs...)
 }
 
 // base is the scenario every command derives its runs from.
-func (c *runConfig) base() ibcc.Scenario {
-	s := ibcc.DefaultScenario(c.radix)
+func (c *runConfig) base() core.Scenario {
+	s := core.Default(c.radix)
 	s.Seed = c.seed
 	s.Backend = c.cc
 	if !c.short {
-		s.Warmup = 20 * ibcc.Millisecond
-		s.Measure = 100 * ibcc.Millisecond
+		s.Warmup = 20 * sim.Millisecond
+		s.Measure = 100 * sim.Millisecond
 	}
 	return s
 }
@@ -256,30 +259,34 @@ type sweep struct {
 	*runConfig
 	name  string // the base scenario's, for the run report
 	ctx   context.Context
-	store *ibcc.ArtifactStore
+	store *exp.Store
 	err   error
 
 	// The orchestration span tracker is the sweep's one ledger: the
 	// progress line, each experiment's counts and the run report read
 	// it. The in-sim telemetry hub feeds the run report alone, so
-	// without -report it stays nil, which RunOpts treats as off.
-	spans *ibcc.SpanTracker
-	hub   *ibcc.TelemetryHub
+	// without -report it stays nil, which core.Opts treats as off.
+	spans *telemetry.Tracker
+	hub   *telemetry.Hub
 }
 
 // sweep runs body in the harness — span tracker, telemetry hub, -out
 // store, a context SIGINT/SIGTERM cancel — and ends with the run report
-// of the given kind carrying body's payload.
-func (c *runConfig) sweep(name, kind string, body func(sw *sweep) (payload []byte)) (err error) {
-	sw := &sweep{runConfig: c, name: name, spans: ibcc.NewSpanTracker()}
+// of the given kind carrying body's payload. total is every simulation
+// body's experiments will run, declared to the tracker before the first
+// one starts, so the progress line's total and ETA cover the whole
+// sweep from its first line.
+func (c *runConfig) sweep(name, kind string, total int, body func(sw *sweep) (payload []byte)) (err error) {
+	sw := &sweep{runConfig: c, name: name, spans: telemetry.NewTracker()}
+	sw.spans.AddTotal(total)
 	if c.progress || c.progJSONL {
 		sw.spans.StatusTo(c.stderr, c.progJSONL)
 	}
 	if c.report != "" {
-		sw.hub = ibcc.NewTelemetryHub(0)
+		sw.hub = telemetry.NewHub(0)
 	}
 	if c.out != "" {
-		if sw.store, err = ibcc.NewArtifactStore(c.out); err != nil {
+		if sw.store, err = exp.NewStore(c.out); err != nil {
 			return err
 		}
 		if m, ok, err := sw.store.ReadManifest(); err != nil {
@@ -303,13 +310,13 @@ func (c *runConfig) sweep(name, kind string, body func(sw *sweep) (payload []byt
 // reports its cost from what the span tracker counted meanwhile. An
 // interrupt flushes a resumable manifest next to the artifacts and the
 // final telemetry snapshot into the report before failing.
-func (sw *sweep) experiment(name string, totalSims int, fn func(o ibcc.RunOpts) error) {
+func (sw *sweep) experiment(name string, fn func(o core.Opts) error) {
 	if sw.err != nil {
 		return
 	}
 	before := sw.spans.Stats()
-	o := ibcc.SweepOpts(ibcc.RunOpts{Ctx: sw.ctx, Check: sw.check, Telemetry: sw.hub, Spans: sw.spans},
-		sw.jobs, totalSims, sw.store)
+	o := exp.SweepOpts(core.Opts{Ctx: sw.ctx, Check: sw.check, Telemetry: sw.hub, Spans: sw.spans},
+		sw.jobs, sw.store)
 	start := time.Now()
 	sw.err = fn(o)
 	after := sw.spans.Stats()
@@ -318,13 +325,13 @@ func (sw *sweep) experiment(name string, totalSims int, fn func(o ibcc.RunOpts) 
 	}
 	if errors.Is(sw.err, context.Canceled) {
 		if sw.store != nil {
-			if path, err := sw.store.WriteManifest(true); err != nil {
+			if path, err := sw.store.WriteManifest(after, true); err != nil {
 				log.Print(err)
 			} else {
 				log.Printf("drain: manifest -> %s", path)
 			}
 		}
-		if err := sw.writeReport(ibcc.ReportExperiments, nil); err != nil {
+		if err := sw.writeReport(telemetry.ReportExperiments, nil); err != nil {
 			log.Print(err)
 		}
 		sw.err = errors.New("interrupted — completed results are saved; re-run with the same -out to continue")
@@ -347,7 +354,7 @@ func (sw *sweep) experiment(name string, totalSims int, fn func(o ibcc.RunOpts) 
 
 // writeReport writes the unified run report from the current tracker
 // and hub state (no-op without -report). kind is one of the
-// ibcc.Report* constants; payload is the raw degradation curve JSON
+// telemetry.Report* constants; payload is the raw degradation curve JSON
 // (nil for the experiments).
 func (sw *sweep) writeReport(kind string, payload []byte) error {
 	if sw.report == "" {
@@ -355,8 +362,8 @@ func (sw *sweep) writeReport(kind string, payload []byte) error {
 	}
 	st := sw.spans.Stats()
 	snap := sw.hub.Snapshot()
-	rep := &ibcc.RunReport{
-		Schema:      ibcc.RunReportSchema,
+	rep := &telemetry.RunReport{
+		Schema:      telemetry.ReportSchema,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		Kind:        kind,
 		Name:        sw.name,
@@ -374,30 +381,30 @@ func (sw *sweep) writeReport(kind string, payload []byte) error {
 	return nil
 }
 
-// experimentsCmd is the default command: the rows of ibcc.Paper, run
+// experimentsCmd is the default command: the rows of core.Paper, run
 // one experiment (-exp name) at a time.
 func experimentsCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) error) {
 	var names []string
-	for _, r := range ibcc.Paper(ibcc.Scenario{}, ibcc.PaperPValues()) {
+	for _, r := range core.Paper(core.Scenario{}, core.PaperPValues()) {
 		names = append(names, r.Exp)
 	}
 	names = slices.Compact(names)
-	exp := fs.String("exp", "all", "experiment: "+strings.Join(names, ", ")+", all")
+	which := fs.String("exp", "all", "experiment: "+strings.Join(names, ", ")+", all")
 	pstep := fs.Int("pstep", 10, "p sweep step for figures 5-8")
-	var rows []ibcc.PaperRow // the selected experiments' rows, set by check
+	var rows []core.PaperRow // the selected experiments' rows, set by check
 	check := func() (err error) {
 		if err := cliflag.Positive("-pstep", *pstep); err != nil {
 			return err
 		}
-		if *exp != "all" && !slices.Contains(names, *exp) {
-			return fmt.Errorf("-exp: unknown experiment %q", *exp)
+		if *which != "all" && !slices.Contains(names, *which) {
+			return fmt.Errorf("-exp: unknown experiment %q", *which)
 		}
 		var ps []int
 		for p := 0; p <= 100; p += *pstep {
 			ps = append(ps, p)
 		}
-		selected := func(ps []int) []ibcc.PaperRow {
-			return slices.DeleteFunc(ibcc.Paper(c.base(), ps), func(r ibcc.PaperRow) bool { return *exp != "all" && r.Exp != *exp })
+		selected := func(ps []int) []core.PaperRow {
+			return slices.DeleteFunc(core.Paper(c.base(), ps), func(r core.PaperRow) bool { return *which != "all" && r.Exp != *which })
 		}
 		rows = selected(ps)
 		// Set explicitly, -seeds and -pstep must change what a selected
@@ -409,31 +416,37 @@ func experimentsCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) 
 		}
 		fs.Visit(func(f *flag.Flag) {
 			if unread[f.Name] {
-				err = fmt.Errorf("-%s: -exp %s does not read it", f.Name, *exp)
+				err = fmt.Errorf("-%s: -exp %s does not read it", f.Name, *which)
 			}
 		})
 		return err
 	}
 	return check, func(string) error {
 		base, seeds := c.base(), cliflag.Seeds(c.seed, c.seeds)
-		return c.timedSweep(base.Name, func(sw *sweep) {
-			for _, name := range names {
-				group := slices.DeleteFunc(slices.Clone(rows), func(r ibcc.PaperRow) bool { return r.Exp != name })
-				if len(group) > 0 {
-					sw.experiment(name, core.ExperimentSims(group, seeds), func(o ibcc.RunOpts) error {
-						return core.RunExperiment(c.w, base, group, seeds, o)
-					})
-				}
+		var groups [][]core.PaperRow
+		total := 0
+		for _, name := range names {
+			group := slices.DeleteFunc(slices.Clone(rows), func(r core.PaperRow) bool { return r.Exp != name })
+			if len(group) > 0 {
+				groups = append(groups, group)
+				total += core.ExperimentSims(group, seeds)
+			}
+		}
+		return c.timedSweep(base.Name, total, func(sw *sweep) {
+			for _, group := range groups {
+				sw.experiment(group[0].Exp, func(o core.Opts) error {
+					return core.RunExperiment(c.w, base, group, seeds, o)
+				})
 			}
 		})
 	}
 }
 
-// timedSweep runs the experiments of body as one sweep, then prints its
-// wall time.
-func (c *runConfig) timedSweep(name string, body func(sw *sweep)) error {
+// timedSweep runs the experiments of body, total simulations in all,
+// as one sweep, then prints its wall time.
+func (c *runConfig) timedSweep(name string, total int, body func(sw *sweep)) error {
 	start := time.Now()
-	err := c.sweep(name, ibcc.ReportExperiments, func(sw *sweep) []byte {
+	err := c.sweep(name, telemetry.ReportExperiments, total, func(sw *sweep) []byte {
 		body(sw)
 		return nil
 	})
@@ -450,22 +463,22 @@ func (c *runConfig) timedSweep(name string, body func(sw *sweep)) error {
 type scan struct {
 	name   string
 	values []int
-	apply  func(*ibcc.Scenario, int)
+	apply  func(*core.Scenario, int)
 }
 
 var scans = []scan{
 	{"threshold", []int{1, 3, 5, 7, 9, 11, 13, 15},
-		func(s *ibcc.Scenario, v int) { s.CC.Threshold = uint8(v) }},
+		func(s *core.Scenario, v int) { s.CC.Threshold = uint8(v) }},
 	{"timer", []int{38, 75, 150, 300, 600, 1200},
-		func(s *ibcc.Scenario, v int) { s.CC.CCTITimer = uint16(v) }},
+		func(s *core.Scenario, v int) { s.CC.CCTITimer = uint16(v) }},
 	{"increase", []int{1, 2, 4, 8, 16},
-		func(s *ibcc.Scenario, v int) { s.CC.CCTIIncrease = uint16(v) }},
+		func(s *core.Scenario, v int) { s.CC.CCTIIncrease = uint16(v) }},
 	{"markingrate", []int{0, 1, 3, 7, 15},
-		func(s *ibcc.Scenario, v int) { s.CC.MarkingRate = uint16(v) }},
+		func(s *core.Scenario, v int) { s.CC.MarkingRate = uint16(v) }},
 	{"cctlimit", []int{7, 13, 27, 55, 111},
-		func(s *ibcc.Scenario, v int) { s.CC.CCTILimit = uint16(v) }},
+		func(s *core.Scenario, v int) { s.CC.CCTILimit = uint16(v) }},
 	{"backlog", []int{1, 2, 4, 8, 16},
-		func(s *ibcc.Scenario, v int) { s.BacklogCap = v }},
+		func(s *core.Scenario, v int) { s.BacklogCap = v }},
 }
 
 // scanCmd runs the parameter scans on the silent forest (or a windy one
@@ -484,12 +497,14 @@ func scanCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) error) 
 		base := c.base()
 		base.FracBPct = *fracB
 		base.PPercent = *p
-		return c.timedSweep(base.Name, func(sw *sweep) {
-			for _, sc := range scans {
-				if *which != "all" && *which != sc.name {
-					continue
-				}
-				sw.experiment("scan "+sc.name, 1+len(sc.values), func(o ibcc.RunOpts) error {
+		selected := slices.DeleteFunc(slices.Clone(scans), func(sc scan) bool { return *which != "all" && *which != sc.name })
+		total := 0
+		for _, sc := range selected {
+			total += 1 + len(sc.values)
+		}
+		return c.timedSweep(base.Name, total, func(sw *sweep) {
+			for _, sc := range selected {
+				sw.experiment("scan "+sc.name, func(o core.Opts) error {
 					res, err := core.ScanCCOpts(base, sc.name, sc.values, sc.apply, o)
 					if err != nil {
 						return err
@@ -513,19 +528,19 @@ func degradationCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) 
 	var ins []float64
 	return intensitiesFlag(fs, &ins), func(path string) error {
 		base, seeds := c.base(), cliflag.Seeds(c.seed, c.seeds)
-		return c.sweep(base.Name, ibcc.ReportDegradation, func(sw *sweep) (data []byte) {
-			sw.experiment("degradation", len(ins)*len(seeds)*2, func(o ibcc.RunOpts) error {
+		return c.sweep(base.Name, telemetry.ReportDegradation, len(ins)*len(seeds)*2, func(sw *sweep) (data []byte) {
+			sw.experiment("degradation", func(o core.Opts) error {
 				start := time.Now()
-				pts, err := ibcc.RunDegradationOpts(base, ins, seeds, o)
+				pts, err := core.RunDegradationOpts(base, ins, seeds, o)
 				if err != nil {
 					return err
 				}
-				ibcc.PrintDegradation(c.w, pts)
+				core.PrintDegradation(c.w, pts)
 				if data, err = writeJSON(path, struct {
 					Scenario string                  `json:"scenario"`
 					Radix    int                     `json:"radix"`
 					Seeds    []uint64                `json:"seeds"`
-					Points   []ibcc.DegradationPoint `json:"points"`
+					Points   []core.DegradationPoint `json:"points"`
 				}{base.Name, base.Radix, seeds, pts}); err != nil {
 					return err
 				}
@@ -568,18 +583,18 @@ func diffKernelCmd(_ *flag.FlagSet, c *runConfig) (func() error, func(string) er
 // heap) plus once more under the runtime invariant checker. Any
 // trajectory divergence, invariant violation, or checker-induced
 // perturbation is an error.
-func runDiffKernel(w io.Writer, base ibcc.Scenario, seeds []uint64) error {
+func runDiffKernel(w io.Writer, base core.Scenario, seeds []uint64) error {
 	start := time.Now()
 	failures := 0
 	for _, seed := range seeds {
 		s0 := base
 		s0.Seed = seed
-		for _, s := range ibcc.TableIIScenarios(s0) {
-			d, err := ibcc.RunDifferential(s)
+		for _, s := range core.TableIIScenarios(s0) {
+			d, err := core.RunDifferential(s)
 			if err != nil {
 				return err
 			}
-			_, rep, err := ibcc.RunChecked(s, ibcc.CheckOpts{Diagnostics: os.Stderr})
+			_, rep, err := core.RunChecked(s, core.CheckOpts{Diagnostics: os.Stderr})
 			if err != nil {
 				return err
 			}

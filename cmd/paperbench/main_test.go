@@ -14,8 +14,13 @@ import (
 	"strings"
 	"testing"
 
-	ibcc "repro"
+	"repro/internal/cc"
+	"repro/internal/ckpt"
 	"repro/internal/cliflag"
+	"repro/internal/core"
+	"repro/internal/exp"
+	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // invoke runs one paperbench invocation in-process.
@@ -101,13 +106,13 @@ func TestFlagOfAnotherCommandIsAUsageError(t *testing.T) {
 func TestEveryCommandRunsAtRadix8(t *testing.T) {
 	dir := t.TempDir()
 	p := func(name string) string { return filepath.Join(dir, name) }
-	s := ibcc.DefaultScenario(8)
-	s.Warmup, s.Measure = 200*ibcc.Microsecond, ibcc.Millisecond
-	in, err := ibcc.Build(s)
+	s := core.Default(8)
+	s.Warmup, s.Measure = 200*sim.Microsecond, sim.Millisecond
+	in, err := core.Build(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := in.ExecuteWithCheckpoints(ibcc.CkptOpts{Every: 500 * ibcc.Microsecond, Dir: p("ck"), Keep: 1}); err != nil {
+	if _, err := in.ExecuteWithCheckpoints(core.CkptOpts{Every: 500 * sim.Microsecond, Dir: p("ck"), Keep: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
@@ -137,7 +142,7 @@ func TestEveryCommandRunsAtRadix8(t *testing.T) {
 		}
 	}
 
-	ck, err := ibcc.LatestCheckpoint(p("ck"))
+	ck, err := ckpt.Latest(p("ck"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,34 +176,95 @@ func TestEveryCommandRunsAtRadix8(t *testing.T) {
 }
 
 // The progress line goes to run's stderr writer: with -progress-jsonl
-// one SweepStats object per finished simulation, the last at 4 of 4
-// and without the recent jobs; with -progress the status line.
+// one SweepStats object per finished simulation, the last at n of n and
+// without the recent jobs; with -progress the status line. A sweep
+// declares its whole size before its first run, so every line of the
+// six-scan sweep reads its 40 simulations, not the scans begun so far.
 func TestProgressOnStderr(t *testing.T) {
-	args := []string{"-radix", "6", "-short", "-exp", "table2"}
-	code, _, stderr := invoke(append(args, "-progress-jsonl")...)
-	if code != 0 {
-		t.Fatalf("exit %d:\n%s", code, stderr)
-	}
-	lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
-	var last ibcc.SweepStats
-	for i, line := range lines {
-		last = ibcc.SweepStats{}
-		if err := json.Unmarshal([]byte(line), &last); err != nil {
-			t.Fatalf("stderr line %d is not SweepStats: %v: %q", i, err, line)
+	for _, tc := range []struct {
+		args []string
+		sims int
+	}{
+		{[]string{"-radix", "6", "-short", "-exp", "table2"}, 4},
+		{[]string{"scan", "-radix", "6", "-short", "-scan", "all", "-jobs", "2"}, 40},
+	} {
+		code, _, stderr := invoke(append(tc.args, "-progress-jsonl")...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d:\n%s", tc.args, code, stderr)
+		}
+		lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
+		var last telemetry.SweepStats
+		for i, line := range lines {
+			last = telemetry.SweepStats{}
+			if err := json.Unmarshal([]byte(line), &last); err != nil {
+				t.Fatalf("%v: stderr line %d is not SweepStats: %v: %q", tc.args, i, err, line)
+			}
+			if last.Total != tc.sims {
+				t.Fatalf("%v: stderr line %d has total %d, want %d", tc.args, i, last.Total, tc.sims)
+			}
+		}
+		if len(lines) != tc.sims || last.Done != tc.sims || last.Recent != nil {
+			t.Fatalf("%v: %d lines, the last %+v", tc.args, len(lines), last)
 		}
 	}
-	if len(lines) != 4 || last.Done != 4 || last.Total != 4 || last.Recent != nil {
-		t.Fatalf("%d lines, the last %+v", len(lines), last)
-	}
-	if code, _, stderr = invoke(append(args, "-progress")...); code != 0 || !strings.Contains(stderr, "[4/4]") {
+	code, _, stderr := invoke("-radix", "6", "-short", "-exp", "table2", "-progress")
+	if code != 0 || !strings.Contains(stderr, "[4/4]") {
 		t.Fatalf("-progress: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// interruptOnce is a progress writer that interrupts the process when
+// the first simulation finishes, as Ctrl-C would.
+type interruptOnce struct{ sent bool }
+
+func (w *interruptOnce) Write(b []byte) (int, error) {
+	if !w.sent {
+		w.sent = true
+		p, err := os.FindProcess(os.Getpid())
+		if err == nil {
+			err = p.Signal(os.Interrupt)
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	return len(b), nil
+}
+
+// An interrupted -exp all sweep leaves a manifest whose pending count
+// holds the experiments that never started: its total is every
+// selected experiment's simulations, declared before the first ran.
+func TestInterruptedSweepManifestCountsUnstartedExperiments(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-radix", "6", "-short", "-pstep", "50", "-jobs", "1", "-progress-jsonl", "-out", dir}
+	c, body, err := parse(args, io.Discard, &interruptOnce{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := body(); err == nil || !strings.Contains(err.Error(), "interrupted") {
+		t.Fatalf("sweep err = %v, want the interrupt", err)
+	}
+	st, err := exp.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ok, err := st.ReadManifest()
+	if err != nil || !ok {
+		t.Fatalf("no manifest after the interrupt: %v", err)
+	}
+	rows := core.Paper(c.base(), []int{0, 50, 100})
+	table2 := slices.DeleteFunc(slices.Clone(rows), func(r core.PaperRow) bool { return r.Exp != "table2" })
+	total := core.ExperimentSims(rows, nil)
+	if !m.Interrupted || m.Total != total || m.NumDone < 1 || m.NumDone != st.Len() ||
+		m.NumPending != total-m.NumDone || m.NumPending <= total-core.ExperimentSims(table2, nil) {
+		t.Fatalf("manifest %+v; want total %d, the experiments after table2 pending", m, total)
 	}
 }
 
 // Without flags the experiments run the paper: radix 36, 20 ms + 100 ms,
 // Table I. -short keeps the default scenario's windows and nothing else.
 func TestDefaultsAreThePaper(t *testing.T) {
-	base := func(args ...string) ibcc.Scenario {
+	base := func(args ...string) core.Scenario {
 		c, _, err := parse(args, io.Discard, io.Discard)
 		if err != nil {
 			t.Fatalf("paperbench %v: %v", args, err)
@@ -206,11 +272,11 @@ func TestDefaultsAreThePaper(t *testing.T) {
 		return c.base()
 	}
 	s := base()
-	if s.Radix != 36 || s.Warmup != 20*ibcc.Millisecond || s.Measure != 100*ibcc.Millisecond ||
-		!reflect.DeepEqual(s.CC, ibcc.PaperCCParams()) {
+	if s.Radix != 36 || s.Warmup != 20*sim.Millisecond || s.Measure != 100*sim.Millisecond ||
+		!reflect.DeepEqual(s.CC, cc.PaperParams()) {
 		t.Errorf("default scenario: radix %d, %v + %v, CC %+v", s.Radix, s.Warmup, s.Measure, s.CC)
 	}
-	short, def := base("-short"), ibcc.DefaultScenario(36)
+	short, def := base("-short"), core.Default(36)
 	if !reflect.DeepEqual(short, def) {
 		t.Errorf("-short scenario:\n%+v\nwant the default scenario\n%+v", short, def)
 	}
@@ -225,10 +291,10 @@ func TestTableIICIRowsFollowSeed(t *testing.T) {
 	}
 	var want bytes.Buffer
 	for _, ccOn := range []bool{false, true} {
-		s := ibcc.DefaultScenario(8)
+		s := core.Default(8)
 		s.Seed = 5
 		s.CCOn = ccOn
-		m, err := ibcc.RunSeedsOpts(s, []uint64{5, 6}, ibcc.RunOpts{})
+		m, err := core.RunSeedsOpts(s, []uint64{5, 6}, core.Opts{})
 		if err != nil {
 			t.Fatal(err)
 		}

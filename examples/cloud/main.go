@@ -12,13 +12,14 @@ import (
 	"fmt"
 	"log"
 
-	ibcc "repro"
+	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 func main() {
-	base := ibcc.DefaultScenario(12)
-	base.Warmup = 2 * ibcc.Millisecond
-	base.Measure = 6 * ibcc.Millisecond
+	base := core.Default(12)
+	base.Warmup = 2 * sim.Millisecond
+	base.Measure = 6 * sim.Millisecond
 	base.FracBPct = 100
 	base.PPercent = 60
 
@@ -27,13 +28,13 @@ func main() {
 	fmt.Println()
 	fmt.Printf("  %10s  %10s  %10s  %7s\n", "lifetime", "cc off", "cc on", "gain")
 
-	lifetimes := []ibcc.Duration{
-		2 * ibcc.Millisecond,
-		1 * ibcc.Millisecond,
-		500 * ibcc.Microsecond,
-		250 * ibcc.Microsecond,
+	lifetimes := []sim.Duration{
+		2 * sim.Millisecond,
+		1 * sim.Millisecond,
+		500 * sim.Microsecond,
+		250 * sim.Microsecond,
 	}
-	recs, err := ibcc.RunPairs(ibcc.MovingRows(base, lifetimes), ibcc.RunOpts{})
+	recs, err := core.RunPairs(core.MovingRows(base, lifetimes), core.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,8 +7,8 @@
 // lot problem.
 //
 // This example drives the library's lower layers directly (topology,
-// fabric, congestion control, generators) rather than the scenario
-// facade, showing how custom experiments are assembled.
+// fabric, congestion control, generators) rather than a core.Scenario,
+// showing how custom experiments are assembled.
 package main
 
 import (

@@ -9,22 +9,23 @@ import (
 	"fmt"
 	"log"
 
-	ibcc "repro"
+	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 func main() {
-	base := ibcc.DefaultScenario(12) // 72-node fat-tree, 18 crossbars
-	base.Warmup = 2 * ibcc.Millisecond
-	base.Measure = 4 * ibcc.Millisecond
+	base := core.Default(12) // 72-node fat-tree, 18 crossbars
+	base.Warmup = 2 * sim.Millisecond
+	base.Measure = 4 * sim.Millisecond
 
 	fmt.Println("silent forest of congestion trees, 80% contributors / 20% victims")
 	fmt.Println()
 
-	var off, on *ibcc.Result
+	var off, on *core.Result
 	for _, ccOn := range []bool{false, true} {
 		s := base
 		s.CCOn = ccOn
-		res, err := ibcc.Run(s)
+		res, err := core.Run(s)
 		if err != nil {
 			log.Fatal(err)
 		}

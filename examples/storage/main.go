@@ -11,24 +11,25 @@ import (
 	"log"
 	"os"
 
-	ibcc "repro"
+	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 func main() {
-	base := ibcc.DefaultScenario(12)
-	base.Warmup = 2 * ibcc.Millisecond
-	base.Measure = 4 * ibcc.Millisecond
+	base := core.Default(12)
+	base.Warmup = 2 * sim.Millisecond
+	base.Measure = 4 * sim.Millisecond
 
 	fmt.Println("compute cluster with 8 storage servers (windy forest, 100% B nodes)")
 	fmt.Println("p = fraction of each node's traffic written to storage")
 	fmt.Println()
 
-	pts, err := ibcc.RunWindySweepOpts(base, 100, []int{10, 30, 50, 60, 70, 90}, ibcc.RunOpts{})
+	pts, err := core.RunWindySweepOpts(base, 100, []int{10, 30, 50, 60, 70, 90}, core.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("Figure storage: windy forest, 100% B nodes")
-	ibcc.PrintWindy(os.Stdout, pts)
+	core.PrintWindy(os.Stdout, pts)
 
 	best := pts[0]
 	for _, pt := range pts {

@@ -309,4 +309,19 @@ func TestPrintFormats(t *testing.T) {
 			t.Errorf("moving output missing %q:\n%s", want, out)
 		}
 	}
+
+	// A MovingRows series carries no label: no heading, just the column
+	// header, the row and the closing blank line.
+	sb.Reset()
+	PrintPaper(&sb, []PaperRecord{{MovingRows(Default(8), []sim.Duration{300 * sim.Microsecond})[0],
+		res(metrics.Summary{AllAvgGbps: 0.5}), res(metrics.Summary{AllAvgGbps: 0.6})}})
+	if out = sb.String(); !strings.HasPrefix(out, "      lifetime") || strings.Count(out, "\n") != 3 {
+		t.Errorf("unlabelled moving output:\n%q", out)
+	}
+
+	sb.Reset()
+	PrintWindy(&sb, []WindyPoint{{P: 60, Improvement: 2.5}})
+	if out = sb.String(); !strings.Contains(out, "improvement") || !strings.Contains(out, "2.50x") {
+		t.Errorf("windy sweep output:\n%s", out)
+	}
 }

@@ -143,6 +143,17 @@ func TestTelemetryTraceSeries(t *testing.T) {
 	if !strings.HasPrefix(lines[1], "0.0001,") || !strings.HasPrefix(lines[bins], "0.005,") {
 		t.Fatalf("CSV time column runs %q .. %q", lines[1], lines[bins])
 	}
+
+	// The same grid on a run of 200 + 600 µs: exactly eight rows.
+	s.Warmup, s.Measure = 200*sim.Microsecond, 600*sim.Microsecond
+	_, _, snap = sampledRun(t, s, cadence)
+	sb.Reset()
+	if err := snap.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if rows := strings.Count(sb.String(), "\n") - 1; rows != 8 {
+		t.Fatalf("800 µs at 100 µs cadence wrote %d CSV rows, want 8", rows)
+	}
 }
 
 // TestTelemetryTraceWithoutCC: the congestion-control series stay at

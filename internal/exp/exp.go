@@ -1,6 +1,7 @@
 // Package exp is what a sweep leaves on disk: the artifact Store (one
 // crash-safe, checksummed JSON document per simulated scenario, keyed
-// by Fingerprint, plus the resumable manifest), and SweepOpts, which
+// by Fingerprint, plus the manifest an interrupted sweep leaves), and
+// SweepOpts, which
 // plugs it into the one sweep executor — internal/core's funnel
 // (core.Opts). What a sweep shows on the terminal is its span
 // tracker's (telemetry.Tracker). The package executes nothing itself
@@ -16,21 +17,19 @@ import (
 )
 
 // SweepOpts completes o the way every CLI sweep runs. The caller sets
-// the plain fields (Ctx, Check, Telemetry, Spans); SweepOpts turns the
-// -jobs value into the pool size (0 = one worker per CPU), declares the
-// sweep's total simulations (0 = unknown) to the span tracker and the
-// store's manifest, and attaches the -out store st, which may be nil.
-// Fresh runs are persisted, with a failed save logged rather than
-// aborting the sweep, and a corrupt artifact found on lookup is counted
-// by o.Spans as well as quarantined.
-func SweepOpts(o core.Opts, jobs, total int, st *Store) core.Opts {
+// the plain fields (Ctx, Check, Telemetry, Spans) and declares the
+// whole sweep's size to o.Spans once, before its first run; SweepOpts
+// turns the -jobs value into the pool size (0 = one worker per CPU)
+// and attaches the -out store st, which may be nil. Fresh runs are
+// persisted, with a failed save logged rather than aborting the sweep,
+// and a corrupt artifact found on lookup is counted by o.Spans as well
+// as quarantined.
+func SweepOpts(o core.Opts, jobs int, st *Store) core.Opts {
 	o.Workers = jobs
 	if jobs <= 0 {
 		o.Workers = core.WorkersAll
 	}
-	o.Spans.AddTotal(total)
 	if st != nil {
-		st.Expect(total)
 		st.OnCorrupt(o.Spans.CorruptArtifact)
 		o.Lookup = st.Lookup
 		o.OnResult = st.SaveResult(func(err error) { log.Print(err) })

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"repro/internal/ckpt"
@@ -95,12 +94,6 @@ type Store struct {
 	dir string
 	// onCorrupt, when set, observes every artifact quarantined by Load.
 	onCorrupt func(path string)
-
-	// mu guards what the manifest is built from: the declared total and
-	// the completions (saves and load hits) this store has seen.
-	mu    sync.Mutex
-	total int
-	done  []ManifestJob
 }
 
 // NewStore opens (creating if needed) an artifact directory.
@@ -121,21 +114,6 @@ func (st *Store) QuarantineDir() string { return filepath.Join(st.dir, Quarantin
 // OnCorrupt registers an observer for quarantined-artifact paths (the
 // sweep trackers count them).
 func (st *Store) OnCorrupt(fn func(path string)) { st.onCorrupt = fn }
-
-// Expect declares n more simulations the sweep will put through this
-// store; the manifest reports completions against the sum.
-func (st *Store) Expect(n int) {
-	st.mu.Lock()
-	st.total += n
-	st.mu.Unlock()
-}
-
-// completed records one run the manifest will list as done.
-func (st *Store) completed(name, fp string, cached bool) {
-	st.mu.Lock()
-	st.done = append(st.done, ManifestJob{Name: name, Fingerprint: fp, Artifact: filepath.Base(st.path(fp)), Cached: cached})
-	st.mu.Unlock()
-}
 
 // path returns the artifact filename for a fingerprint.
 func (st *Store) path(fp string) string {
@@ -164,7 +142,6 @@ func (st *Store) Save(s core.Scenario, r *core.Result, elapsed time.Duration) er
 	if err := ckpt.WriteFileAtomic(st.path(fp), append(b, '\n')); err != nil {
 		return fmt.Errorf("exp: store: %s: %w", s.Name, err)
 	}
-	st.completed(s.Name, fp, false)
 	return nil
 }
 
@@ -197,7 +174,6 @@ func (st *Store) Load(s core.Scenario) (*core.Result, bool) {
 		st.quarantineFile(path, err.Error())
 		return nil, false
 	}
-	st.completed(s.Name, fp, true)
 	return a.Result, true
 }
 

@@ -225,7 +225,7 @@ func TestSweepOptsCountsCorruptArtifact(t *testing.T) {
 	}
 	s := quick(6)
 	seeds := []uint64{1, 2}
-	fresh, err := core.RunSeedsOpts(s, seeds, SweepOpts(core.Opts{}, 1, len(seeds), st))
+	fresh, err := core.RunSeedsOpts(s, seeds, SweepOpts(core.Opts{}, 1, st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,8 @@ func TestSweepOptsCountsCorruptArtifact(t *testing.T) {
 	tamper(t, st, s2)
 
 	tr := telemetry.NewTracker()
-	resumed, err := core.RunSeedsOpts(s, seeds, SweepOpts(core.Opts{Spans: tr}, 2, len(seeds), st))
+	tr.AddTotal(len(seeds))
+	resumed, err := core.RunSeedsOpts(s, seeds, SweepOpts(core.Opts{Spans: tr}, 2, st))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,6 +258,9 @@ func TestSweepOptsCountsCorruptArtifact(t *testing.T) {
 	}
 }
 
+// The manifest reads the sweep's span tracker: its total is the size
+// declared up front, and its done count holds fresh runs and cache hits
+// alike.
 func TestManifestClassifiesAndRoundTrips(t *testing.T) {
 	st, err := NewStore(t.TempDir())
 	if err != nil {
@@ -264,24 +268,20 @@ func TestManifestClassifiesAndRoundTrips(t *testing.T) {
 	}
 	// Three of five declared runs complete: two saved fresh, then the
 	// first served again from its artifact.
-	st.Expect(5)
-	a, b := quick(6), quick(6)
-	b.Seed = 2
-	for _, s := range []core.Scenario{a, b} {
-		if err := st.Save(s, &core.Result{Name: s.Name, Events: 1}, 0); err != nil {
-			t.Fatal(err)
-		}
+	tr := telemetry.NewTracker()
+	tr.AddTotal(5)
+	o := SweepOpts(core.Opts{Spans: tr}, 1, st)
+	if _, err := core.RunSeedsOpts(quick(6), []uint64{1, 2}, o); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := st.Load(a); !ok {
-		t.Fatal("saved scenario not found")
+	if _, err := core.RunSeedsOpts(quick(6), []uint64{1}, o); err != nil {
+		t.Fatal(err)
 	}
-	c := a
-	c.Seed = 3
-	if _, ok := st.Load(c); ok {
-		t.Fatal("miss reported as a hit")
+	if stats := tr.Stats(); stats.Done != 3 || stats.Cached != 1 {
+		t.Fatalf("sweep stats: %+v", stats)
 	}
 
-	path, err := st.WriteManifest(true)
+	path, err := st.WriteManifest(tr.Stats(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,34 +292,39 @@ func TestManifestClassifiesAndRoundTrips(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("read manifest: %v %v", ok, err)
 	}
-	if !m.Interrupted || m.Total != 5 || m.NumDone != 3 || m.NumPending != 2 || len(m.Done) != 3 {
+	if !m.Interrupted || m.Total != 5 || m.NumDone != 3 || m.NumPending != 2 {
 		t.Fatalf("manifest: %+v", m)
 	}
-	if d := m.Done[1]; d.Name != b.Name || d.Fingerprint != Fingerprint(b) || d.Cached {
-		t.Fatalf("fresh entry: %+v", d)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := m.Done[2]; d.Fingerprint != Fingerprint(a) || !d.Cached {
-		t.Fatalf("cached entry: %+v", d)
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &keys); err != nil {
+		t.Fatal(err)
 	}
-	for _, d := range m.Done {
-		if _, err := os.Stat(filepath.Join(st.Dir(), d.Artifact)); err != nil {
-			t.Errorf("done artifact %s: %v", d.Artifact, err)
-		}
+	if _, ok := keys["done"]; ok || len(keys) != 5 {
+		t.Fatalf("manifest keys: %s", raw)
 	}
 	// The manifest does not count as an artifact.
 	if st.Len() != 2 {
 		t.Fatalf("store holds %d artifacts, want 2", st.Len())
 	}
 	// More completions than declared: the total follows them.
-	st2, _ := NewStore(t.TempDir())
-	if err := st2.Save(a, &core.Result{}, 0); err != nil {
+	if _, err := st.WriteManifest(telemetry.SweepStats{Done: 1}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st2.WriteManifest(false); err != nil {
-		t.Fatal(err)
-	}
-	if m, _, _ := st2.ReadManifest(); m.Interrupted || m.Total != 1 || m.NumPending != 0 {
+	if m, _, _ := st.ReadManifest(); m.Interrupted || m.Total != 1 || m.NumPending != 0 {
 		t.Fatalf("undeclared manifest: %+v", m)
+	}
+	// A manifest that still lists its done runs reads as before.
+	old := `{"written_at":"2026-01-01T00:00:00Z","interrupted":true,"total":4,"num_done":1,"num_pending":3,` +
+		`"done":[{"name":"x","fingerprint":"ab","artifact":"ab.json"}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m, _, err := st.ReadManifest(); err != nil || m.NumDone != 1 || m.NumPending != 3 {
+		t.Fatalf("older manifest: %+v %v", m, err)
 	}
 	// A missing manifest reads as absent, not an error.
 	st3, _ := NewStore(t.TempDir())
@@ -331,7 +336,9 @@ func TestManifestClassifiesAndRoundTrips(t *testing.T) {
 // TestCancelledSweepLeavesInterruptedManifest is the graceful-drain
 // contract through the funnel: a sweep cancelled mid-way returns the
 // context error, what finished is in the store, and the manifest the
-// CLI then writes marks the rest pending — where -resume-from picks up.
+// CLI then writes marks the rest pending — the unfinished runs of the
+// cancelled batch and every run of the batches that never started —
+// where a re-run with the same -out picks up.
 func TestCancelledSweepLeavesInterruptedManifest(t *testing.T) {
 	st, err := NewStore(t.TempDir())
 	if err != nil {
@@ -340,7 +347,10 @@ func TestCancelledSweepLeavesInterruptedManifest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seeds := []uint64{1, 2, 3, 4, 5}
-	o := SweepOpts(core.Opts{Ctx: ctx}, 1, len(seeds), st)
+	const later = 4 // a second batch the sweep declared but never reached
+	tr := telemetry.NewTracker()
+	tr.AddTotal(len(seeds) + later)
+	o := SweepOpts(core.Opts{Ctx: ctx, Spans: tr}, 1, st)
 	save := o.OnResult
 	finished := 0
 	o.OnResult = func(s core.Scenario, r *core.Result, cached bool) {
@@ -352,24 +362,22 @@ func TestCancelledSweepLeavesInterruptedManifest(t *testing.T) {
 	if _, err := core.RunSeedsOpts(quick(6), seeds, o); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sweep err = %v, want context.Canceled", err)
 	}
-	if _, err := st.WriteManifest(true); err != nil {
+	if _, err := st.WriteManifest(tr.Stats(), true); err != nil {
 		t.Fatal(err)
 	}
 	m, ok, err := st.ReadManifest()
 	if err != nil || !ok {
 		t.Fatalf("ReadManifest after cancel: ok=%v err=%v", ok, err)
 	}
-	if !m.Interrupted || m.Total != 5 || m.NumDone != 2 || m.NumPending != 3 {
+	if !m.Interrupted || m.Total != len(seeds)+later || m.NumDone != 2 || m.NumPending != len(seeds)-2+later {
 		t.Fatalf("manifest: %+v", m)
 	}
-	for _, d := range m.Done {
-		if _, err := os.Stat(filepath.Join(st.Dir(), d.Artifact)); err != nil {
-			t.Errorf("manifest done artifact %s: %v", d.Artifact, err)
-		}
+	if st.Len() != m.NumDone {
+		t.Fatalf("store holds %d artifacts, manifest counts %d done", st.Len(), m.NumDone)
 	}
 	// The resumed sweep simulates only what was pending.
-	tr := telemetry.NewTracker()
-	if _, err := core.RunSeedsOpts(quick(6), seeds, SweepOpts(core.Opts{Spans: tr}, 1, len(seeds), st)); err != nil {
+	tr = telemetry.NewTracker()
+	if _, err := core.RunSeedsOpts(quick(6), seeds, SweepOpts(core.Opts{Spans: tr}, 1, st)); err != nil {
 		t.Fatal(err)
 	}
 	if stats := tr.Stats(); stats.Done != 5 || stats.Cached != 2 {
