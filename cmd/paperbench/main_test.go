@@ -176,50 +176,66 @@ func TestEveryCommandRunsAtRadix8(t *testing.T) {
 }
 
 // The progress line goes to run's stderr writer: with -progress-jsonl
-// one SweepStats object per finished simulation, the last at n of n and
+// one SweepStats object per finished simulation, the last at 4 of 4 and
 // without the recent jobs; with -progress the status line. A sweep
 // declares its whole size before its first run, so every line of the
-// six-scan sweep reads its 40 simulations, not the scans begun so far.
+// six-scan sweep reads its 40 simulations, not the scans begun so far:
+// it is interrupted once the second scan's first simulation is in.
 func TestProgressOnStderr(t *testing.T) {
-	for _, tc := range []struct {
-		args []string
-		sims int
-	}{
-		{[]string{"-radix", "6", "-short", "-exp", "table2"}, 4},
-		{[]string{"scan", "-radix", "6", "-short", "-scan", "all", "-jobs", "2"}, 40},
-	} {
-		code, _, stderr := invoke(append(tc.args, "-progress-jsonl")...)
-		if code != 0 {
-			t.Fatalf("%v: exit %d:\n%s", tc.args, code, stderr)
-		}
-		lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
-		var last telemetry.SweepStats
+	jsonl := func(args, lines []string, total int) (last telemetry.SweepStats) {
+		t.Helper()
 		for i, line := range lines {
 			last = telemetry.SweepStats{}
 			if err := json.Unmarshal([]byte(line), &last); err != nil {
-				t.Fatalf("%v: stderr line %d is not SweepStats: %v: %q", tc.args, i, err, line)
+				t.Fatalf("%v: stderr line %d is not SweepStats: %v: %q", args, i, err, line)
 			}
-			if last.Total != tc.sims {
-				t.Fatalf("%v: stderr line %d has total %d, want %d", tc.args, i, last.Total, tc.sims)
+			if last.Total != total || last.Done != i+1 {
+				t.Fatalf("%v: stderr line %d reads %d of %d, want %d of %d", args, i, last.Done, last.Total, i+1, total)
 			}
 		}
-		if len(lines) != tc.sims || last.Done != tc.sims || last.Recent != nil {
-			t.Fatalf("%v: %d lines, the last %+v", tc.args, len(lines), last)
-		}
+		return last
 	}
-	code, _, stderr := invoke("-radix", "6", "-short", "-exp", "table2", "-progress")
+	args := []string{"-radix", "6", "-short", "-exp", "table2", "-progress-jsonl"}
+	code, _, stderr := invoke(args...)
+	if code != 0 {
+		t.Fatalf("exit %d:\n%s", code, stderr)
+	}
+	lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
+	if last := jsonl(args, lines, 4); len(lines) != 4 || last.Recent != nil {
+		t.Fatalf("%d lines, the last %+v", len(lines), last)
+	}
+
+	// The threshold scan is 9 simulations, its baseline and 8 values.
+	args = []string{"scan", "-radix", "6", "-short", "-scan", "all", "-jobs", "1", "-progress-jsonl"}
+	w := &interruptAfter{n: 10}
+	_, body, err := parse(args, io.Discard, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := body(); err == nil || !strings.Contains(err.Error(), "interrupted") {
+		t.Fatalf("scan err = %v, want the interrupt", err)
+	}
+	if jsonl(args, w.lines, 40); len(w.lines) < w.n || len(w.lines) >= 40 {
+		t.Fatalf("%v: %d lines before the interrupt, want %d to 39", args, len(w.lines), w.n)
+	}
+
+	code, _, stderr = invoke("-radix", "6", "-short", "-exp", "table2", "-progress")
 	if code != 0 || !strings.Contains(stderr, "[4/4]") {
 		t.Fatalf("-progress: exit %d, stderr %q", code, stderr)
 	}
 }
 
-// interruptOnce is a progress writer that interrupts the process when
-// the first simulation finishes, as Ctrl-C would.
-type interruptOnce struct{ sent bool }
+// interruptAfter is a progress writer that keeps the lines written to
+// it and interrupts the process, as Ctrl-C would, when the n-th
+// simulation finishes.
+type interruptAfter struct {
+	n     int
+	lines []string
+}
 
-func (w *interruptOnce) Write(b []byte) (int, error) {
-	if !w.sent {
-		w.sent = true
+func (w *interruptAfter) Write(b []byte) (int, error) {
+	w.lines = append(w.lines, strings.TrimSuffix(string(b), "\n"))
+	if len(w.lines) == w.n {
 		p, err := os.FindProcess(os.Getpid())
 		if err == nil {
 			err = p.Signal(os.Interrupt)
@@ -237,7 +253,7 @@ func (w *interruptOnce) Write(b []byte) (int, error) {
 func TestInterruptedSweepManifestCountsUnstartedExperiments(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-radix", "6", "-short", "-pstep", "50", "-jobs", "1", "-progress-jsonl", "-out", dir}
-	c, body, err := parse(args, io.Discard, &interruptOnce{})
+	c, body, err := parse(args, io.Discard, &interruptAfter{n: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
