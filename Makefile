@@ -129,20 +129,25 @@ telemetry:
 
 # Crash-safety smoke: the checkpoint format + differential restore
 # suites (byte-identical continuation), the artifact store's CRC /
-# corrupt-artifact quarantine / manifest suite (including the sweep
-# cancelled mid-way that must leave a resumable manifest), then the CLI
+# corrupt-artifact quarantine suite (including the sweep cancelled
+# mid-way whose finished artifacts a re-run resumes from), then the CLI
 # story end to end via scripts/resilience_smoke.sh: SIGKILL an in-flight
 # checkpointing run (audited with -check, as is its resumption) and a
 # sweep, resume both, require identical output and an identical artifact
 # set; re-run a -degradation sweep entirely
-# from its artifacts. Last, ten seconds of fuzzing the traffic
-# generator's snapshot decoder from its seed corpus of hostile blobs.
+# from its artifacts. Last, ten seconds each of fuzzing the traffic
+# generator's snapshot decoder and the artifact store's lookup from
+# their seed corpora of hostile blobs. The lookup fuzzer caps input
+# minimization at 100 runs: its seeds are 3.5 KB artifacts, and the
+# default 60 s minimization of the first new input would eat the whole
+# ten seconds.
 resilience:
 	$(GO) test -count=1 ./internal/ckpt ./internal/fault -run 'Decode|Encode|SaveAtomic|Validate|Keeper|Latest|Cadence|InjectorState'
 	$(GO) test -count=1 ./internal/core -run 'Checkpoint'
-	$(GO) test -count=1 ./internal/exp -run 'Quarantine|Corrupt|CRC|Manifest'
+	$(GO) test -count=1 ./internal/exp -run 'Quarantine|Corrupt|CRC|Cancelled'
 	sh scripts/resilience_smoke.sh
 	$(GO) test -run FuzzGeneratorRestore -fuzz=FuzzGeneratorRestore -fuzztime=10s ./internal/traffic
+	$(GO) test -run FuzzStoreLookup -fuzz=FuzzStoreLookup -fuzztime=10s -fuzzminimizetime=100x ./internal/exp
 
 bench:
 	$(GO) test -bench=. -benchmem

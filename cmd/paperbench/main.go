@@ -24,7 +24,8 @@
 // The sweep commands (experiments, scan, degradation) share
 // one harness: -jobs workers with tables bit-identical to a serial run,
 // a resumable -out artifact store, -check, -progress, -report, and a
-// graceful SIGINT/SIGTERM drain that leaves a manifest in -out.
+// graceful SIGINT/SIGTERM drain: the finished runs' artifacts stay in
+// -out, and the -report says how far the sweep got.
 package main
 
 import (
@@ -207,7 +208,7 @@ func (c *runConfig) register(fs *flag.FlagSet, g flagGroup) {
 	}
 	if g&sweepFlags != 0 {
 		fs.IntVar(&c.jobs, "jobs", 1, "simulation workers (0 = one per CPU)")
-		fs.StringVar(&c.out, "out", "", "artifact directory: persist every result as JSON and resume from it, reporting an interrupted run's manifest")
+		fs.StringVar(&c.out, "out", "", "artifact directory: persist every result as JSON and resume from it")
 		fs.BoolVar(&c.progress, "progress", stderrIsTTY(), "live progress line on stderr")
 		fs.BoolVar(&c.progJSONL, "progress-jsonl", false, "machine-readable progress: one JSON line of sweep stats per completed simulation on stderr instead of the status line")
 		fs.BoolVar(&c.check, "check", false, "run every simulation under the runtime invariant checker (fails on violations)")
@@ -272,10 +273,12 @@ type sweep struct {
 
 // sweep runs body in the harness — span tracker, telemetry hub, -out
 // store, a context SIGINT/SIGTERM cancel — and ends with the run report
-// of the given kind carrying body's payload. total is every simulation
-// body's experiments will run, declared to the tracker before the first
-// one starts, so the progress line's total and ETA cover the whole
-// sweep from its first line.
+// of the given kind carrying body's payload, also when an interrupt cut
+// the sweep short (then without the payload, its sweep stats showing
+// the runs still pending). total is every simulation body's experiments
+// will run, declared to the tracker before the first one starts, so the
+// progress line's total and ETA cover the whole sweep from its first
+// line.
 func (c *runConfig) sweep(name, kind string, total int, body func(sw *sweep) (payload []byte)) (err error) {
 	sw := &sweep{runConfig: c, name: name, spans: telemetry.NewTracker()}
 	sw.spans.AddTotal(total)
@@ -289,27 +292,33 @@ func (c *runConfig) sweep(name, kind string, total int, body func(sw *sweep) (pa
 		if sw.store, err = exp.NewStore(c.out); err != nil {
 			return err
 		}
-		if m, ok, err := sw.store.ReadManifest(); err != nil {
-			log.Print(err)
-		} else if ok {
-			log.Printf("resume: manifest of %s — %d done, %d pending", m.WrittenAt, m.NumDone, m.NumPending)
+		if n := sw.store.Len(); n > 0 {
+			log.Printf("resume: %d artifacts in %s", n, sw.store.Dir())
 		}
 	}
 	var stop context.CancelFunc
 	sw.ctx, stop = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	payload := body(sw)
-	if sw.err != nil {
+	switch {
+	case sw.err == nil:
+	case !errors.Is(sw.err, context.Canceled):
 		return sw.err
+	case sw.store != nil:
+		sw.err = fmt.Errorf("interrupted — %s holds %d artifacts; re-run with the same -out to continue",
+			sw.store.Dir(), sw.store.Len())
+	default:
+		st := sw.spans.Stats()
+		sw.err = fmt.Errorf("interrupted after %d of %d simulations — nothing was saved (no -out)", st.Done, st.Total)
 	}
-	return sw.writeReport(kind, payload)
+	return errors.Join(sw.writeReport(kind, payload), sw.err)
 }
 
 // experiment runs one named batch of simulations — a figure, a scan,
 // the degradation grid — with the options every command shares, then
-// reports its cost from what the span tracker counted meanwhile. An
-// interrupt flushes a resumable manifest next to the artifacts and the
-// final telemetry snapshot into the report before failing.
+// reports its cost from what the span tracker counted meanwhile: the
+// events and their rate are the simulated runs' alone, so a batch served
+// wholly from artifacts reads 0 simulated events and no rate.
 func (sw *sweep) experiment(name string, fn func(o core.Opts) error) {
 	if sw.err != nil {
 		return
@@ -322,19 +331,6 @@ func (sw *sweep) experiment(name string, fn func(o core.Opts) error) {
 	after := sw.spans.Stats()
 	if sw.progress && !sw.progJSONL && after.Done+after.Failed > before.Done+before.Failed {
 		fmt.Fprintln(sw.stderr) // ends the status line
-	}
-	if errors.Is(sw.err, context.Canceled) {
-		if sw.store != nil {
-			if path, err := sw.store.WriteManifest(after, true); err != nil {
-				log.Print(err)
-			} else {
-				log.Printf("drain: manifest -> %s", path)
-			}
-		}
-		if err := sw.writeReport(telemetry.ReportExperiments, nil); err != nil {
-			log.Print(err)
-		}
-		sw.err = errors.New("interrupted — completed results are saved; re-run with the same -out to continue")
 	}
 	if sw.err != nil {
 		return

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -247,33 +248,84 @@ func (w *interruptAfter) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// An interrupted -exp all sweep leaves a manifest whose pending count
-// holds the experiments that never started: its total is every
-// selected experiment's simulations, declared before the first ran.
-func TestInterruptedSweepManifestCountsUnstartedExperiments(t *testing.T) {
-	dir := t.TempDir()
-	args := []string{"-radix", "6", "-short", "-pstep", "50", "-jobs", "1", "-progress-jsonl", "-out", dir}
-	c, body, err := parse(args, io.Discard, &interruptAfter{n: 1})
-	if err != nil {
-		t.Fatal(err)
+// An interrupted -exp all sweep leaves its finished runs' artifacts and
+// nothing else in -out, and its report counts the experiments that
+// never started as pending: the total is every selected experiment's
+// simulations, declared before the first ran. An interrupted
+// degradation sweep without -out reports its own kind and says nothing
+// was saved. A sweep served wholly from artifacts simulated nothing, so
+// it reports no event rate.
+func TestInterruptedSweepReportCountsUnstartedExperiments(t *testing.T) {
+	dir, tmp := t.TempDir(), t.TempDir()
+	report := func(path string) *telemetry.RunReport {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := telemetry.ValidateReport(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	if err := body(); err == nil || !strings.Contains(err.Error(), "interrupted") {
-		t.Fatalf("sweep err = %v, want the interrupt", err)
+	interrupt := func(args ...string) (*runConfig, error) {
+		t.Helper()
+		c, body, err := parse(args, io.Discard, &interruptAfter{n: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = body()
+		if err == nil || !strings.Contains(err.Error(), "interrupted") {
+			t.Fatalf("paperbench %v: err = %v, want the interrupt", args, err)
+		}
+		return c, err
 	}
-	st, err := exp.NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
+
+	c, err := interrupt("-radix", "6", "-short", "-pstep", "50", "-jobs", "1", "-progress-jsonl",
+		"-out", dir, "-report", filepath.Join(tmp, "r.json"))
+	st, serr := exp.NewStore(dir)
+	if serr != nil {
+		t.Fatal(serr)
 	}
-	m, ok, err := st.ReadManifest()
-	if err != nil || !ok {
-		t.Fatalf("no manifest after the interrupt: %v", err)
+	if !strings.Contains(err.Error(), dir) {
+		t.Errorf("interrupt error %q does not name %s", err, dir)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "MANIFEST.json")); !os.IsNotExist(err) {
+		t.Errorf("the interrupt left a MANIFEST.json: %v", err)
 	}
 	rows := core.Paper(c.base(), []int{0, 50, 100})
 	table2 := slices.DeleteFunc(slices.Clone(rows), func(r core.PaperRow) bool { return r.Exp != "table2" })
 	total := core.ExperimentSims(rows, nil)
-	if !m.Interrupted || m.Total != total || m.NumDone < 1 || m.NumDone != st.Len() ||
-		m.NumPending != total-m.NumDone || m.NumPending <= total-core.ExperimentSims(table2, nil) {
-		t.Fatalf("manifest %+v; want total %d, the experiments after table2 pending", m, total)
+	rep := report(filepath.Join(tmp, "r.json"))
+	if sw := rep.Sweep; rep.Kind != telemetry.ReportExperiments || sw.Total != total || sw.Done < 1 ||
+		sw.Done != st.Len() || total-sw.Done <= total-core.ExperimentSims(table2, nil) {
+		t.Fatalf("report %s %+v with %d artifacts; want total %d, the experiments after table2 pending",
+			rep.Kind, sw, st.Len(), total)
+	}
+
+	_, err = interrupt("degradation", "-radix", "6", "-short", "-intensities", "0,0.5", "-jobs", "1",
+		"-progress-jsonl", "-report", filepath.Join(tmp, "d-r.json"), filepath.Join(tmp, "d.json"))
+	rep = report(filepath.Join(tmp, "d-r.json"))
+	if sw := rep.Sweep; rep.Kind != telemetry.ReportDegradation || sw.Done < 1 || sw.Done >= sw.Total ||
+		sw.Total != 4 || rep.Degradation != nil {
+		t.Errorf("interrupted degradation report: kind %s, %d of %d, payload %s",
+			rep.Kind, sw.Done, sw.Total, rep.Degradation)
+	}
+	if want := fmt.Sprintf("interrupted after %d of 4 simulations — nothing was saved (no -out)", rep.Sweep.Done); err.Error() != want {
+		t.Errorf("degradation without -out: err %q, want %q", err, want)
+	}
+
+	cached := filepath.Join(tmp, "table2")
+	for run := 0; run < 2; run++ {
+		code, stdout, stderr := invoke("-radix", "6", "-short", "-exp", "table2", "-out", cached)
+		if code != 0 {
+			t.Fatalf("exit %d:\n%s", code, stderr)
+		}
+		if run == 1 && (!strings.Contains(stdout, "4 sims, 0 simulated events") ||
+			!strings.Contains(stdout, "4 from artifacts") || strings.Contains(stdout, "events/s")) {
+			t.Errorf("re-run over its own artifacts printed\n%s\nwant 0 simulated events, no rate, 4 from artifacts", stdout)
+		}
 	}
 }
 

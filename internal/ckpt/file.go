@@ -99,7 +99,7 @@ func SaveAtomic(path string, s *Snapshot) error {
 }
 
 // WriteFileAtomic is the durable-write primitive of everything a run
-// leaves behind (checkpoints, sweep artifacts, manifests, run reports):
+// leaves behind (checkpoints, sweep artifacts, run reports):
 // temp file in path's directory, write, fsync the file, rename over
 // path, fsync the directory. A crash — or a second Ctrl-C — at any
 // instant leaves either the old file or the new one, never a torn mix.

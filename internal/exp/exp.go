@@ -1,13 +1,14 @@
 // Package exp is what a sweep leaves on disk: the artifact Store (one
 // crash-safe, checksummed JSON document per simulated scenario, keyed
-// by Fingerprint, plus the manifest an interrupted sweep leaves), and
-// SweepOpts, which
-// plugs it into the one sweep executor — internal/core's funnel
-// (core.Opts). What a sweep shows on the terminal is its span
-// tracker's (telemetry.Tracker). The package executes nothing itself
-// and starts no goroutine: panics become *par.PanicError in the pool, a
-// failed run aborts the sweep with its error, and what finished before
-// that is already in the store.
+// by Fingerprint), and SweepOpts, which plugs it into the one sweep
+// executor — internal/core's funnel (core.Opts). The artifacts are the
+// sweep's only on-disk record: an interrupted sweep leaves the runs it
+// finished and nothing else, and a re-run over the same store skips
+// them. What a sweep shows on the terminal is its span tracker's
+// (telemetry.Tracker). The package executes nothing itself and starts
+// no goroutine: panics become *par.PanicError in the pool, a failed run
+// aborts the sweep with its error, and what finished before that is
+// already in the store.
 package exp
 
 import (

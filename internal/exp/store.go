@@ -35,7 +35,7 @@ type Artifact struct {
 	// SavedAt is the artifact's creation time (RFC 3339).
 	SavedAt string `json:"saved_at"`
 	// CRC32 is the IEEE checksum of the artifact's canonical JSON with
-	// this field zeroed; Load verifies it, so a torn or bit-flipped
+	// this field zeroed; Lookup verifies it, so a torn or bit-flipped
 	// artifact is quarantined instead of silently substituting for a
 	// run. Zero means the artifact predates checksumming.
 	CRC32 uint32 `json:"crc32,omitempty"`
@@ -89,10 +89,10 @@ func Fingerprint(s core.Scenario) string {
 // directory, keyed by scenario fingerprint. A populated store makes
 // sweeps resumable: re-running the same scenarios loads the saved
 // results instead of simulating (see SweepOpts and core.Opts.Lookup).
-// Save and Load are safe for concurrent use.
+// Save and Lookup are safe for concurrent use.
 type Store struct {
 	dir string
-	// onCorrupt, when set, observes every artifact quarantined by Load.
+	// onCorrupt, when set, observes every artifact quarantined by Lookup.
 	onCorrupt func(path string)
 }
 
@@ -145,12 +145,12 @@ func (st *Store) Save(s core.Scenario, r *core.Result, elapsed time.Duration) er
 	return nil
 }
 
-// Load returns the stored result for a scenario, if a valid artifact
-// with a matching fingerprint exists. A corrupt, truncated or
-// mismatching artifact is moved into the quarantine directory — so the
-// scenario re-runs and the bad file stays inspectable — instead of
-// aborting or being silently trusted.
-func (st *Store) Load(s core.Scenario) (*core.Result, bool) {
+// Lookup returns the stored result for a scenario, if a valid artifact
+// with a matching fingerprint exists; it is the core.Opts.Lookup hook.
+// A corrupt, truncated or mismatching artifact is moved into the
+// quarantine directory — so the scenario re-runs and the bad file stays
+// inspectable — instead of aborting or being silently trusted.
+func (st *Store) Lookup(s core.Scenario) (*core.Result, bool) {
 	fp := Fingerprint(s)
 	path := st.path(fp)
 	b, err := os.ReadFile(path)
@@ -197,9 +197,6 @@ func (st *Store) quarantineFile(path, reason string) {
 	}
 }
 
-// Lookup adapts Load to the core.Opts.Lookup hook signature.
-func (st *Store) Lookup(s core.Scenario) (*core.Result, bool) { return st.Load(s) }
-
 // SaveResult adapts Save to the core.Opts.OnResult hook: fresh results
 // are persisted, cache hits are left alone. Persistence errors are
 // reported through errf (stderr logging in the CLIs) rather than
@@ -223,7 +220,7 @@ func (st *Store) Len() int {
 	}
 	n := 0
 	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".json" && e.Name() != ManifestName {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".json" {
 			n++
 		}
 	}

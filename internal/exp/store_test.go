@@ -44,7 +44,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := quick(6)
-	if _, ok := st.Load(s); ok {
+	if _, ok := st.Lookup(s); ok {
 		t.Fatal("empty store reported a hit")
 	}
 	res, err := core.Run(s)
@@ -57,7 +57,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	if st.Len() != 1 {
 		t.Fatalf("store holds %d artifacts", st.Len())
 	}
-	got, ok := st.Load(s)
+	got, ok := st.Lookup(s)
 	if !ok {
 		t.Fatal("saved scenario not found")
 	}
@@ -67,7 +67,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	// A different scenario misses.
 	other := s
 	other.Seed = 99
-	if _, ok := st.Load(other); ok {
+	if _, ok := st.Lookup(other); ok {
 		t.Fatal("different scenario hit the same artifact")
 	}
 	// The artifact on disk is well-formed JSON with the expected keys.
@@ -98,7 +98,7 @@ func TestStoreIgnoresCorruptArtifact(t *testing.T) {
 	if err := os.WriteFile(st.path(fp), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.Load(s); ok {
+	if _, ok := st.Lookup(s); ok {
 		t.Fatal("corrupt artifact accepted")
 	}
 }
@@ -145,7 +145,7 @@ func TestStoreQuarantinesCorruptArtifact(t *testing.T) {
 	if err := os.WriteFile(st.path(fp), []byte("{torn artifa"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.Load(s); ok {
+	if _, ok := st.Lookup(s); ok {
 		t.Fatal("torn artifact accepted")
 	}
 	// Moved aside with a reason sidecar, not deleted.
@@ -167,7 +167,7 @@ func TestStoreQuarantinesCorruptArtifact(t *testing.T) {
 	if err := st.Save(s, &core.Result{Name: "fresh", Events: 3}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := st.Load(s); !ok || got.Events != 3 {
+	if got, ok := st.Lookup(s); !ok || got.Events != 3 {
 		t.Fatalf("fresh artifact after quarantine: %v %v", got, ok)
 	}
 }
@@ -205,7 +205,7 @@ func TestArtifactCRCDetectsTampering(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := tamper(t, st, s)
-	if _, ok := st.Load(s); ok {
+	if _, ok := st.Lookup(s); ok {
 		t.Fatal("tampered artifact passed the checksum")
 	}
 	if _, err := os.Stat(filepath.Join(st.QuarantineDir(), filepath.Base(path))); err != nil {
@@ -258,88 +258,12 @@ func TestSweepOptsCountsCorruptArtifact(t *testing.T) {
 	}
 }
 
-// The manifest reads the sweep's span tracker: its total is the size
-// declared up front, and its done count holds fresh runs and cache hits
-// alike.
-func TestManifestClassifiesAndRoundTrips(t *testing.T) {
-	st, err := NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three of five declared runs complete: two saved fresh, then the
-	// first served again from its artifact.
-	tr := telemetry.NewTracker()
-	tr.AddTotal(5)
-	o := SweepOpts(core.Opts{Spans: tr}, 1, st)
-	if _, err := core.RunSeedsOpts(quick(6), []uint64{1, 2}, o); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.RunSeedsOpts(quick(6), []uint64{1}, o); err != nil {
-		t.Fatal(err)
-	}
-	if stats := tr.Stats(); stats.Done != 3 || stats.Cached != 1 {
-		t.Fatalf("sweep stats: %+v", stats)
-	}
-
-	path, err := st.WriteManifest(tr.Stats(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(path) != ManifestName {
-		t.Fatalf("manifest path: %s", path)
-	}
-	m, ok, err := st.ReadManifest()
-	if err != nil || !ok {
-		t.Fatalf("read manifest: %v %v", ok, err)
-	}
-	if !m.Interrupted || m.Total != 5 || m.NumDone != 3 || m.NumPending != 2 {
-		t.Fatalf("manifest: %+v", m)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &keys); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := keys["done"]; ok || len(keys) != 5 {
-		t.Fatalf("manifest keys: %s", raw)
-	}
-	// The manifest does not count as an artifact.
-	if st.Len() != 2 {
-		t.Fatalf("store holds %d artifacts, want 2", st.Len())
-	}
-	// More completions than declared: the total follows them.
-	if _, err := st.WriteManifest(telemetry.SweepStats{Done: 1}, false); err != nil {
-		t.Fatal(err)
-	}
-	if m, _, _ := st.ReadManifest(); m.Interrupted || m.Total != 1 || m.NumPending != 0 {
-		t.Fatalf("undeclared manifest: %+v", m)
-	}
-	// A manifest that still lists its done runs reads as before.
-	old := `{"written_at":"2026-01-01T00:00:00Z","interrupted":true,"total":4,"num_done":1,"num_pending":3,` +
-		`"done":[{"name":"x","fingerprint":"ab","artifact":"ab.json"}]}`
-	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if m, _, err := st.ReadManifest(); err != nil || m.NumDone != 1 || m.NumPending != 3 {
-		t.Fatalf("older manifest: %+v %v", m, err)
-	}
-	// A missing manifest reads as absent, not an error.
-	st3, _ := NewStore(t.TempDir())
-	if _, ok, err := st3.ReadManifest(); ok || err != nil {
-		t.Fatalf("empty-store manifest: %v %v", ok, err)
-	}
-}
-
-// TestCancelledSweepLeavesInterruptedManifest is the graceful-drain
+// TestCancelledSweepKeepsFinishedArtifacts is the graceful-drain
 // contract through the funnel: a sweep cancelled mid-way returns the
-// context error, what finished is in the store, and the manifest the
-// CLI then writes marks the rest pending — the unfinished runs of the
-// cancelled batch and every run of the batches that never started —
-// where a re-run with the same -out picks up.
-func TestCancelledSweepLeavesInterruptedManifest(t *testing.T) {
+// context error, the store holds exactly what finished — the sweep's
+// only on-disk record — and a re-run over the same store simulates only
+// the rest.
+func TestCancelledSweepKeepsFinishedArtifacts(t *testing.T) {
 	st, err := NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -347,10 +271,7 @@ func TestCancelledSweepLeavesInterruptedManifest(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seeds := []uint64{1, 2, 3, 4, 5}
-	const later = 4 // a second batch the sweep declared but never reached
-	tr := telemetry.NewTracker()
-	tr.AddTotal(len(seeds) + later)
-	o := SweepOpts(core.Opts{Ctx: ctx, Spans: tr}, 1, st)
+	o := SweepOpts(core.Opts{Ctx: ctx}, 1, st)
 	save := o.OnResult
 	finished := 0
 	o.OnResult = func(s core.Scenario, r *core.Result, cached bool) {
@@ -362,25 +283,69 @@ func TestCancelledSweepLeavesInterruptedManifest(t *testing.T) {
 	if _, err := core.RunSeedsOpts(quick(6), seeds, o); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sweep err = %v, want context.Canceled", err)
 	}
-	if _, err := st.WriteManifest(tr.Stats(), true); err != nil {
-		t.Fatal(err)
-	}
-	m, ok, err := st.ReadManifest()
-	if err != nil || !ok {
-		t.Fatalf("ReadManifest after cancel: ok=%v err=%v", ok, err)
-	}
-	if !m.Interrupted || m.Total != len(seeds)+later || m.NumDone != 2 || m.NumPending != len(seeds)-2+later {
-		t.Fatalf("manifest: %+v", m)
-	}
-	if st.Len() != m.NumDone {
-		t.Fatalf("store holds %d artifacts, manifest counts %d done", st.Len(), m.NumDone)
+	if ents, err := os.ReadDir(st.Dir()); err != nil || len(ents) != 2 || st.Len() != 2 {
+		t.Fatalf("store after cancel holds %v (Len %d), want the 2 finished artifacts: %v", ents, st.Len(), err)
 	}
 	// The resumed sweep simulates only what was pending.
-	tr = telemetry.NewTracker()
+	tr := telemetry.NewTracker()
 	if _, err := core.RunSeedsOpts(quick(6), seeds, SweepOpts(core.Opts{Spans: tr}, 1, st)); err != nil {
 		t.Fatal(err)
 	}
 	if stats := tr.Stats(); stats.Done != 5 || stats.Cached != 2 {
 		t.Fatalf("resume ran %d, %d from artifacts; want 5, 2", stats.Done, stats.Cached)
 	}
+}
+
+// FuzzStoreLookup feeds hostile bytes to Lookup as the artifact of a
+// real fingerprint. It must never panic; a hit returns a result from an
+// artifact that carries that fingerprint, and a miss on a present file
+// moves the file into quarantine/.
+func FuzzStoreLookup(f *testing.F) {
+	s := quick(6)
+	fp := Fingerprint(s)
+	encode := func(a Artifact) []byte {
+		b, err := a.encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	res := &core.Result{Name: "fuzz", Events: 7}
+	valid := encode(Artifact{Name: s.Name, Fingerprint: fp, Scenario: s, Result: res})
+	flipped := bytes.Clone(valid)
+	flipped[len(flipped)/3] ^= 0x20
+	other := s
+	other.Seed = 2
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(flipped)
+	f.Add(encode(Artifact{Name: s.Name, Fingerprint: Fingerprint(other), Scenario: other, Result: res}))
+	f.Add(encode(Artifact{Name: s.Name, Fingerprint: fp, Scenario: s}))
+	st, err := NewStore(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	path := st.path(fp)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.RemoveAll(st.QuarantineDir()); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, ok := st.Lookup(s)
+		if ok {
+			var a Artifact
+			if err := json.Unmarshal(data, &a); r == nil || err != nil || a.Fingerprint != fp {
+				t.Fatalf("hit returned %v from an artifact keyed %q (%v)", r, a.Fingerprint, err)
+			}
+			return
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("missed artifact still in the store: %v", err)
+		}
+		if _, err := os.Stat(filepath.Join(st.QuarantineDir(), filepath.Base(path))); err != nil {
+			t.Fatalf("missed artifact not quarantined: %v", err)
+		}
+	})
 }

@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // RNG is a small, fast, deterministic pseudo-random generator
 // (xoshiro256** seeded via splitmix64). The kernel carries its own
 // implementation rather than math/rand so that experiment trajectories are
@@ -136,25 +134,4 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// ExpDuration returns an exponentially distributed duration with the
-// given mean, useful for Poisson traffic models.
-func (r *RNG) ExpDuration(mean Duration) Duration {
-	if mean <= 0 {
-		return 0
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return Duration(-float64(mean) * math.Log(u))
 }

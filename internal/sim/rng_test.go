@@ -136,43 +136,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShuffleKeepsElements(t *testing.T) {
-	r := NewRNG(5)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 36 {
-		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-}
-
-func TestExpDurationMean(t *testing.T) {
-	r := NewRNG(23)
-	mean := 100 * Nanosecond
-	var sum float64
-	const n = 200000
-	for i := 0; i < n; i++ {
-		d := r.ExpDuration(mean)
-		if d < 0 {
-			t.Fatalf("negative duration %v", d)
-		}
-		sum += float64(d)
-	}
-	got := sum / n
-	if math.Abs(got-float64(mean)) > 0.02*float64(mean) {
-		t.Fatalf("empirical mean %.0f ps, want ~%d", got, int64(mean))
-	}
-}
-
-func TestExpDurationZeroMean(t *testing.T) {
-	if d := NewRNG(1).ExpDuration(0); d != 0 {
-		t.Fatalf("got %v", d)
-	}
-}
-
 func BenchmarkRNGUint64(b *testing.B) {
 	r := NewRNG(1)
 	var sink uint64

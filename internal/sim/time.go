@@ -76,12 +76,6 @@ func (d Duration) String() string {
 	}
 }
 
-// DurationFromSeconds converts a floating-point number of seconds to a
-// Duration, rounding to the nearest picosecond.
-func DurationFromSeconds(s float64) Duration {
-	return Duration(math.Round(s * float64(Second)))
-}
-
 // Rate is a data rate in bits per second. It converts between byte counts
 // and the simulated time they occupy on a link of this rate.
 type Rate float64

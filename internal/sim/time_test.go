@@ -53,15 +53,6 @@ func TestDurationString(t *testing.T) {
 	}
 }
 
-func TestDurationFromSeconds(t *testing.T) {
-	if d := DurationFromSeconds(0.001); d != Millisecond {
-		t.Fatalf("got %v", d)
-	}
-	if d := DurationFromSeconds(0); d != 0 {
-		t.Fatalf("got %v", d)
-	}
-}
-
 func TestRateTxTime(t *testing.T) {
 	// 2048 bytes at 20 Gbit/s = 819.2 ns exactly.
 	r := Gbps(20)

@@ -103,32 +103,3 @@ func tCrit95(df int) float64 {
 	// Interpolate towards the normal quantile 1.960.
 	return 1.960 + 2.5/float64(df)
 }
-
-// Summary condenses several named accumulators; the harness uses it to
-// report a metric per scenario across seeds.
-type Summary struct {
-	names []string
-	accs  map[string]*Acc
-}
-
-// NewSummary returns an empty summary.
-func NewSummary() *Summary {
-	return &Summary{accs: make(map[string]*Acc)}
-}
-
-// Add records a sample for the named metric, creating it on first use.
-func (s *Summary) Add(name string, x float64) {
-	a, ok := s.accs[name]
-	if !ok {
-		a = &Acc{}
-		s.accs[name] = a
-		s.names = append(s.names, name)
-	}
-	a.Add(x)
-}
-
-// Get returns the accumulator for name, or nil.
-func (s *Summary) Get(name string) *Acc { return s.accs[name] }
-
-// Names returns the metric names in first-use order.
-func (s *Summary) Names() []string { return append([]string(nil), s.names...) }

@@ -112,28 +112,3 @@ func TestAccString(t *testing.T) {
 		t.Fatalf("String = %q", s)
 	}
 }
-
-func TestSummary(t *testing.T) {
-	s := NewSummary()
-	s.Add("x", 1)
-	s.Add("y", 10)
-	s.Add("x", 3)
-	if got := s.Get("x").Mean(); got != 2 {
-		t.Fatalf("x mean = %v", got)
-	}
-	if got := s.Get("y").N(); got != 1 {
-		t.Fatalf("y n = %d", got)
-	}
-	if s.Get("absent") != nil {
-		t.Fatal("absent metric not nil")
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "x" || names[1] != "y" {
-		t.Fatalf("names = %v", names)
-	}
-	// Returned slice is a copy.
-	names[0] = "mutated"
-	if s.Names()[0] != "x" {
-		t.Fatal("Names leaked internal slice")
-	}
-}

@@ -47,7 +47,8 @@ var validKinds = map[string]bool{
 
 // Validate checks the report's structural invariants: the schema marker,
 // the kind taxonomy, and that the mode named by Kind actually carries
-// its payload.
+// its payload — unless its sweep stats show an interrupt cut the sweep
+// short, before the payload existed.
 func (r *RunReport) Validate() error {
 	if r.Schema != ReportSchema {
 		return fmt.Errorf("run-report: schema %q, want %q", r.Schema, ReportSchema)
@@ -63,7 +64,8 @@ func (r *RunReport) Validate() error {
 	}
 	switch r.Kind {
 	case ReportDegradation:
-		if len(r.Degradation) == 0 {
+		unfinished := r.Sweep != nil && r.Sweep.Done+r.Sweep.Failed < r.Sweep.Total
+		if len(r.Degradation) == 0 && !unfinished {
 			return fmt.Errorf("run-report: kind degradation without degradation payload")
 		}
 	case ReportExperiments:

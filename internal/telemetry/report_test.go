@@ -32,14 +32,15 @@ func TestReportValidate(t *testing.T) {
 		mutate func(r *RunReport)
 		want   string
 	}{
-		"bad schema":        {func(r *RunReport) { r.Schema = "ibcc.run-report/0" }, "schema"},
-		"no generated_at":   {func(r *RunReport) { r.GeneratedAt = "" }, "generated_at"},
-		"bad kind":          {func(r *RunReport) { r.Kind = "sweep" }, "unknown kind"},
-		"tournament kind":   {func(r *RunReport) { r.Kind = "tournament" }, "unknown kind"},
-		"no name":           {func(r *RunReport) { r.Name = "" }, "missing name"},
-		"missing payload":   {func(r *RunReport) { r.Degradation = nil }, "without degradation payload"},
-		"corrupt payload":   {func(r *RunReport) { r.Degradation = json.RawMessage(`[{"intensity":`) }, "not valid JSON"},
-		"experiments sweep": {func(r *RunReport) { r.Kind = ReportExperiments; r.Sweep = nil }, "without sweep stats"},
+		"bad schema":           {func(r *RunReport) { r.Schema = "ibcc.run-report/0" }, "schema"},
+		"no generated_at":      {func(r *RunReport) { r.GeneratedAt = "" }, "generated_at"},
+		"bad kind":             {func(r *RunReport) { r.Kind = "sweep" }, "unknown kind"},
+		"tournament kind":      {func(r *RunReport) { r.Kind = "tournament" }, "unknown kind"},
+		"no name":              {func(r *RunReport) { r.Name = "" }, "missing name"},
+		"missing payload":      {func(r *RunReport) { r.Degradation = nil }, "without degradation payload"},
+		"no sweep, no payload": {func(r *RunReport) { r.Degradation, r.Sweep = nil, nil }, "without degradation payload"},
+		"corrupt payload":      {func(r *RunReport) { r.Degradation = json.RawMessage(`[{"intensity":`) }, "not valid JSON"},
+		"experiments sweep":    {func(r *RunReport) { r.Kind = ReportExperiments; r.Sweep = nil }, "without sweep stats"},
 	}
 	for name, c := range cases {
 		r := validReport()
@@ -57,6 +58,18 @@ func TestReportValidate(t *testing.T) {
 		if _, err := ValidateReport(data); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: ValidateReport = %v, want an error naming %q", name, err, c.want)
 		}
+	}
+}
+
+// An interrupted degradation sweep is reported as one: its sweep stats
+// count fewer finished jobs than declared, and the curve it never
+// finished is absent.
+func TestReportInterruptedDegradation(t *testing.T) {
+	r := validReport()
+	r.Degradation = nil
+	r.Sweep = &SweepStats{Total: 12, Done: 5, Failed: 1}
+	if err := r.Validate(); err != nil {
+		t.Fatalf("interrupted degradation report rejected: %v", err)
 	}
 }
 

@@ -38,11 +38,15 @@ type SweepStats struct {
 	// and were moved aside instead of being trusted.
 	CorruptArtifacts int `json:"corrupt_artifacts,omitempty"`
 
+	// Events counts the events this process simulated, and EventsPerSec
+	// their rate over the elapsed time; a job served from an artifact
+	// adds to neither (its JobSpan keeps the artifact's count).
 	Events       uint64  `json:"events"`
 	ElapsedMS    float64 `json:"elapsed_ms"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	// ETAMS extrapolates the remaining jobs at the observed completion
-	// rate; 0 until at least one job finishes or when Total is unset.
+	// ETAMS extrapolates the remaining jobs at the rate this process
+	// simulated them, cache hits left out; 0 until one job has been
+	// simulated or when Total is unset.
 	ETAMS float64 `json:"eta_ms"`
 
 	// Job wall-time distribution (ms), cached hits included.
@@ -140,7 +144,9 @@ func (t *Tracker) Begin(name string, worker int) int {
 }
 
 // End closes span id: events is the run's executed event count, cached
-// marks an artifact-cache hit, err is empty on success.
+// marks an artifact-cache hit (its events were simulated by an earlier
+// process, so they stay out of the sweep's count), err is empty on
+// success.
 func (t *Tracker) End(id int, events uint64, cached bool, err string) {
 	if t == nil || id < 0 {
 		return
@@ -155,7 +161,6 @@ func (t *Tracker) End(id int, events uint64, cached bool, err string) {
 	wall := time.Since(sp.start)
 	t.busy[sp.worker] += wall
 	t.jobHist.Record(wall.Nanoseconds())
-	t.events += events
 	if err != "" {
 		t.failed++
 	} else {
@@ -163,6 +168,8 @@ func (t *Tracker) End(id int, events uint64, cached bool, err string) {
 	}
 	if cached {
 		t.cached++
+	} else {
+		t.events += events
 	}
 	t.recent = append(t.recent, JobSpan{
 		Name: sp.name, Worker: sp.worker, MS: wall.Seconds() * 1e3,
@@ -240,15 +247,15 @@ func (t *Tracker) stats() SweepStats {
 		Workers:   len(workers),
 	}
 	// Rate and ETA guards: a fresh tracker has elapsed ≈ 0 and
-	// finished == 0, and encoding/json refuses ±Inf/NaN, so an
+	// simulated == 0, and encoding/json refuses ±Inf/NaN, so an
 	// unguarded division here would break the run report of a sweep
 	// interrupted just after it started. Divide only when both denominators
 	// are strictly positive, and sanitize the end result regardless.
 	if sec := elapsed.Seconds(); sec > 0 {
 		st.EventsPerSec = float64(t.events) / sec
-		finished := t.done + t.failed
-		if t.total > 0 && finished > 0 && finished < t.total {
-			st.ETAMS = sec * 1e3 * float64(t.total-finished) / float64(finished)
+		finished, simulated := t.done+t.failed, t.done-t.cached+t.failed
+		if t.total > 0 && simulated > 0 && finished < t.total {
+			st.ETAMS = sec * 1e3 * float64(t.total-finished) / float64(simulated)
 		}
 	}
 	if st.Workers > 0 && elapsed > 0 {

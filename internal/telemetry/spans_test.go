@@ -57,6 +57,34 @@ func TestTrackerLifecycle(t *testing.T) {
 	}
 }
 
+// Artifact hits are not simulated work: a cached End leaves the sweep's
+// event count at 0 (its span keeps the artifact's count), and the ETA
+// extrapolates from the runs this process simulated — after 7 hits and
+// 1 simulated run, 2 remaining runs take twice the elapsed time, not a
+// quarter of it.
+func TestTrackerCachedIsNotSimulatedWork(t *testing.T) {
+	tr := NewTracker()
+	tr.AddTotal(10)
+	for i := 0; i < 7; i++ {
+		tr.End(tr.Begin("hit", 0), 1000, true, "")
+	}
+	st := tr.Stats()
+	if st.Events != 0 || st.EventsPerSec != 0 || st.Recent[0].Events != 1000 {
+		t.Fatalf("after 7 cached jobs: events %d at %v/s, span %+v", st.Events, st.EventsPerSec, st.Recent[0])
+	}
+	if st.ETAMS != 0 {
+		t.Fatalf("eta = %v with nothing simulated, want 0 (unknown)", st.ETAMS)
+	}
+	tr.End(tr.Begin("fresh", 0), 500, false, "")
+	st = tr.Stats()
+	if st.Done != 8 || st.Cached != 7 || st.Events != 500 {
+		t.Fatalf("after 1 simulated job: %+v", st)
+	}
+	if want := 2 * st.ElapsedMS; math.Abs(st.ETAMS-want) > 1e-9*want {
+		t.Fatalf("eta = %v ms after %v ms, want %v (2 left at 1 simulated)", st.ETAMS, st.ElapsedMS, want)
+	}
+}
+
 func TestTrackerRecentRingBounded(t *testing.T) {
 	tr := NewTracker()
 	for i := 0; i < recentJobs+50; i++ {

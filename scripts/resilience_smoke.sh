@@ -10,10 +10,10 @@
 #      is a non-zero exit, and -q prints nothing for a clean audit.
 #   2. paperbench: SIGKILL a sweep mid-flight, resume from its artifact
 #      store, and require the final artifact set to equal the one an
-#      uninterrupted sweep produces.
+#      uninterrupted sweep produces, with no other file beside it.
 #   3. paperbench degradation: run the sweep twice into one -out and
-#      require the second pass to simulate nothing and write the same
-#      curve — -out reaches every sweep command through the one options
+#      require the second pass to simulate nothing (0 simulated events)
+#      and write the same curve — -out reaches every sweep command through the one options
 #      builder, not just the experiments.
 #
 # Both kills are kill -9 — no handler runs, so what survives is exactly
@@ -68,8 +68,8 @@ kill -9 "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
 
 "$T/bin/paperbench" $SWEEP -out "$T/cut" > /dev/null
-(cd "$T/full" && ls ./*.json | grep -v MANIFEST | sort) > "$T/full.list"
-(cd "$T/cut" && ls ./*.json | grep -v MANIFEST | sort) > "$T/cut.list"
+(cd "$T/full" && ls ./*.json | sort) > "$T/full.list"
+(cd "$T/cut" && ls ./*.json | sort) > "$T/cut.list"
 if ! cmp -s "$T/full.list" "$T/cut.list"; then
     echo "resilience: resumed sweep's artifact set differs from the uninterrupted sweep's:" >&2
     diff "$T/full.list" "$T/cut.list" >&2 || true
@@ -80,13 +80,17 @@ if [ -d "$T/cut/quarantine" ] && [ -n "$(ls "$T/cut/quarantine" 2>/dev/null)" ];
     ls "$T/cut/quarantine" >&2
     exit 1
 fi
+if [ -e "$T/cut/MANIFEST.json" ]; then
+    echo "resilience: the resumed sweep left a MANIFEST.json; the artifacts are its only record" >&2
+    exit 1
+fi
 echo "resilience: paperbench kill -9 + resume converges on the uninterrupted artifact set"
 
 # --- 3. Degradation sweep: second pass served entirely from artifacts. ---
 DEG="-radix 8 -short -intensities 0,0.6 -seeds 2 -jobs 1"
 "$T/bin/paperbench" degradation $DEG -out "$T/deg" "$T/deg1.json" > "$T/deg1.txt"
 "$T/bin/paperbench" degradation $DEG -out "$T/deg" "$T/deg2.json" > "$T/deg2.txt"
-if ! grep -q "^experiment degradation: 8 sims, .* 8 from artifacts$" "$T/deg2.txt"; then
+if ! grep -q "^experiment degradation: 8 sims, 0 simulated events, [^(]* 8 from artifacts$" "$T/deg2.txt"; then
     echo "resilience: second degradation pass was not served from its artifacts:" >&2
     grep "^experiment" "$T/deg1.txt" "$T/deg2.txt" >&2 || true
     exit 1
