@@ -90,42 +90,25 @@ invariants:
 # Fault-injection smoke: the fault-layer unit suites, then a tiny
 # graceful-degradation sweep (2 seeds, zero + nonzero intensity) through
 # the paperbench CLI under the invariant checker — end to end over the
-# Dropped custody ledger.
+# Dropped custody ledger (scripts/degradation_smoke.sh, in a temp dir of
+# its own).
 degradation:
 	$(GO) test -count=1 ./internal/fault ./internal/fabric -run 'Fault|Drop|Link'
 	$(GO) test -count=1 ./internal/core -run 'Fault|ZeroIntensity|CCSurvives|Degradation'
-	$(GO) run ./cmd/paperbench degradation -radix 8 -short -intensities 0,0.6 -seeds 2 -check \
-		/tmp/ibcc-degradation.json
+	sh scripts/degradation_smoke.sh
 
 # Telemetry smoke: the telemetry unit suite (histogram quantile bounds,
 # sampler zero-perturbation, grid and views, span tracker and its
 # progress line, report schema), the obs-layer digest-stability guards,
-# then end to end: a short sweep prints its progress as JSON lines on
-# stderr, the last of which must count every job done, and writes the
-# unified run report, which `paperbench report` validates and renders
-# back. The report must carry no retry count (every simulation runs
-# once), no kernel-bench trend (a sweep reads no benchmark files) and no
-# live series (it is written when the sweep has ended). Last, the
-# single-run trace: ibccsim with the sampler's CSV and cadence
-# checkpoints on must execute exactly the bare run's events and leave a
-# header plus >= 10 rows.
+# then end to end via scripts/telemetry_smoke.sh, in a temp dir of its
+# own: a short sweep's JSON progress lines and unified run report, and
+# the single-run trace, whose cadence checkpoints must not change the
+# bare run's event count.
 telemetry:
 	$(GO) test -count=1 ./internal/telemetry
 	$(GO) test -count=1 ./internal/obs -run 'Digest|Telemetry|MsgCompleted'
 	$(GO) test -count=1 ./internal/core -run 'Telemetry'
-	2> /tmp/ibcc-telemetry-progress.jsonl $(GO) run ./cmd/paperbench degradation -radix 8 -short \
-		-intensities 0,0.6 -seeds 1 -progress-jsonl -report /tmp/ibcc-telemetry-report.json /tmp/ibcc-telemetry-deg.json
-	tail -1 /tmp/ibcc-telemetry-progress.jsonl | grep -q '^{"total":\([0-9]*\),"done":\1,'
-	$(GO) run ./cmd/paperbench report /tmp/ibcc-telemetry-report.json
-	! grep -q '"retries"' /tmp/ibcc-telemetry-report.json
-	! grep -q '"trend"' /tmp/ibcc-telemetry-report.json
-	! grep -q '"live"' /tmp/ibcc-telemetry-report.json
-	rm -rf /tmp/ibcc-trace-ck
-	$(GO) run ./cmd/ibccsim -radix 8 -trace /tmp/ibcc-trace.csv -ckpt-every 1ms -ckpt-dir /tmp/ibcc-trace-ck \
-		| grep -o 'engine   : [0-9]* events' > /tmp/ibcc-trace-on.txt
-	$(GO) run ./cmd/ibccsim -radix 8 | grep -o 'engine   : [0-9]* events' > /tmp/ibcc-trace-off.txt
-	cmp /tmp/ibcc-trace-on.txt /tmp/ibcc-trace-off.txt
-	head -1 /tmp/ibcc-trace.csv | grep -q '^time_s,' && [ "$$(wc -l < /tmp/ibcc-trace.csv)" -ge 11 ]
+	sh scripts/telemetry_smoke.sh
 
 # Crash-safety smoke: the checkpoint format + differential restore
 # suites (byte-identical continuation), the artifact store's CRC /

@@ -76,7 +76,7 @@ func TestNoCCBackendIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := b.Hooks()
-	if h.SwitchEnqueue != nil || h.SwitchDeparture != nil || h.Deliver != nil || h.SelectVL != nil {
+	if h.SwitchEnqueue != nil || h.SwitchDeparture != nil || h.Deliver != nil {
 		t.Error("nocc installs fabric hooks")
 	}
 	if b.Throttle() != nil {

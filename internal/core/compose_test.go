@@ -1,14 +1,12 @@
 package core
 
 import (
-	"encoding/json"
 	"path/filepath"
 	"sort"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/ckpt"
-	"repro/internal/fabric"
 	"repro/internal/sim"
 )
 
@@ -99,126 +97,6 @@ func TestCheckpointComposesWithChecker(t *testing.T) {
 			}
 			requireClean(t, p.s.Name+" checked continuation", ck)
 		}
-	}
-	t.Run("torus_dateline", func(t *testing.T) { composeTorus(t, golden.Variants["torus_dateline"]) })
-}
-
-// torusSnap is the torus run's state at an event boundary: what
-// core.Snapshot carries, for a network no Scenario builds.
-type torusSnap struct {
-	kernel sim.KernelState
-	fabric []byte
-	pkts   []ckpt.PacketRecord
-	events []ckpt.EventRecord
-	floods []goldenFlood
-	digSum uint64
-	digN   uint64
-}
-
-func (tr *torusRun) snapshot(t *testing.T) *torusSnap {
-	t.Helper()
-	simr := tr.net.Sim()
-	tab := ckpt.NewPacketTable()
-	blob, err := json.Marshal(tr.net.ExportState(tab))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := &torusSnap{kernel: simr.ExportKernel(), fabric: blob}
-	fc := tr.net.Codec(tab)
-	for _, e := range simr.PendingEvents() {
-		rec, ok := fc.EncodeAction(e.Action())
-		if !ok {
-			t.Fatalf("pending %T is not a fabric action", e.Action())
-		}
-		rec.T, rec.Seq = int64(e.Time()), e.Seq()
-		snap.events = append(snap.events, rec)
-	}
-	snap.pkts = append(snap.pkts, tab.Records()...)
-	for _, f := range tr.floods {
-		snap.floods = append(snap.floods, *f)
-	}
-	snap.digSum, snap.digN = tr.dig.State()
-	return snap
-}
-
-// restoreTorus rebuilds the torus run from snap the way
-// core.RestoreSnapshot rebuilds an instance.
-func restoreTorus(t *testing.T, snap *torusSnap) *torusRun {
-	t.Helper()
-	tr := newTorusRun(t)
-	simr := tr.net.Sim()
-	simr.BeginRestore(snap.kernel)
-	var st fabric.State
-	if err := json.Unmarshal(snap.fabric, &st); err != nil {
-		t.Fatal(err)
-	}
-	tab := ckpt.RestoreTable(snap.pkts)
-	if err := tr.net.RestoreState(&st, tab); err != nil {
-		t.Fatal(err)
-	}
-	fc := tr.net.Codec(tab)
-	for _, rec := range snap.events {
-		act, attach, _, err := fc.DecodeAction(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := simr.ScheduleReserved(sim.Time(rec.T), rec.Seq, act)
-		if attach != nil {
-			attach(e)
-		}
-	}
-	if err := fc.CheckArmed(); err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range tr.floods {
-		f.remaining, f.nextID = snap.floods[i].remaining, snap.floods[i].nextID
-	}
-	tr.dig.RestoreState(snap.digSum, snap.digN)
-	return tr
-}
-
-// checker attaches the invariant checker to the torus run as it stands.
-func (tr *torusRun) checker() *check.Checker {
-	ck := check.New(check.Target{Sim: tr.net.Sim(), Net: tr.net, Pool: tr.net.PacketPool()}, check.Config{})
-	ck.Attach(tr.net.Bus())
-	return ck
-}
-
-// sweepTo steps the run to end the way Instance's loop does.
-func sweepTo(simr *sim.Simulator, ck *check.Checker, end sim.Time) {
-	for simr.Now().Before(end) {
-		simr.RunUntil(min(end, ck.NextSweep()))
-		ck.Sweep()
-	}
-}
-
-// composeTorus is the property on the torus variant: snapshots taken at
-// the golden run's slice boundary by a checked and by an unchecked run
-// both continue, under the checker, onto the golden trajectory.
-func composeTorus(t *testing.T, want goldenVariant) {
-	checked := newTorusRun(t)
-	ck := checked.checker()
-	checked.net.Start()
-	sweepTo(checked.net.Sim(), ck, torusCut)
-	byChecked := checked.snapshot(t)
-	sweepTo(checked.net.Sim(), ck, torusEnd)
-	if got := checked.variant(t); got != want {
-		t.Errorf("checked run:\n   got %+v\ngolden %+v", got, want)
-	}
-	requireClean(t, "checked torus run", ck)
-
-	bare := newTorusRun(t)
-	bare.net.Start()
-	bare.net.Sim().RunUntil(torusCut)
-
-	for writer, snap := range map[string]*torusSnap{"checked": byChecked, "unchecked": bare.snapshot(t)} {
-		re := restoreTorus(t, snap)
-		ck := re.checker()
-		sweepTo(re.net.Sim(), ck, torusEnd)
-		if got := re.variant(t); got != want {
-			t.Errorf("continuation of the %s run's snapshot:\n   got %+v\ngolden %+v", writer, got, want)
-		}
-		requireClean(t, "checked continuation of the "+writer+" torus run", ck)
 	}
 }
 

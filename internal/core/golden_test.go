@@ -8,11 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/fabric"
-	"repro/internal/ib"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/topo"
 )
 
 // The determinism golden test pins the exact simulation trajectory: the
@@ -149,8 +146,7 @@ func buildGolden(t *testing.T) *goldenRecord {
 // builds — each exercises fabric state the windy point never touches:
 // moving hotspots, a second data VL, the fault layer (flaps, stalls,
 // degraded serializers, packet and credit drops) and store-and-forward
-// timing. (The fifth variant, dateline VL switching on a torus, runs
-// below core: goldenTorus.)
+// timing.
 func goldenVariantScenarios(t *testing.T) map[string]Scenario {
 	t.Helper()
 	moving := faultBase(2)
@@ -181,10 +177,10 @@ func goldenVariantScenarios(t *testing.T) map[string]Scenario {
 	return out
 }
 
-// goldenVariants runs the variant scenarios and the torus.
+// goldenVariants runs the variant scenarios.
 func goldenVariants(t *testing.T) map[string]goldenVariant {
 	t.Helper()
-	out := map[string]goldenVariant{"torus_dateline": goldenTorus(t)}
+	out := map[string]goldenVariant{}
 	for name, s := range goldenVariantScenarios(t) {
 		in, err := Build(s)
 		if err != nil {
@@ -207,98 +203,6 @@ func goldenVariants(t *testing.T) map[string]goldenVariant {
 		}
 	}
 	return out
-}
-
-// goldenFlood injects MTU packets to one destination as fast as the HCA
-// pulls, through the network's pool.
-type goldenFlood struct {
-	pool      *ib.PacketPool
-	src, dst  ib.LID
-	remaining int
-	nextID    uint64
-}
-
-func (f *goldenFlood) Pull(sim.Time) (*ib.Packet, sim.Time) {
-	if f.remaining == 0 {
-		return nil, sim.MaxTime
-	}
-	f.remaining--
-	p := f.pool.Get()
-	p.ID, p.Type, p.Src, p.Dst, p.PayloadBytes = f.nextID, ib.DataPacket, f.src, f.dst, ib.MTU
-	p.MsgID, p.MsgPackets = f.nextID, 1
-	f.nextID++
-	return p, 0
-}
-
-// torusRun is the torus variant's network with its event-stream digest
-// and per-host flood sources, before Start.
-type torusRun struct {
-	net    *fabric.Network
-	dig    *obs.Digest
-	floods []*goldenFlood
-}
-
-// The torus variant's slice boundary and end.
-var (
-	torusCut = sim.Time(0).Add(137 * sim.Microsecond)
-	torusEnd = sim.Time(0).Add(50 * sim.Millisecond)
-)
-
-// newTorusRun builds a 4x4 torus under the dateline VL policy on which
-// every host floods the host half-way around both rings, so grants
-// switch lanes (Hooks.SelectVL) and need credits on a VL other than the
-// one the packet queued on. It sits below core: no Scenario builds a
-// torus.
-func newTorusRun(t *testing.T) *torusRun {
-	t.Helper()
-	g, err := topo.Torus2D(4, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fabric.DefaultConfig()
-	cfg.NumVLs = 2
-	cfg.Check = true
-	simr := sim.New()
-	n, err := fabric.New(simr, g.Topology, g.DOR(), cfg, fabric.Hooks{SelectVL: g.TorusVLPolicy()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus := obs.New()
-	tr := &torusRun{net: n, dig: obs.NewDigest()}
-	bus.Subscribe(tr.dig)
-	n.SetBus(bus)
-	for s := 0; s < g.NumHosts; s++ {
-		sx, sy := s%g.W, s/g.W
-		dst := ib.LID((sx+g.W/2)%g.W + ((sy+g.H/2)%g.H)*g.W)
-		f := &goldenFlood{pool: n.PacketPool(), src: ib.LID(s), dst: dst, remaining: 300}
-		n.HCA(ib.LID(s)).SetSource(f)
-		tr.floods = append(tr.floods, f)
-	}
-	return tr
-}
-
-// variant fingerprints the finished (drained) torus run.
-func (tr *torusRun) variant(t *testing.T) goldenVariant {
-	t.Helper()
-	if err := tr.net.CheckQuiescent(); err != nil {
-		t.Fatal(err)
-	}
-	var rx uint64
-	for s := 0; s < tr.net.NumHosts(); s++ {
-		rx += tr.net.HCA(ib.LID(s)).Counters().RxPackets
-	}
-	return goldenVariant{SimEvents: tr.net.Sim().Processed(), ObsDigest: tr.dig.Sum(), ObsRecords: tr.dig.Records(), Delivered: rx}
-}
-
-// goldenTorus saturates the torus in two RunUntil slices, so the
-// kernel's between-runs state is part of the pinned trajectory.
-func goldenTorus(t *testing.T) goldenVariant {
-	t.Helper()
-	tr := newTorusRun(t)
-	tr.net.Start()
-	tr.net.Sim().RunUntil(torusCut)
-	tr.net.Sim().RunUntil(torusEnd)
-	return tr.variant(t)
 }
 
 // loadGolden reads the pinned trajectories.

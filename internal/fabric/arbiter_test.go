@@ -49,19 +49,7 @@ func newArbRig(t testing.TB, ports, vls int, arb func(*swOutPort)) *arbRig {
 	}
 	cfg := testCfg()
 	cfg.NumVLs = vls
-	var hooks Hooks
-	if vls > 1 {
-		// Dateline-style lane switching: packets from odd in-ports
-		// leave on the next lane, so the credit test and the stall
-		// record use a lane other than the one the VoQ is filed under.
-		hooks.SelectVL = func(_, inPort, _ int, p *ib.Packet) ib.VL {
-			if inPort&1 == 1 {
-				return ib.VL((int(p.VL) + 1) % vls)
-			}
-			return p.VL
-		}
-	}
-	n, err := New(sim.New(), tp, r, cfg, hooks)
+	n, err := New(sim.New(), tp, r, cfg, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +91,10 @@ func (r *arbRig) txDone() {
 // grants in the same order, the same credit-stall publications (heads
 // that did not fit are skipped, not waited on), the same round-robin
 // pointer. Port and lane counts cover a one-word bitmap with and without
-// padding (2, 36, 64 ports), multi-word bitmaps (65 ports; 15 lanes) and
-// lane-switching grants; CNPs queued behind and beside MTU data give the
-// heads different wire sizes, so a lane short of credits stalls some
-// VoQs and not others.
+// padding (2, 36, 64 ports) and multi-word bitmaps (65 ports; 15
+// lanes); CNPs queued behind and beside MTU data give the heads
+// different wire sizes, so a lane short of credits stalls some VoQs and
+// not others.
 func TestArbiterMatchesLinearScan(t *testing.T) {
 	for _, ports := range []int{2, 36, 64, 65} {
 		for _, vls := range []int{1, 2, 15} {

@@ -124,12 +124,6 @@ type Hooks struct {
 	SwitchDeparture func(sw int, outPort int, pkt *ib.Packet, st PortVLState)
 	// Deliver fires when a host sink consumes any packet.
 	Deliver func(hostLID ib.LID, pkt *ib.Packet)
-	// SelectVL, when set, chooses the virtual lane a packet continues
-	// on when a switch forwards it (e.g. dateline VL switching on a
-	// torus). It is consulted during arbitration: the grant requires
-	// credits on the returned VL, and the packet leaves the switch on
-	// it. Nil keeps the packet's VL end to end.
-	SelectVL func(sw int, inPort, outPort int, pkt *ib.Packet) ib.VL
 }
 
 // Source supplies data packets to an HCA's send path. Implementations

@@ -186,9 +186,9 @@ func (op *swOutPort) enqueue(ip *swInPort, p *ib.Packet) {
 	k := int(ip.port)<<op.sw.vlShift | int(p.VL)
 	if op.pending == 0 && !op.down && !op.isBusy() {
 		n.fold()
-		if vlNext, ok := op.admit(ip, p); ok {
+		if op.admit(p) {
 			op.rr = int32(k+1) & op.sw.voqMask
-			op.depart(ip, p, vlNext)
+			op.depart(ip, p)
 		} else {
 			op.push(k, p)
 			n.stall(&op.linkOut)
@@ -252,8 +252,7 @@ func (op *swOutPort) grant(k int) bool {
 	q := &n.voqs[int(op.voqBase)+k]
 	head := q.Peek()
 	ip := op.sw.in[k>>op.sw.vlShift]
-	vlNext, ok := op.admit(ip, head)
-	if !ok {
+	if !op.admit(head) {
 		return false
 	}
 	op.rr = int32(k+1) & op.sw.voqMask
@@ -262,33 +261,27 @@ func (op *swOutPort) grant(k int) bool {
 		n.occ[int(op.occBase)+k>>6] &^= 1 << (k & 63)
 	}
 	op.pending--
-	op.depart(ip, head, vlNext)
+	op.depart(ip, head)
 	return true
 }
 
-// admit decides whether head, which arrived on ip, may leave now, and on
-// which lane: the packet may continue on a different VL (dateline
-// switching), and the grant needs credits on the outgoing one. A refusal
-// publishes the credit stall.
-func (op *swOutPort) admit(ip *swInPort, head *ib.Packet) (vlNext ib.VL, ok bool) {
+// admit decides whether head may leave now: the grant needs credits on
+// the packet's VL downstream. A refusal publishes the credit stall.
+func (op *swOutPort) admit(head *ib.Packet) bool {
 	n := op.net
-	vlNext = head.VL
-	if n.hooks.SelectVL != nil {
-		vlNext = n.hooks.SelectVL(op.sw.index, int(ip.port), op.port, head)
-	}
 	wire := head.WireBytes()
-	if credits := *op.credit(vlNext); credits < wire {
-		n.bus.SwitchStalled(n.simr.Now(), op.index, vlNext, credits, wire)
-		return vlNext, false
+	if credits := *op.credit(head.VL); credits < wire {
+		n.bus.SwitchStalled(n.simr.Now(), op.index, head.VL, credits, wire)
+		return false
 	}
-	return vlNext, true
+	return true
 }
 
 // depart sends an admitted packet that is no longer (or never was)
 // queued: it frees input-buffer space (returning a credit upstream),
 // gives the congestion-control hook a chance to FECN-mark the packet,
 // and occupies the serializer.
-func (op *swOutPort) depart(ip *swInPort, head *ib.Packet, vlNext ib.VL) {
+func (op *swOutPort) depart(ip *swInPort, head *ib.Packet) {
 	n := op.net
 	vl, wire := head.VL, head.WireBytes()
 	qbytes := &n.qbytes[int(op.qbytesBase)+int(vl)]
@@ -305,11 +298,9 @@ func (op *swOutPort) depart(ip *swInPort, head *ib.Packet, vlNext ib.VL) {
 		n.hooks.SwitchDeparture(op.sw.index, op.port, head, st)
 	}
 
-	// Free the input buffer slot and return the credit upstream on the
-	// VL the packet occupied locally, then move it to its outgoing VL.
+	// Free the input buffer slot and return the credit upstream.
 	n.free[int(ip.freeBase)+int(vl)] += wire
 	n.sendCredit(ip.up, ip.upLink, vl, wire)
-	head.VL = vlNext
 
 	n.bus.SwitchDeparted(n.simr.Now(), op.index, vl, *qbytes, head)
 	op.transmit(head, op.pending > 0)

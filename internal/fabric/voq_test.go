@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/ib"
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -131,4 +132,49 @@ func TestVoQTrafficNonPow2(t *testing.T) {
 	if err := n.CheckQuiescent(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestVLArbitrationShares(t *testing.T) {
+	// Two senders on different VLs converge on one receiver: the
+	// round-robin arbiter must serve both lanes evenly even though
+	// each lane has its own credit pool.
+	tp, _ := topo.SingleSwitch(3)
+	cfg := testCfg()
+	cfg.NumVLs = 2
+	r, _ := topo.ComputeLFT(tp)
+	n, err := New(sim.New(), tp, r, cfg, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(src ib.LID, vl ib.VL) *vlFlood {
+		return &vlFlood{floodSource: floodSource{src: src, dst: 0, remaining: -1}, vl: vl}
+	}
+	n.HCA(1).SetSource(mk(1, 0))
+	n.HCA(2).SetSource(mk(2, 1))
+	n.Start()
+	window := 2 * sim.Millisecond
+	n.Sim().RunUntil(sim.Time(0).Add(window))
+	rx := n.HCA(0).Counters()
+	if rx.RxBytes == 0 {
+		t.Fatal("nothing delivered")
+	}
+	a := float64(n.HCA(1).Counters().TxDataPayload)
+	b := float64(n.HCA(2).Counters().TxDataPayload)
+	if ratio := a / b; ratio < 0.85 || ratio > 1.15 {
+		t.Fatalf("VL service unfair: %.3f", ratio)
+	}
+}
+
+// vlFlood floods on a fixed virtual lane.
+type vlFlood struct {
+	floodSource
+	vl ib.VL
+}
+
+func (f *vlFlood) Pull(now sim.Time) (*ib.Packet, sim.Time) {
+	p, wake := f.floodSource.Pull(now)
+	if p != nil {
+		p.VL = f.vl
+	}
+	return p, wake
 }

@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -45,33 +46,50 @@ func TestAttachSizesTableOnce(t *testing.T) {
 	}
 }
 
-// TestEachOrderOnRaggedFabrics: on a torus and on a fat tree with dead
-// leaf–spine links, where switches' connected ports are ragged and link
-// indices interleave hosts with switches, the table lists every switch
-// port once in (switch, port) order, whatever order the link-addressed
-// publishes came in, and never a host send port.
+// raggedRing builds five switches in a cycle, each followed by its
+// hosts: switch i uses 1+i%2 of its two host ports, so NodeIDs
+// interleave hosts with switches and every other switch leaves a port
+// unconnected between its hosts and its ring ports.
+func raggedRing() (*topo.Topology, error) {
+	b := topo.NewBuilder("ragged ring")
+	sws := make([]topo.NodeID, 5)
+	for i := range sws {
+		sws[i] = b.AddSwitch(fmt.Sprint("sw", i), 4)
+		for h := 0; h < 1+i%2; h++ {
+			b.Connect(b.AddHost(fmt.Sprint("node", i, ".", h)), 0, sws[i], h)
+		}
+	}
+	for i, sw := range sws {
+		b.Connect(sw, 3, sws[(i+1)%len(sws)], 2)
+	}
+	return b.Build()
+}
+
+// TestEachOrderOnRaggedFabrics: on a ring, a chain and a fat tree with
+// dead leaf–spine links, where switches' connected ports are ragged and
+// link indices interleave hosts with switches, the table lists every
+// switch port once in (switch, port) order, whatever order the
+// link-addressed publishes came in, and never a host send port.
 func TestEachOrderOnRaggedFabrics(t *testing.T) {
-	grid, err := topo.Torus2D(4, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	degraded, err := topo.FatTreeDegraded(8, func(leaf, spine int) bool { return spine == 1 || (leaf+spine)%3 == 0 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	lft, err := topo.ComputeLFT(degraded)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range []struct {
-		name string
-		tp   *topo.Topology
-		r    *topo.Routing
+		name  string
+		build func() (*topo.Topology, error)
 	}{
-		{"torus", grid.Topology, grid.DOR()},
-		{"degraded fat tree", degraded, lft},
+		{"ragged ring", raggedRing},
+		{"chain", func() (*topo.Topology, error) { return topo.LinearChain(4, 3) }},
+		{"degraded fat tree", func() (*topo.Topology, error) {
+			return topo.FatTreeDegraded(8, func(leaf, spine int) bool { return spine == 1 || (leaf+spine)%3 == 0 })
+		}},
 	} {
-		net, err := fabric.New(sim.New(), c.tp, c.r, fabric.DefaultConfig(), fabric.Hooks{})
+		tp, err := c.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		lft, err := topo.ComputeLFT(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := fabric.New(sim.New(), tp, lft, fabric.DefaultConfig(), fabric.Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
