@@ -7,7 +7,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check fmt-check vet build build-debug test race examples alloc-budget invariants degradation telemetry resilience bench bench-obs bench-kernel bench-kernel-gate bench-e2e bench-pairs paperbench clean
+.PHONY: check fmt-check vet build build-debug test race examples alloc-budget invariants faults telemetry resilience bench bench-obs bench-kernel bench-kernel-gate bench-e2e bench-pairs paperbench clean
 
 check: fmt-check vet build build-debug race
 
@@ -87,15 +87,15 @@ invariants:
 	$(GO) run ./cmd/paperbench diff-kernel -radix 8 -short -seeds 2
 	$(GO) run ./cmd/paperbench scan -radix 8 -short -scan threshold -check
 
-# Fault-injection smoke: the fault-layer unit suites, then a tiny
-# graceful-degradation sweep (2 seeds, zero + nonzero intensity) through
-# the paperbench CLI under the invariant checker — end to end over the
-# Dropped custody ledger (scripts/degradation_smoke.sh, in a temp dir of
-# its own).
-degradation:
+# Fault-injection smoke: the fault-layer unit suites, then one faulted
+# run — EXPERIMENTS.md's hand-written plan, a link flap plus CNP and
+# data loss — through the ibccsim CLI under the invariant checker, end
+# to end over the Dropped custody ledger (scripts/faults_smoke.sh, in a
+# temp dir of its own).
+faults:
 	$(GO) test -count=1 ./internal/fault ./internal/fabric -run 'Fault|Drop|Link'
-	$(GO) test -count=1 ./internal/core -run 'Fault|ZeroIntensity|CCSurvives|Degradation'
-	sh scripts/degradation_smoke.sh
+	$(GO) test -count=1 ./internal/core -run 'Fault|ZeroIntensity|CCSurvives'
+	sh scripts/faults_smoke.sh
 
 # Telemetry smoke: the telemetry unit suite (histogram quantile bounds,
 # sampler zero-perturbation, grid and views, span tracker and its
@@ -117,13 +117,13 @@ telemetry:
 # story end to end via scripts/resilience_smoke.sh: SIGKILL an in-flight
 # checkpointing run (audited with -check, as is its resumption) and a
 # sweep, resume both, require identical output and an identical artifact
-# set; re-run a -degradation sweep entirely
-# from its artifacts. Last, ten seconds each of fuzzing the traffic
-# generator's snapshot decoder and the artifact store's lookup from
-# their seed corpora of hostile blobs. The lookup fuzzer caps input
-# minimization at 100 runs: its seeds are 3.5 KB artifacts, and the
-# default 60 s minimization of the first new input would eat the whole
-# ten seconds.
+# set (the store suite's round trip covers a faulted run's artifact).
+# Last, ten seconds each of fuzzing the traffic generator's snapshot
+# decoder, the artifact store's lookup and the run-report validator
+# from their seed corpora of hostile blobs. The lookup and report
+# fuzzers cap input minimization at 100 runs: their seeds are
+# kilobyte-sized documents, and the default 60 s minimization of the
+# first new input would eat the whole ten seconds.
 resilience:
 	$(GO) test -count=1 ./internal/ckpt ./internal/fault -run 'Decode|Encode|SaveAtomic|Validate|Keeper|Latest|Cadence|InjectorState'
 	$(GO) test -count=1 ./internal/core -run 'Checkpoint'
@@ -131,6 +131,7 @@ resilience:
 	sh scripts/resilience_smoke.sh
 	$(GO) test -run FuzzGeneratorRestore -fuzz=FuzzGeneratorRestore -fuzztime=10s ./internal/traffic
 	$(GO) test -run FuzzStoreLookup -fuzz=FuzzStoreLookup -fuzztime=10s -fuzzminimizetime=100x ./internal/exp
+	$(GO) test -run FuzzValidateReport -fuzz=FuzzValidateReport -fuzztime=10s -fuzzminimizetime=100x ./internal/telemetry
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -163,10 +164,12 @@ bench-kernel-gate:
 # End-to-end ledger: the four benchmark workloads (benchmark/README.md),
 # untraced, seed 1, judged against the committed baseline with the
 # same-seed gate; non-zero on any metric read `worse` or any failed
-# operation. Takes a few minutes.
+# operation. Takes a few minutes. The result goes to the git-ignored
+# .bench_build/e2e.json, which CI uploads.
 bench-e2e:
-	$(GO) run ./benchmark -out /tmp/ibcc-e2e.json
-	$(GO) run ./benchmark -compare benchmark/baseline.json /tmp/ibcc-e2e.json
+	mkdir -p .bench_build
+	$(GO) run ./benchmark -out .bench_build/e2e.json
+	$(GO) run ./benchmark -compare benchmark/baseline.json .bench_build/e2e.json
 
 # Paired end-to-end timing of a parent revision against the working
 # tree (scripts/bench_pairs.sh): `make bench-pairs PARENT=HEAD~1
@@ -175,9 +178,10 @@ bench-e2e:
 bench-pairs:
 	bash scripts/bench_pairs.sh $(PARENT) $(WORKLOAD) $(PAIRS)
 
-# Quick end-to-end smoke: one figure, parallel, with artifacts.
+# Quick end-to-end smoke: one figure, parallel, with artifacts in a
+# temp dir of its own (scripts/paperbench_smoke.sh).
 paperbench:
-	$(GO) run ./cmd/paperbench -radix 12 -short -exp fig5 -jobs 0 -out /tmp/ibcc-artifacts
+	sh scripts/paperbench_smoke.sh
 
 clean:
 	$(GO) clean ./...

@@ -169,7 +169,7 @@ func runBenchKernel(w io.Writer, path string, steadyEvents int64) error {
 	rep.SpeedupSteady = rep.Baseline.SteadyNsPerEvent / rep.Kernel.NsPerEvent
 	rep.SpeedupShallow = rep.Baseline.ShallowNsPerEvent / rep.Kernel.ShallowNsPerEvent
 
-	if _, err := writeJSON(path, &rep); err != nil {
+	if err := writeJSON(path, &rep); err != nil {
 		return err
 	}
 
@@ -195,6 +195,15 @@ func runBenchKernel(w io.Writer, path string, steadyEvents int64) error {
 		rep.Lifecycle.SteadyAllocs, rep.Lifecycle.SteadyWindows)
 	fmt.Fprintf(w, "wrote %s (history row appended to %s)\n", path, histPath)
 	return nil
+}
+
+// writeJSON writes v indented to path.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // appendHistory appends row to the BENCH_history.json ledger at path,

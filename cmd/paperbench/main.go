@@ -10,7 +10,6 @@
 //	paperbench -jobs 8 -out results/   # 8 workers; persist + resume via JSON artifacts
 //	paperbench -exp table2 -report run.json   # + the unified run report
 //	paperbench scan -scan threshold -check    # checked CC parameter sensitivity scan
-//	paperbench degradation -seeds 3 deg.json  # fault intensity x CC on/off
 //	paperbench diff-kernel -seeds 2    # timing wheel vs reference heap
 //	paperbench bench-kernel BENCH_kernel.json   # kernel + packet-lifecycle benchmark
 //	paperbench cct -threshold 3        # what a CC parameter set means
@@ -21,16 +20,15 @@
 // -h` lists them): a flag of another command is a usage error, never
 // silently ignored. An output path goes after the flags.
 //
-// The sweep commands (experiments, scan, degradation) share
-// one harness: -jobs workers with tables bit-identical to a serial run,
-// a resumable -out artifact store, -check, -progress, -report, and a
-// graceful SIGINT/SIGTERM drain: the finished runs' artifacts stay in
-// -out, and the -report says how far the sweep got.
+// The two sweep commands (experiments, scan) share one harness: -jobs
+// workers with tables bit-identical to a serial run, a resumable -out
+// artifact store, -check, -progress, -report, and a graceful
+// SIGINT/SIGTERM drain: the finished runs' artifacts stay in -out, and
+// the -report says how far the sweep got.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -94,8 +92,6 @@ var commands = []command{
 		"Table II and figures 5-10", experimentsCmd},
 	{"scan", "", scenarioFlags | sweepFlags | profileFlags,
 		"CC parameter sensitivity scans against a shared CC-off baseline", scanCmd},
-	{"degradation", "OUT.json", scenarioFlags | seedsFlag | ccFlag | sweepFlags | profileFlags,
-		"fault intensity x CC on/off sweep; writes the curves as JSON", degradationCmd},
 	{"diff-kernel", "", scenarioFlags | seedsFlag | ccFlag | profileFlags,
 		"Table II corpus on both event-list kernels under the invariant checker", diffKernelCmd},
 	{"bench-kernel", "OUT.json", profileFlags,
@@ -212,7 +208,7 @@ func (c *runConfig) register(fs *flag.FlagSet, g flagGroup) {
 		fs.BoolVar(&c.progress, "progress", stderrIsTTY(), "live progress line on stderr")
 		fs.BoolVar(&c.progJSONL, "progress-jsonl", false, "machine-readable progress: one JSON line of sweep stats per completed simulation on stderr instead of the status line")
 		fs.BoolVar(&c.check, "check", false, "run every simulation under the runtime invariant checker (fails on violations)")
-		fs.StringVar(&c.report, "report", "", "write the unified run-report JSON artifact (sweep stats, telemetry aggregates, mode payload) to this file")
+		fs.StringVar(&c.report, "report", "", "write the unified run-report JSON artifact (sweep stats, telemetry aggregates) to this file")
 	}
 	if g&profileFlags != 0 {
 		fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -271,15 +267,16 @@ type sweep struct {
 	hub   *telemetry.Hub
 }
 
-// sweep runs body in the harness — span tracker, telemetry hub, -out
-// store, a context SIGINT/SIGTERM cancel — and ends with the run report
-// of the given kind carrying body's payload, also when an interrupt cut
-// the sweep short (then without the payload, its sweep stats showing
-// the runs still pending). total is every simulation body's experiments
-// will run, declared to the tracker before the first one starts, so the
-// progress line's total and ETA cover the whole sweep from its first
-// line.
-func (c *runConfig) sweep(name, kind string, total int, body func(sw *sweep) (payload []byte)) (err error) {
+// sweep runs body's experiments as one sweep in the harness — span
+// tracker, telemetry hub, -out store, a context SIGINT/SIGTERM cancel —
+// and ends with the run report, also when an interrupt cut the sweep
+// short (its sweep stats then show the runs still pending), and, when
+// every experiment ran, the sweep's wall time. total is every
+// simulation body's experiments will run, declared to the tracker
+// before the first one starts, so the progress line's total and ETA
+// cover the whole sweep from its first line.
+func (c *runConfig) sweep(name string, total int, body func(sw *sweep)) (err error) {
+	start := time.Now()
 	sw := &sweep{runConfig: c, name: name, spans: telemetry.NewTracker()}
 	sw.spans.AddTotal(total)
 	if c.progress || c.progJSONL {
@@ -299,7 +296,7 @@ func (c *runConfig) sweep(name, kind string, total int, body func(sw *sweep) (pa
 	var stop context.CancelFunc
 	sw.ctx, stop = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	payload := body(sw)
+	body(sw)
 	switch {
 	case sw.err == nil:
 	case !errors.Is(sw.err, context.Canceled):
@@ -311,14 +308,18 @@ func (c *runConfig) sweep(name, kind string, total int, body func(sw *sweep) (pa
 		st := sw.spans.Stats()
 		sw.err = fmt.Errorf("interrupted after %d of %d simulations — nothing was saved (no -out)", st.Done, st.Total)
 	}
-	return errors.Join(sw.writeReport(kind, payload), sw.err)
+	if err := errors.Join(sw.writeReport(), sw.err); err != nil {
+		return err
+	}
+	fmt.Fprintf(c.w, "paperbench: done in %v\n", time.Since(start).Round(time.Second))
+	return nil
 }
 
-// experiment runs one named batch of simulations — a figure, a scan,
-// the degradation grid — with the options every command shares, then
-// reports its cost from what the span tracker counted meanwhile: the
-// events and their rate are the simulated runs' alone, so a batch served
-// wholly from artifacts reads 0 simulated events and no rate.
+// experiment runs one named batch of simulations — a figure, a scan —
+// with the options every command shares, then reports its cost from
+// what the span tracker counted meanwhile: the events and their rate
+// are the simulated runs' alone, so a batch served wholly from
+// artifacts reads 0 simulated events and no rate.
 func (sw *sweep) experiment(name string, fn func(o core.Opts) error) {
 	if sw.err != nil {
 		return
@@ -349,10 +350,8 @@ func (sw *sweep) experiment(name string, fn func(o core.Opts) error) {
 }
 
 // writeReport writes the unified run report from the current tracker
-// and hub state (no-op without -report). kind is one of the
-// telemetry.Report* constants; payload is the raw degradation curve JSON
-// (nil for the experiments).
-func (sw *sweep) writeReport(kind string, payload []byte) error {
+// and hub state (no-op without -report).
+func (sw *sweep) writeReport() error {
 	if sw.report == "" {
 		return nil
 	}
@@ -361,19 +360,18 @@ func (sw *sweep) writeReport(kind string, payload []byte) error {
 	rep := &telemetry.RunReport{
 		Schema:      telemetry.ReportSchema,
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Kind:        kind,
+		Kind:        telemetry.ReportExperiments,
 		Name:        sw.name,
 		Radix:       sw.radix,
 		Seeds:       sw.seeds,
 		Sweep:       &st,
 		Telemetry:   &snap,
-		Degradation: payload,
 	}
 	if err := rep.Write(sw.report); err != nil {
 		return err
 	}
 	fmt.Fprintf(sw.w, "report : %s (%s, %d jobs, %.1fM events/s)\n",
-		sw.report, kind, st.Done+st.Failed, st.EventsPerSec/1e6)
+		sw.report, telemetry.ReportExperiments, st.Done+st.Failed, st.EventsPerSec/1e6)
 	return nil
 }
 
@@ -428,7 +426,7 @@ func experimentsCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) 
 				total += core.ExperimentSims(group, seeds)
 			}
 		}
-		return c.timedSweep(base.Name, total, func(sw *sweep) {
+		return c.sweep(base.Name, total, func(sw *sweep) {
 			for _, group := range groups {
 				sw.experiment(group[0].Exp, func(o core.Opts) error {
 					return core.RunExperiment(c.w, base, group, seeds, o)
@@ -436,21 +434,6 @@ func experimentsCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) 
 			}
 		})
 	}
-}
-
-// timedSweep runs the experiments of body, total simulations in all,
-// as one sweep, then prints its wall time.
-func (c *runConfig) timedSweep(name string, total int, body func(sw *sweep)) error {
-	start := time.Now()
-	err := c.sweep(name, telemetry.ReportExperiments, total, func(sw *sweep) []byte {
-		body(sw)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(c.w, "paperbench: done in %v\n", time.Since(start).Round(time.Second))
-	return nil
 }
 
 // scans are the one-parameter CC sensitivity scans — the tuning problem
@@ -498,7 +481,7 @@ func scanCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) error) 
 		for _, sc := range selected {
 			total += 1 + len(sc.values)
 		}
-		return c.timedSweep(base.Name, total, func(sw *sweep) {
+		return c.sweep(base.Name, total, func(sw *sweep) {
 			for _, sc := range selected {
 				sw.experiment("scan "+sc.name, func(o core.Opts) error {
 					res, err := core.ScanCCOpts(base, sc.name, sc.values, sc.apply, o)
@@ -512,61 +495,6 @@ func scanCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) error) 
 			}
 		})
 	}
-}
-
-// degradationCmd is the graceful-degradation sweep: fault plans of
-// increasing intensity are synthesized per (intensity, seed), each one
-// runs with CC off and on, and the receive-rate / recovery curves are
-// printed and written as a JSON artifact, which also goes into the run
-// report. Intensity 0 is the unfaulted baseline (a zero plan is treated
-// as absent), so the curve starts at the healthy operating point.
-func degradationCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) error) {
-	var ins []float64
-	return intensitiesFlag(fs, &ins), func(path string) error {
-		base, seeds := c.base(), cliflag.Seeds(c.seed, c.seeds)
-		return c.sweep(base.Name, telemetry.ReportDegradation, len(ins)*len(seeds)*2, func(sw *sweep) (data []byte) {
-			sw.experiment("degradation", func(o core.Opts) error {
-				start := time.Now()
-				pts, err := core.RunDegradationOpts(base, ins, seeds, o)
-				if err != nil {
-					return err
-				}
-				core.PrintDegradation(c.w, pts)
-				if data, err = writeJSON(path, struct {
-					Scenario string                  `json:"scenario"`
-					Radix    int                     `json:"radix"`
-					Seeds    []uint64                `json:"seeds"`
-					Points   []core.DegradationPoint `json:"points"`
-				}{base.Name, base.Radix, seeds, pts}); err != nil {
-					return err
-				}
-				fmt.Fprintf(c.w, "degradation: %d intensities x %d seeds x 2 CC legs in %v -> %s\n",
-					len(ins), len(seeds), time.Since(start).Round(time.Millisecond), path)
-				return nil
-			})
-			return data
-		})
-	}
-}
-
-// intensitiesFlag defines -intensities; its check parses the list into
-// *ins.
-func intensitiesFlag(fs *flag.FlagSet, ins *[]float64) func() error {
-	list := fs.String("intensities", "0,0.25,0.5,0.75,1", "comma-separated fault intensities in [0, 1]")
-	return func() (err error) {
-		*ins, err = cliflag.Intensities("-intensities", *list)
-		return err
-	}
-}
-
-// writeJSON writes v indented to path and returns the document (without
-// the trailing newline) for the run report.
-func writeJSON(path string, v any) ([]byte, error) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return data, os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func diffKernelCmd(_ *flag.FlagSet, c *runConfig) (func() error, func(string) error) {

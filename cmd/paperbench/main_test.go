@@ -49,7 +49,7 @@ func TestFlagOfAnotherCommandIsAUsageError(t *testing.T) {
 		{[]string{"-radix", "8", "-degradation", p("a.json")}, undefined},
 		{[]string{"-diff-kernel", "-jobs", "3", "-out", p("d"), "-report", p("r.json")}, undefined},
 		{[]string{"diff-kernel", "-jobs", "3", "-out", p("d"), "-report", p("r.json")}, undefined},
-		{[]string{"degradation", "-radix", "8", "-exp", "fig5", p("a.json")}, undefined},
+		{[]string{"scan", "-radix", "8", "-exp", "fig5"}, undefined},
 		{[]string{"scan", "-seeds", "2"}, undefined},
 		{[]string{"bench-kernel", "-radix", "8", p("b.json")}, undefined},
 		{[]string{"-radix", "6", "-short", "-exp", "fig5", "-pstep", "100", "-seeds", "3", "-out", p("d")}, "-seeds: -exp fig5 does not read it"},
@@ -59,14 +59,14 @@ func TestFlagOfAnotherCommandIsAUsageError(t *testing.T) {
 		{[]string{"-exp", "bogus", "-out", p("d")}, `-exp: unknown experiment "bogus"`},
 		{[]string{"-pstep", "0"}, "-pstep"},
 		{[]string{"scan", "-scan", "bogus", "-report", p("r.json")}, `-scan: unknown scan "bogus"`},
-		{[]string{"degradation", "-intensities", "2", p("a.json")}, "-intensities"},
+		{[]string{"degradation", "-radix", "8", "-short", p("a.json")}, `unknown command "degradation"`},
 		{[]string{"tournament", "-radix", "8", "-short", p("b.json")}, `unknown command "tournament"`},
 		{[]string{"-cc", "rcm", "-out", p("d")}, `-cc: unknown backend "rcm" (registered: ibcc, nocc, oracle)`},
-		{[]string{"degradation", "-cc", "ibcc,nocc", p("a.json")}, `-cc: unknown backend "ibcc,nocc" (registered: ibcc, nocc, oracle)`},
+		{[]string{"-cc", "ibcc,nocc", "-out", p("d")}, `-cc: unknown backend "ibcc,nocc" (registered: ibcc, nocc, oracle)`},
 		{[]string{"bench-kernel", "-events", "0", p("b.json")}, "-events"},
 		{[]string{"-serve", ":0"}, undefined + ": -serve"},
 		{[]string{"-serve-probe"}, undefined + ": -serve-probe"},
-		{[]string{"degradation", "-serve", "127.0.0.1:0", "-report", p("r.json"), p("a.json")}, undefined + ": -serve"},
+		{[]string{"scan", "-serve", "127.0.0.1:0", "-report", p("r.json")}, undefined + ": -serve"},
 		{[]string{"cct", "-every", "0"}, "-every must be >= 1, got 0"},
 		{[]string{"cct", "-every", "-1"}, "-every must be >= 1, got -1"},
 		{[]string{"cct", "-threshold", "271"}, "-threshold must be in [0, 15], got 271"},
@@ -98,11 +98,12 @@ func TestFlagOfAnotherCommandIsAUsageError(t *testing.T) {
 	}
 }
 
-// Every command runs end to end at radix 8 (the experiments in
-// TestTableIICIRowsFollowSeed). The scan runs checked: a violation
-// would fail its sweep. ckpt reads a checkpoint the test writes, report
-// the report the degradation sweep writes; a checkpoint with a flipped
-// byte and a report of an unknown kind then fail with exit 1 and the
+// Every command runs end to end at radix 8 (the experiments at radix 6,
+// and at radix 8 in TestTableIICIRowsFollowSeed). The scan runs
+// checked: a violation would fail its sweep. ckpt reads a checkpoint
+// the test writes, report the report Table II's sweep writes; a
+// checkpoint with a flipped byte and a report of an unknown kind — the
+// removed degradation kind among them — then fail with exit 1 and the
 // error that names the fault.
 func TestEveryCommandRunsAtRadix8(t *testing.T) {
 	dir := t.TempDir()
@@ -121,13 +122,13 @@ func TestEveryCommandRunsAtRadix8(t *testing.T) {
 		want string
 	}{
 		{[]string{"scan", "-radix", "8", "-short", "-scan", "increase", "-check"}, "best total at increase="},
-		{[]string{"degradation", "-radix", "8", "-short", "-intensities", "0", "-out", p("arts"),
-			"-report", p("r.json"), p("deg.json")}, "report : " + p("r.json") + " (degradation, 2 jobs"},
+		{[]string{"-radix", "6", "-short", "-exp", "table2", "-out", p("arts"), "-report", p("r.json")},
+			"report : " + p("r.json") + " (experiments, 4 jobs"},
 		{[]string{"diff-kernel", "-radix", "8", "-short"}, "zero invariant violations"},
 		{[]string{"bench-kernel", "-events", "20000", p("bench.json")}, "wrote " + p("bench.json")},
 		{[]string{"cct", "-threshold", "3"}, "-> weight  3: mark above  53248 B queued"},
 		{[]string{"ckpt", p("ck")}, "scenario : " + s.Name + " — radix 8, seed 1, backend ibcc"},
-		{[]string{"report", p("r.json")}, "kind degradation, scenario " + s.Name + " radix 8 seeds 1"},
+		{[]string{"report", p("r.json")}, "kind experiments, scenario " + core.Default(6).Name + " radix 6 seeds 1"},
 		// A report written before the run report lost its trend and
 		// live-series keys (trend, live, live_done, active) still renders.
 		{[]string{"report", filepath.Join("testdata", "report-before-trend-removal.json")}, "  sweep    : 4/4 jobs (0 failed, 0 cached)"},
@@ -137,7 +138,7 @@ func TestEveryCommandRunsAtRadix8(t *testing.T) {
 			t.Errorf("paperbench %v: exit %d, want %q in stdout:\n%s\nstderr:\n%s", tc.args, code, tc.want, stdout, stderr)
 		}
 	}
-	for _, f := range []string{"r.json", "deg.json", "bench.json"} {
+	for _, f := range []string{"r.json", "bench.json"} {
 		if _, err := os.Stat(p(f)); err != nil {
 			t.Error(err)
 		}
@@ -156,7 +157,9 @@ func TestEveryCommandRunsAtRadix8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep = bytes.Replace(rep, []byte(`"kind": "degradation"`), []byte(`"kind": "tournament"`), 1)
+	kind := func(k string) []byte {
+		return bytes.Replace(rep, []byte(`"kind": "experiments"`), []byte(`"kind": "`+k+`"`), 1)
+	}
 	for _, tc := range []struct {
 		file string
 		data []byte
@@ -164,7 +167,8 @@ func TestEveryCommandRunsAtRadix8(t *testing.T) {
 		want string
 	}{
 		{"flipped.ckpt", blob, "ckpt", "(corrupt file)"},
-		{"tournament.json", rep, "report", `unknown kind "tournament"`},
+		{"tournament.json", kind("tournament"), "report", `unknown kind "tournament"`},
+		{"degradation.json", kind("degradation"), "report", `unknown kind "degradation"`},
 	} {
 		if err := os.WriteFile(p(tc.file), tc.data, 0o644); err != nil {
 			t.Fatal(err)
@@ -251,10 +255,10 @@ func (w *interruptAfter) Write(b []byte) (int, error) {
 // An interrupted -exp all sweep leaves its finished runs' artifacts and
 // nothing else in -out, and its report counts the experiments that
 // never started as pending: the total is every selected experiment's
-// simulations, declared before the first ran. An interrupted
-// degradation sweep without -out reports its own kind and says nothing
-// was saved. A sweep served wholly from artifacts simulated nothing, so
-// it reports no event rate.
+// simulations, declared before the first ran. An interrupted scan
+// without -out reports how far it got and says nothing was saved. A
+// sweep served wholly from artifacts simulated nothing, so it reports
+// no event rate.
 func TestInterruptedSweepReportCountsUnstartedExperiments(t *testing.T) {
 	dir, tmp := t.TempDir(), t.TempDir()
 	report := func(path string) *telemetry.RunReport {
@@ -304,16 +308,15 @@ func TestInterruptedSweepReportCountsUnstartedExperiments(t *testing.T) {
 			rep.Kind, sw, st.Len(), total)
 	}
 
-	_, err = interrupt("degradation", "-radix", "6", "-short", "-intensities", "0,0.5", "-jobs", "1",
-		"-progress-jsonl", "-report", filepath.Join(tmp, "d-r.json"), filepath.Join(tmp, "d.json"))
-	rep = report(filepath.Join(tmp, "d-r.json"))
-	if sw := rep.Sweep; rep.Kind != telemetry.ReportDegradation || sw.Done < 1 || sw.Done >= sw.Total ||
-		sw.Total != 4 || rep.Degradation != nil {
-		t.Errorf("interrupted degradation report: kind %s, %d of %d, payload %s",
-			rep.Kind, sw.Done, sw.Total, rep.Degradation)
+	// The threshold scan is 9 simulations, its baseline and 8 values.
+	_, err = interrupt("scan", "-radix", "6", "-short", "-scan", "threshold", "-jobs", "1",
+		"-progress-jsonl", "-report", filepath.Join(tmp, "s-r.json"))
+	rep = report(filepath.Join(tmp, "s-r.json"))
+	if sw := rep.Sweep; rep.Kind != telemetry.ReportExperiments || sw.Done < 1 || sw.Done >= sw.Total || sw.Total != 9 {
+		t.Errorf("interrupted scan report: kind %s, %d of %d", rep.Kind, sw.Done, sw.Total)
 	}
-	if want := fmt.Sprintf("interrupted after %d of 4 simulations — nothing was saved (no -out)", rep.Sweep.Done); err.Error() != want {
-		t.Errorf("degradation without -out: err %q, want %q", err, want)
+	if want := fmt.Sprintf("interrupted after %d of 9 simulations — nothing was saved (no -out)", rep.Sweep.Done); err.Error() != want {
+		t.Errorf("scan without -out: err %q, want %q", err, want)
 	}
 
 	cached := filepath.Join(tmp, "table2")

@@ -8,12 +8,9 @@ package cliflag
 import (
 	"fmt"
 	"log"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -58,30 +55,6 @@ func Seeds(first uint64, n int) []uint64 {
 		out[i] = first + uint64(i)
 	}
 	return out
-}
-
-// Intensities parses a comma-separated fault-intensity grid and
-// validates every value into [0, 1]; the list must be non-empty.
-func Intensities(name, s string) ([]float64, error) {
-	var ins []float64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		if math.IsNaN(v) || v < 0 || v > 1 {
-			return nil, fmt.Errorf("%s: intensity %v outside [0, 1]", name, v)
-		}
-		ins = append(ins, v)
-	}
-	if len(ins) == 0 {
-		return nil, fmt.Errorf("%s: empty intensity list", name)
-	}
-	return ins, nil
 }
 
 // StartCPUProfile begins CPU profiling to path (no-op when empty) and

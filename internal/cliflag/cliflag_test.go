@@ -38,21 +38,6 @@ func TestSeeds(t *testing.T) {
 	}
 }
 
-func TestIntensities(t *testing.T) {
-	ins, err := Intensities("-intensities", "0, 0.25,0.5,1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ins) != 4 || ins[0] != 0 || ins[3] != 1 {
-		t.Fatalf("parsed %v", ins)
-	}
-	for _, bad := range []string{"-0.1", "1.5", "abc", "", "0,,nan", "0.5,2"} {
-		if _, err := Intensities("-intensities", bad); err == nil {
-			t.Fatalf("Intensities(%q) accepted", bad)
-		}
-	}
-}
-
 func TestCadence(t *testing.T) {
 	span := 3 * time.Millisecond
 	for _, v := range []time.Duration{5860 * time.Nanosecond, 100 * time.Microsecond, time.Second} {

@@ -4,10 +4,56 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/topo"
 )
+
+// degradationPlanSalt decorrelates the synthesized fault-plan seed from
+// the scenario's traffic seed: both RNG trees are rooted in NewRNG(seed)
+// derivations, so handing the raw scenario seed to the plan would alias
+// the injector's low drop-class labels with the traffic tree's low
+// labels. The salt (plus an intensity-index stride) keeps every
+// (seed, intensity) cell on its own plan while the plan stays identical
+// across the backends that run the cell.
+const degradationPlanSalt = 0x5fa017ba5e
+
+// degradationSamples is how many rate-sampler windows the synthesized
+// plans spread over the run; enough resolution for the recovery metric
+// without swamping Stats with samples.
+const degradationSamples = 64
+
+// degradationPlans synthesizes the bracket's fault plans over base's
+// fabric and windows, one per (intensity, seed) cell in intensity-major
+// order. One topology build serves every synthesis: the link set
+// depends only on the radix.
+func degradationPlans(base Scenario, intensities []float64, seeds []uint64) ([]*fault.Plan, error) {
+	tp, err := topo.FatTree(base.Radix)
+	if err != nil {
+		return nil, err
+	}
+	links := fault.FabricLinks(tp)
+	horizon := sim.Time(0).Add(base.Warmup + base.Measure)
+	plans := make([]*fault.Plan, 0, len(intensities)*len(seeds))
+	for ii, in := range intensities {
+		for _, seed := range seeds {
+			plan, err := fault.Synth(fault.SynthConfig{
+				Seed:        seed ^ (degradationPlanSalt + uint64(ii)*0x9e3779b97f4a7c15),
+				Intensity:   in,
+				Links:       links,
+				Horizon:     horizon,
+				SampleEvery: (base.Warmup + base.Measure) / degradationSamples,
+			})
+			if err != nil {
+				return nil, err
+			}
+			plans = append(plans, plan)
+		}
+	}
+	return plans, nil
+}
 
 // bracketScore scores one run of a hotspot scenario: the Jain index of
 // the non-hotspot receive rates times 0.8·efficiency + 0.2·hotspot

@@ -201,44 +201,3 @@ func TestCCSurvivesLostCNPs(t *testing.T) {
 		t.Fatalf("no CCTI decay under partial CNP loss: %+v", res.CCStats)
 	}
 }
-
-// TestRunDegradationSweep: the sweep driver covers intensity × CC
-// deterministically — the zero-intensity point is a clean baseline and
-// nonzero intensities record their losses.
-func TestRunDegradationSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("degradation sweep is not short")
-	}
-	base := Default(4)
-	base.NumHotspots = 2
-	base.Warmup = 100 * sim.Microsecond
-	base.Measure = 300 * sim.Microsecond
-
-	run := func() []DegradationPoint {
-		pts, err := RunDegradationOpts(base, []float64{0, 0.6}, []uint64{1, 2}, Opts{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts
-	}
-	pts := run()
-	if len(pts) != 2 {
-		t.Fatalf("%d points", len(pts))
-	}
-	z, f := pts[0], pts[1]
-	if z.Off.DroppedPackets != 0 || z.On.DroppedPackets != 0 {
-		t.Fatalf("zero intensity dropped packets: %+v", z)
-	}
-	if z.Off.Seeds != 2 || z.Off.Recovered != 2 || z.On.Recovered != 2 {
-		t.Fatalf("zero-intensity bookkeeping: %+v", z)
-	}
-	if f.Off.DroppedPackets == 0 && f.On.DroppedPackets == 0 {
-		t.Fatalf("faulted point dropped nothing: %+v", f)
-	}
-	if f.Off.AllGbps <= 0 || f.On.AllGbps <= 0 {
-		t.Fatalf("faulted point starved completely: %+v", f)
-	}
-	if !reflect.DeepEqual(pts, run()) {
-		t.Fatal("degradation sweep not deterministic across runs")
-	}
-}

@@ -7,11 +7,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/topo"
 )
 
 // quick returns a small, fast real scenario.
@@ -85,6 +88,40 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	if a.Name != s.Name || a.Fingerprint != Fingerprint(s) {
 		t.Fatalf("artifact metadata: %+v", a)
+	}
+
+	// A faulted scenario is keyed by its plan too, and a hit returns the
+	// injector's stats with the result, so a faulted run resumes from its
+	// artifact.
+	tp, err := topo.FatTree(s.Radix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := s
+	faulted.Faults, err = fault.Synth(fault.SynthConfig{Seed: 7, Intensity: 0.6, Links: fault.FabricLinks(tp),
+		Horizon: sim.Time(0).Add(s.Warmup + s.Measure), SampleEvery: (s.Warmup + s.Measure) / 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Fingerprint(faulted) == Fingerprint(s) {
+		t.Fatal("the fault plan did not change the fingerprint")
+	}
+	fres, err := core.Run(faulted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fres.Faults == nil || fres.Faults.LinkDowns == 0 || len(fres.Faults.Samples) == 0 {
+		t.Fatalf("faulted run recorded no faults: %+v", fres.Faults)
+	}
+	if err := st.Save(faulted, fres, 0); err != nil {
+		t.Fatal(err)
+	}
+	got, ok = st.Lookup(faulted)
+	if !ok {
+		t.Fatal("saved faulted scenario not found")
+	}
+	if !reflect.DeepEqual(got.Faults, fres.Faults) || got.Summary != fres.Summary {
+		t.Fatalf("loaded faulted result differs:\n%+v\n%+v", got.Faults, fres.Faults)
 	}
 }
 

@@ -43,17 +43,6 @@ func (s *Stats) DroppedPackets() uint64 {
 	return s.DroppedData + s.DroppedFECN + s.DroppedCNP + s.DroppedAck
 }
 
-// Recovered reports whether the run ended recovered: either the
-// receive rate regained the recovery threshold after the last
-// scheduled fault (Recovery > 0), or there was nothing to recover from
-// (Recovery == 0: no scheduled faults or no samples). A nil receiver —
-// a run without an injector at all — is trivially recovered. Only
-// Recovery < 0 (never regained within the horizon) counts as failed,
-// as the degradation reducer reads it.
-func (s *Stats) Recovered() bool {
-	return s == nil || s.Recovery >= 0
-}
-
 // recoveryThreshold is the fraction of the pre-fault baseline rate a
 // post-fault sample must reach to count as recovered.
 const recoveryThreshold = 0.9

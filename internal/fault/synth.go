@@ -30,8 +30,7 @@ type SynthConfig struct {
 
 // Synth builds a fault plan deterministically from (seed, intensity):
 // the same config always yields the identical plan, and intensity scales
-// fault count, degradation depth, and drop probabilities together — the
-// x-axis of a graceful-degradation sweep.
+// fault count, degradation depth, and drop probabilities together.
 func Synth(cfg SynthConfig) (*Plan, error) {
 	if cfg.Intensity < 0 || cfg.Intensity > 1 || cfg.Intensity != cfg.Intensity {
 		return nil, fmt.Errorf("fault: intensity %v outside [0, 1]", cfg.Intensity)
@@ -47,8 +46,8 @@ func Synth(cfg SynthConfig) (*Plan, error) {
 
 	rng := sim.NewRNG(cfg.Seed).Derive(synthLabel)
 	// Fault windows live in [25%, 65%] of the horizon; durations span
-	// 2–8% of it. Everything ends well before the horizon so the
-	// degradation sweep can measure recovery.
+	// 2–8% of it. Everything ends well before the horizon so the run
+	// can measure recovery.
 	lo := sim.Time(float64(cfg.Horizon) * 0.25)
 	hi := sim.Time(float64(cfg.Horizon) * 0.65)
 	minDur := sim.Duration(float64(cfg.Horizon) * 0.02)

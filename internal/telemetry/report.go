@@ -12,22 +12,18 @@ import (
 // it does not understand.
 const ReportSchema = "ibcc.run-report/1"
 
-// Report kinds.
-const (
-	ReportExperiments = "experiments"
-	ReportDegradation = "degradation"
-)
+// ReportExperiments is the one report kind: the experiments and the
+// scans write it.
+const ReportExperiments = "experiments"
 
 // RunReport is the unified machine-readable artifact a sweep writes:
-// orchestration stats, aggregated telemetry, and the raw payload of
-// whatever mode ran. Mode payloads stay json.RawMessage so the
-// telemetry layer does not import the packages that produce them.
-// Reports written before the live series and the kernel-bench trend
-// were dropped still parse: their extra keys are ignored.
+// orchestration stats and aggregated telemetry. Reports written before
+// the live series and the kernel-bench trend were dropped still parse:
+// their extra keys are ignored.
 type RunReport struct {
 	Schema      string `json:"schema"`
 	GeneratedAt string `json:"generated_at"`
-	// Kind is one of the Report* constants.
+	// Kind is ReportExperiments; any other kind is refused.
 	Kind  string `json:"kind"`
 	Name  string `json:"name"`
 	Radix int    `json:"radix,omitempty"`
@@ -35,20 +31,10 @@ type RunReport struct {
 
 	Sweep     *SweepStats  `json:"sweep,omitempty"`
 	Telemetry *HubSnapshot `json:"telemetry,omitempty"`
-
-	Degradation json.RawMessage `json:"degradation,omitempty"`
 }
 
-// validKinds is the closed set Validate accepts.
-var validKinds = map[string]bool{
-	ReportExperiments: true,
-	ReportDegradation: true,
-}
-
-// Validate checks the report's structural invariants: the schema marker,
-// the kind taxonomy, and that the mode named by Kind actually carries
-// its payload — unless its sweep stats show an interrupt cut the sweep
-// short, before the payload existed.
+// Validate checks the report's structural invariants: the schema
+// marker, the kind, the name and the sweep stats every sweep writes.
 func (r *RunReport) Validate() error {
 	if r.Schema != ReportSchema {
 		return fmt.Errorf("run-report: schema %q, want %q", r.Schema, ReportSchema)
@@ -56,28 +42,14 @@ func (r *RunReport) Validate() error {
 	if r.GeneratedAt == "" {
 		return fmt.Errorf("run-report: missing generated_at")
 	}
-	if !validKinds[r.Kind] {
+	if r.Kind != ReportExperiments {
 		return fmt.Errorf("run-report: unknown kind %q", r.Kind)
 	}
 	if r.Name == "" {
 		return fmt.Errorf("run-report: missing name")
 	}
-	switch r.Kind {
-	case ReportDegradation:
-		unfinished := r.Sweep != nil && r.Sweep.Done+r.Sweep.Failed < r.Sweep.Total
-		if len(r.Degradation) == 0 && !unfinished {
-			return fmt.Errorf("run-report: kind degradation without degradation payload")
-		}
-	case ReportExperiments:
-		if r.Sweep == nil {
-			return fmt.Errorf("run-report: kind experiments without sweep stats")
-		}
-	}
-	if len(r.Degradation) > 0 {
-		var v any
-		if err := json.Unmarshal(r.Degradation, &v); err != nil {
-			return fmt.Errorf("run-report: embedded payload is not valid JSON: %v", err)
-		}
+	if r.Sweep == nil {
+		return fmt.Errorf("run-report: kind experiments without sweep stats")
 	}
 	return nil
 }

@@ -4,7 +4,7 @@
 # in its own temp dir, removed on exit, so concurrent runs from two
 # checkouts do not share paths:
 #
-#   1. paperbench: a short degradation sweep prints its progress as JSON
+#   1. paperbench: a short parameter scan prints its progress as JSON
 #      lines on stderr, the last of which must count every job done, and
 #      writes the unified run report, which `paperbench report`
 #      validates and renders back. The report must carry no retry count
@@ -21,8 +21,8 @@ T=$(mktemp -d)
 trap 'rm -rf "$T"' EXIT
 
 # --- 1. Sweep progress and run report. ---
-2> "$T/progress.jsonl" "$GO" run ./cmd/paperbench degradation -radix 8 -short \
-    -intensities 0,0.6 -seeds 1 -progress-jsonl -report "$T/report.json" "$T/deg.json"
+2> "$T/progress.jsonl" "$GO" run ./cmd/paperbench scan -radix 8 -short -scan threshold \
+    -progress-jsonl -report "$T/report.json"
 tail -1 "$T/progress.jsonl" | grep -q '^{"total":\([0-9]*\),"done":\1,'
 "$GO" run ./cmd/paperbench report "$T/report.json"
 for key in retries trend live; do
