@@ -44,7 +44,9 @@ examples:
 # moving hotspots and CC on; a generator's flow slots follow its backlog,
 # not the fabric's size, and hand out exactly the packets the old
 # per-destination table did; the fabric's port structs stay inside their
-# byte budgets and building a fabric allocates per node, not per port.
+# byte budgets, building a fabric allocates per node, not per port, and
+# its VoQ slab holds a header per real port and lane (69,984 at radix
+# 36), no power-of-two padding.
 # The flight recorder's share: a disabled bus and one with only the
 # aggregate tier on allocate nothing on the forward path, a run
 # carrying just the sampler and the checker builds no per-packet Event,
@@ -55,16 +57,18 @@ examples:
 # slab, not per object: a whole radix-12 Table II CC-on run and 1 ms at
 # radix 36 stay under a fixed count (packets, events and pooled actions
 # carved from doubling chunks), Build grows by fewer allocations than
-# the hosts it adds from radix 12 to 36, and under the debug tag a
+# the hosts it adds from radix 12 to 36 and at radix 36 allocates under
+# 3.5 MiB, below the runtime's 4 MiB minimum heap goal, so it starts no
+# collection of its own (TestBuildStaysUnderMinHeapGoal), and under the debug tag a
 # chunk-carved packet keeps the ownership rules while a restore-built
 # one is still adopted.
 alloc-budget:
-	$(GO) test -count=1 ./internal/core -run 'ZeroAlloc|PerSlab'
+	$(GO) test -count=1 ./internal/core -run 'ZeroAlloc|PerSlab|MinHeapGoal'
 	$(GO) test -count=1 ./internal/slab
 	$(GO) test -count=1 ./internal/obs -run 'Allocs|TableOnce|PortCountersLayout'
 	$(GO) test -count=1 ./internal/telemetry -run 'BuildsNoPerHopEvents'
 	$(GO) test -count=1 ./internal/traffic -run 'Slots|Differential'
-	$(GO) test -count=1 ./internal/fabric -run 'PortLayoutBudget|NewAllocatesPerNodeNotPerPort'
+	$(GO) test -count=1 ./internal/fabric -run 'PortLayoutBudget|NewAllocatesPerNodeNotPerPort|VoQSlabHoldsRealPortsOnly'
 	$(GO) test -count=1 -tags debug ./internal/ib -run 'ChunkCarved|RestoreBuilt'
 
 # Runtime invariant + differential kernel suite: the internal/check unit
@@ -119,10 +123,12 @@ telemetry:
 # sweep, resume both, require identical output and an identical artifact
 # set (the store suite's round trip covers a faulted run's artifact).
 # Last, ten seconds each of fuzzing the traffic generator's snapshot
-# decoder, the artifact store's lookup and the run-report validator
-# from their seed corpora of hostile blobs. The lookup and report
-# fuzzers cap input minimization at 100 runs: their seeds are
-# kilobyte-sized documents, and the default 60 s minimization of the
+# decoder, the fabric's state restore (FuzzFabricRestore: refused, or
+# restored and re-exported to the identical canonical blob), the
+# artifact store's lookup and the run-report validator from their seed
+# corpora of hostile blobs. The fabric, lookup and report fuzzers cap
+# input minimization at 100 runs: their seeds are kilobyte-sized
+# documents, and the default 60 s minimization of the
 # first new input would eat the whole ten seconds.
 resilience:
 	$(GO) test -count=1 ./internal/ckpt ./internal/fault -run 'Decode|Encode|SaveAtomic|Validate|Keeper|Latest|Cadence|InjectorState'
@@ -130,6 +136,7 @@ resilience:
 	$(GO) test -count=1 ./internal/exp -run 'Quarantine|Corrupt|CRC|Cancelled'
 	sh scripts/resilience_smoke.sh
 	$(GO) test -run FuzzGeneratorRestore -fuzz=FuzzGeneratorRestore -fuzztime=10s ./internal/traffic
+	$(GO) test -run FuzzFabricRestore -fuzz=FuzzFabricRestore -fuzztime=10s -fuzzminimizetime=100x ./internal/fabric
 	$(GO) test -run FuzzStoreLookup -fuzz=FuzzStoreLookup -fuzztime=10s -fuzzminimizetime=100x ./internal/exp
 	$(GO) test -run FuzzValidateReport -fuzz=FuzzValidateReport -fuzztime=10s -fuzzminimizetime=100x ./internal/telemetry
 

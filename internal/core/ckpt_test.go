@@ -280,12 +280,12 @@ func txDoneEvent(snap *ckpt.Snapshot) int {
 // TestRestoreRejectsCorruptCRCValidCheckpoint: the envelope CRC vouches
 // for the bytes, not for what wrote them. A checkpoint edited before
 // sealing must fail Restore with an error. Before the hardening a VoQ
-// moved to a padding slot of the arbiter ring restored cleanly and
+// moved past the switch's ports in the arbiter ring restored cleanly and
 // panicked at the port's next grant, an arbiter pointer off the ring was
 // silently masked onto it, and a packet claimed by a generator queue and
 // a VoQ at once sat in two places.
 func TestRestoreRejectsCorruptCRCValidCheckpoint(t *testing.T) {
-	s := Default(6) // six-port switches: ring slots 6 and 7 are padding
+	s := Default(6) // six-port switches, one lane: a ring of 6 slots
 	s.Seed = 9
 	s.CCOn = false // unthrottled hotspots keep VoQs occupied at the cut
 	s.Warmup = 200 * sim.Microsecond
@@ -384,7 +384,7 @@ func TestRestoreRejectsCorruptCRCValidCheckpoint(t *testing.T) {
 		"kernel position beyond the next seq": func(t *testing.T, snap *ckpt.Snapshot, _ *fabric.State) {
 			snap.Kernel.ExecSeq = snap.Kernel.Seq + 1
 		},
-		"voq in a padding slot": func(t *testing.T, _ *ckpt.Snapshot, st *fabric.State) {
+		"voq beyond the ring": func(t *testing.T, _ *ckpt.Snapshot, st *fabric.State) {
 			o := firstVoQ(t, st)
 			o.VoQs[len(o.VoQs)-1].K = 6
 		},

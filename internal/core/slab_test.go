@@ -93,3 +93,27 @@ func TestBuildAllocatesPerSlabNotPerHost(t *testing.T) {
 			small, large, large-small, hosts)
 	}
 }
+
+// TestBuildStaysUnderMinHeapGoal bounds the bytes Build allocates for
+// the paper's 648-node fabric below 3.5 MiB, under the runtime's 4 MiB
+// minimum heap goal: a Build that crosses it starts a collection inside
+// itself, whose mark assists scan the pointer-holding VoQ slab. With
+// every VoQ ring padded to 64 ports it allocated 4.07 MiB; sized by the
+// switch's 36 real ports, 3.24 MiB.
+func TestBuildStaysUnderMinHeapGoal(t *testing.T) {
+	const budget = 7 << 19 // 3.5 MiB
+	s := Default(36)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	_, err := Build(s)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("Build allocated %.2f MiB", float64(n)/(1<<20))
+	if n >= budget {
+		t.Fatalf("Build allocated %d bytes, want < %d", n, budget)
+	}
+}

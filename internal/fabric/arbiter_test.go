@@ -21,7 +21,7 @@ func (op *swOutPort) tryTxLinear() {
 	}
 	voqs := op.voqs()
 	for i := range voqs {
-		k := (int(op.rr) + i) & int(op.sw.voqMask)
+		k := (int(op.rr) + i) % len(voqs)
 		if !voqs[k].Empty() && op.grant(k) {
 			return
 		}
@@ -90,10 +90,10 @@ func (r *arbRig) txDone() {
 // sequences and requires identical behaviour at every step: the same
 // grants in the same order, the same credit-stall publications (heads
 // that did not fit are skipped, not waited on), the same round-robin
-// pointer. Port and lane counts cover a one-word bitmap with and without
-// padding (2, 36, 64 ports) and multi-word bitmaps (65 ports; 15
-// lanes); CNPs queued behind and beside MTU data give the heads
-// different wire sizes, so a lane short of credits stalls some VoQs and
+// pointer. Port and lane counts cover rings that end inside a bitmap
+// word and at its end (2, 36, 64 ports on one lane) and multi-word
+// bitmaps (2 or 15 lanes; 65 ports); CNPs queued behind and beside MTU
+// data give the heads different wire sizes, so a lane short of credits stalls some VoQs and
 // not others.
 func TestArbiterMatchesLinearScan(t *testing.T) {
 	for _, ports := range []int{2, 36, 64, 65} {

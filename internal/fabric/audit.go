@@ -181,7 +181,8 @@ func (n *Network) CheckCreditBounds() error {
 // are the wire bytes queued on that lane, and a VoQ holds only packets
 // of its slot's lane, the one a grant returns the input-buffer credit
 // on. A stale set bit would make the arbiter dereference an empty
-// queue's head; a stale clear bit strands its packets forever.
+// queue's head — past the ring's end, the next port's queue; a stale
+// clear bit strands its packets forever.
 func (n *Network) CheckVoQOccupancy() error {
 	for _, sw := range n.switches {
 		for pi, op := range sw.out {
@@ -191,6 +192,10 @@ func (n *Network) CheckVoQOccupancy() error {
 			queued := 0
 			var lanes [16]int // wire bytes queued per VL; NumVLs ≤ 15 (Config.Validate)
 			voqs, occ, qbytes := op.voqs(), op.occ(), op.qbytes()
+			if tail := occ[len(occ)-1] >> (len(voqs) & 63); len(voqs)&63 != 0 && tail != 0 {
+				return fmt.Errorf("fabric: switch %d port %d: occupancy bits %#x set beyond the ring of %d",
+					sw.index, pi, tail, len(voqs))
+			}
 			for k := range voqs {
 				l := voqs[k].Len()
 				queued += l

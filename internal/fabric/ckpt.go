@@ -381,19 +381,22 @@ func (n *Network) restoreHCA(h *HCA, hs *HCAState, tab *ckpt.PacketTable) error 
 // slot's VL — and the occupancy bitmap, which a snapshot does not carry,
 // is rebuilt from the queues. RR and Pending are wider in the snapshot
 // than in the port: both are range-checked before they are narrowed, or
-// a Pending off by 2^32 would wrap into a state the rules accept.
+// a Pending off by 2^32 would wrap into a state the rules accept. An RR
+// equal to the ring's length restores as 0: it is what a ring whose port
+// dimension was padded to a power of two wrote after granting its final
+// slot, and a scan from there reached slot 0 first.
 func (n *Network) restoreSwOut(op *swOutPort, st *SwOutState, tab *ckpt.PacketTable) error {
 	voqs, occ, qbytes := op.voqs(), op.occ(), op.qbytes()
 	if len(st.Qbytes) != len(qbytes) {
 		return fmt.Errorf("%d queue lanes, want %d", len(st.Qbytes), len(qbytes))
 	}
-	if st.RR < 0 || st.RR >= len(voqs) {
+	if st.RR < 0 || st.RR > len(voqs) {
 		return fmt.Errorf("arbiter pointer %d outside ring of %d", st.RR, len(voqs))
 	}
 	if st.Pending < 0 || st.Pending > math.MaxInt32 {
 		return fmt.Errorf("pending %d outside [0, %d]", st.Pending, math.MaxInt32)
 	}
-	op.rr, op.pending = int32(st.RR), int32(st.Pending)
+	op.rr, op.pending = int32(st.RR%len(voqs)), int32(st.Pending)
 	for k := range voqs {
 		voqs[k] = ib.PacketQueue{}
 	}
@@ -516,6 +519,9 @@ func (n *Network) transmitter(atSwitch bool, node, port int64) (creditTaker, err
 		h, err := n.host(node)
 		if err != nil {
 			return nil, err
+		}
+		if port != 0 {
+			return nil, fmt.Errorf("fabric: checkpoint references port %d of host %d", port, node)
 		}
 		return h, nil
 	}

@@ -12,10 +12,10 @@ import (
 )
 
 // ckptNet builds the restore-hardening fixture: a two-switch chain with
-// three hosts each, so every switch has five ports padded to a ring of
-// eight (in-ports 5–7 are padding), an unconnected in-port (sw0's
-// "previous switch" port 3), and with three VLs a padding lane (vl 3).
-func ckptNet(t *testing.T) *Network {
+// three hosts each, so every switch has five ports, an unconnected
+// in-port (sw0's "previous switch" port 3), and with three VLs a padding
+// lane (vl 3): a ring of 5 << 2 = 20 slots.
+func ckptNet(t testing.TB) *Network {
 	t.Helper()
 	tp, err := topo.LinearChain(2, 3)
 	if err != nil {
@@ -32,7 +32,7 @@ func ckptNet(t *testing.T) *Network {
 // parked, a host is stalled and some link is busy behind an unarmed
 // key — and exports that instant together with the kernel scalars the
 // link keys are judged against.
-func congestedState(t *testing.T) (blob []byte, recs []ckpt.PacketRecord, ks sim.KernelState) {
+func congestedState(t testing.TB) (blob []byte, recs []ckpt.PacketRecord, ks sim.KernelState) {
 	t.Helper()
 	n := ckptNet(t)
 	for src := 0; src < 3; src++ {
@@ -127,21 +127,64 @@ func TestRestoreStateRejectsCorruptSnapshots(t *testing.T) {
 		t.Fatalf("fixture lacks staged (%d) or rx-queued (%d) packets", len(probe.HCAs[0].Obuf), len(probe.HCAs[3].RxQ))
 	}
 
-	cases := []struct {
-		name    string
-		corrupt func(st *State, recs []ckpt.PacketRecord)
-		want    string // substring of the error; "" means restore must succeed
-	}{
+	for _, tc := range snapshotCorruptions(ks) {
+		t.Run(tc.name, func(t *testing.T) {
+			var st State
+			if err := json.Unmarshal(blob, &st); err != nil {
+				t.Fatal(err)
+			}
+			rc := append([]ckpt.PacketRecord(nil), recs...)
+			tc.corrupt(&st, rc)
+			given, err := json.Marshal(&st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := ckptNet(t)
+			n.Sim().BeginRestore(ks)
+			err = n.RestoreState(&st, ckpt.RestoreTable(rc))
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("restore of a valid state failed: %v", err)
+				}
+				if err := n.CheckVoQOccupancy(); err != nil {
+					t.Fatalf("occupancy bitmap not rebuilt: %v", err)
+				}
+				requireCanonicalReexport(t, n, given, rc)
+				return
+			}
+			if err == nil {
+				t.Fatal("corrupt state restored without error")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// snapshotCorruption damages a valid fabric state (or its packet table)
+// in one place.
+type snapshotCorruption struct {
+	name    string
+	corrupt func(st *State, recs []ckpt.PacketRecord)
+	want    string // substring of the error; "" means restore must succeed
+}
+
+// snapshotCorruptions are the damages a CRC-valid but wrongly written
+// (or maliciously edited) checkpoint of congestedState's fixture can
+// carry, judged against the kernel scalars ks it was cut at.
+func snapshotCorruptions(ks sim.KernelState) []snapshotCorruption {
+	return []snapshotCorruption{
 		{"intact", func(*State, []ckpt.PacketRecord) {}, ""},
 		{"voq index negative", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).VoQs[0].K = -1 }, "voq -1"},
 		{"voq index beyond ring", func(st *State, _ []ckpt.PacketRecord) {
 			v := busiestOut(st).VoQs
 			v[len(v)-1].K = 32
-		}, "voq 32 of 32"},
-		{"voq in padding in-port", func(st *State, _ []ckpt.PacketRecord) {
+		}, "voq 32 of 20"},
+		{"voq in an in-port beyond ring", func(st *State, _ []ckpt.PacketRecord) {
 			v := busiestOut(st).VoQs
 			v[len(v)-1].K = 7 << 2
-		}, "padding slot"},
+		}, "voq 28 of 20"},
 		{"voq at unconnected in-port", func(st *State, _ []ckpt.PacketRecord) {
 			// Switch 0's port 3 faces a previous switch that does not exist.
 			o := st.Switches[0].Out[4]
@@ -153,6 +196,10 @@ func TestRestoreStateRejectsCorruptSnapshots(t *testing.T) {
 			v[1].K = v[0].K
 		}, "out of ring order"},
 		{"arbiter pointer beyond ring", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).RR = 32 }, "arbiter pointer 32"},
+		// A ring padded to a power of two wrote its length after a grant
+		// of the final slot; that restores as 0, one past is refused.
+		{"arbiter pointer at the padded ring's wrap", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).RR = 20 }, ""},
+		{"arbiter pointer past the wrap", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).RR = 21 }, "arbiter pointer 21 outside ring of 20"},
 		{"arbiter pointer negative", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).RR = -1 }, "arbiter pointer -1"},
 		{"pending disagrees with queues", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).Pending++ }, "pending"},
 		// RR and Pending are int in the snapshot and int32 in the port:
@@ -160,7 +207,7 @@ func TestRestoreStateRejectsCorruptSnapshots(t *testing.T) {
 		// it is narrowed, not wrapped back into a state the rules accept.
 		{"pending off by 2^32", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).Pending += 1 << 32 }, "outside [0, 2147483647]"},
 		{"pending negative", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).Pending -= 1 << 32 }, "outside [0, 2147483647]"},
-		{"arbiter pointer off by 2^32", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).RR += 1 << 32 }, "outside ring of 32"},
+		{"arbiter pointer off by 2^32", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).RR += 1 << 32 }, "outside ring of 20"},
 		{"qbytes disagrees with queues", func(st *State, _ []ckpt.PacketRecord) { busiestOut(st).Qbytes[0] -= 64 }, "wire bytes"},
 		{"staging bytes disagree with queue", func(st *State, _ []ckpt.PacketRecord) { st.HCAs[0].ObufBytes++ }, "staging holds"},
 		{"voq packet reference beyond table", func(st *State, recs []ckpt.PacketRecord) {
@@ -220,6 +267,9 @@ func TestRestoreStateRejectsCorruptSnapshots(t *testing.T) {
 		{"parked credit for a transmitter the fabric lacks", func(st *State, _ []ckpt.PacketRecord) {
 			st.Parked[0].AtSwitch, st.Parked[0].Node, st.Parked[0].Port = true, 0, 3
 		}, "unconnected port 3 of switch 0"},
+		{"parked credit for a host port the fabric lacks", func(st *State, _ []ckpt.PacketRecord) {
+			st.Parked[0].AtSwitch, st.Parked[0].Node, st.Parked[0].Port = false, 1, 2
+		}, "port 2 of host 1"},
 		{"parked credit larger than the buffer", func(st *State, _ []ckpt.PacketRecord) { st.Parked[0].Bytes = 1 << 20 }, "exceed capacity"},
 		{"parked credit overflowing the buffer", func(st *State, _ []ckpt.PacketRecord) {
 			c := &st.Parked[0]
@@ -234,38 +284,5 @@ func TestRestoreStateRejectsCorruptSnapshots(t *testing.T) {
 				st.Parked = append(st.Parked, st.Parked[0])
 			}
 		}, "the ring holds"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var st State
-			if err := json.Unmarshal(blob, &st); err != nil {
-				t.Fatal(err)
-			}
-			rc := append([]ckpt.PacketRecord(nil), recs...)
-			tc.corrupt(&st, rc)
-			n := ckptNet(t)
-			n.Sim().BeginRestore(ks)
-			err := n.RestoreState(&st, ckpt.RestoreTable(rc))
-			if tc.want == "" {
-				if err != nil {
-					t.Fatalf("restore of an intact state failed: %v", err)
-				}
-				if err := n.CheckVoQOccupancy(); err != nil {
-					t.Fatalf("occupancy bitmap not rebuilt: %v", err)
-				}
-				tab := ckpt.NewPacketTable()
-				again, _ := json.Marshal(n.ExportState(tab))
-				if string(again) != string(blob) {
-					t.Fatal("restored fabric does not re-export the state it was given")
-				}
-				return
-			}
-			if err == nil {
-				t.Fatal("corrupt state restored without error")
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
-			}
-		})
 	}
 }

@@ -50,7 +50,7 @@ func (d *delayedSource) Pull(now sim.Time) (*ib.Packet, sim.Time) {
 	return d.floodSource.Pull(now)
 }
 
-func buildNet(t *testing.T, tp *topo.Topology, cfg Config, hooks Hooks) *Network {
+func buildNet(t testing.TB, tp *topo.Topology, cfg Config, hooks Hooks) *Network {
 	t.Helper()
 	r, err := topo.ComputeLFT(tp)
 	if err != nil {

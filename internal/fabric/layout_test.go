@@ -13,7 +13,7 @@ import (
 // §9): an output port is two cache lines, and what a hop touches of the
 // input port, the link and a VoQ header stays as small as it is. A field
 // added to one of these has to earn its place against the working set
-// of a 648-node fabric (1944 switch ports, 124 416 VoQ headers).
+// of a 648-node fabric (1944 switch ports, 69 984 VoQ headers).
 func TestPortLayoutBudget(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -28,6 +28,32 @@ func TestPortLayoutBudget(t *testing.T) {
 	} {
 		if c.got > c.most || c.exact && c.got != c.most {
 			t.Errorf("%s is %d bytes, budget %d", c.name, c.got, c.most)
+		}
+	}
+}
+
+// TestVoQSlabHoldsRealPortsOnly: every output port's VoQ ring has one
+// stretch per port its switch has, lanes padded to a power of two, so
+// the paper's 648-node fabric (54 switches of 36 ports) carves 1944 × 36
+// headers per lane and no slot for a port the switch does not have.
+func TestVoQSlabHoldsRealPortsOnly(t *testing.T) {
+	tp, err := topo.FatTree(36)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := topo.ComputeLFT(tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ vls, want int }{{1, 69984}, {2, 139968}} {
+		cfg := DefaultConfig()
+		cfg.NumVLs = c.vls
+		n, err := New(sim.New(), tp, r, cfg, Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(n.voqs); got != c.want {
+			t.Errorf("%d VLs: %d VoQ headers, want %d", c.vls, got, c.want)
 		}
 	}
 }

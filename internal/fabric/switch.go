@@ -23,7 +23,7 @@ type SwitchNode struct {
 	// Geometry of the VoQ ring every output port of this switch has
 	// (see swOutPort).
 	vlShift  uint  // log2 of the padded per-input VL stride
-	voqMask  int32 // ring length - 1
+	ring     int32 // ring length: ports << vlShift
 	occWords int32 // occupancy words per ring
 }
 
@@ -44,14 +44,15 @@ type swInPort struct {
 // occupancy words and the byte counters are stretches of the network's
 // slabs starting at the three bases; rr and pending stay here.
 //
-// The VoQ array is a power-of-two ring indexed voqs[inPort<<vlShift|vl]:
-// ports and VLs are padded up to powers of two so the arbiter pointer
-// wraps with a mask instead of a compare-and-subtract, and recovering
-// (inPort, vl) from a ring index is a shift/mask instead of a division.
-// Padding slots hold permanently empty queues. Cyclic lexicographic
-// order over the real (inPort, vl) pairs — and therefore the grant
-// sequence — is identical to the unpadded layout; the golden trajectory
-// tests pin this.
+// The VoQ array is a ring indexed voqs[inPort<<vlShift|vl] with one
+// stretch per port the switch has: only the lane stride is padded up to
+// a power of two, so recovering (inPort, vl) from a ring index is a
+// shift/mask instead of a division, while the port dimension is the
+// switch's own and the arbiter pointer wraps with one compare at the
+// ring's end. Padding lanes and unconnected in-ports hold permanently
+// empty queues. Cyclic lexicographic order over the real (inPort, vl)
+// pairs — and therefore the grant sequence — is identical to the
+// unpadded layout; the golden trajectory tests pin this.
 //
 // occ is the ring's occupancy bitmap: bit k is set exactly while
 // voqs[k] is non-empty. The arbiter walks set bits from rr in cyclic
@@ -60,7 +61,7 @@ type swInPort struct {
 type swOutPort struct {
 	linkOut
 	sw         *SwitchNode
-	voqBase    int32 // pow2 ring in net.voqs: [inPort<<vlShift | vl]
+	voqBase    int32 // ring in net.voqs: [inPort<<vlShift | vl]
 	occBase    int32 // in net.occ: bit k ⇔ voq k non-empty
 	qbytesBase int32 // in net.qbytes: queued bytes per VL across all inputs
 	rr         int32 // arbitration pointer into the ring
@@ -72,7 +73,7 @@ func (ip *swInPort) free() []int {
 }
 
 func (op *swOutPort) voqs() []ib.PacketQueue {
-	return op.net.voqs[op.voqBase:][:op.sw.voqMask+1]
+	return op.net.voqs[op.voqBase:][:op.sw.ring]
 }
 
 func (op *swOutPort) occ() []uint64 { return op.net.occ[op.occBase:][:op.sw.occWords] }
@@ -81,15 +82,12 @@ func (op *swOutPort) qbytes() []int {
 	return op.net.qbytes[op.qbytesBase:][:op.net.cfg.NumVLs]
 }
 
-// pow2ceil rounds x (≥ 1) up to the next power of two.
-func pow2ceil(x int) int { return 1 << bits.Len(uint(x-1)) }
-
 // voqRing returns the VoQ ring geometry of a switch with nports ports
 // carrying nvl lanes: the VL stride's shift, the ring length and its
 // occupancy words.
 func voqRing(nports, nvl int) (vlShift uint, ring, words int) {
 	vlShift = uint(bits.Len(uint(nvl - 1)))
-	ring = pow2ceil(nports) << vlShift
+	ring = nports << vlShift
 	return vlShift, ring, (ring + 63) / 64
 }
 
@@ -99,7 +97,7 @@ func newSwitchNode(n *Network, node *topo.Node, index int, cur *slabCursor) *Swi
 	sw := &SwitchNode{net: n, id: node.ID, index: index}
 	nports, nvl := len(node.Ports), n.cfg.NumVLs
 	shift, ring, words := voqRing(nports, nvl)
-	sw.vlShift, sw.voqMask, sw.occWords = shift, int32(ring-1), int32(words)
+	sw.vlShift, sw.ring, sw.occWords = shift, int32(ring), int32(words)
 	sw.in = make([]*swInPort, nports)
 	sw.out = make([]*swOutPort, nports)
 	connected := 0
@@ -187,7 +185,7 @@ func (op *swOutPort) enqueue(ip *swInPort, p *ib.Packet) {
 	if op.pending == 0 && !op.down && !op.isBusy() {
 		n.fold()
 		if op.admit(p) {
-			op.rr = int32(k+1) & op.sw.voqMask
+			op.advance(k)
 			op.depart(ip, p)
 		} else {
 			op.push(k, p)
@@ -255,7 +253,7 @@ func (op *swOutPort) grant(k int) bool {
 	if !op.admit(head) {
 		return false
 	}
-	op.rr = int32(k+1) & op.sw.voqMask
+	op.advance(k)
 	q.Pop()
 	if q.Empty() {
 		n.occ[int(op.occBase)+k>>6] &^= 1 << (k & 63)
@@ -263,6 +261,14 @@ func (op *swOutPort) grant(k int) bool {
 	op.pending--
 	op.depart(ip, head)
 	return true
+}
+
+// advance moves the round-robin pointer past granted slot k, wrapping
+// at the ring's end.
+func (op *swOutPort) advance(k int) {
+	if op.rr = int32(k + 1); op.rr == op.sw.ring {
+		op.rr = 0
+	}
 }
 
 // admit decides whether head may leave now: the grant needs credits on

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ib"
@@ -8,11 +9,11 @@ import (
 	"repro/internal/topo"
 )
 
-// TestVoQRingLayoutNonPow2 pins the padded power-of-two VoQ ring for a
-// switch with a non-power-of-two port count and VL count: the ring size
-// and stride must round up, every real (inPort, vl) pair must map to a
-// distinct slot, and recovering inPort from a slot index must invert
-// the mapping.
+// TestVoQRingLayoutNonPow2 pins the VoQ ring for a switch with a
+// non-power-of-two port count and VL count: the port dimension is the
+// switch's own, the lane stride rounds up to a power of two, every real
+// (inPort, vl) pair maps to a distinct slot inside the ring, and
+// recovering inPort from a slot index inverts the mapping.
 func TestVoQRingLayoutNonPow2(t *testing.T) {
 	tp, err := topo.SingleSwitch(3) // 3 connected ports: non-pow2
 	if err != nil {
@@ -26,17 +27,17 @@ func TestVoQRingLayoutNonPow2(t *testing.T) {
 	if sw.vlShift != 2 {
 		t.Fatalf("vlShift = %d, want 2", sw.vlShift)
 	}
-	if len(op.voqs()) != 16 { // pow2ceil(3 ports) << 2 = 4*4
-		t.Fatalf("len(voqs) = %d, want 16", len(op.voqs()))
+	if len(op.voqs()) != 12 { // 3 ports << 2
+		t.Fatalf("len(voqs) = %d, want 12", len(op.voqs()))
 	}
-	if int(sw.voqMask) != len(op.voqs())-1 {
-		t.Fatalf("voqMask = %d, want %d", sw.voqMask, len(op.voqs())-1)
+	if len(op.occ()) != 1 {
+		t.Fatalf("len(occ) = %d words, want 1", len(op.occ()))
 	}
 	seen := map[int]bool{}
 	for inPort := 0; inPort < 3; inPort++ {
 		for vl := 0; vl < cfg.NumVLs; vl++ {
 			k := inPort<<sw.vlShift | vl
-			if k&int(sw.voqMask) != k {
+			if k >= len(op.voqs()) {
 				t.Fatalf("slot %d for (%d,%d) outside ring", k, inPort, vl)
 			}
 			if seen[k] {
@@ -50,28 +51,40 @@ func TestVoQRingLayoutNonPow2(t *testing.T) {
 	}
 }
 
-func TestPow2Ceil(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 15: 16, 16: 16, 36: 64}
-	for in, want := range cases {
-		if got := pow2ceil(in); got != want {
-			t.Fatalf("pow2ceil(%d) = %d, want %d", in, got, want)
+// TestCheckVoQOccupancyCatchesStaleBits: a set bit on an empty queue
+// and one past the ring's end — which the arbiter would resolve to the
+// next port's queue — both fail the occupancy audit.
+func TestCheckVoQOccupancyCatchesStaleBits(t *testing.T) {
+	tp, err := topo.SingleSwitch(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testCfg()
+	cfg.NumVLs = 3
+	for _, c := range []struct {
+		bit  uint
+		want string
+	}{{1, "occupancy bit true with 0 packets"}, {12, "beyond the ring of 12"}} {
+		n := buildNet(t, tp, cfg, Hooks{})
+		n.switches[0].out[0].occ()[0] |= 1 << c.bit
+		if err := n.CheckVoQOccupancy(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("bit %d: error %v, want %q", c.bit, err, c.want)
 		}
 	}
 }
 
-// TestArbiterOrderMatchesUnpaddedLayout checks that the padded ring's
-// cyclic scan visits real (inPort, vl) pairs in exactly the order the
-// old unpadded inPort*numVLs+vl layout did, for every starting pointer
-// — the argument that grant sequences (and so trajectories) are
-// byte-identical across the layout change.
+// TestArbiterOrderMatchesUnpaddedLayout checks that the ring's cyclic
+// scan, lane stride padded, visits real (inPort, vl) pairs in exactly
+// the order the fully unpadded inPort*numVLs+vl layout did, for every
+// starting pointer — the argument that grant sequences (and so
+// trajectories) are byte-identical across the layout change.
 func TestArbiterOrderMatchesUnpaddedLayout(t *testing.T) {
 	for _, tc := range []struct{ ports, vls int }{{3, 3}, {4, 1}, {5, 2}, {36, 3}} {
 		vlShift := uint(0)
 		for 1<<vlShift < tc.vls {
 			vlShift++
 		}
-		ringSize := pow2ceil(tc.ports) << vlShift
-		mask := ringSize - 1
+		ringSize := tc.ports << vlShift
 
 		type pair struct{ in, vl int }
 		// Reference: unpadded lexicographic enumeration.
@@ -83,12 +96,12 @@ func TestArbiterOrderMatchesUnpaddedLayout(t *testing.T) {
 		}
 		real := func(k int) (pair, bool) {
 			in, vl := k>>vlShift, k&(1<<vlShift-1)
-			return pair{in, vl}, in < tc.ports && vl < tc.vls
+			return pair{in, vl}, vl < tc.vls
 		}
 		for start := 0; start < ringSize; start++ {
 			var got []pair
 			for i := 0; i < ringSize; i++ {
-				if p, ok := real((start + i) & mask); ok {
+				if p, ok := real((start + i) % ringSize); ok {
 					got = append(got, p)
 				}
 			}

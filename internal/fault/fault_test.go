@@ -303,7 +303,7 @@ func TestRateSamplerAndRecovery(t *testing.T) {
 
 func TestRecoveryMetricEdgeCases(t *testing.T) {
 	s := &Stats{}
-	if got := s.recovery(); got != 0 {
+	if got := s.recovery(100); got != 0 {
 		t.Fatalf("no samples: recovery %v, want 0", got)
 	}
 	s = &Stats{
@@ -313,11 +313,27 @@ func TestRecoveryMetricEdgeCases(t *testing.T) {
 			{T: 50, Gbps: 10}, {T: 150, Gbps: 1}, {T: 250, Gbps: 2}, {T: 350, Gbps: 3},
 		},
 	}
-	if got := s.recovery(); got != -1 {
+	if got := s.recovery(100); got != -1 {
 		t.Fatalf("never recovered: recovery %v, want -1", got)
 	}
 	s.Samples = append(s.Samples, RateSample{T: 450, Gbps: 9.5})
-	if got := s.recovery(); got != 250 {
+	if got := s.recovery(100); got != 250 {
 		t.Fatalf("recovery %v, want 250", got)
+	}
+
+	// A sample landing exactly on the fault's end covers the downtime:
+	// however high its rate, it is not a recovery (and never reads as
+	// the "not applicable" 0); the next whole window is, one window on.
+	s = &Stats{
+		FirstFaultStart: 100,
+		LastFaultEnd:    200,
+		Samples:         []RateSample{{T: 100, Gbps: 10}, {T: 200, Gbps: 9.5}},
+	}
+	if got := s.recovery(100); got != -1 {
+		t.Fatalf("sample on the fault's end: recovery %v, want -1", got)
+	}
+	s.Samples = append(s.Samples, RateSample{T: 300, Gbps: 9.5})
+	if got := s.recovery(100); got != 100 {
+		t.Fatalf("first whole window after the fault: recovery %v, want 100", got)
 	}
 }

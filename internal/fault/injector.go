@@ -233,7 +233,7 @@ func (in *Injector) sample() {
 func (in *Injector) Stats() *Stats {
 	s := in.stats
 	s.Samples = append([]RateSample(nil), in.stats.Samples...)
-	s.Recovery = s.recovery()
+	s.Recovery = s.recovery(in.plan.SampleEvery)
 	return &s
 }
 

@@ -31,9 +31,11 @@ type Stats struct {
 	Samples []RateSample `json:"samples,omitempty"`
 
 	// Recovery is the time from the last scheduled fault's end until
-	// the aggregate receive rate first regained 90% of its pre-fault
-	// baseline: -1 means it never recovered within the horizon, 0 means
-	// not applicable (no samples or no scheduled faults).
+	// the end of the first sample window that lies wholly after it and
+	// regained 90% of the pre-fault baseline rate, so a set Recovery is
+	// at least one window: -1 means it never recovered within the
+	// horizon, 0 means not applicable (no samples or no scheduled
+	// faults).
 	Recovery sim.Duration `json:"recovery_ps"`
 }
 
@@ -47,7 +49,9 @@ func (s *Stats) DroppedPackets() uint64 {
 // post-fault sample must reach to count as recovered.
 const recoveryThreshold = 0.9
 
-func (s *Stats) recovery() sim.Duration {
+// recovery derives Recovery from samples taken every window: the sample
+// at T covers (T − every, T].
+func (s *Stats) recovery(every sim.Duration) sim.Duration {
 	if len(s.Samples) == 0 || s.LastFaultEnd == 0 {
 		return 0
 	}
@@ -74,8 +78,11 @@ func (s *Stats) recovery() sim.Duration {
 	if base == 0 {
 		return 0
 	}
+	// A window that started before the fault ended still covers part
+	// of the downtime: it does not count as recovered.
+	after := s.LastFaultEnd.Add(every)
 	for _, smp := range s.Samples {
-		if smp.T >= s.LastFaultEnd && smp.Gbps >= recoveryThreshold*base {
+		if smp.T >= after && smp.Gbps >= recoveryThreshold*base {
 			return smp.T.Sub(s.LastFaultEnd)
 		}
 	}

@@ -4,8 +4,9 @@
 # EXPERIMENTS.md ("A faulted run") — one link flap plus CNP and data
 # loss — runs once at radix 8 under the invariant checker, which exits
 # non-zero on any violation. The run must report what the injector did
-# (a `faults :` line with the flap's link transition) and a clean audit
-# of custody through the Dropped ledger. The plan and the run's output
+# (a `faults :` line with the flap's link transition and the time the
+# receive rate took to recover after it) and a clean audit of custody
+# through the Dropped ledger. The plan and the run's output
 # live in a temp dir of their own, removed on exit.
 set -eu
 
@@ -26,6 +27,11 @@ PLAN
 "$GO" run ./cmd/ibccsim -radix 8 -warmup 1ms -measure 2ms -faults "$T/plan.json" -check > "$T/run.txt"
 if ! grep -q '^faults   : .*link downs/ups=[1-9]' "$T/run.txt"; then
     echo "faults smoke: the run reports no link transition:" >&2
+    cat "$T/run.txt" >&2
+    exit 1
+fi
+if ! grep -q '^faults   : .*, recovered .* after last fault' "$T/run.txt"; then
+    echo "faults smoke: the run reports no recovery after the flap:" >&2
     cat "$T/run.txt" >&2
     exit 1
 fi
