@@ -53,7 +53,9 @@ examples:
 # and the radix-18 moving-CC run keeps its budget with both attached
 # (TestObservedMovingCCZeroAllocAtRadix18, matched by 'ZeroAlloc');
 # the bus's port table is sized once, when the fabric attaches it, and
-# a row keeps a hop's fields in one cache line. A run allocates per
+# a row keeps a hop's fields in one cache line; a sampler keeps a whole
+# 1,200-bin run in one growing slice of rows, a dozen allocations
+# (TestSamplerKeepsWholeRun). A run allocates per
 # slab, not per object: a whole radix-12 Table II CC-on run and 1 ms at
 # radix 36 stay under a fixed count (packets, events and pooled actions
 # carved from doubling chunks), Build grows by fewer allocations than
@@ -66,7 +68,7 @@ alloc-budget:
 	$(GO) test -count=1 ./internal/core -run 'ZeroAlloc|PerSlab|MinHeapGoal'
 	$(GO) test -count=1 ./internal/slab
 	$(GO) test -count=1 ./internal/obs -run 'Allocs|TableOnce|PortCountersLayout'
-	$(GO) test -count=1 ./internal/telemetry -run 'BuildsNoPerHopEvents'
+	$(GO) test -count=1 ./internal/telemetry -run 'BuildsNoPerHopEvents|KeepsWholeRun'
 	$(GO) test -count=1 ./internal/traffic -run 'Slots|Differential'
 	$(GO) test -count=1 ./internal/fabric -run 'PortLayoutBudget|NewAllocatesPerNodeNotPerPort|VoQSlabHoldsRealPortsOnly'
 	$(GO) test -count=1 -tags debug ./internal/ib -run 'ChunkCarved|RestoreBuilt'
@@ -105,9 +107,10 @@ faults:
 # sampler zero-perturbation, grid and views, span tracker and its
 # progress line, report schema), the obs-layer digest-stability guards,
 # then end to end via scripts/telemetry_smoke.sh, in a temp dir of its
-# own: a short sweep's JSON progress lines and unified run report, and
-# the single-run trace, whose cadence checkpoints must not change the
-# bare run's event count.
+# own: a short sweep's JSON progress lines and unified run report, the
+# single-run trace, whose cadence checkpoints must not change the bare
+# run's event count, and a 600-bin run whose CSV and -telemetry line
+# both keep every bin.
 telemetry:
 	$(GO) test -count=1 ./internal/telemetry
 	$(GO) test -count=1 ./internal/obs -run 'Digest|Telemetry|MsgCompleted'

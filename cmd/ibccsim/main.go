@@ -9,6 +9,7 @@
 //	ibccsim -radix 12 -ctree                     # print the congestion trees
 //	ibccsim -events run.jsonl                    # every bus event as one JSON line
 //	ibccsim -trace run.csv -traceint 50us        # time series of the telemetry sampler
+//	ibccsim -radix 8 -telemetry -traceint 10us   # its bin means, completion times, hot ports
 //	ibccsim -faults plan.json -check             # inject a fault plan, audited
 //	ibccsim -ckpt-every 1ms -ckpt-dir ckpts/ -check   # rolling crash-safe checkpoints, audited
 //	ibccsim -resume-from ckpts/ -check                # continue from the newest one, audited
@@ -19,6 +20,14 @@
 // worker count. With -out every run's result is persisted as a
 // fingerprint-keyed JSON artifact, and multi-seed runs resume from
 // matching artifacts.
+//
+// -trace and -telemetry are two views of one telemetry sampler, which
+// cuts the run into -traceint bins and keeps one row per bin for the
+// whole run, up to telemetry.MaxBins rows: the CSV has a line per bin
+// and the telemetry means cover every bin. A flag the run would not
+// read (-jobs with one seed, -ckpt-dir or -ckpt-keep without
+// -ckpt-every, -telemetry under -q, -traceint with no sampler) is
+// refused before anything is simulated, never silently ignored.
 //
 // With -ckpt-every a single run writes a rolling series of crash-safe
 // checkpoints (atomic rename + fsync + CRC), and -resume-from continues
@@ -34,6 +43,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -60,16 +70,20 @@ func main() {
 
 	// Reject nonsensical numeric flags with one line and a non-zero
 	// exit: a zero worker pool hangs, zero seeds shrink a sweep, and a
-	// trace finer than the sampler's ring loses its oldest rows.
+	// sampler finer than telemetry.MaxBins bins over the run would hold
+	// more rows than it may. A flag the run would not read is refused
+	// too, never silently ignored.
+	sampled := o.traceCSV != "" || o.telem
 	var traceSpan time.Duration
-	if o.traceCSV != "" {
+	if sampled {
 		traceSpan = o.warmup + o.measure
 	}
 	for _, err := range []error{
 		cliflag.Workers("-jobs", o.jobs),
 		cliflag.Positive("-seeds", o.numSeeds),
 		cliflag.Positive("-radix", o.radix),
-		cliflag.Cadence("-traceint", o.traceInt, traceSpan, telemetry.RingCap),
+		cliflag.Cadence("-traceint", o.traceInt, traceSpan, telemetry.MaxBins),
+		unreadFlag(fs, o),
 	} {
 		if err != nil {
 			log.Fatal(err)
@@ -150,13 +164,10 @@ func main() {
 	} else if inst, err = core.Build(s); err != nil {
 		log.Fatal(err)
 	}
-	// -trace and -telemetry are two views of one sampler; the CSV's
-	// cadence wins when both are given.
+	// -trace and -telemetry are two views of one sampler, at -traceint.
 	var smp *telemetry.Sampler
-	if o.traceCSV != "" {
+	if sampled {
 		smp = telemetry.NewSampler(s.Name, sim.Duration(o.traceInt.Nanoseconds())*sim.Nanosecond)
-	} else if o.telem {
-		smp = telemetry.NewSampler(s.Name, 0)
 	}
 	var ob *core.Observation
 	var evFile *os.File
@@ -228,7 +239,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if !o.quiet {
-			fmt.Printf("trace    : %d samples every %v -> %s\n", len(snap.QueuedKB.V), o.traceInt, o.traceCSV)
+			fmt.Printf("trace    : %d samples every %v -> %s\n", len(snap.Rows), o.traceInt, o.traceCSV)
 		}
 	}
 
@@ -299,8 +310,9 @@ func newFlagSet(onError flag.ErrorHandling) (*flag.FlagSet, *options) {
 	fs.DurationVar(&o.warmup, "warmup", 4*time.Millisecond, "warmup before measurement")
 	fs.DurationVar(&o.measure, "measure", 8*time.Millisecond, "measurement window")
 	fs.BoolVar(&o.quiet, "q", false, "print only the summary line")
-	fs.StringVar(&o.traceCSV, "trace", "", "write the telemetry sampler's time series (per-class rates, queues, CCTI, drops, stalls) as CSV to this file")
-	fs.DurationVar(&o.traceInt, "traceint", 100*time.Microsecond, "sampling interval of the -trace CSV (and of -telemetry when both are given)")
+	fs.StringVar(&o.traceCSV, "trace", "", "write the telemetry sampler's time series (per-class rates, queues, CCTI, drops, stalls) as CSV to this file, one row per bin of the whole run")
+	fs.DurationVar(&o.traceInt, "traceint", 100*time.Microsecond,
+		fmt.Sprintf("bin width of the telemetry sampler that -trace and -telemetry read (at most %d bins per run)", telemetry.MaxBins))
 	fs.IntVar(&o.numSeeds, "seeds", 1, "run this many seeds (seed, seed+1, ...) and report mean ±95% CI")
 	fs.IntVar(&o.jobs, "jobs", 1, "simulation workers for -seeds > 1 (0 = one per CPU)")
 	fs.StringVar(&o.out, "out", "", "artifact directory: persist results as JSON (and resume -seeds runs)")
@@ -308,7 +320,7 @@ func newFlagSet(onError flag.ErrorHandling) (*flag.FlagSet, *options) {
 	fs.BoolVar(&o.ctree, "ctree", false, "reconstruct the congestion trees from the event bus and print them")
 	fs.BoolVar(&o.checkInv, "check", false, "run under the runtime invariant checker; exit non-zero on violations")
 	fs.StringVar(&o.faults, "faults", "", "JSON fault plan: inject link faults and wire loss from this file")
-	fs.BoolVar(&o.telem, "telemetry", false, "print the telemetry sampler's per-class rates, message-completion percentiles and hottest ports")
+	fs.BoolVar(&o.telem, "telemetry", false, "print the telemetry sampler's per-class rates (means over every -traceint bin of the run), message-completion percentiles and hottest ports")
 	fs.DurationVar(&o.ckEvery, "ckpt-every", 0, "write a crash-safe checkpoint every this much simulated time (0 = off)")
 	fs.StringVar(&o.ckDir, "ckpt-dir", "checkpoints", "directory for the -ckpt-every rolling series")
 	fs.IntVar(&o.ckKeep, "ckpt-keep", 3, "checkpoints to keep in the -ckpt-every rolling series")
@@ -316,19 +328,40 @@ func newFlagSet(onError flag.ErrorHandling) (*flag.FlagSet, *options) {
 	return fs, o
 }
 
+// unreadFlag refuses a flag set on the command line that this run
+// would not read: -jobs with one seed, the checkpoint series' shape
+// without -ckpt-every, -telemetry under -q (which prints the summary
+// line alone), and -traceint with no sampler to pace.
+func unreadFlag(fs *flag.FlagSet, o *options) error {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case set["jobs"] && o.numSeeds == 1:
+		return errors.New("-jobs spreads -seeds runs over workers, and one seed is one run; add -seeds or drop -jobs")
+	case (set["ckpt-dir"] || set["ckpt-keep"]) && o.ckEvery <= 0:
+		return errors.New("-ckpt-dir and -ckpt-keep shape the -ckpt-every series; add -ckpt-every")
+	case o.quiet && o.telem:
+		return errors.New("-q prints only the summary line, never -telemetry's; drop one of them")
+	case set["traceint"] && o.traceCSV == "" && !o.telem:
+		return errors.New("-traceint is the bin width of -trace and -telemetry; add one of them")
+	}
+	return nil
+}
+
 // reportTelemetry prints the finished sampler's aggregates: mean
 // per-class delivered rates, message-completion percentiles, and the
 // hottest output ports by peak queue depth.
 func reportTelemetry(smp *telemetry.Sampler) {
 	snap := smp.Snapshot()
-	mean := func(s telemetry.Series) float64 {
-		if len(s.V) == 0 {
-			return 0
-		}
-		return s.Sum() / float64(len(s.V))
+	var hot, other, control float64
+	for _, r := range snap.Rows {
+		hot, other, control = hot+r.HotspotGbps, other+r.OtherGbps, control+r.ControlGbps
+	}
+	if n := float64(len(snap.Rows)); n > 0 {
+		hot, other, control = hot/n, other/n, control/n
 	}
 	fmt.Printf("telemetry: %.1fus cadence, %d bins; delivered hotspot %.3f / other %.3f / control %.3f Gbps (bin means)\n",
-		snap.CadenceUS, len(snap.QueuedKB.V), mean(snap.HotspotGbps), mean(snap.OtherGbps), mean(snap.ControlGbps))
+		snap.CadenceUS, len(snap.Rows), hot, other, control)
 	c := snap.Completion
 	if c.Count > 0 {
 		fmt.Printf("  messages : %d completed, latency p50 %.1f / p90 %.1f / p99 %.1f us (max %.1f)\n",

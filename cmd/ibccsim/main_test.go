@@ -126,8 +126,9 @@ func TestResumeReportsTheRestoredRun(t *testing.T) {
 	}
 }
 
-// TestTraceIntervalValidated: a non-positive or ring-overflowing
-// -traceint ends in one line on stderr and a non-zero exit before
+// TestTraceIntervalValidated: a non-positive -traceint, or one that
+// cuts the run into more than telemetry.MaxBins bins for -trace or
+// -telemetry, ends in one line on stderr and a non-zero exit before
 // anything is simulated.
 func TestTraceIntervalValidated(t *testing.T) {
 	bin := binary(t)
@@ -138,25 +139,55 @@ func TestTraceIntervalValidated(t *testing.T) {
 	}{
 		{[]string{"-traceint", "0"}, "-traceint must be > 0"},
 		{[]string{"-trace", csv, "-traceint=-1us"}, "-traceint must be > 0"},
-		{[]string{"-trace", csv, "-traceint", "1us", "-warmup", "1ms", "-measure", "2ms"}, "use 5.86µs or more"},
+		{[]string{"-trace", csv, "-traceint", "1ns", "-warmup", "1ms", "-measure", "2ms"}, "use 12ns or more"},
+		{[]string{"-telemetry", "-traceint", "1ns", "-warmup", "1ms", "-measure", "2ms"}, "use 12ns or more"},
 	} {
-		cmd := exec.Command(bin, append([]string{"-radix", "8"}, tc.args...)...)
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		if _, ok := err.(*exec.ExitError); !ok {
-			t.Fatalf("%v: err = %v, want a non-zero exit", tc.args, err)
-		}
-		msg := stderr.String()
-		if strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "ibccsim: ") || !strings.Contains(msg, tc.want) {
-			t.Errorf("%v: stderr = %q, want one line containing %q", tc.args, msg, tc.want)
-		}
-		if stdout.Len() != 0 {
-			t.Errorf("%v: simulated before rejecting the flag:\n%s", tc.args, stdout.String())
-		}
+		refused(t, bin, tc.args, tc.want)
 	}
 	if _, err := os.Stat(csv); err == nil {
 		t.Error("a rejected run left a trace file behind")
+	}
+}
+
+// TestUnreadFlagRefused: a flag set on the command line that the run
+// would not read is refused like a bad value, never silently ignored.
+func TestUnreadFlagRefused(t *testing.T) {
+	bin := binary(t)
+	dir := filepath.Join(t.TempDir(), "ck")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-jobs", "4"}, "-jobs spreads -seeds runs"},
+		{[]string{"-ckpt-dir", dir}, "add -ckpt-every"},
+		{[]string{"-ckpt-keep", "2"}, "add -ckpt-every"},
+		{[]string{"-q", "-telemetry"}, "-q prints only the summary line"},
+		{[]string{"-traceint", "10us"}, "-traceint is the bin width of -trace and -telemetry"},
+	} {
+		refused(t, bin, tc.args, tc.want)
+	}
+	if _, err := os.Stat(dir); err == nil {
+		t.Error("a rejected run made its checkpoint directory")
+	}
+}
+
+// refused runs ibccsim -radix 8 with args and requires one line on
+// stderr containing want, a non-zero exit and nothing simulated.
+func refused(t *testing.T, bin string, args []string, want string) {
+	t.Helper()
+	cmd := exec.Command(bin, append([]string{"-radix", "8"}, args...)...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if _, ok := err.(*exec.ExitError); !ok {
+		t.Fatalf("%v: err = %v, want a non-zero exit", args, err)
+	}
+	msg := stderr.String()
+	if strings.Count(msg, "\n") != 1 || !strings.HasPrefix(msg, "ibccsim: ") || !strings.Contains(msg, want) {
+		t.Errorf("%v: stderr = %q, want one line containing %q", args, msg, want)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("%v: simulated before rejecting the flag:\n%s", args, stdout.String())
 	}
 }
 

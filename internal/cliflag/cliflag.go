@@ -34,8 +34,8 @@ func Workers(name string, v int) error {
 
 // Cadence validates a time-series sampling interval flag: positive, and
 // coarse enough that the span it samples fits in maxBins bins (the
-// sampler's ring — a finer cadence would silently keep only the newest
-// bins). The error names the smallest interval that fits.
+// sampler's memory cap, telemetry.MaxBins — it keeps a row per bin for
+// the whole run). The error names the smallest interval that fits.
 func Cadence(name string, v, span time.Duration, maxBins int) error {
 	if v <= 0 {
 		return fmt.Errorf("%s must be > 0, got %v", name, v)

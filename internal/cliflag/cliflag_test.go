@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 func TestPositive(t *testing.T) {
@@ -38,25 +40,27 @@ func TestSeeds(t *testing.T) {
 	}
 }
 
+// TestCadence checks the bound ibccsim applies: telemetry.MaxBins rows
+// over the run.
 func TestCadence(t *testing.T) {
 	span := 3 * time.Millisecond
-	for _, v := range []time.Duration{5860 * time.Nanosecond, 100 * time.Microsecond, time.Second} {
-		if err := Cadence("-traceint", v, span, 512); err != nil {
+	for _, v := range []time.Duration{12 * time.Nanosecond, 100 * time.Microsecond, time.Second} {
+		if err := Cadence("-traceint", v, span, telemetry.MaxBins); err != nil {
 			t.Fatalf("Cadence(%v): %v", v, err)
 		}
 	}
-	if err := Cadence("-traceint", time.Nanosecond, 0, 512); err != nil {
+	if err := Cadence("-traceint", time.Nanosecond, 0, telemetry.MaxBins); err != nil {
 		t.Fatalf("zero span: %v", err)
 	}
 	for _, v := range []time.Duration{0, -time.Microsecond} {
-		if err := Cadence("-traceint", v, span, 512); err == nil || !strings.Contains(err.Error(), "-traceint") {
+		if err := Cadence("-traceint", v, span, telemetry.MaxBins); err == nil || !strings.Contains(err.Error(), "-traceint") {
 			t.Fatalf("Cadence(%v) = %v", v, err)
 		}
 	}
-	// 3 ms / 512 = 5859.375 ns: 5859 ns is one bin too many, and the
-	// error names 5.86µs, the smallest interval that fits.
-	err := Cadence("-traceint", 5859*time.Nanosecond, span, 512)
-	if err == nil || !strings.Contains(err.Error(), "5.86µs") || strings.Contains(err.Error(), "\n") {
-		t.Fatalf("Cadence(5859ns) = %v", err)
+	// 3 ms / 262 144 = 11.44 ns: 11 ns is too many bins, and the error
+	// names 12ns, the smallest interval that fits.
+	err := Cadence("-traceint", 11*time.Nanosecond, span, telemetry.MaxBins)
+	if err == nil || !strings.Contains(err.Error(), "use 12ns or more") || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("Cadence(11ns) = %v", err)
 	}
 }

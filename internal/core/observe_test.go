@@ -92,7 +92,7 @@ func TestObserveTreeClassifiesContributorsAndVictims(t *testing.T) {
 	if _, hottest := ob.Registry.HottestPort(); hottest == nil || hottest.FECNMarks == 0 {
 		t.Fatal("no hottest port")
 	}
-	if snap := smp.Snapshot(); snap.CCTIIncr.Sum() == 0 {
+	if colMax(smp.Snapshot().Rows, func(r telemetry.Row) float64 { return r.CCTIIncr }) == 0 {
 		t.Fatal("sampler saw no CCTI steps despite CC activity")
 	}
 

@@ -59,7 +59,7 @@ func TestTelemetryTraceSurvivesCheckpoints(t *testing.T) {
 	}
 	requireIdentical(t, "checkpointed run", straight, ckptSig(dig, res))
 	smp.Finish()
-	if n := len(smp.Snapshot().QueuedKB.V); n != 12 {
+	if n := len(smp.Snapshot().Rows); n != 12 {
 		t.Errorf("600 µs at 50 µs cadence gave %d bins, want 12", n)
 	}
 
@@ -80,28 +80,23 @@ func TestTelemetryTraceSeries(t *testing.T) {
 	_, res, snap := sampledRun(t, s, cadence)
 
 	bins := int((s.Warmup + s.Measure) / cadence)
-	for name, sr := range map[string]telemetry.Series{
-		"hotspot": snap.HotspotGbps, "other": snap.OtherGbps, "control": snap.ControlGbps,
-		"queued": snap.QueuedKB, "max_port": snap.MaxPortKB, "throttled": snap.Throttled,
-		"max_ccti": snap.MaxCCTI, "mean_ccti": snap.MeanCCTI, "incr": snap.CCTIIncr, "decr": snap.CCTIDecr,
-		"drops": snap.Drops, "stalls": snap.Stalls,
-	} {
-		if len(sr.V) != bins || len(sr.TUS) != bins {
-			t.Fatalf("series %s has %d points, want %d", name, len(sr.V), bins)
-		}
-		if first, last := sr.TUS[0], sr.TUS[bins-1]; first != 100 || last != 5000 {
-			t.Fatalf("series %s spans [%v, %v] µs, want [100, 5000]", name, first, last)
-		}
+	rows := snap.Rows
+	if len(rows) != bins {
+		t.Fatalf("%d rows, want %d", len(rows), bins)
+	}
+	if first, last := rows[0].EndUS, rows[bins-1].EndUS; first != 100 || last != 5000 {
+		t.Fatalf("rows span [%v, %v] µs, want [100, 5000]", first, last)
 	}
 
-	// Data payload delivered in the measurement window, from the series:
+	// Data payload delivered in the measurement window, from the rows:
 	// Gbit/s × bin seconds over the bins after warmup. The collector
 	// counts the same deliveries, so the two agree to rounding.
-	var gbit float64
-	for i, tUS := range snap.HotspotGbps.TUS {
-		if tUS > s.Warmup.Seconds()*1e6 {
-			gbit += (snap.HotspotGbps.V[i] + snap.OtherGbps.V[i]) * cadence.Seconds()
+	var gbit, incr, decr float64
+	for _, r := range rows {
+		if r.EndUS > s.Warmup.Seconds()*1e6 {
+			gbit += (r.HotspotGbps + r.OtherGbps) * cadence.Seconds()
 		}
+		incr, decr = incr+r.CCTIIncr, decr+r.CCTIDecr
 	}
 	if want := res.Summary.TotalGbps * s.Measure.Seconds(); gbit < want*0.999 || gbit > want*1.001 {
 		t.Fatalf("rate series integrate to %.6f Gbit, summary says %.6f", gbit, want)
@@ -109,24 +104,25 @@ func TestTelemetryTraceSeries(t *testing.T) {
 	// Payload flagged as hotspot traffic lands on hotspots, so the
 	// hotspot series cannot exceed what the hotspots received.
 	hot := res.Summary.HotspotAvgGbps * float64(len(res.Hotspots))
-	if peak := seriesMax(snap.HotspotGbps); peak <= 0 || peak > hot*1.5 {
+	if peak := colMax(rows, func(r telemetry.Row) float64 { return r.HotspotGbps }); peak <= 0 || peak > hot*1.5 {
 		t.Fatalf("hotspot series peaks at %.3f Gbps, hotspots received %.3f", peak, hot)
 	}
 
-	if seriesMax(snap.MaxPortKB) <= 0 {
+	if colMax(rows, func(r telemetry.Row) float64 { return r.MaxPortKB }) <= 0 {
 		t.Fatal("no queue growth observed under congestion")
 	}
-	if seriesMax(snap.MeanCCTI) <= 0 || seriesMax(snap.Throttled) <= 0 {
+	if colMax(rows, func(r telemetry.Row) float64 { return r.MeanCCTI }) <= 0 ||
+		colMax(rows, func(r telemetry.Row) float64 { return r.Throttled }) <= 0 {
 		t.Fatal("no throttling observed")
 	}
-	if seriesMax(snap.MaxCCTI) != float64(res.CCStats.MaxCCTI) {
-		t.Fatalf("max CCTI series peaks at %v, run reports %d", seriesMax(snap.MaxCCTI), res.CCStats.MaxCCTI)
+	if got := colMax(rows, func(r telemetry.Row) float64 { return r.MaxCCTI }); got != float64(res.CCStats.MaxCCTI) {
+		t.Fatalf("max CCTI series peaks at %v, run reports %d", got, res.CCStats.MaxCCTI)
 	}
-	if got, want := snap.CCTIIncr.Sum(), float64(res.CCStats.BECNReceived); got == 0 || got > want {
-		t.Fatalf("%v CCTI increases from %v BECNs", got, want)
+	if want := float64(res.CCStats.BECNReceived); incr == 0 || incr > want {
+		t.Fatalf("%v CCTI increases from %v BECNs", incr, want)
 	}
-	if got, want := snap.CCTIDecr.Sum(), float64(res.CCStats.TimerDecrements); got != want {
-		t.Fatalf("%v CCTI decreases, run reports %v timer decrements", got, want)
+	if want := float64(res.CCStats.TimerDecrements); decr != want {
+		t.Fatalf("%v CCTI decreases, run reports %v timer decrements", decr, want)
 	}
 
 	var sb strings.Builder
@@ -162,15 +158,12 @@ func TestTelemetryTraceWithoutCC(t *testing.T) {
 	s := quick(8)
 	s.CCOn = false
 	_, _, snap := sampledRun(t, s, 200*sim.Microsecond)
-	for name, sr := range map[string]telemetry.Series{
-		"throttled": snap.Throttled, "max_ccti": snap.MaxCCTI, "mean_ccti": snap.MeanCCTI,
-		"incr": snap.CCTIIncr, "decr": snap.CCTIDecr,
-	} {
-		if seriesMax(sr) != 0 {
-			t.Fatalf("CC series %s non-zero with CC off: %v", name, sr.V)
+	for i, r := range snap.Rows {
+		if r.Throttled != 0 || r.MaxCCTI != 0 || r.MeanCCTI != 0 || r.CCTIIncr != 0 || r.CCTIDecr != 0 {
+			t.Fatalf("row %d carries CC state with CC off: %+v", i, r)
 		}
 	}
-	if seriesMax(snap.OtherGbps) <= 0 {
+	if colMax(snap.Rows, func(r telemetry.Row) float64 { return r.OtherGbps }) <= 0 {
 		t.Fatal("no delivered rate recorded")
 	}
 }
@@ -194,18 +187,18 @@ func TestTelemetryFixedGridAcrossOutage(t *testing.T) {
 	_, _, snap := sampledRun(t, s, cadence)
 
 	bins := int((s.Warmup + s.Measure) / cadence)
-	if len(snap.OtherGbps.V) != bins {
-		t.Fatalf("%d points, want %d: idle bins were skipped", len(snap.OtherGbps.V), bins)
+	if len(snap.Rows) != bins {
+		t.Fatalf("%d rows, want %d: idle bins were skipped", len(snap.Rows), bins)
 	}
 	idle := 0
-	for i, tUS := range snap.OtherGbps.TUS {
-		if want := float64(i+1) * 10; tUS != want {
-			t.Fatalf("point %d stamped %v µs, want %v", i, tUS, want)
+	for i, r := range snap.Rows {
+		if want := float64(i+1) * 10; r.EndUS != want {
+			t.Fatalf("row %d stamped %v µs, want %v", i, r.EndUS, want)
 		}
 		// The queues behind the hotspots take ~80 µs to drain.
-		if tUS > 200 && tUS <= 280 {
-			if snap.HotspotGbps.V[i] != 0 || snap.OtherGbps.V[i] != 0 || snap.Drops.V[i] != 0 || snap.Stalls.V[i] != 0 {
-				t.Fatalf("bin ending %v µs is inside the outage but not idle", tUS)
+		if r.EndUS > 200 && r.EndUS <= 280 {
+			if r.HotspotGbps != 0 || r.OtherGbps != 0 || r.Drops != 0 || r.Stalls != 0 {
+				t.Fatalf("bin ending %v µs is inside the outage but not idle", r.EndUS)
 			}
 			idle++
 		}
@@ -213,19 +206,19 @@ func TestTelemetryFixedGridAcrossOutage(t *testing.T) {
 	if idle != 8 {
 		t.Fatalf("%d idle bins inside the outage, want 8", idle)
 	}
-	if last := snap.OtherGbps.V[bins-1]; last <= 0 {
+	if last := snap.Rows[bins-1].OtherGbps; last <= 0 {
 		t.Fatalf("traffic did not resume after the outage (last bin %v Gbps)", last)
 	}
 }
 
-func seriesMax(s telemetry.Series) float64 {
-	var max float64
-	for _, v := range s.V {
-		if v > max {
-			max = v
-		}
+// colMax is the largest value col reads from the rows (0 when none is
+// positive).
+func colMax(rows []telemetry.Row, col func(telemetry.Row) float64) float64 {
+	var m float64
+	for _, r := range rows {
+		m = max(m, col(r))
 	}
-	return max
+	return m
 }
 
 // TestTelemetryDoesNotPerturbSweep asserts the acceptance criterion at
@@ -313,7 +306,7 @@ func TestObserveTelemetryOption(t *testing.T) {
 	if snap.Completion.Count == 0 {
 		t.Fatal("sampler saw no message completions")
 	}
-	if len(snap.QueuedKB.V) == 0 {
+	if len(snap.Rows) == 0 {
 		t.Fatal("sampler produced no queue series")
 	}
 }

@@ -249,8 +249,12 @@ func TestObservedRunBuildsNoPerHopEvents(t *testing.T) {
 	if err := ck.Report().Err(); err != nil {
 		t.Fatal(err)
 	}
-	if snap := smp.Snapshot(); snap.QueuedKB.Sum() == 0 || snap.Stalls.Sum() == 0 || snap.HotspotGbps.Sum() == 0 ||
-		len(snap.HotPorts) == 0 || snap.Completion.Count == 0 {
+	snap := smp.Snapshot()
+	var queued, stalls, hot float64
+	for _, r := range snap.Rows {
+		queued, stalls, hot = queued+r.QueuedKB, stalls+r.Stalls, hot+r.HotspotGbps
+	}
+	if queued == 0 || stalls == 0 || hot == 0 || len(snap.HotPorts) == 0 || snap.Completion.Count == 0 {
 		t.Fatalf("the sampler read nothing from the aggregate tier: %+v", snap)
 	}
 }

@@ -40,9 +40,7 @@ type RefSampler struct {
 	binIncr   int
 	binDecr   int
 
-	rates                                           [obs.NumClasses]Ring
-	queued, maxPort, throttled, maxCCTI, meanCCTI   Ring
-	cctiIncr, cctiDecr, drops, stalls               Ring
+	rows                                            []Row
 	ports                                           obs.PortTable[refPortState]
 	ccti                                            map[ib.FlowKey]uint16
 	linksDown                                       int
@@ -154,23 +152,25 @@ func (s *RefSampler) advance(t sim.Time) {
 	if bin <= s.curBin {
 		return
 	}
-	s.flushBin()
-	for s.curBin = max(s.curBin+1, bin-RingCap); s.curBin < bin; s.curBin++ {
+	for ; s.curBin < bin; s.curBin++ {
 		s.flushBin()
 	}
 }
 
 func (s *RefSampler) flushBin() {
 	binSec := s.cadence.Seconds()
-	endUS := float64((s.curBin+1)*int64(s.cadence)) / float64(sim.Microsecond)
-	for c := range s.rates {
-		s.rates[c].Push(endUS, float64(s.binBytes[c])*8/binSec/1e9)
-		s.binBytes[c] = 0
+	r := Row{
+		EndUS:       float64((s.curBin+1)*int64(s.cadence)) / float64(sim.Microsecond),
+		HotspotGbps: float64(s.binBytes[obs.ClassHotspot]) * 8 / binSec / 1e9,
+		OtherGbps:   float64(s.binBytes[obs.ClassOther]) * 8 / binSec / 1e9,
+		ControlGbps: float64(s.binBytes[obs.ClassControl]) * 8 / binSec / 1e9,
+		Drops:       float64(s.binDrops),
+		Stalls:      float64(s.binStalls),
+		CCTIIncr:    float64(s.binIncr),
+		CCTIDecr:    float64(s.binDecr),
+		Throttled:   float64(len(s.ccti)),
 	}
-	s.drops.Push(endUS, float64(s.binDrops))
-	s.stalls.Push(endUS, float64(s.binStalls))
-	s.cctiIncr.Push(endUS, float64(s.binIncr))
-	s.cctiDecr.Push(endUS, float64(s.binDecr))
+	s.binBytes = [obs.NumClasses]int64{}
 	s.binDrops, s.binStalls, s.binIncr, s.binDecr = 0, 0, 0, 0
 
 	var total, maxP int
@@ -178,8 +178,8 @@ func (s *RefSampler) flushBin() {
 		total += int(p.depth)
 		maxP = max(maxP, int(p.depth))
 	})
-	s.queued.Push(endUS, float64(total)/1024)
-	s.maxPort.Push(endUS, float64(maxP)/1024)
+	r.QueuedKB = float64(total) / 1024
+	r.MaxPortKB = float64(maxP) / 1024
 
 	var maxCCTI uint16
 	var sum uint64
@@ -187,13 +187,11 @@ func (s *RefSampler) flushBin() {
 		maxCCTI = max(maxCCTI, c)
 		sum += uint64(c)
 	}
-	mean := 0.0
+	r.MaxCCTI = float64(maxCCTI)
 	if len(s.ccti) > 0 {
-		mean = float64(sum) / float64(len(s.ccti))
+		r.MeanCCTI = float64(sum) / float64(len(s.ccti))
 	}
-	s.throttled.Push(endUS, float64(len(s.ccti)))
-	s.maxCCTI.Push(endUS, float64(maxCCTI))
-	s.meanCCTI.Push(endUS, mean)
+	s.rows = append(s.rows, r)
 }
 
 // Finish flushes the final partial bin.
@@ -214,24 +212,13 @@ func (s *RefSampler) Snapshot() SamplerSnapshot {
 		}
 	})
 	return SamplerSnapshot{
-		Name:        s.name,
-		CadenceUS:   s.cadence.Seconds() * 1e6,
-		NowUS:       s.lastTime.Seconds() * 1e6,
-		HotspotGbps: s.rates[obs.ClassHotspot].Snapshot(),
-		OtherGbps:   s.rates[obs.ClassOther].Snapshot(),
-		ControlGbps: s.rates[obs.ClassControl].Snapshot(),
-		QueuedKB:    s.queued.Snapshot(),
-		MaxPortKB:   s.maxPort.Snapshot(),
-		Throttled:   s.throttled.Snapshot(),
-		MaxCCTI:     s.maxCCTI.Snapshot(),
-		MeanCCTI:    s.meanCCTI.Snapshot(),
-		CCTIIncr:    s.cctiIncr.Snapshot(),
-		CCTIDecr:    s.cctiDecr.Snapshot(),
-		Drops:       s.drops.Snapshot(),
-		Stalls:      s.stalls.Snapshot(),
-		LinksDown:   s.linksDown,
-		Completion:  s.completion.snapshot(1e-6),
-		HotPorts:    hotPorts(peaks),
+		Name:       s.name,
+		CadenceUS:  s.cadence.Seconds() * 1e6,
+		NowUS:      s.lastTime.Seconds() * 1e6,
+		Rows:       s.rows,
+		LinksDown:  s.linksDown,
+		Completion: s.completion.snapshot(1e-6),
+		HotPorts:   hotPorts(peaks),
 	}
 }
 

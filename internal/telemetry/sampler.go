@@ -35,32 +35,45 @@ type HotPort struct {
 	PeakKB   float64 `json:"peak_kb"`
 }
 
-// SamplerSnapshot is the JSON view of one run's live time series.
+// MaxBins caps the rows a sampler the command line attaches may keep:
+// a Row is 104 bytes, so 1<<18 rows hold ≈ 27 MB — the paper's 120 ms
+// run ≈ 20 times over at 10 µs bins, and still whole at 1 µs.
+const MaxBins = 1 << 18
+
+// Row is one bin of a run's time series, stamped at the bin's end.
+type Row struct {
+	EndUS float64 `json:"t_us"` // simulated microseconds
+
+	// Delivered goodput per traffic class over the bin, Gbit/s.
+	HotspotGbps float64 `json:"hotspot_gbps"`
+	OtherGbps   float64 `json:"other_gbps"`
+	ControlGbps float64 `json:"control_gbps"`
+
+	// Fabric occupancy at the bin's end.
+	QueuedKB  float64 `json:"queued_kb"`
+	MaxPortKB float64 `json:"max_port_kb"`
+
+	// Congestion-control state at the bin's end (throttled flows and the
+	// max and mean CCTI across them), and the CCTI steps in the bin.
+	Throttled float64 `json:"throttled"`
+	MaxCCTI   float64 `json:"max_ccti"`
+	MeanCCTI  float64 `json:"mean_ccti"`
+	CCTIIncr  float64 `json:"ccti_incr"`
+	CCTIDecr  float64 `json:"ccti_decr"`
+
+	// Fault-layer activity in the bin.
+	Drops  float64 `json:"drops"`
+	Stalls float64 `json:"stalls"`
+}
+
+// SamplerSnapshot is the JSON view of one run's time series.
 type SamplerSnapshot struct {
 	Name      string  `json:"name"`
 	CadenceUS float64 `json:"cadence_us"`
 	NowUS     float64 `json:"now_us"`
 
-	// Delivered goodput per traffic class, Gbit/s per bin.
-	HotspotGbps Series `json:"hotspot_gbps"`
-	OtherGbps   Series `json:"other_gbps"`
-	ControlGbps Series `json:"control_gbps"`
-
-	// Fabric occupancy at each bin boundary.
-	QueuedKB  Series `json:"queued_kb"`
-	MaxPortKB Series `json:"max_port_kb"`
-
-	// Congestion-control state at each bin boundary (throttled flows and
-	// the max and mean CCTI across them), and the CCTI steps per bin.
-	Throttled Series `json:"throttled"`
-	MaxCCTI   Series `json:"max_ccti"`
-	MeanCCTI  Series `json:"mean_ccti"`
-	CCTIIncr  Series `json:"ccti_incr"`
-	CCTIDecr  Series `json:"ccti_decr"`
-
-	// Fault-layer activity per bin.
-	Drops  Series `json:"drops"`
-	Stalls Series `json:"stalls"`
+	// Rows holds every bin of the run, oldest first.
+	Rows []Row `json:"rows"`
 
 	LinksDown int `json:"links_down"`
 
@@ -71,13 +84,14 @@ type SamplerSnapshot struct {
 	HotPorts []HotPort `json:"hot_ports"`
 }
 
-// Sampler turns one run into fixed-cadence time series. Everything a
-// packet hop changes — queue depths, delivered bytes, credit stalls — it
-// reads from the bus's aggregate table (obs.Registry) once per bin, when
-// the bus ticks, and the table hands it every message's completion span;
-// only the low-rate kinds reach it as events. Attaching it never
-// schedules a simulation event, so the observed trajectory is
-// byte-identical to the unobserved one.
+// Sampler turns one run into a fixed-cadence time series, one Row per
+// bin, kept for the whole run. Everything a packet hop changes — queue
+// depths, delivered bytes, credit stalls — it reads from the bus's
+// aggregate table (obs.Registry) once per bin, when the bus ticks, and
+// the table hands it every message's completion span; only the
+// low-rate kinds reach it as events. Attaching it never schedules a
+// simulation event, so the observed trajectory is byte-identical to the
+// unobserved one.
 //
 // A sampler belongs to its run: ticks, spans and Consume run on the
 // simulation goroutine, and Finish, Snapshot and the hub's FinishRun
@@ -98,16 +112,7 @@ type Sampler struct {
 	binIncr    int
 	binDecr    int
 
-	rates     [obs.NumClasses]Ring
-	queued    Ring
-	maxPort   Ring
-	throttled Ring
-	maxCCTI   Ring
-	meanCCTI  Ring
-	cctiIncr  Ring
-	cctiDecr  Ring
-	drops     Ring
-	stalls    Ring
+	rows []Row
 
 	// Continuous state read at each bin boundary.
 	peaks     obs.PortTable[portPeak] // copied from reg by every flush; shaped like it
@@ -197,8 +202,7 @@ func (s *Sampler) cctiChanged(e obs.Event) {
 // to a horizon of n cadences yields exactly n points. When t lands more
 // than one bin ahead (all links down, a drained fabric) the idle bins in
 // between are emitted too, so the series stay on the fixed grid: zero
-// rates, drops and stalls, the queue and CCTI state carried forward. A
-// gap longer than the ring emits only the bins the ring would keep.
+// rates, drops and stalls, the queue and CCTI state carried forward.
 func (s *Sampler) advance(t sim.Time) {
 	if t > s.lastTime {
 		s.lastTime = t
@@ -211,28 +215,30 @@ func (s *Sampler) advance(t sim.Time) {
 	if bin <= s.curBin {
 		return
 	}
-	s.flushBin()
-	for s.curBin = max(s.curBin+1, bin-RingCap); s.curBin < bin; s.curBin++ {
+	for ; s.curBin < bin; s.curBin++ {
 		s.flushBin()
 	}
 }
 
-// flushBin turns the open bin into one point per series, stamped at the
-// bin's end: what the registry's cumulative counters gained since the
-// last flush, the stream kinds' counts, and the state as it stands. The
-// port walk that sums the depths also copies each port's peak out for
-// Snapshot.
+// flushBin appends the open bin's row, stamped at the bin's end: what
+// the registry's cumulative counters gained since the last flush, the
+// stream kinds' counts, and the state as it stands. The port walk that
+// sums the depths also copies each port's peak out for Snapshot.
 func (s *Sampler) flushBin() {
 	binSec := s.cadence.Seconds()
-	endUS := float64((s.curBin+1)*int64(s.cadence)) / float64(sim.Microsecond)
-	for c, total := range s.reg.Delivered {
-		s.rates[c].Push(endUS, float64(total-s.prevBytes[c])*8/binSec/1e9)
+	gbps := func(c int) float64 { return float64(s.reg.Delivered[c]-s.prevBytes[c]) * 8 / binSec / 1e9 }
+	r := Row{
+		EndUS:       float64((s.curBin+1)*int64(s.cadence)) / float64(sim.Microsecond),
+		HotspotGbps: gbps(obs.ClassHotspot),
+		OtherGbps:   gbps(obs.ClassOther),
+		ControlGbps: gbps(obs.ClassControl),
+		Stalls:      float64(s.reg.Stalls - s.prevStalls),
+		Drops:       float64(s.binDrops),
+		CCTIIncr:    float64(s.binIncr),
+		CCTIDecr:    float64(s.binDecr),
+		Throttled:   float64(len(s.ccti)),
 	}
-	s.stalls.Push(endUS, float64(s.reg.Stalls-s.prevStalls))
 	s.prevBytes, s.prevStalls = s.reg.Delivered, s.reg.Stalls
-	s.drops.Push(endUS, float64(s.binDrops))
-	s.cctiIncr.Push(endUS, float64(s.binIncr))
-	s.cctiDecr.Push(endUS, float64(s.binDecr))
 	s.binDrops, s.binIncr, s.binDecr = 0, 0, 0
 
 	if s.peaks == nil {
@@ -248,24 +254,19 @@ func (s *Sampler) flushBin() {
 			*s.peaks.At(k.Switch, k.Port) = portPeak{p.PeakDepth, p.HostPort}
 		}
 	})
-	s.queued.Push(endUS, float64(total)/1024)
-	s.maxPort.Push(endUS, float64(maxP)/1024)
+	r.QueuedKB, r.MaxPortKB = float64(total)/1024, float64(maxP)/1024
 
 	var maxCCTI uint16
 	var sum uint64
 	for _, c := range s.ccti {
-		if c > maxCCTI {
-			maxCCTI = c
-		}
+		maxCCTI = max(maxCCTI, c)
 		sum += uint64(c)
 	}
-	mean := 0.0
+	r.MaxCCTI = float64(maxCCTI)
 	if len(s.ccti) > 0 {
-		mean = float64(sum) / float64(len(s.ccti))
+		r.MeanCCTI = float64(sum) / float64(len(s.ccti))
 	}
-	s.throttled.Push(endUS, float64(len(s.ccti)))
-	s.maxCCTI.Push(endUS, float64(maxCCTI))
-	s.meanCCTI.Push(endUS, mean)
+	s.rows = append(s.rows, r)
 }
 
 // Finish flushes the final partial bin. Call it once when the run ends;
@@ -310,31 +311,19 @@ func hotPorts(ports obs.PortTable[portPeak]) []HotPort {
 	return hp
 }
 
-// Snapshot copies the series out: everything up to the last completed
-// bin. It reads only what a flush or a stream event stored, never the
-// bus's live table.
+// Snapshot returns the series: a row for every completed bin. It reads
+// only what a flush or a stream event stored, never the bus's live
+// table, and shares the rows, which a flush never rewrites.
 func (s *Sampler) Snapshot() SamplerSnapshot {
-	snap := SamplerSnapshot{
-		Name:        s.name,
-		CadenceUS:   sim.Duration(s.cadence).Seconds() * 1e6,
-		NowUS:       s.lastTime.Seconds() * 1e6,
-		HotspotGbps: s.rates[obs.ClassHotspot].Snapshot(),
-		OtherGbps:   s.rates[obs.ClassOther].Snapshot(),
-		ControlGbps: s.rates[obs.ClassControl].Snapshot(),
-		QueuedKB:    s.queued.Snapshot(),
-		MaxPortKB:   s.maxPort.Snapshot(),
-		Throttled:   s.throttled.Snapshot(),
-		MaxCCTI:     s.maxCCTI.Snapshot(),
-		MeanCCTI:    s.meanCCTI.Snapshot(),
-		CCTIIncr:    s.cctiIncr.Snapshot(),
-		CCTIDecr:    s.cctiDecr.Snapshot(),
-		Drops:       s.drops.Snapshot(),
-		Stalls:      s.stalls.Snapshot(),
-		LinksDown:   s.linksDown,
-		Completion:  s.completion.snapshot(1e-6),
-		HotPorts:    hotPorts(s.peaks),
+	return SamplerSnapshot{
+		Name:       s.name,
+		CadenceUS:  s.cadence.Seconds() * 1e6,
+		NowUS:      s.lastTime.Seconds() * 1e6,
+		Rows:       s.rows[:len(s.rows):len(s.rows)],
+		LinksDown:  s.linksDown,
+		Completion: s.completion.snapshot(1e-6),
+		HotPorts:   hotPorts(s.peaks),
 	}
-	return snap
 }
 
 var _ obs.Consumer = (*Sampler)(nil)

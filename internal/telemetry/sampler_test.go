@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -47,31 +48,32 @@ func TestSamplerSeries(t *testing.T) {
 	if snap.Name != "run-a" || snap.CadenceUS != 10 {
 		t.Fatalf("identity wrong: %+v", snap)
 	}
-	if n := snap.HotspotGbps.V; len(n) < 1 {
-		t.Fatalf("no hotspot rate points")
+	if len(snap.Rows) != 2 {
+		t.Fatalf("%d rows, want 2", len(snap.Rows))
 	}
 	// Bin 0: one hotspot MTU payload in 10 µs = 2048*8/10e-6 bits/s.
+	r := snap.Rows[0]
 	wantHot := float64(ib.MTU) * 8 / 10e-6 / 1e9
-	if got := snap.HotspotGbps.V[0]; !near(got, wantHot, 1e-9) {
+	if got := r.HotspotGbps; !near(got, wantHot, 1e-9) {
 		t.Fatalf("hotspot rate = %v, want %v", got, wantHot)
 	}
-	if got := snap.OtherGbps.V[0]; !near(got, wantHot, 1e-9) {
+	if got := r.OtherGbps; !near(got, wantHot, 1e-9) {
 		t.Fatalf("other rate = %v, want %v", got, wantHot)
 	}
 	wantCtl := float64(ib.CNPBytes+ib.HeaderBytes) * 8 / 10e-6 / 1e9
-	if got := snap.ControlGbps.V[0]; !near(got, wantCtl, 1e-9) {
+	if got := r.ControlGbps; !near(got, wantCtl, 1e-9) {
 		t.Fatalf("control rate = %v, want %v", got, wantCtl)
 	}
-	if got := snap.QueuedKB.V[0]; !near(got, 6000.0/1024, 1e-9) {
+	if got := r.QueuedKB; !near(got, 6000.0/1024, 1e-9) {
 		t.Fatalf("queued = %v", got)
 	}
-	if got := snap.Throttled.V[0]; got != 1 {
+	if got := r.Throttled; got != 1 {
 		t.Fatalf("throttled = %v", got)
 	}
-	if got := snap.MaxCCTI.V[0]; got != 4 {
+	if got := r.MaxCCTI; got != 4 {
 		t.Fatalf("max ccti = %v", got)
 	}
-	if got := snap.Stalls.V[0]; got != 1 {
+	if got := r.Stalls; got != 1 {
 		t.Fatalf("stalls = %v", got)
 	}
 
@@ -130,7 +132,7 @@ func TestSamplerLinkState(t *testing.T) {
 	if snap.LinksDown != 1 {
 		t.Fatalf("links down = %d", snap.LinksDown)
 	}
-	if got := snap.Drops.V[len(snap.Drops.V)-1]; got != 1 {
+	if got := snap.Rows[len(snap.Rows)-1].Drops; got != 1 {
 		t.Fatalf("drops = %v", got)
 	}
 }
@@ -152,8 +154,12 @@ func TestSamplerCCTITable(t *testing.T) {
 	b.CCTIChanged(us(3.6), 2, 9, 1, 0)
 	s.Finish()
 	snap := s.Snapshot()
-	if got := snap.CCTIIncr.Sum() + snap.CCTIDecr.Sum(); got != 5 {
-		t.Fatalf("%v steps recorded, want 5", got)
+	var recorded float64
+	for _, r := range snap.Rows {
+		recorded += r.CCTIIncr + r.CCTIDecr
+	}
+	if recorded != 5 {
+		t.Fatalf("%v steps recorded, want 5", recorded)
 	}
 
 	var sb strings.Builder
@@ -215,8 +221,8 @@ func TestSamplerViewsOfEmptyRun(t *testing.T) {
 }
 
 // TestSamplerGapFill: an event landing several bins ahead emits the idle
-// bins in between with zero rates and carried-forward state, and a gap
-// longer than the ring emits no more than the ring holds.
+// bins in between with zero rates and carried-forward state, however
+// long the gap.
 func TestSamplerGapFill(t *testing.T) {
 	b := obs.New()
 	s := NewSampler("gap", 10*sim.Microsecond)
@@ -228,29 +234,67 @@ func TestSamplerGapFill(t *testing.T) {
 	b.LinkUp(sim.Time(45*sim.Microsecond), true, 3, 2) // bin 4: bins 1..3 are idle
 	s.Finish()
 	snap := s.Snapshot()
-	if got := snap.OtherGbps.TUS; len(got) != 5 || got[0] != 10 || got[4] != 50 {
-		t.Fatalf("grid = %v, want 10..50 µs", got)
+	if rows := snap.Rows; len(rows) != 5 || rows[0].EndUS != 10 || rows[4].EndUS != 50 {
+		t.Fatalf("grid = %+v, want 10..50 µs", rows)
 	}
-	for i := 1; i <= 3; i++ {
-		if snap.OtherGbps.V[i] != 0 {
-			t.Errorf("idle bin %d carries rate %v", i, snap.OtherGbps.V[i])
+	for i, r := range snap.Rows[1:4] {
+		if r.OtherGbps != 0 {
+			t.Errorf("idle bin %d carries rate %v", i+1, r.OtherGbps)
 		}
-		if snap.QueuedKB.V[i] != 4 || snap.MaxCCTI.V[i] != 5 || snap.Throttled.V[i] != 1 {
+		if r.QueuedKB != 4 || r.MaxCCTI != 5 || r.Throttled != 1 {
 			t.Errorf("idle bin %d lost state: queued %v, max CCTI %v, throttled %v",
-				i, snap.QueuedKB.V[i], snap.MaxCCTI.V[i], snap.Throttled.V[i])
+				i+1, r.QueuedKB, r.MaxCCTI, r.Throttled)
 		}
 	}
 
-	// 10 000 bins ahead: the ring is full of the newest idle bins and
-	// the walk was bounded by its capacity, not the gap.
+	// 100 ms of silence at 10 µs: every one of the 10 000 bins is kept,
+	// on the grid, idle.
 	b, s = obs.New(), NewSampler("long gap", 10*sim.Microsecond)
 	s.Attach(b)
 	b.LinkDown(sim.Time(5*sim.Microsecond), true, 3, 2)
 	b.LinkUp(sim.Time(100*sim.Millisecond), true, 3, 2)
+	s.Finish()
 	snap = s.Snapshot()
-	tus := snap.Stalls.TUS
-	if len(tus) != RingCap || tus[RingCap-1] != 1e5-10 || tus[0] != 1e5-10*RingCap {
-		t.Fatalf("after a long gap the ring spans [%v, %v] µs over %d points", tus[0], tus[len(tus)-1], len(tus))
+	if len(snap.Rows) != 10000 {
+		t.Fatalf("a 100 ms gap kept %d rows, want 10000", len(snap.Rows))
+	}
+	for i, r := range snap.Rows {
+		if r.EndUS != float64(i+1)*10 || r.Stalls != 0 || r.OtherGbps != 0 {
+			t.Fatalf("row %d = %+v, want an idle bin ending at %v µs", i, r, (i+1)*10)
+		}
+	}
+}
+
+// TestSamplerKeepsWholeRun: a 12 ms run at 10 µs keeps all 1 200 bins,
+// from the one ending at 10 µs to the one ending at 12 000 µs, and
+// keeping them costs one growing slice of rows — a handful of
+// allocations, where a slice per series would take hundreds.
+func TestSamplerKeepsWholeRun(t *testing.T) {
+	b := obs.New()
+	s := NewSampler("whole run", 10*sim.Microsecond)
+	s.Attach(b)
+	p := dataPacket(2, 8, 5, 0, 1, 0, false)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := range 1200 {
+		b.PacketDelivered(sim.Time(int64(i)*int64(10*sim.Microsecond)+1), 8, p)
+	}
+	s.Finish()
+	runtime.ReadMemStats(&m1)
+	if n := m1.Mallocs - m0.Mallocs; n > 20 {
+		t.Errorf("1 200 bins took %d allocations, want <= 20", n)
+	}
+
+	rows := s.Snapshot().Rows
+	if len(rows) != 1200 || rows[0].EndUS != 10 || rows[1199].EndUS != 12000 {
+		t.Fatalf("%d rows spanning [%v, %v] µs, want 1200 spanning [10, 12000]",
+			len(rows), rows[0].EndUS, rows[len(rows)-1].EndUS)
+	}
+	want := float64(ib.MTU) * 8 / 10e-6 / 1e9
+	for i, r := range rows {
+		if !near(r.OtherGbps, want, 1e-9) {
+			t.Fatalf("row %d: %v Gbps, want %v", i, r.OtherGbps, want)
+		}
 	}
 }
 
@@ -321,10 +365,10 @@ func TestSamplerPortsOutOfOrder(t *testing.T) {
 	s.Finish()
 
 	snap := s.Snapshot()
-	if got := snap.QueuedKB.V[0]; got != (2048+6144+6144+1024)/1024.0 {
+	if got := snap.Rows[0].QueuedKB; got != (2048+6144+6144+1024)/1024.0 {
 		t.Fatalf("queued = %v KB", got)
 	}
-	if got := snap.MaxPortKB.V[0]; got != 6 {
+	if got := snap.Rows[0].MaxPortKB; got != 6 {
 		t.Fatalf("max port = %v KB", got)
 	}
 	want := []HotPort{

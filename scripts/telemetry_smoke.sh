@@ -14,6 +14,10 @@
 #   2. ibccsim: the single-run trace with the sampler's CSV and cadence
 #      checkpoints on must execute exactly the bare run's events and
 #      leave a header plus >= 10 rows.
+#   3. ibccsim: the sampler keeps the whole run. 6 ms at -traceint 10us
+#      is 600 bins; -trace and -telemetry read the one sampler, so the
+#      CSV has a header plus 600 rows and the telemetry line counts 600
+#      bins.
 set -eu
 
 GO=${GO:-go}
@@ -39,4 +43,9 @@ done
 cmp "$T/trace-on.txt" "$T/trace-off.txt"
 head -1 "$T/trace.csv" | grep -q '^time_s,'
 [ "$(wc -l < "$T/trace.csv")" -ge 11 ]
+
+# --- 3. A whole 600-bin run, as CSV and as bin means. ---
+"$GO" run ./cmd/ibccsim -radix 8 -warmup 1ms -measure 5ms -traceint 10us -trace "$T/long.csv" -telemetry |
+    grep -q 'telemetry: 10.0us cadence, 600 bins;'
+[ "$(wc -l < "$T/long.csv")" -eq 601 ]
 echo "telemetry smoke: ok"
