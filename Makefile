@@ -55,7 +55,8 @@ examples:
 # the bus's port table is sized once, when the fabric attaches it, and
 # a row keeps a hop's fields in one cache line; a sampler keeps a whole
 # 1,200-bin run in one growing slice of rows, a dozen allocations
-# (TestSamplerKeepsWholeRun). A run allocates per
+# (TestSamplerKeepsWholeRun), while a sweep hub's per-run reader keeps
+# no rows and allocates nothing per bin (TestHubReaderAllocs). A run allocates per
 # slab, not per object: a whole radix-12 Table II CC-on run and 1 ms at
 # radix 36 stay under a fixed count (packets, events and pooled actions
 # carved from doubling chunks), Build grows by fewer allocations than
@@ -68,7 +69,7 @@ alloc-budget:
 	$(GO) test -count=1 ./internal/core -run 'ZeroAlloc|PerSlab|MinHeapGoal'
 	$(GO) test -count=1 ./internal/slab
 	$(GO) test -count=1 ./internal/obs -run 'Allocs|TableOnce|PortCountersLayout'
-	$(GO) test -count=1 ./internal/telemetry -run 'BuildsNoPerHopEvents|KeepsWholeRun'
+	$(GO) test -count=1 ./internal/telemetry -run 'BuildsNoPerHopEvents|KeepsWholeRun|HubReader'
 	$(GO) test -count=1 ./internal/traffic -run 'Slots|Differential'
 	$(GO) test -count=1 ./internal/fabric -run 'PortLayoutBudget|NewAllocatesPerNodeNotPerPort|VoQSlabHoldsRealPortsOnly'
 	$(GO) test -count=1 -tags debug ./internal/ib -run 'ChunkCarved|RestoreBuilt'

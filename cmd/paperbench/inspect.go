@@ -150,7 +150,8 @@ func reportCmd(_ *flag.FlagSet, c *runConfig) (func() error, func(string) error)
 }
 
 // renderReport validates a run-report artifact and prints its summary:
-// orchestration stats and telemetry aggregates.
+// orchestration stats, telemetry aggregates and the paper's records,
+// in the experiments' one table layout.
 func renderReport(w io.Writer, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -182,6 +183,10 @@ func renderReport(w io.Writer, path string) error {
 			}
 			fmt.Fprintf(w, "  hot port : sw%d port%d (%s) peak %.1f KB queued\n", p.Switch, p.Port, kind, p.PeakKB)
 		}
+	}
+	if len(rep.Records) > 0 {
+		fmt.Fprintln(w)
+		core.PrintPaper(w, rep.Records)
 	}
 	return nil
 }

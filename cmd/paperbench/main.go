@@ -8,7 +8,7 @@
 //	paperbench -exp fig8               # one experiment
 //	paperbench -radix 12 -short        # a small fabric over 4 + 8 ms (smokes)
 //	paperbench -jobs 8 -out results/   # 8 workers; persist + resume via JSON artifacts
-//	paperbench -exp table2 -report run.json   # + the unified run report
+//	paperbench -exp table2,fig8 -seeds 3 -report run.json   # + the run report with the paper's records
 //	paperbench scan -scan threshold -check    # checked CC parameter sensitivity scan
 //	paperbench diff-kernel -seeds 2    # timing wheel vs reference heap
 //	paperbench bench-kernel BENCH_kernel.json   # kernel + packet-lifecycle benchmark
@@ -197,7 +197,7 @@ func (c *runConfig) register(fs *flag.FlagSet, g flagGroup) {
 		fs.BoolVar(&c.short, "short", false, "short windows for smokes and tests: 4 ms warmup, 8 ms measure instead of the paper's 20 ms + 100 ms")
 	}
 	if g&seedsFlag != 0 {
-		fs.IntVar(&c.seeds, "seeds", 1, "seeds per configuration, counting up from -seed (>1 adds Table II's confidence intervals)")
+		fs.IntVar(&c.seeds, "seeds", 1, "seeds per configuration, counting up from -seed; over several, every row prints its mean ±95% CI")
 	}
 	if g&ccFlag != 0 {
 		fs.StringVar(&c.cc, "cc", "", "congestion control backend by registry name (empty = the default)")
@@ -265,6 +265,8 @@ type sweep struct {
 	// without -report it stays nil, which core.Opts treats as off.
 	spans *telemetry.Tracker
 	hub   *telemetry.Hub
+	// records are the experiments' paper records, for the run report.
+	records []telemetry.Record
 }
 
 // sweep runs body's experiments as one sweep in the harness — span
@@ -366,6 +368,7 @@ func (sw *sweep) writeReport() error {
 		Seeds:       sw.seeds,
 		Sweep:       &st,
 		Telemetry:   &snap,
+		Records:     sw.records,
 	}
 	if err := rep.Write(sw.report); err != nil {
 		return err
@@ -376,60 +379,66 @@ func (sw *sweep) writeReport() error {
 }
 
 // experimentsCmd is the default command: the rows of core.Paper, run
-// one experiment (-exp name) at a time.
+// one experiment (-exp name, or a comma list of them) at a time over
+// every -seeds seed, printed by the one table printer and carried by
+// -report as records.
 func experimentsCmd(fs *flag.FlagSet, c *runConfig) (func() error, func(string) error) {
 	var names []string
 	for _, r := range core.Paper(core.Scenario{}, core.PaperPValues()) {
 		names = append(names, r.Exp)
 	}
 	names = slices.Compact(names)
-	which := fs.String("exp", "all", "experiment: "+strings.Join(names, ", ")+", all")
+	which := fs.String("exp", "all", "experiments, a comma list of: "+strings.Join(names, ", ")+"; or all")
 	pstep := fs.Int("pstep", 10, "p sweep step for figures 5-8")
 	var rows []core.PaperRow // the selected experiments' rows, set by check
 	check := func() (err error) {
 		if err := cliflag.Positive("-pstep", *pstep); err != nil {
 			return err
 		}
-		if *which != "all" && !slices.Contains(names, *which) {
-			return fmt.Errorf("-exp: unknown experiment %q", *which)
+		picked := strings.Split(*which, ",")
+		for _, name := range picked {
+			if name != "all" && !slices.Contains(names, name) {
+				return fmt.Errorf("-exp: unknown experiment %q", name)
+			}
 		}
 		var ps []int
 		for p := 0; p <= 100; p += *pstep {
 			ps = append(ps, p)
 		}
 		selected := func(ps []int) []core.PaperRow {
-			return slices.DeleteFunc(core.Paper(c.base(), ps), func(r core.PaperRow) bool { return *which != "all" && r.Exp != *which })
+			return slices.DeleteFunc(core.Paper(c.base(), ps), func(r core.PaperRow) bool {
+				return !slices.Contains(picked, "all") && !slices.Contains(picked, r.Exp)
+			})
 		}
 		rows = selected(ps)
-		// Set explicitly, -seeds and -pstep must change what a selected
-		// experiment runs: Table II's confidence intervals, the windy
-		// figures' p values.
-		unread := map[string]bool{
-			"seeds": core.ExperimentSims(rows, make([]uint64, 2)) == core.ExperimentSims(rows, nil),
-			"pstep": len(selected(nil)) == len(rows),
+		// Set explicitly, -pstep must change what a selected experiment
+		// runs: the windy figures' p values.
+		if len(selected(nil)) == len(rows) {
+			fs.Visit(func(f *flag.Flag) {
+				if f.Name == "pstep" {
+					err = fmt.Errorf("-pstep: -exp %s does not read it", *which)
+				}
+			})
 		}
-		fs.Visit(func(f *flag.Flag) {
-			if unread[f.Name] {
-				err = fmt.Errorf("-%s: -exp %s does not read it", f.Name, *which)
-			}
-		})
 		return err
 	}
 	return check, func(string) error {
 		base, seeds := c.base(), cliflag.Seeds(c.seed, c.seeds)
-		var groups [][]core.PaperRow
-		total := 0
-		for _, name := range names {
-			group := slices.DeleteFunc(slices.Clone(rows), func(r core.PaperRow) bool { return r.Exp != name })
-			if len(group) > 0 {
-				groups = append(groups, group)
-				total += core.ExperimentSims(group, seeds)
-			}
-		}
-		return c.sweep(base.Name, total, func(sw *sweep) {
-			for _, group := range groups {
-				sw.experiment(group[0].Exp, func(o core.Opts) error {
-					return core.RunExperiment(c.w, base, group, seeds, o)
+		return c.sweep(base.Name, 2*len(rows)*len(seeds), func(sw *sweep) {
+			for _, name := range names {
+				group := slices.DeleteFunc(slices.Clone(rows), func(r core.PaperRow) bool { return r.Exp != name })
+				if len(group) == 0 {
+					continue
+				}
+				sw.experiment(name, func(o core.Opts) error {
+					recs, err := core.RunPairs(group, seeds, o)
+					if err != nil {
+						return err
+					}
+					out := core.Records(recs)
+					core.PrintPaper(c.w, out)
+					sw.records = append(sw.records, out...)
+					return nil
 				})
 			}
 		})

@@ -52,10 +52,11 @@ func TestFlagOfAnotherCommandIsAUsageError(t *testing.T) {
 		{[]string{"scan", "-radix", "8", "-exp", "fig5"}, undefined},
 		{[]string{"scan", "-seeds", "2"}, undefined},
 		{[]string{"bench-kernel", "-radix", "8", p("b.json")}, undefined},
-		{[]string{"-radix", "6", "-short", "-exp", "fig5", "-pstep", "100", "-seeds", "3", "-out", p("d")}, "-seeds: -exp fig5 does not read it"},
+		{[]string{"-radix", "6", "-short", "-exp", "fig5,bogus", "-seeds", "3", "-out", p("d")}, `-exp: unknown experiment "bogus"`},
 		{[]string{"-radix", "6", "-short", "-exp", "table2", "-pstep", "50", "-report", p("r.json")}, "-pstep: -exp table2 does not read it"},
 		{[]string{"-radix", "6", "-short", "-exp", "fig9", "-pstep", "50"}, "-pstep: -exp fig9 does not read it"},
-		{[]string{"-radix", "6", "-short", "-exp", "fig10", "-seeds", "2"}, "-seeds: -exp fig10 does not read it"},
+		{[]string{"-radix", "6", "-short", "-exp", "fig10,table2", "-pstep", "50"}, "-pstep: -exp fig10,table2 does not read it"},
+		{[]string{"-seeds", "0", "-report", p("r.json")}, "-seeds"},
 		{[]string{"-exp", "bogus", "-out", p("d")}, `-exp: unknown experiment "bogus"`},
 		{[]string{"-pstep", "0"}, "-pstep"},
 		{[]string{"scan", "-scan", "bogus", "-report", p("r.json")}, `-scan: unknown scan "bogus"`},
@@ -90,7 +91,9 @@ func TestFlagOfAnotherCommandIsAUsageError(t *testing.T) {
 	for _, args := range [][]string{
 		{"-exp", "all", "-seeds", "3", "-pstep", "20"},
 		{"-exp", "table2", "-seeds", "3"},
+		{"-exp", "fig10", "-seeds", "2"},
 		{"-exp", "fig8", "-pstep", "20"},
+		{"-exp", "table2,fig8,fig9", "-pstep", "60", "-seeds", "3"},
 	} {
 		if _, _, err := parse(args, io.Discard, io.Discard); err != nil {
 			t.Errorf("paperbench %v: %v", args, err)
@@ -300,10 +303,10 @@ func TestInterruptedSweepReportCountsUnstartedExperiments(t *testing.T) {
 	}
 	rows := core.Paper(c.base(), []int{0, 50, 100})
 	table2 := slices.DeleteFunc(slices.Clone(rows), func(r core.PaperRow) bool { return r.Exp != "table2" })
-	total := core.ExperimentSims(rows, nil)
+	total := 2 * len(rows)
 	rep := report(filepath.Join(tmp, "r.json"))
 	if sw := rep.Sweep; rep.Kind != telemetry.ReportExperiments || sw.Total != total || sw.Done < 1 ||
-		sw.Done != st.Len() || total-sw.Done <= total-core.ExperimentSims(table2, nil) {
+		sw.Done != st.Len() || total-sw.Done <= total-2*len(table2) {
 		t.Fatalf("report %s %+v with %d artifacts; want total %d, the experiments after table2 pending",
 			rep.Kind, sw, st.Len(), total)
 	}
@@ -353,30 +356,67 @@ func TestDefaultsAreThePaper(t *testing.T) {
 	}
 }
 
-// Table II's confidence-interval rows run the -seeds list counting up
-// from -seed, like every other multi-seed mode.
+// -seeds runs every row over the seeds counting up from -seed, like
+// every other multi-seed mode: Table II at -seed 5 -seeds 2 prints the
+// records of its rows run at seeds 5 and 6, means with their CIs.
 func TestTableIICIRowsFollowSeed(t *testing.T) {
 	code, stdout, stderr := invoke("-radix", "8", "-short", "-exp", "table2", "-seed", "5", "-seeds", "2")
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, stderr)
 	}
+	s := core.Default(8)
+	s.Seed = 99 // RunPairs sets every run's seed
+	rows := slices.DeleteFunc(core.Paper(s, nil), func(r core.PaperRow) bool { return r.Exp != "table2" })
+	recs, err := core.RunPairs(rows, []uint64{5, 6}, core.Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var want bytes.Buffer
-	for _, ccOn := range []bool{false, true} {
-		s := core.Default(8)
-		s.Seed = 5
-		s.CCOn = ccOn
-		m, err := core.RunSeedsOpts(s, []uint64{5, 6}, core.Opts{})
+	core.PrintPaper(&want, core.Records(recs))
+	if !strings.Contains(stdout, want.String()) || !strings.Contains(want.String(), " ±") {
+		t.Fatalf("Table II is not its rows over seeds {5, 6}; want\n%s\nin\n%s", want.String(), stdout)
+	}
+}
+
+// The report's records are the printed tables' numbers, and they do not
+// depend on the worker count or on the run: -jobs 1, -jobs 0 and a
+// second -jobs 0 run write identical records, each of which reads "not
+// comparable" at radix 6 with the short windows.
+func TestReportRecordsAreDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	var first []telemetry.Record
+	for i, jobs := range []string{"1", "0", "0"} {
+		path := filepath.Join(dir, fmt.Sprintf("r%d.json", i))
+		code, _, stderr := invoke("-radix", "6", "-short", "-exp", "table2,fig8", "-pstep", "100", "-seeds", "2",
+			"-jobs", jobs, "-report", path)
+		if code != 0 {
+			t.Fatalf("exit %d:\n%s", code, stderr)
+		}
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		label := "Table II hotspot scenario, CC off"
-		if ccOn {
-			label = "Table II hotspot scenario, CC on"
+		rep, err := telemetry.ValidateReport(data)
+		if err != nil {
+			t.Fatal(err)
 		}
-		m.Print(&want, label)
+		if i == 0 {
+			first = rep.Records
+			continue
+		}
+		if !reflect.DeepEqual(rep.Records, first) {
+			t.Fatalf("-jobs %s run %d: records differ from the -jobs 1 run's", jobs, i)
+		}
 	}
-	if !strings.Contains(stdout, want.String()) {
-		t.Fatalf("CI rows are not RunSeedsOpts on seeds {5, 6}; want\n%s\nin\n%s", want.String(), stdout)
+	// table2: all nodes; hotspots, non-hotspots, total. fig8 at p = 0
+	// and 100: non-hotspots, tmax, hotspots, total.
+	if len(first) != 12 {
+		t.Fatalf("%d records, want 12", len(first))
+	}
+	for _, rec := range first {
+		if len(rec.Seeds) != 2 || rec.Paper != nil && !strings.HasPrefix(rec.Paper.Verdict, "not comparable: radix 6") {
+			t.Errorf("record %+v", rec)
+		}
 	}
 }
 
@@ -419,8 +459,8 @@ func maskWall(stdout string) string {
 const experimentsGolden = "testdata/experiments.golden"
 
 // The experiments print exactly the tables in testdata/experiments.golden
-// at radix 6 with the short windows, wall clocks masked: Table II (with
-// and without its CI rows) and figures 5-8 at p = 0, 50, 100. Figures 9
+// at radix 6 with the short windows, wall clocks masked: Table II (over
+// one seed and over two) and figures 5-8 at p = 0, 50, 100. Figures 9
 // and 10 stretch their windows to six hotspot lifetimes, too slow for
 // this suite; core's TestPaperScenariosGolden pins what they submit.
 func TestExperimentsStdoutGolden(t *testing.T) {

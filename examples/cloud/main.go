@@ -11,6 +11,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -26,24 +27,17 @@ func main() {
 	fmt.Println("virtualized cluster (moving windy forest, 100% B nodes, p=60)")
 	fmt.Println("hotspots move to random nodes every lifetime")
 	fmt.Println()
-	fmt.Printf("  %10s  %10s  %10s  %7s\n", "lifetime", "cc off", "cc on", "gain")
-
 	lifetimes := []sim.Duration{
 		2 * sim.Millisecond,
 		1 * sim.Millisecond,
 		500 * sim.Microsecond,
 		250 * sim.Microsecond,
 	}
-	recs, err := core.RunPairs(core.MovingRows(base, lifetimes), core.Opts{})
+	recs, err := core.RunPairs(core.MovingRows(base, lifetimes), nil, core.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, r := range recs {
-		off, on := r.Off.Summary.AllAvgGbps, r.On.Summary.AllAvgGbps
-		fmt.Printf("  %10v  %9.3fG  %9.3fG  %6.2fx\n", r.Row.Off.HotspotLifetime, off, on, on/off)
-	}
-
-	fmt.Println()
+	core.PrintPaper(os.Stdout, core.Records(recs))
 	fmt.Println("as the hotspot lifetime shrinks, raw throughput rises (the churn")
 	fmt.Println("spreads load by itself) and the advantage of congestion control")
 	fmt.Println("narrows — yet it does not hurt, matching the paper's conclusion.")

@@ -24,23 +24,24 @@ func main() {
 	fmt.Println("p = fraction of each node's traffic written to storage")
 	fmt.Println()
 
-	pts, err := core.RunWindySweepOpts(base, 100, []int{10, 30, 50, 60, 70, 90}, core.Opts{})
+	recs, err := core.RunPairs(core.WindyRows(base, 100, []int{10, 30, 50, 60, 70, 90}), nil, core.Opts{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("Figure storage: windy forest, 100% B nodes")
-	core.PrintWindy(os.Stdout, pts)
+	core.PrintPaper(os.Stdout, core.Records(recs))
 
-	best := pts[0]
-	for _, pt := range pts {
-		if pt.Improvement > best.Improvement {
-			best = pt
+	best := recs[0]
+	gain := func(r core.PaperRecord) float64 { return r.On.Summary.TotalGbps / r.Off.Summary.TotalGbps }
+	for _, r := range recs {
+		if gain(r) > gain(best) {
+			best = r
 		}
 	}
 	fmt.Println()
-	fmt.Printf("peak benefit at p=%d: congestion control multiplies total cluster\n", best.P)
+	fmt.Printf("peak benefit at p=%d: congestion control multiplies total cluster\n", best.Row.Off.PPercent)
 	fmt.Printf("throughput by %.2fx; peer traffic reaches %.0f%% of its theoretical\n",
-		best.Improvement, 100*best.NonHotOn/best.TMax)
+		gain(best), 100*best.On.Summary.NonHotspotAvgGbps/best.On.TMaxGbps)
 	fmt.Printf("maximum, against %.0f%% without congestion control.\n",
-		100*best.NonHotOff/best.TMax)
+		100*best.Off.Summary.NonHotspotAvgGbps/best.Off.TMaxGbps)
 }

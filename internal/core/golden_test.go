@@ -96,7 +96,7 @@ func buildGolden(t *testing.T) *goldenRecord {
 	t.Helper()
 	base := goldenBase()
 
-	recs, err := RunPairs(tableIIRows(base), Opts{})
+	recs, err := RunPairs(tableIIRows(base), nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}

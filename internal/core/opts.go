@@ -43,11 +43,11 @@ type Opts struct {
 	// trajectories, so results stay bit-identical to an unchecked
 	// sweep.
 	Check bool
-	// Telemetry, when non-nil, attaches one in-sim time-series sampler
-	// per fresh run (cache hits have no event stream) and folds finished
-	// runs into the hub's cross-run aggregates. Samplers are pure bus
-	// consumers, so a telemetry-on sweep produces bit-identical results
-	// to a telemetry-off one.
+	// Telemetry, when non-nil, attaches one hub reader per fresh run
+	// (cache hits have no event stream) and folds finished runs into the
+	// hub's cross-run aggregates. Readers only read the bus's table, so
+	// a telemetry-on sweep produces bit-identical results to a
+	// telemetry-off one.
 	Telemetry *telemetry.Hub
 	// Spans, when non-nil, records an orchestration span per run (begin
 	// on worker pickup, end with event count / cache flag / error) for
@@ -111,7 +111,7 @@ func runBatch(o Opts, scenarios []Scenario) ([]*Result, error) {
 }
 
 // runOne builds, instruments, executes and reports one fresh scenario:
-// a telemetry sampler when the sweep carries a hub, the invariant
+// a hub reader when the sweep carries a hub, the invariant
 // checker when Check is set. With neither no bus is created and it is
 // exactly Run. A run with violations returns its result alongside the
 // error.
@@ -120,16 +120,16 @@ func (o *Opts) runOne(s Scenario) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	smp := o.Telemetry.StartRun(s.Name)
-	if smp != nil {
-		in.Observe(ObserveOpts{Telemetry: smp})
+	finish := func() {}
+	if o.Telemetry != nil {
+		finish = o.Telemetry.StartRun(in.bus())
 	}
 	var ck *check.Checker
 	if o.Check {
 		ck = in.Check(CheckOpts{})
 	}
 	r := in.Execute()
-	o.Telemetry.FinishRun(smp)
+	finish()
 	if ck != nil {
 		return r, ck.Report().Err()
 	}

@@ -205,11 +205,11 @@ func pairsMatchSerial(t *testing.T, keep func(PaperRow) bool) {
 	if len(rows) != 2 {
 		t.Fatalf("subset has %d rows, want 2", len(rows))
 	}
-	want, err := RunPairs(rows, Opts{})
+	want, err := RunPairs(rows, nil, Opts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunPairs(rows, Opts{Workers: 4})
+	got, err := RunPairs(rows, nil, Opts{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

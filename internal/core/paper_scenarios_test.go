@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"testing"
@@ -14,9 +13,9 @@ import (
 const paperScenariosGolden = "testdata/paper_scenarios.golden"
 
 // TestPaperScenariosGolden pins, for every experiment of the paper at
-// radix 8 with the short windows (Table II with the CI rows of two
-// seeds), the ordered name and exp.Fingerprint of every scenario
-// RunExperiment submits, and that their count is ExperimentSims.
+// radix 8 with the short windows (Table II over two seeds, as `-seeds 2`
+// submits it), the ordered name and exp.Fingerprint of every scenario
+// RunPairs submits, and that there are two per row and seed.
 // Fingerprints key -out artifact stores, and they hash the name, so a
 // change to either stops an existing store from resuming.
 // A recording Lookup answers every run: nothing is simulated.
@@ -28,19 +27,22 @@ func TestPaperScenariosGolden(t *testing.T) {
 		sims++
 		return &core.Result{}, true
 	}}
-	base, seeds := core.Default(8), []uint64{1, 2}
-	rows := core.Paper(base, core.PaperPValues())
+	rows := core.Paper(core.Default(8), core.PaperPValues())
 	for len(rows) > 0 { // one experiment at a time, as paperbench runs them
 		n := 1
 		for n < len(rows) && rows[n].Exp == rows[0].Exp {
 			n++
 		}
 		name, sims = rows[0].Exp, 0
-		if err := core.RunExperiment(io.Discard, base, rows[:n], seeds, o); err != nil {
+		seeds := []uint64{1}
+		if name == "table2" {
+			seeds = []uint64{1, 2}
+		}
+		if _, err := core.RunPairs(rows[:n], seeds, o); err != nil {
 			t.Fatal(err)
 		}
-		if want := core.ExperimentSims(rows[:n], seeds); sims != want {
-			t.Errorf("%s: %d scenarios submitted, ExperimentSims says %d", name, sims, want)
+		if want := 2 * n * len(seeds); sims != want {
+			t.Errorf("%s: %d scenarios submitted, want %d", name, sims, want)
 		}
 		rows = rows[n:]
 	}

@@ -29,6 +29,11 @@ type Result struct {
 	Summary metrics.Summary
 	// Rates holds the per-node rates behind the summary.
 	Rates metrics.NodeRates
+	// WholeRun is the class summary over the whole run, from time 0 to
+	// the end, read from the end-of-run counters: the window the paper
+	// is inferred to have averaged. It is nil in an artifact written
+	// before it existed, which exp.Store therefore treats as a miss.
+	WholeRun *metrics.Classes `json:",omitempty"`
 	// TMaxGbps is the theoretical non-hotspot maximum for the
 	// scenario (figures 5–8 plot it alongside the measurements).
 	TMaxGbps float64
@@ -293,11 +298,13 @@ func (in *Instance) reduce() *Result {
 	s := &in.Scenario
 	simr := in.Net.Sim()
 	rates := in.collector.Rates()
+	whole := in.collector.WholeRun(in.Pop.HotspotSet)
 	res := &Result{
 		Name:     s.Name,
 		CCOn:     s.CCOn,
 		Summary:  metrics.Summarize(rates, in.Pop.HotspotSet),
 		Rates:    rates,
+		WholeRun: &whole,
 		TMaxGbps: s.TMaxNonHotspotGbps(),
 		Latency:  in.collector.Latency(),
 		Events:   simr.Processed(),

@@ -149,7 +149,9 @@ func (st *Store) Save(s core.Scenario, r *core.Result, elapsed time.Duration) er
 // with a matching fingerprint exists; it is the core.Opts.Lookup hook.
 // A corrupt, truncated or mismatching artifact is moved into the
 // quarantine directory — so the scenario re-runs and the bad file stays
-// inspectable — instead of aborting or being silently trusted.
+// inspectable — instead of aborting or being silently trusted. An
+// intact artifact whose result lacks the whole-run window is a plain
+// miss: the scenario re-runs and Save overwrites it.
 func (st *Store) Lookup(s core.Scenario) (*core.Result, bool) {
 	fp := Fingerprint(s)
 	path := st.path(fp)
@@ -172,6 +174,11 @@ func (st *Store) Lookup(s core.Scenario) (*core.Result, bool) {
 	}
 	if err := a.verify(); err != nil {
 		st.quarantineFile(path, err.Error())
+		return nil, false
+	}
+	if a.Result.WholeRun == nil {
+		// Intact, but written before results carried the whole-run
+		// window: a plain miss, re-simulated and overwritten.
 		return nil, false
 	}
 	return a.Result, true

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
@@ -140,6 +141,50 @@ func TestStoreIgnoresCorruptArtifact(t *testing.T) {
 	}
 }
 
+// An artifact written before results carried the whole-run window —
+// a valid CRC, no WholeRun — is a plain miss: neither served nor
+// quarantined, and the sweep re-simulates the scenario and overwrites
+// it with a result that has the window.
+func TestStoreMissesArtifactWithoutWholeRun(t *testing.T) {
+	st, err := NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := quick(6)
+	res, err := core.Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := *res
+	old.WholeRun = nil
+	if err := st.Save(s, &old, 0); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(st.path(Fingerprint(s))); bytes.Contains(b, []byte("WholeRun")) {
+		t.Fatal("the parent-shaped artifact carries a WholeRun key")
+	}
+	corrupt := 0
+	st.OnCorrupt(func(string) { corrupt++ })
+	if r, ok := st.Lookup(s); ok || r != nil {
+		t.Fatal("an artifact without the whole-run window was served")
+	}
+	if _, err := os.Stat(st.QuarantineDir()); !os.IsNotExist(err) || corrupt != 0 || st.Len() != 1 {
+		t.Fatalf("the artifact was quarantined (%d corrupt, %d in store): %v", corrupt, st.Len(), err)
+	}
+	tr := telemetry.NewTracker()
+	tr.AddTotal(1)
+	got, err := core.RunSeedsOpts(s, []uint64{s.Seed}, SweepOpts(core.Opts{Spans: tr}, 1, st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw := tr.Stats(); sw.Cached != 0 || sw.Events == 0 || got.Total.Mean() != res.Summary.TotalGbps {
+		t.Fatalf("sweep over the old artifact: %+v", sw)
+	}
+	if r, ok := st.Lookup(s); !ok || !reflect.DeepEqual(r.WholeRun, res.WholeRun) {
+		t.Fatal("the re-simulated result did not replace the old artifact")
+	}
+}
+
 func TestStoreCoreOptsIntegration(t *testing.T) {
 	// The store's Lookup/SaveResult hooks plug into a core sweep and
 	// make it resumable with identical aggregates.
@@ -201,7 +246,7 @@ func TestStoreQuarantinesCorruptArtifact(t *testing.T) {
 		t.Fatalf("onCorrupt observed %v", corrupt)
 	}
 	// The slot is free again: a fresh save round-trips.
-	if err := st.Save(s, &core.Result{Name: "fresh", Events: 3}, 0); err != nil {
+	if err := st.Save(s, &core.Result{Name: "fresh", Events: 3, WholeRun: &metrics.Classes{}}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := st.Lookup(s); !ok || got.Events != 3 {
@@ -347,7 +392,7 @@ func FuzzStoreLookup(f *testing.F) {
 		}
 		return b
 	}
-	res := &core.Result{Name: "fuzz", Events: 7}
+	res := &core.Result{Name: "fuzz", Events: 7, WholeRun: &metrics.Classes{}}
 	valid := encode(Artifact{Name: s.Name, Fingerprint: fp, Scenario: s, Result: res})
 	flipped := bytes.Clone(valid)
 	flipped[len(flipped)/3] ^= 0x20
@@ -358,6 +403,7 @@ func FuzzStoreLookup(f *testing.F) {
 	f.Add(flipped)
 	f.Add(encode(Artifact{Name: s.Name, Fingerprint: Fingerprint(other), Scenario: other, Result: res}))
 	f.Add(encode(Artifact{Name: s.Name, Fingerprint: fp, Scenario: s}))
+	f.Add(encode(Artifact{Name: s.Name, Fingerprint: fp, Scenario: s, Result: &core.Result{Name: "fuzz", Events: 7}}))
 	st, err := NewStore(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
@@ -378,8 +424,15 @@ func FuzzStoreLookup(f *testing.F) {
 			}
 			return
 		}
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Fatalf("missed artifact still in the store: %v", err)
+		if _, err := os.Stat(path); err == nil {
+			// Only an intact artifact without the whole-run window is a
+			// plain miss that stays in place.
+			var a Artifact
+			if err := json.Unmarshal(data, &a); err != nil || a.Fingerprint != fp || a.Result == nil ||
+				a.Result.WholeRun != nil || a.verify() != nil {
+				t.Fatalf("missed artifact still in the store: %v", err)
+			}
+			return
 		}
 		if _, err := os.Stat(filepath.Join(st.QuarantineDir(), filepath.Base(path))); err != nil {
 			t.Fatalf("missed artifact not quarantined: %v", err)

@@ -84,6 +84,41 @@ func (c *Collector) Rates() NodeRates {
 	return r
 }
 
+// WholeRun summarizes the whole run, from time 0 to the current
+// simulation time, by class. Every counter starts at zero, so the
+// end-of-run counters alone give it: no snapshot, and no per-node
+// slices. The sums run in LID order, as Summarize's do, so a node's
+// rate is added exactly as a per-node NodeRates would add it.
+func (c *Collector) WholeRun(hotspots map[ib.LID]bool) Classes {
+	secs := c.net.Sim().Now().Seconds()
+	n := c.net.NumHosts()
+	var sum [2][3]float64 // [payload, wire][hotspots, others, all]
+	hot := 0
+	for i := 0; i < n; i++ {
+		cur := c.net.HCA(ib.LID(i)).Counters()
+		class := 1
+		if hotspots[ib.LID(i)] {
+			class, hot = 0, hot+1
+		}
+		for k, bytes := range [2]uint64{cur.RxDataPayload, cur.RxBytes} {
+			r := float64(bytes) * 8 / secs
+			sum[k][class] += r
+			sum[k][2] += r
+		}
+	}
+	avg := func(s float64, count int) float64 {
+		if count == 0 {
+			return 0
+		}
+		return Gbps(s / float64(count))
+	}
+	var out [2]Summary
+	for k, s := range sum {
+		out[k] = Summary{avg(s[0], hot), avg(s[1], n-hot), avg(s[2], n), Gbps(s[2])}
+	}
+	return Classes{out[0], out[1]}
+}
+
 // Avg returns the mean of vals over the given LIDs, or over all nodes
 // when lids is nil.
 func Avg(vals []float64, lids []ib.LID) float64 {
@@ -130,7 +165,8 @@ func Gbps(bps float64) float64 { return bps / 1e9 }
 
 // Summary condenses a run into the row format of the paper's tables:
 // average receive rates of hotspots and non-hotspots and the total
-// network throughput, all in Gbit/s of application payload.
+// network throughput, all in Gbit/s of application payload (of wire
+// bytes in Classes.Wire).
 type Summary struct {
 	HotspotAvgGbps    float64
 	NonHotspotAvgGbps float64
@@ -138,15 +174,32 @@ type Summary struct {
 	TotalGbps         float64
 }
 
-// Summarize builds a Summary from per-node rates and the hotspot set.
+// Summarize builds a Summary of the payload rates from per-node rates
+// and the hotspot set.
 func Summarize(r NodeRates, hotspots map[ib.LID]bool) Summary {
-	hot, non := Partition(len(r.RxPayload), hotspots)
+	return summarize(r.RxPayload, hotspots)
+}
+
+func summarize(rx []float64, hotspots map[ib.LID]bool) Summary {
+	hot, non := Partition(len(rx), hotspots)
 	return Summary{
-		HotspotAvgGbps:    Gbps(Avg(r.RxPayload, hot)),
-		NonHotspotAvgGbps: Gbps(Avg(r.RxPayload, non)),
-		AllAvgGbps:        Gbps(Avg(r.RxPayload, nil)),
-		TotalGbps:         Gbps(Sum(r.RxPayload, nil)),
+		HotspotAvgGbps:    Gbps(Avg(rx, hot)),
+		NonHotspotAvgGbps: Gbps(Avg(rx, non)),
+		AllAvgGbps:        Gbps(Avg(rx, nil)),
+		TotalGbps:         Gbps(Sum(rx, nil)),
 	}
+}
+
+// Classes is one window's class summary twice: of the delivered
+// payload, and of the wire bytes the sinks drained (payload, headers
+// and CNPs).
+type Classes struct {
+	Payload, Wire Summary
+}
+
+// SummarizeWire is Summarize of the wire rates.
+func SummarizeWire(r NodeRates, hotspots map[ib.LID]bool) Summary {
+	return summarize(r.RxWire, hotspots)
 }
 
 func (s Summary) String() string {

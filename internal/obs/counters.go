@@ -110,17 +110,6 @@ func (t *PortTable[T]) At(sw, port int) *T {
 	return &(*row)[port]
 }
 
-// NewPortTable returns a zero table shaped like r's declared ports —
-// a row per switch, each as long as its highest declared port needs —
-// so a table filled from r's rows never grows for a declared port.
-func NewPortTable[T any](r *Registry) PortTable[T] {
-	ports := make([]int, len(r.index))
-	for sw, row := range r.index {
-		ports[sw] = len(row)
-	}
-	return shapedTable[T](ports)
-}
-
 // shapedTable returns a table whose row sw holds ports[sw] entries, the
 // rows carved from one slab.
 func shapedTable[T any](ports []int) PortTable[T] {

@@ -22,50 +22,44 @@ type HubSnapshot struct {
 	HotPorts []HotPort `json:"hot_ports"`
 }
 
-// Hub aggregates per-run samplers into sweep-level telemetry. Parallel
-// runs have independent simulated clocks, so each run gets its own
-// Sampler (StartRun) and the hub folds finished runs into cross-run
-// aggregates (FinishRun), which workers may call concurrently. A nil
-// *Hub is a valid disabled hub: StartRun returns a nil sampler and
-// every attach point stays a single nil check.
+// Hub aggregates a sweep's runs into sweep-level telemetry: the message
+// completion histogram and the port peaks. Parallel runs have
+// independent simulated clocks, so each run gets its own reader
+// (StartRun), whose finish folds the run into cross-run aggregates;
+// workers may finish runs concurrently. A nil *Hub is telemetry off:
+// Snapshot returns the zero view.
 type Hub struct {
-	mu      sync.Mutex
-	cadence sim.Duration
-	done    int
+	mu   sync.Mutex
+	done int
 
 	completion Hist
 	peaks      obs.PortTable[portPeak]
 }
 
-// NewHub returns an empty hub; cadence <= 0 selects DefaultCadence for
-// the samplers it hands out.
-func NewHub(cadence sim.Duration) *Hub {
-	if cadence <= 0 {
-		cadence = DefaultCadence
-	}
-	return &Hub{cadence: cadence}
-}
+// NewHub returns an empty hub. It keeps no time series, so the cadence
+// argument is ignored; it stays for callers that pass one.
+func NewHub(sim.Duration) *Hub { return &Hub{} }
 
-// StartRun returns a new run's sampler (nil when the hub is nil, which
-// every consumer treats as telemetry-off).
-func (h *Hub) StartRun(name string) *Sampler {
-	if h == nil {
-		return nil
+// StartRun makes the hub the bus's span reader for one run and returns
+// the function that folds the run into the aggregates when it has
+// ended: every message's completion span, recorded as the bus's table
+// closes it, and the port peaks, read once at the end. It keeps no
+// rows and subscribes to no event, so the bus ticks nothing for it.
+func (h *Hub) StartRun(b *obs.Bus) (finish func()) {
+	var completion Hist
+	reg := b.Registry()
+	reg.SetSpan(func(d sim.Duration) { completion.Record(int64(d)) })
+	return func() {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.done++
+		h.completion.Merge(&completion)
+		reg.Each(func(k obs.PortKey, p *obs.PortCounters) {
+			if agg := h.peaks.At(k.Switch, k.Port); p.PeakDepth > agg.peak {
+				agg.peak, agg.host = p.PeakDepth, p.HostPort
+			}
+		})
 	}
-	return NewSampler(name, h.cadence)
-}
-
-// FinishRun flushes the sampler and folds it into the aggregates. It is
-// a no-op on a nil hub or sampler.
-func (h *Hub) FinishRun(s *Sampler) {
-	if h == nil || s == nil {
-		return
-	}
-	s.Finish()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.done++
-	s.mergeInto(&h.completion, &h.peaks)
 }
 
 // Snapshot returns the sweep-level view. Safe for concurrent use.

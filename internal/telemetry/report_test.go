@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,6 +19,11 @@ func validReport() *RunReport {
 		Radix:       8,
 		Seeds:       2,
 		Sweep:       &SweepStats{Total: 4, Done: 4},
+		Records: []Record{{
+			Exp: "table2", Point: "hotspots", Quantity: "total", Seeds: []uint64{1, 2},
+			Steady: Window{Off: Stat{Mean: 127, CI95: 44}},
+			Paper:  &Paper{Value: Legs{Off: 216.1}, Provenance: ProvText, Tolerance: 0.05, Verdict: "not comparable: radix 8"},
+		}},
 	}
 }
 
@@ -39,6 +45,11 @@ func TestReportValidate(t *testing.T) {
 		"degradation kind": {func(r *RunReport) { r.Kind = "degradation" }, "unknown kind"},
 		"no name":          {func(r *RunReport) { r.Name = "" }, "missing name"},
 		"no sweep":         {func(r *RunReport) { r.Sweep = nil }, "without sweep stats"},
+		"no seeds":         {func(r *RunReport) { r.Records[0].Seeds = nil }, "no seeds"},
+		"NaN mean":         {func(r *RunReport) { r.Records[0].WholeRun.Gain.Mean = math.NaN() }, "mean NaN"},
+		"negative CI":      {func(r *RunReport) { r.Records[0].Steady.WireOn.CI95 = -1 }, "±-1"},
+		"bad provenance":   {func(r *RunReport) { r.Records[0].Paper.Provenance = "memory" }, `provenance "memory"`},
+		"no tolerance":     {func(r *RunReport) { r.Records[0].Paper.Tolerance = 0 }, "tolerance 0"},
 	}
 	for name, c := range cases {
 		r := validReport()
@@ -47,6 +58,9 @@ func TestReportValidate(t *testing.T) {
 			t.Errorf("%s: Validate = %v, want an error naming %q", name, err, c.want)
 		}
 		data, err := json.Marshal(r)
+		if err != nil && name == "NaN mean" {
+			continue // JSON cannot carry a NaN at all
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -85,8 +99,9 @@ func TestReportWriteAndValidateBytes(t *testing.T) {
 // behind `paperbench report PATH`. It must never panic, and a report it
 // accepts must survive Write: the written file validates again and
 // re-encodes to the same bytes. The seeds are a committed report, a
-// truncated copy of it, one of an unknown kind and one of the removed
-// degradation kind with its curve payload.
+// truncated copy of it, one of an unknown kind, one that carries paper
+// records, and one of the removed degradation kind with its curve
+// payload.
 func FuzzValidateReport(f *testing.F) {
 	committed, err := os.ReadFile(filepath.Join("..", "..", "cmd", "paperbench", "testdata", "report-before-trend-removal.json"))
 	if err != nil {
@@ -95,6 +110,11 @@ func FuzzValidateReport(f *testing.F) {
 	f.Add(committed)
 	f.Add(committed[:len(committed)/2])
 	f.Add(bytes.Replace(committed, []byte(`"kind": "experiments"`), []byte(`"kind": "tournament"`), 1))
+	withRecords, err := json.Marshal(validReport())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(withRecords)
 	f.Add([]byte(`{"schema": "ibcc.run-report/1", "generated_at": "2026-10-18T06:03:34Z", "kind": "degradation",
 		"name": "fattree-8", "radix": 8, "seeds": 2, "sweep": {"total": 8, "done": 8},
 		"degradation": {"scenario": "fattree-8", "points": [{"intensity": 0.6, "cc_off": {"all_gbps": 1.5}}]}}`))

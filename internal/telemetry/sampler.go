@@ -87,16 +87,16 @@ type SamplerSnapshot struct {
 // Sampler turns one run into a fixed-cadence time series, one Row per
 // bin, kept for the whole run. Everything a packet hop changes — queue
 // depths, delivered bytes, credit stalls — it reads from the bus's
-// aggregate table (obs.Registry) once per bin, when the bus ticks, and
-// the table hands it every message's completion span; only the
-// low-rate kinds reach it as events. Attaching it never schedules a
-// simulation event, so the observed trajectory is byte-identical to the
-// unobserved one.
+// aggregate table (obs.Registry) once per bin, when the bus ticks; the
+// message completion spans and the port peaks it reads as a one-run
+// Hub does, and only the low-rate kinds reach it as events. Attaching
+// it never schedules a simulation event, so the observed trajectory is
+// byte-identical to the unobserved one.
 //
 // A sampler belongs to its run: ticks, spans and Consume run on the
-// simulation goroutine, and Finish, Snapshot and the hub's FinishRun
-// read it after the run, so it takes no lock. reg is the bus's live
-// table; Snapshot works from what the last flush copied out of it.
+// simulation goroutine, and Finish and Snapshot read it after the run,
+// so it takes no lock beyond its hub's. reg is the bus's live table;
+// Snapshot works from what the last flush copied out of it.
 type Sampler struct {
 	name    string
 	cadence sim.Duration
@@ -115,13 +115,13 @@ type Sampler struct {
 	rows []Row
 
 	// Continuous state read at each bin boundary.
-	peaks     obs.PortTable[portPeak] // copied from reg by every flush; shaped like it
-	ccti      map[ib.FlowKey]uint16   // throttled flows only: a step to 0 deletes
+	ccti      map[ib.FlowKey]uint16 // throttled flows only: a step to 0 deletes
 	linksDown int
 
-	// Message completion spans (first packet injected → last packet
-	// delivered), recorded as the bus's table closes them.
-	completion Hist
+	// hub holds the message completion spans (first packet injected →
+	// last packet delivered) and, once finish ran, the port peaks.
+	hub    Hub
+	finish func()
 
 	lastTime sim.Time
 }
@@ -140,10 +140,10 @@ func NewSampler(name string, cadence sim.Duration) *Sampler {
 	}
 }
 
-// Attach makes the sampler the bus's tick and span reader and
-// subscribes it to the low-rate kinds it still takes as events. A nil
-// sampler (telemetry off) attaches nothing, so call sites stay a single
-// unconditional line.
+// Attach makes the sampler the bus's tick reader, its hub the span
+// reader, and subscribes it to the low-rate kinds it still takes as
+// events. A nil sampler (telemetry off) attaches nothing, so call sites
+// stay a single unconditional line.
 func (s *Sampler) Attach(b *obs.Bus) {
 	if s == nil {
 		return
@@ -151,7 +151,7 @@ func (s *Sampler) Attach(b *obs.Bus) {
 	s.reg = b.Registry()
 	s.prevBytes, s.prevStalls = s.reg.Delivered, s.reg.Stalls
 	s.reg.SetTick(s.tick)
-	s.reg.SetSpan(s.span)
+	s.finish = s.hub.StartRun(b)
 	b.Subscribe(s, obs.KindCCTIChanged, obs.KindLinkDown, obs.KindLinkUp, obs.KindPacketDropped)
 }
 
@@ -162,10 +162,6 @@ func (s *Sampler) tick(t sim.Time) sim.Time {
 	s.advance(t)
 	return sim.Time((s.curBin + 1) * int64(s.cadence))
 }
-
-// span is the bus's message-completion callback
-// (obs.Registry.SetSpan).
-func (s *Sampler) span(d sim.Duration) { s.completion.Record(int64(d)) }
 
 // Consume implements obs.Consumer.
 func (s *Sampler) Consume(e obs.Event) {
@@ -222,8 +218,7 @@ func (s *Sampler) advance(t sim.Time) {
 
 // flushBin appends the open bin's row, stamped at the bin's end: what
 // the registry's cumulative counters gained since the last flush, the
-// stream kinds' counts, and the state as it stands. The port walk that
-// sums the depths also copies each port's peak out for Snapshot.
+// stream kinds' counts, and the state as it stands.
 func (s *Sampler) flushBin() {
 	binSec := s.cadence.Seconds()
 	gbps := func(c int) float64 { return float64(s.reg.Delivered[c]-s.prevBytes[c]) * 8 / binSec / 1e9 }
@@ -241,18 +236,10 @@ func (s *Sampler) flushBin() {
 	s.prevBytes, s.prevStalls = s.reg.Delivered, s.reg.Stalls
 	s.binDrops, s.binIncr, s.binDecr = 0, 0, 0
 
-	if s.peaks == nil {
-		// Sized once, at the first flush: the fabric has declared its
-		// ports by the time anything is published.
-		s.peaks = obs.NewPortTable[portPeak](s.reg)
-	}
 	var total, maxP int
-	s.reg.Each(func(k obs.PortKey, p *obs.PortCounters) {
+	s.reg.Each(func(_ obs.PortKey, p *obs.PortCounters) {
 		total += int(p.Depth)
 		maxP = max(maxP, int(p.Depth))
-		if p.PeakDepth > 0 {
-			*s.peaks.At(k.Switch, k.Port) = portPeak{p.PeakDepth, p.HostPort}
-		}
 	})
 	r.QueuedKB, r.MaxPortKB = float64(total)/1024, float64(maxP)/1024
 
@@ -269,8 +256,8 @@ func (s *Sampler) flushBin() {
 	s.rows = append(s.rows, r)
 }
 
-// Finish flushes the final partial bin. Call it once when the run ends;
-// a nil sampler is a no-op.
+// Finish flushes the final partial bin and has the hub read the port
+// peaks. Call it once when the run ends; a nil sampler is a no-op.
 func (s *Sampler) Finish() {
 	if s == nil {
 		return
@@ -280,19 +267,10 @@ func (s *Sampler) Finish() {
 		s.flushBin()
 		s.curBin = -1
 	}
-}
-
-// mergeInto folds the sampler's cross-run aggregates (completion
-// histogram, port peaks) into the hub's accumulators.
-func (s *Sampler) mergeInto(h *Hist, peaks *obs.PortTable[portPeak]) {
-	h.Merge(&s.completion)
-	s.peaks.Each(func(sw, port int, p *portPeak) {
-		if p.peak > 0 {
-			if agg := peaks.At(sw, port); p.peak > agg.peak {
-				agg.peak, agg.host = p.peak, p.host
-			}
-		}
-	})
+	if s.finish != nil {
+		s.finish()
+		s.finish = nil
+	}
 }
 
 // hotPorts ranks the ports that ever queued anything by peak depth,
@@ -315,14 +293,15 @@ func hotPorts(ports obs.PortTable[portPeak]) []HotPort {
 // only what a flush or a stream event stored, never the bus's live
 // table, and shares the rows, which a flush never rewrites.
 func (s *Sampler) Snapshot() SamplerSnapshot {
+	hub := s.hub.Snapshot()
 	return SamplerSnapshot{
 		Name:       s.name,
 		CadenceUS:  s.cadence.Seconds() * 1e6,
 		NowUS:      s.lastTime.Seconds() * 1e6,
 		Rows:       s.rows[:len(s.rows):len(s.rows)],
 		LinksDown:  s.linksDown,
-		Completion: s.completion.snapshot(1e-6),
-		HotPorts:   hotPorts(s.peaks),
+		Completion: hub.Completion,
+		HotPorts:   hub.HotPorts,
 	}
 }
 

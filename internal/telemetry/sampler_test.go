@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -386,16 +387,35 @@ func TestSamplerPortsOutOfOrder(t *testing.T) {
 		}
 	}
 
-	// The hub keeps the higher peak per port across runs; a second run
-	// is a second bus, since depths and peaks live on the bus.
+	// The hub reads the same peaks from a run's reader, and keeps the
+	// higher peak per port across runs; a second run is a second bus,
+	// since depths and peaks live on the bus.
 	h := NewHub(0)
-	s2 := h.StartRun("second")
-	b2 := obs.New()
-	s2.Attach(b2)
-	h.FinishRun(s)
-	b2.QueueSampled(us(20), 0, 20, true, 1, 8192)
-	b2.QueueSampled(us(21), 40, 35, false, 0, 1024)
-	h.FinishRun(s2)
+	for _, samples := range [][]func(*obs.Bus){
+		{
+			func(b *obs.Bus) { b.QueueSampled(us(1), 40, 35, true, 14, 4096) },
+			func(b *obs.Bus) { b.QueueSampled(us(2), 40, 35, true, 0, 2048) },
+			func(b *obs.Bus) { b.QueueSampled(us(3), 2, 7, false, 3, 6144) },
+			func(b *obs.Bus) { b.QueueSampled(us(4), 40, 1, false, 0, 6144) },
+			func(b *obs.Bus) { b.QueueSampled(us(5), 0, 20, false, 14, 1024) },
+			func(b *obs.Bus) { b.QueueSampled(us(6), 40, 35, false, 14, 0) },
+			func(b *obs.Bus) { b.QueueSampled(us(7), 5, 5, false, 200, 1<<20) },
+		},
+		{
+			func(b *obs.Bus) { b.QueueSampled(us(20), 0, 20, true, 1, 8192) },
+			func(b *obs.Bus) { b.QueueSampled(us(21), 40, 35, false, 0, 1024) },
+		},
+	} {
+		b := obs.New()
+		finish := h.StartRun(b)
+		for _, sample := range samples {
+			sample(b)
+		}
+		finish()
+		if h.Snapshot().Runs == 1 && !reflect.DeepEqual(h.Snapshot().HotPorts, want) {
+			t.Fatalf("one run's hub hot ports = %+v, want the sampler's %+v", h.Snapshot().HotPorts, want)
+		}
+	}
 	hot := h.Snapshot().HotPorts
 	if len(hot) != 4 || hot[0] != (HotPort{Switch: 0, Port: 20, HostPort: true, PeakKB: 8}) || hot[3] != want[2] {
 		t.Fatalf("hub hot ports = %+v", hot)

@@ -7,6 +7,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 func TestTrackerLifecycle(t *testing.T) {
@@ -206,19 +209,16 @@ func TestTrackerEndUnknownID(t *testing.T) {
 
 func TestHubAggregation(t *testing.T) {
 	h := NewHub(0)
-	s1 := h.StartRun("cell-1")
-	s2 := h.StartRun("cell-2")
-	if s1 == nil || s2 == nil {
-		t.Fatalf("StartRun returned nil on a live hub")
-	}
+	b1, b2 := obs.New(), obs.New()
+	finish1, finish2 := h.StartRun(b1), h.StartRun(b2)
 	if snap := h.Snapshot(); snap.Runs != 0 || snap.Completion.Count != 0 {
 		t.Fatalf("snapshot before any run finished: %+v", snap)
 	}
 
-	s1.completion.Record(int64(1000))
-	h.FinishRun(s1)
-	s2.completion.Record(int64(3000))
-	h.FinishRun(s2)
+	b1.PacketDelivered(sim.Time(1000), 8, dataPacket(2, 8, 5, 0, 1, 0, false))
+	finish1()
+	b2.PacketDelivered(sim.Time(3000), 8, dataPacket(2, 8, 5, 0, 1, 0, false))
+	finish2()
 
 	snap := h.Snapshot()
 	if snap.Runs != 2 {
@@ -231,11 +231,6 @@ func TestHubAggregation(t *testing.T) {
 
 func TestHubNilSafe(t *testing.T) {
 	var h *Hub
-	s := h.StartRun("x")
-	if s != nil {
-		t.Fatalf("nil hub handed out a sampler")
-	}
-	h.FinishRun(s)
 	if snap := h.Snapshot(); snap.Runs != 0 || snap.HotPorts != nil {
 		t.Fatalf("nil hub snapshot: %+v", snap)
 	}

@@ -18,6 +18,10 @@
 #      is 600 bins; -trace and -telemetry read the one sampler, so the
 #      CSV has a header plus 600 rows and the telemetry line counts 600
 #      bins.
+#   4. paperbench: Table II over two seeds writes its paper records into
+#      the run report, and `paperbench report` renders them. A radix-8
+#      fabric over the short windows is not the paper's, so every record
+#      that carries a paper value reads "not comparable", with a reason.
 set -eu
 
 GO=${GO:-go}
@@ -48,4 +52,12 @@ head -1 "$T/trace.csv" | grep -q '^time_s,'
 "$GO" run ./cmd/ibccsim -radix 8 -warmup 1ms -measure 5ms -traceint 10us -trace "$T/long.csv" -telemetry |
     grep -q 'telemetry: 10.0us cadence, 600 bins;'
 [ "$(wc -l < "$T/long.csv")" -eq 601 ]
+
+# --- 4. Paper records in the run report. ---
+"$GO" run ./cmd/paperbench -radix 8 -short -exp table2 -seeds 2 -report "$T/paper.json" > /dev/null
+"$GO" run ./cmd/paperbench report "$T/paper.json" > "$T/paper.txt"
+verdicts=$(grep -c '"verdict"' "$T/paper.json")
+[ "$verdicts" -eq 4 ]
+[ "$(grep -c '"verdict": "not comparable: radix 8 builds 32 nodes' "$T/paper.json")" -eq "$verdicts" ]
+[ "$(grep -c 'not comparable: radix 8 builds 32 nodes' "$T/paper.txt")" -eq "$verdicts" ]
 echo "telemetry smoke: ok"
